@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-capture bench-capture-modes ci obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
+.PHONY: all build test test-short bench ci obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
 
 all: build test
 
@@ -31,8 +31,9 @@ test-short:
 # trace JSON with a shard hop child under every frontend root span), the
 # fault smoke lane (SIGKILL a worker mid-iteration and still match the
 # clean run's bytes; graceful SIGTERM with a resumable checkpoint; no
-# orphans after a coordinator SIGKILL), and a one-shot bench smoke so
-# benchmark code cannot rot unnoticed.
+# orphans after a coordinator SIGKILL), a one-shot bench smoke so
+# benchmark code cannot rot unnoticed, and the pipeline benchmark's own
+# module (bench/: unit tests plus a toy-size smoke of both workloads).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -50,6 +51,7 @@ ci:
 	$(MAKE) implicit-smoke
 	$(MAKE) trace-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -C bench ./...
 
 # Observability smoke: build alstrain, run one training iteration with
 # -debug-addr, scrape live /metrics and /runinfo, and validate the
@@ -109,18 +111,6 @@ trace-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Capture the host variant-space wall-clock record (the tracked trajectory:
-# BENCH_<n>.json, one file per optimization PR; see README "Performance").
-BENCH_OUT ?= BENCH_2.json
-bench-capture:
-	$(GO) run ./cmd/alsbench -capture $(BENCH_OUT) -capture-scale 0.01
-
-# Capture the training-mode wall-clock record (BENCH_8.json): explicit vs
-# implicit feedback x {chol,cg} solver x iALS++ block size at serving-scale
-# k, where the CG fast path's speedup over the direct solve is measured.
-bench-capture-modes:
-	$(GO) run ./cmd/alsbench -capture-modes BENCH_8.json -capture-scale 0.01 -k 64
 
 # Reproduce every table and figure of the paper (see EXPERIMENTS.md).
 experiments:

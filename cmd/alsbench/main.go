@@ -23,9 +23,6 @@ func main() {
 	k := flag.Int("k", 10, "latent factor")
 	lambda := flag.Float64("lambda", 0.1, "regularization")
 	seed := flag.Int64("seed", 2017, "dataset + init seed")
-	capture := flag.String("capture", "", "run the host variant bench capture and write the JSON record to this file (e.g. BENCH_2.json)")
-	captureModes := flag.String("capture-modes", "", "run the host training-mode bench capture (explicit vs implicit x solver x block size) and write the JSON record to this file (e.g. BENCH_8.json)")
-	captureScale := flag.Float64("capture-scale", 0.01, "MVLE bench scale for -capture/-capture-modes")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics (process health) and /debug/pprof on this address while the experiments run")
 	var prof obs.ProfileFlags
 	prof.Register(flag.CommandLine)
@@ -65,46 +62,6 @@ func main() {
 		}
 		defer dbg.Close()
 		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
-	}
-	if *capture != "" {
-		c, err := experiments.CaptureHostBench(s, *captureScale)
-		if err != nil {
-			fail(err)
-		}
-		c.Fprint(os.Stdout)
-		f, err := os.Create(*capture)
-		if err != nil {
-			fail(err)
-		}
-		if err := c.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("capture written to %s\n", *capture)
-		return
-	}
-	if *captureModes != "" {
-		c, err := experiments.CaptureModeBench(s, *captureScale)
-		if err != nil {
-			fail(err)
-		}
-		c.Fprint(os.Stdout)
-		f, err := os.Create(*captureModes)
-		if err != nil {
-			fail(err)
-		}
-		if err := c.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("capture written to %s\n", *captureModes)
-		return
 	}
 	if all || want["table1"] {
 		t, err := experiments.Table1(s)

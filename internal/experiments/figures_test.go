@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,7 +145,25 @@ func TestKSweepErosion(t *testing.T) {
 	}
 }
 
+// serialUnderRace pins GOMAXPROCS to 1 for a test that reaches TrainSGD's
+// default worker count in a -race binary: Hogwild's lock-free factor updates
+// are data races by design, and a single worker has nobody to race with.
+// Ordinary builds run the test unchanged.
+func serialUnderRace(t *testing.T) {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			prev := runtime.GOMAXPROCS(1)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		}
+	}
+}
+
 func TestConvergenceCurves(t *testing.T) {
+	serialUnderRace(t)
 	s := smallSettings()
 	tab, err := Convergence(s, 4)
 	if err != nil {

@@ -85,11 +85,10 @@ var ErrDiverged = errors.New("guard: training diverged")
 // ErrForcedFailure marks a solver failure injected by the chaos harness.
 var ErrForcedFailure = errors.New("guard: injected solver failure")
 
-// RowError is the typed strict-mode failure: it names the row (and, once
-// the training loop annotates it, the iteration) whose normal equations
-// could not be solved.
+// RowError is the typed strict-mode failure: it names the iteration and row
+// whose normal equations could not be solved.
 type RowError struct {
-	Iteration int // 1-based; 0 until the training loop fills it in
+	Iteration int // 1-based; 0 = unknown
 	Row       int
 	Omega     int // the row's rating count
 	Err       error

@@ -11,33 +11,34 @@ import (
 // RowUpdateAllocs measures the average heap allocations one steady-state row
 // update performs under cfg. The worker scratch is warmed by a full pass over
 // the rows first, exactly as a pool worker's scratch is after its first
-// chunk; the package tests and the bench capture assert the result is zero
-// for every variant. The count comes from runtime.ReadMemStats (the same
-// mechanism as testing.AllocsPerRun) so non-test binaries can call this
-// without linking the testing framework.
+// chunk — every row has then been seen, so the staging and per-nonzero
+// buffers are at capacity. The package tests assert the result is zero for
+// every variant and mode. The count comes from runtime.ReadMemStats (the
+// same mechanism as testing.AllocsPerRun) so non-test binaries can call
+// this without linking the testing framework.
 func RowUpdateAllocs(mx *sparse.Matrix, cfg Config) float64 {
 	m := mx.Rows()
 	cfg.setDefaults(m, mx.NNZ())
-	y := InitialY(mx.Cols(), cfg.K, cfg.Seed)
-	x := linalg.NewDense(m, cfg.K)
+	kn := newRowKernel(&cfg)
 	ws := newWorkerState(cfg.K)
-	var ig *linalg.SharedGram
+	side := halfSide{
+		r:     mx.R,
+		fixed: InitialY(mx.Cols(), cfg.K, cfg.Seed),
+		out:   linalg.NewDense(m, cfg.K),
+	}
+	job := &halfJob{halfSide: side, iter: 1, xHalf: true}
 	if cfg.Implicit {
-		ig = linalg.NewSharedGram(cfg.K)
-		ig.Compute(y)
+		job.gram = linalg.NewSharedGram(cfg.K)
+		job.gram.Compute(job.fixed)
 	}
 	for u := 0; u < m; u++ {
-		if err := updateRow(mx.R, y, x, u, 1, true, cfg, ws, ig); err != nil {
+		if err := kn.updateRow(job, u, ws); err != nil {
 			return -1
 		}
 	}
-	// CG and block rows grow the per-nonzero dots scratch on first contact
-	// with the row's degree; one more warming pass isn't needed because the
-	// loop above already visited every row, but the LPT-free natural order
-	// means the widest row has been seen and the scratch is at capacity.
 	u := 0
 	return allocsPerRun(200, func() {
-		_ = updateRow(mx.R, y, x, u, 1, true, cfg, ws, ig)
+		_ = kn.updateRow(job, u, ws)
 		u++
 		if u == m {
 			u = 0

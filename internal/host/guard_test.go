@@ -109,9 +109,12 @@ func TestForcedFailureSkipsRow(t *testing.T) {
 	}
 }
 
-// TestGuardRecoveryAllVariants: every code variant's recovery path must
-// produce finite factors and count its rescues under the chaos Gram-zeroing
-// fault (which makes the system exactly singular after λ was added).
+// TestGuardRecoveryAllVariants: every code variant's and training mode's
+// recovery path must produce finite factors and count its rescues under the
+// chaos Gram-zeroing fault (which makes the system exactly singular after λ
+// was added). The matrix-free modes (CG, block sweeps) never assemble a Gram
+// to poison, so the fault must reach the assembled system they fall through
+// to and be repaired by the same ladder.
 func TestGuardRecoveryAllVariants(t *testing.T) {
 	mx := smallDataset(t, 31)
 	cases := []struct {
@@ -122,6 +125,10 @@ func TestGuardRecoveryAllVariants(t *testing.T) {
 		{"tb", Config{}},
 		{"tb+reg+loc", Config{Variant: variant.Options{Register: true, Local: true}}},
 		{"tb+fus+vec", Config{Variant: variant.Options{Fused: true, Vector: true}}},
+		{"explicit cg", Config{Solver: SolverCG}},
+		{"implicit direct", Config{Implicit: true}},
+		{"implicit cg", Config{Implicit: true, Solver: SolverCG}},
+		{"implicit block", Config{Implicit: true, BlockSize: 3}},
 	}
 	for _, tc := range cases {
 		g := guard.New(guard.Policy{})
@@ -143,9 +150,44 @@ func TestGuardRecoveryAllVariants(t *testing.T) {
 	}
 }
 
+// TestForcedFailureBeatsGramPoison: Chaos.Bind keeps its two fault sets
+// disjoint, but FailFunc can put both faults on one row. In every mode that
+// row rides to the skip rung — a forced failure fails every repair rung —
+// while the merely poisoned rows are still rescued by the ladder (λ = 1 so
+// the jitter rungs outweigh the shared Gram's off-diagonals in implicit mode
+// too; at λ = 0.1 every poisoned implicit row is skipped and the case would
+// prove nothing).
+func TestForcedFailureBeatsGramPoison(t *testing.T) {
+	mx := smallDataset(t, 31)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"tb", Config{}},
+		{"explicit cg", Config{Solver: SolverCG}},
+		{"implicit direct", Config{Implicit: true}},
+		{"implicit cg", Config{Implicit: true, Solver: SolverCG}},
+		{"implicit block", Config{Implicit: true, BlockSize: 3}},
+	} {
+		g := guard.New(guard.Policy{})
+		ch := &guard.Chaos{Seed: 11, GramRows: 4}
+		ch.Bind(mx.Rows())
+		both := ch.GramRowList()[0]
+		ch.FailFunc = func(iter, row int, xHalf bool) bool { return iter == 1 && xHalf && row == both }
+		g.Chaos = ch
+		cfg := tc.cfg
+		cfg.K, cfg.Lambda, cfg.Iterations, cfg.Seed, cfg.Guard = 8, 1, 2, 7, g
+		if _, err := Train(mx, cfg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if skip, total := g.Recoveries(guard.RungSkip), g.TotalRecoveries(); skip != 1 || total != 4 {
+			t.Errorf("%s: skip rung = %d of %d recoveries, want 1 of 4", tc.name, skip, total)
+		}
+	}
+}
+
 // TestGuardedRowUpdateAllocsZero: an armed (but quiet) guard must not cost
-// the hot path its zero-allocation property — the recovery closures may only
-// materialize on the cold error branch.
+// the hot path its zero-allocation property.
 func TestGuardedRowUpdateAllocsZero(t *testing.T) {
 	mx := smallDataset(t, 22)
 	g := guard.New(guard.Policy{})
@@ -202,7 +244,7 @@ func TestPoolErrorStopsMidChunk(t *testing.T) {
 
 	p := newWorkerPool(cfg)
 	defer p.close()
-	job := &halfJob{r: mx.R, fixed: y, out: x, chunk: chunk, iter: 1, xHalf: true}
+	job := &halfJob{halfSide: halfSide{r: mx.R, fixed: y, out: x, chunk: chunk}, iter: 1, xHalf: true}
 	job.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.jobs <- job

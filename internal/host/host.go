@@ -17,10 +17,24 @@
 //   - fused            -> S1 and S2 in one sweep over the gathered rows into
 //     a packed upper-triangular Gram, solved by a packed Cholesky.
 //
-// Workers are spawned once per Train call and persist across all half
-// iterations: each half is a rendezvous on a shared job (an atomic row
-// cursor), not a fresh goroutine fan-out, and each worker's scratch lives
-// for the whole run so the row-update steady state allocates nothing.
+// The package has three layers, each in one place:
+//
+//   - Train (host.go) owns the iteration: one two-sided loop runs the X and
+//     Y halves, evaluates the objective at most once per iteration boundary,
+//     and calls the watchdog, the OnIteration hook and early stopping.
+//     RangeUpdater (range.go) is the same half over a contiguous row range,
+//     for the distributed trainer.
+//   - workerPool (host.go) owns the goroutines. Workers are spawned once and
+//     persist across all half iterations: each half is a rendezvous on a
+//     shared job (an atomic row cursor), not a fresh goroutine fan-out, and
+//     every schedule — LPT-ordered chunks or the flat baseline's W static
+//     blocks — is the same claim loop with a different chunk and order.
+//   - rowKernel (kernel.go) owns the row update. It is built once per pool
+//     from Config as gather × assemble × solve plus an optional matrix-free
+//     first attempt (CG, iALS++ block sweep; implicit.go), and its one
+//     updateRow carries the chaos, timing and recovery scaffold for every
+//     variant and mode. Each worker's scratch lives for the whole run, so
+//     the row-update steady state allocates nothing.
 //
 // Every variant produces identical factors for identical inputs (the
 // package tests assert this), so scheduling and kernel choice change only
@@ -28,7 +42,6 @@
 package host
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -278,24 +291,15 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	pool := newWorkerPool(cfg)
 	defer pool.close()
 
-	// Per-side schedules, built once and reused every iteration: a
-	// longest-row-first visit order (row updates are independent, so order
-	// changes only balance, never results) and a degree-aware chunk size.
-	// With a single worker there is no imbalance to fix and the natural
-	// order has better locality, so LPT is skipped.
-	var orderX, orderY []int32
-	if !cfg.Flat && pool.workers > 1 {
-		orderX = lptOrder(mx.R)
-		orderY = lptOrder(rt)
-	}
-	chunkX, chunkY := cfg.ChunkSize, cfg.ChunkSize
-	if userChunk <= 0 {
-		chunkY = defaultChunk(n, mx.NNZ(), cfg.Workers)
-	}
+	// Per-side schedules, built once and reused every iteration. The Y half
+	// is the X half with the roles swapped.
+	names := [2]string{"X", "Y"}
+	sides := [2]halfSide{pool.side(mx.R, y, x, userChunk), pool.side(rt, x, y, userChunk)}
 
 	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, variantLabel(cfg), modeLabel(cfg))
-	if cfg.Guard != nil {
-		cfg.Guard.SetVariant(variantLabel(cfg))
+	g := cfg.Guard
+	if g != nil {
+		g.SetVariant(variantLabel(cfg))
 		// The watchdog's loss floor scales with the objective's natural
 		// magnitude: Σr² for the explicit squared error, Σc·p² = nnz + αΣr
 		// for the implicit confidence-weighted one.
@@ -309,75 +313,47 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 				sq += float64(v) * float64(v)
 			}
 		}
-		cfg.Guard.SetLossScale(sq)
-	}
-	// Implicit mode shares one FᵀF precompute across every row of a half
-	// iteration; the buffers live here so workers never allocate.
-	var ig *linalg.SharedGram
-	if cfg.Implicit {
-		ig = linalg.NewSharedGram(cfg.K)
+		g.SetLossScale(sq)
 	}
 	res := &Result{X: x, Y: y}
 	start := time.Now()
 	prevLoss := math.Inf(1)
 	for it := cfg.StartIteration + 1; it <= cfg.Iterations; it++ {
-		cfg.Obs.BeginHalf(it, "X", m, mx.NNZ(), pool.workers)
-		if ig != nil {
-			ig.Compute(y)
-		}
-		err := pool.runHalf(mx.R, y, x, orderX, chunkX, it, true, ig)
-		cfg.Obs.EndHalf()
-		if err != nil {
-			annotateRowError(err, it)
-			return nil, fmt.Errorf("host: iteration %d update X: %w", it, err)
-		}
-		if cfg.TrackLoss {
-			loss := cfg.loss(mx, x, y)
-			res.History = append(res.History, IterStats{
-				Iteration: it, Half: "X", Loss: loss, Elapsed: time.Since(start),
-			})
-			cfg.Obs.RecordLoss(it, "X", loss)
-		}
-		cfg.Obs.BeginHalf(it, "Y", n, mx.NNZ(), pool.workers)
-		if ig != nil {
-			ig.Compute(x)
-		}
-		err = pool.runHalf(rt, x, y, orderY, chunkY, it, false, ig)
-		cfg.Obs.EndHalf()
-		if err != nil {
-			annotateRowError(err, it)
-			return nil, fmt.Errorf("host: iteration %d update Y: %w", it, err)
-		}
-		if cfg.TrackLoss {
-			loss := cfg.loss(mx, x, y)
-			res.History = append(res.History, IterStats{
-				Iteration: it, Half: "Y", Loss: loss, Elapsed: time.Since(start),
-			})
-			cfg.Obs.RecordLoss(it, "Y", loss)
-		}
-		// Divergence watchdog: with the workers parked the factors are
-		// stable, so this is the safe point to vet them — and it runs
-		// before OnIteration so diverged factors are never checkpointed.
-		// A chaos blow-up lands here too (after the half losses were
-		// recorded, mimicking corruption that strikes between iterations),
-		// in which case the vetted loss must be recomputed from the
-		// corrupted factors rather than reused.
-		if g := cfg.Guard; g != nil {
-			blew := g.Chaos.BlowUp(it)
-			if blew {
-				g.Chaos.CorruptFactors(x.Data)
+		var loss float64
+		for i, name := range names {
+			cfg.Obs.BeginHalf(it, name, sides[i].r.NumRows, mx.NNZ(), pool.workers)
+			err := pool.runHalf(sides[i], it, i == 0)
+			cfg.Obs.EndHalf()
+			if err != nil {
+				return nil, fmt.Errorf("host: iteration %d update %s: %w", it, name, err)
 			}
-			var loss float64
-			if cfg.TrackLoss && !blew {
-				loss = res.History[len(res.History)-1].Loss
-			} else {
+			if cfg.TrackLoss {
 				loss = cfg.loss(mx, x, y)
+				res.History = append(res.History, IterStats{
+					Iteration: it, Half: name, Loss: loss, Elapsed: time.Since(start),
+				})
+				cfg.Obs.RecordLoss(it, name, loss)
 			}
+		}
+		// Workers are parked between halves, so the factors are stable from
+		// here to the end of the iteration. A chaos blow-up lands now (after
+		// the half losses were recorded, mimicking corruption that strikes
+		// between iterations), which invalidates the Y half's loss; otherwise
+		// the watchdog and early stopping share it, or one fresh evaluation.
+		blew := g != nil && g.Chaos.BlowUp(it)
+		if blew {
+			g.Chaos.CorruptFactors(x.Data)
+		}
+		if (g != nil || cfg.Tolerance > 0) && (!cfg.TrackLoss || blew) {
+			loss = cfg.loss(mx, x, y)
+		}
+		// The divergence watchdog runs before OnIteration so diverged
+		// factors are never checkpointed.
+		if g != nil {
 			if err := g.CheckIteration(it, x.Data, y.Data, loss); err != nil {
 				return nil, fmt.Errorf("host: iteration %d: %w", it, err)
 			}
 		}
-		// Workers are parked between halves, so the factors are stable here.
 		if cfg.OnIteration != nil {
 			if err := cfg.OnIteration(it, x, y, res.History); err != nil {
 				return nil, fmt.Errorf("host: iteration %d hook: %w", it, err)
@@ -385,11 +361,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		}
 		cfg.Obs.IterDone(it)
 		if cfg.Tolerance > 0 {
-			var loss float64
-			if cfg.TrackLoss {
-				loss = res.History[len(res.History)-1].Loss
-			} else {
-				loss = cfg.loss(mx, x, y)
+			if !cfg.TrackLoss {
 				cfg.Obs.RecordLoss(it, "Y", loss)
 			}
 			res.Converged = it
@@ -401,15 +373,6 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// annotateRowError fills the iteration into a guard.RowError bubbling out
-// of the worker pool — the workers know the row but not the iteration.
-func annotateRowError(err error, it int) {
-	var re *guard.RowError
-	if errors.As(err, &re) && re.Iteration == 0 {
-		re.Iteration = it
-	}
 }
 
 // variantLabel names the run's code variant for observability output,
@@ -484,35 +447,58 @@ func lptOrder(r *sparse.CSR) []int32 {
 	return order
 }
 
-// halfJob is one half iteration handed to every worker: the side's CSR, the
-// factor pair, the visit order, and a shared atomic cursor the workers claim
-// chunks from. A job completes when all workers return from it.
-type halfJob struct {
+// halfSide is what a half iteration keeps from one iteration to the next:
+// the side's CSR, the factor pair, and the schedule.
+type halfSide struct {
 	r          *sparse.CSR
 	fixed, out *linalg.Dense
 	order      []int32 // LPT permutation; nil = natural order
 	chunk      int
-	iter       int                // 1-based full iteration (guard/chaos addressing)
-	xHalf      bool               // true for the X half, false for the Y half
-	gram       *linalg.SharedGram // implicit mode's FᵀF precompute; nil otherwise
-	cursor     atomic.Int64
-	err        atomic.Value
-	wg         sync.WaitGroup
 }
 
-// workerPool owns Config.Workers goroutines for the lifetime of one Train
-// call. Each worker keeps its scratch (Gram matrix, staging buffers) across
-// every half iteration, so steady-state row updates allocate nothing; a half
-// iteration costs two channel sends per worker instead of a goroutine spawn.
+// halfJob is one half iteration handed to every worker: a side plus a shared
+// atomic cursor the workers claim chunks from. A job completes when all
+// workers return from it.
+type halfJob struct {
+	halfSide
+	iter   int                // 1-based full iteration (guard/chaos addressing)
+	xHalf  bool               // true for the X half, false for the Y half
+	gram   *linalg.SharedGram // implicit mode's FᵀF precompute; nil otherwise
+	cursor atomic.Int64
+	err    atomic.Value
+	wg     sync.WaitGroup
+}
+
+// workerPool owns Config.Workers goroutines and the row kernel they run,
+// for the lifetime of one Train call or RangeUpdater. Each worker keeps its
+// scratch (Gram matrix, staging buffers) across every half iteration, so
+// steady-state row updates allocate nothing; a half iteration costs two
+// channel sends per worker instead of a goroutine spawn.
 type workerPool struct {
-	cfg     Config
+	kernel  *rowKernel
+	obs     *obs.TrainRecorder
+	flat    bool
 	workers int
-	jobs    chan *halfJob
-	wg      sync.WaitGroup
+	// gram is implicit mode's shared FᵀF, recomputed from the fixed factor
+	// at the start of every half; the buffers live here so workers never
+	// allocate. Nil in explicit mode.
+	gram *linalg.SharedGram
+	jobs chan *halfJob
+	wg   sync.WaitGroup
 }
 
+// newWorkerPool expects cfg after setDefaults.
 func newWorkerPool(cfg Config) *workerPool {
-	p := &workerPool{cfg: cfg, workers: cfg.Workers, jobs: make(chan *halfJob, cfg.Workers)}
+	p := &workerPool{
+		kernel:  newRowKernel(&cfg),
+		obs:     cfg.Obs,
+		flat:    cfg.Flat,
+		workers: cfg.Workers,
+		jobs:    make(chan *halfJob, cfg.Workers),
+	}
+	if cfg.Implicit {
+		p.gram = linalg.NewSharedGram(cfg.K)
+	}
 	p.wg.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
 		go p.run(w)
@@ -525,9 +511,35 @@ func (p *workerPool) close() {
 	p.wg.Wait()
 }
 
+// side schedules one side (or row range) r for this pool. Row updates are
+// independent, so the visit order and claim size change only balance, never
+// results. The flat baseline is W static contiguous blocks in natural
+// order. Batched runs claim degree-aware chunks (userChunk > 0 overrides
+// the heuristic) longest-row-first — except with a single worker, where
+// there is no imbalance to fix and the natural order has better locality.
+func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense, userChunk int) halfSide {
+	s := halfSide{r: r, fixed: fixed, out: out, chunk: userChunk}
+	if p.flat {
+		s.chunk = max(1, (r.NumRows+p.workers-1)/p.workers)
+		return s
+	}
+	if userChunk <= 0 {
+		s.chunk = defaultChunk(r.NumRows, r.NNZ(), p.workers)
+	}
+	if p.workers > 1 {
+		s.order = lptOrder(r)
+	}
+	return s
+}
+
 // runHalf broadcasts one job to every worker and waits for the rendezvous.
-func (p *workerPool) runHalf(r *sparse.CSR, fixed, out *linalg.Dense, order []int32, chunk, iter int, xHalf bool, gram *linalg.SharedGram) error {
-	job := &halfJob{r: r, fixed: fixed, out: out, order: order, chunk: chunk, iter: iter, xHalf: xHalf, gram: gram}
+func (p *workerPool) runHalf(s halfSide, iter int, xHalf bool) error {
+	if p.gram != nil {
+		// The shared FᵀF depends only on the fixed factor, so every range of
+		// the same half sees it identically.
+		p.gram.Compute(s.fixed)
+	}
+	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
 	job.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.jobs <- job
@@ -541,16 +553,14 @@ func (p *workerPool) runHalf(r *sparse.CSR, fixed, out *linalg.Dense, order []in
 
 func (p *workerPool) run(id int) {
 	defer p.wg.Done()
-	ws := newWorkerState(p.cfg.K)
-	ws.timed = p.cfg.Obs != nil
+	ws := newWorkerState(p.kernel.k)
+	ws.timed = p.obs != nil
 	for job := range p.jobs {
+		t0 := time.Now()
+		chunks, rows := p.work(job, ws)
 		if ws.timed {
-			t0 := time.Now()
-			chunks, rows := p.work(job, ws)
-			p.cfg.Obs.WorkerReport(id, time.Since(t0), chunks, rows, ws.stage)
+			p.obs.WorkerReport(id, time.Since(t0), chunks, rows, ws.stage)
 			ws.stage = obs.StageDur{}
-		} else {
-			p.work(job, ws)
 		}
 		job.wg.Done()
 	}
@@ -558,54 +568,25 @@ func (p *workerPool) run(id int) {
 
 // work drains one half-iteration job, returning how many chunks this worker
 // claimed and how many rows it updated (both zero-cost to count; only read
-// when observability is on).
+// when observability is on). Chunks are claimed from the shared cursor
+// rather than keyed off the worker id, which keeps the work idempotent
+// across however the broadcast job copies land on workers: the channel does
+// not guarantee one copy per worker, and a block tied to a starved worker's
+// id would be silently skipped.
 func (p *workerPool) work(job *halfJob, ws *workerState) (chunks, rows int) {
 	m := job.r.NumRows
-	if p.cfg.Flat {
-		// Static contiguous blocks [b·m/W, (b+1)·m/W), claimed by index from
-		// the shared cursor. Claiming (rather than keying blocks off the
-		// worker id) keeps the work idempotent across however the broadcast
-		// job copies land on workers: the channel does not guarantee one copy
-		// per worker, and a block tied to a starved worker's id would be
-		// silently skipped.
-		for job.err.Load() == nil {
-			blk := int(job.cursor.Add(1)) - 1
-			if blk >= p.workers {
-				return
-			}
-			lo := blk * m / p.workers
-			hi := (blk + 1) * m / p.workers
-			chunks++
-			for u := lo; u < hi; u++ {
-				// Re-check the shared error inside the block too: a flat
-				// block is m/W rows, and finishing it after another worker
-				// poisoned the half is wasted (and, under guard, soon
-				// rolled-back) work.
-				if job.err.Load() != nil {
-					return
-				}
-				if err := updateRow(job.r, job.fixed, job.out, u, job.iter, job.xHalf, p.cfg, ws, job.gram); err != nil {
-					job.err.CompareAndSwap(nil, err)
-					return
-				}
-				rows++
-			}
-		}
-		return
-	}
 	for job.err.Load() == nil {
 		base := int(job.cursor.Add(int64(job.chunk))) - job.chunk
 		if base >= m {
 			return
 		}
-		end := base + job.chunk
-		if end > m {
-			end = m
-		}
 		chunks++
+		end := min(base+job.chunk, m)
 		for i := base; i < end; i++ {
 			// Bail mid-chunk once any worker has failed the half — the
-			// cursor check above only runs between claims.
+			// cursor check above only runs between claims, and finishing a
+			// chunk (a flat block is m/W rows) after the half was poisoned is
+			// wasted and, under guard, soon rolled-back work.
 			if job.err.Load() != nil {
 				return
 			}
@@ -613,7 +594,7 @@ func (p *workerPool) work(job *halfJob, ws *workerState) (chunks, rows int) {
 			if job.order != nil {
 				u = int(job.order[i])
 			}
-			if err := updateRow(job.r, job.fixed, job.out, u, job.iter, job.xHalf, p.cfg, ws, job.gram); err != nil {
+			if err := p.kernel.updateRow(job, u, ws); err != nil {
 				job.err.CompareAndSwap(nil, err)
 				return
 			}
@@ -621,369 +602,4 @@ func (p *workerPool) work(job *halfJob, ws *workerState) (chunks, rows int) {
 		}
 	}
 	return
-}
-
-// workerState is the per-goroutine scratch: the k×k normal matrix (and its
-// packed twin for fused variants), the k-vector right-hand side, solver
-// scratch, and the staging buffers the "local memory" variant copies
-// gathered data into. It lives as long as its worker, so a warmed state
-// makes updateRow allocation-free.
-type workerState struct {
-	smat      *linalg.Dense
-	svec      []float32
-	gsum      []float32 // GramScatter's private accumulator
-	pmat      []float32 // packed upper-triangular Gram (fused variants)
-	ldl       []float64 // LDL fallback scratch
-	stageY    []float32 // staged rows of the fixed factor, omega×k
-	stageVals []float32
-	stageCols []int32
-
-	// Implicit-mode and CG scratch: the confidence-scaled row buffer (4k
-	// for the unrolled kernel's four strips), the CG residual/direction/
-	// matvec vectors and separate right-hand side, and the iALS++ block
-	// system (blkMat is a reusable header over blk — never reallocated, so
-	// block solves stay allocation-free).
-	cf     []float32
-	rhs    []float32
-	cgR    []float32
-	cgP    []float32
-	cgAp   []float32
-	blk    []float32
-	blkMat linalg.Dense
-	delta  []float32
-	dots   []float32 // per-nonzero f_z·x dot products, grown per row
-
-	// timed brackets the S1/S2/S3 kernels in updateRow with wall-clock
-	// probes, accumulated into stage; set only when Config.Obs is non-nil,
-	// so the default path carries a single predictable branch per stage.
-	timed bool
-	stage obs.StageDur
-}
-
-func newWorkerState(k int) *workerState {
-	return &workerState{
-		smat:  linalg.NewDense(k, k),
-		svec:  make([]float32, k),
-		gsum:  make([]float32, k*k),
-		pmat:  make([]float32, linalg.PackedLen(k)),
-		ldl:   make([]float64, k),
-		cf:    make([]float32, 4*k),
-		rhs:   make([]float32, k),
-		cgR:   make([]float32, k),
-		cgP:   make([]float32, k),
-		cgAp:  make([]float32, k),
-		blk:   make([]float32, k*k),
-		delta: make([]float32, k),
-	}
-}
-
-func (ws *workerState) ensureStage(omega, k int) {
-	if cap(ws.stageY) < omega*k {
-		ws.stageY = make([]float32, omega*k)
-	}
-	ws.stageY = ws.stageY[:omega*k]
-	if cap(ws.stageVals) < omega {
-		ws.stageVals = make([]float32, omega)
-		ws.stageCols = make([]int32, omega)
-	}
-	ws.stageVals = ws.stageVals[:omega]
-	ws.stageCols = ws.stageCols[:omega]
-}
-
-func (ws *workerState) ensureDots(omega int) {
-	if cap(ws.dots) < omega {
-		ws.dots = make([]float32, omega)
-	}
-	ws.dots = ws.dots[:omega]
-}
-
-// updateRow solves one row's normal equations (Algorithm 2 body). With a
-// warmed workerState it performs no allocations (the package tests assert
-// zero allocs per row for every variant).
-//
-// Solver failures (ErrNotSPD, or a chaos-forced failure) take one of two
-// paths. Without a Guard, or in strict mode, the pre-guard behavior holds:
-// one LDLᵀ retry for borderline systems, then a hard error — typed as
-// guard.RowError when a Guard is armed so strict runs name the failing
-// row. With a non-strict Guard the row climbs the recovery ladder instead:
-// re-solve with 2× then 10× ridge jitter added to the diagonal, fall back
-// to LDLᵀ, and finally skip the row keeping its last-good factors; every
-// rescue is counted on its rung. Each rung re-assembles the full system
-// (Gram and right-hand side) because a rejected-but-completed solve has
-// already overwritten the RHS with garbage.
-func updateRow(r *sparse.CSR, fixed, out *linalg.Dense, u, iter int, xHalf bool, cfg Config, ws *workerState, ig *linalg.SharedGram) error {
-	k := cfg.K
-	cols, vals := r.Row(u)
-	omega := len(cols)
-	xu := out.Row(u)
-	if omega == 0 {
-		for i := range xu {
-			xu[i] = 0
-		}
-		return nil
-	}
-
-	g := cfg.Guard
-	var chaosGram, forced bool
-	if g != nil && g.Chaos != nil {
-		chaosGram = g.Chaos.CorruptGram(iter, u, xHalf)
-		forced = g.Chaos.FailSolve(iter, u, xHalf)
-	}
-
-	src := fixed.Data
-	gcols, gvals := cols, vals
-	if !cfg.Flat && cfg.Variant.Local {
-		// Stage the needed columns of the fixed factor contiguously (Fig. 5):
-		// on the host this is cache blocking — one pass of gathered copies,
-		// then dense sequential access in S1 and S2.
-		ws.ensureStage(omega, k)
-		for z, c := range cols {
-			copy(ws.stageY[z*k:(z+1)*k], fixed.Row(int(c)))
-			ws.stageCols[z] = int32(z)
-		}
-		copy(ws.stageVals, vals)
-		src = ws.stageY
-		gcols, gvals = ws.stageCols, ws.stageVals
-	}
-
-	// Regularize: λI (paper) or λ|Ω_u|I (ALS-WR).
-	lam := cfg.Lambda
-	if cfg.WeightedLambda {
-		lam *= float32(omega)
-	}
-
-	// Implicit mode and the explicit CG solver branch to their own row
-	// kernels; the rest of this function is the explicit direct path.
-	if cfg.Implicit {
-		return updateRowImplicit(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, xu, u, omega, ig)
-	}
-	if cfg.Solver == SolverCG {
-		return cgRow(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, xu, u, omega, nil)
-	}
-
-	var t0 time.Time
-	if ws.timed {
-		t0 = time.Now()
-	}
-
-	if !cfg.Flat && cfg.Variant.Fused {
-		// Fused S1+S2: one sweep over the gathered rows accumulates the
-		// packed upper-triangular Gram and the right-hand side together,
-		// then a packed Cholesky solves in place. The chaos diagonal
-		// zeroing lands after λ (making the system exactly singular) but
-		// before any recovery jitter, so the jitter rungs genuinely repair
-		// it rather than re-assembling a healthy matrix.
-		fused := linalg.GramRHSFused
-		if cfg.Variant.Vector {
-			fused = linalg.GramRHSFusedUnrolled
-		}
-		fused(src, k, gcols, gvals, ws.pmat, ws.svec)
-		linalg.AddDiagPacked(ws.pmat, k, lam)
-		if chaosGram {
-			linalg.ZeroDiagPacked(ws.pmat, k)
-		}
-		if ws.timed {
-			now := time.Now()
-			ws.stage[obs.StageS12] += now.Sub(t0)
-			t0 = now
-		}
-		var err error
-		switch {
-		case forced:
-			err = guard.ErrForcedFailure
-		case cfg.Solver == SolverLDL:
-			err = linalg.LDLSolvePacked(ws.pmat, k, ws.svec, ws.ldl)
-		default:
-			err = linalg.CholeskySolvePacked(ws.pmat, k, ws.svec)
-		}
-		if err != nil {
-			// Recovery is cold by construction, so the closures (and their
-			// heap allocation) exist only on this branch: the happy path
-			// stays allocation-free.
-			assemble := func(extra float32) {
-				fused(src, k, gcols, gvals, ws.pmat, ws.svec)
-				linalg.AddDiagPacked(ws.pmat, k, lam)
-				if chaosGram {
-					linalg.ZeroDiagPacked(ws.pmat, k)
-				}
-				if extra != 0 {
-					linalg.AddDiagPacked(ws.pmat, k, extra)
-				}
-			}
-			skip, rerr := recoverRow(g, forced, lam, assemble,
-				func() error { return linalg.CholeskySolvePacked(ws.pmat, k, ws.svec) },
-				func() error { return linalg.LDLSolvePacked(ws.pmat, k, ws.svec, ws.ldl) },
-				ws.svec, u, omega, err)
-			if rerr != nil || skip {
-				if ws.timed {
-					ws.stage[obs.StageS3] += time.Since(t0)
-				}
-				return rerr
-			}
-		}
-		if ws.timed {
-			ws.stage[obs.StageS3] += time.Since(t0)
-		}
-		copy(xu, ws.svec)
-		return nil
-	}
-
-	// S1: smat = FᵀF|Ω.
-	gramKernel(cfg, src, k, gcols, ws)
-	ws.smat.AddDiag(lam)
-	if chaosGram {
-		zeroDiagDense(ws.smat, k)
-	}
-	if ws.timed {
-		now := time.Now()
-		ws.stage[obs.StageS1] += now.Sub(t0)
-		t0 = now
-	}
-
-	// S2: svec = Fᵀ r_u.
-	rhsKernel(cfg, src, k, gcols, gvals, ws.svec)
-	if ws.timed {
-		now := time.Now()
-		ws.stage[obs.StageS2] += now.Sub(t0)
-		t0 = now
-	}
-
-	// S3: Cholesky solve; failures go through recoverRow (pre-guard LDLᵀ
-	// fallback for borderline λ = 0 systems, or the guard's ladder).
-	var err error
-	switch {
-	case forced:
-		err = guard.ErrForcedFailure
-	case cfg.Solver == SolverLDL:
-		err = linalg.LDLSolve(ws.smat, ws.svec)
-	default:
-		err = linalg.CholeskySolve(ws.smat, ws.svec)
-	}
-	if err != nil {
-		assemble := func(extra float32) {
-			gramKernel(cfg, src, k, gcols, ws)
-			ws.smat.AddDiag(lam)
-			if chaosGram {
-				zeroDiagDense(ws.smat, k)
-			}
-			if extra != 0 {
-				ws.smat.AddDiag(extra)
-			}
-			// The S2 kernels zero svec before accumulating, so this fully
-			// restores a right-hand side clobbered by a rejected solve.
-			rhsKernel(cfg, src, k, gcols, gvals, ws.svec)
-		}
-		skip, rerr := recoverRow(g, forced, lam, assemble,
-			func() error { return linalg.CholeskySolve(ws.smat, ws.svec) },
-			func() error { return linalg.LDLSolve(ws.smat, ws.svec) },
-			ws.svec, u, omega, err)
-		if rerr != nil || skip {
-			if ws.timed {
-				ws.stage[obs.StageS3] += time.Since(t0)
-			}
-			return rerr
-		}
-	}
-	if ws.timed {
-		ws.stage[obs.StageS3] += time.Since(t0)
-	}
-	copy(xu, ws.svec)
-	return nil
-}
-
-// gramKernel runs the variant's S1 kernel into ws.smat.
-func gramKernel(cfg Config, src []float32, k int, gcols []int32, ws *workerState) {
-	switch {
-	case cfg.Flat || (!cfg.Variant.Register && !cfg.Variant.Vector):
-		linalg.GramScatter(src, k, gcols, ws.smat.Data, ws.gsum)
-	case cfg.Variant.Vector:
-		linalg.GramUnrolled(src, k, gcols, ws.smat.Data)
-	default:
-		linalg.GramRegister(src, k, gcols, ws.smat.Data)
-	}
-}
-
-// rhsKernel runs the variant's S2 kernel into svec.
-func rhsKernel(cfg Config, src []float32, k int, gcols []int32, gvals, svec []float32) {
-	if !cfg.Flat && cfg.Variant.Vector {
-		linalg.GatherGaxpyUnrolled(src, k, gcols, gvals, svec)
-	} else {
-		linalg.GatherGaxpy(src, k, gcols, gvals, svec)
-	}
-}
-
-// recoverRow handles a failed row solve. Without a guard, or in strict
-// mode, it preserves the pre-guard behavior: one LDLᵀ retry on the
-// re-assembled system (skipped for chaos-forced failures), then a hard
-// error — typed via rowFailure. With a non-strict guard it climbs the
-// recovery ladder; if every rung fails it reports skip=true and the caller
-// keeps the row's last-good factors. On (false, nil) the scratch RHS holds
-// a usable solution.
-func recoverRow(g *guard.Guard, forced bool, lam float32, assemble func(extra float32), solve, ldl func() error, svec []float32, u, omega int, firstErr error) (skip bool, err error) {
-	if g == nil || g.Strict {
-		if !forced {
-			assemble(0)
-			if lerr := ldl(); lerr == nil {
-				return false, nil
-			} else {
-				firstErr = lerr
-			}
-		}
-		return false, rowFailure(g, u, omega, firstErr)
-	}
-	if climbLadder(g, forced, lam, assemble, solve, ldl, svec) {
-		return false, nil
-	}
-	g.Recovered(guard.RungSkip)
-	return true, nil
-}
-
-// climbLadder walks the guard's recovery rungs for one failed row solve:
-// ridge jitter at 2× then 10× the effective λ (floored for λ = 0 runs,
-// where a multiple of zero would jitter nothing), then LDLᵀ on the
-// unjittered system. Each rung re-assembles the system via assemble and
-// accepts only a finite solution — LDLᵀ on an indefinite matrix can
-// "succeed" with garbage. Chaos-forced failures fail every rung, driving
-// the row to the skip rung (handled by the caller when this returns
-// false). YᵀY is PSD, so YᵀY + λI + εI is SPD for any ε > 0: the jitter
-// rungs genuinely rescue rank-deficient rows rather than papering over a
-// logic bug.
-func climbLadder(g *guard.Guard, forced bool, lam float32, assemble func(extra float32), solve, ldl func() error, svec []float32) bool {
-	if forced {
-		return false
-	}
-	base := lam
-	if base <= 0 {
-		base = guard.MinJitterBase
-	}
-	for rung, mult := range guard.JitterMultipliers {
-		assemble(base * mult)
-		if solve() == nil && guard.FiniteVec(svec) {
-			g.Recovered(guard.RungJitter2 + rung)
-			return true
-		}
-	}
-	assemble(0)
-	if ldl() == nil && guard.FiniteVec(svec) {
-		g.Recovered(guard.RungLDL)
-		return true
-	}
-	return false
-}
-
-// rowFailure wraps a fatal row-solve error: typed guard.RowError when a
-// guard is armed (strict mode), the pre-guard plain error otherwise.
-func rowFailure(g *guard.Guard, u, omega int, err error) error {
-	if g != nil {
-		return &guard.RowError{Row: u, Omega: omega, Err: err}
-	}
-	return fmt.Errorf("row %d (omega=%d): %w", u, omega, err)
-}
-
-// zeroDiagDense zeroes the diagonal of the k×k scratch Gram — the dense
-// twin of linalg.ZeroDiagPacked for the chaos harness.
-func zeroDiagDense(a *linalg.Dense, k int) {
-	for i := 0; i < k; i++ {
-		a.Data[i*k+i] = 0
-	}
 }

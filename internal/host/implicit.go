@@ -2,11 +2,9 @@ package host
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/guard"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 )
 
 // Solver selects the per-row S3 strategy.
@@ -49,209 +47,43 @@ func ParseSolver(s string) (Solver, error) {
 	return 0, fmt.Errorf("host: unknown solver %q (want chol, ldl or cg)", s)
 }
 
-// updateRowImplicit solves one implicit-feedback row on the fast path. The
-// shared FᵀF base arrives precomputed in ig; the row adds its |Ω|
-// confidence-weighted rank-1 corrections. Three sub-paths:
-//
-//   - direct (default): the fused confidence kernel accumulates the packed
-//     corrected Gram and RHS in one sweep, solved by packed Cholesky/LDLᵀ —
-//     bit-identical to the reference solver (plain kernel) by construction;
-//   - CG (Solver == SolverCG): matrix-free, never assembles the Gram;
-//   - blocks (BlockSize > 0): one iALS++ Gauss-Seidel sweep over b-wide
-//     coordinate blocks.
-//
-// CG breakdowns and block-solve failures fall back to the assembled system
-// and the same recovery ladder the direct path climbs, so degenerate rows
-// are jittered/skipped rather than emitting NaN.
-func updateRowImplicit(cfg Config, ws *workerState, g *guard.Guard, chaosGram, forced bool,
-	src []float32, k int, gcols []int32, gvals []float32, lam float32, xu []float32, u, omega int,
-	ig *linalg.SharedGram) error {
-	if cfg.BlockSize > 0 && cfg.BlockSize < k {
-		return blockRow(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, xu, u, omega, ig)
-	}
-	if cfg.Solver == SolverCG {
-		return cgRow(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, xu, u, omega, ig)
-	}
-
-	kernel := linalg.ConfGramRHSFused
-	if !cfg.Flat && cfg.Variant.Vector {
-		kernel = linalg.ConfGramRHSFusedUnrolled
-	}
-	var t0 time.Time
-	if ws.timed {
-		t0 = time.Now()
-	}
-	kernel(src, k, gcols, gvals, cfg.Alpha, ig.Packed, ws.pmat, ws.svec, ws.cf)
-	linalg.AddDiagPacked(ws.pmat, k, lam)
-	if chaosGram {
-		linalg.ZeroDiagPacked(ws.pmat, k)
-	}
-	if ws.timed {
-		now := time.Now()
-		ws.stage[obs.StageS12] += now.Sub(t0)
-		t0 = now
-	}
-	var err error
-	switch {
-	case forced:
-		err = guard.ErrForcedFailure
-	case cfg.Solver == SolverLDL:
-		err = linalg.LDLSolvePacked(ws.pmat, k, ws.svec, ws.ldl)
-	default:
-		err = linalg.CholeskySolvePacked(ws.pmat, k, ws.svec)
-	}
-	if err != nil {
-		assemble := func(extra float32) {
-			kernel(src, k, gcols, gvals, cfg.Alpha, ig.Packed, ws.pmat, ws.svec, ws.cf)
-			linalg.AddDiagPacked(ws.pmat, k, lam)
-			if chaosGram {
-				linalg.ZeroDiagPacked(ws.pmat, k)
-			}
-			if extra != 0 {
-				linalg.AddDiagPacked(ws.pmat, k, extra)
-			}
-		}
-		skip, rerr := recoverRow(g, forced, lam, assemble,
-			func() error { return linalg.CholeskySolvePacked(ws.pmat, k, ws.svec) },
-			func() error { return linalg.LDLSolvePacked(ws.pmat, k, ws.svec, ws.ldl) },
-			ws.svec, u, omega, err)
-		if rerr != nil || skip {
-			if ws.timed {
-				ws.stage[obs.StageS3] += time.Since(t0)
-			}
-			return rerr
-		}
-	}
-	if ws.timed {
-		ws.stage[obs.StageS3] += time.Since(t0)
-	}
-	copy(xu, ws.svec)
-	return nil
-}
-
-// cgRow solves one row with warm-started conjugate gradient, implicit
-// (ig != nil: A = FᵀF + Σ α·r f fᵀ + λI) or explicit (A = Σ f fᵀ + λI).
-// The matrix is never assembled on the happy path; a breakdown, chaos
-// corruption or non-finite iterate falls back to the assembled packed
-// system through fallbackAssembled.
-func cgRow(cfg Config, ws *workerState, g *guard.Guard, chaosGram, forced bool,
-	src []float32, k int, gcols []int32, gvals []float32, lam float32, xu []float32, u, omega int,
-	ig *linalg.SharedGram) error {
-	var t0 time.Time
-	if ws.timed {
-		t0 = time.Now()
-	}
-	if ig != nil {
-		linalg.ConfRHS(src, k, gcols, gvals, cfg.Alpha, ws.rhs)
-	} else {
-		rhsKernel(cfg, src, k, gcols, gvals, ws.rhs)
-	}
-	if ws.timed {
-		now := time.Now()
-		ws.stage[obs.StageS2] += now.Sub(t0)
-		t0 = now
-	}
+// cgSolve runs warm-started conjugate gradient against ws.rhs, implicit
+// (A = FᵀF + Σ α·r f fᵀ + λI) or explicit (A = Σ f fᵀ + λI), leaving the
+// iterate in svec. The matrix is never assembled; a breakdown or non-finite
+// iterate reports false and the row falls through to the assembled system.
+func (kn *rowKernel) cgSolve(ws *workerState, in *rowInput, xu []float32) bool {
 	copy(ws.svec, xu) // warm start from the row's current factors
-	sys := linalg.CGSystem{K: k, Src: src, Cols: gcols, Lam: lam}
-	if ig != nil {
-		sys.G = ig.Dense
-		sys.Vals = gvals
-		sys.Alpha = cfg.Alpha
+	sys := linalg.CGSystem{K: kn.k, Src: in.src, Cols: in.cols, Lam: in.lam}
+	if in.gram != nil {
+		sys.G = in.gram.Dense
+		sys.Vals = in.vals
+		sys.Alpha = kn.alpha
 	}
-	var err error
-	switch {
-	case forced:
-		err = guard.ErrForcedFailure
-	case chaosGram:
-		// Chaos poisons the assembled Gram; CG never assembles one, so the
-		// corruption lands on the fallback path where the ladder repairs it.
-		err = guard.ErrForcedFailure
-		forced = false
-	default:
-		err = linalg.CGSolve(&sys, ws.rhs, ws.svec, cfg.CGIters, ws.cgR, ws.cgP, ws.cgAp)
-		if err == nil && !guard.FiniteVec(ws.svec) {
-			err = fmt.Errorf("%w: non-finite CG iterate", linalg.ErrCGBreakdown)
-		}
-	}
-	if err != nil {
-		if rerr, skip := fallbackAssembled(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, u, omega, ig, err); rerr != nil || skip {
-			if ws.timed {
-				ws.stage[obs.StageS3] += time.Since(t0)
-			}
-			return rerr
-		}
-	}
-	if ws.timed {
-		ws.stage[obs.StageS3] += time.Since(t0)
-	}
-	copy(xu, ws.svec)
-	return nil
+	err := linalg.CGSolve(&sys, ws.rhs, ws.svec, kn.cgIters, ws.cgR, ws.cgP, ws.cgAp)
+	return err == nil && guard.FiniteVec(ws.svec)
 }
 
-// blockRow performs one iALS++ Gauss-Seidel sweep over b-wide coordinate
-// blocks: for each block B it forms the residual r_B = (svec − A·x)_B from
+// blockSweep performs one iALS++ Gauss-Seidel sweep over b-wide coordinate
+// blocks: for each block B it forms the residual r_B = (rhs − A·x)_B from
 // the shared Gram base and the incrementally-maintained per-nonzero dot
 // products d_z = f_z·x, solves the b×b subsystem A_BB·δ = r_B directly, and
 // applies x_B += δ. Per-row cost is k² + |Ω|·k·b + k·b²/6 — linear in b
-// where the full solve is quadratic in k. Any block failure falls back to
-// the assembled full system and the recovery ladder.
-func blockRow(cfg Config, ws *workerState, g *guard.Guard, chaosGram, forced bool,
-	src []float32, k int, gcols []int32, gvals []float32, lam float32, xu []float32, u, omega int,
-	ig *linalg.SharedGram) error {
-	var t0 time.Time
-	if ws.timed {
-		t0 = time.Now()
-	}
-	var err error
-	if forced || chaosGram {
-		// Chaos poisons the assembled Gram; the sweep never assembles the
-		// full one, so route the corruption to the fallback where the ladder
-		// repairs it (forced failures stay forced and ride to the skip rung).
-		err = guard.ErrForcedFailure
-		if chaosGram {
-			forced = false
-		}
-	} else {
-		err = blockSweep(cfg, ws, src, k, gcols, gvals, lam, xu, ig.Dense)
-	}
-	if ws.timed {
-		now := time.Now()
-		ws.stage[obs.StageS12] += now.Sub(t0)
-		t0 = now
-	}
-	if err != nil {
-		if rerr, skip := fallbackAssembled(cfg, ws, g, chaosGram, forced, src, k, gcols, gvals, lam, u, omega, ig, err); rerr != nil || skip {
-			if ws.timed {
-				ws.stage[obs.StageS3] += time.Since(t0)
-			}
-			return rerr
-		}
-	}
-	if ws.timed {
-		ws.stage[obs.StageS3] += time.Since(t0)
-	}
-	copy(xu, ws.svec)
-	return nil
-}
-
-// blockSweep runs the sweep proper, leaving the updated factors in ws.svec.
-// It works on a private copy of the row so a failed sweep never publishes a
-// half-updated row (the skip rung must keep last-good factors intact).
-func blockSweep(cfg Config, ws *workerState, src []float32, k int, gcols []int32, gvals []float32, lam float32, xu []float32, gd []float32) error {
-	b := cfg.BlockSize
-	linalg.ConfRHS(src, k, gcols, gvals, cfg.Alpha, ws.rhs)
+// where the full solve is quadratic in k. It works in svec, a private copy
+// of the row, so a failed sweep (reported false: a block that is not SPD or
+// a non-finite update) never publishes a half-updated row.
+func (kn *rowKernel) blockSweep(ws *workerState, in *rowInput, xu []float32) bool {
+	k, b := kn.k, kn.block
+	src, gcols, gvals, lam, gd := in.src, in.cols, in.vals, in.lam, in.gram.Dense
+	linalg.ConfRHS(src, k, gcols, gvals, kn.alpha, ws.rhs)
 	x := ws.svec[:k]
 	copy(x, xu)
-	ws.ensureDots(len(gcols))
+	ws.dots = grow(ws.dots, len(gcols))
 	for z, c := range gcols {
 		f := src[int(c)*k : int(c)*k+k]
 		ws.dots[z] = float32(linalg.Dot(f, x))
 	}
 	for b0 := 0; b0 < k; b0 += b {
-		bw := b
-		if b0+bw > k {
-			bw = k - b0
-		}
+		bw := min(b, k-b0)
 		// Residual r_B = rhs_B − (A·x)_B with A = G + Σ conf f fᵀ + λI.
 		rb := ws.delta[:bw]
 		for i := 0; i < bw; i++ {
@@ -263,7 +95,7 @@ func blockSweep(cfg Config, ws *workerState, src []float32, k int, gcols []int32
 			}
 			for z, c := range gcols {
 				f := src[int(c)*k : int(c)*k+k]
-				conf := cfg.Alpha * gvals[z]
+				conf := kn.alpha * gvals[z]
 				s += float64(conf) * float64(f[row]) * float64(ws.dots[z])
 			}
 			rb[i] = ws.rhs[row] - float32(s)
@@ -278,7 +110,7 @@ func blockSweep(cfg Config, ws *workerState, src []float32, k int, gcols []int32
 		}
 		for z, c := range gcols {
 			f := src[int(c)*k : int(c)*k+k]
-			conf := cfg.Alpha * gvals[z]
+			conf := kn.alpha * gvals[z]
 			for i := 0; i < bw; i++ {
 				ci := conf * f[b0+i]
 				row := blk[i*bw:]
@@ -291,11 +123,8 @@ func blockSweep(cfg Config, ws *workerState, src []float32, k int, gcols []int32
 			blk[i*bw+i] += lam
 		}
 		ws.blkMat.Rows, ws.blkMat.Cols, ws.blkMat.Data = bw, bw, blk
-		if err := linalg.CholeskySolve(&ws.blkMat, rb); err != nil {
-			return err
-		}
-		if !guard.FiniteVec(rb) {
-			return fmt.Errorf("block [%d,%d): non-finite update", b0, b0+bw)
+		if linalg.CholeskySolve(&ws.blkMat, rb) != nil || !guard.FiniteVec(rb) {
+			return false
 		}
 		// Apply δ and maintain the dot products incrementally.
 		for i := 0; i < bw; i++ {
@@ -310,44 +139,5 @@ func blockSweep(cfg Config, ws *workerState, src []float32, k int, gcols []int32
 			ws.dots[z] += float32(s)
 		}
 	}
-	return nil
-}
-
-// fallbackAssembled is the shared cold path for CG breakdowns and block
-// failures: assemble the full packed system (confidence kernel in implicit
-// mode, fused explicit kernel otherwise) and hand it to recoverRow — the
-// pre-guard LDLᵀ retry, or the guard's jitter→LDLᵀ→skip ladder. On
-// (nil, false) ws.svec holds a usable solution.
-func fallbackAssembled(cfg Config, ws *workerState, g *guard.Guard, chaosGram, forced bool,
-	src []float32, k int, gcols []int32, gvals []float32, lam float32, u, omega int,
-	ig *linalg.SharedGram, firstErr error) (error, bool) {
-	assemble := func(extra float32) {
-		if ig != nil {
-			linalg.ConfGramRHSFused(src, k, gcols, gvals, cfg.Alpha, ig.Packed, ws.pmat, ws.svec, ws.cf)
-		} else {
-			linalg.GramRHSFused(src, k, gcols, gvals, ws.pmat, ws.svec)
-		}
-		linalg.AddDiagPacked(ws.pmat, k, lam)
-		if chaosGram {
-			linalg.ZeroDiagPacked(ws.pmat, k)
-		}
-		if extra != 0 {
-			linalg.AddDiagPacked(ws.pmat, k, extra)
-		}
-	}
-	assemble(0)
-	var err error
-	if forced {
-		err = guard.ErrForcedFailure
-	} else if err = linalg.CholeskySolvePacked(ws.pmat, k, ws.svec); err == nil {
-		return nil, false
-	}
-	if err == nil {
-		err = firstErr
-	}
-	skip, rerr := recoverRow(g, forced, lam, assemble,
-		func() error { return linalg.CholeskySolvePacked(ws.pmat, k, ws.svec) },
-		func() error { return linalg.LDLSolvePacked(ws.pmat, k, ws.svec, ws.ldl) },
-		ws.svec, u, omega, err)
-	return rerr, skip
+	return true
 }

@@ -15,36 +15,36 @@ import (
 // calls, exactly as they do inside Train, so repeated range updates stay
 // allocation-free in steady state.
 //
-// Row updates are pure functions of (row data, fixed factors, λ, k,
+// Row updates are pure functions of (row data, fixed factors, λ, k, mode,
 // variant) and rows never read each other's output, so updating a range
 // here is bit-identical to the same rows of a full Train half given
 // identical fixed factors — the property the distributed trainer's
 // bit-identity guarantee rests on.
 type RangeUpdater struct {
-	cfg       Config
+	k         int
 	userChunk int // ChunkSize as configured; 0 = derive per call
 	pool      *workerPool
-	ig        *linalg.SharedGram // implicit mode's FᵀF; recomputed per call
 }
 
-// NewRangeUpdater starts a worker pool for range updates. Only the solver
-// configuration of cfg is used (K, Lambda, Workers, Flat, Variant,
-// WeightedLambda, ChunkSize); iteration control, loss tracking, hooks,
+// NewRangeUpdater starts a worker pool for range updates. The fields of cfg
+// that shape a row update or its schedule are used (K, Lambda,
+// WeightedLambda, Workers, Flat, Variant, ChunkSize, and the training mode:
+// Implicit, Alpha, Solver, CGIters, BlockSize) and validated as Train
+// validates them; iteration control, loss tracking, resume factors, hooks,
 // guard and observability fields are ignored.
-func NewRangeUpdater(cfg Config) *RangeUpdater {
+func NewRangeUpdater(cfg Config) (*RangeUpdater, error) {
 	userChunk := cfg.ChunkSize
 	cfg.Guard = nil
 	cfg.Obs = nil
 	cfg.setDefaults(0, 0)
-	ru := &RangeUpdater{cfg: cfg, userChunk: userChunk, pool: newWorkerPool(cfg)}
-	if cfg.Implicit {
-		ru.ig = linalg.NewSharedGram(cfg.K)
+	if err := cfg.validateMode(); err != nil {
+		return nil, err
 	}
-	return ru
+	return &RangeUpdater{k: cfg.K, userChunk: userChunk, pool: newWorkerPool(cfg)}, nil
 }
 
 // K returns the configured factor dimensionality.
-func (ru *RangeUpdater) K() int { return ru.cfg.K }
+func (ru *RangeUpdater) K() int { return ru.k }
 
 // UpdateRange solves rows [lo, hi) of out against fixed, where r is the
 // full side matrix (R for the X half, Rᵀ for the Y half). iter is the
@@ -58,22 +58,8 @@ func (ru *RangeUpdater) UpdateRange(r *sparse.CSR, fixed, out *linalg.Dense, lo,
 		return nil
 	}
 	view := r.RowRange(lo, hi)
-	outView := linalg.NewDenseFrom(hi-lo, ru.cfg.K, out.Data[lo*ru.cfg.K:hi*ru.cfg.K])
-	var order []int32
-	if !ru.cfg.Flat && ru.pool.workers > 1 {
-		order = lptOrder(view)
-	}
-	chunk := ru.userChunk
-	if chunk <= 0 {
-		chunk = defaultChunk(view.NumRows, view.NNZ(), ru.cfg.Workers)
-	}
-	if ru.ig != nil {
-		// The shared FᵀF depends only on the fixed factor, which every range
-		// of the same half sees identically — so per-call recomputation keeps
-		// range updates bit-identical to a full Train half.
-		ru.ig.Compute(fixed)
-	}
-	return ru.pool.runHalf(view, fixed, outView, order, chunk, iter, xHalf, ru.ig)
+	outView := linalg.NewDenseFrom(hi-lo, ru.k, out.Data[lo*ru.k:hi*ru.k])
+	return ru.pool.runHalf(ru.pool.side(view, fixed, outView, ru.userChunk), iter, xHalf)
 }
 
 // Close releases the worker pool; UpdateRange must not be called after it.

@@ -611,10 +611,13 @@ func RunWorker(coordAddr string, rank int) error {
 	// The Y half runs the same row updates on Rᵀ, viewed zero-copy through
 	// the CSC arrays exactly as host.Train does.
 	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
-	ru := host.NewRangeUpdater(host.Config{
+	ru, err := host.NewRangeUpdater(host.Config{
 		K: k, Lambda: cfg.Lambda, Workers: cfg.Threads,
 		Flat: cfg.Flat, Variant: v, WeightedLambda: cfg.WeightedLambda,
 	})
+	if err != nil {
+		return fail(fmt.Errorf("worker %d: %w", rank, err))
+	}
 	defer ru.Close()
 
 	lo, hi := Range(m, rank, cfg.Workers)

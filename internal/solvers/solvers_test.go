@@ -2,6 +2,8 @@ package solvers
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dataset"
@@ -20,7 +22,25 @@ func denseMatrix(t testing.TB, seed int64) *sparse.Matrix {
 	return densePreset.Generate(seed).Matrix
 }
 
+// serialUnderRace pins GOMAXPROCS to 1 for a test that reaches TrainSGD's
+// default worker count in a -race binary: Hogwild's lock-free factor updates
+// are data races by design, and a single worker has nobody to race with.
+// Ordinary builds run the test unchanged.
+func serialUnderRace(t *testing.T) {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			prev := runtime.GOMAXPROCS(1)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		}
+	}
+}
+
 func TestSGDConverges(t *testing.T) {
+	serialUnderRace(t)
 	mx := denseMatrix(t, 1)
 	x, y, err := TrainSGD(mx, SGDConfig{K: 8, Lambda: 0.02, Epochs: 30, Seed: 2, LearnRate: 0.02})
 	if err != nil {
@@ -33,6 +53,7 @@ func TestSGDConverges(t *testing.T) {
 }
 
 func TestSGDClipPreventsBlowup(t *testing.T) {
+	serialUnderRace(t)
 	mx := denseMatrix(t, 2)
 	// A deliberately hot learning rate: without clipping this can diverge;
 	// with clipping the factors must stay finite.
