@@ -17,6 +17,17 @@ import (
 // same mechanism as testing.AllocsPerRun) so non-test binaries can call
 // this without linking the testing framework.
 func RowUpdateAllocs(mx *sparse.Matrix, cfg Config) float64 {
+	return rowAllocs(mx, cfg, false)
+}
+
+// ObjectiveAllocs is RowUpdateAllocs for the objective pass: the average
+// heap allocations of one row's share of the objective, on the scratch of a
+// worker that has solved the side.
+func ObjectiveAllocs(mx *sparse.Matrix, cfg Config) float64 {
+	return rowAllocs(mx, cfg, true)
+}
+
+func rowAllocs(mx *sparse.Matrix, cfg Config, objective bool) float64 {
 	m := mx.Rows()
 	cfg.setDefaults(m, mx.NNZ())
 	kn := newRowKernel(&cfg)
@@ -36,9 +47,14 @@ func RowUpdateAllocs(mx *sparse.Matrix, cfg Config) float64 {
 			return -1
 		}
 	}
+	row := func(u int) { _ = kn.updateRow(job, u, ws) }
+	if objective {
+		job.terms = make([]float64, m)
+		row = func(u int) { job.terms[u] = kn.rowObjective(job, u, ws) }
+	}
 	u := 0
 	return allocsPerRun(200, func() {
-		_ = kn.updateRow(job, u, ws)
+		row(u)
 		u++
 		if u == m {
 			u = 0

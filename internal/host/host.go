@@ -20,8 +20,9 @@
 // The package has three layers, each in one place:
 //
 //   - Train (host.go) owns the iteration: one two-sided loop runs the X and
-//     Y halves, evaluates the objective at most once per iteration boundary,
-//     and calls the watchdog, the OnIteration hook and early stopping.
+//     Y halves, evaluates the objective at most once per iteration boundary
+//     (a second kind of pass over the half just solved, objective.go), and
+//     calls the watchdog, the OnIteration hook and early stopping.
 //     RangeUpdater (range.go) is the same half over a contiguous row range,
 //     for the distributed trainer.
 //   - workerPool (host.go) owns the goroutines. Workers are spawned once and
@@ -108,7 +109,8 @@ type Config struct {
 	BlockSize int
 
 	// TrackLoss records the regularized loss (Eq. 2) after every half-step;
-	// costs an extra pass over the ratings, so benchmarks leave it off.
+	// costs an extra pass over the ratings on the worker pool, so benchmarks
+	// leave it off.
 	TrackLoss bool
 	// Tolerance enables early stopping (Algorithm 1's "until it reaches the
 	// maximum specified cycles or error rate"): training stops once the
@@ -315,6 +317,10 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		}
 		g.SetLossScale(sq)
 	}
+	var terms []float64 // the objective pass's per-row scratch
+	if g != nil || cfg.Tolerance > 0 || cfg.TrackLoss {
+		terms = make([]float64, max(m, n))
+	}
 	res := &Result{X: x, Y: y}
 	start := time.Now()
 	prevLoss := math.Inf(1)
@@ -328,7 +334,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("host: iteration %d update %s: %w", it, name, err)
 			}
 			if cfg.TrackLoss {
-				loss = cfg.loss(mx, x, y)
+				loss = pool.objective(sides[i], sides[1-i], terms)
 				res.History = append(res.History, IterStats{
 					Iteration: it, Half: name, Loss: loss, Elapsed: time.Since(start),
 				})
@@ -343,9 +349,14 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		blew := g != nil && g.Chaos.BlowUp(it)
 		if blew {
 			g.Chaos.CorruptFactors(x.Data)
+			if pool.gram != nil {
+				// The one case where the fixed factor moved under the Gram
+				// the Y half took: judge the corrupted X, not the stale XᵀX.
+				pool.gram.Compute(x)
+			}
 		}
 		if (g != nil || cfg.Tolerance > 0) && (!cfg.TrackLoss || blew) {
-			loss = cfg.loss(mx, x, y)
+			loss = pool.objective(sides[1], sides[0], terms)
 		}
 		// The divergence watchdog runs before OnIteration so diverged
 		// factors are never checkpointed.
@@ -390,17 +401,6 @@ func modeLabel(cfg Config) string {
 		return "implicit"
 	}
 	return "explicit"
-}
-
-// loss evaluates the objective the configured mode minimizes: the paper's
-// Eq. 2 for explicit runs, the Hu et al. confidence-weighted objective for
-// implicit ones. The watchdog, early stopping and TrackLoss all read this,
-// so divergence detection stays meaningful across modes.
-func (c Config) loss(mx *sparse.Matrix, x, y *linalg.Dense) float64 {
-	if c.Implicit {
-		return metrics.ImplicitLoss(mx.R, x, y, float64(c.Alpha), float64(c.Lambda))
-	}
-	return metrics.RegularizedLoss(mx.R, x, y, float64(c.Lambda), c.WeightedLambda)
 }
 
 // InitialY fills Y with the paper's "small random numbers" initial guess.
@@ -456,14 +456,17 @@ type halfSide struct {
 	chunk      int
 }
 
-// halfJob is one half iteration handed to every worker: a side plus a shared
-// atomic cursor the workers claim chunks from. A job completes when all
-// workers return from it.
+// halfJob is one pass over a side handed to every worker: the side plus a
+// shared atomic cursor the workers claim chunks from. A job completes when
+// all workers return from it. With terms nil the pass is a half iteration
+// (every row is solved); with terms set it is the objective pass (every row
+// of the side just solved writes its share of the objective to terms[row]).
 type halfJob struct {
 	halfSide
 	iter   int                // 1-based full iteration (guard/chaos addressing)
 	xHalf  bool               // true for the X half, false for the Y half
 	gram   *linalg.SharedGram // implicit mode's FᵀF precompute; nil otherwise
+	terms  []float64
 	cursor atomic.Int64
 	err    atomic.Value
 	wg     sync.WaitGroup
@@ -532,14 +535,18 @@ func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense, userChunk int
 	return s
 }
 
-// runHalf broadcasts one job to every worker and waits for the rendezvous.
+// runHalf solves every row of s against its fixed factor.
 func (p *workerPool) runHalf(s halfSide, iter int, xHalf bool) error {
 	if p.gram != nil {
 		// The shared FᵀF depends only on the fixed factor, so every range of
 		// the same half sees it identically.
 		p.gram.Compute(s.fixed)
 	}
-	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
+	return p.do(&halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram})
+}
+
+// do broadcasts one job to every worker and waits for the rendezvous.
+func (p *workerPool) do(job *halfJob) error {
 	job.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.jobs <- job
@@ -558,7 +565,7 @@ func (p *workerPool) run(id int) {
 	for job := range p.jobs {
 		t0 := time.Now()
 		chunks, rows := p.work(job, ws)
-		if ws.timed {
+		if ws.timed && job.terms == nil { // the recorder's spans are half iterations
 			p.obs.WorkerReport(id, time.Since(t0), chunks, rows, ws.stage)
 			ws.stage = obs.StageDur{}
 		}
@@ -566,8 +573,8 @@ func (p *workerPool) run(id int) {
 	}
 }
 
-// work drains one half-iteration job, returning how many chunks this worker
-// claimed and how many rows it updated (both zero-cost to count; only read
+// work drains one job, returning how many chunks this worker claimed and how
+// many rows it visited (both zero-cost to count; only read
 // when observability is on). Chunks are claimed from the shared cursor
 // rather than keyed off the worker id, which keeps the work idempotent
 // across however the broadcast job copies land on workers: the channel does
@@ -594,7 +601,9 @@ func (p *workerPool) work(job *halfJob, ws *workerState) (chunks, rows int) {
 			if job.order != nil {
 				u = int(job.order[i])
 			}
-			if err := p.kernel.updateRow(job, u, ws); err != nil {
+			if job.terms != nil {
+				job.terms[u] = p.kernel.rowObjective(job, u, ws)
+			} else if err := p.kernel.updateRow(job, u, ws); err != nil {
 				job.err.CompareAndSwap(nil, err)
 				return
 			}

@@ -53,9 +53,9 @@ func ParseSolver(s string) (Solver, error) {
 // iterate reports false and the row falls through to the assembled system.
 func (kn *rowKernel) cgSolve(ws *workerState, in *rowInput, xu []float32) bool {
 	copy(ws.svec, xu) // warm start from the row's current factors
-	sys := linalg.CGSystem{K: kn.k, Src: in.src, Cols: in.cols, Lam: in.lam}
+	sys := linalg.CGSystem{K: kn.k, Src: in.src, Cols: in.cols, Lam: in.lam, Wide: ws.wide}
 	if in.gram != nil {
-		sys.G = in.gram.Dense
+		sys.GWide = in.gram.Wide
 		sys.Vals = in.vals
 		sys.Alpha = kn.alpha
 	}

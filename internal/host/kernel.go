@@ -157,6 +157,7 @@ type workerState struct {
 	blkMat linalg.Dense
 	delta  []float32
 	dots   []float32 // per-nonzero f_z·x dot products, grown per row
+	wide   []float64 // a k-vector widened: CG's direction, the objective pass's row
 
 	// timed brackets the stages of updateRow with wall-clock probes,
 	// accumulated into stage; set only when Config.Obs is non-nil, so the
@@ -180,6 +181,7 @@ func newWorkerState(k int) *workerState {
 		cgAp:  make([]float32, k),
 		blk:   make([]float32, k*k),
 		delta: make([]float32, k),
+		wide:  make([]float64, k),
 	}
 }
 

@@ -36,46 +36,73 @@ const cgResidualFloor = 1e-30
 // the implicit confidences α·r(z). With Cols nil only G and λ remain — the
 // dense form the property tests exercise against Cholesky.
 type CGSystem struct {
-	G     []float32 // optional k×k row-major symmetric base; nil = absent
+	G []float32 // optional k×k row-major symmetric base; nil = absent
+	// GWide is G widened element by element to float64 (SharedGram.Wide).
+	// When set, Apply reads it in place of G and converts nothing inside
+	// the matvec; the values are the same, so is the result.
+	GWide []float64
 	K     int
 	Src   []float32 // factor storage; row c is Src[c*k : c*k+k]
 	Cols  []int32   // gathered row ids; nil = no rank-1 terms
 	Vals  []float32 // per-nonzero ratings; nil = unit weights
 	Alpha float32   // confidence scale: weight_z = Alpha·Vals[z]
 	Lam   float32   // diagonal ridge λ
+	// Wide is at least k floats of scratch for the widened direction. Nil
+	// is fine up to k = cgStackK (Apply widens on its own stack); beyond
+	// that a system without it allocates per Apply.
+	Wide []float64
 }
 
-// Apply computes out = A·p. Dot products accumulate in float64 (matching
-// the direct solvers' accumulation discipline); the rank-1 scatter back to
-// out stays float32. Sequential and deterministic — CG results are worker-
-// count invariant by construction.
+// cgStackK is the largest k Apply widens p for on its own stack.
+const cgStackK = 128
+
+// Apply computes out = A·p. p is widened to float64 once; every dot product
+// (the rows of G·p and the rank-1 f_z·p) then runs through DotWide, which
+// accumulates in float64 like the direct solvers; the rank-1 scatter back
+// to out stays float32. Sequential and deterministic — CG results are
+// worker-count invariant by construction.
 func (s *CGSystem) Apply(p, out []float32) {
 	k := s.K
-	p = p[:k]
-	out = out[:k]
-	for i := 0; i < k; i++ {
-		acc := float64(s.Lam) * float64(p[i])
-		if s.G != nil {
-			row := s.G[i*k : i*k+k]
-			for j := 0; j < k; j++ {
-				acc += float64(row[j]) * float64(p[j])
-			}
+	switch {
+	case len(s.Wide) >= k:
+		s.apply(p[:k], out[:k], s.Wide[:k])
+	case k <= cgStackK:
+		var w [cgStackK]float64
+		s.apply(p[:k], out[:k], w[:k])
+	default:
+		s.apply(p[:k], out[:k], make([]float64, k))
+	}
+}
+
+func (s *CGSystem) apply(p, out []float32, w []float64) {
+	k := len(w)
+	for i, v := range p {
+		w[i] = float64(v)
+	}
+	lam := float64(s.Lam)
+	switch {
+	case s.GWide != nil:
+		for i := range out {
+			out[i] = float32(lam*w[i] + DotWide(s.GWide[i*k:i*k+k], w))
 		}
-		out[i] = float32(acc)
+	case s.G != nil:
+		for i := range out {
+			out[i] = float32(lam*w[i] + DotWide(s.G[i*k:i*k+k], w))
+		}
+	default:
+		for i := range out {
+			out[i] = float32(lam * w[i])
+		}
 	}
 	for z, c := range s.Cols {
 		f := s.Src[int(c)*k : int(c)*k+k]
-		var d float64
-		for i := 0; i < k; i++ {
-			d += float64(f[i]) * float64(p[i])
-		}
-		w := 1.0
+		wt := 1.0
 		if s.Vals != nil {
-			w = float64(s.Alpha) * float64(s.Vals[z])
+			wt = float64(s.Alpha) * float64(s.Vals[z])
 		}
-		wd := float32(w * d)
-		for i := 0; i < k; i++ {
-			out[i] += wd * f[i]
+		wd := float32(wt * DotWide(f, w))
+		for i, fi := range f {
+			out[i] += wd * fi
 		}
 	}
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,6 +184,106 @@ func TestCGWarmStartNoop(t *testing.T) {
 	for i := range x {
 		if d := math.Abs(float64(x[i]) - float64(want[i])); d > 1e-4 {
 			t.Fatalf("warm start drifted: component %d by %g", i, d)
+		}
+	}
+}
+
+// cgApplyFixture is an implicit-shaped system over n random factor rows:
+// the shared Gram of all of them plus omega of them as rank-1 terms.
+func cgApplyFixture(rng *rand.Rand, n, k, omega int) (*SharedGram, CGSystem) {
+	fixed := NewDense(n, k)
+	for i := range fixed.Data {
+		fixed.Data[i] = rng.Float32()*2 - 1
+	}
+	cols := make([]int32, omega)
+	vals := make([]float32, omega)
+	for z := range cols {
+		cols[z] = int32(rng.Intn(n))
+		vals[z] = 0.5 + rng.Float32()*4.5
+	}
+	g := NewSharedGram(k)
+	g.Compute(fixed)
+	return g, CGSystem{K: k, Src: fixed.Data, Cols: cols, Vals: vals, Alpha: 5, Lam: 0.1}
+}
+
+// Apply against a dense float64 reference of the same operator, for k on
+// both sides of every unroll and stack-scratch boundary, with the base given
+// as G, as the widened Gram, and not at all (the explicit form). The two
+// spellings of the base hold the same values, so they must agree bit for bit.
+func TestCGApplyMatchesFloat64Reference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 3, 8, 10, 64, 65, cgStackK + 1} {
+		g, sys := cgApplyFixture(rng, 3*k+5, k, 7)
+		p := make([]float32, k)
+		for i := range p {
+			p[i] = rng.Float32()*2 - 1
+		}
+		ref := func(base bool, unit bool) []float64 {
+			out := make([]float64, k)
+			for i := range out {
+				out[i] = float64(sys.Lam) * float64(p[i])
+				for j := 0; base && j < k; j++ {
+					out[i] += float64(g.Dense[i*k+j]) * float64(p[j])
+				}
+			}
+			for z, c := range sys.Cols {
+				f := sys.Src[int(c)*k : int(c)*k+k]
+				w := float64(sys.Alpha) * float64(sys.Vals[z])
+				if unit {
+					w = 1
+				}
+				d := w * Dot(f, p)
+				for i := range out {
+					out[i] += d * float64(f[i])
+				}
+			}
+			return out
+		}
+		check := func(name string, s CGSystem, want []float64) []float32 {
+			got := make([]float32, k)
+			s.Apply(p, got)
+			for i := range got {
+				if d := math.Abs(float64(got[i]) - want[i]); d > 1e-5*(1+math.Abs(want[i])) {
+					t.Fatalf("k=%d %s: component %d = %g, reference %g", k, name, i, got[i], want[i])
+				}
+			}
+			return got
+		}
+		withG, withWide, explicit := sys, sys, sys
+		withG.G = g.Dense
+		withWide.GWide = g.Wide
+		withWide.Wide = make([]float64, k)
+		explicit.Vals = nil
+		a := check("G", withG, ref(true, false))
+		b := check("GWide", withWide, ref(true, false))
+		check("no base", explicit, ref(false, true))
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("k=%d: component %d differs between G (%g) and GWide (%g)", k, i, a[i], b[i])
+			}
+		}
+		if k <= cgStackK {
+			if n := testing.AllocsPerRun(20, func() { withG.Apply(p, a) }); n != 0 {
+				t.Fatalf("k=%d: Apply without caller scratch allocates %v times", k, n)
+			}
+		}
+	}
+}
+
+func BenchmarkCGApply(b *testing.B) {
+	for _, k := range []int{32, 64} {
+		for _, omega := range []int{0, 20} {
+			g, sys := cgApplyFixture(rand.New(rand.NewSource(1)), 500, k, omega)
+			sys.GWide, sys.Wide = g.Wide, make([]float64, k)
+			p, out := make([]float32, k), make([]float32, k)
+			for i := range p {
+				p[i] = float32(i%7) - 3
+			}
+			b.Run(fmt.Sprintf("k%d/rank1=%d", k, omega), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sys.Apply(p, out)
+				}
+			})
 		}
 	}
 }

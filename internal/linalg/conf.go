@@ -29,17 +29,23 @@ package linalg
 // SharedGram is the per-half-iteration FᵀF precompute for implicit ALS.
 // Accumulation is sequential float64 in row order — the same arithmetic as
 // the reference solver — so the downstream float32 casts are reproducible
-// regardless of worker count. The float64 triangle is kept private; the
+// regardless of worker count. The float64 Gram itself is read only through
+// Quad (the training objective, which must match the float64 oracle); the
 // float32 projections are what the kernels consume.
 type SharedGram struct {
 	K int
 	// Dense is the k×k float32 projection, both triangles (exactly
-	// symmetric). The CG matvec and the iALS++ block residuals read it.
+	// symmetric). The iALS++ block residuals read it, and so does a CG
+	// matvec set up without Wide.
 	Dense []float32
+	// Wide is Dense widened back to float64, element by element: the same
+	// values in the type the CG matvec multiplies in (CGSystem.GWide).
+	Wide []float64
 	// Packed is the upper-triangle packed projection the fused kernels seed
 	// their accumulator from.
 	Packed []float32
 	f64    []float64
+	row    []float64 // one factor row, widened
 }
 
 // NewSharedGram allocates the precompute buffers for dimensionality k.
@@ -47,25 +53,29 @@ func NewSharedGram(k int) *SharedGram {
 	return &SharedGram{
 		K:      k,
 		Dense:  make([]float32, k*k),
+		Wide:   make([]float64, k*k),
 		Packed: make([]float32, PackedLen(k)),
 		f64:    make([]float64, k*k),
+		row:    make([]float64, k),
 	}
 }
 
 // Compute refills the Gram projections from the fixed factor. One call per
 // half iteration; cost k²·rows/2 float64 multiply-adds, independent of nnz.
+// Each factor row is widened once, not once per (i, j) pair; every element
+// still accumulates its products in row order.
 func (g *SharedGram) Compute(fixed *Dense) {
 	k := g.K
-	for i := range g.f64 {
-		g.f64[i] = 0
-	}
+	clear(g.f64)
+	fw := g.row
 	for row := 0; row < fixed.Rows; row++ {
-		f := fixed.Row(row)
-		for i := 0; i < k; i++ {
-			fi := float64(f[i])
-			gi := g.f64[i*k:]
-			for j := i; j < k; j++ {
-				gi[j] += fi * float64(f[j])
+		for j, v := range fixed.Row(row) {
+			fw[j] = float64(v)
+		}
+		for i, fi := range fw {
+			gi := g.f64[i*k+i : i*k+k]
+			for j, fj := range fw[i:] {
+				gi[j] += fi * fj
 			}
 		}
 	}
@@ -76,6 +86,7 @@ func (g *SharedGram) Compute(fixed *Dense) {
 	}
 	for i, v := range g.f64 {
 		g.Dense[i] = float32(v)
+		g.Wide[i] = float64(g.Dense[i])
 	}
 	idx := 0
 	for i := 0; i < k; i++ {
@@ -84,6 +95,18 @@ func (g *SharedGram) Compute(fixed *Dense) {
 			idx++
 		}
 	}
+}
+
+// Quad returns xᵀ(FᵀF)x for the widened vector x against the float64 Gram —
+// one row's share of the implicit objective's all-items baseline Σᵢ(x·fᵢ)².
+// Only the upper triangle is read: xᵀGx = Σᵢ xᵢ(Gᵢᵢxᵢ + 2Σ_{j>i} Gᵢⱼxⱼ).
+func (g *SharedGram) Quad(x []float64) float64 {
+	k := g.K
+	var q float64
+	for i, xi := range x[:k] {
+		q += xi * (g.f64[i*k+i]*xi + 2*DotWide(g.f64[i*k+i+1:i*k+k], x[i+1:k]))
+	}
+	return q
 }
 
 // ConfGramRHSFused seeds the packed accumulator from the shared Gram base

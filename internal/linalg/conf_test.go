@@ -190,3 +190,61 @@ func TestSharedGramProjectionsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// SharedGram.Compute widens each factor row once; the loop it replaced
+// converted both operands of every product. The products and their order are
+// the same, so every projection must be bit-equal to that loop's — kept here
+// as the reference — and Wide must be Dense, widened.
+func TestSharedGramMatchesPerPairConversion(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, k := range []int{1, 3, 8, 10, 33} {
+		fixed := NewDense(5*k+7, k)
+		for i := range fixed.Data {
+			fixed.Data[i] = rng.Float32()*2 - 1
+		}
+		ref := make([]float64, k*k)
+		for row := 0; row < fixed.Rows; row++ {
+			f := fixed.Row(row)
+			for i := 0; i < k; i++ {
+				fi := float64(f[i])
+				for j := i; j < k; j++ {
+					ref[i*k+j] += fi * float64(f[j])
+				}
+			}
+		}
+		g := NewSharedGram(k)
+		g.Compute(fixed)
+		g.Compute(fixed) // a second half must not see the first one's sums
+		idx := 0
+		for i := 0; i < k; i++ {
+			for j := i; j < k; j++ {
+				want := float32(ref[i*k+j])
+				if g.Dense[i*k+j] != want || g.Dense[j*k+i] != want || g.Packed[idx] != want {
+					t.Fatalf("k=%d slot (%d,%d): dense %v / %v, packed %v, reference %v",
+						k, i, j, g.Dense[i*k+j], g.Dense[j*k+i], g.Packed[idx], want)
+				}
+				idx++
+			}
+		}
+		for i, v := range g.Dense {
+			if g.Wide[i] != float64(v) {
+				t.Fatalf("k=%d: Wide[%d] = %v, Dense %v", k, i, g.Wide[i], v)
+			}
+		}
+
+		// Quad reads the float64 sums themselves, not a projection.
+		x := make([]float64, k)
+		for i := range x {
+			x[i] = rng.Float64()*2 - 1
+		}
+		var want float64
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				want += x[i] * ref[min(i, j)*k+max(i, j)] * x[j]
+			}
+		}
+		if got := g.Quad(x); math.Abs(got-want) > 1e-13*math.Abs(want) {
+			t.Fatalf("k=%d: Quad = %.17g, dense xᵀGx = %.17g", k, got, want)
+		}
+	}
+}

@@ -150,6 +150,29 @@ func Dot(a, b []float32) float64 {
 	return s
 }
 
+// DotWide returns Σ a[i]·w[i] over len(w) elements against a vector already
+// widened to float64, a being float32 values or themselves widened: a
+// float64 a converts nothing inside the loop, a float32 a once per element
+// where Dot converts twice. Four independent accumulator chains keep the
+// multiply-adds from waiting on each other (the host form of the paper's
+// vector restructuring), so the sum is Dot's up to float64 rounding order.
+func DotWide[T float32 | float64](a []T, w []float64) float64 {
+	a = a[:len(w)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		a4, w4 := a[i:i+4:i+4], w[i:i+4:i+4]
+		s0 += float64(a4[0]) * w4[0]
+		s1 += float64(a4[1]) * w4[1]
+		s2 += float64(a4[2]) * w4[2]
+		s3 += float64(a4[3]) * w4[3]
+	}
+	for ; i < len(w); i++ {
+		s0 += float64(a[i]) * w[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // Axpy computes y += alpha*x element-wise.
 func Axpy(alpha float32, x, y []float32) {
 	for i := range x {

@@ -71,13 +71,16 @@ func squaredError(r *sparse.CSR, x, y *linalg.Dense) (float64, int) {
 func RegularizedLoss(r *sparse.CSR, x, y *linalg.Dense, lambda float64, weighted bool) float64 {
 	se, _ := squaredError(r, x, y)
 	reg := 0.0
-	c := r.ToCSC()
+	colNNZ := make([]int, r.NumCols)
+	for _, c := range r.ColIdx {
+		colNNZ[c]++
+	}
 	if weighted {
 		for u := 0; u < r.NumRows; u++ {
 			reg += float64(r.RowNNZ(u)) * linalg.Nrm2Sq(x.Row(u))
 		}
-		for i := 0; i < r.NumCols; i++ {
-			reg += float64(c.ColNNZ(i)) * linalg.Nrm2Sq(y.Row(i))
+		for i, n := range colNNZ {
+			reg += float64(n) * linalg.Nrm2Sq(y.Row(i))
 		}
 	} else {
 		// Plain convention: each observed pair contributes λ(|x_u|²+|y_i|²)
@@ -87,8 +90,8 @@ func RegularizedLoss(r *sparse.CSR, x, y *linalg.Dense, lambda float64, weighted
 				reg += linalg.Nrm2Sq(x.Row(u))
 			}
 		}
-		for i := 0; i < r.NumCols; i++ {
-			if c.ColNNZ(i) > 0 {
+		for i, n := range colNNZ {
+			if n > 0 {
 				reg += linalg.Nrm2Sq(y.Row(i))
 			}
 		}

@@ -3,6 +3,9 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,22 +44,164 @@ func TestReadTriplesFormats(t *testing.T) {
 
 func TestReadTriplesErrors(t *testing.T) {
 	cases := []struct {
-		name  string
-		input string
+		name     string
+		input    string
+		oneBased bool
+		want     string // the error must carry the line number and the reason
 	}{
-		{"too few fields", "0 1\n"},
-		{"bad user", "x 1 4.0\n"},
-		{"bad item", "0 y 4.0\n"},
-		{"bad rating", "0 1 zzz\n"},
-		{"negative after one-based adjust", "0 1 4.0\n"},
+		{"too few fields", "0 1 4\n0 1\n", false, "line 2: want at least 3 fields, got 2"},
+		{"too few fields, double colon", "0::1\n", false, "line 1: want at least 3 fields, got 2"},
+		{"bad user", "x 1 4.0\n", false, `line 1: bad user id "x"`},
+		{"bad item", "# c\n0 y 4.0\n", false, `line 2: bad item id "y"`},
+		{"bad rating", "0 1 zzz\n", false, `line 1: bad rating "zzz"`},
+		{"empty double-colon field", "0::1::\n", false, `line 1: bad rating ""`},
+		{"spaces inside double-colon fields", "0 :: 1 :: 4\n", false, `line 1: bad user id "0 "`},
+		{"negative id", "0 -1 4.0\n", false, "line 1: negative id after adjustment (0,-1)"},
+		{"negative after one-based adjust", "1 1 4.0\n0 1 4.0\n", true, "line 2: negative id after adjustment (-1,0)"},
+		{"user id past int32", "3000000000 0 5\n", false, "line 1: id (3000000000,0) does not fit"},
+		{"item id past int32", "0 1 1\n0 3000000000 5\n", false, "line 2: id (0,3000000000) does not fit"},
+		{"item id past int32, one-based", "1 2147483649 5\n", true, "line 1: id (0,2147483648) does not fit"},
+		{"id past int64", "0 99999999999999999999 5\n", false, `line 1: bad item id "99999999999999999999"`},
+		{"overlong line", "0 1 4\n0 1 " + strings.Repeat("4", maxLineBytes) + "\n", false, "line 2: bufio.Scanner: token too long"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			oneBased := tc.name == "negative after one-based adjust"
-			if _, err := ReadTriples(strings.NewReader(tc.input), oneBased); err == nil {
+			_, err := ReadTriples(strings.NewReader(tc.input), tc.oneBased)
+			if err == nil {
 				t.Fatal("expected parse error")
 			}
+			if !strings.HasPrefix(err.Error(), "sparse: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want \"sparse: \" and %q", err, tc.want)
+			}
 		})
+	}
+}
+
+// TestReadTriplesGrammar pins what the in-place splitter accepts: the
+// largest id, CRLF line ends, runs and mixtures of separators, padding,
+// signed ids, exponent ratings, comments of both kinds and trailing fields.
+func TestReadTriplesGrammar(t *testing.T) {
+	input := "% header\r\n" +
+		"  0 \t,, 1 ,4.5  \r\n" +
+		"\r\n" +
+		"#0 0 0\n" +
+		"+1,0,1e-3,ignored,fields\n" +
+		"2::3::2.5::978300760\n" +
+		"\t2147483647 2147483647 -0.5\n" +
+		"3 4 5" // no final newline
+	coo, err := ReadTriples(strings.NewReader(input), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{{0, 1, 4.5}, {1, 0, 1e-3}, {2, 3, 2.5}, {math.MaxInt32, math.MaxInt32, -0.5}, {3, 4, 5}}
+	if len(coo.Entries) != len(want) {
+		t.Fatalf("parsed %d entries %v, want %d", len(coo.Entries), coo.Entries, len(want))
+	}
+	for i, e := range coo.Entries {
+		if e != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+	if coo.Rows != math.MaxInt32+1 || coo.Cols != math.MaxInt32+1 {
+		t.Errorf("dimensions %dx%d, want 2^31 x 2^31", coo.Rows, coo.Cols)
+	}
+}
+
+// TestWriteTriplesBytes: the writer's output is the "%d\t%d\t%g\n" it was
+// first written as, byte for byte — integer, half-star, tiny, large,
+// shortest-round-trip and non-finite ratings, small and large ids.
+func TestWriteTriplesBytes(t *testing.T) {
+	vals := []float32{1, 5, 0, 3.5, 0.5, 4.25, -2, 0.1, 1.0 / 3, 1e-7, 1.17549435e-38, 1e-45,
+		123456.789, 1e6, 1e21, 3.4028235e38, 16777216, 0.000123,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	coo := NewCOO(0, 0)
+	for i, v := range vals {
+		coo.Append(i%4*1000003, i*104729, v)
+	}
+	m, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for r := 0; r < m.NumRows; r++ {
+		cols, rv := m.Row(r)
+		for j, c := range cols {
+			fmt.Fprintf(&want, "%d\t%d\t%g\n", r, c, rv[j])
+		}
+	}
+	var got bytes.Buffer
+	if err := WriteTriples(&got, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteTriples wrote\n%s\nwant\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestTextIOAllocations: neither direction allocates per rating. Reading
+// grows the entry slice (a logarithmic number of times) and owns one scan
+// buffer; writing owns one line and one write buffer.
+func TestTextIOAllocations(t *testing.T) {
+	m := benchTriples(t, 20000)
+	var text bytes.Buffer
+	if err := WriteTriples(&text, m); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := ReadTriples(bytes.NewReader(text.Bytes()), false); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 60 {
+		t.Errorf("ReadTriples of %d ratings: %v allocations", m.NNZ(), n)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if err := WriteTriples(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("WriteTriples of %d ratings: %v allocations", m.NNZ(), n)
+	}
+}
+
+// benchTriples is a rating matrix with about nnz half-star ratings.
+func benchTriples(tb testing.TB, nnz int) *CSR {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(5))
+	coo := NewCOO(0, 0)
+	for i := 0; i < nnz; i++ {
+		coo.Append(rng.Intn(nnz/20+1), rng.Intn(nnz/4+1), float32(1+rng.Intn(9))/2)
+	}
+	coo.Dedup(DedupKeepLast)
+	m, err := coo.ToCSR()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+func BenchmarkWriteTriples(b *testing.B) {
+	m := benchTriples(b, 200000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteTriples(io.Discard, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadTriples(b *testing.B) {
+	var text bytes.Buffer
+	if err := WriteTriples(&text, benchTriples(b, 200000)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadTriples(bytes.NewReader(text.Bytes()), false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
