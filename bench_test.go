@@ -10,6 +10,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -502,26 +503,58 @@ func BenchmarkTopN(b *testing.B) {
 			}
 		}
 	})
-	// The quantized serving path at both compressed precisions: the same
-	// sharded scorer, dispatched to the fused dequant-dot-TopK kernels.
+	// The quantized serving path at both compressed precisions: one pool
+	// task walking the norm-ranked matrix until nothing left can enter the
+	// heap. "zipf" has the popularity-shaped norms of an implicit model,
+	// where most of the catalog is never scored; "flat" has unit-norm rows,
+	// the degenerate case — the full scan plus one compare per four rows,
+	// on one worker. rows_scored/op says which is which.
+	zipf, flat := linalg.NewDense(items, 10), linalg.NewDense(items, 10)
+	for r, rank := range rng.Perm(items) {
+		var sumSq float64
+		for c := 0; c < 10; c++ {
+			v := rng.NormFloat64()
+			zipf.Data[r*10+c] = float32(v)
+			sumSq += v * v
+		}
+		toUnit := 1 / math.Sqrt(sumSq)
+		toZipf := toUnit * math.Pow(float64(1+rank), -0.8)
+		for c := 0; c < 10; c++ {
+			flat.Data[r*10+c] = float32(float64(zipf.Data[r*10+c]) * toUnit)
+			zipf.Data[r*10+c] = float32(float64(zipf.Data[r*10+c]) * toZipf)
+		}
+	}
 	for _, prec := range []quant.Precision{quant.F16, quant.I8} {
 		q, err := quant.EncodeDense(y, prec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run("sharded-"+prec.String(), func(b *testing.B) {
-			sc := serve.NewScorer(0)
-			defer sc.Close()
-			ex := serve.RatedExcluder(m, 0)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := sc.TopNQuant(ctx, x.Row(0), q, ex, 10)
-				if err != nil || len(out) != 10 {
-					b.Fatalf("sharded quant top-N: %d items, %v", len(out), err)
-				}
+		for _, c := range []struct {
+			name string
+			y    *linalg.Dense
+		}{{"zipf", zipf}, {"flat", flat}} {
+			qc, err := quant.EncodeDense(c.y, prec)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			ranked := quant.Rank(qc)
+			b.Run(prec.String()+"-ranked/"+c.name, func(b *testing.B) {
+				sc := serve.NewScorer(0)
+				defer sc.Close()
+				ex := serve.RatedExcluder(m, 0)
+				ctx := context.Background()
+				scored := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out, rows, err := sc.TopNRanked(ctx, x.Row(0), ranked, ex, 10)
+					if err != nil || len(out) != 10 {
+						b.Fatalf("ranked top-N: %d items, %v", len(out), err)
+					}
+					scored += rows
+				}
+				b.ReportMetric(float64(scored)/float64(b.N), "rows_scored/op")
+			})
+		}
 		// The bare kernel scan with a prepared query: the steady-state inner
 		// loop, which must stay at 0 allocs/op (pinned by
 		// quant.TestScanZeroAllocs; ReportAllocs makes regressions visible
@@ -537,6 +570,31 @@ func BenchmarkTopN(b *testing.B) {
 				q.ScanTopK(qr, 0, q.Rows, ex, t)
 				if t.Len() != 10 {
 					b.Fatal("wrong top-N size")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRank measures what a quantized hot-swap pays once for the
+// pruned scan: norms, sort and the permuted copy of a 50k×64 catalog (the
+// catalog-implicit-k64-i8 serving shape).
+func BenchmarkRank(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	y := linalg.NewDense(50000, 64)
+	for i := range y.Data {
+		y.Data[i] = float32(rng.NormFloat64())
+	}
+	for _, prec := range []quant.Precision{quant.F16, quant.I8} {
+		q, err := quant.EncodeDense(y, prec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(prec.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if quant.Rank(q).Rows != q.Rows {
+					b.Fatal("wrong shape")
 				}
 			}
 		})

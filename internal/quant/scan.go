@@ -35,6 +35,11 @@ type Query struct {
 	x      []float32
 	xq     []int8
 	xscale float32
+	// qnorm is an upper bound on the 2-norm of the query as the kernels see
+	// it, inflated to cover their rounding: qnorm·Ranked.Bound[p] dominates
+	// the computed |score| of row p (see Prepare, f16QueryNorm). Only Ranked
+	// reads it.
+	qnorm float64
 }
 
 // Prepare builds the Query for one user factor. len(x) must equal Cols.
@@ -46,6 +51,7 @@ func (q *Matrix) Prepare(x []float32) Query {
 	}
 	qr := Query{x: x}
 	if q.Prec != I8 {
+		qr.qnorm = f16QueryNorm(x)
 		return qr
 	}
 	maxAbs := float32(0)
@@ -60,6 +66,7 @@ func (q *Matrix) Prepare(x []float32) Query {
 	}
 	qr.xscale = maxAbs / 127
 	inv := 1 / qr.xscale
+	var sumSq int64
 	for c, v := range x {
 		iv := int32(math.RoundToEven(float64(v * inv)))
 		if iv > 127 {
@@ -68,8 +75,36 @@ func (q *Matrix) Prepare(x []float32) Query {
 			iv = -127
 		}
 		qr.xq[c] = int8(iv)
+		sumSq += int64(iv * iv)
 	}
+	// The int8 dot is exact, so |dot| ≤ ‖x̂‖‖ŷ‖ holds exactly; 1e-12 covers
+	// the square root and the float64 products on either side of the compare.
+	qr.qnorm = float64(qr.xscale) * math.Sqrt(float64(sumSq)) * (1 + 1e-12)
 	return qr
+}
+
+// f16QueryNorm bounds ‖x‖₂ for the fp16 kernel, whose score is a float32
+// accumulation: the computed dot is within (1+2⁻²⁴)^(k+1) of Σ|x_j||ŷ_j| ≤
+// ‖x‖‖ŷ‖, and (k+2)·2⁻²³ dominates that. A query that could take the
+// float32 arithmetic out of its normal range — a component so small that a
+// product with the smallest half (2⁻²⁴) is subnormal, or a norm so large
+// that a partial sum could overflow — gets +Inf, which switches pruning off
+// for the request: outside that range relative error bounds do not hold.
+func f16QueryNorm(x []float32) float64 {
+	var sumSq float64
+	for _, v := range x {
+		a := math.Abs(float64(v))
+		if a != 0 && a < 0x1p-100 {
+			return math.Inf(1)
+		}
+		sumSq += a * a
+	}
+	k := float64(len(x))
+	norm := math.Sqrt(sumSq) * (1 + (k+2)*0x1p-23)
+	if !(norm*math.Sqrt(k) < 0x1p126) { // also catches a NaN component
+		return math.Inf(1)
+	}
+	return norm
 }
 
 // ScanTopK scores items [lo, hi) against the prepared query and offers
@@ -91,19 +126,9 @@ func (q *Matrix) Score(qr Query, i int) float64 {
 	k := q.Cols
 	switch q.Prec {
 	case F16:
-		r := q.F16[i*k:][:k]
-		var s float32
-		for j, xv := range qr.x {
-			s += xv * h2f(r[j])
-		}
-		return float64(s * q.Scales[i])
+		return float64(dotF16(qr.x, q.F16[i*k:]) * q.Scales[i])
 	case I8:
-		r := q.I8[i*k:][:k]
-		var s int32
-		for j, xv := range qr.xq {
-			s += int32(xv) * int32(r[j])
-		}
-		return float64(qr.xscale) * float64(q.Scales[i]) * float64(s)
+		return float64(qr.xscale) * float64(q.Scales[i]) * float64(dotI8(qr.xq, q.I8[i*k:]))
 	}
 	return 0
 }
@@ -147,40 +172,75 @@ func (s *sink) offer(item int, score float64) {
 	s.refresh()
 }
 
+// The dot kernels take the payload from a row's first element on (rows
+// are k apart) and are shared by the natural-order scan below and the
+// ranked scan in ranked.go.
+
+// dot4F16 is the fp16 block kernel: four consecutive rows per pass, their
+// dots computed branch-free on contiguous memory (scoring an excluded row
+// costs less than bookkeeping around it — the sink drops it), the four
+// accumulator chains hiding each other's FP latency. Strip slices pin each
+// row's length to len(x), eliding inner bounds checks.
+func dot4F16(x []float32, rows []uint16, k int) (s0, s1, s2, s3 float32) {
+	r0 := rows[:len(x)]
+	r1 := rows[k:][:len(x)]
+	r2 := rows[2*k:][:len(x)]
+	r3 := rows[3*k:][:len(x)]
+	for j, xv := range x {
+		s0 += xv * h2f(r0[j])
+		s1 += xv * h2f(r1[j])
+		s2 += xv * h2f(r2[j])
+		s3 += xv * h2f(r3[j])
+	}
+	return
+}
+
+func dotF16(x []float32, row []uint16) (s float32) {
+	row = row[:len(x)]
+	for j, xv := range x {
+		s += xv * h2f(row[j])
+	}
+	return
+}
+
+// dot4I8 is the int8 block kernel. int8×int8 products accumulate exactly in
+// int32 (|p| ≤ 127², far from overflow for any plausible k); the only
+// rounding in the whole dot is the caller's final two-scale widening.
+func dot4I8(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
+	r0 := rows[:len(xq)]
+	r1 := rows[k:][:len(xq)]
+	r2 := rows[2*k:][:len(xq)]
+	r3 := rows[3*k:][:len(xq)]
+	for j, xv := range xq {
+		s0 += int32(xv) * int32(r0[j])
+		s1 += int32(xv) * int32(r1[j])
+		s2 += int32(xv) * int32(r2[j])
+		s3 += int32(xv) * int32(r3[j])
+	}
+	return
+}
+
+func dotI8(xq, row []int8) (s int32) {
+	row = row[:len(xq)]
+	for j, xv := range xq {
+		s += int32(xv) * int32(row[j])
+	}
+	return
+}
+
 func (q *Matrix) scanF16(x []float32, lo, hi int, excluded func(int) bool, t *metrics.TopK) {
 	k := q.Cols
 	sk := newSink(t, excluded)
 	i := lo
-	// Four consecutive rows per pass: their dots are computed branch-free
-	// on contiguous memory (scoring an excluded row costs less than
-	// bookkeeping around it — the sink drops it), and the four accumulator
-	// chains hide each other's FP latency. Strip slices pin each row's
-	// length to len(x), eliding inner bounds checks.
 	for ; i+4 <= hi; i += 4 {
-		base := i * k
-		r0 := q.F16[base:][:len(x)]
-		r1 := q.F16[base+k:][:len(x)]
-		r2 := q.F16[base+2*k:][:len(x)]
-		r3 := q.F16[base+3*k:][:len(x)]
-		var s0, s1, s2, s3 float32
-		for j, xv := range x {
-			s0 += xv * h2f(r0[j])
-			s1 += xv * h2f(r1[j])
-			s2 += xv * h2f(r2[j])
-			s3 += xv * h2f(r3[j])
-		}
+		s0, s1, s2, s3 := dot4F16(x, q.F16[i*k:], k)
 		sk.offer(i, float64(s0*q.Scales[i]))
 		sk.offer(i+1, float64(s1*q.Scales[i+1]))
 		sk.offer(i+2, float64(s2*q.Scales[i+2]))
 		sk.offer(i+3, float64(s3*q.Scales[i+3]))
 	}
 	for ; i < hi; i++ {
-		r := q.F16[i*k:][:len(x)]
-		var s float32
-		for j, xv := range x {
-			s += xv * h2f(r[j])
-		}
-		sk.offer(i, float64(s*q.Scales[i]))
+		sk.offer(i, float64(dotF16(x, q.F16[i*k:])*q.Scales[i]))
 	}
 }
 
@@ -190,33 +250,14 @@ func (q *Matrix) scanI8(xq []int8, xscale float32, lo, hi int, excluded func(int
 	xs := float64(xscale)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		base := i * k
-		r0 := q.I8[base:][:len(xq)]
-		r1 := q.I8[base+k:][:len(xq)]
-		r2 := q.I8[base+2*k:][:len(xq)]
-		r3 := q.I8[base+3*k:][:len(xq)]
-		// int8×int8 products accumulate exactly in int32 (|p| ≤ 127², far
-		// from overflow for any plausible k); the only rounding in the
-		// whole dot is the final two-scale widening below.
-		var s0, s1, s2, s3 int32
-		for j, xv := range xq {
-			s0 += int32(xv) * int32(r0[j])
-			s1 += int32(xv) * int32(r1[j])
-			s2 += int32(xv) * int32(r2[j])
-			s3 += int32(xv) * int32(r3[j])
-		}
+		s0, s1, s2, s3 := dot4I8(xq, q.I8[i*k:], k)
 		sk.offer(i, xs*float64(q.Scales[i])*float64(s0))
 		sk.offer(i+1, xs*float64(q.Scales[i+1])*float64(s1))
 		sk.offer(i+2, xs*float64(q.Scales[i+2])*float64(s2))
 		sk.offer(i+3, xs*float64(q.Scales[i+3])*float64(s3))
 	}
 	for ; i < hi; i++ {
-		r := q.I8[i*k:][:len(xq)]
-		var s int32
-		for j, xv := range xq {
-			s += int32(xv) * int32(r[j])
-		}
-		sk.offer(i, xs*float64(q.Scales[i])*float64(s))
+		sk.offer(i, xs*float64(q.Scales[i])*float64(dotI8(xq, q.I8[i*k:])))
 	}
 }
 

@@ -4,7 +4,8 @@
 //   - a sharded top-N scorer that partitions the item factor matrix Y across
 //     a bounded worker pool, scores each shard with the linalg dot kernels
 //     into a per-shard size-n min-heap, and merges the heaps (S1–S3's
-//     serving analogue: the per-request hot loop);
+//     serving analogue: the per-request hot loop); quantized snapshots run
+//     quant.Ranked's exact norm-pruned scan as one pool task instead;
 //   - atomic model hot-swap: immutable versioned Snapshots published through
 //     an atomic.Pointer so retraining (cmd/alstrain) and serving compose
 //     with zero request downtime;

@@ -2,12 +2,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/quant"
 )
 
@@ -16,17 +20,17 @@ func randomModel(rng *rand.Rand, users, items, k int) *core.Model {
 	return &core.Model{K: k, X: randomDense(rng, users, k), Y: randomDense(rng, items, k)}
 }
 
-// TestScorerTopNQuantMatchesSequential holds the pooled, sharded,
-// slab-scanned TopNQuant item-for-item and score-for-score identical to
-// the sequential quant.TopN reference, including exclusion and the
-// lower-index tie-break across shard boundaries.
+// TestScorerTopNQuantMatchesSequential holds the pooled, slab-scanned,
+// norm-pruned TopNRanked item-for-item and score-for-score identical to
+// the sequential natural-order quant.TopN reference, including exclusion
+// and the lower-index tie-break, and checks the reported row count.
 func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	y := linalg.NewDense(1100, 6) // > minShardRows·workers so several shards run
+	y := linalg.NewDense(1100, 6) // several rankedSlab slabs
 	for i := range y.Data {
 		y.Data[i] = float32(rng.NormFloat64())
 	}
-	// A block of identical rows forces exact cross-shard ties.
+	// A block of identical rows forces exact ties between distant rows.
 	copy(y.Row(700), y.Row(10))
 	copy(y.Row(701), y.Row(10))
 	x := make([]float32, 6)
@@ -42,10 +46,15 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ranked := quant.Rank(q)
 		for _, n := range []int{1, 10, 50} {
-			got, err := s.TopNQuant(context.Background(), x, q, excluded, n)
+			got, rows, err := s.TopNRanked(context.Background(), x, ranked, excluded, n)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Slabs can only end the scan at the same block or earlier.
+			if _, seq := ranked.TopN(x, excluded, n); rows < n || rows > seq {
+				t.Errorf("%v n=%d: pool scan scored %d rows, sequential ranked scan %d", prec, n, rows, seq)
 			}
 			want := q.TopN(x, excluded, n)
 			if len(got) != len(want) {
@@ -58,6 +67,52 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScorerTopNRankedDeadline: a deadline that expires while the scan is
+// between slabs aborts it with the context's error, and an already expired
+// one never reaches a worker.
+func TestScorerTopNRankedDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	q, err := quant.EncodeDense(randomDense(rng, 4*rankedSlab, 4), quant.I8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := quant.Rank(q)
+	s := NewScorer(1)
+	defer s.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	expire := func(int) bool { // the sink consults it from inside the first slab
+		if calls++; calls == 1 {
+			cancel()
+		}
+		return false
+	}
+	// n > rows: the heap never fills, so nothing is pruned and the scan
+	// would run all four slabs.
+	out, rows, err := s.TopNRanked(ctx, []float32{1, 1, 1, 1}, ranked, expire, ranked.Rows+1)
+	if err != context.Canceled || out != nil {
+		t.Fatalf("mid-scan cancel: %d items, err %v", len(out), err)
+	}
+	if rows != rankedSlab {
+		t.Errorf("scan went on for %d rows after the cancel, want it to stop at the slab end (%d)", rows, rankedSlab)
+	}
+	if _, _, err := s.TopNRanked(ctx, []float32{1, 1, 1, 1}, ranked, nil, 5); err != context.Canceled {
+		t.Fatalf("canceled before submit: err %v", err)
+	}
+}
+
+// naturalOrder is the reference encoding of m.Y: what the snapshot's
+// ranked matrix was built from, scanned in item order without pruning.
+func naturalOrder(t *testing.T, m *core.Model, prec quant.Precision) *quant.Matrix {
+	t.Helper()
+	q, err := quant.EncodeDense(m.Y, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // TestRecommendQuantized serves the same model at every precision and
@@ -92,7 +147,7 @@ func TestRecommendQuantized(t *testing.T) {
 			t.Fatalf("%v: %d items", prec, len(resp.Items))
 		}
 		if prec != quant.F32 {
-			want := sn.QY.TopN(m.X.Row(1), nil, 7)
+			want := naturalOrder(t, m, prec).TopN(m.X.Row(1), nil, 7)
 			for i, it := range resp.Items {
 				if it.Item != want[i].Item || it.Score != want[i].Score {
 					t.Fatalf("%v rank %d: got %+v, want %+v", prec, i, it, want[i])
@@ -146,7 +201,7 @@ func TestFoldInQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	rated := map[int]bool{5: true, 90: true, 211: true}
-	want := sn.QY.TopN(xu, func(i int) bool { return rated[i] }, 6)
+	want := naturalOrder(t, m, sn.Precision).TopN(xu, func(i int) bool { return rated[i] }, 6)
 	if len(resp.Items) != len(want) {
 		t.Fatalf("%d items, want %d", len(resp.Items), len(want))
 	}
@@ -192,30 +247,171 @@ func TestCacheKeyPrecision(t *testing.T) {
 }
 
 // TestSwapReusesCheckpointEncoding: a model carrying quantized factors
-// from a compressed checkpoint is installed without re-encoding when the
-// precision matches, and re-encoded when it does not.
+// from a compressed checkpoint is installed without re-quantizing when the
+// precision matches — the snapshot's ranked matrix scores with the
+// checkpoint's payload bytes and reports its MaxAbsErr — and re-encoded
+// when it does not. Either way the snapshot holds one quantized copy and
+// the caller's model is left alone.
 func TestSwapReusesCheckpointEncoding(t *testing.T) {
 	const users, items, k = 2, 64, 3
 	rng := rand.New(rand.NewSource(41))
 	m := randomModel(rng, users, items, k)
+	// A checkpoint's encoding is not what a fresh EncodeDense of the decoded
+	// Y gives: perturb one element so reuse and re-encode tell apart.
 	qy, err := quant.EncodeDense(m.Y, quant.I8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	qy.I8[5*k]++
+	qy.MaxAbsErr *= 3
 	m.QY = qy
 
 	var st Store
 	st.SetPrecision(quant.I8)
-	if sn := st.Swap(m, nil, "a"); sn.QY != qy {
-		t.Fatal("matching precision did not reuse the checkpoint encoding")
+	sn := st.Swap(m, nil, "a")
+	if sn.QY == nil || sn.QY.Prec != quant.I8 || sn.QY.MaxAbsErr != qy.MaxAbsErr {
+		t.Fatalf("matching precision: ranked copy %+v does not carry the checkpoint encoding", sn.QY)
 	}
+	x := m.X.Row(0)
+	got, _ := sn.QY.TopN(x, nil, items)
+	want := qy.TopN(x, nil, items)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("matching precision re-quantized: rank %d scores %+v, the checkpoint encoding %+v", i, got[i], want[i])
+		}
+	}
+	if sn.Model.QY != nil {
+		t.Error("snapshot keeps the natural-order matrix alive next to the ranked copy")
+	}
+	if m.QY != qy || sn.Model.Y != m.Y || sn.Model.X != m.X {
+		t.Error("swap mutated the caller's model or copied its factors")
+	}
+
 	st.SetPrecision(quant.F16)
-	sn := st.Swap(m, nil, "b")
-	if sn.QY == nil || sn.QY.Prec != quant.F16 {
+	sn = st.Swap(m, nil, "b")
+	if sn.QY == nil || sn.QY.Prec != quant.F16 || sn.Model.QY != nil {
 		t.Fatalf("mismatched precision not re-encoded: %+v", sn.QY)
 	}
 	st.SetPrecision(quant.F32)
-	if sn := st.Swap(m, nil, "c"); sn.QY != nil || sn.Precision != quant.F32 {
+	if sn := st.Swap(m, nil, "c"); sn.QY != nil || sn.Precision != quant.F32 || sn.Model.QY != nil {
 		t.Fatal("f32 swap attached a quantized matrix")
 	}
+}
+
+// TestScoreTopNQuantAllocs: the single-task ranked path must not allocate
+// more per request than the fan-out it replaced, which measured 15
+// allocations at two workers (heaps, closures, merge) on this input.
+func TestScoreTopNQuantAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s := New(Config{Workers: 2, CacheSize: -1})
+	defer s.Close()
+	s.SetPrecision(quant.I8)
+	sn := s.Swap(randomModel(rng, 4, 5000, 16), nil, "v")
+	x := sn.Model.X.Row(1)
+	excluded := func(i int) bool { return i%11 == 0 }
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		if out, err := s.ScoreTopN(ctx, sn, x, excluded, 10); err != nil || len(out) != 10 {
+			t.Fatalf("%d items, %v", len(out), err)
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("ScoreTopN at i8 allocates %v times per request, the fan-out path allocated 15", allocs)
+	}
+}
+
+// TestScanRowsCounter: als_scan_rows_total splits every scanned snapshot's
+// rows into scored and pruned, where the scan happens. A quantized server
+// prunes on a catalog with popularity-shaped norms, a float32 server scores
+// every row, and the count for a fixed request sequence repeats exactly.
+func TestScanRowsCounter(t *testing.T) {
+	const users, items, k = 6, 2000, 8
+	rng := rand.New(rand.NewSource(47))
+	m := randomModel(rng, users, items, k)
+	for i := 0; i < items; i++ { // rows share a direction, norms fall off
+		for c, v := range m.Y.Row(i) {
+			m.Y.Row(i)[c] = (v + 1.5) / float32(1+i)
+		}
+	}
+	for i := range m.X.Data {
+		m.X.Data[i] += 1.5
+	}
+	rows := func(prec quant.Precision) (scored, pruned float64) {
+		s, ts := newTestServer(t, Config{Workers: 2, CacheSize: -1})
+		s.SetPrecision(prec)
+		s.Swap(m, nil, "v")
+		for u := 0; u < users; u++ {
+			if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d", ts.URL, u), nil); code != 200 {
+				t.Fatalf("%v user %d: HTTP %d", prec, u, code)
+			}
+		}
+		return s.tel.scanRows[prec][0].Value(), s.tel.scanRows[prec][1].Value()
+	}
+	scored, pruned := rows(quant.I8)
+	if scored+pruned != users*items || scored > users*items/5 || scored < users*10 {
+		t.Errorf("i8: %v rows scored + %v pruned over %d requests of %d rows", scored, pruned, users, items)
+	}
+	if again, _ := rows(quant.I8); again != scored {
+		t.Errorf("i8: the same requests scored %v rows, then %v", scored, again)
+	}
+	if scored, pruned := rows(quant.F32); scored != users*items || pruned != 0 {
+		t.Errorf("f32: %v rows scored + %v pruned, want every row scored", scored, pruned)
+	}
+	var sb strings.Builder
+	s, _ := newTestServer(t, Config{})
+	if err := s.Telemetry().WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `als_scan_rows_total{precision="i8",outcome="pruned"} 0`; !strings.Contains(sb.String(), want) {
+		t.Errorf("missing %q before the first scan in:\n%s", want, sb.String())
+	}
+}
+
+// TestRankedScansUnderHotSwap: several requests read one snapshot's ranked
+// matrix at once while swaps rank the next — from models that carry a
+// checkpoint encoding, so the swap's shallow model copy is on the path.
+// Every result must be the natural-order reference of the version it was
+// scored on. Under -race this is the sharing check for quant.Ranked.
+func TestRankedScansUnderHotSwap(t *testing.T) {
+	const users, items, k, readers = 4, 1500, 8, 4
+	rng := rand.New(rand.NewSource(53))
+	models := map[string]*core.Model{"A": randomModel(rng, users, items, k), "B": randomModel(rng, users, items, k)}
+	want := map[string][][]metrics.Scored{}
+	for v, m := range models {
+		m.QY = naturalOrder(t, m, quant.I8)
+		for u := 0; u < users; u++ {
+			want[v] = append(want[v], m.QY.TopN(m.X.Row(u), nil, 10))
+		}
+	}
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	s.SetPrecision(quant.I8)
+	s.Swap(models["A"], nil, "A")
+
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds*5; i++ {
+				sn, u := s.Current(), (r+i)%users
+				got, err := s.ScoreTopN(context.Background(), sn, sn.Model.X.Row(u), nil, 10)
+				if err != nil || !slices.Equal(got, want[sn.Version][u]) {
+					t.Errorf("version %s user %d: %v, err %v; want %v", sn.Version, u, got, err, want[sn.Version][u])
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < rounds; i++ {
+		v := "AB"[i%2 : i%2+1]
+		if sn := s.Swap(models[v], nil, v); sn.Model.QY != nil || models[v].QY == nil {
+			t.Errorf("swap %d: natural-order matrix kept by the snapshot or stripped from the caller", i)
+		}
+	}
+	wg.Wait()
 }

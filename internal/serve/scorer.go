@@ -130,77 +130,45 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, exclude
 	return merged.Drain(), nil
 }
 
-// TopNQuant is TopN over a quantized item-factor matrix: the same bounded
-// pool, sharding, deadline and merge semantics, but each shard runs the
-// fused dequant-dot-TopK scan kernel in checkEvery-row slabs with a
-// context check between slabs. The query is prepared (and, for int8,
-// quantized) once and shared read-only by every shard. Tie-breaking is
-// identical to the float path — both push into metrics.TopK.
-func (s *Scorer) TopNQuant(ctx context.Context, x []float32, y *quant.Matrix, excluded func(int) bool, n int) ([]metrics.Scored, error) {
-	if n <= 0 || y == nil || y.Rows == 0 {
-		return nil, nil
-	}
-	qr := y.Prepare(x)
-	shards := s.workers
-	if max := (y.Rows + minShardRows - 1) / minShardRows; shards > max {
-		shards = max
-	}
-	per := (y.Rows + shards - 1) / shards
+// rankedSlab is how many rows a ranked scan scores between context checks:
+// most pruned scans end well inside one checkEvery stretch.
+const rankedSlab = 256
 
-	heaps := make([]*metrics.TopK, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	var submitErr error
-	for si := 0; si < shards; si++ {
-		si := si
-		lo := si * per
-		hi := lo + per
-		if hi > y.Rows {
-			hi = y.Rows
-		}
-		job := func() {
-			defer wg.Done()
-			t := metrics.NewTopK(n)
-			for slab := lo; slab < hi; slab += checkEvery {
-				select {
-				case <-ctx.Done():
-					errs[si] = ctx.Err()
-					return
-				default:
-				}
-				end := slab + checkEvery
-				if end > hi {
-					end = hi
-				}
-				y.ScanTopK(qr, slab, end, excluded, t)
+// TopNRanked is TopN over a quantized, norm-ranked item-factor matrix, and
+// also reports how many rows it scored. The scan is one task on the bounded
+// pool: it stops once no remaining row can enter the heap (quant.Ranked),
+// which leaves too little work for a fan-out and merge to pay for. Results
+// equal the natural-order full scan's item for item and score for score;
+// ctx is honored while queueing for a worker and between slabs.
+func (s *Scorer) TopNRanked(ctx context.Context, x []float32, y *quant.Ranked, excluded func(int) bool, n int) (out []metrics.Scored, rows int, err error) {
+	if n <= 0 || y == nil || y.Rows == 0 {
+		return nil, 0, nil
+	}
+	done := make(chan struct{})
+	job := func() {
+		defer close(done)
+		qr := y.Prepare(x)
+		t := metrics.NewTopK(n)
+		for lo := 0; lo < y.Rows; lo += rankedSlab {
+			if err = ctx.Err(); err != nil {
+				return
 			}
-			heaps[si] = t
+			hi := min(lo+rankedSlab, y.Rows)
+			scored := y.ScanTopK(qr, lo, hi, excluded, t)
+			rows += scored
+			if scored < hi-lo {
+				break
+			}
 		}
-		wg.Add(1)
-		select {
-		case s.tasks <- job:
-		case <-ctx.Done():
-			wg.Done()
-			submitErr = ctx.Err()
-		}
-		if submitErr != nil {
-			break
-		}
+		out = t.Drain()
 	}
-	wg.Wait()
-	if submitErr != nil {
-		return nil, submitErr
+	select {
+	case s.tasks <- job:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := metrics.NewTopK(n)
-	for _, h := range heaps {
-		merged.Merge(h)
-	}
-	return merged.Drain(), nil
+	<-done
+	return out, rows, err
 }
 
 // RatedExcluder returns an exclusion predicate over the sorted column

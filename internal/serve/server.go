@@ -132,33 +132,34 @@ func (s *Server) SwapShard(m *core.Model, rated *sparse.CSR, version string, off
 	return sn
 }
 
-// Scorer exposes the scoring pool for embedding hosts (the shard replica
-// endpoints score against the same bounded pool as /v1/recommend).
-func (s *Server) Scorer() *Scorer { return s.scorer }
-
 // SetPrecision selects the scoring precision installed by subsequent
 // swaps (alsserve -precision). The live snapshot is not re-encoded.
 func (s *Server) SetPrecision(p quant.Precision) { s.store.SetPrecision(p) }
 
 // ScoreTopN ranks the snapshot's item slice for one scoring vector at the
-// snapshot's precision: the quantized scan when the swap built a
-// compressed Y, the float32 pool otherwise. All request paths — recommend,
-// fold-in, shard replica scoring — funnel through here, so precision
-// dispatch and the per-precision scan-time histogram live in one place.
+// snapshot's precision: the pruned quantized scan when the swap built a
+// ranked compressed Y, the float32 pool otherwise. All request paths —
+// recommend, fold-in, shard replica scoring — funnel through here, so
+// precision dispatch, the scan-time histogram and the row counts live in
+// one place.
 func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, excluded func(int) bool, n int) ([]metrics.Scored, error) {
 	_, span := rtrace.StartChild(ctx, "scan")
 	span.SetAttr("precision", sn.Precision.String())
 	start := time.Now()
 	var scored []metrics.Scored
 	var err error
+	rows := sn.Model.Y.Rows // the float32 scan scores every row
 	if sn.QY != nil {
-		scored, err = s.scorer.TopNQuant(ctx, x, sn.QY, excluded, n)
+		scored, rows, err = s.scorer.TopNRanked(ctx, x, sn.QY, excluded, n)
 	} else {
 		scored, err = s.scorer.TopN(ctx, x, sn.Model.Y, excluded, n)
 	}
-	span.End()
+	if span != nil {
+		span.SetAttr("rows_scored", strconv.Itoa(rows))
+		span.End()
+	}
 	if err == nil {
-		s.tel.ObserveScan(sn.Precision, time.Since(start))
+		s.tel.ObserveScan(sn.Precision, time.Since(start), rows, sn.Model.Y.Rows-rows)
 	}
 	return scored, err
 }
@@ -235,6 +236,31 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// SmallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap,
+// /shard/v1/purge).
+const SmallBodyLimit = 64 << 10
+
+// FoldInBodyLimit is the body size allowed a fold-in of maxItems ratings:
+// an index prints in at most 11 bytes and a rating in at most 24, 48 each
+// with separators and indentation, plus 1 KiB for the scalar fields.
+func FoldInBodyLimit(maxItems int) int64 { return 1<<10 + 48*int64(maxItems) }
+
+// DecodeJSON reads a JSON body of at most limit bytes into v, stopping at
+// the limit rather than buffering past it. On failure it has answered (413
+// when oversized, else 400) and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+	default:
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	}
+	return err == nil
 }
 
 // scoreError maps a scorer/context failure to an HTTP status.
@@ -384,8 +410,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FoldInRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !DecodeJSON(w, r, FoldInBodyLimit(s.cfg.MaxFoldInItems), &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -451,8 +476,7 @@ type SwapResponse struct {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !DecodeJSON(w, r, SmallBodyLimit, &req) {
 		return
 	}
 	if req.Model == "" {

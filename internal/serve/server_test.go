@@ -439,3 +439,47 @@ func TestHotSwapStress(t *testing.T) {
 		t.Fatalf("seq = %d, want %d", got, swaps+1)
 	}
 }
+
+// paddedBody returns a JSON object of exactly size bytes: prefix (an object
+// without its closing brace), blanks, "}". The padding sits inside the
+// value, so the decoder has to read all of it.
+func paddedBody(prefix string, size int64) string {
+	return prefix + strings.Repeat(" ", int(size)-len(prefix)-1) + "}"
+}
+
+// TestRequestBodyLimits: every JSON endpoint stops reading at a limit
+// derived from what it can accept and answers 413 past it; a body of
+// exactly the limit is decoded and judged on its content.
+func TestRequestBodyLimits(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MaxFoldInItems: 4})
+	s.Swap(linearModel(1, 2, 16, 2), nil, "")
+	cases := []struct {
+		name, path, prefix string
+		limit              int64
+		atLimit            int // status for a body of exactly limit bytes
+	}{
+		{"foldin", "/v1/foldin", `{"items":[1],"ratings":[5]`, FoldInBodyLimit(4), 200},
+		{"swap", "/admin/swap", `{"model":""`, SmallBodyLimit, 400},
+	}
+	for _, c := range cases {
+		for _, over := range []int64{0, 1} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(paddedBody(c.prefix, c.limit+over)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct{ Error string }
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			want := c.atLimit
+			if over > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s, %d bytes over the limit: status %d (%q), want %d", c.name, over, resp.StatusCode, e.Error, want)
+			}
+			if over > 0 && !strings.Contains(e.Error, "exceeds") {
+				t.Errorf("%s: 413 without the JSON error body: %q", c.name, e.Error)
+			}
+		}
+	}
+}

@@ -30,12 +30,12 @@ type Snapshot struct {
 	ItemTotal  int
 
 	// Precision is the scoring precision this snapshot serves at; QY is
-	// the quantized item-factor matrix backing it, built once per swap
-	// (or inherited from a compressed checkpoint) and nil at F32. Fold-in
-	// solving always uses the float32 Model.Y — only the top-N scan reads
-	// QY.
+	// the quantized item-factor matrix backing it, in norm-ranked scan
+	// order, built once per swap and nil at F32. It is the snapshot's only
+	// quantized copy (Model.QY is nil). Fold-in solving always uses the
+	// float32 Model.Y — only the top-N scan reads QY.
 	Precision quant.Precision
-	QY        *quant.Matrix
+	QY        *quant.Ranked
 
 	// userIdx maps external user IDs to dense rows for compact models;
 	// built once per swap so request-path lookups are O(1) instead of the
@@ -91,17 +91,26 @@ func (s *Store) SwapShard(m *core.Model, rated *sparse.CSR, version string, offs
 	sn := &Snapshot{Model: m, Rated: rated, Version: version, Seq: seq,
 		ItemOffset: offset, ItemTotal: total}
 	if prec := s.Precision(); prec != quant.F32 {
-		// Encode once per swap, amortized over every request the snapshot
-		// serves. A model decoded from a compressed checkpoint already
-		// carries the matching quantized matrix — reuse it verbatim. The
-		// only way encoding fails is non-finite factors, which the training
-		// guard prevents; if it happens anyway the snapshot serves float32
-		// (and reports that precision) rather than refusing the swap.
-		if m.QY != nil && m.QY.Prec == prec && m.QY.Rows == m.Y.Rows && m.QY.Cols == m.Y.Cols {
-			sn.QY, sn.Precision = m.QY, prec
-		} else if qy, err := quant.EncodeDense(m.Y, prec); err == nil {
-			sn.QY, sn.Precision = qy, prec
+		// Encode and rank once per swap, amortized over every request the
+		// snapshot serves. A model decoded from a compressed checkpoint
+		// already carries the matching quantized matrix: its rows are
+		// permuted, never re-quantized. Encoding fails only on non-finite
+		// factors, which the training guard prevents; if it happens anyway
+		// the snapshot serves (and reports) float32 rather than refusing.
+		qy := m.QY
+		if qy == nil || qy.Prec != prec || qy.Rows != m.Y.Rows || qy.Cols != m.Y.Cols {
+			qy, _ = quant.EncodeDense(m.Y, prec)
 		}
+		if qy != nil {
+			sn.QY, sn.Precision = quant.Rank(qy), prec
+		}
+	}
+	if m.QY != nil {
+		// The ranked copy replaces the natural-order matrix; holding the
+		// caller's would keep a second quantized catalog alive per snapshot.
+		view := *m
+		view.QY = nil
+		sn.Model = &view
 	}
 	if m.UserIDs != nil {
 		sn.userIdx = make(map[int64]int, len(m.UserIDs))

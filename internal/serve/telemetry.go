@@ -35,6 +35,7 @@ type Telemetry struct {
 	requests     *obs.Vec
 	latency      *obs.Vec
 	scan         *obs.Vec
+	scanRows     [quant.I8 + 1][2]*obs.Metric // [precision]{scored, pruned}
 	inflight     *obs.Metric
 	shed         *obs.Vec
 	swaps        *obs.Metric
@@ -61,6 +62,13 @@ func NewTelemetry() *Telemetry {
 		swapRejected: reg.Counter("als_swap_rejected_total",
 			"Candidate models rejected as corrupt or unreadable; the previous snapshot keeps serving.").With(),
 		now: time.Now,
+	}
+	// Resolved once: the scan path adds to these on every request.
+	rows := reg.Counter("als_scan_rows_total",
+		"Item rows top-N scans scored, and rows the norm-bound stop rule skipped.", "precision", "outcome")
+	for p := range t.scanRows {
+		prec := quant.Precision(p).String()
+		t.scanRows[p] = [2]*obs.Metric{rows.With(prec, "scored"), rows.With(prec, "pruned")}
 	}
 	reg.Func("als_last_swap_timestamp_seconds",
 		"Unix time the checkpoint watcher last installed a model; absent before the first install.",
@@ -149,9 +157,12 @@ func (t *Telemetry) Observe(endpoint string, code int, d time.Duration) {
 	t.latency.With(c).Observe(d.Seconds())
 }
 
-// ObserveScan records one completed top-N scan at the given precision.
-func (t *Telemetry) ObserveScan(p quant.Precision, d time.Duration) {
+// ObserveScan records one completed top-N scan at the given precision: its
+// duration and the item rows it scored and skipped.
+func (t *Telemetry) ObserveScan(p quant.Precision, d time.Duration, scored, pruned int) {
 	t.scan.With(p.String()).Observe(d.Seconds())
+	t.scanRows[p][0].Add(float64(scored))
+	t.scanRows[p][1].Add(float64(pruned))
 }
 
 // IncInflight/DecInflight track requests currently inside handlers.

@@ -77,6 +77,9 @@ func TestServerTraceSpans(t *testing.T) {
 	if scanAttrs["precision"] != "f32" {
 		t.Errorf("scan precision attr = %q, want f32", scanAttrs["precision"])
 	}
+	if scanAttrs["rows_scored"] != "64" {
+		t.Errorf("scan rows_scored attr = %q, want all 64 rows at f32", scanAttrs["rows_scored"])
+	}
 
 	// An unsampled inbound context suppresses the whole tree.
 	before := len(tr.Snapshot())

@@ -450,3 +450,44 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	}
 	sameItems(t, "recovered", recovered.Items, full.Items)
 }
+
+// TestRequestBodyLimits: the replica's internal endpoints and the
+// frontend's fold-in stop reading a body at a limit derived from what they
+// can accept (413 past it); a body of exactly the limit is decoded and
+// judged on its content.
+func TestRequestBodyLimits(t *testing.T) {
+	const items, k = 30, 2
+	f := newFleet(t, tieModel(2, items, k), nil, 2)
+	catalog := serve.FoldInBodyLimit(items) + 32*k // catalogBodyLimit of either replica
+	cases := []struct {
+		name, url, prefix string
+		limit             int64
+		atLimit           int // status for a body of exactly limit bytes
+	}{
+		{"partials", f.shardTS[0].URL + "/shard/v1/partials", `{"items":[1],"ratings":[5]`, catalog, 200},
+		{"score", f.shardTS[1].URL + "/shard/v1/score", `{"x":[1,0],"n":3`, catalog, 200},
+		{"purge", f.shardTS[0].URL + "/shard/v1/purge", `{"user":500`, serve.SmallBodyLimit, 200},
+		{"replica swap", f.shardTS[0].URL + "/admin/swap", `{"model":""`, serve.SmallBodyLimit, 400},
+		{"frontend foldin", f.frontTS.URL + "/v1/foldin", `{"items":[1],"ratings":[5]`, serve.FoldInBodyLimit(10000), 200},
+	}
+	for _, c := range cases {
+		for _, over := range []int64{0, 1} {
+			size := c.limit + over
+			body := c.prefix + string(bytes.Repeat([]byte(" "), int(size)-len(c.prefix)-1)) + "}"
+			resp, err := http.Post(c.url, "application/json", bytes.NewReader([]byte(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct{ Error string }
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			want := c.atLimit
+			if over > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s, %d bytes over the limit: status %d (%q), want %d", c.name, over, resp.StatusCode, e.Error, want)
+			}
+		}
+	}
+}

@@ -531,8 +531,7 @@ type FoldInResponse struct {
 // — so no replica can serve a pre-write recommendation from its LRU.
 func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	var req serve.FoldInRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !serve.DecodeJSON(w, r, serve.FoldInBodyLimit(f.cfg.MaxFoldInItems), &req) {
 		return
 	}
 	if len(req.Items) == 0 {

@@ -155,6 +155,19 @@ type PartialsResponse struct {
 	Seq     uint64    `json:"seq"`
 }
 
+// catalogBodyLimit bounds the bodies of the frontend's fold-in hops. The
+// frontend has already applied its own rating cap, which this replica does
+// not know; what it does know is that a valid request names each catalog
+// item at most once, in a partials request's ratings or a score request's
+// exclusions, next to at most K factor components (32 bytes each).
+func catalogBodyLimit(sn *serve.Snapshot) int64 {
+	total := sn.ItemTotal
+	if total == 0 {
+		total = sn.Model.Y.Rows
+	}
+	return serve.FoldInBodyLimit(total) + 32*int64(sn.Model.K)
+}
+
 func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 	sn := r.srv.Current()
 	if sn == nil {
@@ -162,8 +175,7 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var pr PartialsRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !serve.DecodeJSON(w, req, catalogBodyLimit(sn), &pr) {
 		return
 	}
 	if len(pr.Items) != len(pr.Ratings) {
@@ -212,8 +224,7 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var sr ScoreRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !serve.DecodeJSON(w, req, catalogBodyLimit(sn), &sr) {
 		return
 	}
 	if len(sr.X) != sn.Model.K {
@@ -270,8 +281,7 @@ func (r *Replica) handlePurge(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var pr PurgeRequest
-	if err := json.NewDecoder(req.Body).Decode(&pr); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !serve.DecodeJSON(w, req, serve.SmallBodyLimit, &pr) {
 		return
 	}
 	purged := 0
@@ -286,8 +296,7 @@ func (r *Replica) handlePurge(w http.ResponseWriter, req *http.Request) {
 // push one model path to the whole fleet.
 func (r *Replica) handleSwap(w http.ResponseWriter, req *http.Request) {
 	var sr serve.SwapRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !serve.DecodeJSON(w, req, serve.SmallBodyLimit, &sr) {
 		return
 	}
 	if sr.Model == "" {
