@@ -20,9 +20,11 @@ test-short:
 # test suite (includes the serving layer's hot-swap stress test), a full
 # race pass over the concurrency-heavy packages (worker pool, hot-swap,
 # checkpoint watcher — these exercise goroutines the -short lane trims —
-# and internal/quant, whose ranked matrix every request reads concurrently;
-# no lane runs fuzzing, so FuzzRankedMatchesFullScan's seed corpus runs
-# here and in the -short pass as ordinary tests),
+# internal/quant, whose ranked matrix every request reads concurrently,
+# and internal/metrics, whose Sink and float32 range scan every request
+# goes through; no lane runs fuzzing, so the seed corpora of
+# FuzzRankedMatchesFullScan and FuzzScanF32MatchesReference run here and
+# in the -short pass as ordinary tests),
 # the observability smoke lane (a real 1-iteration alstrain run scraped
 # over -debug-addr; fails on unparseable exposition output), the chaos
 # smoke lane (a fully poisoned run must converge, expose its recovery
@@ -45,7 +47,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/quant ./internal/serve ./internal/solvers
+	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/quant ./internal/serve ./internal/solvers
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) dist-smoke

@@ -503,6 +503,60 @@ func BenchmarkTopN(b *testing.B) {
 			}
 		}
 	})
+	// One fleet2-mixed-k32 shard replica's request: 12 400 items at k=32,
+	// a user with 80 rated items excluded.
+	b.Run("sharded/k32", func(b *testing.B) {
+		const rows, k = 12400, 32
+		rng := rand.New(rand.NewSource(32)) // its own stream: the cases below must not depend on -bench
+		y32 := linalg.NewDense(rows, k)
+		for i := range y32.Data {
+			y32.Data[i] = float32(rng.NormFloat64())
+		}
+		x32 := make([]float32, k)
+		for i := range x32 {
+			x32[i] = float32(rng.NormFloat64())
+		}
+		rated := sparse.NewCOO(1, rows)
+		for i := 0; i < 80; i++ {
+			rated.Append(0, i*(rows/80), 5)
+		}
+		m32, err := rated.ToCSR()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := serve.NewScorer(0)
+		defer sc.Close()
+		ex := serve.RatedExcluder(m32, 0)
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := sc.TopN(ctx, x32, y32, ex, 10)
+			if err != nil || len(out) != 10 {
+				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
+			}
+		}
+	})
+	// The bare float32 range scan with the query already widened, beside
+	// scan-f16 / scan-i8 below: the steady-state inner loop of "sharded",
+	// 0 allocs/op (pinned by metrics.TestScanTopKZeroAllocs).
+	b.Run("scan-f32", func(b *testing.B) {
+		ex := serve.RatedExcluder(m, 0)
+		xw := make([]float64, y.Cols)
+		for j, v := range x.Row(0) {
+			xw[j] = float64(v)
+		}
+		t := metrics.NewTopK(10)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Reset()
+			metrics.ScanTopK(xw, y, 0, y.Rows, ex, t)
+			if t.Len() != 10 {
+				b.Fatal("wrong top-N size")
+			}
+		}
+	})
 	// The quantized serving path at both compressed precisions: one pool
 	// task walking the norm-ranked matrix until nothing left can enter the
 	// heap. "zipf" has the popularity-shaped norms of an implicit model,

@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"syscall"
 	"time"
@@ -205,6 +206,11 @@ func main() {
 		fail(fmt.Errorf("need -input or -preset"))
 	}
 	mx := ds.Matrix
+	// The loader's parse buffers die about where a background collection
+	// starts; whether that cycle still sees them decides every later heap
+	// goal and moved the process's peak RSS by a quarter from run to run.
+	// One collection here (0.3 ms) starts training from the matrix alone.
+	runtime.GC()
 	fmt.Printf("dataset: %s  m=%d n=%d nnz=%d\n", ds.Name, mx.Rows(), mx.Cols(), mx.NNZ())
 	rec.SetMeta("alstrain", ds.Name, *k, *lambda, *iters)
 

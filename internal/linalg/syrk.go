@@ -173,6 +173,38 @@ func DotWide[T float32 | float64](a []T, w []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// Dot4Wide returns the dots of four consecutive rows (stride apart, the
+// first at rows[0]) against a query already widened to float64, over
+// len(xw) elements. Each row keeps its own sequential accumulator, so every
+// result is bit for bit Dot(x, row): a product of two float32 values is
+// exact in float64, which leaves neither the pre-widening nor a fused
+// multiply-add a bit to move — only the interleaving across rows differs,
+// and that is what lets the four chains hide each other's latency. Strip
+// slices pin each row's length to len(xw), eliding inner bounds checks.
+func Dot4Wide(xw []float64, rows []float32, stride int) (s0, s1, s2, s3 float64) {
+	r0 := rows[:len(xw)]
+	r1 := rows[stride:][:len(xw)]
+	r2 := rows[2*stride:][:len(xw)]
+	r3 := rows[3*stride:][:len(xw)]
+	for j, xv := range xw {
+		s0 += xv * float64(r0[j])
+		s1 += xv * float64(r1[j])
+		s2 += xv * float64(r2[j])
+		s3 += xv * float64(r3[j])
+	}
+	return
+}
+
+// Dot1Wide is Dot4Wide's one-row tail: bit for bit Dot(x, row) as well,
+// which DotWide's four-way split of a single row is not.
+func Dot1Wide(xw []float64, row []float32) (s float64) {
+	row = row[:len(xw)]
+	for j, xv := range xw {
+		s += xv * float64(row[j])
+	}
+	return
+}
+
 // Axpy computes y += alpha*x element-wise.
 func Axpy(alpha float32, x, y []float32) {
 	for i := range x {

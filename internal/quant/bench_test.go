@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkScan compares the quantized scan kernels against the float32
-// dot-product scan at the YMR4 serving shape (≈12k items, k=10): one op
+// scan at the YMR4 serving shape (≈12k items, k=10): one op
 // is one full-catalog top-10 scan, the per-request unit of serving work.
 func BenchmarkScan(b *testing.B) {
 	const rows, k, n = 11916, 10, 10
@@ -20,7 +20,10 @@ func BenchmarkScan(b *testing.B) {
 		x[i] = float32(rng.NormFloat64())
 	}
 
-	b.Run("f32", func(b *testing.B) {
+	// f32-reference is the row-at-a-time loop evaluation scores with
+	// (metrics.TopN); f32 is the serving scan, metrics.ScanTopK: the same
+	// scores from the blocked kernel behind the threshold-first sink.
+	b.Run("f32-reference", func(b *testing.B) {
 		b.SetBytes(int64(4 * rows * k))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -28,6 +31,18 @@ func BenchmarkScan(b *testing.B) {
 			for r := 0; r < rows; r++ {
 				t.Push(r, linalg.Dot(x, y.Row(r)))
 			}
+		}
+	})
+	b.Run("f32", func(b *testing.B) {
+		b.SetBytes(int64(4 * rows * k))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := metrics.NewTopK(n)
+			xw := make([]float64, k)
+			for j, v := range x {
+				xw[j] = float64(v)
+			}
+			metrics.ScanTopK(xw, y, 0, rows, nil, t)
 		}
 	})
 	for _, prec := range []Precision{F16, I8} {

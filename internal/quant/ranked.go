@@ -117,8 +117,9 @@ const scoreFloor = 0x1p-126
 // outOfReach is the stop rule: with the heap full, no row whose computed
 // |score| is at most qnorm·bound can enter it. Strict — a row that only
 // ties the heap minimum's score can still win on its lower index.
-func (s *sink) outOfReach(qnorm float64, bound float32) bool {
-	return s.full && qnorm*float64(bound)+scoreFloor < s.thrScore
+func outOfReach(sk *metrics.Sink, qnorm float64, bound float32) bool {
+	thr, full := sk.Threshold()
+	return full && qnorm*float64(bound)+scoreFloor < thr
 }
 
 // ScanTopK scores scan positions [lo, hi) against the prepared query and
@@ -141,11 +142,11 @@ func (r *Ranked) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 		qnorm = math.Inf(1)
 	}
 	m, k := &r.perm, r.Cols
-	sk := newSink(t, excluded)
+	sk := metrics.NewSink(t, excluded)
 	xs := float64(qr.xscale)
 	p := lo
 	for ; p+4 <= hi; p += 4 {
-		if sk.outOfReach(qnorm, r.Bound[p]) {
+		if outOfReach(&sk, qnorm, r.Bound[p]) {
 			return p - lo
 		}
 		var c0, c1, c2, c3 float64
@@ -162,16 +163,16 @@ func (r *Ranked) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 			c2 = float64(s2 * m.Scales[p+2])
 			c3 = float64(s3 * m.Scales[p+3])
 		}
-		sk.offer(int(r.ID[p]), c0)
-		sk.offer(int(r.ID[p+1]), c1)
-		sk.offer(int(r.ID[p+2]), c2)
-		sk.offer(int(r.ID[p+3]), c3)
+		sk.Offer(int(r.ID[p]), c0)
+		sk.Offer(int(r.ID[p+1]), c1)
+		sk.Offer(int(r.ID[p+2]), c2)
+		sk.Offer(int(r.ID[p+3]), c3)
 	}
 	for ; p < hi; p++ {
-		if sk.outOfReach(qnorm, r.Bound[p]) {
+		if outOfReach(&sk, qnorm, r.Bound[p]) {
 			return p - lo
 		}
-		sk.offer(int(r.ID[p]), m.Score(qr, p))
+		sk.Offer(int(r.ID[p]), m.Score(qr, p))
 	}
 	return hi - lo
 }

@@ -133,52 +133,13 @@ func (q *Matrix) Score(qr Query, i int) float64 {
 	return 0
 }
 
-// sink filters heap pushes through a cached threshold: most candidates in
-// a warm scan lose to the current heap minimum, and the cached compare
-// (inlined, three instructions) skips the non-inlinable Push call for all
-// of them. The exclusion predicate runs behind the same filter — a
-// candidate that cannot enter the heap never pays for it, which turns a
-// per-item binary search (serve.RatedExcluder) into a handful of calls
-// per scan. The filter condition mirrors metrics.weaker exactly —
-// strictly stronger score, or equal score with a lower item index — so
-// the heap contents are identical to pushing every unexcluded candidate.
-type sink struct {
-	t        *metrics.TopK
-	excluded func(int) bool
-	thrScore float64
-	thrItem  int
-	full     bool
-}
-
-func newSink(t *metrics.TopK, excluded func(int) bool) sink {
-	s := sink{t: t, excluded: excluded}
-	s.refresh()
-	return s
-}
-
-func (s *sink) refresh() {
-	thr, full := s.t.Threshold()
-	s.thrScore, s.thrItem, s.full = thr.Score, thr.Item, full
-}
-
-func (s *sink) offer(item int, score float64) {
-	if s.full && (score < s.thrScore || (score == s.thrScore && item > s.thrItem)) {
-		return
-	}
-	if s.excluded != nil && s.excluded(item) {
-		return
-	}
-	s.t.Push(item, score)
-	s.refresh()
-}
-
 // The dot kernels take the payload from a row's first element on (rows
 // are k apart) and are shared by the natural-order scan below and the
 // ranked scan in ranked.go.
 
 // dot4F16 is the fp16 block kernel: four consecutive rows per pass, their
 // dots computed branch-free on contiguous memory (scoring an excluded row
-// costs less than bookkeeping around it — the sink drops it), the four
+// costs less than bookkeeping around it — metrics.Sink drops it), the four
 // accumulator chains hiding each other's FP latency. Strip slices pin each
 // row's length to len(x), eliding inner bounds checks.
 func dot4F16(x []float32, rows []uint16, k int) (s0, s1, s2, s3 float32) {
@@ -230,34 +191,34 @@ func dotI8(xq, row []int8) (s int32) {
 
 func (q *Matrix) scanF16(x []float32, lo, hi int, excluded func(int) bool, t *metrics.TopK) {
 	k := q.Cols
-	sk := newSink(t, excluded)
+	sk := metrics.NewSink(t, excluded)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		s0, s1, s2, s3 := dot4F16(x, q.F16[i*k:], k)
-		sk.offer(i, float64(s0*q.Scales[i]))
-		sk.offer(i+1, float64(s1*q.Scales[i+1]))
-		sk.offer(i+2, float64(s2*q.Scales[i+2]))
-		sk.offer(i+3, float64(s3*q.Scales[i+3]))
+		sk.Offer(i, float64(s0*q.Scales[i]))
+		sk.Offer(i+1, float64(s1*q.Scales[i+1]))
+		sk.Offer(i+2, float64(s2*q.Scales[i+2]))
+		sk.Offer(i+3, float64(s3*q.Scales[i+3]))
 	}
 	for ; i < hi; i++ {
-		sk.offer(i, float64(dotF16(x, q.F16[i*k:])*q.Scales[i]))
+		sk.Offer(i, float64(dotF16(x, q.F16[i*k:])*q.Scales[i]))
 	}
 }
 
 func (q *Matrix) scanI8(xq []int8, xscale float32, lo, hi int, excluded func(int) bool, t *metrics.TopK) {
 	k := q.Cols
-	sk := newSink(t, excluded)
+	sk := metrics.NewSink(t, excluded)
 	xs := float64(xscale)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		s0, s1, s2, s3 := dot4I8(xq, q.I8[i*k:], k)
-		sk.offer(i, xs*float64(q.Scales[i])*float64(s0))
-		sk.offer(i+1, xs*float64(q.Scales[i+1])*float64(s1))
-		sk.offer(i+2, xs*float64(q.Scales[i+2])*float64(s2))
-		sk.offer(i+3, xs*float64(q.Scales[i+3])*float64(s3))
+		sk.Offer(i, xs*float64(q.Scales[i])*float64(s0))
+		sk.Offer(i+1, xs*float64(q.Scales[i+1])*float64(s1))
+		sk.Offer(i+2, xs*float64(q.Scales[i+2])*float64(s2))
+		sk.Offer(i+3, xs*float64(q.Scales[i+3])*float64(s3))
 	}
 	for ; i < hi; i++ {
-		sk.offer(i, xs*float64(q.Scales[i])*float64(dotI8(xq, q.I8[i*k:])))
+		sk.Offer(i, xs*float64(q.Scales[i])*float64(dotI8(xq, q.I8[i*k:])))
 	}
 }
 

@@ -320,6 +320,27 @@ func TestScoreTopNQuantAllocs(t *testing.T) {
 	}
 }
 
+// TestScoreTopNF32Allocs: the blocked float32 scan widens the query on the
+// task's stack, so a request allocates what the per-row loop it replaced
+// did — 14 at two workers on this input (heaps, closures, merge).
+func TestScoreTopNF32Allocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s := New(Config{Workers: 2, CacheSize: -1})
+	defer s.Close()
+	sn := s.Swap(randomModel(rng, 4, 5000, 16), nil, "v")
+	x := sn.Model.X.Row(1)
+	excluded := func(i int) bool { return i%11 == 0 }
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		if out, err := s.ScoreTopN(ctx, sn, x, excluded, 10); err != nil || len(out) != 10 {
+			t.Fatalf("%d items, %v", len(out), err)
+		}
+	})
+	if allocs > 14 {
+		t.Errorf("ScoreTopN at f32 allocates %v times per request, the per-row loop allocated 14", allocs)
+	}
+}
+
 // TestScanRowsCounter: als_scan_rows_total splits every scanned snapshot's
 // rows into scored and pruned, where the scan happens. A quantized server
 // prunes on a catalog with popularity-shaped norms, a float32 server scores

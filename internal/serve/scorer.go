@@ -19,6 +19,10 @@ const checkEvery = 4096
 // per shard the merge and handoff overhead outweighs the parallelism.
 const minShardRows = 256
 
+// scanStackK is the widest query a float32 scan task widens on its own
+// stack (linalg's CG matvec draws the same line).
+const scanStackK = 128
+
 // Scorer ranks an item catalog against a user factor with a bounded worker
 // pool shared by all requests: Y is partitioned into contiguous shards, each
 // shard keeps its own size-n min-heap (metrics.TopK), and the per-shard
@@ -86,20 +90,21 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, exclude
 		}
 		job := func() {
 			defer wg.Done()
+			// The query is widened once per task, on the task's stack up
+			// to scanStackK components (append moves a longer one to the
+			// heap); metrics.ScanTopK then converts only the item side.
+			var stack [scanStackK]float64
+			xw := stack[:0]
+			for _, v := range x {
+				xw = append(xw, float64(v))
+			}
 			t := metrics.NewTopK(n)
-			for i := lo; i < hi; i++ {
-				if (i-lo)%checkEvery == 0 {
-					select {
-					case <-ctx.Done():
-						errs[si] = ctx.Err()
-						return
-					default:
-					}
+			for slab := lo; slab < hi; slab += checkEvery {
+				if err := ctx.Err(); err != nil {
+					errs[si] = err
+					return
 				}
-				if excluded != nil && excluded(i) {
-					continue
-				}
-				t.Push(i, linalg.Dot(x, y.Row(i)))
+				metrics.ScanTopK(xw, y, slab, min(slab+checkEvery, hi), excluded, t)
 			}
 			heaps[si] = t
 		}
@@ -179,19 +184,27 @@ func RatedExcluder(r *sparse.CSR, u int) func(int) bool {
 		return nil
 	}
 	cols, _ := r.Row(u)
-	if len(cols) == 0 {
+	return SortedExcluder(cols)
+}
+
+// SortedExcluder returns the exclusion predicate "i is in sorted", a binary
+// search over ascending local item indices, or nil when there is nothing to
+// exclude. It is the one predicate every scan is handed: a user's rated CSR
+// row here, a fold-in request's exclude list on a shard replica.
+func SortedExcluder(sorted []int32) func(int) bool {
+	if len(sorted) == 0 {
 		return nil
 	}
 	return func(i int) bool {
-		lo, hi := 0, len(cols)
+		lo, hi := 0, len(sorted)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if int(cols[mid]) < i {
+			if int(sorted[mid]) < i {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		return lo < len(cols) && int(cols[lo]) == i
+		return lo < len(sorted) && int(sorted[lo]) == i
 	}
 }

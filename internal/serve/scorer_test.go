@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,6 +57,10 @@ func TestScorerMatchesTopN(t *testing.T) {
 				got := make([]int, len(scored))
 				for i, s := range scored {
 					got[i] = s.Item
+					// The blocked kernel must not move a bit of any score.
+					if ref := linalg.Dot(x.Row(u), y.Row(s.Item)); math.Float64bits(s.Score) != math.Float64bits(ref) {
+						t.Fatalf("workers=%d n=%d u=%d item %d: score %x, linalg.Dot %x", workers, n, u, s.Item, math.Float64bits(s.Score), math.Float64bits(ref))
+					}
 				}
 				want := metrics.TopN(rated, x, y, u, n)
 				if !reflect.DeepEqual(got, want) {
@@ -81,6 +86,53 @@ func TestScorerCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := sc.TopN(ctx, x, y, nil, 10); err == nil {
 		t.Fatal("canceled context did not abort scoring")
+	}
+}
+
+// TestScorerTopNMidScanDeadline: a context that expires while a task is
+// inside its first slab stops the scan at the slab boundary with the
+// context's error, as the ranked path does.
+func TestScorerTopNMidScanDeadline(t *testing.T) {
+	sc := NewScorer(1)
+	defer sc.Close()
+	rng := rand.New(rand.NewSource(3))
+	y := randomDense(rng, 2*checkEvery+10, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	last := -1
+	expire := func(i int) bool { // consulted for every candidate while the heap is not full
+		cancel()
+		last = i
+		return false
+	}
+	out, err := sc.TopN(ctx, []float32{1, 1, 1, 1}, y, expire, y.Rows+1)
+	if err != context.Canceled || out != nil {
+		t.Fatalf("mid-scan cancel: %d items, err %v", len(out), err)
+	}
+	if last != checkEvery-1 {
+		t.Errorf("scan went on to row %d after the cancel, want it to stop at the slab end (%d)", last, checkEvery-1)
+	}
+}
+
+// TestScorerWideQuery: a query wider than scanStackK takes the heap-backed
+// widening and still scores exactly.
+func TestScorerWideQuery(t *testing.T) {
+	sc := NewScorer(2)
+	defer sc.Close()
+	rng := rand.New(rand.NewSource(9))
+	const k = scanStackK + 2
+	y := randomDense(rng, 600, k)
+	x := randomDense(rng, 1, k).Row(0)
+	scored, err := sc.TopN(context.Background(), x, y, nil, 5)
+	if err != nil || len(scored) != 5 {
+		t.Fatalf("%d items, %v", len(scored), err)
+	}
+	ref := metrics.NewTopK(5)
+	for i := 0; i < y.Rows; i++ {
+		ref.Push(i, linalg.Dot(x, y.Row(i)))
+	}
+	if want := ref.Drain(); !reflect.DeepEqual(scored, want) {
+		t.Fatalf("k=%d: got %v, want %v", k, scored, want)
 	}
 }
 
@@ -115,6 +167,12 @@ func TestRatedExcluder(t *testing.T) {
 				t.Fatalf("u=%d item=%d: excluder %v, want %v", u, i, ex(i), set[i])
 			}
 		}
+	}
+	if RatedExcluder(rated, 0)(-1) || RatedExcluder(rated, 0)(200) {
+		t.Fatal("an index outside the catalog is not excluded")
+	}
+	if SortedExcluder(nil) != nil || SortedExcluder([]int32{}) != nil {
+		t.Fatal("an empty list should yield nil excluder")
 	}
 	if RatedExcluder(nil, 0) != nil {
 		t.Fatal("nil matrix should yield nil excluder")

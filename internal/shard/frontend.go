@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
@@ -89,12 +88,13 @@ type shardState struct {
 }
 
 // Frontend fans /v1/recommend and /v1/foldin out to a fleet of shard
-// replicas and merges their bounded heaps with metrics.TopK, so the merged
-// top-N (including tie-breaking toward lower item indices) is identical to
-// a single process scanning the full catalog. A shard that is down or
-// misses its deadline degrades the response to the healthy shards' merged
-// results — flagged in the response, counted in als_shard_partial_total,
-// and reflected by /readyz going 503 while the fleet is degraded.
+// replicas and merges their sorted top-N lists in metrics.TopK's order, so
+// the merged top-N (including tie-breaking toward lower item indices) is
+// identical to a single process scanning the full catalog. A shard that is
+// down or misses its deadline degrades the response to the healthy shards'
+// merged results — flagged in the response, counted in
+// als_shard_partial_total, and reflected by /readyz going 503 while the
+// fleet is degraded.
 type Frontend struct {
 	cfg    FrontendConfig
 	client *http.Client
@@ -719,32 +719,45 @@ func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mergeItems merges per-shard top-N lists through one bounded heap. Shards
-// report disjoint global item indices and metrics.TopK breaks score ties
-// toward the lower item index, so the merge is deterministic and identical
-// to a single-process scan of the full catalog. The reported version/seq
-// is the newest among the answering shards (they briefly diverge mid-swap).
+// mergeItems merges per-shard top-N lists. Shards report disjoint global
+// item indices, each list strongest first under the order metrics.TopK
+// keeps (higher score, then lower item index), so taking the strongest
+// head n times is deterministic and identical to a single-process scan of
+// the full catalog — with no heap and no item → entry map to carry the IDs
+// back. The reported version/seq is the newest among the answering shards
+// (they briefly diverge mid-swap).
 func mergeItems(results []*serve.RecommendResponse, n int) ([]serve.RecItem, string, uint64) {
-	merged := metrics.NewTopK(n)
-	byItem := make(map[int]serve.RecItem)
 	version, seq := "", uint64(0)
+	total := 0
+	// One cursor per shard, on the stack for any fleet this frontend is
+	// likely to see (append moves a wider one to the heap).
+	var stack [16]int
+	next := stack[:0]
 	for _, res := range results {
+		next = append(next, 0)
 		if res == nil {
 			continue
 		}
 		if res.Seq >= seq {
 			version, seq = res.Version, res.Seq
 		}
-		for _, it := range res.Items {
-			merged.Push(it.Item, it.Score)
-			byItem[it.Item] = it
-		}
+		total += len(res.Items)
 	}
-	drained := merged.Drain()
-	out := make([]serve.RecItem, len(drained))
-	for i, s := range drained {
-		it := byItem[s.Item]
-		out[i] = serve.RecItem{Item: s.Item, ID: it.ID, Score: s.Score}
+	out := make([]serve.RecItem, 0, max(0, min(n, total)))
+	for len(out) < cap(out) {
+		best := -1
+		var head serve.RecItem
+		for si, res := range results {
+			if res == nil || next[si] == len(res.Items) {
+				continue
+			}
+			it := res.Items[next[si]]
+			if best < 0 || it.Score > head.Score || (it.Score == head.Score && it.Item < head.Item) {
+				best, head = si, it
+			}
+		}
+		next[best]++
+		out = append(out, head)
 	}
 	return out, version, seq
 }

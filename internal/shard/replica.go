@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -236,16 +237,7 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	off := sn.ItemOffset
-	var excluded func(int) bool
-	if len(sr.Exclude) > 0 {
-		ex := make(map[int]bool, len(sr.Exclude))
-		for _, g := range sr.Exclude {
-			if int(g) >= off && int(g) < off+sn.Model.Y.Rows {
-				ex[int(g)-off] = true
-			}
-		}
-		excluded = func(i int) bool { return ex[i] }
-	}
+	excluded := localExcluder(sr.Exclude, off, sn.Model.Y.Rows)
 	// ScoreTopN dispatches to the quantized scan when the snapshot carries
 	// a compressed Y, so a scatter-gather fleet serves the same precision
 	// as a single-process server at the same -precision flag.
@@ -262,6 +254,23 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeJSON(w, ScoreResponse{Version: sn.Version, Seq: sn.Seq, Items: items})
+}
+
+// localExcluder turns a fold-in request's global exclude list into the
+// scan's predicate over this shard's local rows [0, rows): ids outside
+// [off, off+rows) belong to other shards and are dropped, and since the
+// wire promises neither order nor uniqueness, a copy is sorted and
+// de-duplicated for serve.SortedExcluder. Nil when nothing local is
+// excluded.
+func localExcluder(exclude []int32, off, rows int) func(int) bool {
+	local := make([]int32, 0, len(exclude))
+	for _, g := range exclude {
+		if int(g) >= off && int(g) < off+rows {
+			local = append(local, g-int32(off))
+		}
+	}
+	slices.Sort(local)
+	return serve.SortedExcluder(slices.Compact(local))
 }
 
 // PurgeRequest names the user whose cached responses must be dropped.
