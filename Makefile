@@ -21,8 +21,10 @@ test-short:
 # race pass over the concurrency-heavy packages (worker pool, hot-swap,
 # checkpoint watcher — these exercise goroutines the -short lane trims —
 # internal/quant, whose ranked matrix every request reads concurrently,
-# and internal/metrics, whose Sink and float32 range scan every request
-# goes through; no lane runs fuzzing, so the seed corpora of
+# internal/metrics, whose Sink and float32 range scan every request
+# goes through, and internal/rtrace with internal/obs: the training loop
+# ends spans on its own goroutine while /debug/traces and /metrics read
+# from the debug server's; no lane runs fuzzing, so the seed corpora of
 # FuzzRankedMatchesFullScan and FuzzScanF32MatchesReference run here and
 # in the -short pass as ordinary tests),
 # the observability smoke lane (a real 1-iteration alstrain run scraped
@@ -47,7 +49,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/quant ./internal/serve ./internal/solvers
+	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) dist-smoke
@@ -59,8 +61,10 @@ ci:
 	$(GO) test -C bench ./...
 
 # Observability smoke: build alstrain, run one training iteration with
-# -debug-addr, scrape live /metrics and /runinfo, and validate the
-# Prometheus exposition text plus the Chrome trace and JSONL exports.
+# -debug-addr, scrape live /metrics, /runinfo and /debug/traces, and
+# validate the Prometheus exposition text plus the Chrome trace and JSONL
+# exports; then a -workers 2 run and a single-process run must each export a
+# trace holding every half iteration through the one exporter.
 obs-smoke:
 	$(GO) test -run TestAlstrainDebugSmoke -count=1 ./internal/obs
 

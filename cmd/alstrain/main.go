@@ -16,7 +16,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -71,8 +70,8 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "inject deterministic numerical faults, e.g. nan=1,inf=1,gram=2,fail=1,blowup=2,seed=7 (host platform; tests the resilience layer)")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /runinfo and /debug/pprof on this address during training (e.g. :9090)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the -debug-addr server up this long after training finishes (for scraping short runs)")
-	traceOut := flag.String("trace-out", "", "write the run as a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
-	eventsOut := flag.String("events-out", "", "write the structured run-event log (JSONL) to this file")
+	traceOut := flag.String("trace-out", "", "deprecated alias of -span-trace-out")
+	eventsOut := flag.String("events-out", "", "deprecated: write the run's spans to this file one JSON object per line (what /debug/traces?format=jsonl serves once the run has ended)")
 	workers := flag.Int("workers", 0, "fork this many worker processes for data-parallel distributed training (host platform only; the model stays bit-identical to a single-process run; 0 = in-process)")
 	threads := flag.Int("threads", 0, "solver goroutines per distributed worker process (0 = GOMAXPROCS; only with -workers)")
 	distRank := flag.Int("dist-rank", -1, "internal: run as distributed worker with this rank (set by the -workers coordinator)")
@@ -81,8 +80,8 @@ func main() {
 	heartbeatInterval := flag.Duration("heartbeat-interval", time.Second, "with -workers: worker liveness heartbeat period (hung workers are detected after ~5x this; <0 disables)")
 	roundTimeout := flag.Duration("round-timeout", 0, "with -workers: deadline for one gather round before the lagging workers are declared failed (0 = the 10-minute exchange default)")
 	netChaos := flag.String("net-chaos", "", "with -workers: inject deterministic network faults into the exchange, e.g. sever=1:in:3,corrupt=0:out:2,delay=1:in:4:2s,seed=7 (tests the supervision layer)")
-	traceSample := flag.Float64("trace-sample", 0, "with -workers: head-sample the run into a span trace — coordinator gather/broadcast spans plus each worker's compute/gather/broadcast spans shipped back over the exchange protocol; browse at -debug-addr's /debug/traces or export with -span-trace-out")
-	spanTraceOut := flag.String("span-trace-out", "", "with -trace-sample: write the collected span trace as Chrome trace-event JSON to this file after training")
+	traceSample := flag.Float64("trace-sample", 0, "head-sample the run into a span trace with this probability: a root train span over per-half-iteration, objective and checkpoint spans, and with -workers the coordinator's gather/broadcast spans plus each worker's compute/gather/broadcast spans shipped back over the exchange protocol; browse at -debug-addr's /debug/traces or export with -span-trace-out (an output flag alone samples at 1)")
+	spanTraceOut := flag.String("span-trace-out", "", "write the run's span trace as Chrome trace-event JSON (chrome://tracing, Perfetto) to this file after training")
 	var prof obs.ProfileFlags
 	prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -130,21 +129,22 @@ func main() {
 		}
 	}
 
-	// The recorder is nil unless some observability output was requested, so
-	// the default training path stays uninstrumented.
+	// The recorder (live counters) and the tracer (the run's timeline) are
+	// nil unless some output was asked for, so the default training path
+	// stays uninstrumented. An output file without a rate samples the run.
 	var rec *obs.TrainRecorder
-	if *debugAddr != "" || *traceOut != "" || *eventsOut != "" {
+	if *debugAddr != "" {
 		rec = obs.NewTrainRecorder()
+	}
+	if *spanTraceOut == "" {
+		*spanTraceOut = *traceOut
+	}
+	if *traceSample <= 0 && (*spanTraceOut != "" || *eventsOut != "") {
+		*traceSample = 1
 	}
 	var tracer *rtrace.Tracer
 	if *traceSample > 0 {
-		if *workers <= 0 {
-			fail(fmt.Errorf("-trace-sample traces the distributed exchange and needs -workers (single-process runs use -trace-out)"))
-		}
 		tracer = rtrace.New(rtrace.Config{Sample: *traceSample, Process: "alstrain"})
-	}
-	if *spanTraceOut != "" && tracer == nil {
-		fail(fmt.Errorf("-span-trace-out needs -trace-sample"))
 	}
 	if *netChaos != "" && *workers <= 0 {
 		fail(fmt.Errorf("-net-chaos injects faults into the distributed exchange and needs -workers"))
@@ -171,39 +171,20 @@ func main() {
 		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
 	}
 
-	var ds *dataset.Dataset
-	var userIDs, itemIDs []int64
-	switch {
-	case *input != "":
-		if *compact {
-			cd, err := dataset.LoadCompact(*input, *oneBased)
-			if err != nil {
-				fail(err)
-			}
-			ds = cd.Dataset
-			userIDs = make([]int64, cd.Users.Len())
-			for i := range userIDs {
-				userIDs[i] = cd.Users.Orig(i)
-			}
-			itemIDs = make([]int64, cd.Items.Len())
-			for i := range itemIDs {
-				itemIDs[i] = cd.Items.Orig(i)
-			}
-		} else {
-			var err error
-			ds, err = dataset.Load(*input, *oneBased)
-			if err != nil {
-				fail(err)
-			}
-		}
-	case *preset != "":
-		p, err := dataset.PresetByName(*preset)
-		if err != nil {
-			fail(err)
-		}
-		ds = p.ScaledForBench(*scale).Generate(*seed)
-	default:
+	if *input == "" && *preset == "" {
 		fail(fmt.Errorf("need -input or -preset"))
+	}
+	// One description of the data for this process and, with -workers, for
+	// every rank: generation and the split are deterministic, so all of
+	// them see identical ratings.
+	spec := shard.DataSpec{
+		Preset: *preset, Scale: *scale,
+		Input: *input, OneBased: *oneBased, Compact: *compact,
+		TestFrac: *testFrac, Seed: *seed,
+	}
+	ds, userIDs, itemIDs, err := spec.Dataset()
+	if err != nil {
+		fail(err)
 	}
 	mx := ds.Matrix
 	// The loader's parse buffers die about where a background collection
@@ -257,7 +238,7 @@ func main() {
 		CGIters: *cgIters, BlockSize: *blockSize,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 		CheckpointKeep: *ckptKeep, CheckpointPrecision: ckPrec,
-		Resume: *resume, Obs: rec,
+		Resume: *resume, Obs: rec, Tracer: tracer,
 		Guard: gd,
 	}
 	if *variantID != "" {
@@ -275,7 +256,7 @@ func main() {
 	defer stopSignals()
 	cfg.Interrupt = ictx.Done()
 	failOrResumable := func(err error) {
-		if !errors.Is(err, shard.ErrInterrupted) && !errors.Is(err, core.ErrInterrupted) {
+		if !errors.Is(err, core.ErrInterrupted) {
 			fail(err)
 		}
 		fmt.Fprintln(os.Stderr, "alstrain:", err)
@@ -309,17 +290,14 @@ func main() {
 		dcfg := shard.TrainerConfig{
 			Workers: *workers,
 			K:       *k, Lambda: float32(*lambda), Iterations: *iters, Seed: *seed,
-			WeightedLambda: *weighted, UseRecommended: *variantID == "",
-			Threads: *threads,
-			Data: shard.DataSpec{
-				Preset: *preset, Scale: *scale,
-				Input: *input, OneBased: *oneBased, Compact: *compact,
-				TestFrac: *testFrac, Seed: *seed,
-			},
+			WeightedLambda: *weighted, UseRecommended: *variantID == "", Variant: cfg.Variant,
+			Threads:       *threads,
+			Data:          spec,
 			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 			CheckpointKeep: *ckptKeep, CheckpointPrecision: ckPrec,
 			Resume:            *resume,
 			Registry:          reg,
+			Obs:               rec,
 			Tracer:            tracer,
 			HeartbeatInterval: *heartbeatInterval,
 			RoundTimeout:      *roundTimeout,
@@ -349,9 +327,6 @@ func main() {
 			}
 			dcfg.NetChaos = plan
 		}
-		if *variantID != "" {
-			dcfg.Variant = cfg.Variant
-		}
 		m, dinfo, err := shard.Train(train, dcfg)
 		if err != nil {
 			failOrResumable(err)
@@ -367,16 +342,6 @@ func main() {
 		fmt.Printf("trained on host with %s: %.4fs (wall-clock, %d worker processes)\n",
 			dinfo.Variant, dinfo.Seconds, dinfo.Workers)
 		fmt.Printf("coordinator exchange traffic: %d bytes\n", dinfo.BroadcastBytes)
-		if tracer != nil {
-			recorded, dropped := tracer.SpanCount()
-			fmt.Printf("trace: %d spans recorded (%d dropped)\n", recorded, dropped)
-			if *spanTraceOut != "" {
-				if err := writeObsFile(*spanTraceOut, tracer.WriteChromeTrace); err != nil {
-					fail(err)
-				}
-				fmt.Printf("span trace written to %s\n", *spanTraceOut)
-			}
-		}
 	} else {
 		m, info, err := core.Train(train, cfg)
 		if err != nil {
@@ -429,14 +394,18 @@ func main() {
 		fmt.Printf("model written to %s\n", *out)
 	}
 
-	if *traceOut != "" {
-		if err := writeObsFile(*traceOut, rec.WriteChromeTrace); err != nil {
+	if tracer != nil {
+		recorded, dropped := tracer.SpanCount()
+		fmt.Printf("trace: %d spans recorded (%d dropped)\n", recorded, dropped)
+	}
+	if *spanTraceOut != "" {
+		if err := checkpoint.WriteFileAtomic(checkpoint.OS, *spanTraceOut, tracer.WriteChromeTrace); err != nil {
 			fail(err)
 		}
-		fmt.Printf("trace written to %s\n", *traceOut)
+		fmt.Printf("span trace written to %s\n", *spanTraceOut)
 	}
 	if *eventsOut != "" {
-		if err := writeObsFile(*eventsOut, rec.WriteJSONL); err != nil {
+		if err := checkpoint.WriteFileAtomic(checkpoint.OS, *eventsOut, tracer.WriteJSONL); err != nil {
 			fail(err)
 		}
 		fmt.Printf("event log written to %s\n", *eventsOut)
@@ -445,16 +414,4 @@ func main() {
 		fmt.Printf("debug server lingering for %s\n", *debugLinger)
 		time.Sleep(*debugLinger)
 	}
-}
-
-func writeObsFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

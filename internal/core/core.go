@@ -20,11 +20,13 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -36,6 +38,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/quant"
+	"repro/internal/rtrace"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
@@ -135,10 +138,18 @@ type Config struct {
 	// dequantized, since an escalated-λ replay is approximate anyway.
 	CheckpointPrecision quant.Precision
 
-	// Obs, when set, receives the training-run observability stream (host
-	// platform only): half-iteration spans, worker utilization, stage
-	// timings, loss points, and checkpoint I/O. See internal/obs.
+	// Obs, when set, receives the run's live counters (host platform only):
+	// half iterations, worker utilization, stage timings, loss points, and
+	// checkpoint I/O. See internal/obs.
 	Obs *obs.TrainRecorder
+	// Tracer, when set and sampling the run, receives its timeline (host
+	// platform only) as one trace: a root span "train" whose children are
+	// "iter<N>/x" and "iter<N>/y" per half iteration (see
+	// host.Config.Trace for their attributes), "objective" per loss
+	// evaluation, and "checkpoint.load", "checkpoint.save" and
+	// "checkpoint.gc"; a divergence rollback is a "rollback<n>" attribute of
+	// the root. The trace is published when the run returns.
+	Tracer *rtrace.Tracer
 
 	// Interrupt, when non-nil, requests a graceful stop (host platform
 	// only): at the first iteration boundary after the channel is closed
@@ -296,11 +307,6 @@ func (m *Model) ScoreItems(x []float32) []float64 {
 	return out
 }
 
-// ErrInterrupted reports a training run stopped at an iteration boundary by
-// Config.Interrupt. The run's checkpoint (when checkpointing is on) covers
-// everything computed so far: rerun with Resume to finish it.
-var ErrInterrupted = errors.New("core: training interrupted")
-
 // Train factorizes the rating matrix according to cfg.
 func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 	cfg.setDefaults()
@@ -342,11 +348,8 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 			return nil, nil, err
 		}
 		v = best
-	} else if cfg.UseRecommended && v == (variant.Options{}) {
-		// The fused+vector kernel is the measured host winner (see the
-		// BENCH_*.json trajectory); it subsumes the paper's register strip.
-		v = variant.Options{Vector: true, Fused: true}
 	}
+	v, vname := HostVariant(v, cfg.UseRecommended && !cfg.AutoVariant, cfg.Baseline)
 	g := cfg.Guard
 	if g != nil && !g.Strict {
 		// Quarantine corrupt ratings before they poison the Gram matrices
@@ -355,105 +358,34 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		// skip it so the fault surfaces at the row that hits it.
 		g.SanitizeMatrix(mx)
 	}
+	// The run's one timeline: everything below is a child of this span.
+	ctx, root := cfg.Tracer.StartRequest(context.Background(), "train", rtrace.SpanContext{})
+	defer root.End()
+	root.SetAttr("variant", vname)
+	root.SetAttr("mode", host.ModeLabel(cfg.Implicit))
 	hostCfg := host.Config{
 		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
 		Workers: cfg.Workers, Flat: cfg.Baseline, Variant: v,
 		WeightedLambda: cfg.WeightedLambda, TrackLoss: cfg.TrackLoss,
-		Tolerance: cfg.Tolerance, Obs: cfg.Obs, Guard: g,
+		Tolerance: cfg.Tolerance, Obs: cfg.Obs, Trace: ctx, Guard: g,
 		Implicit: cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
 		CGIters: cfg.CGIters, BlockSize: cfg.BlockSize,
 	}
-	var preHistory []host.IterStats
-	resumedFrom := 0
-	fsys := cfg.CheckpointFS
-	if fsys == nil {
-		fsys = checkpoint.OS
-	}
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	// saveCkpt writes a checkpoint unconditionally; the OnIteration hook
-	// applies the stride, and the interrupt path forces a final save.
-	var saveCkpt func(it int, x, y *linalg.Dense, hist []host.IterStats) error
-	if cfg.CheckpointDir != "" {
-		if cfg.Resume {
-			loadStart := time.Now()
-			st, _, err := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
-			if err == nil || !errors.Is(err, checkpoint.ErrNoCheckpoint) {
-				var bytes int64
-				if err == nil {
-					bytes = st.EncodedSize()
-				}
-				cfg.Obs.RecordCheckpoint("load", time.Since(loadStart), bytes, err)
-			}
-			switch {
-			case err == nil:
-				if err := resumeMismatch(st, &cfg, variantName(cfg.Baseline, v)); err != nil {
-					return nil, nil, err
-				}
-				hostCfg.StartIteration = st.Iteration
-				hostCfg.ResumeX, hostCfg.ResumeY = st.X, st.Y
-				preHistory = st.History
-				resumedFrom = st.Iteration
-			case errors.Is(err, checkpoint.ErrNoCheckpoint):
-				// Nothing to resume: start fresh so crash-rerun loops can
-				// pass Resume unconditionally.
-			default:
-				return nil, nil, fmt.Errorf("core: resuming from %s: %w", cfg.CheckpointDir, err)
-			}
-		}
-		keep := cfg.CheckpointKeep
-		if keep <= 0 {
-			keep = 3
-		}
-		saveCkpt = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-			st := &checkpoint.State{
-				Iteration: it, K: cfg.K, Lambda: cfg.Lambda,
-				WeightedLambda: cfg.WeightedLambda, Seed: cfg.Seed,
-				Variant: variantName(cfg.Baseline, v), X: x, Y: y,
-				Precision: cfg.CheckpointPrecision,
-				Implicit:  cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
-				CGIters: cfg.CGIters, BlockSize: cfg.BlockSize,
-				History: concatHistory(preHistory, hist),
-			}
-			saveStart := time.Now()
-			_, err := checkpoint.Save(fsys, cfg.CheckpointDir, st)
-			cfg.Obs.RecordCheckpoint("save", time.Since(saveStart), st.EncodedSize(), err)
-			if err != nil {
-				return err
-			}
-			return checkpoint.GC(fsys, cfg.CheckpointDir, keep)
-		}
-		hostCfg.OnIteration = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-			if it%every != 0 && it != cfg.Iterations {
-				return nil
-			}
-			return saveCkpt(it, x, y, hist)
+	run := NewRun(ctx, &cfg, vname)
+	restart := func(st *checkpoint.State) {
+		hostCfg.StartIteration, hostCfg.ResumeX, hostCfg.ResumeY = 0, nil, nil
+		if st != nil {
+			hostCfg.StartIteration, hostCfg.ResumeX, hostCfg.ResumeY = st.Iteration, st.X, st.Y
 		}
 	}
-	if cfg.Interrupt != nil {
-		inner := hostCfg.OnIteration // nil without checkpointing
-		hostCfg.OnIteration = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-			if inner != nil {
-				if err := inner(it, x, y, hist); err != nil {
-					return err
-				}
-			}
-			select {
-			case <-cfg.Interrupt:
-			default:
-				return nil
-			}
-			// Stop at this boundary. When the checkpoint stride skipped this
-			// iteration, force one now so the interrupted run is resumable.
-			if saveCkpt != nil && it%every != 0 && it != cfg.Iterations {
-				if err := saveCkpt(it, x, y, hist); err != nil {
-					return err
-				}
-			}
-			return fmt.Errorf("%w at iteration %d/%d", ErrInterrupted, it, cfg.Iterations)
-		}
+	st, err := run.Resume()
+	if err != nil {
+		return nil, nil, err
+	}
+	restart(st)
+	resumedFrom := hostCfg.StartIteration
+	if cfg.CheckpointDir != "" || cfg.Interrupt != nil {
+		hostCfg.OnIteration = run.Boundary
 	}
 	start := time.Now()
 	// The divergence-rollback loop: host.Train either completes, fails
@@ -463,12 +395,9 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 	// vets factors before the checkpoint hook runs — with λ escalated so
 	// the replay is better conditioned than the attempt that diverged.
 	// Checkpoints keep recording the ORIGINAL λ (see Config.Guard).
-	curLambda := cfg.Lambda
 	rollbacks := 0
 	var res *host.Result
 	for {
-		hostCfg.Lambda = curLambda
-		var err error
 		res, err = host.Train(mx, hostCfg)
 		if err == nil {
 			break
@@ -482,34 +411,17 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		}
 		rollbacks++
 		g.NoteRollback()
-		cfg.Obs.RecordRollback(de.Iteration, de.Loss)
-		curLambda *= g.LambdaEscalation
-		hostCfg.StartIteration = 0
-		hostCfg.ResumeX, hostCfg.ResumeY = nil, nil
-		preHistory = nil // the checkpoint hook closure reads this variable
-		if cfg.CheckpointDir != "" {
-			st, _, lerr := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
-			switch {
-			case lerr == nil:
-				// st.X/st.Y are dequantized float32 regardless of the file's
-				// precision, so a rollback works from quantized checkpoints
-				// too (the replay runs with escalated λ and is approximate
-				// by construction — resumeMismatch's lossless rule is for
-				// plain resumes, not recovery).
-				hostCfg.StartIteration = st.Iteration
-				hostCfg.ResumeX, hostCfg.ResumeY = st.X, st.Y
-				preHistory = st.History
-			case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-				// Diverged before the first checkpoint: restart from scratch.
-			default:
-				return nil, nil, fmt.Errorf("core: rolling back from %s: %w", cfg.CheckpointDir, lerr)
-			}
+		root.SetAttr("rollback"+strconv.Itoa(rollbacks), fmt.Sprintf("iter=%d loss=%g", de.Iteration, de.Loss))
+		hostCfg.Lambda *= g.LambdaEscalation
+		if st, err = run.Rollback(); err != nil {
+			return nil, nil, err
 		}
+		restart(st)
 	}
 	info := &RunInfo{
-		Platform: PlatformHost, Variant: variantName(cfg.Baseline, v),
+		Platform: PlatformHost, Variant: vname,
 		Seconds: time.Since(start).Seconds(),
-		History: concatHistory(preHistory, res.History), ResumedFrom: resumedFrom,
+		History: concatHistory(run.history, res.History), ResumedFrom: resumedFrom,
 		Rollbacks: rollbacks,
 	}
 	mod := &Model{K: cfg.K, X: res.X, Y: res.Y,
@@ -547,7 +459,7 @@ func trainSim(mx *sparse.Matrix, dev *device.Device, cfg Config) (*Model, *RunIn
 		return nil, nil, err
 	}
 	info := &RunInfo{
-		Platform: cfg.Platform, Variant: variantName(cfg.Baseline, v),
+		Platform: cfg.Platform, Variant: host.VariantLabel(cfg.Baseline, v),
 		Seconds: res.Seconds(), Simulated: true,
 	}
 	for i := 0; i < 3; i++ {
@@ -555,70 +467,6 @@ func trainSim(mx *sparse.Matrix, dev *device.Device, cfg Config) (*Model, *RunIn
 	}
 	mod := &Model{K: cfg.K, X: res.X, Y: res.Y, Meta: Meta{Lambda: cfg.Lambda}}
 	return mod, info, nil
-}
-
-// resumeMismatch rejects resuming under a configuration that would not
-// reproduce the checkpointed run: silently continuing with a different k,
-// λ, seed, λ convention or code variant would converge to a different
-// model while claiming to be the same job.
-func resumeMismatch(st *checkpoint.State, cfg *Config, variantID string) error {
-	switch {
-	case st.K != cfg.K:
-		return fmt.Errorf("core: checkpoint has k=%d, run wants k=%d", st.K, cfg.K)
-	case st.Lambda != cfg.Lambda:
-		return fmt.Errorf("core: checkpoint has lambda=%g, run wants %g", st.Lambda, cfg.Lambda)
-	case st.Seed != cfg.Seed:
-		return fmt.Errorf("core: checkpoint has seed=%d, run wants %d", st.Seed, cfg.Seed)
-	case st.WeightedLambda != cfg.WeightedLambda:
-		return fmt.Errorf("core: checkpoint lambda convention (weighted=%v) does not match run (weighted=%v)",
-			st.WeightedLambda, cfg.WeightedLambda)
-	case st.Variant != variantID:
-		return fmt.Errorf("core: checkpoint was trained with variant %q, run wants %q", st.Variant, variantID)
-	case st.Implicit != cfg.Implicit:
-		// Resuming across the explicit/implicit boundary would continue a
-		// run under a different objective entirely.
-		return fmt.Errorf("core: checkpoint is from an %s-feedback run, run wants %s feedback",
-			modeName(st.Implicit), modeName(cfg.Implicit))
-	case st.Alpha != cfg.Alpha:
-		return fmt.Errorf("core: checkpoint has alpha=%g, run wants %g", st.Alpha, cfg.Alpha)
-	case st.Solver != cfg.Solver:
-		return fmt.Errorf("core: checkpoint was trained with solver %q, run wants %q", st.Solver, cfg.Solver)
-	case st.CGIters != cfg.CGIters:
-		return fmt.Errorf("core: checkpoint has cg-iters=%d, run wants %d", st.CGIters, cfg.CGIters)
-	case st.BlockSize != cfg.BlockSize:
-		return fmt.Errorf("core: checkpoint has block-size=%d, run wants %d", st.BlockSize, cfg.BlockSize)
-	case st.Precision != quant.F32:
-		// Quantization is lossy: resuming from dequantized factors would
-		// produce a run that claims bit-identity with the original but
-		// is not. (Divergence rollback deliberately skips this check.)
-		return fmt.Errorf("core: checkpoint factors are quantized (%v); resume requires a float32 checkpoint", st.Precision)
-	}
-	return nil
-}
-
-// concatHistory joins restored and freshly-recorded loss history without
-// aliasing either slice.
-func concatHistory(pre, cur []host.IterStats) []host.IterStats {
-	if len(pre) == 0 {
-		return cur
-	}
-	out := make([]host.IterStats, 0, len(pre)+len(cur))
-	out = append(out, pre...)
-	return append(out, cur...)
-}
-
-func modeName(implicit bool) string {
-	if implicit {
-		return "implicit"
-	}
-	return "explicit"
-}
-
-func variantName(baseline bool, v variant.Options) string {
-	if baseline {
-		return "flat baseline"
-	}
-	return v.String()
 }
 
 // SelectVariant empirically picks the fastest of the 8 code variants for

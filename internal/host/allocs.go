@@ -32,6 +32,9 @@ func rowAllocs(mx *sparse.Matrix, cfg Config, objective bool) float64 {
 	cfg.setDefaults(m, mx.NNZ())
 	kn := newRowKernel(&cfg)
 	ws := newWorkerState(cfg.K)
+	// A watched run's row update differs from a plain one by the stage
+	// timers alone (everything else happens at the half rendezvous).
+	ws.timed = cfg.Obs != nil || cfg.liveTrace() != nil
 	side := halfSide{
 		r:     mx.R,
 		fixed: InitialY(mx.Cols(), cfg.K, cfg.Seed),

@@ -43,10 +43,13 @@
 package host
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +58,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/rtrace"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
@@ -146,13 +150,26 @@ type Config struct {
 	// bit-for-bit, as does Guard.Strict apart from typed errors.
 	Guard *guard.Guard
 
-	// Obs, when set, receives the training-run observability stream:
-	// half-iteration spans, per-worker utilization, per-stage kernel time,
-	// and loss points. All recording happens at the half rendezvous (one
-	// report per worker per half), except the stage timers which bracket
-	// the S1/S2/S3 kernels inside updateRow; with Obs nil the row-update
-	// path is untouched and stays allocation-free.
+	// Obs, when set, receives the run's live counters: half iterations,
+	// per-worker utilization, per-stage kernel time, and loss points.
 	Obs *obs.TrainRecorder
+	// Trace, when it carries a live rtrace span (core.Train's root "train"),
+	// receives the run's timeline as children of that span: "iter<N>/x" and
+	// "iter<N>/y" per half iteration (attributes: rows, nnz, rows/s,
+	// per-stage ms, each worker's busy ms, chunks and rows) and "objective"
+	// per loss evaluation. Either field turns the measuring on — a slot per
+	// worker filled at the half rendezvous, stage timers around S1/S2/S3 in
+	// updateRow; with both unset a half pays one nil check and the row
+	// update stays untouched and allocation-free.
+	Trace context.Context
+}
+
+// liveTrace returns Trace when it carries a live span, nil otherwise.
+func (c *Config) liveTrace() context.Context {
+	if c.Trace != nil && rtrace.Active(c.Trace) {
+		return c.Trace
+	}
+	return nil
 }
 
 // chunkRowNNZBudget caps a default chunk's work: one claim covers roughly
@@ -298,10 +315,10 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	names := [2]string{"X", "Y"}
 	sides := [2]halfSide{pool.side(mx.R, y, x, userChunk), pool.side(rt, x, y, userChunk)}
 
-	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, variantLabel(cfg), modeLabel(cfg))
+	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, VariantLabel(cfg.Flat, cfg.Variant), ModeLabel(cfg.Implicit))
 	g := cfg.Guard
 	if g != nil {
-		g.SetVariant(variantLabel(cfg))
+		g.SetVariant(VariantLabel(cfg.Flat, cfg.Variant))
 		// The watchdog's loss floor scales with the objective's natural
 		// magnitude: Σr² for the explicit squared error, Σc·p² = nnz + αΣr
 		// for the implicit confidence-weighted one.
@@ -327,10 +344,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	for it := cfg.StartIteration + 1; it <= cfg.Iterations; it++ {
 		var loss float64
 		for i, name := range names {
-			cfg.Obs.BeginHalf(it, name, sides[i].r.NumRows, mx.NNZ(), pool.workers)
-			err := pool.runHalf(sides[i], it, i == 0)
-			cfg.Obs.EndHalf()
-			if err != nil {
+			if err := pool.runHalf(sides[i], it, i == 0); err != nil {
 				return nil, fmt.Errorf("host: iteration %d update %s: %w", it, name, err)
 			}
 			if cfg.TrackLoss {
@@ -338,7 +352,6 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 				res.History = append(res.History, IterStats{
 					Iteration: it, Half: name, Loss: loss, Elapsed: time.Since(start),
 				})
-				cfg.Obs.RecordLoss(it, name, loss)
 			}
 		}
 		// Workers are parked between halves, so the factors are stable from
@@ -372,9 +385,6 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		}
 		cfg.Obs.IterDone(it)
 		if cfg.Tolerance > 0 {
-			if !cfg.TrackLoss {
-				cfg.Obs.RecordLoss(it, "Y", loss)
-			}
 			res.Converged = it
 			if prevLoss-loss < cfg.Tolerance*prevLoss {
 				break
@@ -386,18 +396,18 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// variantLabel names the run's code variant for observability output,
-// matching the naming the result layer uses.
-func variantLabel(cfg Config) string {
-	if cfg.Flat {
+// VariantLabel names a run's code variant in checkpoints, run reports and
+// observability output.
+func VariantLabel(flat bool, v variant.Options) string {
+	if flat {
 		return "flat baseline"
 	}
-	return cfg.Variant.String()
+	return v.String()
 }
 
-// modeLabel names the training mode for observability output.
-func modeLabel(cfg Config) string {
-	if cfg.Implicit {
+// ModeLabel names a training mode the same way.
+func ModeLabel(implicit bool) string {
+	if implicit {
 		return "implicit"
 	}
 	return "explicit"
@@ -479,9 +489,15 @@ type halfJob struct {
 // channel sends per worker instead of a goroutine spawn.
 type workerPool struct {
 	kernel  *rowKernel
-	obs     *obs.TrainRecorder
 	flat    bool
 	workers int
+	// What watches the half iterations: the recorder, the live span's
+	// context (else nil), and — only when either is set — a slot per worker
+	// for its share of the current half, written by that worker alone and
+	// read after the rendezvous.
+	obs    *obs.TrainRecorder
+	trace  context.Context
+	shares []obs.WorkerShare
 	// gram is implicit mode's shared FᵀF, recomputed from the fixed factor
 	// at the start of every half; the buffers live here so workers never
 	// allocate. Nil in explicit mode.
@@ -495,12 +511,16 @@ func newWorkerPool(cfg Config) *workerPool {
 	p := &workerPool{
 		kernel:  newRowKernel(&cfg),
 		obs:     cfg.Obs,
+		trace:   cfg.liveTrace(),
 		flat:    cfg.Flat,
 		workers: cfg.Workers,
 		jobs:    make(chan *halfJob, cfg.Workers),
 	}
 	if cfg.Implicit {
 		p.gram = linalg.NewSharedGram(cfg.K)
+	}
+	if p.obs != nil || p.trace != nil {
+		p.shares = make([]obs.WorkerShare, p.workers)
 	}
 	p.wg.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
@@ -542,7 +562,53 @@ func (p *workerPool) runHalf(s halfSide, iter int, xHalf bool) error {
 		// the same half sees it identically.
 		p.gram.Compute(s.fixed)
 	}
-	return p.do(&halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram})
+	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
+	if p.shares == nil {
+		return p.do(job)
+	}
+	return p.doObserved(job)
+}
+
+// doObserved is do for a half iteration somebody watches: the half is timed,
+// reported to the recorder, and — under a live trace — becomes the span
+// "iter<N>/x" or "iter<N>/y" (the names the distributed coordinator uses)
+// carrying the same measurements as attributes.
+func (p *workerPool) doObserved(job *halfJob) error {
+	half := obs.Half{Name: "Y", Rows: job.r.NumRows, Workers: p.shares}
+	if job.xHalf {
+		half.Name = "X"
+	}
+	clear(p.shares)
+	var span *rtrace.Span
+	if p.trace != nil {
+		_, span = rtrace.StartChild(p.trace, "iter"+strconv.Itoa(job.iter)+"/"+strings.ToLower(half.Name))
+	}
+	start := time.Now()
+	err := p.do(job)
+	half.Dur = time.Since(start)
+	p.obs.RecordHalf(&half)
+	if span != nil {
+		span.SetAttr("rows", strconv.Itoa(half.Rows))
+		span.SetAttr("nnz", strconv.Itoa(job.r.NNZ()))
+		span.SetAttr("rows_per_sec", strconv.FormatFloat(half.RowsPerSec(), 'f', 0, 64))
+		for s, d := range half.Stage() {
+			if d > 0 {
+				span.SetAttr("stage_ms/"+obs.StageNames[s], fmtMS(d))
+			}
+		}
+		for w, sh := range p.shares {
+			prefix := "worker" + strconv.Itoa(w) + "."
+			span.SetAttr(prefix+"busy_ms", fmtMS(sh.Busy))
+			span.SetAttr(prefix+"chunks", strconv.Itoa(sh.Chunks))
+			span.SetAttr(prefix+"rows", strconv.Itoa(sh.Rows))
+		}
+		span.End()
+	}
+	return err
+}
+
+func fmtMS(d time.Duration) string {
+	return strconv.FormatFloat(float64(d.Nanoseconds())/1e6, 'f', 3, 64)
 }
 
 // do broadcasts one job to every worker and waits for the rendezvous.
@@ -561,12 +627,21 @@ func (p *workerPool) do(job *halfJob) error {
 func (p *workerPool) run(id int) {
 	defer p.wg.Done()
 	ws := newWorkerState(p.kernel.k)
-	ws.timed = p.obs != nil
+	ws.timed = p.shares != nil
 	for job := range p.jobs {
 		t0 := time.Now()
 		chunks, rows := p.work(job, ws)
-		if ws.timed && job.terms == nil { // the recorder's spans are half iterations
-			p.obs.WorkerReport(id, time.Since(t0), chunks, rows, ws.stage)
+		if ws.timed && job.terms == nil { // what is watched are half iterations
+			// Shares accumulate: the channel does not guarantee one copy of
+			// the broadcast job per worker, and one that drains several
+			// adds each in.
+			sh := &p.shares[id]
+			sh.Busy += time.Since(t0)
+			sh.Chunks += chunks
+			sh.Rows += rows
+			for s, d := range ws.stage {
+				sh.Stage[s] += d
+			}
 			ws.stage = obs.StageDur{}
 		}
 		job.wg.Done()

@@ -169,6 +169,12 @@ func TestRowUpdateAllocsZero(t *testing.T) {
 	// The ALS-WR weighted-λ path shares the hot loop; keep it clean too.
 	check("tb+fus weighted", Config{K: 10, Lambda: 0.1, WeightedLambda: true,
 		Variant: variant.Options{Fused: true}})
+	// A traced run adds the stage timers to the row update and nothing else.
+	ctx, _ := tracedRoot(t)
+	for _, v := range []variant.Options{{}, {Vector: true, Fused: true}} {
+		check(v.ID()+" traced", Config{K: 10, Lambda: 0.1, Variant: v, Trace: ctx})
+	}
+	check("implicit cg traced", Config{K: 10, Lambda: 0.1, Implicit: true, Solver: SolverCG, Trace: ctx})
 }
 
 func TestEmptyRowsGetZeroFactors(t *testing.T) {

@@ -160,8 +160,9 @@ type workerState struct {
 	wide   []float64 // a k-vector widened: CG's direction, the objective pass's row
 
 	// timed brackets the stages of updateRow with wall-clock probes,
-	// accumulated into stage; set only when Config.Obs is non-nil, so the
-	// default path carries a single predictable branch per stage.
+	// accumulated into stage; set only when Config.Obs or a live Config.Trace
+	// watches the run, so the default path carries a single predictable
+	// branch per stage.
 	timed bool
 	t0    time.Time
 	stage obs.StageDur

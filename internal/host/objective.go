@@ -1,6 +1,11 @@
 package host
 
-import "repro/internal/linalg"
+import (
+	"strconv"
+
+	"repro/internal/linalg"
+	"repro/internal/rtrace"
+)
 
 // objective evaluates the training objective right after side s was solved,
 // as a pass over s on the same schedule and workers that solved it: the
@@ -17,7 +22,14 @@ import "repro/internal/linalg"
 // since must recompute p.gram first.) The fixed side's ridge term, O(rows·k)
 // against the pass's O(nnz·k), is added serially. metrics.RegularizedLoss
 // and metrics.ImplicitLoss are the serial oracles the tests hold this to.
+//
+// A watched run reports the value to the recorder and, under a live trace,
+// times the evaluation as an "objective" span.
 func (p *workerPool) objective(s, fixed halfSide, terms []float64) float64 {
+	var span *rtrace.Span
+	if p.trace != nil {
+		_, span = rtrace.StartChild(p.trace, "objective")
+	}
 	terms = terms[:s.r.NumRows]
 	// A pass without a row that can fail: do has no error to return.
 	_ = p.do(&halfJob{halfSide: s, gram: p.gram, terms: terms})
@@ -32,7 +44,13 @@ func (p *workerPool) objective(s, fixed halfSide, terms []float64) float64 {
 			reg += w * linalg.Nrm2Sq(fixed.out.Row(u))
 		}
 	}
-	return sum + float64(kn.lambda)*reg
+	loss := sum + float64(kn.lambda)*reg
+	p.obs.RecordLoss(loss)
+	if span != nil {
+		span.SetAttr("loss", strconv.FormatFloat(loss, 'g', -1, 64))
+		span.End()
+	}
+	return loss
 }
 
 // ridgeCount is how many times λ‖f‖² enters the objective for a factor row

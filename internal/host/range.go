@@ -35,7 +35,7 @@ type RangeUpdater struct {
 func NewRangeUpdater(cfg Config) (*RangeUpdater, error) {
 	userChunk := cfg.ChunkSize
 	cfg.Guard = nil
-	cfg.Obs = nil
+	cfg.Obs, cfg.Trace = nil, nil
 	cfg.setDefaults(0, 0)
 	if err := cfg.validateMode(); err != nil {
 		return nil, err

@@ -145,3 +145,37 @@ func RegisterProcessMetrics(reg *Registry) {
 		return []Sample{{Value: float64(ms.NumGC)}}
 	})
 }
+
+// StatusWriter records the status code a handler wrote, for the request
+// middleware of the serving processes (serve.Server.Instrument, the shard
+// frontend) to label its counters and spans with. Code starts at 200, what
+// net/http sends when a handler never calls WriteHeader.
+type StatusWriter struct {
+	http.ResponseWriter
+	Code int
+}
+
+// NewStatusWriter wraps w.
+func NewStatusWriter(w http.ResponseWriter) *StatusWriter {
+	return &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
+}
+
+// WriteHeader records code and forwards it.
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// HTTPError replies with status code and the JSON body {"error": msg} —
+// the error shape of every /v1, /shard/v1 and /admin endpoint.
+func HTTPError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// WriteJSON replies 200 with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
+}

@@ -172,3 +172,42 @@ func (r *stringReader) Read(p []byte) (int, error) {
 	r.s = r.s[n:]
 	return n, nil
 }
+
+// TestStatusWriterAndJSONReplies pins the bytes, headers and recorded codes
+// of the reply helpers every /v1, /shard/v1 and /admin handler goes through,
+// from many goroutines at once: each request owns its StatusWriter, so the
+// captured codes must never mix. (The frontend middleware's end of this is
+// shard.TestTimedStatusCodesConcurrent.)
+func TestStatusWriterAndJSONReplies(t *testing.T) {
+	cases := []struct {
+		reply    func(w http.ResponseWriter)
+		code     int
+		wantBody string
+	}{
+		{func(w http.ResponseWriter) { WriteJSON(w, map[string]int{"n": 3}) }, 200, "{\"n\":3}\n"},
+		{func(w http.ResponseWriter) { HTTPError(w, 404, "unknown user 9") }, 404, "{\"error\":\"unknown user 9\"}\n"},
+		{func(w http.ResponseWriter) { HTTPError(w, 429, "server saturated, retry later") }, 429, "{\"error\":\"server saturated, retry later\"}\n"},
+		{func(w http.ResponseWriter) {}, 200, ""}, // never wrote a header
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		tc := cases[i%len(cases)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rr := httptest.NewRecorder()
+			sw := NewStatusWriter(rr)
+			tc.reply(sw)
+			if sw.Code != tc.code || rr.Code != tc.code {
+				t.Errorf("recorded code %d, sent %d, want %d", sw.Code, rr.Code, tc.code)
+			}
+			if got := rr.Body.String(); got != tc.wantBody {
+				t.Errorf("body %q, want %q", got, tc.wantBody)
+			}
+			if ct := rr.Header().Get("Content-Type"); tc.wantBody != "" && ct != "application/json" {
+				t.Errorf("content type %q", ct)
+			}
+		}()
+	}
+	wg.Wait()
+}

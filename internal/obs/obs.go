@@ -1,9 +1,10 @@
 // Package obs is the repo-wide observability core: a dependency-free
 // Prometheus-text metrics registry (counters, gauges, histograms, with
-// labels), a training-run span recorder exportable as a Chrome trace-event
-// file and a structured JSONL event log, a strict exposition-format
-// validator, a tiny debug HTTP server (/metrics, /runinfo, /debug/pprof/*),
-// and the shared -cpuprofile/-memprofile flag plumbing.
+// labels), the training run's live recorder (run identity, progress and
+// the als_train_* families; timelines belong to internal/rtrace), a strict
+// exposition-format validator, a tiny debug HTTP server (/metrics, /runinfo,
+// /debug/pprof/*), the HTTP reply helpers the serving processes share, and
+// the shared -cpuprofile/-memprofile flag plumbing.
 //
 // The package exists because the paper's whole tuning methodology
 // (Sec. V-C, Fig. 8) is hotspot-guided — measure the S1/S2/S3 stage

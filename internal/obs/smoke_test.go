@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -19,7 +20,11 @@ import (
 // runs: build alstrain, train one iteration with -debug-addr and the trace
 // exports on, scrape /metrics while the server lingers, and hold the output
 // to the strict exposition parser. It fails on unparseable exposition
-// output, a missing stage/worker metric, or an invalid trace file.
+// output, a missing stage/worker metric, or an invalid trace file. The one
+// exporter must serve both trainers under either spelling of its flags: a
+// -workers 2 run with the deprecated -trace-out alias and a single-process
+// run with -trace-sample 1 -span-trace-out each have to leave a Chrome trace
+// holding every half iteration.
 func TestAlstrainDebugSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
@@ -117,19 +122,10 @@ wait:
 		t.Errorf("pprof cmdline does not mention alstrain: %q", body)
 	}
 
-	traceBytes, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("trace file: %v", err)
+	if body := get(t, "http://"+addr+"/debug/traces"); !strings.Contains(body, `"iter1/x"`) {
+		t.Errorf("/debug/traces does not hold the finished run's spans: %.200s", body)
 	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(traceBytes, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Error("trace file has no events")
-	}
+	requireHalfSpans(t, tracePath, 1)
 	events, err := os.ReadFile(eventsPath)
 	if err != nil {
 		t.Fatalf("event log: %v", err)
@@ -137,6 +133,53 @@ wait:
 	for i, line := range strings.Split(strings.TrimSpace(string(events)), "\n") {
 		if !json.Valid([]byte(line)) {
 			t.Fatalf("event log line %d is not JSON: %q", i+1, line)
+		}
+	}
+
+	for name, flags := range map[string][]string{
+		"distributed": {"-workers", "2", "-trace-out"},
+		"single":      {"-trace-sample", "1", "-span-trace-out"},
+	} {
+		path := filepath.Join(dir, name+".trace.json")
+		args := append([]string{"-preset", "MVLE", "-scale", "0.005", "-iters", "2", "-test-frac", "0"}, flags...)
+		if out, err := exec.Command(bin, append(args, path)...).CombinedOutput(); err != nil {
+			t.Fatalf("%s run: %v\n%s", name, err, out)
+		}
+		requireHalfSpans(t, path, 2)
+	}
+}
+
+// requireHalfSpans holds a Chrome trace file to: valid JSON, a train span,
+// and an iter<N>/x and iter<N>/y span for every iteration.
+func requireHalfSpans(t *testing.T, path string, iters int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("trace file: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s is not valid JSON: %v", path, err)
+	}
+	spans := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Dur > 0 {
+			spans[ev.Name]++
+		}
+	}
+	want := []string{"train"}
+	for it := 1; it <= iters; it++ {
+		want = append(want, fmt.Sprintf("iter%d/x", it), fmt.Sprintf("iter%d/y", it))
+	}
+	for _, name := range want {
+		if spans[name] == 0 {
+			t.Errorf("%s has no %q span (spans: %v)", path, name, spans)
 		}
 	}
 }

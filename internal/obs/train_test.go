@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -15,12 +14,12 @@ func driveRecorder(r *TrainRecorder) {
 	r.SetShape(100, 40, 800, 2, "tb+vec+fus", "implicit")
 	for it := 1; it <= 1; it++ {
 		for _, half := range []string{"X", "Y"} {
-			r.BeginHalf(it, half, 100, 800, 2)
-			r.WorkerReport(0, 2*time.Millisecond, 3, 60, StageDur{0, 0, time.Millisecond, time.Millisecond})
-			r.WorkerReport(1, time.Millisecond, 2, 40, StageDur{0, 0, time.Millisecond / 2, time.Millisecond / 2})
-			r.EndHalf()
+			r.RecordHalf(&Half{Name: half, Dur: 3 * time.Millisecond, Rows: 100, Workers: []WorkerShare{
+				{Busy: 2 * time.Millisecond, Chunks: 3, Rows: 60, Stage: StageDur{0, 0, time.Millisecond, time.Millisecond}},
+				{Busy: time.Millisecond, Chunks: 2, Rows: 40, Stage: StageDur{0, 0, time.Millisecond / 2, time.Millisecond / 2}},
+			}})
 		}
-		r.RecordLoss(it, "Y", 42.5)
+		r.RecordLoss(42.5)
 		r.IterDone(it)
 	}
 	r.RecordCheckpoint("save", 3*time.Millisecond, 4096, nil)
@@ -51,6 +50,10 @@ func TestTrainRecorderMetrics(t *testing.T) {
 		`als_train_worker_chunks_total{worker="0"} 6`,
 		`als_train_worker_chunks_total{worker="1"} 4`,
 		`als_train_worker_busy_seconds_total{worker="0"} 0.004`,
+		`als_train_worker_idle_seconds_total{worker="0"} 0.002`,
+		`als_train_worker_idle_seconds_total{worker="1"} 0.004`,
+		`als_train_half_seconds_total{half="X"} 0.003`,
+		`als_train_worker_rows_total{worker="1"} 80`,
 		`als_checkpoint_io_bytes_total{op="save"} 4096`,
 		`als_checkpoint_io_total{op="save",result="ok"} 1`,
 		`als_train_info{program="alstrain",dataset="MVLE",variant="tb+vec+fus",mode="implicit",k="10",workers="2"} 1`,
@@ -83,80 +86,11 @@ func TestTrainRecorderRunInfo(t *testing.T) {
 	}
 }
 
-func TestWriteChromeTrace(t *testing.T) {
-	rec := NewTrainRecorder()
-	driveRecorder(rec)
-	var b strings.Builder
-	if err := rec.WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			TID  int            `json:"tid"`
-			Dur  float64        `json:"dur"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
-	}
-	seen := map[string]int{}
-	for _, ev := range doc.TraceEvents {
-		seen[ev.Ph+"/"+ev.Name]++
-	}
-	for _, want := range []string{"X/iter1/X", "X/iter1/Y", "X/busy", "C/loss", "X/save",
-		"M/process_name", "M/thread_name"} {
-		if seen[want] == 0 {
-			t.Errorf("trace missing event %s (saw %v)", want, seen)
-		}
-	}
-	if seen["X/busy"] != 4 { // 2 workers x 2 halves
-		t.Errorf("busy spans = %d, want 4", seen["X/busy"])
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	rec := NewTrainRecorder()
-	driveRecorder(rec)
-	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(b.String()))
-	kinds := map[string]int{}
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var ev struct {
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d is not JSON: %v (%s)", lines, err, sc.Text())
-		}
-		kinds[ev.Event]++
-	}
-	if kinds["meta"] != 1 || kinds["half"] != 2 || kinds["loss"] != 1 || kinds["checkpoint"] != 1 {
-		t.Errorf("event kinds = %v", kinds)
-	}
-}
-
 // TestNilRecorderIsInert: every hook must be callable on a nil recorder so
 // the disabled path needs no call-site guards.
 func TestNilRecorderIsInert(t *testing.T) {
 	var rec *TrainRecorder
 	driveRecorder(rec)
 	rec.Register(NewRegistry())
-	if err := rec.WriteChromeTrace(&strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
 	_ = rec.RunInfo()
 }

@@ -6,9 +6,10 @@ import (
 	"net/http"
 )
 
-// chromeEvent mirrors the Trace Event Format's JSON object form used by
-// obs.TrainRecorder, so /debug/traces output loads in chrome://tracing and
-// Perfetto exactly like the training-side export.
+// chromeEvent is the Trace Event Format's JSON object form, which
+// chrome://tracing and Perfetto load. This file is the repo's one trace
+// exporter: a training run's timeline (alstrain -span-trace-out) and the
+// serving fleet's /debug/traces both come out of it.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`

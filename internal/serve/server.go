@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/sparse"
@@ -187,7 +188,7 @@ func (s *Server) Instrument(endpoint string, h func(http.ResponseWriter, *http.R
 			// One second is long enough for the bounded queue to drain at
 			// any realistic service time without parking clients.
 			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, "server saturated, retry later")
+			obs.HTTPError(w, http.StatusTooManyRequests, "server saturated, retry later")
 			return
 		}
 		defer func() { <-s.sem }()
@@ -202,40 +203,19 @@ func (s *Server) Instrument(endpoint string, h func(http.ResponseWriter, *http.R
 		}
 
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := obs.NewStatusWriter(w)
 		h(sw, r.WithContext(ctx))
 		d := time.Since(start)
-		s.tel.Observe(endpoint, sw.code, d)
+		s.tel.Observe(endpoint, sw.Code, d)
 		if span != nil {
-			span.SetAttr("code", strconv.Itoa(sw.code))
+			span.SetAttr("code", strconv.Itoa(sw.Code))
 			span.End()
 		}
 		if s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog {
 			log.Printf("serve: slow request endpoint=%s code=%d dur=%s trace=%s",
-				endpoint, sw.code, d, span.TraceID())
+				endpoint, sw.Code, d, span.TraceID())
 		}
 	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }
 
 // SmallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap,
@@ -256,9 +236,9 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	switch {
 	case err == nil:
 	case errors.As(err, &tooLarge):
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		obs.HTTPError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
 	default:
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 	}
 	return err == nil
 }
@@ -266,10 +246,10 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 // scoreError maps a scorer/context failure to an HTTP status.
 func scoreError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded while scoring")
+		obs.HTTPError(w, http.StatusGatewayTimeout, "deadline exceeded while scoring")
 		return
 	}
-	httpError(w, http.StatusServiceUnavailable, err.Error())
+	obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 }
 
 // RecItem is one recommended item in a response.
@@ -305,27 +285,27 @@ type RecommendResponse struct {
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	sn := s.store.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	q := r.URL.Query()
 	orig, err := strconv.ParseInt(q.Get("user"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "user must be an integer")
+		obs.HTTPError(w, http.StatusBadRequest, "user must be an integer")
 		return
 	}
 	n := 10
 	if v := q.Get("n"); v != "" {
 		n, err = strconv.Atoi(v)
 		if err != nil || n <= 0 || n > s.cfg.MaxN {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
 			return
 		}
 	}
 	// Compact models address users by external ID, dense models by row.
 	u, ok := sn.UserIndex(orig)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("user %d not in the model", orig))
+		obs.HTTPError(w, http.StatusNotFound, fmt.Sprintf("user %d not in the model", orig))
 		return
 	}
 
@@ -337,7 +317,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		cspan.End()
 	}
 	if hit {
-		writeJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
+		obs.WriteJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
 			Items: recItems(sn.Model, items, sn.ItemOffset), Cached: true})
 		return
 	}
@@ -354,7 +334,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.Put(key, scored)
-	writeJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
+	obs.WriteJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
 		Items: recItems(sn.Model, scored, sn.ItemOffset)})
 }
 
@@ -398,14 +378,14 @@ func (s *Server) foldInLambda(m *core.Model, req *FoldInRequest) float32 {
 func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	sn := s.store.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	if sn.ItemTotal != 0 {
 		// A shard holds only a slice of Y; solving the fold-in user here
 		// would drop every out-of-slice rating. The scatter-gather
 		// frontend sums per-shard partial Gram/RHS terms instead.
-		httpError(w, http.StatusNotImplemented,
+		obs.HTTPError(w, http.StatusNotImplemented,
 			"fold-in is not served by a shard replica; send it to the scatter-gather frontend")
 		return
 	}
@@ -414,25 +394,25 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Items) == 0 {
-		httpError(w, http.StatusBadRequest, "need at least one rating")
+		obs.HTTPError(w, http.StatusBadRequest, "need at least one rating")
 		return
 	}
 	if len(req.Items) > s.cfg.MaxFoldInItems {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", s.cfg.MaxFoldInItems))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", s.cfg.MaxFoldInItems))
 		return
 	}
 	if req.N <= 0 {
 		req.N = 10
 	}
 	if req.N > s.cfg.MaxN {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
 		return
 	}
 	_, fspan := rtrace.StartChild(r.Context(), "foldin.solve")
 	xu, err := sn.Model.FoldInUser(req.Items, req.Ratings, s.foldInLambda(sn.Model, &req))
 	fspan.End()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The folded-in user's own items are their rated set: exclude them.
@@ -453,7 +433,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 			s.cache.PurgeUser(u)
 		}
 	}
-	writeJSON(w, FoldInResponse{Version: sn.Version, Seq: sn.Seq, Items: recItems(sn.Model, scored, 0)})
+	obs.WriteJSON(w, FoldInResponse{Version: sn.Version, Seq: sn.Seq, Items: recItems(sn.Model, scored, 0)})
 }
 
 // SwapRequest is the /admin/swap payload: file paths on the server host, as
@@ -480,7 +460,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Model == "" {
-		httpError(w, http.StatusBadRequest, "need model path")
+		obs.HTTPError(w, http.StatusBadRequest, "need model path")
 		return
 	}
 	oneBased := true
@@ -489,13 +469,13 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	m, rated, err := LoadSnapshotFiles(req.Model, req.Ratings, oneBased)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	_, span := rtrace.StartChild(r.Context(), "swap.install")
 	sn := s.Swap(m, rated, req.Version)
 	span.End()
-	writeJSON(w, SwapResponse{Version: sn.Version, Seq: sn.Seq,
+	obs.WriteJSON(w, SwapResponse{Version: sn.Version, Seq: sn.Seq,
 		Users: m.X.Rows, Items: m.Y.Rows, K: m.K})
 }
 
@@ -518,7 +498,7 @@ type ModelResponse struct {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	sn := s.store.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	resp := ModelResponse{Version: sn.Version, Seq: sn.Seq,
@@ -530,12 +510,12 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		resp.ItemOffset = sn.ItemOffset
 		resp.ShardItems = sn.Model.Y.Rows
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.store.Current() == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	w.Write([]byte("ok\n"))

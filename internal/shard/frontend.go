@@ -194,10 +194,10 @@ func (f *Frontend) timed(endpoint string, h func(http.ResponseWriter, *http.Requ
 				r = r.WithContext(ctx)
 			}
 		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := obs.NewStatusWriter(w)
 		h(sw, r)
 		d := time.Since(start)
-		code := strconv.Itoa(sw.code)
+		code := strconv.Itoa(sw.Code)
 		f.requests.With(endpoint, code).Inc()
 		f.latency.With(code).Observe(d.Seconds())
 		if span != nil {
@@ -209,16 +209,6 @@ func (f *Frontend) timed(endpoint string, h func(http.ResponseWriter, *http.Requ
 				endpoint, code, d, span.TraceID())
 		}
 	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // statusError is a non-2xx shard reply; 4xx codes mean the request (not
@@ -302,7 +292,7 @@ func (f *Frontend) Healthy() (up, total int) {
 
 func (f *Frontend) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if err := f.Ready(); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	w.Write([]byte("ok\n"))
@@ -473,14 +463,14 @@ func (f *Frontend) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	user, err := strconv.ParseInt(q.Get("user"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "user must be an integer")
+		obs.HTTPError(w, http.StatusBadRequest, "user must be an integer")
 		return
 	}
 	n := 10
 	if v := q.Get("n"); v != "" {
 		n, err = strconv.Atoi(v)
 		if err != nil || n <= 0 || n > f.cfg.MaxN {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
 			return
 		}
 	}
@@ -511,7 +501,7 @@ func (f *Frontend) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if resp.Partial {
 		f.partial.Inc()
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 // FoldInResponse is the frontend's /v1/foldin answer.
@@ -535,38 +525,38 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Items) == 0 {
-		httpError(w, http.StatusBadRequest, "need at least one rating")
+		obs.HTTPError(w, http.StatusBadRequest, "need at least one rating")
 		return
 	}
 	if len(req.Items) > f.cfg.MaxFoldInItems {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", f.cfg.MaxFoldInItems))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", f.cfg.MaxFoldInItems))
 		return
 	}
 	if len(req.Items) != len(req.Ratings) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("%d items but %d ratings", len(req.Items), len(req.Ratings)))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("%d items but %d ratings", len(req.Items), len(req.Ratings)))
 		return
 	}
 	if req.N <= 0 {
 		req.N = 10
 	}
 	if req.N > f.cfg.MaxN {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
 		return
 	}
 	info := f.anyInfo(r.Context())
 	seen := make(map[int32]struct{}, len(req.Items))
 	for j, it := range req.Items {
 		if it < 0 || (info != nil && int(it) >= info.TotalItems) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("item %d out of range", it))
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("item %d out of range", it))
 			return
 		}
 		if _, dup := seen[it]; dup {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("duplicate item %d in fold-in ratings", it))
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("duplicate item %d in fold-in ratings", it))
 			return
 		}
 		seen[it] = struct{}{}
 		if v := float64(req.Ratings[j]); math.IsNaN(v) || math.IsInf(v, 0) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("rating for item %d is %g", it, v))
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("rating for item %d is %g", it, v))
 			return
 		}
 	}
@@ -605,7 +595,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if p.K != k || len(p.Gram) != len(packed) || len(p.RHS) != k {
-			httpError(w, http.StatusBadGateway, "shards disagree on model dimensionality")
+			obs.HTTPError(w, http.StatusBadGateway, "shards disagree on model dimensionality")
 			return
 		}
 		for z, v := range p.Gram {
@@ -636,7 +626,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		linalg.AddDiagPacked(pcopy, k, lam)
 		if err := linalg.LDLSolvePacked(pcopy, k, rcopy, make([]float64, k)); err != nil {
 			sspan.End()
-			httpError(w, http.StatusBadGateway, "fold-in solve: "+err.Error())
+			obs.HTTPError(w, http.StatusBadGateway, "fold-in solve: "+err.Error())
 			return
 		}
 		xu = rcopy
@@ -686,7 +676,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		f.partial.Inc()
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 // handleModel aggregates the fleet's /shard/v1/info into the standard
@@ -712,7 +702,7 @@ func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
 			best = in
 		}
 	}
-	writeJSON(w, serve.ModelResponse{
+	obs.WriteJSON(w, serve.ModelResponse{
 		Version: best.Version, Seq: best.Seq,
 		Users: best.Users, Items: best.TotalItems, K: best.K,
 		Compact: best.Compact,
@@ -778,7 +768,7 @@ func failAllShards(w http.ResponseWriter, errs []error) {
 	var se *statusError
 	for _, err := range errs {
 		if errors.As(err, &se) && se.code < 500 {
-			httpError(w, se.code, se.msg)
+			obs.HTTPError(w, se.code, se.msg)
 			return
 		}
 	}
@@ -789,5 +779,5 @@ func failAllShards(w http.ResponseWriter, errs []error) {
 			break
 		}
 	}
-	httpError(w, http.StatusServiceUnavailable, msg)
+	obs.HTTPError(w, http.StatusServiceUnavailable, msg)
 }

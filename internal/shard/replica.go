@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"slices"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -91,7 +91,7 @@ func (r *Replica) Transform(m *core.Model) (*core.Model, int, int) {
 
 func (r *Replica) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if err := r.ready(); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	w.Write([]byte("ok\n"))
@@ -117,14 +117,14 @@ type InfoResponse struct {
 func (r *Replica) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	sn := r.srv.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	total, off := sn.ItemTotal, sn.ItemOffset
 	if total == 0 {
 		total = sn.Model.Y.Rows
 	}
-	writeJSON(w, InfoResponse{
+	obs.WriteJSON(w, InfoResponse{
 		Shard: r.cfg.Index, Of: r.cfg.Count,
 		ItemOffset: off, ShardItems: sn.Model.Y.Rows, TotalItems: total,
 		Users: sn.Model.X.Rows, K: sn.Model.K,
@@ -172,7 +172,7 @@ func catalogBodyLimit(sn *serve.Snapshot) int64 {
 func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 	sn := r.srv.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	var pr PartialsRequest
@@ -180,7 +180,7 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if len(pr.Items) != len(pr.Ratings) {
-		httpError(w, http.StatusBadRequest, "items and ratings lengths differ")
+		obs.HTTPError(w, http.StatusBadRequest, "items and ratings lengths differ")
 		return
 	}
 	k := sn.Model.K
@@ -198,7 +198,7 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 	// GramRHSFused zeroes both outputs, so an empty local set still
 	// returns valid all-zero terms.
 	linalg.GramRHSFused(sn.Model.Y.Data, k, cols, vals, packed, rhs)
-	writeJSON(w, PartialsResponse{K: k, Gram: packed, RHS: rhs, Local: len(cols),
+	obs.WriteJSON(w, PartialsResponse{K: k, Gram: packed, RHS: rhs, Local: len(cols),
 		Version: sn.Version, Seq: sn.Seq})
 }
 
@@ -221,7 +221,7 @@ type ScoreResponse struct {
 func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 	sn := r.srv.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	var sr ScoreRequest
@@ -229,11 +229,11 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if len(sr.X) != sn.Model.K {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("x has %d components, model k=%d", len(sr.X), sn.Model.K))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("x has %d components, model k=%d", len(sr.X), sn.Model.K))
 		return
 	}
 	if sr.N <= 0 || sr.N > scoreMaxN {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", scoreMaxN))
+		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", scoreMaxN))
 		return
 	}
 	off := sn.ItemOffset
@@ -243,7 +243,7 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 	// as a single-process server at the same -precision flag.
 	scored, err := r.srv.ScoreTopN(req.Context(), sn, sr.X, excluded, sr.N)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	items := make([]serve.RecItem, len(scored))
@@ -253,7 +253,7 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 			items[i].ID = sn.Model.ItemLabel(s.Item)
 		}
 	}
-	writeJSON(w, ScoreResponse{Version: sn.Version, Seq: sn.Seq, Items: items})
+	obs.WriteJSON(w, ScoreResponse{Version: sn.Version, Seq: sn.Seq, Items: items})
 }
 
 // localExcluder turns a fold-in request's global exclude list into the
@@ -286,7 +286,7 @@ type PurgeResponse struct {
 func (r *Replica) handlePurge(w http.ResponseWriter, req *http.Request) {
 	sn := r.srv.Current()
 	if sn == nil {
-		httpError(w, http.StatusServiceUnavailable, "no model loaded")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
 	var pr PurgeRequest
@@ -297,7 +297,7 @@ func (r *Replica) handlePurge(w http.ResponseWriter, req *http.Request) {
 	if u, ok := sn.UserIndex(pr.User); ok {
 		purged = r.srv.ResponseCache().PurgeUser(u)
 	}
-	writeJSON(w, PurgeResponse{Purged: purged})
+	obs.WriteJSON(w, PurgeResponse{Purged: purged})
 }
 
 // handleSwap overrides the wrapped server's /admin/swap: the loaded model
@@ -309,7 +309,7 @@ func (r *Replica) handleSwap(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if sr.Model == "" {
-		httpError(w, http.StatusBadRequest, "need model path")
+		obs.HTTPError(w, http.StatusBadRequest, "need model path")
 		return
 	}
 	oneBased := true
@@ -318,21 +318,10 @@ func (r *Replica) handleSwap(w http.ResponseWriter, req *http.Request) {
 	}
 	m, rated, err := serve.LoadSnapshotFiles(sr.Model, sr.Ratings, oneBased)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sn := r.Swap(m, rated, sr.Version)
-	writeJSON(w, serve.SwapResponse{Version: sn.Version, Seq: sn.Seq,
+	obs.WriteJSON(w, serve.SwapResponse{Version: sn.Version, Seq: sn.Seq,
 		Users: sn.Model.X.Rows, Items: sn.Model.Y.Rows, K: sn.Model.K})
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
@@ -20,8 +21,9 @@ import (
 
 // ErrInterrupted reports a training run stopped by TrainerConfig.Interrupt
 // (alstrain wires SIGINT/SIGTERM into it). The run's latest state is
-// checkpointed before the error is returned, so the run is resumable.
-var ErrInterrupted = errors.New("shard: training interrupted")
+// checkpointed before the error is returned, so the run is resumable. It is
+// core's sentinel: one interrupted-run error for both trainers.
+var ErrInterrupted = core.ErrInterrupted
 
 // errRoundDeadline marks a half-iteration exchange that outlived
 // RoundTimeout even though the worker kept heartbeating — the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -39,46 +40,53 @@ type DataSpec struct {
 	Seed     int64   `json:"seed"`
 }
 
-// Load materializes the training matrix the spec describes.
-func (sp DataSpec) Load() (*sparse.Matrix, error) {
-	var ds *dataset.Dataset
+// Dataset materializes the dataset the spec names, before any split. A
+// Compact input also yields the external ID of every dense user and item
+// row, which alstrain stores in the model; the tables are nil otherwise.
+func (sp DataSpec) Dataset() (ds *dataset.Dataset, userIDs, itemIDs []int64, err error) {
 	switch {
-	case sp.Input != "":
-		if sp.Compact {
-			cd, err := dataset.LoadCompact(sp.Input, sp.OneBased)
-			if err != nil {
-				return nil, err
-			}
-			ds = cd.Dataset
-		} else {
-			var err error
-			ds, err = dataset.Load(sp.Input, sp.OneBased)
-			if err != nil {
-				return nil, err
-			}
+	case sp.Input != "" && sp.Compact:
+		cd, err := dataset.LoadCompact(sp.Input, sp.OneBased)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		return cd.Dataset, origIDs(cd.Users), origIDs(cd.Items), nil
+	case sp.Input != "":
+		ds, err = dataset.Load(sp.Input, sp.OneBased)
+		return ds, nil, nil, err
 	case sp.Preset != "":
 		p, err := dataset.PresetByName(sp.Preset)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		scale := sp.Scale
 		if scale <= 0 {
 			scale = 0.01
 		}
-		ds = p.ScaledForBench(scale).Generate(sp.Seed)
-	default:
-		return nil, fmt.Errorf("shard: data spec names neither an input file nor a preset")
+		return p.ScaledForBench(scale).Generate(sp.Seed), nil, nil, nil
 	}
-	mx := ds.Matrix
-	if sp.TestFrac > 0 {
-		train, _, err := dataset.Split(mx, sp.TestFrac, sp.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		mx = train
+	return nil, nil, nil, fmt.Errorf("shard: data spec names neither an input file nor a preset")
+}
+
+func origIDs(m *dataset.IDMap) []int64 {
+	ids := make([]int64, m.Len())
+	for i := range ids {
+		ids[i] = m.Orig(i)
 	}
-	return mx, nil
+	return ids
+}
+
+// Load materializes the training matrix the spec describes.
+func (sp DataSpec) Load() (*sparse.Matrix, error) {
+	ds, _, _, err := sp.Dataset()
+	if err != nil {
+		return nil, err
+	}
+	if sp.TestFrac <= 0 {
+		return ds.Matrix, nil
+	}
+	train, _, err := dataset.Split(ds.Matrix, sp.TestFrac, sp.Seed+1)
+	return train, err
 }
 
 // TrainerConfig configures a distributed data-parallel training run.
@@ -125,9 +133,9 @@ type TrainerConfig struct {
 	// deterministic fault plan — the failure-injection test mode behind
 	// alstrain -net-chaos.
 	NetChaos *chaosnet.Plan
-	// Interrupt, when non-nil and closed (or sent to), stops the run at
-	// the next iteration boundary: the coordinator writes a final
-	// checkpoint, tears the workers down, and returns ErrInterrupted.
+	// Interrupt, when non-nil and closed, stops the run at the next
+	// iteration boundary: the coordinator writes a final checkpoint, tears
+	// the workers down, and returns ErrInterrupted.
 	Interrupt <-chan struct{}
 	// Logf, when set, receives supervision events (failures, respawns,
 	// downscales) — alstrain wires log.Printf.
@@ -140,7 +148,7 @@ type TrainerConfig struct {
 	WeightedLambda bool
 	// Flat selects the flat-baseline scheduling inside each worker;
 	// Variant the kernel toggles (UseRecommended substitutes the host
-	// recommendation vec+fus when Variant is zero).
+	// recommendation when Variant is zero; see core.HostVariant).
 	Flat           bool
 	Variant        variant.Options
 	UseRecommended bool
@@ -151,10 +159,11 @@ type TrainerConfig struct {
 	// itself rather than receiving it over the wire.
 	Data DataSpec
 
-	// Checkpointing (coordinator-side, same semantics as core.Train): the
-	// assembled factors are written after every CheckpointEvery-th
-	// iteration and the final one, and Resume restarts from the newest
-	// valid checkpoint, shipping the restored factors to the workers.
+	// Checkpointing (coordinator-side, core.Train's own scaffold — see
+	// core.Run): the assembled factors are written after every
+	// CheckpointEvery-th iteration and the final one, and Resume restarts
+	// from the newest valid checkpoint, shipping the restored factors to
+	// the workers.
 	CheckpointDir   string
 	CheckpointEvery int
 	CheckpointKeep  int
@@ -170,6 +179,9 @@ type TrainerConfig struct {
 	// als_dist_worker_failures_total{reason}, als_dist_respawns_total and
 	// als_dist_round_deadline_exceeded_total.
 	Registry *obs.Registry
+	// Obs, when set, counts the run's checkpoint I/O (als_checkpoint_io_*),
+	// as core.Config.Obs does for a single-process run.
+	Obs *obs.TrainRecorder
 
 	// Tracer, when set and sampling the run, records a root "train" span
 	// with per-half-iteration gather/broadcast children (one wait span per
@@ -263,19 +275,6 @@ func (cfg *TrainerConfig) setDefaults() {
 	if cfg.MaxRespawns == 0 {
 		cfg.MaxRespawns = 3
 	}
-	if cfg.UseRecommended && !cfg.Flat && cfg.Variant == (variant.Options{}) {
-		cfg.Variant = variant.Options{Vector: true, Fused: true}
-	}
-}
-
-// variantName labels the run the way core.Train does, so distributed
-// checkpoints interoperate with single-process resume and the serving
-// watcher.
-func (cfg *TrainerConfig) variantName() string {
-	if cfg.Flat {
-		return "flat baseline"
-	}
-	return cfg.Variant.String()
 }
 
 // Train runs the coordinator of a distributed data-parallel ALS job. mx is
@@ -305,45 +304,49 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	}
 	cfg.setDefaults()
 	m, n, k := mx.Rows(), mx.Cols(), cfg.K
-	vname := cfg.variantName()
+	// The run is labelled the way core.Train labels it, so distributed
+	// checkpoints interoperate with single-process resume and the serving
+	// watcher.
+	var vname string
+	cfg.Variant, vname = core.HostVariant(cfg.Variant, cfg.UseRecommended, cfg.Flat)
 
-	fsys := cfg.CheckpointFS
-	if fsys == nil {
-		fsys = checkpoint.OS
-	}
-	start, resumedFrom := 0, 0
-	var resumeX, resumeY *linalg.Dense
-	if cfg.CheckpointDir != "" && cfg.Resume {
-		st, _, err := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
-		switch {
-		case err == nil:
-			if err := resumeMismatch(st, &cfg, vname); err != nil {
-				return nil, nil, err
-			}
-			if st.X.Rows != m || st.Y.Rows != n {
-				return nil, nil, fmt.Errorf("shard: checkpoint factors (%dx%d users, %dx%d items) do not match the dataset (%d users, %d items)",
-					st.X.Rows, st.X.Cols, st.Y.Rows, st.Y.Cols, m, n)
-			}
-			start, resumedFrom = st.Iteration, st.Iteration
-			resumeX, resumeY = st.X, st.Y
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-		default:
-			return nil, nil, fmt.Errorf("shard: resuming from %s: %w", cfg.CheckpointDir, err)
-		}
-	}
+	// Head-sample the run: a sampled run traces the coordinator's exchange
+	// and checkpoint spans and tells every worker to trace (and later ship)
+	// its own.
+	runCtx, root := cfg.Tracer.StartRequest(context.Background(), "train", rtrace.SpanContext{})
+	defer root.End()
+	root.SetAttr("workers", strconv.Itoa(cfg.Workers))
+	root.SetAttr("variant", vname)
 
+	// The distributed path trains the explicit objective with the direct
+	// solver, so the run's mode block is the zero one.
+	run := core.NewRun(runCtx, &core.Config{
+		K: k, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+		WeightedLambda: cfg.WeightedLambda,
+		CheckpointDir:  cfg.CheckpointDir, CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointKeep: cfg.CheckpointKeep, CheckpointFS: cfg.CheckpointFS,
+		CheckpointPrecision: cfg.CheckpointPrecision, Resume: cfg.Resume,
+		Obs: cfg.Obs, Interrupt: cfg.Interrupt,
+	}, vname)
+	st, err := run.Resume()
+	if err != nil {
+		return nil, nil, err
+	}
 	// Coordinator-side factor buffers: assembled from worker shards each
 	// half. The initial contents only matter when seeding workers (resumed
 	// runs, and any rank respawned before the first exchange); a fresh run
 	// overwrites both in the first iteration.
-	x := linalg.NewDense(m, k)
-	y := host.InitialY(n, k, cfg.Seed)
-	if resumeX != nil {
-		x, y = resumeX, resumeY
+	start, x, y := 0, linalg.NewDense(m, k), host.InitialY(n, k, cfg.Seed)
+	if st != nil {
+		if st.X.Rows != m || st.Y.Rows != n {
+			return nil, nil, fmt.Errorf("shard: checkpoint factors (%dx%d users, %dx%d items) do not match the dataset (%d users, %d items)",
+				st.X.Rows, st.X.Cols, st.Y.Rows, st.Y.Cols, m, n)
+		}
+		start, x, y = st.Iteration, st.X, st.Y
 	}
 	model := &core.Model{K: k, X: x, Y: y,
 		Meta: core.Meta{Lambda: cfg.Lambda, WeightedLambda: cfg.WeightedLambda}}
-	info := &TrainInfo{Workers: cfg.Workers, ResumedFrom: resumedFrom, Variant: vname}
+	info := &TrainInfo{Workers: cfg.Workers, ResumedFrom: start, Variant: vname}
 	if start >= cfg.Iterations {
 		// The checkpoint already covers the requested iterations; nothing
 		// to distribute.
@@ -364,14 +367,6 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 			go RunWorker(addr, rank)
 			return func() {}, nil
 		}
-	}
-
-	// Head-sample the run: a sampled run traces the coordinator's exchange
-	// spans and tells every worker to trace (and later ship) its own.
-	runCtx, root := cfg.Tracer.StartRequest(context.Background(), "train", rtrace.SpanContext{})
-	if root != nil {
-		root.SetAttr("workers", strconv.Itoa(cfg.Workers))
-		root.SetAttr("variant", vname)
 	}
 
 	sup := &supervisor{
@@ -404,29 +399,6 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 		}
 	}
 
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	keep := cfg.CheckpointKeep
-	if keep <= 0 {
-		keep = 3
-	}
-	saveCkpt := func(it int) error {
-		st := &checkpoint.State{
-			Iteration: it, K: k, Lambda: cfg.Lambda,
-			WeightedLambda: cfg.WeightedLambda, Seed: cfg.Seed,
-			Variant: vname, X: x, Y: y,
-			Precision: cfg.CheckpointPrecision,
-		}
-		if _, err := checkpoint.Save(fsys, cfg.CheckpointDir, st); err != nil {
-			return fmt.Errorf("shard: iteration %d checkpoint: %w", it, err)
-		}
-		if err := checkpoint.GC(fsys, cfg.CheckpointDir, keep); err != nil {
-			return fmt.Errorf("shard: iteration %d checkpoint GC: %w", it, err)
-		}
-		return nil
-	}
 	finish := func() {
 		info.Seconds = time.Since(sup.started).Seconds()
 		info.BroadcastBytes = traffic.Load()
@@ -445,53 +417,17 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 		if err := sup.iterate(it); err != nil {
 			return nil, nil, fmt.Errorf("shard: %w", err)
 		}
-		saved := false
-		if cfg.CheckpointDir != "" && (it%every == 0 || it == cfg.Iterations) {
-			if err := saveCkpt(it); err != nil {
-				return nil, nil, err
+		if err := run.Boundary(it, x, y, nil); err != nil {
+			if errors.Is(err, ErrInterrupted) {
+				finish()
+				return model, info, err
 			}
-			saved = true
-		}
-		select {
-		case <-cfg.Interrupt:
-			if cfg.CheckpointDir != "" && !saved {
-				if err := saveCkpt(it); err != nil {
-					return nil, nil, err
-				}
-			}
-			finish()
-			return model, info, fmt.Errorf("%w at iteration %d/%d", ErrInterrupted, it, cfg.Iterations)
-		default:
+			return nil, nil, fmt.Errorf("shard: iteration %d: %w", it, err)
 		}
 	}
 	sup.collectSpans()
-	if root != nil {
-		root.End()
-	}
 	finish()
 	return model, info, nil
-}
-
-// resumeMismatch mirrors core.Train's checkpoint compatibility checks.
-func resumeMismatch(st *checkpoint.State, cfg *TrainerConfig, vname string) error {
-	switch {
-	case st.K != cfg.K:
-		return fmt.Errorf("shard: checkpoint has k=%d, run wants k=%d", st.K, cfg.K)
-	case st.Lambda != cfg.Lambda:
-		return fmt.Errorf("shard: checkpoint has lambda=%g, run wants %g", st.Lambda, cfg.Lambda)
-	case st.Seed != cfg.Seed:
-		return fmt.Errorf("shard: checkpoint has seed=%d, run wants %d", st.Seed, cfg.Seed)
-	case st.WeightedLambda != cfg.WeightedLambda:
-		return fmt.Errorf("shard: checkpoint lambda convention (weighted=%v) does not match run (weighted=%v)",
-			st.WeightedLambda, cfg.WeightedLambda)
-	case st.Variant != vname:
-		return fmt.Errorf("shard: checkpoint was trained with variant %q, run wants %q", st.Variant, vname)
-	case st.Precision != quant.F32:
-		// A quantized checkpoint is lossy; resuming from dequantized
-		// factors could not stay bit-identical to an uninterrupted run.
-		return fmt.Errorf("shard: checkpoint factors are quantized (%v); resume requires a float32 checkpoint", st.Precision)
-	}
-	return nil
 }
 
 // RunWorker connects to a coordinator, identifies as rank, and serves one
@@ -620,52 +556,53 @@ func RunWorker(coordAddr string, rank int) error {
 	}
 	defer ru.Close()
 
-	lo, hi := Range(m, rank, cfg.Workers)
-	ylo, yhi := Range(n, rank, cfg.Workers)
+	// One half is: solve this rank's rows of the side, send the shard up,
+	// receive the assembled side back.
+	type side struct {
+		half       byte
+		name       string
+		r          *sparse.CSR
+		fixed, out *linalg.Dense
+		lo, hi     int
+	}
+	sides := [2]side{
+		{half: halfX, name: "x", r: mx.R, fixed: y, out: x},
+		{half: halfY, name: "y", r: rt, fixed: x, out: y},
+	}
+	for i := range sides {
+		sides[i].lo, sides[i].hi = Range(sides[i].r.NumRows, rank, cfg.Workers)
+	}
 	startIt := cfg.StartIteration + 1
 	for it := startIt; it <= cfg.Iterations; it++ {
-		if !(it == startIt && cfg.StartY) {
-			hctx, hspan := workerHalfSpan(wctx, wroot, it, "x")
+		for _, s := range sides {
+			if it == startIt && cfg.StartY && s.half == halfX {
+				continue
+			}
+			// Untraced runs keep the bare context, so every StartChild
+			// below is a no-op and no span name is built.
+			hctx, hspan := wctx, (*rtrace.Span)(nil)
+			if wroot != nil {
+				hctx, hspan = rtrace.StartChild(wctx, "iter"+strconv.Itoa(it)+"/"+s.name)
+			}
 			_, cspan := rtrace.StartChild(hctx, "compute")
-			err := ru.UpdateRange(mx.R, y, x, lo, hi, it, true)
+			err := ru.UpdateRange(s.r, s.fixed, s.out, s.lo, s.hi, it, s.half == halfX)
 			cspan.End()
 			if err != nil {
-				return fail(fmt.Errorf("worker %d iteration %d X: %w", rank, it, err))
+				return fail(fmt.Errorf("worker %d iteration %d %s: %w", rank, it, strings.ToUpper(s.name), err))
 			}
 			_, gspan := rtrace.StartChild(hctx, "gather")
-			err = w.writeFactors(factorHeader{Iter: uint32(it), Half: halfX, Lo: uint32(lo), Rows: uint32(hi - lo), K: uint32(k)}, x.Data[lo*k:hi*k])
+			err = w.writeFactors(factorHeader{Iter: uint32(it), Half: s.half, Lo: uint32(s.lo), Rows: uint32(s.hi - s.lo), K: uint32(k)}, s.out.Data[s.lo*k:s.hi*k])
 			gspan.End()
 			if err != nil {
 				return err
 			}
 			_, bspan := rtrace.StartChild(hctx, "broadcast")
-			err = w.expectFactors(it, halfX, k, x.Data, 0, m, nil)
+			err = w.expectFactors(it, s.half, k, s.out.Data, 0, s.r.NumRows, nil)
 			bspan.End()
 			hspan.End()
 			if err != nil {
 				return err
 			}
-		}
-
-		hctx, hspan := workerHalfSpan(wctx, wroot, it, "y")
-		_, cspan := rtrace.StartChild(hctx, "compute")
-		err = ru.UpdateRange(rt, x, y, ylo, yhi, it, false)
-		cspan.End()
-		if err != nil {
-			return fail(fmt.Errorf("worker %d iteration %d Y: %w", rank, it, err))
-		}
-		_, gspan := rtrace.StartChild(hctx, "gather")
-		err = w.writeFactors(factorHeader{Iter: uint32(it), Half: halfY, Lo: uint32(ylo), Rows: uint32(yhi - ylo), K: uint32(k)}, y.Data[ylo*k:yhi*k])
-		gspan.End()
-		if err != nil {
-			return err
-		}
-		_, bspan := rtrace.StartChild(hctx, "broadcast")
-		err = w.expectFactors(it, halfY, k, y.Data, 0, n, nil)
-		bspan.End()
-		hspan.End()
-		if err != nil {
-			return err
 		}
 	}
 	if wroot != nil {
@@ -675,15 +612,4 @@ func RunWorker(coordAddr string, rank int) error {
 		}
 	}
 	return nil
-}
-
-// workerHalfSpan opens a traced worker's per-half-iteration span; untraced
-// runs get the untouched context and a nil span back, so the per-phase
-// StartChild calls below it all no-op.
-func workerHalfSpan(ctx context.Context, root *rtrace.Span, it int, half string) (context.Context, *rtrace.Span) {
-	if root == nil {
-		return ctx, nil
-	}
-	hctx, span := rtrace.StartChild(ctx, "iter"+strconv.Itoa(it)+"/"+half)
-	return hctx, span
 }
