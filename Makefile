@@ -25,8 +25,12 @@ test-short:
 # goes through, and internal/rtrace with internal/obs: the training loop
 # ends spans on its own goroutine while /debug/traces and /metrics read
 # from the debug server's; no lane runs fuzzing, so the seed corpora of
-# FuzzRankedMatchesFullScan and FuzzScanF32MatchesReference run here and
-# in the -short pass as ordinary tests),
+# FuzzRankedMatchesFullScan, FuzzDot4I8MatchesPortable and
+# FuzzScanF32MatchesReference run here and in the -short pass as ordinary
+# tests), the two lanes that keep the int8 kernel's other binding alive on
+# an amd64 box (-tags purego compiles and tests the portable one, quant
+# smoke lane included; the arm64 cross-build — offline, from GOROOT — is
+# what a wrong build constraint on the assembly files breaks),
 # the observability smoke lane (a real 1-iteration alstrain run scraped
 # over -debug-addr; fails on unparseable exposition output), the chaos
 # smoke lane (a fully poisoned run must converge, expose its recovery
@@ -50,6 +54,8 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
+	$(GO) test -tags purego ./internal/quant ./internal/serve
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) dist-smoke

@@ -130,8 +130,8 @@ func main() {
 				sn.Version, sn.Seq, *shardSpec, sn.ItemOffset, sn.ItemOffset+sn.Model.Y.Rows, sn.ItemTotal, m.X.Rows, m.K)
 		} else {
 			sn := srv.Swap(m, rated, *version)
-			fmt.Printf("alsserve: model %s (seq %d): %d users x %d items, k=%d, precision=%s\n",
-				sn.Version, sn.Seq, m.X.Rows, m.Y.Rows, m.K, sn.Precision)
+			fmt.Printf("alsserve: model %s (seq %d): %d users x %d items, k=%d, precision=%s kernel=%s\n",
+				sn.Version, sn.Seq, m.X.Rows, m.Y.Rows, m.K, sn.Precision, quant.KernelName())
 		}
 	}
 

@@ -70,8 +70,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "inject deterministic numerical faults, e.g. nan=1,inf=1,gram=2,fail=1,blowup=2,seed=7 (host platform; tests the resilience layer)")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /runinfo and /debug/pprof on this address during training (e.g. :9090)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the -debug-addr server up this long after training finishes (for scraping short runs)")
-	traceOut := flag.String("trace-out", "", "deprecated alias of -span-trace-out")
-	eventsOut := flag.String("events-out", "", "deprecated: write the run's spans to this file one JSON object per line (what /debug/traces?format=jsonl serves once the run has ended)")
 	workers := flag.Int("workers", 0, "fork this many worker processes for data-parallel distributed training (host platform only; the model stays bit-identical to a single-process run; 0 = in-process)")
 	threads := flag.Int("threads", 0, "solver goroutines per distributed worker process (0 = GOMAXPROCS; only with -workers)")
 	distRank := flag.Int("dist-rank", -1, "internal: run as distributed worker with this rank (set by the -workers coordinator)")
@@ -136,10 +134,7 @@ func main() {
 	if *debugAddr != "" {
 		rec = obs.NewTrainRecorder()
 	}
-	if *spanTraceOut == "" {
-		*spanTraceOut = *traceOut
-	}
-	if *traceSample <= 0 && (*spanTraceOut != "" || *eventsOut != "") {
+	if *traceSample <= 0 && *spanTraceOut != "" {
 		*traceSample = 1
 	}
 	var tracer *rtrace.Tracer
@@ -403,12 +398,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("span trace written to %s\n", *spanTraceOut)
-	}
-	if *eventsOut != "" {
-		if err := checkpoint.WriteFileAtomic(checkpoint.OS, *eventsOut, tracer.WriteJSONL); err != nil {
-			fail(err)
-		}
-		fmt.Printf("event log written to %s\n", *eventsOut)
 	}
 	if *debugAddr != "" && *debugLinger > 0 {
 		fmt.Printf("debug server lingering for %s\n", *debugLinger)

@@ -21,10 +21,9 @@ import (
 // exports on, scrape /metrics while the server lingers, and hold the output
 // to the strict exposition parser. It fails on unparseable exposition
 // output, a missing stage/worker metric, or an invalid trace file. The one
-// exporter must serve both trainers under either spelling of its flags: a
-// -workers 2 run with the deprecated -trace-out alias and a single-process
-// run with -trace-sample 1 -span-trace-out each have to leave a Chrome trace
-// holding every half iteration.
+// exporter must serve both trainers: a -workers 2 run with -span-trace-out
+// alone and a single-process run with -trace-sample 1 -span-trace-out each
+// have to leave a Chrome trace holding every half iteration.
 func TestAlstrainDebugSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
@@ -37,11 +36,10 @@ func TestAlstrainDebugSmoke(t *testing.T) {
 	}
 
 	tracePath := filepath.Join(dir, "run.trace.json")
-	eventsPath := filepath.Join(dir, "run.events.jsonl")
 	cmd := exec.Command(bin,
 		"-preset", "MVLE", "-scale", "0.005", "-iters", "1", "-test-frac", "0",
 		"-debug-addr", "127.0.0.1:0", "-debug-linger", "30s",
-		"-trace-out", tracePath, "-events-out", eventsPath)
+		"-span-trace-out", tracePath)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -126,18 +124,18 @@ wait:
 		t.Errorf("/debug/traces does not hold the finished run's spans: %.200s", body)
 	}
 	requireHalfSpans(t, tracePath, 1)
-	events, err := os.ReadFile(eventsPath)
-	if err != nil {
-		t.Fatalf("event log: %v", err)
+	events := strings.TrimSpace(get(t, "http://"+addr+"/debug/traces?format=jsonl"))
+	if !strings.Contains(events, `"iter1/x"`) {
+		t.Errorf("/debug/traces?format=jsonl does not hold the finished run's spans: %.200s", events)
 	}
-	for i, line := range strings.Split(strings.TrimSpace(string(events)), "\n") {
+	for i, line := range strings.Split(events, "\n") {
 		if !json.Valid([]byte(line)) {
-			t.Fatalf("event log line %d is not JSON: %q", i+1, line)
+			t.Fatalf("/debug/traces?format=jsonl line %d is not JSON: %q", i+1, line)
 		}
 	}
 
 	for name, flags := range map[string][]string{
-		"distributed": {"-workers", "2", "-trace-out"},
+		"distributed": {"-workers", "2", "-span-trace-out"},
 		"single":      {"-trace-sample", "1", "-span-trace-out"},
 	} {
 		path := filepath.Join(dir, name+".trace.json")

@@ -60,3 +60,36 @@ func BenchmarkScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDot4I8 times the serving scan's int8 block kernel against the
+// portable Go loop on a 50 000 × 64 payload (the catalog benchmark's item
+// factors): one op is one pass over every row, four rows per call.
+func BenchmarkDot4I8(b *testing.B) {
+	const rows, k = 50000, 64
+	rng := rand.New(rand.NewSource(1))
+	payload, xq := make([]int8, rows*k), make([]int8, k)
+	for i := range payload {
+		payload[i] = int8(rng.Intn(255) - 127)
+	}
+	for i := range xq {
+		xq[i] = int8(rng.Intn(255) - 127)
+	}
+	for _, c := range []struct {
+		name string
+		dot  func(xq, rows []int8, k int) (s0, s1, s2, s3 int32)
+	}{{"kernel", dot4I8}, {"portable", dot4I8Portable}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(rows * k)
+			var sum int32
+			for i := 0; i < b.N; i++ {
+				for r := 0; r+4 <= rows; r += 4 {
+					s0, s1, s2, s3 := c.dot(xq, payload[r*k:], k)
+					sum += s0 + s1 + s2 + s3
+				}
+			}
+			dotSink = sum
+		})
+	}
+}
+
+var dotSink int32

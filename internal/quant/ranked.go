@@ -141,6 +141,18 @@ func (r *Ranked) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 	if !(qnorm*float64(r.Bound[lo]) < 0x1p126) {
 		qnorm = math.Inf(1)
 	}
+	// One loop per precision, picked here and not per block: the block
+	// kernel is the only thing the two differ in.
+	if r.Prec == I8 {
+		return r.scanI8(qr, qnorm, lo, hi, excluded, t)
+	}
+	return r.scanF16(qr, qnorm, lo, hi, excluded, t)
+}
+
+// scanI8 is ScanTopK's int8 loop. Its block kernel is dot4I8, the build's
+// fastest exact form; Matrix.ScanTopK keeps the portable one, so comparing
+// the two scans checks the kernel as well as the order.
+func (r *Ranked) scanI8(qr Query, qnorm float64, lo, hi int, excluded func(int) bool, t *metrics.TopK) int {
 	m, k := &r.perm, r.Cols
 	sk := metrics.NewSink(t, excluded)
 	xs := float64(qr.xscale)
@@ -149,30 +161,41 @@ func (r *Ranked) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 		if outOfReach(&sk, qnorm, r.Bound[p]) {
 			return p - lo
 		}
-		var c0, c1, c2, c3 float64
-		if r.Prec == I8 {
-			s0, s1, s2, s3 := dot4I8(qr.xq, m.I8[p*k:], k)
-			c0 = xs * float64(m.Scales[p]) * float64(s0)
-			c1 = xs * float64(m.Scales[p+1]) * float64(s1)
-			c2 = xs * float64(m.Scales[p+2]) * float64(s2)
-			c3 = xs * float64(m.Scales[p+3]) * float64(s3)
-		} else {
-			s0, s1, s2, s3 := dot4F16(qr.x, m.F16[p*k:], k)
-			c0 = float64(s0 * m.Scales[p])
-			c1 = float64(s1 * m.Scales[p+1])
-			c2 = float64(s2 * m.Scales[p+2])
-			c3 = float64(s3 * m.Scales[p+3])
-		}
-		sk.Offer(int(r.ID[p]), c0)
-		sk.Offer(int(r.ID[p+1]), c1)
-		sk.Offer(int(r.ID[p+2]), c2)
-		sk.Offer(int(r.ID[p+3]), c3)
+		s0, s1, s2, s3 := dot4I8(qr.xq, m.I8[p*k:], k)
+		sk.Offer(int(r.ID[p]), xs*float64(m.Scales[p])*float64(s0))
+		sk.Offer(int(r.ID[p+1]), xs*float64(m.Scales[p+1])*float64(s1))
+		sk.Offer(int(r.ID[p+2]), xs*float64(m.Scales[p+2])*float64(s2))
+		sk.Offer(int(r.ID[p+3]), xs*float64(m.Scales[p+3])*float64(s3))
 	}
 	for ; p < hi; p++ {
 		if outOfReach(&sk, qnorm, r.Bound[p]) {
 			return p - lo
 		}
-		sk.Offer(int(r.ID[p]), m.Score(qr, p))
+		sk.Offer(int(r.ID[p]), xs*float64(m.Scales[p])*float64(dotI8(qr.xq, m.I8[p*k:])))
+	}
+	return hi - lo
+}
+
+// scanF16 is ScanTopK's fp16 loop.
+func (r *Ranked) scanF16(qr Query, qnorm float64, lo, hi int, excluded func(int) bool, t *metrics.TopK) int {
+	m, k := &r.perm, r.Cols
+	sk := metrics.NewSink(t, excluded)
+	p := lo
+	for ; p+4 <= hi; p += 4 {
+		if outOfReach(&sk, qnorm, r.Bound[p]) {
+			return p - lo
+		}
+		s0, s1, s2, s3 := dot4F16(qr.x, m.F16[p*k:], k)
+		sk.Offer(int(r.ID[p]), float64(s0*m.Scales[p]))
+		sk.Offer(int(r.ID[p+1]), float64(s1*m.Scales[p+1]))
+		sk.Offer(int(r.ID[p+2]), float64(s2*m.Scales[p+2]))
+		sk.Offer(int(r.ID[p+3]), float64(s3*m.Scales[p+3]))
+	}
+	for ; p < hi; p++ {
+		if outOfReach(&sk, qnorm, r.Bound[p]) {
+			return p - lo
+		}
+		sk.Offer(int(r.ID[p]), float64(dotF16(qr.x, m.F16[p*k:])*m.Scales[p]))
 	}
 	return hi - lo
 }

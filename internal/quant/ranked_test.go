@@ -319,6 +319,12 @@ func TestRankInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if prec == I8 {
+			// EncodeDense clamps to ±127; a decoded checkpoint can carry
+			// −128, and the bound and the kernels must hold for it too.
+			fill(m.I8[120*m.Cols:][:m.Cols], -128)
+			m.I8[40*m.Cols+3] = -128
+		}
 		r := Rank(m)
 		if r.Prec != m.Prec || r.Rows != m.Rows || r.Cols != m.Cols || r.MaxAbsErr != m.MaxAbsErr {
 			t.Fatalf("%v: header %+v does not match the source", prec, r)
@@ -366,6 +372,8 @@ func TestRankInvariants(t *testing.T) {
 				t.Errorf("%v: position %d scores %v, source row %d scores %v", prec, p, got, i, want)
 			}
 		}
+
+		mustEqualFullScan(t, m, x, nil, 8, prec.String()+" with the poked rows")
 
 		// A shard replica ranks its slice of the catalog's encoding: the
 		// slice's results are the full catalog's rows, bit for bit.

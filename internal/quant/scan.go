@@ -164,10 +164,16 @@ func dotF16(x []float32, row []uint16) (s float32) {
 	return
 }
 
-// dot4I8 is the int8 block kernel. int8×int8 products accumulate exactly in
-// int32 (|p| ≤ 127², far from overflow for any plausible k); the only
-// rounding in the whole dot is the caller's final two-scale widening.
-func dot4I8(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
+// dot4I8Portable is the int8 block kernel in Go. int8×int8 products
+// accumulate exactly in int32 (|p| ≤ 128², far from overflow for any
+// plausible k, and wrapping if it ever came to that); the only rounding in
+// the whole dot is the caller's final two-scale widening. Exact integers
+// mean any summation order gives the same bits, which is what lets the
+// serving scan (Ranked.ScanTopK) run dot4I8 — this loop, or a vector kernel
+// where the build has one (dot_amd64.go) — while the natural-order scan
+// below stays on this one on every architecture: Matrix.ScanTopK, TopN and
+// Score are the reference the serving kernel is checked against.
+func dot4I8Portable(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
 	r0 := rows[:len(xq)]
 	r1 := rows[k:][:len(xq)]
 	r2 := rows[2*k:][:len(xq)]
@@ -180,6 +186,10 @@ func dot4I8(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
 	}
 	return
 }
+
+// KernelName names the int8 block kernel this build's serving scan runs:
+// "sse2" on amd64, "portable" elsewhere and under -tags purego.
+func KernelName() string { return kernelName }
 
 func dotI8(xq, row []int8) (s int32) {
 	row = row[:len(xq)]
@@ -211,7 +221,7 @@ func (q *Matrix) scanI8(xq []int8, xscale float32, lo, hi int, excluded func(int
 	xs := float64(xscale)
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		s0, s1, s2, s3 := dot4I8(xq, q.I8[i*k:], k)
+		s0, s1, s2, s3 := dot4I8Portable(xq, q.I8[i*k:], k)
 		sk.Offer(i, xs*float64(q.Scales[i])*float64(s0))
 		sk.Offer(i+1, xs*float64(q.Scales[i+1])*float64(s1))
 		sk.Offer(i+2, xs*float64(q.Scales[i+2])*float64(s2))

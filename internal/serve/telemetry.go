@@ -70,6 +70,10 @@ func NewTelemetry() *Telemetry {
 		prec := quant.Precision(p).String()
 		t.scanRows[p] = [2]*obs.Metric{rows.With(prec, "scored"), rows.With(prec, "pruned")}
 	}
+	// A property of the build, not of the snapshot: which int8 block kernel
+	// the quantized serving scan runs.
+	reg.Gauge("als_scan_kernel_info", "Int8 block kernel of this build's quantized serving scan (value is always 1).",
+		"kernel").With(quant.KernelName()).Set(1)
 	reg.Func("als_last_swap_timestamp_seconds",
 		"Unix time the checkpoint watcher last installed a model; absent before the first install.",
 		obs.Gauge, nil, func() []obs.Sample {
