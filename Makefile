@@ -27,10 +27,16 @@ test-short:
 # from the debug server's; no lane runs fuzzing, so the seed corpora of
 # FuzzRankedMatchesFullScan, FuzzDot4I8MatchesPortable and
 # FuzzScanF32MatchesReference run here and in the -short pass as ordinary
-# tests), the two lanes that keep the int8 kernel's other binding alive on
-# an amd64 box (-tags purego compiles and tests the portable one, quant
-# smoke lane included; the arm64 cross-build — offline, from GOROOT — is
-# what a wrong build constraint on the assembly files breaks),
+# tests, and FuzzApplyMatchesPortable's in the -short pass), the three lanes
+# that keep the assembly kernels' other binding alive on an amd64 box — the
+# int8 serving scan's (internal/quant) and the CG matvec's and shared
+# Gram's (internal/linalg): -tags purego compiles and tests the portable
+# bodies with everything that trains or serves through them, quant and
+# implicit smoke lanes included; the arm64 cross-build — offline, from
+# GOROOT — is what a wrong build constraint on the assembly files breaks;
+# and at GOAMD64=v3, where the compiler fuses multiply-adds, linalg's
+# constraint must pick the portable bodies (the identity tests then pass
+# trivially, and a kernel bound there by mistake fails them),
 # the observability smoke lane (a real 1-iteration alstrain run scraped
 # over -debug-addr; fails on unparseable exposition output), the chaos
 # smoke lane (a fully poisoned run must converge, expose its recovery
@@ -54,8 +60,9 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
-	$(GO) test -tags purego ./internal/quant ./internal/serve
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant
+	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant && GOARCH=arm64 $(GO) vet ./internal/linalg
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) dist-smoke

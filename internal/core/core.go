@@ -363,6 +363,7 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 	defer root.End()
 	root.SetAttr("variant", vname)
 	root.SetAttr("mode", host.ModeLabel(cfg.Implicit))
+	root.SetAttr("linalg_kernel", linalg.KernelName())
 	hostCfg := host.Config{
 		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
 		Workers: cfg.Workers, Flat: cfg.Baseline, Variant: v,

@@ -114,6 +114,9 @@ func TestTrainSpanTree(t *testing.T) {
 		if v := spanAttrs(tree.root)["mode"]; v != host.ModeLabel(base.Implicit) {
 			t.Errorf("%s: root mode attr %q", name, v)
 		}
+		if v := spanAttrs(tree.root)["linalg_kernel"]; v != linalg.KernelName() {
+			t.Errorf("%s: root linalg_kernel attr %q, this build runs %q", name, v, linalg.KernelName())
+		}
 		for _, half := range []string{"iter1/x", "iter1/y", "iter2/x", "iter2/y"} {
 			hs := tree.children[half]
 			if len(hs) != 1 {
@@ -135,6 +138,16 @@ func TestTrainSpanTree(t *testing.T) {
 			budget := workers*float64(hs[0].Dur)/float64(time.Millisecond) + 0.01
 			if stageMS <= 0 || stageMS > budget {
 				t.Errorf("%s %s: stage time %.3f ms outside (0, %d workers × %v]", name, half, stageMS, workers, hs[0].Dur)
+			}
+			// The shared Gram is serial work inside an implicit half's
+			// envelope; an explicit half has none to name.
+			gramMS, err := strconv.ParseFloat(a["shared_gram_ms"], 64)
+			if base.Implicit {
+				if halfMS := float64(hs[0].Dur)/float64(time.Millisecond) + 0.01; err != nil || gramMS <= 0 || gramMS > halfMS {
+					t.Errorf("%s %s: shared_gram_ms %q outside (0, %v]", name, half, a["shared_gram_ms"], hs[0].Dur)
+				}
+			} else if _, has := a["shared_gram_ms"]; has {
+				t.Errorf("%s %s: an explicit half reports a shared Gram", name, half)
 			}
 			for _, key := range []string{"rows", "nnz", "rows_per_sec", "worker0.busy_ms", "worker1.chunks", "worker1.rows"} {
 				if a[key] == "" {

@@ -555,24 +555,25 @@ func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense, userChunk int
 	return s
 }
 
-// runHalf solves every row of s against its fixed factor.
+// runHalf solves every row of s against its fixed factor, after refilling
+// implicit mode's shared FᵀF from it: the Gram depends only on the fixed
+// factor, so every range of the same half sees it identically.
 func (p *workerPool) runHalf(s halfSide, iter int, xHalf bool) error {
+	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
+	if p.shares != nil {
+		return p.doObserved(job)
+	}
 	if p.gram != nil {
-		// The shared FᵀF depends only on the fixed factor, so every range of
-		// the same half sees it identically.
 		p.gram.Compute(s.fixed)
 	}
-	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
-	if p.shares == nil {
-		return p.do(job)
-	}
-	return p.doObserved(job)
+	return p.do(job)
 }
 
-// doObserved is do for a half iteration somebody watches: the half is timed,
-// reported to the recorder, and — under a live trace — becomes the span
-// "iter<N>/x" or "iter<N>/y" (the names the distributed coordinator uses)
-// carrying the same measurements as attributes.
+// doObserved is runHalf's work for a half iteration somebody watches: the
+// half — Gram precompute included — is timed, reported to the recorder, and,
+// under a live trace, becomes the span "iter<N>/x" or "iter<N>/y" (the names
+// the distributed coordinator uses) carrying the same measurements as
+// attributes, the serial Gram's share of the envelope as shared_gram_ms.
 func (p *workerPool) doObserved(job *halfJob) error {
 	half := obs.Half{Name: "Y", Rows: job.r.NumRows, Workers: p.shares}
 	if job.xHalf {
@@ -584,10 +585,18 @@ func (p *workerPool) doObserved(job *halfJob) error {
 		_, span = rtrace.StartChild(p.trace, "iter"+strconv.Itoa(job.iter)+"/"+strings.ToLower(half.Name))
 	}
 	start := time.Now()
+	var gramDur time.Duration
+	if job.gram != nil {
+		job.gram.Compute(job.fixed)
+		gramDur = time.Since(start)
+	}
 	err := p.do(job)
 	half.Dur = time.Since(start)
 	p.obs.RecordHalf(&half)
 	if span != nil {
+		if job.gram != nil {
+			span.SetAttr("shared_gram_ms", fmtMS(gramDur))
+		}
 		span.SetAttr("rows", strconv.Itoa(half.Rows))
 		span.SetAttr("nnz", strconv.Itoa(job.r.NNZ()))
 		span.SetAttr("rows_per_sec", strconv.FormatFloat(half.RowsPerSec(), 'f', 0, 64))

@@ -57,10 +57,13 @@ type CGSystem struct {
 const cgStackK = 128
 
 // Apply computes out = A·p. p is widened to float64 once; every dot product
-// (the rows of G·p and the rank-1 f_z·p) then runs through DotWide, which
-// accumulates in float64 like the direct solvers; the rank-1 scatter back
-// to out stays float32. Sequential and deterministic — CG results are
-// worker-count invariant by construction.
+// (the rows of G·p and the rank-1 f_z·p) then accumulates in float64, like
+// the direct solvers, in DotWide's order — four strided chains reduced as
+// (s0+s1)+(s2+s3) — and the rank-1 scatter back to out stays float32. The
+// widened-Gram rows and the rank-1 terms run gemvWide and rank1Wide, which
+// keep that order lane for lane (SSE2 on amd64, the DotWide loops elsewhere:
+// see wide.go); a float32 G goes through DotWide itself. Sequential and
+// deterministic — CG results are worker-count invariant by construction.
 func (s *CGSystem) Apply(p, out []float32) {
 	k := s.K
 	switch {
@@ -82,9 +85,7 @@ func (s *CGSystem) apply(p, out []float32, w []float64) {
 	lam := float64(s.Lam)
 	switch {
 	case s.GWide != nil:
-		for i := range out {
-			out[i] = float32(lam*w[i] + DotWide(s.GWide[i*k:i*k+k], w))
-		}
+		gemvWide(s.GWide, w, lam, out)
 	case s.G != nil:
 		for i := range out {
 			out[i] = float32(lam*w[i] + DotWide(s.G[i*k:i*k+k], w))
@@ -95,16 +96,17 @@ func (s *CGSystem) apply(p, out []float32, w []float64) {
 		}
 	}
 	for z, c := range s.Cols {
-		f := s.Src[int(c)*k : int(c)*k+k]
-		wt := 1.0
-		if s.Vals != nil {
-			wt = float64(s.Alpha) * float64(s.Vals[z])
-		}
-		wd := float32(wt * DotWide(f, w))
-		for i, fi := range f {
-			out[i] += wd * fi
-		}
+		rank1Wide(s.Src[int(c)*k:int(c)*k+k], w, s.weight(z), out)
 	}
+}
+
+// weight is rank-1 term z's weight: 1 for explicit ALS, the confidence
+// α·r(z) for implicit.
+func (s *CGSystem) weight(z int) float64 {
+	if s.Vals == nil {
+		return 1
+	}
+	return float64(s.Alpha) * float64(s.Vals[z])
 }
 
 // CGSolve runs at most iters conjugate-gradient steps on A·x = b, updating

@@ -270,6 +270,9 @@ func TestCGApplyMatchesFloat64Reference(t *testing.T) {
 	}
 }
 
+// BenchmarkCGApply is one matvec of the implicit CG solve — the widened Gram
+// alone and with 20 rank-1 terms — through the portable bodies and through
+// this build's kernels (the same thing under -tags purego).
 func BenchmarkCGApply(b *testing.B) {
 	for _, k := range []int{32, 64} {
 		for _, omega := range []int{0, 20} {
@@ -279,7 +282,12 @@ func BenchmarkCGApply(b *testing.B) {
 			for i := range p {
 				p[i] = float32(i%7) - 3
 			}
-			b.Run(fmt.Sprintf("k%d/rank1=%d", k, omega), func(b *testing.B) {
+			b.Run(fmt.Sprintf("k%d/rank1=%d/portable", k, omega), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					applyPortable(&sys, p, out)
+				}
+			})
+			b.Run(fmt.Sprintf("k%d/rank1=%d/kernel", k, omega), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sys.Apply(p, out)
 				}

@@ -29,7 +29,11 @@ package linalg
 // SharedGram is the per-half-iteration FᵀF precompute for implicit ALS.
 // Accumulation is sequential float64 in row order — the same arithmetic as
 // the reference solver — so the downstream float32 casts are reproducible
-// regardless of worker count. The float64 Gram itself is read only through
+// regardless of worker count. Sequential is per element: entry (i, j) adds
+// its products one factor row after another, and the entries of a Gram row
+// are independent of each other, so the update of a row is a vertical axpy
+// (axpyWide, two entries per SSE2 register on amd64 — see wide.go) with no
+// sum reordered. The float64 Gram itself is read only through
 // Quad (the training objective, which must match the float64 oracle); the
 // float32 projections are what the kernels consume.
 type SharedGram struct {
@@ -63,7 +67,8 @@ func NewSharedGram(k int) *SharedGram {
 // Compute refills the Gram projections from the fixed factor. One call per
 // half iteration; cost k²·rows/2 float64 multiply-adds, independent of nnz.
 // Each factor row is widened once, not once per (i, j) pair; every element
-// still accumulates its products in row order.
+// still accumulates its products in row order, Gram row i taking
+// fi·fw[i:] through axpyWide.
 func (g *SharedGram) Compute(fixed *Dense) {
 	k := g.K
 	clear(g.f64)
@@ -73,12 +78,16 @@ func (g *SharedGram) Compute(fixed *Dense) {
 			fw[j] = float64(v)
 		}
 		for i, fi := range fw {
-			gi := g.f64[i*k+i : i*k+k]
-			for j, fj := range fw[i:] {
-				gi[j] += fi * fj
-			}
+			axpyWide(fi, fw[i:], g.f64[i*k+i:i*k+k])
 		}
 	}
+	g.project()
+}
+
+// project mirrors the accumulated upper triangle and refills the float32
+// projections (and Wide) from it.
+func (g *SharedGram) project() {
+	k := g.K
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			g.f64[j*k+i] = g.f64[i*k+j]

@@ -2,6 +2,7 @@ package solvers_test
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"os"
@@ -22,17 +23,54 @@ import (
 // require, per run: exit 0, held-out recall@10 at least the floor, and a
 // /metrics exposition that passes the strict parser and carries the
 // per-mode stage attribution (CG spends s2+s3, block sweeps spend s1+s2,
-// both labeled mode="implicit").
+// both labeled mode="implicit"). Before those, a second alstrain built
+// -tags purego must train the same bytes as the default build through the
+// CG solver, implicit and explicit: linalg's SSE2 kernels against the
+// portable loops, through the binaries.
 func TestImplicitSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "alstrain")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/alstrain")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building alstrain: %v\n%s", err, out)
+	build := func(file string, flags ...string) string {
+		bin := filepath.Join(dir, file)
+		cmd := exec.Command("go", append(append([]string{"build"}, flags...), "-o", bin, "repro/cmd/alstrain")...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("building alstrain %v: %v\n%s", flags, err, out)
+		}
+		return bin
 	}
+	bin := build("alstrain")
+
+	// The CG matvec and the shared Gram run linalg's SSE2 kernels in the
+	// default amd64 build and the portable loops under -tags purego; the two
+	// must write the same model, byte for byte: k = 64 and 32 take the
+	// assembly for every row, k = 20 too (a multiple of four, not of eight).
+	t.Run("kernels", func(t *testing.T) {
+		purego := build("alstrain-purego", "-tags", "purego")
+		for _, tc := range [][]string{
+			{"-implicit", "-alpha", "5", "-k", "64"},
+			{"-implicit", "-alpha", "5", "-k", "20"},
+			{"-k", "32"},
+		} {
+			var models [2][]byte
+			for i, b := range []string{bin, purego} {
+				out := filepath.Join(dir, "kernels.model")
+				args := append([]string{"-preset", "YMR4", "-scale", "0.02", "-iters", "3", "-seed", "5",
+					"-test-frac", "0", "-solver", "cg", "-cg-iters", "3", "-out", out}, tc...)
+				if msg, err := exec.Command(b, args...).CombinedOutput(); err != nil {
+					t.Fatalf("%s %v: %v\n%s", filepath.Base(b), tc, err, msg)
+				}
+				var err error
+				if models[i], err = os.ReadFile(out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(models[0], models[1]) {
+				t.Errorf("%v: the default and the purego build trained different models", tc)
+			}
+		}
+	})
 
 	// YMR4 at this scale has ~1100 items: random recall@10 ≈ 0.9%, the
 	// trained implicit model measures ≈ 9-11%. The floor catches a model
