@@ -16,10 +16,15 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The full gate: formatting, static checks, build, the race-enabled short
-# test suite (includes the serving layer's hot-swap stress test), a full
-# race pass over the concurrency-heavy packages (worker pool, hot-swap,
-# checkpoint watcher — these exercise goroutines the -short lane trims —
+# The full gate: formatting, static checks, the package boundary between the
+# serving fleet and the BSP trainer (internal/serve must not depend on
+# internal/shard; of internal/shard's non-test files only serving.go, the
+# aliases bench/ still imports, may import internal/serve or net/http), build,
+# the race-enabled short test suite (includes the serving layer's hot-swap
+# stress test), a full race pass over the concurrency-heavy packages (worker
+# pool, hot-swap, checkpoint watcher, the fleet's replicas and frontend
+# fan-out — these exercise goroutines the -short lane trims; the fleet tests
+# still filed under internal/shard run here by name —
 # internal/quant, whose ranked matrix every request reads concurrently,
 # internal/metrics, whose Sink and float32 range scan every request
 # goes through, and internal/rtrace with internal/obs: the training loop
@@ -57,9 +62,17 @@ ci:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	@if $(GO) list -deps ./internal/serve | grep -qx repro/internal/shard; then \
+		echo "internal/serve must not depend on internal/shard"; exit 1; \
+	fi
+	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
+	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
+		echo "internal/shard is the BSP trainer: only serving.go may import internal/serve or net/http"; exit 1; \
+	fi
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
+	$(GO) test -race -run 'TestScatterGather|TestFoldIn|TestFrontend|TestTimedStatusCodes|TestRequestBodyLimits|TestWatcherShardSync' ./internal/shard
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant && GOARCH=arm64 $(GO) vet ./internal/linalg
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg

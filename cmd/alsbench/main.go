@@ -56,7 +56,7 @@ func main() {
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterProcessMetrics(reg)
-		dbg, err := obs.StartDebug(*debugAddr, reg, nil)
+		dbg, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{Registry: reg})
 		if err != nil {
 			fail(err)
 		}

@@ -30,7 +30,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rtrace"
-	"repro/internal/shard"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -63,7 +63,7 @@ func main() {
 	if *traceSample > 0 {
 		tracer = rtrace.New(rtrace.Config{Sample: *traceSample, Process: "alsfront"})
 	}
-	front, err := shard.NewFrontend(shard.FrontendConfig{
+	front, err := serve.NewFrontend(serve.FrontendConfig{
 		Shards:         urls,
 		ShardTimeout:   *shardTimeout,
 		ProbeInterval:  *probeInterval,

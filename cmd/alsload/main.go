@@ -6,9 +6,7 @@
 //
 // With -targets it drives several servers at once — an alsfront frontend,
 // or the shard replicas of a fleet directly — running the same worker pool
-// against each and reporting per-target and aggregate req/s, which is how
-// the shard-count throughput scaling figures are captured (-capture writes
-// the stats as JSON).
+// against each and reporting per-target and aggregate req/s.
 package main
 
 import (
@@ -48,31 +46,15 @@ type result struct {
 
 // stats summarizes one target's (or the whole run's) completed requests.
 type stats struct {
-	Target   string  `json:"target,omitempty"`
-	Requests int     `json:"requests"`
-	Errors   int     `json:"transport_errors"`
-	RPS      float64 `json:"req_per_sec"`
-	P50ms    float64 `json:"p50_ms"`
-	P95ms    float64 `json:"p95_ms"`
-	P99ms    float64 `json:"p99_ms"`
-	Maxms    float64 `json:"max_ms"`
+	Target   string
+	Requests int
+	Errors   int // transport errors
+	RPS      float64
+	P50ms    float64
+	P95ms    float64
+	P99ms    float64
+	Maxms    float64
 	codes    map[int]int
-}
-
-type captureOut struct {
-	Label       string   `json:"label,omitempty"`
-	Targets     []string `json:"targets"`
-	DurationSec float64  `json:"duration_sec"`
-	Concurrency int      `json:"concurrency_per_target"`
-	N           int      `json:"n"`
-	FoldinFrac  float64  `json:"foldin_frac"`
-	// Precision is the scoring precision the targets report at /v1/model
-	// ("mixed" if they disagree), making captures comparable across the
-	// f32/f16/i8 serving dimension.
-	Precision  string    `json:"precision,omitempty"`
-	PerTarget  []stats   `json:"per_target"`
-	Aggregate  stats     `json:"aggregate"`
-	CapturedAt time.Time `json:"captured_at"`
 }
 
 func main() {
@@ -85,8 +67,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "sampler seed")
 	foldinFrac := flag.Float64("foldin", 0, "fraction of requests using the fold-in path")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request client timeout")
-	capture := flag.String("capture", "", "write per-target and aggregate stats as JSON to this file")
-	label := flag.String("label", "", "free-form label stored in the -capture output")
 	timeline := flag.String("timeline", "", "write a per-second JSONL series ({sec, requests, rps, p50_ms, p99_ms, errors}) to this file — throughput and tail latency over the run's lifetime, aggregated across all targets")
 	flag.Parse()
 
@@ -120,12 +100,6 @@ func main() {
 		infos[i] = info
 		fmt.Printf("alsload: target %s serving %s: %d users x %d items (k=%d, precision=%s)\n",
 			t, info.Version, info.Users, info.Items, info.K, orF32(info.Precision))
-	}
-	precision := orF32(infos[0].Precision)
-	for _, info := range infos[1:] {
-		if orF32(info.Precision) != precision {
-			precision = "mixed"
-		}
 	}
 	fmt.Printf("alsload: %d workers/target x %d target(s), %v, n=%d, user skew %.2f, fold-in %.0f%%\n",
 		*concurrency, len(targets), *duration, *n, *skew, *foldinFrac*100)
@@ -192,23 +166,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("per-second timeline written to %s\n", *timeline)
-	}
-	if *capture != "" {
-		out := captureOut{
-			Label: *label, Targets: targets,
-			DurationSec: duration.Seconds(), Concurrency: *concurrency,
-			N: *n, FoldinFrac: *foldinFrac, Precision: precision,
-			PerTarget: perTarget, Aggregate: agg,
-			CapturedAt: time.Now().UTC(),
-		}
-		body, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*capture, append(body, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("stats written to %s\n", *capture)
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -91,13 +90,13 @@ func main() {
 	defer srv.Close()
 	tracer.Register(srv.Telemetry().Registry())
 	srv.SetPrecision(prec)
-	var rep *shard.Replica
+	var rep *serve.Replica
 	if *shardSpec != "" {
-		idx, of, err := shard.ParseSpec(*shardSpec)
+		idx, of, err := serve.ParseSpec(*shardSpec)
 		if err != nil {
 			fail(err)
 		}
-		rep, err = shard.NewReplica(srv, shard.ReplicaConfig{
+		rep, err = serve.NewReplica(srv, serve.ReplicaConfig{
 			Index: idx, Count: of, MaxStaleness: *maxStale,
 		})
 		if err != nil {

@@ -69,7 +69,7 @@ type Config struct {
 	// UseRecommended applies the paper's per-architecture recommendation
 	// (GPU: +local+registers, CPU/MIC: +local) when Variant is zero and
 	// AutoVariant is off. Host runs use +vec+fus, the measured winner on
-	// real hardware (see the BENCH_*.json trajectory).
+	// real hardware (see EXPERIMENTS.md "Frozen captures").
 	UseRecommended bool
 
 	// Baseline runs the SAC'15 flat kernel instead (for comparisons).
@@ -253,32 +253,65 @@ func (m *Model) RMSE(r *sparse.CSR) float64 { return metrics.RMSE(r, m.X, m.Y) }
 // MAE evaluates mean absolute error on the stored ratings of r.
 func (m *Model) MAE(r *sparse.CSR) float64 { return metrics.MAE(r, m.X, m.Y) }
 
+// CheckFoldIn validates a fold-in user's ratings against a catalog of the
+// given size: equal lengths, item indices in range and named once, finite
+// values. FoldInUser applies it; the scatter-gather frontend, which holds no
+// Y to fold into, calls it before fanning the ratings out.
+func CheckFoldIn(items []int32, ratings []float32, catalog int) error {
+	if len(items) != len(ratings) {
+		return fmt.Errorf("core: %d items but %d ratings", len(items), len(ratings))
+	}
+	seen := make(map[int32]struct{}, len(items))
+	for j, it := range items {
+		if it < 0 || int(it) >= catalog {
+			return fmt.Errorf("core: item %d out of range [0,%d)", it, catalog)
+		}
+		if _, dup := seen[it]; dup {
+			// A repeated item would be accumulated twice into the Gram
+			// matrix and the right-hand side, silently over-weighting it.
+			return fmt.Errorf("core: duplicate item %d in fold-in ratings", it)
+		}
+		seen[it] = struct{}{}
+		if r := float64(ratings[j]); math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("core: rating for item %d is %g", it, r)
+		}
+	}
+	return nil
+}
+
+// SolveFoldIn solves a fold-in user's normal equations (G + λI)·x = b from
+// the packed upper-triangular Gram term G = Σ y_i·y_iᵀ and right-hand side
+// b = Σ r_i·y_i over the rated items — accumulated in one process by
+// FoldInUser, or summed from per-shard partial terms by the scatter-gather
+// frontend — by packed Cholesky, falling back to LDLᵀ when the system is not
+// numerically positive definite. Both inputs are consumed.
+func SolveFoldIn(packed, rhs []float32, k int, lambda float32) ([]float32, error) {
+	// A rejected Cholesky has clobbered its inputs: the fallback needs
+	// pristine copies.
+	pcopy := append([]float32(nil), packed...)
+	rcopy := append([]float32(nil), rhs...)
+	linalg.AddDiagPacked(packed, k, lambda)
+	if err := linalg.CholeskySolvePacked(packed, k, rhs); err == nil {
+		return rhs, nil
+	}
+	linalg.AddDiagPacked(pcopy, k, lambda)
+	if err := linalg.LDLSolvePacked(pcopy, k, rcopy, make([]float64, k)); err != nil {
+		return nil, fmt.Errorf("core: fold-in solve: %w", err)
+	}
+	return rcopy, nil
+}
+
 // FoldInUser computes the factor vector for a user not present at training
 // time from their ratings (item indices into Y plus values), without
 // retraining: it solves the same per-row normal equations the ALS X update
 // does (Eq. 4) against the frozen item factors. The returned vector can be
 // dotted with Y rows for predictions. lambda should match training.
 func (m *Model) FoldInUser(items []int32, ratings []float32, lambda float32) ([]float32, error) {
-	if len(items) != len(ratings) {
-		return nil, fmt.Errorf("core: %d items but %d ratings", len(items), len(ratings))
+	if err := CheckFoldIn(items, ratings, m.Y.Rows); err != nil {
+		return nil, err
 	}
 	if len(items) == 0 {
 		return make([]float32, m.K), nil
-	}
-	seen := make(map[int32]struct{}, len(items))
-	for j, it := range items {
-		if it < 0 || int(it) >= m.Y.Rows {
-			return nil, fmt.Errorf("core: item %d out of range [0,%d)", it, m.Y.Rows)
-		}
-		if _, dup := seen[it]; dup {
-			// A repeated item would be accumulated twice into the Gram
-			// matrix and the right-hand side, silently over-weighting it.
-			return nil, fmt.Errorf("core: duplicate item %d in fold-in ratings", it)
-		}
-		seen[it] = struct{}{}
-		if r := float64(ratings[j]); math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("core: rating for item %d is %g", it, r)
-		}
 	}
 	// The fused S1+S2 kernel with packed storage: same accumulation order
 	// and solve arithmetic as the separate register kernels with a dense
@@ -286,15 +319,7 @@ func (m *Model) FoldInUser(items []int32, ratings []float32, lambda float32) ([]
 	packed := make([]float32, linalg.PackedLen(m.K))
 	xu := make([]float32, m.K)
 	linalg.GramRHSFused(m.Y.Data, m.K, items, ratings, packed, xu)
-	linalg.AddDiagPacked(packed, m.K, lambda)
-	if err := linalg.CholeskySolvePacked(packed, m.K, xu); err != nil {
-		linalg.GramRHSFused(m.Y.Data, m.K, items, ratings, packed, xu)
-		linalg.AddDiagPacked(packed, m.K, lambda)
-		if err := linalg.LDLSolvePacked(packed, m.K, xu, make([]float64, m.K)); err != nil {
-			return nil, fmt.Errorf("core: fold-in solve: %w", err)
-		}
-	}
-	return xu, nil
+	return SolveFoldIn(packed, xu, m.K, lambda)
 }
 
 // ScoreItems returns x·y_i for every item given a (possibly folded-in)

@@ -21,8 +21,8 @@ import (
 var ErrInterrupted = errors.New("core: training interrupted")
 
 // HostVariant resolves the code variant a host run trains with — the
-// recommendation (+vec+fus, the measured host winner; see the BENCH_*.json
-// trajectory — it subsumes the paper's register strip) when asked for and
+// recommendation (+vec+fus, the measured host winner; see EXPERIMENTS.md
+// "Frozen captures" — it subsumes the paper's register strip) when asked for and
 // none was named — and the label checkpoints and run reports carry for it.
 func HostVariant(v variant.Options, useRecommended, baseline bool) (variant.Options, string) {
 	if useRecommended && !baseline && v == (variant.Options{}) {

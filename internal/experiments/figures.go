@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/device"
 	"repro/internal/kernels"
-	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
@@ -232,25 +231,4 @@ func Fig10(s Settings) ([]*Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// StageSecondsGPU is a helper for tests and calibration: per-stage seconds
-// for one spec on the GPU for the named dataset.
-func StageSecondsGPU(s Settings, dsName string, spec kernels.Spec) ([3]float64, error) {
-	gpu := device.K20c()
-	for _, ds := range Datasets(s) {
-		if ds.Name != dsName {
-			continue
-		}
-		res, err := kernels.Train(ds.Matrix, kernelConfig(gpu, spec, s))
-		if err != nil {
-			return [3]float64{}, err
-		}
-		var out [3]float64
-		for i := 0; i < 3; i++ {
-			out[i] = gpu.Seconds(res.Report.StageCycles[sim.Stage(i)])
-		}
-		return out, nil
-	}
-	return [3]float64{}, fmt.Errorf("experiments: unknown dataset %q", dsName)
 }

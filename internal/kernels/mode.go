@@ -9,7 +9,8 @@ import "fmt"
 // estimator below is how the variant/cost layer still reasons about them:
 // it predicts the per-row update work of each (mode, solver, block) point
 // so mode selection can be argued analytically and asserted in tests,
-// mirroring what BENCH_8.json measures in wall-clock.
+// mirroring the wall-clock capture in EXPERIMENTS.md ("implicit-feedback
+// training modes").
 
 // ModeSpec names one training-mode configuration of the host solver.
 type ModeSpec struct {

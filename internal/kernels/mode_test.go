@@ -5,8 +5,8 @@ import "testing"
 // TestEstimateModeCGBeatsDirect: the reason the CG solver exists — at the
 // serving-scale latent dimension (k=64) a 3-iteration matrix-free solve
 // does far fewer flops than assembling and factorizing the k×k system.
-// BENCH_8.json asserts the same relation in wall-clock (≥1.2×); the model
-// must predict a comfortable margin.
+// EXPERIMENTS.md ("implicit-feedback training modes") records the same
+// relation in wall-clock (4.0×); the model must predict a comfortable margin.
 func TestEstimateModeCGBeatsDirect(t *testing.T) {
 	const k, omega = 64, 100
 	direct, err := EstimateMode(ModeSpec{Implicit: true, Solver: "chol"}, k, omega)

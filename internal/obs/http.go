@@ -103,12 +103,6 @@ func StartDebugServer(addr string, cfg DebugConfig) (*DebugServer, error) {
 	return d, nil
 }
 
-// StartDebug is StartDebugServer with the pre-probe signature, kept for
-// callers that only expose metrics and run info.
-func StartDebug(addr string, reg *Registry, runinfo func() any) (*DebugServer, error) {
-	return StartDebugServer(addr, DebugConfig{Registry: reg, RunInfo: runinfo})
-}
-
 // Addr returns the bound listen address (useful with ":0").
 func (d *DebugServer) Addr() string { return d.lis.Addr().String() }
 
@@ -147,9 +141,9 @@ func RegisterProcessMetrics(reg *Registry) {
 }
 
 // StatusWriter records the status code a handler wrote, for the request
-// middleware of the serving processes (serve.Server.Instrument, the shard
-// frontend) to label its counters and spans with. Code starts at 200, what
-// net/http sends when a handler never calls WriteHeader.
+// middleware of the serving processes (internal/serve's one, shared by the
+// server and the fleet frontend) to label its counters and spans with. Code
+// starts at 200, what net/http sends when a handler never calls WriteHeader.
 type StatusWriter struct {
 	http.ResponseWriter
 	Code int

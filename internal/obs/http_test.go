@@ -18,7 +18,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	RegisterProcessMetrics(reg)
 	driveRecorder(rec)
 
-	d, err := StartDebug("127.0.0.1:0", reg, func() any { return rec.RunInfo() })
+	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{Registry: reg, RunInfo: func() any { return rec.RunInfo() }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,37 @@
-// Package serve is the online serving layer over trained ALS models: the
-// inference-side counterpart of the paper's training hot loops. It provides
+// Package serve is the online serving layer over trained ALS models — the
+// inference-side counterpart of the paper's training hot loops — as one
+// process or as an item-sharded fleet behind one request edge. It provides
 //
-//   - a sharded top-N scorer that partitions the item factor matrix Y across
-//     a bounded worker pool, scores each shard with the linalg dot kernels
-//     into a per-shard size-n min-heap, and merges the heaps (S1–S3's
-//     serving analogue: the per-request hot loop); quantized snapshots run
+//   - a top-N scorer that partitions the item factor matrix Y across a
+//     bounded worker pool, scores each range with the linalg dot kernels into
+//     a per-range size-n min-heap, and merges the heaps (S1–S3's serving
+//     analogue: the per-request hot loop); quantized snapshots run
 //     quant.Ranked's exact norm-pruned scan as one pool task instead;
 //   - atomic model hot-swap: immutable versioned Snapshots published through
-//     an atomic.Pointer so retraining (cmd/alstrain) and serving compose
-//     with zero request downtime;
-//   - a fold-in path for cold-start users wrapping core.Model.FoldInUser;
-//   - an LRU response cache keyed by (model version, user, n), purged
-//     wholesale on hot-swap;
-//   - robustness and observability: per-request deadlines, a bounded
-//     admission queue with load shedding (429 on saturation), and a
-//     Prometheus-style /metrics endpoint (request counts, latency
-//     histogram, cache hit rate, in-flight gauge, model version).
+//     an atomic.Pointer, installed by POST /admin/swap or by a Watcher
+//     following a training run's checkpoint directory, so retraining
+//     (cmd/alstrain) and serving compose with zero request downtime;
+//   - a fold-in path for cold-start users over core.Model.FoldInUser, and an
+//     LRU response cache keyed by (model version, user, n), purged wholesale
+//     on hot-swap;
+//   - one request middleware (trace span, status code, latency, slow log)
+//     that the Server runs behind a bounded admission queue (429 on
+//     saturation) and a per-request deadline, with Prometheus-style /metrics;
+//   - the fleet: a Replica (alsserve -shard i/N) wraps a Server holding only
+//     its static range of Y — /v1/recommend answers over that slice in global
+//     item indices, /shard/v1/{info,partials,score,purge} give the frontend
+//     what it composes, and the watcher's Transform hook slices each
+//     checkpoint, so one training run's directory syncs the whole fleet — and
+//     a Frontend (cmd/alsfront) that serves the same /v1 API by scatter-
+//     gather: per-shard deadline, one jittered retry of a transiently failed
+//     leg (als_shard_retries_total), a merge that keeps metrics.TopK's order
+//     (identical to one process scanning the full catalog, ties included),
+//     fold-in from summed per-shard Gram/RHS terms through the same
+//     core.SolveFoldIn, and degradation to the healthy shards' results
+//     (als_shard_partial_total, /readyz 503) when one stays down. Both edges
+//     parse, validate and reject a request with the same code.
 //
-// cmd/alsserve wires the package to an HTTP listener; cmd/alsload drives it
-// with a power-law user distribution and reports latency percentiles.
+// cmd/alsserve and cmd/alsfront wire the package to HTTP listeners;
+// cmd/alsload drives either with a power-law user distribution and reports
+// latency percentiles.
 package serve

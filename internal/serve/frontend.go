@@ -1,4 +1,4 @@
-package shard
+package serve
 
 import (
 	"bytes"
@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -17,10 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
-	"repro/internal/serve"
 )
 
 // FrontendConfig configures a scatter-gather frontend.
@@ -84,7 +82,7 @@ func (c *FrontendConfig) setDefaults() {
 // prober and passively by request outcomes) and the last /shard/v1/info.
 type shardState struct {
 	up   atomic.Bool
-	info atomic.Pointer[InfoResponse]
+	info atomic.Pointer[infoResponse]
 }
 
 // Frontend fans /v1/recommend and /v1/foldin out to a fleet of shard
@@ -109,16 +107,12 @@ type Frontend struct {
 	retries   *obs.Vec
 }
 
-var frontLatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
 // NewFrontend builds a frontend over the given shard fleet. Start Run for
 // background health probing; requests also mark shards up or down
 // passively, so the frontend degrades and recovers even without it.
 func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("shard: frontend needs at least one shard URL")
+		return nil, fmt.Errorf("serve: frontend needs at least one shard URL")
 	}
 	cfg.setDefaults()
 	f := &Frontend{cfg: cfg, client: cfg.Client, reg: obs.NewRegistry()}
@@ -136,7 +130,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.requests = f.reg.Counter("als_front_requests_total",
 		"Frontend requests by endpoint and status code.", "endpoint", "code")
 	f.latency = f.reg.Histogram("als_front_request_seconds",
-		"Frontend request latency by status code.", frontLatencyBuckets, "code")
+		"Frontend request latency by status code.", latencyBuckets, "code")
 	cfg.Tracer.Register(f.reg)
 	f.shardReqs = f.reg.Counter("als_front_shard_requests_total",
 		"Fan-out legs by shard and outcome.", "shard", "outcome")
@@ -160,14 +154,15 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	mux.HandleFunc("GET /readyz", f.handleReady)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		f.reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /v1/model", f.timed("model", f.handleModel))
-	mux.HandleFunc("GET /v1/recommend", f.timed("recommend", f.handleRecommend))
-	mux.HandleFunc("POST /v1/foldin", f.timed("foldin", f.handleFoldIn))
+	mux.HandleFunc("GET /readyz", probeHandler(f.Ready))
+	mux.HandleFunc("GET /metrics", metricsHandler(f.reg))
+	// The shared request middleware, bare: the shards own admission control
+	// and ShardTimeout bounds every leg, so the frontend adds neither a queue
+	// nor a deadline of its own.
+	mw := middleware{who: "alsfront", tracer: cfg.Tracer, slowLog: cfg.SlowLog, observe: f.observe}
+	mux.HandleFunc("GET /v1/model", mw.wrap("model", f.handleModel))
+	mux.HandleFunc("GET /v1/recommend", mw.wrap("recommend", f.handleRecommend))
+	mux.HandleFunc("POST /v1/foldin", mw.wrap("foldin", f.handleFoldIn))
 	f.mux = mux
 	return f, nil
 }
@@ -178,37 +173,12 @@ func (f *Frontend) Handler() http.Handler { return f.mux }
 // Registry exposes the frontend's metrics (for embedding hosts).
 func (f *Frontend) Registry() *obs.Registry { return f.reg }
 
-// timed wraps a handler with the request counter, the latency histogram
-// and — when a Tracer is configured — the request's root span (continuing
-// an inbound traceparent context). The status-code label is shared by the
-// counter and the histogram: one strconv.Itoa per request, so tracing off
-// adds no allocations over the untraced path.
-func (f *Frontend) timed(endpoint string, h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		var span *rtrace.Span
-		if f.cfg.Tracer != nil {
-			var ctx context.Context
-			ctx, span = f.cfg.Tracer.StartRequest(r.Context(), endpoint, rtrace.Extract(r.Header))
-			if span != nil {
-				r = r.WithContext(ctx)
-			}
-		}
-		sw := obs.NewStatusWriter(w)
-		h(sw, r)
-		d := time.Since(start)
-		code := strconv.Itoa(sw.Code)
-		f.requests.With(endpoint, code).Inc()
-		f.latency.With(code).Observe(d.Seconds())
-		if span != nil {
-			span.SetAttr("code", code)
-			span.End()
-		}
-		if f.cfg.SlowLog > 0 && d >= f.cfg.SlowLog {
-			log.Printf("alsfront: slow request endpoint=%s code=%s dur=%s trace=%s",
-				endpoint, code, d, span.TraceID())
-		}
-	}
+// observe records one finished request. The status-code label is shared by
+// the counter and the histogram: one strconv.Itoa per request.
+func (f *Frontend) observe(endpoint string, code int, d time.Duration) {
+	c := strconv.Itoa(code)
+	f.requests.With(endpoint, c).Inc()
+	f.latency.With(c).Observe(d.Seconds())
 }
 
 // statusError is a non-2xx shard reply; 4xx codes mean the request (not
@@ -251,7 +221,7 @@ func (f *Frontend) ProbeOnce(ctx context.Context) {
 				st.up.Store(false)
 				return
 			}
-			var info InfoResponse
+			var info infoResponse
 			if err := f.getJSON(sctx, i, "/shard/v1/info", &info); err == nil {
 				st.info.Store(&info)
 			}
@@ -288,14 +258,6 @@ func (f *Frontend) Healthy() (up, total int) {
 		}
 	}
 	return up, len(f.shards)
-}
-
-func (f *Frontend) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if err := f.Ready(); err != nil {
-		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	w.Write([]byte("ok\n"))
 }
 
 // getJSON GETs path from shard i and decodes the response into out (nil
@@ -427,8 +389,8 @@ func retryable(err error) bool {
 
 // anyInfo returns the freshest cached shard info, fetching one
 // synchronously when nothing is cached yet.
-func (f *Frontend) anyInfo(ctx context.Context) *InfoResponse {
-	var best *InfoResponse
+func (f *Frontend) anyInfo(ctx context.Context) *infoResponse {
+	var best *infoResponse
 	for _, st := range f.shards {
 		if in := st.info.Load(); in != nil && (best == nil || in.Seq > best.Seq) {
 			best = in
@@ -439,7 +401,7 @@ func (f *Frontend) anyInfo(ctx context.Context) *InfoResponse {
 	}
 	for i := range f.shards {
 		sctx, cancel := context.WithTimeout(ctx, f.cfg.ShardTimeout)
-		var info InfoResponse
+		var info infoResponse
 		err := f.getJSON(sctx, i, "/shard/v1/info", &info)
 		cancel()
 		if err == nil {
@@ -450,137 +412,92 @@ func (f *Frontend) anyInfo(ctx context.Context) *InfoResponse {
 	return nil
 }
 
-// RecommendResponse is the frontend's /v1/recommend answer: the standard
-// serving response plus the scatter-gather outcome.
-type RecommendResponse struct {
-	serve.RecommendResponse
+// gathered is the scatter-gather outcome the frontend appends to the
+// standard /v1/recommend and /v1/foldin answers.
+type gathered struct {
 	Partial  bool `json:"partial,omitempty"`
 	ShardsOK int  `json:"shards_ok"`
 	Shards   int  `json:"shards"`
 }
 
+// frontRecommendResponse is the frontend's /v1/recommend answer.
+type frontRecommendResponse struct {
+	RecommendResponse
+	gathered
+}
+
 func (f *Frontend) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	user, err := strconv.ParseInt(q.Get("user"), 10, 64)
-	if err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "user must be an integer")
+	user, n, ok := recommendQuery(w, r, f.cfg.MaxN)
+	if !ok {
 		return
 	}
-	n := 10
-	if v := q.Get("n"); v != "" {
-		n, err = strconv.Atoi(v)
-		if err != nil || n <= 0 || n > f.cfg.MaxN {
-			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
-			return
-		}
-	}
-	results := make([]*serve.RecommendResponse, len(f.shards))
 	path := fmt.Sprintf("/v1/recommend?user=%d&n=%d", user, n)
-	errs := f.scatter(r.Context(), func(ctx context.Context, i int) error {
-		var resp serve.RecommendResponse
-		if err := f.getJSON(ctx, i, path, &resp); err != nil {
-			return err
-		}
-		results[i] = &resp
-		return nil
+	results, answered := gather(r.Context(), f, w, func(ctx context.Context, i int, out *RecommendResponse) error {
+		return f.getJSON(ctx, i, path, out)
 	})
-	ok := countOK(errs)
-	if ok == 0 {
-		failAllShards(w, errs)
+	if answered == 0 {
 		return
 	}
 	_, mspan := rtrace.StartChild(r.Context(), "merge")
 	merged, version, seq := mergeItems(results, n)
 	mspan.End()
-	resp := RecommendResponse{
-		RecommendResponse: serve.RecommendResponse{
-			Version: version, Seq: seq, User: user, Items: merged,
-		},
-		Partial: ok < len(f.shards), ShardsOK: ok, Shards: len(f.shards),
-	}
-	if resp.Partial {
-		f.partial.Inc()
-	}
-	obs.WriteJSON(w, resp)
+	obs.WriteJSON(w, frontRecommendResponse{
+		RecommendResponse{Version: version, Seq: seq, User: user, Items: merged},
+		f.outcome(answered, answered < len(f.shards)),
+	})
 }
 
-// FoldInResponse is the frontend's /v1/foldin answer.
-type FoldInResponse struct {
-	serve.FoldInResponse
-	Partial  bool `json:"partial,omitempty"`
-	ShardsOK int  `json:"shards_ok"`
-	Shards   int  `json:"shards"`
+// outcome builds a response's scatter-gather outcome, counting a degraded
+// one in als_shard_partial_total.
+func (f *Frontend) outcome(answered int, partial bool) gathered {
+	if partial {
+		f.partial.Inc()
+	}
+	return gathered{Partial: partial, ShardsOK: answered, Shards: len(f.shards)}
+}
+
+// frontFoldInResponse is the frontend's /v1/foldin answer.
+type frontFoldInResponse struct {
+	FoldInResponse
+	gathered
 }
 
 // handleFoldIn solves a cold-start user across the fleet: every shard
 // contributes the partial Gram/RHS terms of its item slice, the frontend
-// sums them, adds λI once and solves the k×k system (packed Cholesky with
-// the same LDLᵀ fallback as core.Model.FoldInUser), then scatter-gathers
-// the scoring of the solved factor. The write path finishes by purging the
-// user's cached responses on every shard — not just the ones that answered
-// — so no replica can serve a pre-write recommendation from its LRU.
+// sums them and solves the k×k system with the solve core.Model.FoldInUser
+// runs (core.SolveFoldIn adds λI once), then scatter-gathers the scoring of
+// the solved factor. The write path finishes by purging the user's cached
+// responses on every shard — not just the ones that answered — so no replica
+// can serve a pre-write recommendation from its LRU.
 func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
-	var req serve.FoldInRequest
-	if !serve.DecodeJSON(w, r, serve.FoldInBodyLimit(f.cfg.MaxFoldInItems), &req) {
+	var req FoldInRequest
+	if !decodeFoldIn(w, r, f.cfg.MaxFoldInItems, f.cfg.MaxN, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		obs.HTTPError(w, http.StatusBadRequest, "need at least one rating")
-		return
-	}
-	if len(req.Items) > f.cfg.MaxFoldInItems {
-		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", f.cfg.MaxFoldInItems))
-		return
-	}
-	if len(req.Items) != len(req.Ratings) {
-		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("%d items but %d ratings", len(req.Items), len(req.Ratings)))
-		return
-	}
-	if req.N <= 0 {
-		req.N = 10
-	}
-	if req.N > f.cfg.MaxN {
-		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", f.cfg.MaxN))
-		return
-	}
+	// The catalog size the ratings are checked against and the training λ
+	// both come from the shards' model metadata.
 	info := f.anyInfo(r.Context())
-	seen := make(map[int32]struct{}, len(req.Items))
-	for j, it := range req.Items {
-		if it < 0 || (info != nil && int(it) >= info.TotalItems) {
-			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("item %d out of range", it))
-			return
-		}
-		if _, dup := seen[it]; dup {
-			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("duplicate item %d in fold-in ratings", it))
-			return
-		}
-		seen[it] = struct{}{}
-		if v := float64(req.Ratings[j]); math.IsNaN(v) || math.IsInf(v, 0) {
-			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("rating for item %d is %g", it, v))
-			return
-		}
+	if info == nil {
+		obs.HTTPError(w, http.StatusServiceUnavailable, "no shard answered")
+		return
+	}
+	if err := core.CheckFoldIn(req.Items, req.Ratings, info.TotalItems); err != nil {
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	// Phase 1: gather partial normal equations. Each phase runs under its
 	// own span so its per-shard hop spans nest beneath it.
-	partials := make([]*PartialsResponse, len(f.shards))
-	preq := PartialsRequest{Items: req.Items, Ratings: req.Ratings}
+	preq := partialsRequest{Items: req.Items, Ratings: req.Ratings}
 	pctx, pspan := rtrace.StartChild(r.Context(), "foldin.partials")
-	errs := f.scatter(pctx, func(ctx context.Context, i int) error {
-		var resp PartialsResponse
-		if err := f.postJSON(ctx, i, "/shard/v1/partials", preq, &resp); err != nil {
-			return err
-		}
-		partials[i] = &resp
-		return nil
+	partials, answered := gather(pctx, f, w, func(ctx context.Context, i int, out *partialsResponse) error {
+		return f.postJSON(ctx, i, "/shard/v1/partials", preq, out)
 	})
 	pspan.End()
-	ok := countOK(errs)
-	if ok == 0 {
-		failAllShards(w, errs)
+	if answered == 0 {
 		return
 	}
-	degraded := ok < len(f.shards)
+	degraded := answered < len(f.shards)
 	k := 0
 	for _, p := range partials {
 		if p != nil {
@@ -605,54 +522,29 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 			rhs[z] += v
 		}
 	}
-	lam := req.Lambda
-	if lam <= 0 {
-		switch {
-		case info != nil && info.Lambda > 0 && info.WeightedLambda:
-			lam = info.Lambda * float32(len(req.Items))
-		case info != nil && info.Lambda > 0:
-			lam = info.Lambda
-		default:
-			lam = f.cfg.Lambda
-		}
-	}
-	// Keep pristine copies: a rejected Cholesky clobbers its inputs.
-	pcopy := append([]float32(nil), packed...)
-	rcopy := append([]float32(nil), rhs...)
 	_, sspan := rtrace.StartChild(r.Context(), "foldin.solve")
-	linalg.AddDiagPacked(packed, k, lam)
-	xu := rhs
-	if err := linalg.CholeskySolvePacked(packed, k, xu); err != nil {
-		linalg.AddDiagPacked(pcopy, k, lam)
-		if err := linalg.LDLSolvePacked(pcopy, k, rcopy, make([]float64, k)); err != nil {
-			sspan.End()
-			obs.HTTPError(w, http.StatusBadGateway, "fold-in solve: "+err.Error())
-			return
-		}
-		xu = rcopy
-	}
+	xu, err := core.SolveFoldIn(packed, rhs, k,
+		foldInLambda(&req, info.Lambda, info.WeightedLambda, f.cfg.Lambda))
 	sspan.End()
+	if err != nil {
+		obs.HTTPError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 
 	// Phase 2: scatter the solved factor for scoring (the user's own rated
 	// items excluded, as in the single-process path).
-	scores := make([]*serve.RecommendResponse, len(f.shards))
-	sreq := ScoreRequest{X: xu, N: req.N, Exclude: req.Items}
+	sreq := scoreRequest{X: xu, N: req.N, Exclude: req.Items}
 	scctx, scspan := rtrace.StartChild(r.Context(), "foldin.score")
-	errs = f.scatter(scctx, func(ctx context.Context, i int) error {
-		var resp ScoreResponse
-		if err := f.postJSON(ctx, i, "/shard/v1/score", sreq, &resp); err != nil {
-			return err
-		}
-		scores[i] = &serve.RecommendResponse{Version: resp.Version, Seq: resp.Seq, Items: resp.Items}
-		return nil
+	// A scoreResponse is a RecommendResponse's version, seq and items: decode
+	// it as what mergeItems takes.
+	scores, answered := gather(scctx, f, w, func(ctx context.Context, i int, out *RecommendResponse) error {
+		return f.postJSON(ctx, i, "/shard/v1/score", sreq, out)
 	})
 	scspan.End()
-	ok = countOK(errs)
-	if ok == 0 {
-		failAllShards(w, errs)
+	if answered == 0 {
 		return
 	}
-	degraded = degraded || ok < len(f.shards)
+	degraded = degraded || answered < len(f.shards)
 
 	// Write-path cache invalidation: broadcast the purge to every
 	// configured shard — including any that missed the partials or scoring
@@ -661,7 +553,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	if req.User != nil {
 		puctx, puspan := rtrace.StartChild(r.Context(), "foldin.purge")
 		f.scatter(puctx, func(ctx context.Context, i int) error {
-			return f.postJSON(ctx, i, "/shard/v1/purge", PurgeRequest{User: *req.User}, nil)
+			return f.postJSON(ctx, i, "/shard/v1/purge", purgeRequest{User: *req.User}, nil)
 		})
 		puspan.End()
 	}
@@ -669,40 +561,32 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	_, mspan := rtrace.StartChild(r.Context(), "merge")
 	merged, version, seq := mergeItems(scores, req.N)
 	mspan.End()
-	resp := FoldInResponse{
-		FoldInResponse: serve.FoldInResponse{Version: version, Seq: seq, Items: merged},
-		Partial:        degraded, ShardsOK: ok, Shards: len(f.shards),
-	}
-	if degraded {
-		f.partial.Inc()
-	}
-	obs.WriteJSON(w, resp)
+	obs.WriteJSON(w, frontFoldInResponse{
+		FoldInResponse{Version: version, Seq: seq, Items: merged},
+		f.outcome(answered, degraded),
+	})
 }
 
 // handleModel aggregates the fleet's /shard/v1/info into the standard
 // /v1/model discovery answer (full catalog size, shared user count).
 func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
-	infos := make([]*InfoResponse, len(f.shards))
-	errs := f.scatter(r.Context(), func(ctx context.Context, i int) error {
-		var info InfoResponse
-		if err := f.getJSON(ctx, i, "/shard/v1/info", &info); err != nil {
+	infos, answered := gather(r.Context(), f, w, func(ctx context.Context, i int, out *infoResponse) error {
+		if err := f.getJSON(ctx, i, "/shard/v1/info", out); err != nil {
 			return err
 		}
-		f.shards[i].info.Store(&info)
-		infos[i] = &info
+		f.shards[i].info.Store(out)
 		return nil
 	})
-	if countOK(errs) == 0 {
-		failAllShards(w, errs)
+	if answered == 0 {
 		return
 	}
-	var best *InfoResponse
+	var best *infoResponse
 	for _, in := range infos {
 		if in != nil && (best == nil || in.Seq > best.Seq) {
 			best = in
 		}
 	}
-	obs.WriteJSON(w, serve.ModelResponse{
+	obs.WriteJSON(w, ModelResponse{
 		Version: best.Version, Seq: best.Seq,
 		Users: best.Users, Items: best.TotalItems, K: best.K,
 		Compact: best.Compact,
@@ -716,7 +600,7 @@ func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
 // the full catalog — with no heap and no item → entry map to carry the IDs
 // back. The reported version/seq is the newest among the answering shards
 // (they briefly diverge mid-swap).
-func mergeItems(results []*serve.RecommendResponse, n int) ([]serve.RecItem, string, uint64) {
+func mergeItems(results []*RecommendResponse, n int) ([]RecItem, string, uint64) {
 	version, seq := "", uint64(0)
 	total := 0
 	// One cursor per shard, on the stack for any fleet this frontend is
@@ -733,10 +617,10 @@ func mergeItems(results []*serve.RecommendResponse, n int) ([]serve.RecItem, str
 		}
 		total += len(res.Items)
 	}
-	out := make([]serve.RecItem, 0, max(0, min(n, total)))
+	out := make([]RecItem, 0, max(0, min(n, total)))
 	for len(out) < cap(out) {
 		best := -1
-		var head serve.RecItem
+		var head RecItem
 		for si, res := range results {
 			if res == nil || next[si] == len(res.Items) {
 				continue
@@ -752,14 +636,29 @@ func mergeItems(results []*serve.RecommendResponse, n int) ([]serve.RecItem, str
 	return out, version, seq
 }
 
-func countOK(errs []error) int {
-	n := 0
+// gather fans call out to every shard (see scatter) and collects the typed
+// replies, nil where a shard did not answer. When none did it has answered
+// the request through failAllShards and reports answered == 0.
+func gather[T any](ctx context.Context, f *Frontend, w http.ResponseWriter,
+	call func(ctx context.Context, i int, out *T) error) (replies []*T, answered int) {
+	replies = make([]*T, len(f.shards))
+	errs := f.scatter(ctx, func(ctx context.Context, i int) error {
+		out := new(T)
+		if err := call(ctx, i, out); err != nil {
+			return err
+		}
+		replies[i] = out
+		return nil
+	})
 	for _, err := range errs {
 		if err == nil {
-			n++
+			answered++
 		}
 	}
-	return n
+	if answered == 0 {
+		failAllShards(w, errs)
+	}
+	return replies, answered
 }
 
 // failAllShards reports a request no shard could answer: a 4xx consensus

@@ -1,4 +1,4 @@
-package shard
+package serve
 
 import (
 	"fmt"
@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/serve"
 )
 
 // mergeItemsOracle is the merge mergeItems replaced, kept as its oracle:
 // every returned item through one bounded heap, IDs carried in a map.
-func mergeItemsOracle(results []*serve.RecommendResponse, n int) ([]serve.RecItem, string, uint64) {
+func mergeItemsOracle(results []*RecommendResponse, n int) ([]RecItem, string, uint64) {
 	merged := metrics.NewTopK(n)
-	byItem := make(map[int]serve.RecItem)
+	byItem := make(map[int]RecItem)
 	version, seq := "", uint64(0)
 	for _, res := range results {
 		if res == nil {
@@ -30,10 +29,10 @@ func mergeItemsOracle(results []*serve.RecommendResponse, n int) ([]serve.RecIte
 		}
 	}
 	drained := merged.Drain()
-	out := make([]serve.RecItem, len(drained))
+	out := make([]RecItem, len(drained))
 	for i, s := range drained {
 		it := byItem[s.Item]
-		out[i] = serve.RecItem{Item: s.Item, ID: it.ID, Score: s.Score}
+		out[i] = RecItem{Item: s.Item, ID: it.ID, Score: s.Score}
 	}
 	return out, version, seq
 }
@@ -43,16 +42,16 @@ func mergeItemsOracle(results []*serve.RecommendResponse, n int) ([]serve.RecIte
 // rule, and returns each shard's top-per list as a replica would: strongest
 // first, lower index first among equals. A nil entry stands for a shard
 // that did not answer.
-func shardLists(rng *rand.Rand, shards, total, per int, down map[int]bool) []*serve.RecommendResponse {
-	out := make([]*serve.RecommendResponse, shards)
+func shardLists(rng *rand.Rand, shards, total, per int, down map[int]bool) []*RecommendResponse {
+	out := make([]*RecommendResponse, shards)
 	for si := range out {
 		if down[si] {
 			continue
 		}
-		lo, hi := Range(total, si, shards)
-		items := make([]serve.RecItem, 0, hi-lo)
+		lo, hi := si*total/shards, (si+1)*total/shards
+		items := make([]RecItem, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			items = append(items, serve.RecItem{Item: i, ID: int64(1000 + i), Score: float64(rng.Intn(4)) / 2})
+			items = append(items, RecItem{Item: i, ID: int64(1000 + i), Score: float64(rng.Intn(4)) / 2})
 		}
 		sort.Slice(items, func(a, b int) bool {
 			if items[a].Score != items[b].Score {
@@ -63,7 +62,7 @@ func shardLists(rng *rand.Rand, shards, total, per int, down map[int]bool) []*se
 		if len(items) > per {
 			items = items[:per]
 		}
-		out[si] = &serve.RecommendResponse{Version: fmt.Sprintf("v%d", si), Seq: uint64(rng.Intn(3)), Items: items}
+		out[si] = &RecommendResponse{Version: fmt.Sprintf("v%d", si), Seq: uint64(rng.Intn(3)), Items: items}
 	}
 	return out
 }

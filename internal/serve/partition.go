@@ -1,4 +1,4 @@
-package shard
+package serve
 
 import (
 	"fmt"
@@ -8,14 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/linalg"
 )
-
-// Range returns the half-open row range [lo, hi) that shard i of `of`
-// owns in a catalog of total rows. The same arithmetic partitions item
-// factors across serving replicas and user rows across trainer workers, so
-// every component agrees on ownership without coordination.
-func Range(total, i, of int) (lo, hi int) {
-	return i * total / of, (i + 1) * total / of
-}
 
 // ParseSpec parses a "-shard i/N" specification.
 func ParseSpec(s string) (i, of int, err error) {
@@ -27,18 +19,19 @@ func ParseSpec(s string) (i, of int, err error) {
 		}
 	}
 	if !ok || err != nil || of < 1 || i < 0 || i >= of {
-		return 0, 0, fmt.Errorf("shard: spec %q is not i/N with 0 <= i < N", s)
+		return 0, 0, fmt.Errorf("serve: shard spec %q is not i/N with 0 <= i < N", s)
 	}
 	return i, of, nil
 }
 
-// SliceModel returns shard i's zero-copy view of a full model: the item
-// factors (and item ID labels) restricted to the shard's range, the user
-// factors shared, and the metadata copied. It reports the slice's global
-// item offset and the full catalog size.
-func SliceModel(m *core.Model, i, of int) (view *core.Model, itemOffset, itemTotal int) {
+// sliceModel returns shard i's zero-copy view of a full model: the item
+// factors (and item ID labels) restricted to rows [i·total/of, (i+1)·total/of)
+// — a static range, so replicas agree on ownership without coordination —
+// the user factors shared, and the metadata copied. It reports the slice's
+// global item offset and the full catalog size.
+func sliceModel(m *core.Model, i, of int) (view *core.Model, itemOffset, itemTotal int) {
 	total := m.Y.Rows
-	lo, hi := Range(total, i, of)
+	lo, hi := i*total/of, (i+1)*total/of
 	view = &core.Model{
 		K:       m.K,
 		X:       m.X,

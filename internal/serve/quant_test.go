@@ -156,7 +156,7 @@ func TestRecommendQuantized(t *testing.T) {
 		}
 
 		var sb strings.Builder
-		if err := s.Telemetry().WriteMetrics(&sb); err != nil {
+		if err := s.Telemetry().Registry().WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 		metrics := sb.String()
@@ -380,7 +380,7 @@ func TestScanRowsCounter(t *testing.T) {
 	}
 	var sb strings.Builder
 	s, _ := newTestServer(t, Config{})
-	if err := s.Telemetry().WriteMetrics(&sb); err != nil {
+	if err := s.Telemetry().Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if want := `als_scan_rows_total{precision="i8",outcome="pruned"} 0`; !strings.Contains(sb.String(), want) {

@@ -1,4 +1,4 @@
-package shard
+package serve
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/sparse"
 )
 
@@ -21,17 +20,17 @@ const scoreMaxN = 10000
 
 // ReplicaConfig describes one shard replica's place in the fleet.
 type ReplicaConfig struct {
-	// Index / Count name the shard: the replica serves item range
-	// Range(total, Index, Count).
+	// Index / Count name the shard: the replica serves item rows
+	// [Index·total/Count, (Index+1)·total/Count) of the catalog.
 	Index, Count int
 	// MaxStaleness bounds /readyz freshness when the replica follows a
-	// checkpoint watcher (0 disables the age check; see serve.Readiness).
+	// checkpoint watcher (0 disables the age check; see Readiness).
 	MaxStaleness time.Duration
 	// Clock overrides time for readiness (tests); nil is real time.
 	Clock checkpoint.Clock
 }
 
-// Replica wraps a serve.Server into one shard of the item catalog. The
+// Replica wraps a Server into one shard of the item catalog. The
 // ordinary endpoints keep working — /v1/recommend answers partial top-N
 // over the local slice with global item indices — and four internal
 // endpoints give the scatter-gather frontend what it needs:
@@ -44,27 +43,26 @@ type ReplicaConfig struct {
 // plus a public GET /readyz, so frontends health-check replicas without
 // needing the debug listener.
 type Replica struct {
-	srv   *serve.Server
-	cfg   ReplicaConfig
-	ready func() error
-	mux   *http.ServeMux
+	srv *Server
+	cfg ReplicaConfig
+	mux *http.ServeMux
 }
 
 // NewReplica wraps srv as shard Index of Count.
-func NewReplica(srv *serve.Server, cfg ReplicaConfig) (*Replica, error) {
+func NewReplica(srv *Server, cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Count < 1 || cfg.Index < 0 || cfg.Index >= cfg.Count {
-		return nil, fmt.Errorf("shard: replica %d/%d is not 0 <= i < N", cfg.Index, cfg.Count)
+		return nil, fmt.Errorf("serve: shard replica %d/%d is not 0 <= i < N", cfg.Index, cfg.Count)
 	}
-	r := &Replica{srv: srv, cfg: cfg,
-		ready: serve.Readiness(srv, cfg.MaxStaleness, cfg.Clock)}
+	r := &Replica{srv: srv, cfg: cfg}
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("GET /readyz", r.handleReady)
-	mux.HandleFunc("GET /shard/v1/info", srv.Instrument("shardinfo", r.handleInfo))
-	mux.HandleFunc("POST /shard/v1/partials", srv.Instrument("partials", r.handlePartials))
-	mux.HandleFunc("POST /shard/v1/score", srv.Instrument("score", r.handleScore))
-	mux.HandleFunc("POST /shard/v1/purge", srv.Instrument("purge", r.handlePurge))
-	mux.HandleFunc("POST /admin/swap", srv.Instrument("swap", r.handleSwap))
+	mux.HandleFunc("GET /readyz", probeHandler(Readiness(srv, cfg.MaxStaleness, cfg.Clock)))
+	mux.HandleFunc("GET /shard/v1/info", srv.instrument("shardinfo", r.handleInfo))
+	mux.HandleFunc("POST /shard/v1/partials", srv.instrument("partials", r.handlePartials))
+	mux.HandleFunc("POST /shard/v1/score", srv.instrument("score", r.handleScore))
+	mux.HandleFunc("POST /shard/v1/purge", srv.instrument("purge", r.handlePurge))
+	// Overrides the wrapped server's: the same handler, installing the slice.
+	mux.HandleFunc("POST /admin/swap", srv.instrument("swap", swapHandler(r.Swap)))
 	r.mux = mux
 	return r, nil
 }
@@ -73,32 +71,21 @@ func NewReplica(srv *serve.Server, cfg ReplicaConfig) (*Replica, error) {
 // wrapped server's).
 func (r *Replica) Handler() http.Handler { return r.mux }
 
-// Server returns the wrapped serving core.
-func (r *Replica) Server() *serve.Server { return r.srv }
-
 // Swap slices a full model down to this shard's range and installs it.
-func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *serve.Snapshot {
-	view, off, total := SliceModel(m, r.cfg.Index, r.cfg.Count)
-	return r.srv.SwapShard(view, rated, version, off, total)
+func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
+	view, off, total := r.Transform(m)
+	return r.srv.swapShard(view, rated, version, off, total)
 }
 
-// Transform is the serve.WatcherConfig.Transform hook: it slices each
+// Transform is the WatcherConfig.Transform hook: it slices each
 // checkpoint the watcher loads down to this shard's range, making the
 // checkpoint directory the fleet's shard-sync mechanism.
 func (r *Replica) Transform(m *core.Model) (*core.Model, int, int) {
-	return SliceModel(m, r.cfg.Index, r.cfg.Count)
+	return sliceModel(m, r.cfg.Index, r.cfg.Count)
 }
 
-func (r *Replica) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if err := r.ready(); err != nil {
-		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	w.Write([]byte("ok\n"))
-}
-
-// InfoResponse answers /shard/v1/info.
-type InfoResponse struct {
+// infoResponse answers /shard/v1/info.
+type infoResponse struct {
 	Shard          int     `json:"shard"`
 	Of             int     `json:"of"`
 	ItemOffset     int     `json:"item_offset"`
@@ -124,7 +111,7 @@ func (r *Replica) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	if total == 0 {
 		total = sn.Model.Y.Rows
 	}
-	obs.WriteJSON(w, InfoResponse{
+	obs.WriteJSON(w, infoResponse{
 		Shard: r.cfg.Index, Of: r.cfg.Count,
 		ItemOffset: off, ShardItems: sn.Model.Y.Rows, TotalItems: total,
 		Users: sn.Model.X.Rows, K: sn.Model.K,
@@ -135,19 +122,19 @@ func (r *Replica) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// PartialsRequest asks for this shard's contribution to a fold-in solve:
+// partialsRequest asks for this shard's contribution to a fold-in solve:
 // the cold-start user's ratings in global item indices. Out-of-slice items
 // are skipped — every shard sees the full request and contributes exactly
 // its slice, so the frontend's sum covers each rating once.
-type PartialsRequest struct {
+type partialsRequest struct {
 	Items   []int32   `json:"items"`
 	Ratings []float32 `json:"ratings"`
 }
 
-// PartialsResponse carries the shard's partial normal equations: the packed
+// partialsResponse carries the shard's partial normal equations: the packed
 // upper-triangular Gram term Σ y_i·y_iᵀ and right-hand side Σ r_i·y_i over
 // the shard-local rated items, without the λI the frontend adds once.
-type PartialsResponse struct {
+type partialsResponse struct {
 	K       int       `json:"k"`
 	Gram    []float32 `json:"gram"`
 	RHS     []float32 `json:"rhs"`
@@ -161,12 +148,12 @@ type PartialsResponse struct {
 // not know; what it does know is that a valid request names each catalog
 // item at most once, in a partials request's ratings or a score request's
 // exclusions, next to at most K factor components (32 bytes each).
-func catalogBodyLimit(sn *serve.Snapshot) int64 {
+func catalogBodyLimit(sn *Snapshot) int64 {
 	total := sn.ItemTotal
 	if total == 0 {
 		total = sn.Model.Y.Rows
 	}
-	return serve.FoldInBodyLimit(total) + 32*int64(sn.Model.K)
+	return foldInBodyLimit(total) + 32*int64(sn.Model.K)
 }
 
 func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
@@ -175,8 +162,8 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	var pr PartialsRequest
-	if !serve.DecodeJSON(w, req, catalogBodyLimit(sn), &pr) {
+	var pr partialsRequest
+	if !decodeJSON(w, req, catalogBodyLimit(sn), &pr) {
 		return
 	}
 	if len(pr.Items) != len(pr.Ratings) {
@@ -198,24 +185,24 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 	// GramRHSFused zeroes both outputs, so an empty local set still
 	// returns valid all-zero terms.
 	linalg.GramRHSFused(sn.Model.Y.Data, k, cols, vals, packed, rhs)
-	obs.WriteJSON(w, PartialsResponse{K: k, Gram: packed, RHS: rhs, Local: len(cols),
+	obs.WriteJSON(w, partialsResponse{K: k, Gram: packed, RHS: rhs, Local: len(cols),
 		Version: sn.Version, Seq: sn.Seq})
 }
 
-// ScoreRequest asks for the shard's top-N against a caller-provided user
+// scoreRequest asks for the shard's top-N against a caller-provided user
 // factor (the frontend's fold-in solution), excluding the given global
 // item indices.
-type ScoreRequest struct {
+type scoreRequest struct {
 	X       []float32 `json:"x"`
 	N       int       `json:"n"`
 	Exclude []int32   `json:"exclude,omitempty"`
 }
 
-// ScoreResponse carries the shard-local top-N in global item indices.
-type ScoreResponse struct {
-	Version string          `json:"version"`
-	Seq     uint64          `json:"seq"`
-	Items   []serve.RecItem `json:"items"`
+// scoreResponse carries the shard-local top-N in global item indices.
+type scoreResponse struct {
+	Version string    `json:"version"`
+	Seq     uint64    `json:"seq"`
+	Items   []RecItem `json:"items"`
 }
 
 func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
@@ -224,8 +211,8 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	var sr ScoreRequest
-	if !serve.DecodeJSON(w, req, catalogBodyLimit(sn), &sr) {
+	var sr scoreRequest
+	if !decodeJSON(w, req, catalogBodyLimit(sn), &sr) {
 		return
 	}
 	if len(sr.X) != sn.Model.K {
@@ -243,24 +230,17 @@ func (r *Replica) handleScore(w http.ResponseWriter, req *http.Request) {
 	// as a single-process server at the same -precision flag.
 	scored, err := r.srv.ScoreTopN(req.Context(), sn, sr.X, excluded, sr.N)
 	if err != nil {
-		obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
+		scoreError(w, err)
 		return
 	}
-	items := make([]serve.RecItem, len(scored))
-	for i, s := range scored {
-		items[i] = serve.RecItem{Item: s.Item + off, Score: s.Score}
-		if sn.Model.ItemIDs != nil {
-			items[i].ID = sn.Model.ItemLabel(s.Item)
-		}
-	}
-	obs.WriteJSON(w, ScoreResponse{Version: sn.Version, Seq: sn.Seq, Items: items})
+	obs.WriteJSON(w, scoreResponse{Version: sn.Version, Seq: sn.Seq, Items: recItems(sn.Model, scored, off)})
 }
 
 // localExcluder turns a fold-in request's global exclude list into the
 // scan's predicate over this shard's local rows [0, rows): ids outside
 // [off, off+rows) belong to other shards and are dropped, and since the
 // wire promises neither order nor uniqueness, a copy is sorted and
-// de-duplicated for serve.SortedExcluder. Nil when nothing local is
+// de-duplicated for sortedExcluder. Nil when nothing local is
 // excluded.
 func localExcluder(exclude []int32, off, rows int) func(int) bool {
 	local := make([]int32, 0, len(exclude))
@@ -270,16 +250,16 @@ func localExcluder(exclude []int32, off, rows int) func(int) bool {
 		}
 	}
 	slices.Sort(local)
-	return serve.SortedExcluder(slices.Compact(local))
+	return sortedExcluder(slices.Compact(local))
 }
 
-// PurgeRequest names the user whose cached responses must be dropped.
-type PurgeRequest struct {
+// purgeRequest names the user whose cached responses must be dropped.
+type purgeRequest struct {
 	User int64 `json:"user"`
 }
 
-// PurgeResponse reports how many cache entries were removed.
-type PurgeResponse struct {
+// purgeResponse reports how many cache entries were removed.
+type purgeResponse struct {
 	Purged int `json:"purged"`
 }
 
@@ -289,39 +269,13 @@ func (r *Replica) handlePurge(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	var pr PurgeRequest
-	if !serve.DecodeJSON(w, req, serve.SmallBodyLimit, &pr) {
+	var pr purgeRequest
+	if !decodeJSON(w, req, smallBodyLimit, &pr) {
 		return
 	}
 	purged := 0
 	if u, ok := sn.UserIndex(pr.User); ok {
 		purged = r.srv.ResponseCache().PurgeUser(u)
 	}
-	obs.WriteJSON(w, PurgeResponse{Purged: purged})
-}
-
-// handleSwap overrides the wrapped server's /admin/swap: the loaded model
-// is sliced to this shard's range before installation, so an operator can
-// push one model path to the whole fleet.
-func (r *Replica) handleSwap(w http.ResponseWriter, req *http.Request) {
-	var sr serve.SwapRequest
-	if !serve.DecodeJSON(w, req, serve.SmallBodyLimit, &sr) {
-		return
-	}
-	if sr.Model == "" {
-		obs.HTTPError(w, http.StatusBadRequest, "need model path")
-		return
-	}
-	oneBased := true
-	if sr.OneBased != nil {
-		oneBased = *sr.OneBased
-	}
-	m, rated, err := serve.LoadSnapshotFiles(sr.Model, sr.Ratings, oneBased)
-	if err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sn := r.Swap(m, rated, sr.Version)
-	obs.WriteJSON(w, serve.SwapResponse{Version: sn.Version, Seq: sn.Seq,
-		Users: sn.Model.X.Rows, Items: sn.Model.Y.Rows, K: sn.Model.K})
+	obs.WriteJSON(w, purgeResponse{Purged: purged})
 }

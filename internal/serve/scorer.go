@@ -184,14 +184,14 @@ func RatedExcluder(r *sparse.CSR, u int) func(int) bool {
 		return nil
 	}
 	cols, _ := r.Row(u)
-	return SortedExcluder(cols)
+	return sortedExcluder(cols)
 }
 
-// SortedExcluder returns the exclusion predicate "i is in sorted", a binary
+// sortedExcluder returns the exclusion predicate "i is in sorted", a binary
 // search over ascending local item indices, or nil when there is nothing to
 // exclude. It is the one predicate every scan is handed: a user's rated CSR
 // row here, a fold-in request's exclude list on a shard replica.
-func SortedExcluder(sorted []int32) func(int) bool {
+func sortedExcluder(sorted []int32) func(int) bool {
 	if len(sorted) == 0 {
 		return nil
 	}

@@ -171,7 +171,7 @@ func TestRatedExcluder(t *testing.T) {
 	if RatedExcluder(rated, 0)(-1) || RatedExcluder(rated, 0)(200) {
 		t.Fatal("an index outside the catalog is not excluded")
 	}
-	if SortedExcluder(nil) != nil || SortedExcluder([]int32{}) != nil {
+	if sortedExcluder(nil) != nil || sortedExcluder([]int32{}) != nil {
 		t.Fatal("an empty list should yield nil excluder")
 	}
 	if RatedExcluder(nil, 0) != nil {

@@ -79,6 +79,7 @@ type Server struct {
 	scorer *Scorer
 	tel    *Telemetry
 	sem    chan struct{}
+	mw     middleware
 	mux    *http.ServeMux
 }
 
@@ -92,14 +93,15 @@ func New(cfg Config) *Server {
 		tel:    NewTelemetry(),
 		sem:    make(chan struct{}, cfg.Queue),
 	}
+	s.mw = middleware{who: "serve", tracer: cfg.Tracer, slowLog: cfg.SlowLog, observe: s.tel.Observe}
 	s.tel.AttachServer(s.store.Current, s.cache)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/model", s.Instrument("model", s.handleModel))
-	mux.HandleFunc("GET /v1/recommend", s.Instrument("recommend", s.handleRecommend))
-	mux.HandleFunc("POST /v1/foldin", s.Instrument("foldin", s.handleFoldIn))
-	mux.HandleFunc("POST /admin/swap", s.Instrument("swap", s.handleSwap))
+	mux.HandleFunc("GET /metrics", metricsHandler(s.tel.Registry()))
+	mux.HandleFunc("GET /v1/model", s.instrument("model", s.handleModel))
+	mux.HandleFunc("GET /v1/recommend", s.instrument("recommend", s.handleRecommend))
+	mux.HandleFunc("POST /v1/foldin", s.instrument("foldin", s.handleFoldIn))
+	mux.HandleFunc("POST /admin/swap", s.instrument("swap", swapHandler(s.Swap)))
 	s.mux = mux
 	return s
 }
@@ -110,24 +112,21 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Telemetry exposes the metric registry (for embedding hosts).
 func (s *Server) Telemetry() *Telemetry { return s.tel }
 
-// Tracer exposes the configured request tracer; nil when tracing is off.
-func (s *Server) Tracer() *rtrace.Tracer { return s.cfg.Tracer }
-
 // Current returns the live snapshot, or nil before the first Swap.
 func (s *Server) Current() *Snapshot { return s.store.Current() }
 
 // Swap atomically installs a new model and purges the response cache; see
 // Store.Swap for version defaulting.
 func (s *Server) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.SwapShard(m, rated, version, 0, 0)
+	return s.swapShard(m, rated, version, 0, 0)
 }
 
-// SwapShard installs a sharded model view whose Y rows cover the catalog
+// swapShard installs a sharded model view whose Y rows cover the catalog
 // slice [offset, offset+Y.Rows) of total items (total == 0 means a full
 // model). Recommendation responses report global item indices; fold-in is
 // refused on sharded snapshots because it needs the whole catalog.
-func (s *Server) SwapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
-	sn := s.store.SwapShard(m, rated, version, offset, total)
+func (s *Server) swapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
+	sn := s.store.swapShard(m, rated, version, offset, total)
 	s.cache.Purge()
 	s.tel.SwapRecorded()
 	return sn
@@ -172,13 +171,52 @@ func (s *Server) ResponseCache() *Cache { return s.cache }
 // (http.Server.Shutdown) before calling it.
 func (s *Server) Close() { s.scorer.Close() }
 
-// Instrument wraps a handler with admission control (bounded queue, 429
-// with Retry-After on saturation), the per-request deadline, the in-flight
-// gauge, the latency histogram and — when a Tracer is configured — the
-// endpoint's trace span, continuing an inbound traceparent context.
-// Exported so embedding hosts (the shard replica) can put extra endpoints
-// behind the same admission path.
-func (s *Server) Instrument(endpoint string, h func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
+// middleware is the request edge both HTTP fronts share: the Server runs it
+// behind admission control and the deadline (instrument), the Frontend bare.
+type middleware struct {
+	who     string // slow-log prefix
+	tracer  *rtrace.Tracer
+	slowLog time.Duration
+	observe func(endpoint string, code int, d time.Duration)
+}
+
+// wrap runs h under the endpoint's trace span — when a tracer is configured,
+// continuing an inbound traceparent context — captures the status code h
+// answers with, reports endpoint, code and duration to observe, and logs a
+// request at or over the slow-log threshold with its trace ID. With tracing
+// off it adds no allocation beyond the status writer.
+func (mw *middleware) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var span *rtrace.Span
+		if mw.tracer != nil {
+			var ctx context.Context
+			ctx, span = mw.tracer.StartRequest(r.Context(), endpoint, rtrace.Extract(r.Header))
+			if span != nil {
+				r = r.WithContext(ctx)
+			}
+		}
+		sw := obs.NewStatusWriter(w)
+		h(sw, r)
+		d := time.Since(start)
+		mw.observe(endpoint, sw.Code, d)
+		if span != nil {
+			span.SetAttr("code", strconv.Itoa(sw.Code))
+			span.End()
+		}
+		if mw.slowLog > 0 && d >= mw.slowLog {
+			log.Printf("%s: slow request endpoint=%s code=%d dur=%s trace=%s",
+				mw.who, endpoint, sw.Code, d, span.TraceID())
+		}
+	}
+}
+
+// instrument puts a handler behind the server's admission path — bounded
+// queue (429 with Retry-After on saturation), in-flight gauge, per-request
+// deadline — and then the shared middleware. The replica's /shard/v1/*
+// endpoints go through it too, so they are admitted like any other request.
+func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	h = s.mw.wrap(endpoint, h)
 	return func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -197,40 +235,23 @@ func (s *Server) Instrument(endpoint string, h func(http.ResponseWriter, *http.R
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
-		var span *rtrace.Span
-		if s.cfg.Tracer != nil {
-			ctx, span = s.cfg.Tracer.StartRequest(ctx, endpoint, rtrace.Extract(r.Header))
-		}
-
-		start := time.Now()
-		sw := obs.NewStatusWriter(w)
-		h(sw, r.WithContext(ctx))
-		d := time.Since(start)
-		s.tel.Observe(endpoint, sw.Code, d)
-		if span != nil {
-			span.SetAttr("code", strconv.Itoa(sw.Code))
-			span.End()
-		}
-		if s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog {
-			log.Printf("serve: slow request endpoint=%s code=%d dur=%s trace=%s",
-				endpoint, sw.Code, d, span.TraceID())
-		}
+		h(w, r.WithContext(ctx))
 	}
 }
 
-// SmallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap,
+// smallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap,
 // /shard/v1/purge).
-const SmallBodyLimit = 64 << 10
+const smallBodyLimit = 64 << 10
 
-// FoldInBodyLimit is the body size allowed a fold-in of maxItems ratings:
+// foldInBodyLimit is the body size allowed a fold-in of maxItems ratings:
 // an index prints in at most 11 bytes and a rating in at most 24, 48 each
 // with separators and indentation, plus 1 KiB for the scalar fields.
-func FoldInBodyLimit(maxItems int) int64 { return 1<<10 + 48*int64(maxItems) }
+func foldInBodyLimit(maxItems int) int64 { return 1<<10 + 48*int64(maxItems) }
 
-// DecodeJSON reads a JSON body of at most limit bytes into v, stopping at
+// decodeJSON reads a JSON body of at most limit bytes into v, stopping at
 // the limit rather than buffering past it. On failure it has answered (413
 // when oversized, else 400) and returns false.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -282,25 +303,35 @@ type RecommendResponse struct {
 	Cached  bool      `json:"cached"`
 }
 
+// recommendQuery parses /v1/recommend's user and n (default 10, at most maxN)
+// for either edge. On failure it has answered 400 and returns ok false.
+func recommendQuery(w http.ResponseWriter, r *http.Request, maxN int) (user int64, n int, ok bool) {
+	q := r.URL.Query()
+	user, err := strconv.ParseInt(q.Get("user"), 10, 64)
+	if err != nil {
+		obs.HTTPError(w, http.StatusBadRequest, "user must be an integer")
+		return 0, 0, false
+	}
+	n = 10
+	if v := q.Get("n"); v != "" {
+		n, err = strconv.Atoi(v)
+		if err != nil || n <= 0 || n > maxN {
+			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", maxN))
+			return 0, 0, false
+		}
+	}
+	return user, n, true
+}
+
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	sn := s.store.Current()
 	if sn == nil {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	q := r.URL.Query()
-	orig, err := strconv.ParseInt(q.Get("user"), 10, 64)
-	if err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "user must be an integer")
+	orig, n, ok := recommendQuery(w, r, s.cfg.MaxN)
+	if !ok {
 		return
-	}
-	n := 10
-	if v := q.Get("n"); v != "" {
-		n, err = strconv.Atoi(v)
-		if err != nil || n <= 0 || n > s.cfg.MaxN {
-			obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
-			return
-		}
 	}
 	// Compact models address users by external ID, dense models by row.
 	u, ok := sn.UserIndex(orig)
@@ -361,18 +392,46 @@ type FoldInResponse struct {
 	Items   []RecItem `json:"items"`
 }
 
-// foldInLambda resolves the effective regularization for a fold-in request.
-func (s *Server) foldInLambda(m *core.Model, req *FoldInRequest) float32 {
-	if req.Lambda > 0 {
+// foldInLambda resolves a fold-in's regularization for either edge: the
+// request's override, else the model's training λ (scaled by |Ω| under the
+// weighted convention), else the edge's configured fallback.
+func foldInLambda(req *FoldInRequest, trained float32, weighted bool, fallback float32) float32 {
+	switch {
+	case req.Lambda > 0:
 		return req.Lambda
+	case trained > 0 && weighted:
+		return trained * float32(len(req.Items))
+	case trained > 0:
+		return trained
 	}
-	if m.Meta.Lambda > 0 {
-		if m.Meta.WeightedLambda {
-			return m.Meta.Lambda * float32(len(req.Items))
-		}
-		return m.Meta.Lambda
+	return fallback
+}
+
+// decodeFoldIn reads a /v1/foldin body for either edge and applies the
+// request-level rules: at least one and at most maxItems ratings, n
+// defaulted to 10 and capped at maxN. The per-rating rules (equal lengths,
+// range, duplicates, finiteness) are core.CheckFoldIn's. On failure it has
+// answered and returns false.
+func decodeFoldIn(w http.ResponseWriter, r *http.Request, maxItems, maxN int, req *FoldInRequest) bool {
+	if !decodeJSON(w, r, foldInBodyLimit(maxItems), req) {
+		return false
 	}
-	return s.cfg.Lambda
+	if req.N <= 0 {
+		req.N = 10
+	}
+	msg := ""
+	switch {
+	case len(req.Items) == 0:
+		msg = "need at least one rating"
+	case len(req.Items) > maxItems:
+		msg = fmt.Sprintf("at most %d ratings per request", maxItems)
+	case req.N > maxN:
+		msg = fmt.Sprintf("n must be in [1,%d]", maxN)
+	}
+	if msg != "" {
+		obs.HTTPError(w, http.StatusBadRequest, msg)
+	}
+	return msg == ""
 }
 
 func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
@@ -390,26 +449,13 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FoldInRequest
-	if !DecodeJSON(w, r, FoldInBodyLimit(s.cfg.MaxFoldInItems), &req) {
+	if !decodeFoldIn(w, r, s.cfg.MaxFoldInItems, s.cfg.MaxN, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		obs.HTTPError(w, http.StatusBadRequest, "need at least one rating")
-		return
-	}
-	if len(req.Items) > s.cfg.MaxFoldInItems {
-		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("at most %d ratings per request", s.cfg.MaxFoldInItems))
-		return
-	}
-	if req.N <= 0 {
-		req.N = 10
-	}
-	if req.N > s.cfg.MaxN {
-		obs.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("n must be in [1,%d]", s.cfg.MaxN))
-		return
-	}
+	meta := sn.Model.Meta
 	_, fspan := rtrace.StartChild(r.Context(), "foldin.solve")
-	xu, err := sn.Model.FoldInUser(req.Items, req.Ratings, s.foldInLambda(sn.Model, &req))
+	xu, err := sn.Model.FoldInUser(req.Items, req.Ratings,
+		foldInLambda(&req, meta.Lambda, meta.WeightedLambda, s.cfg.Lambda))
 	fspan.End()
 	if err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, err.Error())
@@ -436,17 +482,17 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, FoldInResponse{Version: sn.Version, Seq: sn.Seq, Items: recItems(sn.Model, scored, 0)})
 }
 
-// SwapRequest is the /admin/swap payload: file paths on the server host, as
+// swapRequest is the /admin/swap payload: file paths on the server host, as
 // written by alstrain -out.
-type SwapRequest struct {
+type swapRequest struct {
 	Model    string `json:"model"`
 	Ratings  string `json:"ratings"`
 	OneBased *bool  `json:"one_based"` // default true
 	Version  string `json:"version"`
 }
 
-// SwapResponse reports the installed snapshot.
-type SwapResponse struct {
+// swapResponse reports the installed snapshot (for a shard, its slice).
+type swapResponse struct {
 	Version string `json:"version"`
 	Seq     uint64 `json:"seq"`
 	Users   int    `json:"users"`
@@ -454,29 +500,35 @@ type SwapResponse struct {
 	K       int    `json:"k"`
 }
 
-func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	var req SwapRequest
-	if !DecodeJSON(w, r, SmallBodyLimit, &req) {
-		return
+// swapHandler is the /admin/swap handler of the server and of a shard
+// replica: install is Server.Swap, or Replica.Swap — which slices the loaded
+// model to the shard's range first, so an operator can push one model path to
+// the whole fleet.
+func swapHandler(install func(*core.Model, *sparse.CSR, string) *Snapshot) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req swapRequest
+		if !decodeJSON(w, r, smallBodyLimit, &req) {
+			return
+		}
+		if req.Model == "" {
+			obs.HTTPError(w, http.StatusBadRequest, "need model path")
+			return
+		}
+		oneBased := true
+		if req.OneBased != nil {
+			oneBased = *req.OneBased
+		}
+		m, rated, err := LoadSnapshotFiles(req.Model, req.Ratings, oneBased)
+		if err != nil {
+			obs.HTTPError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		_, span := rtrace.StartChild(r.Context(), "swap.install")
+		sn := install(m, rated, req.Version)
+		span.End()
+		obs.WriteJSON(w, swapResponse{Version: sn.Version, Seq: sn.Seq,
+			Users: sn.Model.X.Rows, Items: sn.Model.Y.Rows, K: sn.Model.K})
 	}
-	if req.Model == "" {
-		obs.HTTPError(w, http.StatusBadRequest, "need model path")
-		return
-	}
-	oneBased := true
-	if req.OneBased != nil {
-		oneBased = *req.OneBased
-	}
-	m, rated, err := LoadSnapshotFiles(req.Model, req.Ratings, oneBased)
-	if err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	_, span := rtrace.StartChild(r.Context(), "swap.install")
-	sn := s.Swap(m, rated, req.Version)
-	span.End()
-	obs.WriteJSON(w, SwapResponse{Version: sn.Version, Seq: sn.Seq,
-		Users: m.X.Rows, Items: m.Y.Rows, K: m.K})
 }
 
 // ModelResponse answers /v1/model (load generators use it for discovery).
@@ -521,7 +573,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.tel.WriteMetrics(w)
+// metricsHandler serves a registry in the Prometheus text format.
+func metricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		reg.WritePrometheus(w)
+	}
+}
+
+// probeHandler answers a health endpoint: "ok", or 503 with check's error.
+func probeHandler(check func() error) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		if err := check(); err != nil {
+			obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
+			return
+		}
+		w.Write([]byte("ok\n"))
+	}
 }

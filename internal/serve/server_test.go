@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,18 +302,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestSwapEndpointAndVersioning(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.bin")
 	m := linearModel(1, 3, 8, 2)
 	m.Meta = core.Meta{Version: "meta-v", Lambda: 0.1}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := saveModel(t, m)
 
 	s, ts := newTestServer(t, Config{Workers: 1})
 	s.Swap(linearModel(1, 3, 8, 2), nil, "") // unversioned: becomes v1
@@ -328,8 +317,8 @@ func TestSwapEndpointAndVersioning(t *testing.T) {
 		t.Fatal("cache not warmed")
 	}
 
-	var resp SwapResponse
-	if code := postJSON(t, ts.URL+"/admin/swap", SwapRequest{Model: path}, &resp); code != 200 {
+	var resp swapResponse
+	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{Model: path}, &resp); code != 200 {
 		t.Fatalf("swap status %d", code)
 	}
 	if resp.Version != "meta-v" || resp.Seq != 2 || resp.Users != 3 || resp.Items != 8 {
@@ -344,10 +333,10 @@ func TestSwapEndpointAndVersioning(t *testing.T) {
 		t.Fatalf("model info = %+v", mi)
 	}
 
-	if code := postJSON(t, ts.URL+"/admin/swap", SwapRequest{Model: filepath.Join(dir, "missing.bin")}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{Model: path + ".missing"}, nil); code != 400 {
 		t.Fatalf("missing model file swap = %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/admin/swap", SwapRequest{}, nil); code != 400 {
+	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{}, nil); code != 400 {
 		t.Fatalf("empty swap = %d", code)
 	}
 }
@@ -458,8 +447,8 @@ func TestRequestBodyLimits(t *testing.T) {
 		limit              int64
 		atLimit            int // status for a body of exactly limit bytes
 	}{
-		{"foldin", "/v1/foldin", `{"items":[1],"ratings":[5]`, FoldInBodyLimit(4), 200},
-		{"swap", "/admin/swap", `{"model":""`, SmallBodyLimit, 400},
+		{"foldin", "/v1/foldin", `{"items":[1],"ratings":[5]`, foldInBodyLimit(4), 200},
+		{"swap", "/admin/swap", `{"model":""`, smallBodyLimit, 400},
 	}
 	for _, c := range cases {
 		for _, over := range []int64{0, 1} {

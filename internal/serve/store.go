@@ -74,13 +74,13 @@ func (s *Store) Precision() quant.Precision { return quant.Precision(s.prec.Load
 // Swap atomically installs a new model. An empty version falls back to the
 // model's own Meta.Version, then to "v<seq>".
 func (s *Store) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.SwapShard(m, rated, version, 0, 0)
+	return s.swapShard(m, rated, version, 0, 0)
 }
 
-// SwapShard installs a sharded model view: m.Y holds the slice of a
+// swapShard installs a sharded model view: m.Y holds the slice of a
 // total-item catalog starting at global index offset. total == 0 installs
 // an ordinary full-catalog snapshot.
-func (s *Store) SwapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
+func (s *Store) swapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
 	seq := s.seq.Add(1)
 	if version == "" {
 		version = m.Meta.Version

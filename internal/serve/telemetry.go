@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -149,7 +148,9 @@ func (t *Telemetry) AttachServer(current func() *Snapshot, cache *Cache) {
 }
 
 // Registry exposes the underlying metric registry so embedders can serve it
-// from an obs.DebugServer or add process-level collectors.
+// from an obs.DebugServer or add process-level collectors. Collector-backed
+// families (model identity, cache stats, freshness) read the live state at
+// scrape time.
 func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
 // Observe records one finished request. The status-code label is shared by
@@ -205,10 +206,3 @@ func (t *Telemetry) SwapRejected() { t.swapRejected.Inc() }
 
 // SwapRejectedCount reads the rejection counter (tests and embedders).
 func (t *Telemetry) SwapRejectedCount() uint64 { return uint64(t.swapRejected.Value()) }
-
-// WriteMetrics renders the Prometheus exposition text; collector-backed
-// families (model identity, cache stats, freshness) read the live state at
-// scrape time.
-func (t *Telemetry) WriteMetrics(w io.Writer) error {
-	return t.reg.WritePrometheus(w)
-}

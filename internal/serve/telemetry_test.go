@@ -11,7 +11,7 @@ import (
 func renderTel(t *testing.T, tel *Telemetry) string {
 	t.Helper()
 	var b strings.Builder
-	if err := tel.WriteMetrics(&b); err != nil {
+	if err := tel.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

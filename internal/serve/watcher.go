@@ -180,7 +180,7 @@ func (w *Watcher) Poll() (bool, error) {
 		if w.cfg.Transform != nil {
 			model, offset, total = w.cfg.Transform(model)
 		}
-		sn := w.srv.SwapShard(model, rated, "", offset, total)
+		sn := w.srv.swapShard(model, rated, "", offset, total)
 		w.srv.Telemetry().SwapInstalled(w.cfg.Clock.Now())
 		w.installed = c.iter
 		if w.cfg.OnSwap != nil {

@@ -65,9 +65,9 @@ func ratedSet(users, items int, rated ...int) *sparse.CSR {
 // fleet is a scatter-gather test deployment: N shard replicas behind one
 // frontend, plus a full-catalog reference server with the same model.
 type fleet struct {
-	front    *Frontend
+	front    *serve.Frontend
 	frontTS  *httptest.Server
-	replicas []*Replica
+	replicas []*serve.Replica
 	servers  []*serve.Server
 	shardTS  []*httptest.Server
 	full     *serve.Server
@@ -88,7 +88,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 	for i := 0; i < shards; i++ {
 		srv := serve.New(serve.Config{})
 		srv.SetPrecision(prec)
-		rep, err := NewReplica(srv, ReplicaConfig{Index: i, Count: shards})
+		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 		f.shardTS = append(f.shardTS, ts)
 		urls[i] = ts.URL
 	}
-	front, err := NewFrontend(FrontendConfig{Shards: urls, ShardTimeout: 5 * time.Second})
+	front, err := serve.NewFrontend(serve.FrontendConfig{Shards: urls, ShardTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +115,14 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 	f.fullTS = httptest.NewServer(f.full.Handler())
 	t.Cleanup(func() { f.fullTS.Close(); f.full.Close() })
 	return f
+}
+
+// frontAnswer decodes the frontend's /v1/recommend and /v1/foldin answers:
+// the standard items plus the scatter-gather outcome.
+type frontAnswer struct {
+	Items    []serve.RecItem `json:"items"`
+	Partial  bool            `json:"partial"`
+	ShardsOK int             `json:"shards_ok"`
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -184,7 +192,7 @@ func TestScatterGatherMergeIdentical(t *testing.T) {
 					if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.fullTS.URL, user, n), &want); code != 200 {
 						t.Fatalf("full server: HTTP %d", code)
 					}
-					var got RecommendResponse
+					var got frontAnswer
 					if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.frontTS.URL, user, n), &got); code != 200 {
 						t.Fatalf("frontend: HTTP %d", code)
 					}
@@ -220,7 +228,7 @@ func TestScatterGatherQuantizedMergeIdentical(t *testing.T) {
 		for _, shards := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("%v/shards=%d", prec, shards), func(t *testing.T) {
 				f := newFleetPrec(t, m, rated, shards, prec)
-				var info InfoResponse
+				var info struct{ Precision string }
 				if code := getJSON(t, f.shardTS[0].URL+"/shard/v1/info", &info); code != 200 {
 					t.Fatalf("/shard/v1/info: HTTP %d", code)
 				}
@@ -233,7 +241,7 @@ func TestScatterGatherQuantizedMergeIdentical(t *testing.T) {
 						if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.fullTS.URL, user, n), &want); code != 200 {
 							t.Fatalf("full server: HTTP %d", code)
 						}
-						var got RecommendResponse
+						var got frontAnswer
 						if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.frontTS.URL, user, n), &got); code != 200 {
 							t.Fatalf("frontend: HTTP %d", code)
 						}
@@ -264,7 +272,7 @@ func TestFoldInAcrossShards(t *testing.T) {
 	if code := postJSON(t, f.fullTS.URL+"/v1/foldin", req, &want); code != 200 {
 		t.Fatalf("full server fold-in: HTTP %d", code)
 	}
-	var got FoldInResponse
+	var got frontAnswer
 	if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, &got); code != 200 {
 		t.Fatalf("frontend fold-in: HTTP %d", code)
 	}
@@ -302,7 +310,7 @@ func TestFoldInPurgesAllShards(t *testing.T) {
 	const user = int64(501)
 
 	// Warm every shard's LRU through the frontend.
-	var warm RecommendResponse
+	var warm frontAnswer
 	if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", f.frontTS.URL, user), &warm); code != 200 {
 		t.Fatalf("warming: HTTP %d", code)
 	}
@@ -329,7 +337,7 @@ func TestFoldInPurgesAllShards(t *testing.T) {
 
 var partialCounterRe = regexp.MustCompile(`(?m)^als_shard_partial_total (\d+)`)
 
-func partialCount(t *testing.T, f *Frontend) int {
+func partialCount(t *testing.T, f *serve.Frontend) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := f.Registry().WritePrometheus(&buf); err != nil {
@@ -358,7 +366,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	// Shard 0 lives on a plain httptest server; shard 1 on a hand-rolled
 	// listener so it can be killed and restarted on the same address.
 	srv0 := serve.New(serve.Config{})
-	rep0, err := NewReplica(srv0, ReplicaConfig{Index: 0, Count: 2})
+	rep0, err := serve.NewReplica(srv0, serve.ReplicaConfig{Index: 0, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +376,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	defer srv0.Close()
 
 	srv1 := serve.New(serve.Config{})
-	rep1, err := NewReplica(srv1, ReplicaConfig{Index: 1, Count: 2})
+	rep1, err := serve.NewReplica(srv1, serve.ReplicaConfig{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +390,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	hs1 := &http.Server{Handler: rep1.Handler()}
 	go hs1.Serve(lis)
 
-	front, err := NewFrontend(FrontendConfig{
+	front, err := serve.NewFrontend(serve.FrontendConfig{
 		Shards:       []string{ts0.URL, "http://" + addr},
 		ShardTimeout: 2 * time.Second,
 	})
@@ -396,7 +404,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	fts := httptest.NewServer(front.Handler())
 	defer fts.Close()
 
-	var full RecommendResponse
+	var full frontAnswer
 	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &full); code != 200 {
 		t.Fatalf("healthy request: HTTP %d", code)
 	}
@@ -406,7 +414,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 
 	// Kill shard 1.
 	hs1.Close()
-	var degraded RecommendResponse
+	var degraded frontAnswer
 	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &degraded); code != 200 {
 		t.Fatalf("degraded request: HTTP %d", code)
 	}
@@ -441,7 +449,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	if code := getJSON(t, fts.URL+"/readyz", nil); code != 200 {
 		t.Fatalf("recovered /readyz: HTTP %d, want 200", code)
 	}
-	var recovered RecommendResponse
+	var recovered frontAnswer
 	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &recovered); code != 200 {
 		t.Fatalf("recovered request: HTTP %d", code)
 	}
@@ -458,7 +466,12 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 func TestRequestBodyLimits(t *testing.T) {
 	const items, k = 30, 2
 	f := newFleet(t, tieModel(2, items, k), nil, 2)
-	catalog := serve.FoldInBodyLimit(items) + 32*k // catalogBodyLimit of either replica
+	// serve's limits, spelled out: a fold-in of n ratings may take 1 KiB + 48n
+	// bytes, a replica's fold-in hops that for the whole catalog plus 32 bytes
+	// per factor component, and bodies of a few scalars 64 KiB.
+	foldIn := func(n int) int64 { return 1<<10 + 48*int64(n) }
+	const small = 64 << 10
+	catalog := foldIn(items) + 32*k
 	cases := []struct {
 		name, url, prefix string
 		limit             int64
@@ -466,9 +479,9 @@ func TestRequestBodyLimits(t *testing.T) {
 	}{
 		{"partials", f.shardTS[0].URL + "/shard/v1/partials", `{"items":[1],"ratings":[5]`, catalog, 200},
 		{"score", f.shardTS[1].URL + "/shard/v1/score", `{"x":[1,0],"n":3`, catalog, 200},
-		{"purge", f.shardTS[0].URL + "/shard/v1/purge", `{"user":500`, serve.SmallBodyLimit, 200},
-		{"replica swap", f.shardTS[0].URL + "/admin/swap", `{"model":""`, serve.SmallBodyLimit, 400},
-		{"frontend foldin", f.frontTS.URL + "/v1/foldin", `{"items":[1],"ratings":[5]`, serve.FoldInBodyLimit(10000), 200},
+		{"purge", f.shardTS[0].URL + "/shard/v1/purge", `{"user":500`, small, 200},
+		{"replica swap", f.shardTS[0].URL + "/admin/swap", `{"model":""`, small, 400},
+		{"frontend foldin", f.frontTS.URL + "/v1/foldin", `{"items":[1],"ratings":[5]`, foldIn(10000), 200},
 	}
 	for _, c := range cases {
 		for _, over := range []int64{0, 1} {

@@ -24,7 +24,7 @@ func TestFrontendRetriesFlakyShard(t *testing.T) {
 	urls := make([]string, 2)
 	for i := 0; i < 2; i++ {
 		srv := serve.New(serve.Config{})
-		rep, err := NewReplica(srv, ReplicaConfig{Index: i, Count: 2})
+		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestFrontendRetriesFlakyShard(t *testing.T) {
 		urls[i] = ts.URL
 	}
 
-	front, err := NewFrontend(FrontendConfig{
+	front, err := serve.NewFrontend(serve.FrontendConfig{
 		Shards: urls, ShardTimeout: 5 * time.Second, RetryBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -57,7 +57,7 @@ func TestFrontendRetriesFlakyShard(t *testing.T) {
 	fts := httptest.NewServer(front.Handler())
 	t.Cleanup(fts.Close)
 
-	var resp RecommendResponse
+	var resp frontAnswer
 	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=5", &resp); code != http.StatusOK {
 		t.Fatalf("recommend: HTTP %d", code)
 	}
@@ -95,7 +95,7 @@ func TestFrontendRetriesFlakyShard(t *testing.T) {
 func TestFrontendRejectionNotRetried(t *testing.T) {
 	m := tieModel(4, 40, 2)
 	f := newFleet(t, m, ratedSet(4, 40), 2)
-	var resp RecommendResponse
+	var resp frontAnswer
 	if code := getJSON(t, f.frontTS.URL+"/v1/recommend?user=99&n=5", &resp); code != http.StatusNotFound {
 		t.Fatalf("unknown user: HTTP %d, want 404", code)
 	}

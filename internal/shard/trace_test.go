@@ -130,14 +130,14 @@ func TestTrainerTraceSpans(t *testing.T) {
 // frontend publishes to (in production each process has its own tracer and
 // the traces are joined by ID in the UI; sharing one here lets the test see
 // the whole stitched tree).
-func tracedFleet(t *testing.T, tr *rtrace.Tracer) *Frontend {
+func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
 	t.Helper()
 	const shards = 2
 	m := tieModel(5, 23, 3)
 	urls := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		srv := serve.New(serve.Config{Tracer: tr})
-		rep, err := NewReplica(srv, ReplicaConfig{Index: i, Count: shards})
+		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func tracedFleet(t *testing.T, tr *rtrace.Tracer) *Frontend {
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		urls[i] = ts.URL
 	}
-	front, err := NewFrontend(FrontendConfig{
+	front, err := serve.NewFrontend(serve.FrontendConfig{
 		Shards: urls, ShardTimeout: 5 * time.Second, Tracer: tr,
 	})
 	if err != nil {

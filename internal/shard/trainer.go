@@ -430,6 +430,13 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	return model, info, nil
 }
 
+// Range returns the half-open row range [lo, hi) that rank i of `of` owns
+// out of total rows: a static partition, so the coordinator and every
+// worker agree on ownership without coordination.
+func Range(total, i, of int) (lo, hi int) {
+	return i * total / of, (i + 1) * total / of
+}
+
 // RunWorker connects to a coordinator, identifies as rank, and serves one
 // worker's share of a distributed training run: load the dataset the
 // config frame describes, then per half-iteration solve the static row

@@ -30,12 +30,12 @@ func TestWatcherShardSync(t *testing.T) {
 	m1 := tieModel(users, items, k)
 	save(1, m1)
 
-	var reps []*Replica
+	var servers []*serve.Server
 	var watchers []*serve.Watcher
 	for i := 0; i < shards; i++ {
 		srv := serve.New(serve.Config{})
 		t.Cleanup(srv.Close)
-		rep, err := NewReplica(srv, ReplicaConfig{Index: i, Count: shards})
+		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,12 +45,12 @@ func TestWatcherShardSync(t *testing.T) {
 		if swapped, err := w.Poll(); err != nil || !swapped {
 			t.Fatalf("shard %d: initial poll swapped=%v err=%v", i, swapped, err)
 		}
-		reps = append(reps, rep)
+		servers = append(servers, srv)
 		watchers = append(watchers, w)
 	}
 
-	for i, rep := range reps {
-		sn := rep.Server().Current()
+	for i, srv := range servers {
+		sn := srv.Current()
 		lo, hi := Range(items, i, shards)
 		if sn.ItemOffset != lo || sn.ItemTotal != items || sn.Model.Y.Rows != hi-lo {
 			t.Fatalf("shard %d installed offset=%d total=%d rows=%d, want offset=%d total=%d rows=%d",
@@ -77,7 +77,7 @@ func TestWatcherShardSync(t *testing.T) {
 		if swapped, err := w.Poll(); err != nil || !swapped {
 			t.Fatalf("shard %d: second poll swapped=%v err=%v", i, swapped, err)
 		}
-		sn := reps[i].Server().Current()
+		sn := servers[i].Current()
 		lo, _ := Range(items, i, shards)
 		if sn.Version != "ckpt-2" {
 			t.Fatalf("shard %d version = %q after new checkpoint", i, sn.Version)
