@@ -19,26 +19,36 @@ test-short:
 # The full gate: formatting, static checks, the package boundary between the
 # serving fleet and the BSP trainer (internal/serve must not depend on
 # internal/shard; of internal/shard's non-test files only serving.go, the
-# aliases bench/ still imports, may import internal/serve or net/http), build,
+# aliases bench/ still imports, may import internal/serve or net/http), the
+# one-codec rule (outside bench/ only tests may call encoding/binary's
+# reflection codec, binary.Write / binary.Read — they keep it as the oracle
+# internal/lebin's streaming methods are pinned against; everything that
+# lays bytes out goes through internal/lebin), build,
 # the race-enabled short test suite (includes the serving layer's hot-swap
 # stress test), a full race pass over the concurrency-heavy packages (worker
 # pool, hot-swap, checkpoint watcher, the fleet's replicas and frontend
 # fan-out — these exercise goroutines the -short lane trims; the fleet tests
 # still filed under internal/shard run here by name —
-# internal/quant, whose ranked matrix every request reads concurrently,
+# internal/lebin, whose writer a worker's heartbeat goroutine and its
+# training loop share under the wire mutex, internal/quant, whose ranked
+# matrix every request reads concurrently,
 # internal/metrics, whose Sink and float32 range scan every request
 # goes through, and internal/rtrace with internal/obs: the training loop
 # ends spans on its own goroutine while /debug/traces and /metrics read
 # from the debug server's; no lane runs fuzzing, so the seed corpora of
 # FuzzRankedMatchesFullScan, FuzzDot4I8MatchesPortable and
 # FuzzScanF32MatchesReference run here and in the -short pass as ordinary
-# tests, and FuzzApplyMatchesPortable's in the -short pass), the three lanes
+# tests, FuzzRequestDecoders' here and in the -short pass with
+# internal/serve, and FuzzApplyMatchesPortable's in the -short pass), the
+# three lanes
 # that keep the assembly kernels' other binding alive on an amd64 box — the
 # int8 serving scan's (internal/quant) and the CG matvec's and shared
 # Gram's (internal/linalg): -tags purego compiles and tests the portable
 # bodies with everything that trains or serves through them, quant and
 # implicit smoke lanes included; the arm64 cross-build — offline, from
-# GOROOT — is what a wrong build constraint on the assembly files breaks;
+# GOROOT — is what a wrong build constraint on the assembly files breaks
+# (internal/lebin is vetted there too: every file format and frame is its
+# byte order);
 # and at GOAMD64=v3, where the compiler fuses multiply-adds, linalg's
 # constraint must pick the portable bodies (the identity tests then pass
 # trivially, and a kernel bound there by mistake fails them),
@@ -69,12 +79,16 @@ ci:
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
 		echo "internal/shard is the BSP trainer: only serving.go may import internal/serve or net/http"; exit 1; \
 	fi
+	@codecs=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -lE 'binary\.(Write|Read)\(' || true); \
+	if [ -n "$$codecs" ]; then \
+		echo "binary.Write/binary.Read outside tests (use internal/lebin):"; echo "$$codecs"; exit 1; \
+	fi
 	$(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
+	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/solvers
 	$(GO) test -race -run 'TestScatterGather|TestFoldIn|TestFrontend|TestTimedStatusCodes|TestRequestBodyLimits|TestWatcherShardSync' ./internal/shard
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant && GOARCH=arm64 $(GO) vet ./internal/linalg
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
 	$(MAKE) obs-smoke
 	$(MAKE) chaos-smoke

@@ -17,10 +17,8 @@ package checkpoint
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
@@ -28,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/host"
+	"repro/internal/lebin"
 	"repro/internal/linalg"
 	"repro/internal/quant"
 )
@@ -55,9 +54,6 @@ const (
 const (
 	maxVariantLen = 256
 	maxHistory    = 1 << 16
-	// maxFloats mirrors core.LoadModel's allocation guard: the largest
-	// plausible factor matrix is ~2G floats.
-	maxFloats = int64(1) << 32
 )
 
 // ErrNoCheckpoint is returned by Latest/LoadLatest when the directory
@@ -70,8 +66,6 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 // every decode failure with it so consumers (the serve watcher) can
 // distinguish "reject this file forever" from "retry in a moment".
 var ErrCorrupt = errors.New("checkpoint: corrupt")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // State is everything needed to resume training exactly where it stopped:
 // the factor pair after Iteration completed full ALS iterations, the run's
@@ -207,30 +201,6 @@ func factorSize(rows, cols int, prec quant.Precision) int64 {
 	return 4 * elems
 }
 
-// crcWriter checksums everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// crcReader checksums everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
-	return n, err
-}
-
 // Encode writes st in the on-disk format: a little-endian header (magic,
 // format version, dims, training state), the variant label and history,
 // both factor matrices, and a trailing CRC-32C over every preceding byte.
@@ -239,85 +209,40 @@ func Encode(w io.Writer, st *State) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &crcWriter{w: bw}
-	hdr := []uint64{
-		uint64(Magic), uint64(FormatVersion),
-		uint64(st.K), uint64(st.X.Rows), uint64(st.Y.Rows),
-		uint64(st.Iteration), uint64(st.Seed),
-	}
-	for _, h := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, st.Lambda); err != nil {
-		return err
-	}
-	var weighted uint8
-	if st.WeightedLambda {
-		weighted = 1
-	}
-	if err := binary.Write(cw, binary.LittleEndian, weighted); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint8(st.Precision)); err != nil {
-		return err
-	}
+	lw := lebin.NewWriter(bw)
+	lw.U64(uint64(Magic))
+	lw.U64(uint64(FormatVersion))
+	lw.U64(uint64(st.K))
+	lw.U64(uint64(st.X.Rows))
+	lw.U64(uint64(st.Y.Rows))
+	lw.U64(uint64(st.Iteration))
+	lw.U64(uint64(st.Seed))
+	lw.F32(st.Lambda)
+	lw.Bool(st.WeightedLambda)
+	lw.U8(uint8(st.Precision))
 	// Format v3 training-mode block.
-	var implicit uint8
-	if st.Implicit {
-		implicit = 1
-	}
-	if err := binary.Write(cw, binary.LittleEndian, implicit); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, st.Alpha); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint8(st.Solver)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(st.CGIters)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(st.BlockSize)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(len(st.Variant))); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte(st.Variant)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(st.History))); err != nil {
-		return err
-	}
+	lw.Bool(st.Implicit)
+	lw.F32(st.Alpha)
+	lw.U8(uint8(st.Solver))
+	lw.U16(uint16(st.CGIters))
+	lw.U16(uint16(st.BlockSize))
+	lw.U16(uint16(len(st.Variant)))
+	lw.Bytes([]byte(st.Variant))
+	lw.U32(uint32(len(st.History)))
 	for _, h := range st.History {
-		var half uint8
-		if h.Half == "Y" {
-			half = 1
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(h.Iteration)); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, half); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(h.Loss)); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, uint64(h.Elapsed)); err != nil {
-			return err
-		}
+		lw.U32(uint32(h.Iteration))
+		lw.Bool(h.Half == "Y")
+		lw.U64(math.Float64bits(h.Loss))
+		lw.U64(uint64(h.Elapsed))
 	}
-	if err := writeFactor(cw, st.X, st.QX, st.Precision); err != nil {
+	if err := writeFactor(lw, st.X, st.QX, st.Precision); err != nil {
 		return err
 	}
-	if err := writeFactor(cw, st.Y, st.QY, st.Precision); err != nil {
+	if err := writeFactor(lw, st.Y, st.QY, st.Precision); err != nil {
 		return err
 	}
-	// The trailer is written outside the CRC writer.
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
+	lw.U32(lw.Sum32())
+	if err := lw.Err(); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -328,10 +253,12 @@ func Encode(w io.Writer, st *State) error {
 // quantized precision the section is max-abs-error (float64 bits), the
 // per-row scales, then the packed payload; an already-quantized matrix of
 // matching shape is written verbatim (so decode→encode round trips are
-// byte-stable), otherwise the float32 factors are quantized here.
-func writeFactor(cw *crcWriter, d *linalg.Dense, q *quant.Matrix, prec quant.Precision) error {
+// byte-stable), otherwise the float32 factors are quantized here. Write
+// errors stay with lw; the error returned is the quantizer's.
+func writeFactor(lw *lebin.Writer, d *linalg.Dense, q *quant.Matrix, prec quant.Precision) error {
 	if prec == quant.F32 {
-		return binary.Write(cw, binary.LittleEndian, d.Data)
+		lw.F32s(d.Data)
+		return nil
 	}
 	if q == nil || q.Prec != prec || q.Rows != d.Rows || q.Cols != d.Cols {
 		var err error
@@ -339,45 +266,36 @@ func writeFactor(cw *crcWriter, d *linalg.Dense, q *quant.Matrix, prec quant.Pre
 			return err
 		}
 	}
-	if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(q.MaxAbsErr)); err != nil {
-		return err
+	lw.U64(math.Float64bits(q.MaxAbsErr))
+	lw.F32s(q.Scales)
+	if prec == quant.F16 {
+		lw.U16s(q.F16)
+	} else {
+		lw.I8s(q.I8)
 	}
-	if err := binary.Write(cw, binary.LittleEndian, q.Scales); err != nil {
-		return err
-	}
-	switch prec {
-	case quant.F16:
-		return binary.Write(cw, binary.LittleEndian, q.F16)
-	default:
-		return binary.Write(cw, binary.LittleEndian, q.I8)
-	}
+	return nil
 }
 
 // readFactor reads one factor section at the given precision, returning
 // the float32 matrix (dequantized if needed) and, for quantized sections,
 // the compact form.
-func readFactor(cr *crcReader, rows, cols int, prec quant.Precision) (*linalg.Dense, *quant.Matrix, error) {
+func readFactor(lr *lebin.Reader, rows, cols int, prec quant.Precision) (*linalg.Dense, *quant.Matrix, error) {
 	if prec == quant.F32 {
 		d := linalg.NewDense(rows, cols)
-		if err := binary.Read(cr, binary.LittleEndian, &d.Data); err != nil {
-			return nil, nil, err
-		}
-		return d, nil, nil
-	}
-	var errBits uint64
-	if err := binary.Read(cr, binary.LittleEndian, &errBits); err != nil {
-		return nil, nil, err
+		lr.F32s(d.Data)
+		return d, nil, lr.Err()
 	}
 	q := &quant.Matrix{
 		Prec: prec, Rows: rows, Cols: cols,
 		Scales:    make([]float32, rows),
-		MaxAbsErr: math.Float64frombits(errBits),
+		MaxAbsErr: math.Float64frombits(lr.U64()),
+	}
+	lr.F32s(q.Scales)
+	if err := lr.Err(); err != nil {
+		return nil, nil, err
 	}
 	if math.IsNaN(q.MaxAbsErr) || q.MaxAbsErr < 0 {
 		return nil, nil, fmt.Errorf("invalid max-abs-error %v", q.MaxAbsErr)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &q.Scales); err != nil {
-		return nil, nil, err
 	}
 	for r, s := range q.Scales {
 		// A negative or non-finite scale cannot come from EncodeDense and
@@ -387,16 +305,14 @@ func readFactor(cr *crcReader, rows, cols int, prec quant.Precision) (*linalg.De
 			return nil, nil, fmt.Errorf("invalid row scale %v at row %d", s, r)
 		}
 	}
-	var err error
-	switch prec {
-	case quant.F16:
+	if prec == quant.F16 {
 		q.F16 = make([]uint16, rows*cols)
-		err = binary.Read(cr, binary.LittleEndian, &q.F16)
-	default:
+		lr.U16s(q.F16)
+	} else {
 		q.I8 = make([]int8, rows*cols)
-		err = binary.Read(cr, binary.LittleEndian, &q.I8)
+		lr.I8s(q.I8)
 	}
-	if err != nil {
+	if err := lr.Err(); err != nil {
 		return nil, nil, err
 	}
 	return q.Decode(), q, nil
@@ -407,12 +323,13 @@ func readFactor(cr *crcReader, rows, cols int, prec quant.Precision) (*linalg.De
 // never allocates unboundedly — on arbitrary corrupt input (the fuzz test
 // holds it to that).
 func Decode(r io.Reader) (*State, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20)}
+	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
 	var hdr [7]uint64
 	for i := range hdr {
-		if err := binary.Read(cr, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading header: %w", err)
-		}
+		hdr[i] = lr.U64()
+	}
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading header: %w", err)
 	}
 	if uint32(hdr[0]) != Magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %#x", hdr[0])
@@ -423,10 +340,7 @@ func Decode(r io.Reader) (*State, error) {
 			version, formatV1, FormatVersion)
 	}
 	k, m, n := int64(hdr[2]), int64(hdr[3]), int64(hdr[4])
-	// Division, not multiplication: m*k on attacker-controlled dims can
-	// overflow int64 and wrap past the bound (the fuzzer found exactly
-	// that).
-	if k <= 0 || m < 0 || n < 0 || k > 1<<20 || m > maxFloats/k || n > maxFloats/k {
+	if !lebin.SlabFits(m, k) || !lebin.SlabFits(n, k) {
 		return nil, fmt.Errorf("checkpoint: implausible dims k=%d m=%d n=%d", k, m, n)
 	}
 	if hdr[5] > 1<<32 {
@@ -437,74 +351,52 @@ func Decode(r io.Reader) (*State, error) {
 		Iteration: int(hdr[5]),
 		Seed:      int64(hdr[6]),
 	}
-	if err := binary.Read(cr, binary.LittleEndian, &st.Lambda); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading lambda: %w", err)
+	// Lambda, the per-version fields and the two lengths are read as one
+	// block: past a read error every value is zero, and zero passes every
+	// check below, so the error is looked at first.
+	st.Lambda = lr.F32()
+	weighted := lr.U8()
+	var implicit uint8
+	if version >= formatV2 {
+		st.Precision = quant.Precision(lr.U8())
 	}
-	var weighted uint8
-	if err := binary.Read(cr, binary.LittleEndian, &weighted); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading lambda convention: %w", err)
+	if version >= FormatVersion {
+		implicit = lr.U8()
+		st.Alpha = lr.F32()
+		st.Solver = host.Solver(lr.U8())
+		st.CGIters = int(lr.U16())
+		st.BlockSize = int(lr.U16())
+	}
+	vlen := lr.U16()
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading training state: %w", err)
 	}
 	if weighted > 1 {
 		return nil, fmt.Errorf("checkpoint: invalid lambda convention %d", weighted)
 	}
 	st.WeightedLambda = weighted == 1
-	if version >= formatV2 {
-		var prec uint8
-		if err := binary.Read(cr, binary.LittleEndian, &prec); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading precision: %w", err)
-		}
-		st.Precision = quant.Precision(prec)
-		if !st.Precision.Valid() {
-			return nil, fmt.Errorf("checkpoint: invalid precision %d", prec)
-		}
+	if !st.Precision.Valid() {
+		return nil, fmt.Errorf("checkpoint: invalid precision %d", st.Precision)
 	}
-	if version >= FormatVersion {
-		var implicit, solver uint8
-		var cgIters, blockSize uint16
-		if err := binary.Read(cr, binary.LittleEndian, &implicit); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading mode: %w", err)
-		}
-		if implicit > 1 {
-			return nil, fmt.Errorf("checkpoint: invalid mode %d", implicit)
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &st.Alpha); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading alpha: %w", err)
-		}
-		if math.IsNaN(float64(st.Alpha)) || math.IsInf(float64(st.Alpha), 0) || st.Alpha < 0 {
-			return nil, fmt.Errorf("checkpoint: invalid alpha %v", st.Alpha)
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &solver); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading solver: %w", err)
-		}
-		if host.Solver(solver) > host.SolverCG {
-			return nil, fmt.Errorf("checkpoint: unknown solver %d", solver)
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &cgIters); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading CG iterations: %w", err)
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &blockSize); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading block size: %w", err)
-		}
-		st.Implicit = implicit == 1
-		st.Solver = host.Solver(solver)
-		st.CGIters = int(cgIters)
-		st.BlockSize = int(blockSize)
+	if implicit > 1 {
+		return nil, fmt.Errorf("checkpoint: invalid mode %d", implicit)
 	}
-	var vlen uint16
-	if err := binary.Read(cr, binary.LittleEndian, &vlen); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading variant length: %w", err)
+	st.Implicit = implicit == 1
+	if math.IsNaN(float64(st.Alpha)) || math.IsInf(float64(st.Alpha), 0) || st.Alpha < 0 {
+		return nil, fmt.Errorf("checkpoint: invalid alpha %v", st.Alpha)
+	}
+	if st.Solver > host.SolverCG {
+		return nil, fmt.Errorf("checkpoint: unknown solver %d", st.Solver)
 	}
 	if vlen > maxVariantLen {
 		return nil, fmt.Errorf("checkpoint: implausible variant length %d", vlen)
 	}
 	vbuf := make([]byte, vlen)
-	if _, err := io.ReadFull(cr, vbuf); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading variant: %w", err)
-	}
+	lr.Bytes(vbuf)
 	st.Variant = string(vbuf)
-	var histLen uint32
-	if err := binary.Read(cr, binary.LittleEndian, &histLen); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading history length: %w", err)
+	histLen := lr.U32()
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading variant: %w", err)
 	}
 	if histLen > maxHistory {
 		return nil, fmt.Errorf("checkpoint: implausible history length %d", histLen)
@@ -512,44 +404,33 @@ func Decode(r io.Reader) (*State, error) {
 	if histLen > 0 {
 		st.History = make([]host.IterStats, histLen)
 		for i := range st.History {
-			var it uint32
-			var half uint8
-			var loss, elapsed uint64
-			if err := binary.Read(cr, binary.LittleEndian, &it); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading history: %w", err)
-			}
-			if err := binary.Read(cr, binary.LittleEndian, &half); err != nil {
+			h := &st.History[i]
+			h.Iteration = int(lr.U32())
+			half := lr.U8()
+			h.Loss = math.Float64frombits(lr.U64())
+			h.Elapsed = time.Duration(lr.U64())
+			if err := lr.Err(); err != nil {
 				return nil, fmt.Errorf("checkpoint: reading history: %w", err)
 			}
 			if half > 1 {
 				return nil, fmt.Errorf("checkpoint: invalid history half %d", half)
 			}
-			if err := binary.Read(cr, binary.LittleEndian, &loss); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading history: %w", err)
-			}
-			if err := binary.Read(cr, binary.LittleEndian, &elapsed); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading history: %w", err)
-			}
-			h := &st.History[i]
-			h.Iteration = int(it)
 			h.Half = "X"
 			if half == 1 {
 				h.Half = "Y"
 			}
-			h.Loss = math.Float64frombits(loss)
-			h.Elapsed = time.Duration(elapsed)
 		}
 	}
 	var ferr error
-	if st.X, st.QX, ferr = readFactor(cr, int(m), int(k), st.Precision); ferr != nil {
+	if st.X, st.QX, ferr = readFactor(lr, int(m), int(k), st.Precision); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading X: %w", ferr)
 	}
-	if st.Y, st.QY, ferr = readFactor(cr, int(n), int(k), st.Precision); ferr != nil {
+	if st.Y, st.QY, ferr = readFactor(lr, int(n), int(k), st.Precision); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading Y: %w", ferr)
 	}
-	sum := cr.crc
-	var stored uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &stored); err != nil {
+	sum := lr.Sum32()
+	stored := lr.U32()
+	if err := lr.Err(); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading checksum: %w", err)
 	}
 	if stored != sum {

@@ -90,7 +90,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	m, n := mx.Rows(), mx.Cols()
 	x := linalg.NewDense(m, cfg.K)
 	y := host.InitialY(n, cfg.K, cfg.Seed)
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	rt := mx.RT()
 
 	res := &Result{X: x, Y: y}
 	for it := 0; it < cfg.Iterations; it++ {

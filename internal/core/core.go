@@ -21,7 +21,6 @@ package core
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +33,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/host"
 	"repro/internal/kernels"
+	"repro/internal/lebin"
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -598,109 +598,84 @@ func (m *Model) Save(w io.Writer) error {
 		flags |= flagHasMeta
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{uint64(modelMagic), uint64(m.K), uint64(m.X.Rows), uint64(m.Y.Rows), flags}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.X.Data); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.Y.Data); err != nil {
-		return err
-	}
+	lw := lebin.NewWriter(bw)
+	lw.U64(uint64(modelMagic))
+	lw.U64(uint64(m.K))
+	lw.U64(uint64(m.X.Rows))
+	lw.U64(uint64(m.Y.Rows))
+	lw.U64(flags)
+	lw.F32s(m.X.Data)
+	lw.F32s(m.Y.Data)
 	if flags&flagHasIDMaps != 0 {
-		if err := binary.Write(bw, binary.LittleEndian, m.UserIDs); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, m.ItemIDs); err != nil {
-			return err
-		}
+		lw.I64s(m.UserIDs)
+		lw.I64s(m.ItemIDs)
 	}
 	if flags&flagHasMeta != 0 {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(m.Meta.Version))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(m.Meta.Version); err != nil {
-			return err
-		}
-		var weighted uint8
-		if m.Meta.WeightedLambda {
-			weighted = 1
-		}
-		if err := binary.Write(bw, binary.LittleEndian, m.Meta.Lambda); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, weighted); err != nil {
-			return err
-		}
+		lw.U64(uint64(len(m.Meta.Version)))
+		lw.Bytes([]byte(m.Meta.Version))
+		lw.F32(m.Meta.Lambda)
+		lw.Bool(m.Meta.WeightedLambda)
+	}
+	if err := lw.Err(); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
 // LoadModel reads a model written by Save.
 func LoadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
 	var hdr [5]uint64
 	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("core: reading model header: %w", err)
-		}
+		hdr[i] = lr.U64()
+	}
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("core: reading model header: %w", err)
 	}
 	if uint32(hdr[0]) != modelMagic {
 		return nil, fmt.Errorf("core: bad model magic %#x", hdr[0])
 	}
 	k, m, n, flags := int(hdr[1]), int(hdr[2]), int(hdr[3]), hdr[4]
-	if k <= 0 || m < 0 || n < 0 {
-		return nil, fmt.Errorf("core: invalid model dims k=%d m=%d n=%d", k, m, n)
-	}
-	// Guard against corrupt headers demanding absurd allocations: the
-	// largest plausible model (full YahooMusic R1 at k=1000) is ~2G floats.
-	// Compare by division — the products can overflow int64 on
-	// attacker-controlled dims and wrap past the bound.
-	const maxFloats = int64(1) << 32
-	if int64(k) > 1<<20 || int64(m) > maxFloats/int64(k) || int64(n) > maxFloats/int64(k) {
+	// A corrupt header must not demand an absurd allocation.
+	if !lebin.SlabFits(int64(m), int64(k)) || !lebin.SlabFits(int64(n), int64(k)) {
 		return nil, fmt.Errorf("core: implausible model dims k=%d m=%d n=%d", k, m, n)
 	}
-	mod := &Model{K: k, X: linalg.NewDense(m, k), Y: linalg.NewDense(n, k)}
-	if err := binary.Read(br, binary.LittleEndian, &mod.X.Data); err != nil {
-		return nil, fmt.Errorf("core: reading X: %w", err)
+	// Sections cannot be skipped, so a flag this reader does not know means
+	// bytes it would misread.
+	if unknown := flags &^ (flagHasIDMaps | flagHasMeta); unknown != 0 {
+		return nil, fmt.Errorf("core: unknown model section flags %#x", unknown)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &mod.Y.Data); err != nil {
-		return nil, fmt.Errorf("core: reading Y: %w", err)
+	mod := &Model{K: k, X: linalg.NewDense(m, k), Y: linalg.NewDense(n, k)}
+	lr.F32s(mod.X.Data)
+	lr.F32s(mod.Y.Data)
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("core: reading factors: %w", err)
 	}
 	if flags&flagHasIDMaps != 0 {
 		mod.UserIDs = make([]int64, m)
 		mod.ItemIDs = make([]int64, n)
-		if err := binary.Read(br, binary.LittleEndian, &mod.UserIDs); err != nil {
-			return nil, fmt.Errorf("core: reading user IDs: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &mod.ItemIDs); err != nil {
-			return nil, fmt.Errorf("core: reading item IDs: %w", err)
+		lr.I64s(mod.UserIDs)
+		lr.I64s(mod.ItemIDs)
+		if err := lr.Err(); err != nil {
+			return nil, fmt.Errorf("core: reading ID tables: %w", err)
 		}
 	}
 	if flags&flagHasMeta != 0 {
-		var vlen uint64
-		if err := binary.Read(br, binary.LittleEndian, &vlen); err != nil {
+		vlen := lr.U64()
+		if err := lr.Err(); err != nil {
 			return nil, fmt.Errorf("core: reading meta: %w", err)
 		}
 		if vlen > maxVersionLen {
 			return nil, fmt.Errorf("core: implausible version length %d", vlen)
 		}
 		vbuf := make([]byte, vlen)
-		if _, err := io.ReadFull(br, vbuf); err != nil {
-			return nil, fmt.Errorf("core: reading version label: %w", err)
-		}
+		lr.Bytes(vbuf)
 		mod.Meta.Version = string(vbuf)
-		var weighted uint8
-		if err := binary.Read(br, binary.LittleEndian, &mod.Meta.Lambda); err != nil {
-			return nil, fmt.Errorf("core: reading meta lambda: %w", err)
+		mod.Meta.Lambda = lr.F32()
+		mod.Meta.WeightedLambda = lr.U8() != 0
+		if err := lr.Err(); err != nil {
+			return nil, fmt.Errorf("core: reading meta: %w", err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &weighted); err != nil {
-			return nil, fmt.Errorf("core: reading meta flags: %w", err)
-		}
-		mod.Meta.WeightedLambda = weighted != 0
 	}
 	return mod, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -278,7 +279,21 @@ func TestLoadModelErrors(t *testing.T) {
 	if _, err := LoadModel(bytes.NewReader(nil)); err == nil {
 		t.Fatal("accepted empty stream")
 	}
+	// A section flag this reader does not know marks bytes it cannot skip.
+	var buf bytes.Buffer
+	if err := (&Model{K: 2, X: linalg.NewDense(1, 2), Y: linalg.NewDense(1, 2)}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[modelFlagsOffset] |= 4
+	if _, err := LoadModel(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "section flags") {
+		t.Fatalf("unknown section flag: err = %v", err)
+	}
 }
+
+// modelFlagsOffset is where the header's flags word starts: after magic, k,
+// m and n, a uint64 each.
+const modelFlagsOffset = 4 * 8
 
 func TestFeaturesOf(t *testing.T) {
 	mx := testMatrix(t)

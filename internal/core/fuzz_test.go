@@ -20,6 +20,9 @@ func FuzzLoadModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	unknownFlag := bytes.Clone(buf.Bytes())
+	unknownFlag[modelFlagsOffset] |= 4
+	f.Add(unknownFlag)
 	f.Add([]byte{})
 	f.Add(make([]byte, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {

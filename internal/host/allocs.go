@@ -29,7 +29,7 @@ func ObjectiveAllocs(mx *sparse.Matrix, cfg Config) float64 {
 
 func rowAllocs(mx *sparse.Matrix, cfg Config, objective bool) float64 {
 	m := mx.Rows()
-	cfg.setDefaults(m, mx.NNZ())
+	cfg.setDefaults()
 	kn := newRowKernel(&cfg)
 	ws := newWorkerState(cfg.K)
 	// A watched run's row update differs from a plain one by the stage

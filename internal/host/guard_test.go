@@ -238,7 +238,7 @@ func TestPoolErrorStopsMidChunk(t *testing.T) {
 	}
 
 	cfg := Config{K: k, Lambda: 0.1, Workers: 2, Guard: g}
-	cfg.setDefaults(m, mx.NNZ())
+	cfg.setDefaults()
 	y := InitialY(6, k, 1)
 	x := linalg.NewDense(m, k)
 

@@ -121,10 +121,6 @@ type Config struct {
 	// relative loss improvement of a full iteration falls below Tolerance.
 	// Implies loss evaluation each iteration. 0 disables.
 	Tolerance float64
-	// ChunkSize is the number of rows a batched worker claims at once;
-	// 0 means a heuristic from the row count, mean row degree and Workers.
-	ChunkSize int
-
 	// StartIteration resumes a checkpointed run: the loop begins at
 	// StartIteration+1 (0 = a fresh run). ResumeX/ResumeY must then carry
 	// the factors as of that iteration; they are deep-copied, never
@@ -198,7 +194,7 @@ func defaultChunk(m, nnz, workers int) int {
 	return c
 }
 
-func (c *Config) setDefaults(m, nnz int) {
+func (c *Config) setDefaults() {
 	if c.K <= 0 {
 		c.K = 10
 	}
@@ -207,9 +203,6 @@ func (c *Config) setDefaults(m, nnz int) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = defaultChunk(m, nnz, c.Workers)
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = 40
@@ -273,8 +266,7 @@ func (r *Result) RMSE(on *sparse.CSR) float64 { return metrics.RMSE(on, r.X, r.Y
 // solved exactly row-by-row via Cholesky, for Config.Iterations rounds.
 func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	m, n := mx.Rows(), mx.Cols()
-	userChunk := cfg.ChunkSize
-	cfg.setDefaults(m, mx.NNZ())
+	cfg.setDefaults()
 	if mx.NNZ() == 0 {
 		return nil, fmt.Errorf("host: empty rating matrix")
 	}
@@ -303,9 +295,8 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		y = cfg.ResumeY.Clone()
 	}
 
-	// The Y update runs the same row-update code on Rᵀ: build a CSR view of
-	// the transpose by reinterpreting the CSC arrays (no copy).
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	// The Y update runs the same row-update code on Rᵀ.
+	rt := mx.RT()
 
 	pool := newWorkerPool(cfg)
 	defer pool.close()
@@ -313,7 +304,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	// Per-side schedules, built once and reused every iteration. The Y half
 	// is the X half with the roles swapped.
 	names := [2]string{"X", "Y"}
-	sides := [2]halfSide{pool.side(mx.R, y, x, userChunk), pool.side(rt, x, y, userChunk)}
+	sides := [2]halfSide{pool.side(mx.R, y, x), pool.side(rt, x, y)}
 
 	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, VariantLabel(cfg.Flat, cfg.Variant), ModeLabel(cfg.Implicit))
 	g := cfg.Guard
@@ -537,18 +528,16 @@ func (p *workerPool) close() {
 // side schedules one side (or row range) r for this pool. Row updates are
 // independent, so the visit order and claim size change only balance, never
 // results. The flat baseline is W static contiguous blocks in natural
-// order. Batched runs claim degree-aware chunks (userChunk > 0 overrides
-// the heuristic) longest-row-first — except with a single worker, where
-// there is no imbalance to fix and the natural order has better locality.
-func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense, userChunk int) halfSide {
-	s := halfSide{r: r, fixed: fixed, out: out, chunk: userChunk}
+// order. Batched runs claim degree-aware chunks (defaultChunk)
+// longest-row-first — except with a single worker, where there is no
+// imbalance to fix and the natural order has better locality.
+func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense) halfSide {
+	s := halfSide{r: r, fixed: fixed, out: out}
 	if p.flat {
 		s.chunk = max(1, (r.NumRows+p.workers-1)/p.workers)
 		return s
 	}
-	if userChunk <= 0 {
-		s.chunk = defaultChunk(r.NumRows, r.NNZ(), p.workers)
-	}
+	s.chunk = defaultChunk(r.NumRows, r.NNZ(), p.workers)
 	if p.workers > 1 {
 		s.order = lptOrder(r)
 	}

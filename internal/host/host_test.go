@@ -246,8 +246,8 @@ func TestLambdaZeroFallback(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	cfg := Config{}
-	cfg.setDefaults(1000, 50000)
-	if cfg.K != 10 || cfg.Iterations != 5 || cfg.Workers < 1 || cfg.ChunkSize < 1 {
+	cfg.setDefaults()
+	if cfg.K != 10 || cfg.Iterations != 5 || cfg.Workers < 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }
@@ -273,12 +273,6 @@ func TestDefaultChunkDegreeAware(t *testing.T) {
 	}
 	if c := defaultChunk(1000, 1000*10000, 2); c != 1 {
 		t.Fatalf("ultra-dense chunk = %d, want 1", c)
-	}
-	// An explicit ChunkSize must be respected, not overwritten.
-	cfg := Config{ChunkSize: 7}
-	cfg.setDefaults(100000, 100000*500)
-	if cfg.ChunkSize != 7 {
-		t.Fatalf("explicit ChunkSize overwritten: %d", cfg.ChunkSize)
 	}
 	// A generated skewed preset end-to-end: the heavy side's heuristic chunk
 	// stays within the work budget for its actual mean degree.

@@ -150,15 +150,15 @@ func BenchmarkObjectivePass(b *testing.B) {
 		{"implicit", Config{K: 32, Lambda: 0.1, Implicit: true, Alpha: 5, Solver: SolverCG}},
 	} {
 		cfg := mode.cfg
-		cfg.setDefaults(mx.Rows(), mx.NNZ())
+		cfg.setDefaults()
 		x := linalg.NewDense(mx.Rows(), cfg.K)
 		y := InitialY(mx.Cols(), cfg.K, 1)
-		rt := &sparse.CSR{NumRows: mx.Cols(), NumCols: mx.Rows(), RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+		rt := mx.RT()
 		terms := make([]float64, max(mx.Rows(), mx.Cols()))
 		for _, workers := range []int{1, 2} {
 			cfg.Workers = workers
 			pool := newWorkerPool(cfg)
-			sx, sy := pool.side(mx.R, y, x, 0), pool.side(rt, x, y, 0)
+			sx, sy := pool.side(mx.R, y, x), pool.side(rt, x, y)
 			if err := pool.runHalf(sx, 1, true); err != nil {
 				b.Fatal(err)
 			}

@@ -21,26 +21,24 @@ import (
 // identical fixed factors — the property the distributed trainer's
 // bit-identity guarantee rests on.
 type RangeUpdater struct {
-	k         int
-	userChunk int // ChunkSize as configured; 0 = derive per call
-	pool      *workerPool
+	k    int
+	pool *workerPool
 }
 
 // NewRangeUpdater starts a worker pool for range updates. The fields of cfg
 // that shape a row update or its schedule are used (K, Lambda,
-// WeightedLambda, Workers, Flat, Variant, ChunkSize, and the training mode:
+// WeightedLambda, Workers, Flat, Variant, and the training mode:
 // Implicit, Alpha, Solver, CGIters, BlockSize) and validated as Train
 // validates them; iteration control, loss tracking, resume factors, hooks,
 // guard and observability fields are ignored.
 func NewRangeUpdater(cfg Config) (*RangeUpdater, error) {
-	userChunk := cfg.ChunkSize
 	cfg.Guard = nil
 	cfg.Obs, cfg.Trace = nil, nil
-	cfg.setDefaults(0, 0)
+	cfg.setDefaults()
 	if err := cfg.validateMode(); err != nil {
 		return nil, err
 	}
-	return &RangeUpdater{k: cfg.K, userChunk: userChunk, pool: newWorkerPool(cfg)}, nil
+	return &RangeUpdater{k: cfg.K, pool: newWorkerPool(cfg)}, nil
 }
 
 // K returns the configured factor dimensionality.
@@ -59,7 +57,7 @@ func (ru *RangeUpdater) UpdateRange(r *sparse.CSR, fixed, out *linalg.Dense, lo,
 	}
 	view := r.RowRange(lo, hi)
 	outView := linalg.NewDenseFrom(hi-lo, ru.k, out.Data[lo*ru.k:hi*ru.k])
-	return ru.pool.runHalf(ru.pool.side(view, fixed, outView, ru.userChunk), iter, xHalf)
+	return ru.pool.runHalf(ru.pool.side(view, fixed, outView), iter, xHalf)
 }
 
 // Close releases the worker pool; UpdateRange must not be called after it.

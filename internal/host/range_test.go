@@ -18,7 +18,7 @@ import (
 func TestUpdateRangeMatchesTrainHalf(t *testing.T) {
 	mx := smallDataset(t, 61)
 	m, n := mx.Rows(), mx.Cols()
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	rt := mx.RT()
 	cases := []struct {
 		name string
 		cfg  Config

@@ -49,7 +49,7 @@ func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*Multi
 	m, n := mx.Rows(), mx.Cols()
 	x := linalg.NewDense(m, cfg.K)
 	y := host.InitialY(n, cfg.K, cfg.Seed)
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	rt := mx.RT()
 
 	res := &MultiResult{X: x, Y: y}
 
@@ -105,21 +105,7 @@ func multiUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config, devices []
 		if lo == hi {
 			continue
 		}
-		// A zero-copy CSR view of the row shard (column space unchanged).
-		view := &sparse.CSR{
-			NumRows: hi - lo,
-			NumCols: r.NumCols,
-			RowPtr:  make([]int64, hi-lo+1),
-			ColIdx:  r.ColIdx,
-			Val:     r.Val,
-		}
-		base := r.RowPtr[lo]
-		for j := 0; j <= hi-lo; j++ {
-			view.RowPtr[j] = r.RowPtr[lo+j] - base
-		}
-		view.ColIdx = r.ColIdx[base:r.RowPtr[hi]]
-		view.Val = r.Val[base:r.RowPtr[hi]]
-
+		view := r.RowRange(lo, hi)
 		shardOut := linalg.NewDenseFrom(hi-lo, cfg.K, out.Data[lo*cfg.K:hi*cfg.K])
 		devCfg := cfg
 		devCfg.Device = d

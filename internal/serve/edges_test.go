@@ -19,7 +19,7 @@ import (
 // newTestFrontend stands up shards replicas of m, each wrapping a server
 // built from cfg, behind a frontend with the same request caps, and returns
 // the frontend's URL.
-func newTestFrontend(t *testing.T, cfg Config, m *core.Model, shards int) string {
+func newTestFrontend(t testing.TB, cfg Config, m *core.Model, shards int) string {
 	t.Helper()
 	urls := make([]string, shards)
 	for i := range urls {

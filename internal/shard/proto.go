@@ -2,15 +2,13 @@ package shard
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/lebin"
 )
 
 // The trainer's exchange protocol: every frame is a little-endian uint64
@@ -47,10 +45,6 @@ const halfX, halfY byte = 0, 1
 // body — bytes were damaged in flight (or injected as damaged by chaosnet).
 var ErrFrameCorrupt = errors.New("shard: frame checksum mismatch")
 
-// castagnoli is the CRC-32C table, matching the checkpoint file format's
-// checksum family.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // factorHeader describes one factor frame: rows [Lo, Lo+Rows) of the
 // iteration's half-side matrix.
 type factorHeader struct {
@@ -60,31 +54,35 @@ type factorHeader struct {
 
 const factorHeaderLen = 17
 
+// framePrologueLen is the length prefix plus the kind byte.
+const framePrologueLen = 9
+
 // crcTrailerLen is the per-frame checksum trailer size.
 const crcTrailerLen = 4
 
-// wire is one framed connection. Reads and writes are buffered; writes are
-// additionally serialized by a mutex, because a worker's heartbeat goroutine
-// emits liveness frames concurrently with the training loop's factor
-// frames. traffic, when non-nil, accumulates the full on-the-wire size of
-// every frame sent or received (the als_dist_broadcast_bytes_total
-// measurement point).
+// wire is one framed connection. Reads and writes are buffered and go
+// through the lebin codec, which keeps each direction's running body CRC;
+// writes are additionally serialized by a mutex, because a worker's
+// heartbeat goroutine emits liveness frames concurrently with the training
+// loop's factor frames. traffic, when non-nil, accumulates the full
+// on-the-wire size of every frame sent or received (the
+// als_dist_broadcast_bytes_total measurement point).
 type wire struct {
 	c       net.Conn
-	br      *bufio.Reader
+	lr      *lebin.Reader
 	wmu     sync.Mutex
 	bw      *bufio.Writer
-	scratch []byte
-	rcrc    uint32 // running CRC of the frame body being read
+	lw      *lebin.Writer
 	traffic *atomic.Int64
 }
 
 func newWire(c net.Conn, traffic *atomic.Int64) *wire {
+	bw := bufio.NewWriterSize(c, 1<<16)
 	return &wire{
 		c:       c,
-		br:      bufio.NewReaderSize(c, 1<<16),
-		bw:      bufio.NewWriterSize(c, 1<<16),
-		scratch: make([]byte, 1<<16),
+		lr:      lebin.NewReader(bufio.NewReaderSize(c, 1<<16)),
+		bw:      bw,
+		lw:      lebin.NewWriter(bw),
 		traffic: traffic,
 	}
 }
@@ -101,183 +99,144 @@ func (w *wire) count(n int) {
 	}
 }
 
+// beginFrame writes the length prefix and the kind byte, starting the
+// frame's CRC at the kind. The caller holds wmu.
+func (w *wire) beginFrame(kind byte, payloadLen int) {
+	w.lw.U64(uint64(1 + payloadLen))
+	w.lw.ResetSum()
+	w.lw.U8(kind)
+}
+
+// endFrame writes the CRC trailer, counts the frame and flushes.
+func (w *wire) endFrame(payloadLen int) error {
+	w.lw.U32(w.lw.Sum32())
+	if err := w.lw.Err(); err != nil {
+		return err
+	}
+	w.count(framePrologueLen + payloadLen + crcTrailerLen)
+	return w.bw.Flush()
+}
+
 // writeSmall sends a hello/config/error/heartbeat frame and flushes.
 func (w *wire) writeSmall(kind byte, payload []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	var hdr [9]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(1+len(payload)))
-	hdr[8] = kind
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	crc := crc32.Update(0, castagnoli, hdr[8:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if err := w.writeTrailer(crc); err != nil {
-		return err
-	}
-	w.count(len(hdr) + len(payload) + crcTrailerLen)
-	return w.bw.Flush()
+	w.beginFrame(kind, len(payload))
+	w.lw.Bytes(payload)
+	return w.endFrame(len(payload))
 }
 
-// writeFactors sends one factor frame and flushes.
+// writeFactors sends one factor frame and flushes. The floats stream
+// through the codec's scratch, so a multi-megabyte factor matrix needs no
+// matrix-sized copy.
 func (w *wire) writeFactors(h factorHeader, data []float32) error {
 	if int(h.Rows)*int(h.K) != len(data) {
 		return fmt.Errorf("shard: factor frame %dx%d does not match %d floats", h.Rows, h.K, len(data))
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	var hdr [8 + 1 + factorHeaderLen]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(1+factorHeaderLen+len(data)*4))
-	hdr[8] = frameFactors
-	binary.LittleEndian.PutUint32(hdr[9:], h.Iter)
-	binary.LittleEndian.PutUint32(hdr[13:], h.Lo)
-	binary.LittleEndian.PutUint32(hdr[17:], h.Rows)
-	binary.LittleEndian.PutUint32(hdr[21:], h.K)
-	hdr[25] = h.Half
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	crc := crc32.Update(0, castagnoli, hdr[8:])
-	if err := w.writeFloats(data, &crc); err != nil {
-		return err
-	}
-	if err := w.writeTrailer(crc); err != nil {
-		return err
-	}
-	w.count(len(hdr) + len(data)*4 + crcTrailerLen)
-	return w.bw.Flush()
+	payloadLen := factorHeaderLen + len(data)*4
+	w.beginFrame(frameFactors, payloadLen)
+	w.lw.U32(h.Iter)
+	w.lw.U32(h.Lo)
+	w.lw.U32(h.Rows)
+	w.lw.U32(h.K)
+	w.lw.U8(h.Half)
+	w.lw.F32s(data)
+	return w.endFrame(payloadLen)
 }
 
-func (w *wire) writeTrailer(crc uint32) error {
-	var tr [crcTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	_, err := w.bw.Write(tr[:])
-	return err
-}
-
-// writeFloats streams data through the scratch buffer as little-endian
-// float32s, accumulating the frame CRC, so a multi-megabyte factor matrix
-// needs no matrix-sized copy.
-func (w *wire) writeFloats(data []float32, crc *uint32) error {
-	buf := w.scratch
-	for len(data) > 0 {
-		chunk := len(buf) / 4
-		if chunk > len(data) {
-			chunk = len(data)
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(data[i]))
-		}
-		if _, err := w.bw.Write(buf[:chunk*4]); err != nil {
-			return err
-		}
-		*crc = crc32.Update(*crc, castagnoli, buf[:chunk*4])
-		data = data[chunk:]
-	}
-	return nil
-}
-
-// readHeader reads the next frame's length prefix and kind byte, seeding the
-// running body CRC with the kind.
+// readHeader reads the next frame's length prefix and kind byte, starting
+// the running body CRC at the kind.
 func (w *wire) readHeader() (kind byte, bodyLen uint64, err error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(w.br, hdr[:]); err != nil {
+	n := w.lr.U64()
+	w.lr.ResetSum()
+	kind = w.lr.U8()
+	if err := w.lr.Err(); err != nil {
 		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[:8])
 	if n < 1 {
 		return 0, 0, fmt.Errorf("shard: empty frame")
 	}
-	w.count(9)
-	w.rcrc = crc32.Update(0, castagnoli, hdr[8:])
-	return hdr[8], n - 1, nil
+	w.count(framePrologueLen)
+	return kind, n - 1, nil
+}
+
+// readBody reads the n-byte body of a control frame and checks its trailer.
+func (w *wire) readBody(kind byte, n uint64) ([]byte, error) {
+	body := make([]byte, n)
+	if !w.lr.Bytes(body) {
+		return nil, w.lr.Err()
+	}
+	w.count(int(n))
+	return body, w.readTrailer(kind)
 }
 
 // readTrailer consumes the frame's CRC trailer and checks it against the
 // accumulated body CRC.
 func (w *wire) readTrailer(kind byte) error {
-	var tr [crcTrailerLen]byte
-	if _, err := io.ReadFull(w.br, tr[:]); err != nil {
+	sum := w.lr.Sum32()
+	got := w.lr.U32()
+	if err := w.lr.Err(); err != nil {
 		return err
 	}
 	w.count(crcTrailerLen)
-	if got := binary.LittleEndian.Uint32(tr[:]); got != w.rcrc {
-		return fmt.Errorf("%w (kind=%d, trailer=%08x, computed=%08x)", ErrFrameCorrupt, kind, got, w.rcrc)
+	if got != sum {
+		return fmt.Errorf("%w (kind=%d, trailer=%08x, computed=%08x)", ErrFrameCorrupt, kind, got, sum)
 	}
 	return nil
 }
 
-// readSmall reads one control frame, returning its kind and body. Heartbeat
-// frames are consumed and skipped; onBeat, when non-nil, runs after each so
-// callers can refresh their read deadline per sign of life.
-func (w *wire) readSmall(onBeat func()) (byte, []byte, error) {
+// nextFrame reads headers until a frame that is not a heartbeat. Heartbeats
+// are consumed; onBeat, when non-nil, runs after each so callers can refresh
+// their read deadline per sign of life.
+func (w *wire) nextFrame(onBeat func()) (kind byte, n uint64, err error) {
 	for {
-		kind, n, err := w.readHeader()
-		if err != nil {
-			return 0, nil, err
-		}
-		if kind == frameFactors {
-			return 0, nil, fmt.Errorf("shard: unexpected factor frame")
+		kind, n, err = w.readHeader()
+		if err != nil || kind != frameHeartbeat {
+			return kind, n, err
 		}
 		if n > maxSmallFrame {
-			return 0, nil, fmt.Errorf("shard: %d-byte control frame exceeds limit", n)
+			return 0, 0, fmt.Errorf("shard: %d-byte heartbeat frame exceeds limit", n)
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(w.br, body); err != nil {
-			return 0, nil, err
+		if _, err := w.readBody(kind, n); err != nil {
+			return 0, 0, err
 		}
-		w.count(int(n))
-		w.rcrc = crc32.Update(w.rcrc, castagnoli, body)
-		if err := w.readTrailer(kind); err != nil {
-			return 0, nil, err
+		if onBeat != nil {
+			onBeat()
 		}
-		if kind == frameHeartbeat {
-			if onBeat != nil {
-				onBeat()
-			}
-			continue
-		}
-		return kind, body, nil
 	}
+}
+
+// readSmall reads one control frame past any heartbeats (see nextFrame),
+// returning its kind and body.
+func (w *wire) readSmall(onBeat func()) (byte, []byte, error) {
+	kind, n, err := w.nextFrame(onBeat)
+	if err != nil {
+		return 0, nil, err
+	}
+	if kind == frameFactors {
+		return 0, nil, fmt.Errorf("shard: unexpected factor frame")
+	}
+	if n > maxSmallFrame {
+		return 0, nil, fmt.Errorf("shard: %d-byte control frame exceeds limit", n)
+	}
+	body, err := w.readBody(kind, n)
+	if err != nil {
+		return 0, nil, err
+	}
+	return kind, body, nil
 }
 
 // expectFactors reads frames until a factor frame arrives, which must match
 // the given iteration and half and cover rows [wantLo, wantLo+wantRows), and
 // decodes its payload into dst (indexed in the frame's own row space, so
-// receiving a shard lands at dst[wantLo*k:]). Heartbeats are skipped (via
-// onBeat, as in readSmall) and a frameError surfaces as the worker's own
-// message.
+// receiving a shard lands at dst[wantLo*k:]). Heartbeats are skipped (see
+// nextFrame) and a frameError surfaces as the worker's own message.
 func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, wantRows int, onBeat func()) error {
-	var kind byte
-	var n uint64
-	for {
-		var err error
-		kind, n, err = w.readHeader()
-		if err != nil {
-			return err
-		}
-		if kind != frameHeartbeat {
-			break
-		}
-		if n > maxSmallFrame {
-			return fmt.Errorf("shard: %d-byte heartbeat frame exceeds limit", n)
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(w.br, body); err != nil {
-			return err
-		}
-		w.count(int(n))
-		w.rcrc = crc32.Update(w.rcrc, castagnoli, body)
-		if err := w.readTrailer(kind); err != nil {
-			return err
-		}
-		if onBeat != nil {
-			onBeat()
-		}
+	kind, n, err := w.nextFrame(onBeat)
+	if err != nil {
+		return err
 	}
 	switch kind {
 	case frameError:
@@ -285,11 +244,10 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 			return fmt.Errorf("shard: oversized error frame")
 		}
 		msg := make([]byte, n)
-		if _, err := io.ReadFull(w.br, msg); err != nil {
-			return fmt.Errorf("shard: peer failed (message lost: %v)", err)
+		if !w.lr.Bytes(msg) {
+			return fmt.Errorf("shard: peer failed (message lost: %v)", w.lr.Err())
 		}
 		w.count(int(n))
-		w.rcrc = crc32.Update(w.rcrc, castagnoli, msg)
 		if err := w.readTrailer(kind); err != nil {
 			return err
 		}
@@ -298,17 +256,15 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 	default:
 		return fmt.Errorf("shard: unexpected frame kind %d (want factors)", kind)
 	}
-	var hb [factorHeaderLen]byte
-	if _, err := io.ReadFull(w.br, hb[:]); err != nil {
-		return err
-	}
-	w.rcrc = crc32.Update(w.rcrc, castagnoli, hb[:])
 	h := factorHeader{
-		Iter: binary.LittleEndian.Uint32(hb[0:]),
-		Lo:   binary.LittleEndian.Uint32(hb[4:]),
-		Rows: binary.LittleEndian.Uint32(hb[8:]),
-		K:    binary.LittleEndian.Uint32(hb[12:]),
-		Half: hb[16],
+		Iter: w.lr.U32(),
+		Lo:   w.lr.U32(),
+		Rows: w.lr.U32(),
+		K:    w.lr.U32(),
+		Half: w.lr.U8(),
+	}
+	if err := w.lr.Err(); err != nil {
+		return err
 	}
 	if h.Iter != uint32(iter) || h.Half != half || h.K != uint32(k) ||
 		h.Lo != uint32(wantLo) || h.Rows != uint32(wantRows) {
@@ -318,32 +274,12 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 	if n != uint64(factorHeaderLen)+uint64(wantRows)*uint64(k)*4 {
 		return fmt.Errorf("shard: factor frame length %d does not match %dx%d payload", n, wantRows, k)
 	}
-	if err := w.readFloats(dst[wantLo*k : (wantLo+wantRows)*k]); err != nil {
+	w.lr.F32s(dst[wantLo*k : (wantLo+wantRows)*k])
+	if err := w.lr.Err(); err != nil {
 		return err
 	}
 	w.count(int(n))
 	return w.readTrailer(kind)
-}
-
-// readFloats decodes len(dst) little-endian float32s through the scratch
-// buffer, accumulating the frame CRC.
-func (w *wire) readFloats(dst []float32) error {
-	buf := w.scratch
-	for len(dst) > 0 {
-		chunk := len(buf) / 4
-		if chunk > len(dst) {
-			chunk = len(dst)
-		}
-		if _, err := io.ReadFull(w.br, buf[:chunk*4]); err != nil {
-			return err
-		}
-		w.rcrc = crc32.Update(w.rcrc, castagnoli, buf[:chunk*4])
-		for i := 0; i < chunk; i++ {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		dst = dst[chunk:]
-	}
-	return nil
 }
 
 // workerFailure is a frameError relayed from a worker: the peer is alive

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/lebin"
 )
 
 // Golden wire frames, pinned byte for byte (little-endian uint64 body length,
@@ -33,14 +35,15 @@ func mustHex(t testing.TB, s string) []byte {
 // writerWire returns a wire whose output lands in buf; the write path never
 // touches the net.Conn.
 func writerWire(buf *bytes.Buffer) *wire {
-	return &wire{bw: bufio.NewWriterSize(buf, 1<<16), scratch: make([]byte, 1<<16)}
+	bw := bufio.NewWriterSize(buf, 1<<16)
+	return &wire{bw: bw, lw: lebin.NewWriter(bw)}
 }
 
 // readerWire returns a wire reading from raw bytes; the read path never
 // touches the net.Conn, so a truncated stream surfaces as ErrUnexpectedEOF
 // rather than blocking.
 func readerWire(raw []byte) *wire {
-	return &wire{br: bufio.NewReaderSize(bytes.NewReader(raw), 1<<16), scratch: make([]byte, 1<<16)}
+	return &wire{lr: lebin.NewReader(bytes.NewReader(raw))}
 }
 
 func goldenFactorArgs() (h factorHeader, data []float32) {

@@ -551,9 +551,8 @@ func RunWorker(coordAddr string, rank int) error {
 		}
 	}
 
-	// The Y half runs the same row updates on Rᵀ, viewed zero-copy through
-	// the CSC arrays exactly as host.Train does.
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	// The Y half runs the same row updates on Rᵀ, exactly as host.Train does.
+	rt := mx.RT()
 	ru, err := host.NewRangeUpdater(host.Config{
 		K: k, Lambda: cfg.Lambda, Workers: cfg.Threads,
 		Flat: cfg.Flat, Variant: v, WeightedLambda: cfg.WeightedLambda,

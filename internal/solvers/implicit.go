@@ -67,7 +67,7 @@ func TrainImplicit(mx *sparse.Matrix, cfg ImplicitConfig) (*linalg.Dense, *linal
 	m, n, k := mx.Rows(), mx.Cols(), cfg.K
 	x := linalg.NewDense(m, k)
 	y := host.InitialY(n, k, cfg.Seed)
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+	rt := mx.RT()
 
 	for it := 0; it < cfg.Iterations; it++ {
 		if err := implicitSide(mx.R, y, x, cfg); err != nil {

@@ -293,3 +293,10 @@ func (mx *Matrix) Cols() int { return mx.R.NumCols }
 
 // NNZ returns the number of observed ratings.
 func (mx *Matrix) NNZ() int { return mx.R.NNZ() }
+
+// RT returns Rᵀ as a CSR matrix (items × users) without copying: the CSC
+// arrays of R are the CSR arrays of its transpose. The Y half of every ALS
+// variant runs the X half's row update on this view.
+func (mx *Matrix) RT() *CSR {
+	return &CSR{NumRows: mx.Cols(), NumCols: mx.Rows(), RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
+}

@@ -3,12 +3,13 @@ package sparse
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strconv"
+
+	"repro/internal/lebin"
 )
 
 // ReadTriples parses the paper's dataset format, one rating per line:
@@ -150,19 +151,15 @@ const binaryMagic = uint32(0x43535231) // "CSR1"
 // repeated benchmark runs on large synthetic datasets cheap to reload.
 func WriteBinary(w io.Writer, m *CSR) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{uint64(binaryMagic), uint64(m.NumRows), uint64(m.NumCols), uint64(m.NNZ())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.RowPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.ColIdx); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.Val); err != nil {
+	lw := lebin.NewWriter(bw)
+	lw.U64(uint64(binaryMagic))
+	lw.U64(uint64(m.NumRows))
+	lw.U64(uint64(m.NumCols))
+	lw.U64(uint64(m.NNZ()))
+	lw.I64s(m.RowPtr)
+	lw.I32s(m.ColIdx)
+	lw.F32s(m.Val)
+	if err := lw.Err(); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -170,12 +167,13 @@ func WriteBinary(w io.Writer, m *CSR) error {
 
 // ReadBinary reads a matrix written by WriteBinary and validates it.
 func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
 	var hdr [4]uint64
 	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("sparse: reading header: %w", err)
-		}
+		hdr[i] = lr.U64()
+	}
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("sparse: reading header: %w", err)
 	}
 	if uint32(hdr[0]) != binaryMagic {
 		return nil, fmt.Errorf("sparse: bad magic %#x", hdr[0])
@@ -193,14 +191,11 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		ColIdx:  make([]int32, hdr[3]),
 		Val:     make([]float32, hdr[3]),
 	}
-	if err := binary.Read(br, binary.LittleEndian, &m.RowPtr); err != nil {
-		return nil, fmt.Errorf("sparse: reading row pointers: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &m.ColIdx); err != nil {
-		return nil, fmt.Errorf("sparse: reading column indices: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &m.Val); err != nil {
-		return nil, fmt.Errorf("sparse: reading values: %w", err)
+	lr.I64s(m.RowPtr)
+	lr.I32s(m.ColIdx)
+	lr.F32s(m.Val)
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("sparse: reading arrays: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
