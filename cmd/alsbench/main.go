@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/rtrace"
 	"repro/internal/trace"
 )
 
@@ -54,14 +55,11 @@ func main() {
 		}
 	}()
 	if *debugAddr != "" {
-		reg := obs.NewRegistry()
-		obs.RegisterProcessMetrics(reg)
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{Registry: reg})
+		dbg, err := rtrace.ServeDebug(*debugAddr, nil, obs.DebugConfig{Registry: obs.NewRegistry()})
 		if err != nil {
 			fail(err)
 		}
 		defer dbg.Close()
-		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
 	}
 	if all || want["table1"] {
 		t, err := experiments.Table1(s)

@@ -17,11 +17,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -76,48 +73,22 @@ func main() {
 		fail(err)
 	}
 	if *debugAddr != "" {
-		reg := front.Registry()
-		obs.RegisterProcessMetrics(reg)
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
-			Registry: reg,
-			Ready:    front.Ready,
-			Traces:   tracer.TracesHandler(),
-			Slowest:  tracer.SlowestHandler(),
-		})
+		dbg, err := rtrace.ServeDebug(*debugAddr, tracer, obs.DebugConfig{Registry: front.Registry(), Ready: front.Ready})
 		if err != nil {
 			fail(err)
 		}
 		defer dbg.Close()
-		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go front.Run(ctx)
 
-	lis, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail(err)
-	}
-	hs := &http.Server{Handler: front.Handler()}
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(lis) }()
-	fmt.Printf("alsfront: listening on %s, fanning out to %d shard(s)\n", lis.Addr(), len(urls))
+	detail := fmt.Sprintf(", fanning out to %d shard(s)", len(urls))
 	for i, u := range urls {
-		fmt.Printf("alsfront: shard %d -> %s\n", i, u)
+		detail += fmt.Sprintf("\nalsfront: shard %d -> %s", i, u)
 	}
-
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
-		}
-	case <-ctx.Done():
-		fmt.Println("alsfront: shutting down")
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shCtx); err != nil {
-			fail(err)
-		}
+	if err := serve.ListenAndServe(ctx, "alsfront", *addr, front.Handler(), detail); err != nil {
+		fail(err)
 	}
 }

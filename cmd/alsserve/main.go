@@ -27,11 +27,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -104,19 +101,14 @@ func main() {
 		}
 	}
 	if *debugAddr != "" {
-		reg := srv.Telemetry().Registry()
-		obs.RegisterProcessMetrics(reg)
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
-			Registry: reg,
+		dbg, err := rtrace.ServeDebug(*debugAddr, tracer, obs.DebugConfig{
+			Registry: srv.Telemetry().Registry(),
 			Ready:    serve.Readiness(srv, *maxStale, nil),
-			Traces:   tracer.TracesHandler(),
-			Slowest:  tracer.SlowestHandler(),
 		})
 		if err != nil {
 			fail(err)
 		}
 		defer dbg.Close()
-		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
 	}
 	if *modelPath != "" {
 		m, rated, err := serve.LoadSnapshotFiles(*modelPath, *ratings, *oneBased)
@@ -138,7 +130,6 @@ func main() {
 	if rep != nil {
 		handler = rep.Handler()
 	}
-	hs := &http.Server{Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -173,25 +164,7 @@ func main() {
 		go w.Run(ctx)
 		fmt.Printf("alsserve: watching %s every %s\n", *watch, *watchInterval)
 	}
-	lis, err := net.Listen("tcp", *addr)
-	if err != nil {
+	if err := serve.ListenAndServe(ctx, "alsserve", *addr, handler, ""); err != nil {
 		fail(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(lis) }()
-	fmt.Printf("alsserve: listening on %s\n", lis.Addr())
-
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
-		}
-	case <-ctx.Done():
-		fmt.Println("alsserve: shutting down")
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shCtx); err != nil {
-			fail(err)
-		}
 	}
 }

@@ -151,19 +151,15 @@ func main() {
 		if gd != nil {
 			gd.Register(reg)
 		}
-		obs.RegisterProcessMetrics(reg)
 		tracer.Register(reg)
-		dbg, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
+		dbg, err := rtrace.ServeDebug(*debugAddr, tracer, obs.DebugConfig{
 			Registry: reg,
 			RunInfo:  func() any { return rec.RunInfo() },
-			Traces:   tracer.TracesHandler(),
-			Slowest:  tracer.SlowestHandler(),
 		})
 		if err != nil {
 			fail(err)
 		}
 		defer dbg.Close()
-		fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
 	}
 
 	if *input == "" && *preset == "" {

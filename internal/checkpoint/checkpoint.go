@@ -476,61 +476,45 @@ func Load(fsys FS, path string) (*State, error) {
 	return st, nil
 }
 
-// list returns the canonical checkpoint entries of dir sorted by
-// descending iteration. A missing directory is an empty listing.
-func list(fsys FS, dir string) ([]string, []int, error) {
+// Entry is one canonically named checkpoint file of a directory.
+type Entry struct {
+	Name      string // the file's name inside the directory, not a path
+	Iteration int
+}
+
+// List returns the canonical checkpoint entries of dir, newest iteration
+// first. It is the one reader of a checkpoint directory: resume, GC and the
+// serving watcher all walk this listing. A missing or unreadable directory
+// is an empty listing.
+func List(fsys FS, dir string) []Entry {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil
+		return nil
 	}
-	type entry struct {
-		name string
-		iter int
-	}
-	var entries []entry
+	var entries []Entry
 	for _, name := range names {
 		if it, ok := ParseFileName(name); ok {
-			entries = append(entries, entry{name, it})
+			entries = append(entries, Entry{name, it})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].iter > entries[j].iter })
-	ns := make([]string, len(entries))
-	its := make([]int, len(entries))
-	for i, e := range entries {
-		ns[i], its[i] = e.name, e.iter
-	}
-	return ns, its, nil
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Iteration > entries[j].Iteration })
+	return entries
 }
 
-// Latest returns the path and iteration of the newest checkpoint in dir
-// that decodes cleanly, skipping over torn or corrupt files (a crashed
-// writer can leave the highest-numbered file unreadable; recovery must
-// fall back to the previous good one). ErrNoCheckpoint when none qualify.
-func Latest(fsys FS, dir string) (string, int, error) {
-	names, iters, err := list(fsys, dir)
-	if err != nil {
-		return "", 0, err
-	}
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		if _, err := Load(fsys, path); err == nil {
-			return path, iters[i], nil
-		}
-	}
-	return "", 0, ErrNoCheckpoint
-}
-
-// LoadLatest loads the newest valid checkpoint in dir (see Latest).
+// LoadLatest walks dir's listing once and returns the newest checkpoint
+// that decodes cleanly, with its path, skipping over torn or corrupt files
+// (a crashed writer can leave the highest-numbered file unreadable; recovery
+// must fall back to the previous good one). The State returned is the one
+// that was vetted: each candidate is opened and decoded exactly once.
+// ErrNoCheckpoint when none qualify.
 func LoadLatest(fsys FS, dir string) (*State, string, error) {
-	path, _, err := Latest(fsys, dir)
-	if err != nil {
-		return nil, "", err
+	for _, e := range List(fsys, dir) {
+		path := filepath.Join(dir, e.Name)
+		if st, err := Load(fsys, path); err == nil {
+			return st, path, nil
+		}
 	}
-	st, err := Load(fsys, path)
-	if err != nil {
-		return nil, "", err
-	}
-	return st, path, nil
+	return nil, "", ErrNoCheckpoint
 }
 
 // GC bounds dir to the newest keep checkpoints (by iteration number) and
@@ -551,12 +535,9 @@ func GC(fsys FS, dir string, keep int) error {
 			}
 		}
 	}
-	ckpts, _, err := list(fsys, dir)
-	if err != nil {
-		return firstErr
-	}
-	for _, name := range ckpts[min(keep, len(ckpts)):] {
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && firstErr == nil {
+	ckpts := List(fsys, dir)
+	for _, e := range ckpts[min(keep, len(ckpts)):] {
+		if err := fsys.Remove(filepath.Join(dir, e.Name)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

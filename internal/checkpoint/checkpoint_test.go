@@ -161,8 +161,8 @@ func TestSaveLoadLatestGC(t *testing.T) {
 		{"osfs", OS, filepath.Join(t.TempDir(), "ckpts")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := Latest(tc.fsys, tc.dir); !errors.Is(err, ErrNoCheckpoint) {
-				t.Fatalf("Latest on empty dir = %v, want ErrNoCheckpoint", err)
+			if _, _, err := LoadLatest(tc.fsys, tc.dir); !errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("LoadLatest on empty dir = %v, want ErrNoCheckpoint", err)
 			}
 			var states []*State
 			for it := 1; it <= 5; it++ {
@@ -172,16 +172,12 @@ func TestSaveLoadLatestGC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			path, iter, err := Latest(tc.fsys, tc.dir)
+			got, path, err := LoadLatest(tc.fsys, tc.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if iter != 5 || filepath.Base(path) != FileName(5) {
-				t.Fatalf("Latest = %s iter %d, want %s iter 5", path, iter, FileName(5))
-			}
-			got, _, err := LoadLatest(tc.fsys, tc.dir)
-			if err != nil {
-				t.Fatal(err)
+			if got.Iteration != 5 || filepath.Base(path) != FileName(5) {
+				t.Fatalf("LoadLatest = %s iter %d, want %s iter 5", path, got.Iteration, FileName(5))
 			}
 			statesEqual(t, states[4], got)
 
@@ -216,6 +212,41 @@ func TestLatestSkipsCorruptNewest(t *testing.T) {
 		t.Fatalf("LoadLatest picked %s, want fallback to %s", path, FileName(2))
 	}
 	statesEqual(t, good, st)
+}
+
+// countingFS counts the Opens of each path on their way to the wrapped FS.
+type countingFS struct {
+	FS
+	opens map[string]int
+}
+
+func (c countingFS) Open(name string) (io.ReadCloser, error) {
+	c.opens[filepath.Base(name)]++
+	return c.FS.Open(name)
+}
+
+// TestLoadLatestReadsEachCandidateOnce: a resume (and every divergence
+// rollback) costs one open, one CRC pass and one factor-sized allocation per
+// candidate it has to look at — the State returned is the one that was
+// vetted, not a second decode of the same path — and nothing older than the
+// first good checkpoint is touched.
+func TestLoadLatestReadsEachCandidateOnce(t *testing.T) {
+	mem := NewMemFS()
+	for it := 1; it <= 3; it++ {
+		if _, err := Save(mem, "ckpts", testState(it, float32(it))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem.WriteFile(filepath.Join("ckpts", FileName(9)), []byte("torn"))
+	fsys := countingFS{FS: mem, opens: map[string]int{}}
+	st, path, err := LoadLatest(fsys, "ckpts")
+	if err != nil || st.Iteration != 3 || filepath.Base(path) != FileName(3) {
+		t.Fatalf("LoadLatest = iteration %v at %s, %v", st, path, err)
+	}
+	want := map[string]int{FileName(9): 1, FileName(3): 1}
+	if !reflect.DeepEqual(fsys.opens, want) {
+		t.Fatalf("opens per file = %v, want %v", fsys.opens, want)
+	}
 }
 
 func TestGCRemovesTempFiles(t *testing.T) {

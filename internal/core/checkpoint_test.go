@@ -339,8 +339,8 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	if _, _, err := Train(mx, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, it, err := checkpoint.Latest(checkpoint.OS, dir); err != nil || it != 1 {
-		t.Fatalf("real-FS checkpoint: iter %d, %v", it, err)
+	if st, _, err := checkpoint.LoadLatest(checkpoint.OS, dir); err != nil || st.Iteration != 1 {
+		t.Fatalf("real-FS checkpoint: %+v, %v", st, err)
 	}
 }
 

@@ -438,7 +438,7 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		rollbacks++
 		g.NoteRollback()
 		root.SetAttr("rollback"+strconv.Itoa(rollbacks), fmt.Sprintf("iter=%d loss=%g", de.Iteration, de.Loss))
-		hostCfg.Lambda *= g.LambdaEscalation
+		hostCfg.Lambda *= guard.LambdaEscalation
 		if st, err = run.Rollback(); err != nil {
 			return nil, nil, err
 		}

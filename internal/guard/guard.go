@@ -11,7 +11,7 @@
 //     last-good factors — each rung counted per variant in
 //     als_solver_recoveries_total instead of killing the run;
 //   - a divergence watchdog at the iteration boundary: NaN/Inf factors,
-//     non-finite loss, or a loss blow-up past DivergenceFactor× the best
+//     non-finite loss, or a loss blow-up past divergenceFactor× the best
 //     seen so far surfaces a typed DivergedError that the core layer
 //     answers by rolling back to the last good checkpoint with escalated
 //     λ, bounded by MaxRollbacks;
@@ -57,6 +57,15 @@ var JitterMultipliers = [2]float32{2, 10}
 
 // MinJitterBase is the λ floor the jitter rungs fall back to for λ = 0 runs.
 const MinJitterBase = 1e-6
+
+// divergenceFactor trips the watchdog when the iteration loss exceeds this
+// multiple of the best loss so far (ALS loss is monotone per half in exact
+// arithmetic, so a 10× jump is pathological).
+const divergenceFactor = 10
+
+// LambdaEscalation multiplies λ on every rollback so the re-run is better
+// conditioned than the one that diverged.
+const LambdaEscalation = 2
 
 // divergenceFloorFrac scales the zero-model loss into the watchdog's noise
 // floor (see CheckIteration).
@@ -124,18 +133,9 @@ type Policy struct {
 	// sanitizing, no rollback — the first numerical fault kills the run
 	// with a typed RowError/DivergedError.
 	Strict bool
-	// DivergenceFactor trips the watchdog when the iteration loss exceeds
-	// this multiple of the best loss so far (default 10; ALS loss is
-	// monotone per half in exact arithmetic, so a 10× jump is pathological).
-	DivergenceFactor float64
 	// MaxRollbacks bounds divergence rollbacks before the run surfaces
 	// ErrDiverged (default 3).
 	MaxRollbacks int
-	// LambdaEscalation multiplies λ on every rollback so the re-run is
-	// better conditioned than the one that diverged (default 2).
-	LambdaEscalation float32
-	// MaxAbsRating is the sanitizer's clamp bound (default 1e6).
-	MaxAbsRating float32
 }
 
 // Guard threads one run's resilience policy, live counters and optional
@@ -158,17 +158,8 @@ type Guard struct {
 
 // New builds a Guard, filling Policy defaults.
 func New(p Policy) *Guard {
-	if p.DivergenceFactor <= 1 {
-		p.DivergenceFactor = 10
-	}
 	if p.MaxRollbacks <= 0 {
 		p.MaxRollbacks = 3
-	}
-	if p.LambdaEscalation <= 1 {
-		p.LambdaEscalation = 2
-	}
-	if p.MaxAbsRating <= 0 {
-		p.MaxAbsRating = DefaultMaxAbsRating
 	}
 	return &Guard{Policy: p, best: math.Inf(1)}
 }
@@ -217,7 +208,7 @@ func (g *Guard) TotalSanitized() int64 {
 
 // CheckIteration is the divergence watchdog, run at each iteration
 // boundary with the workers quiescent: it rejects non-finite factors,
-// non-finite loss, and a loss more than DivergenceFactor× the best seen so
+// non-finite loss, and a loss more than divergenceFactor× the best seen so
 // far. The best-loss floor persists across rollbacks (the Guard outlives
 // each host.Train attempt), so a rolled-back run cannot "reset" its own
 // blow-up threshold.
@@ -238,7 +229,7 @@ func (g *Guard) CheckIteration(it int, x, y []float32, loss float64) error {
 	if floor := scale * divergenceFloorFrac; best < floor {
 		best = floor
 	}
-	if loss > g.DivergenceFactor*best {
+	if loss > divergenceFactor*best {
 		return &DivergedError{Iteration: it, Reason: "loss blow-up", Loss: loss, Best: best}
 	}
 	g.mu.Lock()
@@ -260,7 +251,7 @@ func (g *Guard) SetLossScale(s float64) {
 
 // SanitizeMatrix quarantines corrupt ratings in place, in both the CSR and
 // CSC views (they hold independent value arrays): NaN, ±Inf and magnitudes
-// beyond MaxAbsRating all become 0, removing their pull on the objective
+// beyond DefaultMaxAbsRating all become 0, removing their pull on the objective
 // while keeping the sparsity structure intact. It returns the number of
 // ratings touched; counts land in als_ratings_sanitized_total. Strict runs
 // skip sanitizing so the fault surfaces where it happens.
@@ -271,7 +262,7 @@ func (g *Guard) SanitizeMatrix(mx *sparse.Matrix) int64 {
 }
 
 func (g *Guard) sanitizeVals(vals []float32, count bool) int64 {
-	maxAbs := g.MaxAbsRating
+	const maxAbs = DefaultMaxAbsRating
 	var fixed int64
 	for i, v := range vals {
 		v64 := float64(v)

@@ -1,21 +1,15 @@
 package guard_test
 
 import (
-	"bufio"
 	"bytes"
-	"io"
 	"math"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/obs"
+	"repro/internal/e2e"
 )
 
 // chaosSpec plants one NaN, one Inf and one huge rating, zeroes two Gram
@@ -38,88 +32,24 @@ func TestAlstrainChaosSmoke(t *testing.T) {
 		t.Skip("builds and runs the alstrain binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "alstrain")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/alstrain")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building alstrain: %v\n%s", err, out)
-	}
+	bin := e2e.Build(t, "alstrain")
 
 	// Clean baseline: same data, same hyperparameters, no faults.
-	cleanOut, err := exec.Command(bin, trainArgs...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("clean run failed: %v\n%s", err, cleanOut)
-	}
-	cleanRMSE := parseRMSE(t, string(cleanOut), "train RMSE:")
+	cleanRMSE := parseRMSE(t, e2e.Run(t, bin, trainArgs...), "train RMSE:")
 
 	// Poisoned run A with the debug server up so we can scrape the guard
 	// counters mid-linger, a checkpoint dir so the blow-up rolls back
 	// instead of restarting, and a saved model for the determinism check.
 	modelA := filepath.Join(dir, "model-a.bin")
-	args := append(append([]string{}, trainArgs...),
+	p := e2e.Start(t, bin, append(append([]string{}, trainArgs...),
 		"-chaos", chaosSpec,
 		"-checkpoint-dir", filepath.Join(dir, "ckpt-a"),
 		"-out", modelA,
-		"-debug-addr", "127.0.0.1:0", "-debug-linger", "30s")
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-
-	// Follow stdout: grab the bound debug address and the RMSE/guard lines,
-	// then wait for the linger line so the scrape sees the finished run.
-	var addr, guardLine string
-	chaosRMSE := math.NaN()
-	sc := bufio.NewScanner(stdout)
-	deadline := time.After(60 * time.Second)
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-	}()
-wait:
-	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatal("alstrain exited before lingering")
-			}
-			if rest, found := strings.CutPrefix(line, "debug server listening on http://"); found {
-				addr = rest
-			}
-			if rest, found := strings.CutPrefix(line, "guard: "); found {
-				guardLine = rest
-			}
-			if rest, found := strings.CutPrefix(line, "train RMSE:"); found {
-				v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-				if err != nil {
-					t.Fatalf("bad RMSE line %q: %v", line, err)
-				}
-				chaosRMSE = v
-			}
-			if strings.HasPrefix(line, "debug server lingering") {
-				break wait
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for alstrain")
-		}
-	}
-	if addr == "" {
-		t.Fatal("alstrain never printed the debug address")
-	}
-	if guardLine == "" {
-		t.Fatal("poisoned run printed no guard summary")
-	}
+		"-debug-addr", "127.0.0.1:0", "-debug-linger", "30s")...)
+	base := "http://" + p.WaitLine("debug server listening on http://")
+	p.WaitLine("debug server lingering") // the run is finished: the scrape sees all of it
+	p.WaitLine("guard: ")
+	chaosRMSE := parseRMSE(t, p.Output(), "train RMSE:")
 
 	// The run must have converged despite the poison: finite, and within
 	// 10% of the clean baseline.
@@ -133,17 +63,14 @@ wait:
 	// The guard counters must be visible on /metrics: the ladder fired (the
 	// two Gram faults plus the forced failure), the watchdog rolled back
 	// once, and the sanitizer fixed the three poisoned ratings.
-	body := get(t, "http://"+addr+"/metrics")
-	if _, err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
-		t.Fatalf("/metrics is not valid exposition: %v\n%s", err, body)
-	}
-	if n := sumMetric(t, body, "als_solver_recoveries_total"); n < 3 {
+	m := e2e.Scrape(t, base)
+	if n := m.Sum("als_solver_recoveries_total"); n < 3 {
 		t.Errorf("als_solver_recoveries_total = %g, want >= 3 (gram=2 + fail=1)", n)
 	}
-	if n := sumMetric(t, body, "als_guard_rollbacks_total"); n != 1 {
+	if n := m.Sum("als_guard_rollbacks_total"); n != 1 {
 		t.Errorf("als_guard_rollbacks_total = %g, want 1", n)
 	}
-	if n := sumMetric(t, body, "als_ratings_sanitized_total"); n != 3 {
+	if n := m.Sum("als_ratings_sanitized_total"); n != 3 {
 		t.Errorf("als_ratings_sanitized_total = %g, want 3 (nan+inf+huge)", n)
 	}
 
@@ -151,13 +78,10 @@ wait:
 	// model. (Run B also proves the observability plumbing of run A did not
 	// leak into the math.)
 	modelB := filepath.Join(dir, "model-b.bin")
-	argsB := append(append([]string{}, trainArgs...),
+	e2e.Run(t, bin, append(append([]string{}, trainArgs...),
 		"-chaos", chaosSpec,
 		"-checkpoint-dir", filepath.Join(dir, "ckpt-b"),
-		"-out", modelB)
-	if out, err := exec.Command(bin, argsB...).CombinedOutput(); err != nil {
-		t.Fatalf("chaos run B failed: %v\n%s", err, out)
-	}
+		"-out", modelB)...)
 	a, err := os.ReadFile(modelA)
 	if err != nil {
 		t.Fatal(err)
@@ -172,15 +96,11 @@ wait:
 
 	// Strict mode with the same poison must die fast, naming the iteration
 	// and row of the first unsolvable system.
-	argsS := append(append([]string{}, trainArgs...), "-strict-numerics", "-chaos", chaosSpec)
-	strictOut, err := exec.Command(bin, argsS...).CombinedOutput()
-	if err == nil {
-		t.Fatalf("strict chaos run succeeded:\n%s", strictOut)
+	strict := e2e.Start(t, bin, append(append([]string{}, trainArgs...), "-strict-numerics", "-chaos", chaosSpec)...)
+	if code := strict.Wait(); code <= 0 {
+		t.Fatalf("strict chaos run: exit code %d, want a failure of its own:\n%s", code, strict.Output())
 	}
-	if _, ok := err.(*exec.ExitError); !ok {
-		t.Fatalf("strict chaos run: %v", err)
-	}
-	serr := string(strictOut)
+	serr := strict.Output()
 	if !strings.Contains(serr, "iteration") || !strings.Contains(serr, "row") {
 		t.Errorf("strict failure does not name iteration and row: %q", serr)
 	}
@@ -199,46 +119,4 @@ func parseRMSE(t *testing.T, out, prefix string) float64 {
 	}
 	t.Fatalf("no %q line in output:\n%s", prefix, out)
 	return 0
-}
-
-var sampleLine = regexp.MustCompile(`^(\w+)(?:\{[^}]*\})? ([0-9eE.+-]+)$`)
-
-// sumMetric adds up every sample of one family in an exposition body.
-func sumMetric(t *testing.T, body, name string) float64 {
-	t.Helper()
-	var sum float64
-	seen := false
-	for _, line := range strings.Split(body, "\n") {
-		m := sampleLine.FindStringSubmatch(line)
-		if m == nil || m[1] != name {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			t.Fatalf("bad sample line %q: %v", line, err)
-		}
-		sum += v
-		seen = true
-	}
-	if !seen {
-		t.Fatalf("metric %s not present in /metrics", name)
-	}
-	return sum
-}
-
-func get(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, b)
-	}
-	return string(b)
 }

@@ -1,18 +1,14 @@
 package obs_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/e2e"
 	"repro/internal/obs"
 )
 
@@ -29,71 +25,18 @@ func TestAlstrainDebugSmoke(t *testing.T) {
 		t.Skip("builds and runs the alstrain binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "alstrain")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/alstrain")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building alstrain: %v\n%s", err, out)
-	}
+	bin := e2e.Build(t, "alstrain")
 
+	// The linger line means the run is done, so the scrape sees all of it.
 	tracePath := filepath.Join(dir, "run.trace.json")
-	cmd := exec.Command(bin,
+	p := e2e.Start(t, bin,
 		"-preset", "MVLE", "-scale", "0.005", "-iters", "1", "-test-frac", "0",
 		"-debug-addr", "127.0.0.1:0", "-debug-linger", "30s",
 		"-span-trace-out", tracePath)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
+	base := "http://" + p.WaitLine("debug server listening on http://")
+	p.WaitLine("debug server lingering")
 
-	// Follow stdout: grab the bound debug address, then wait until the run
-	// is done (the linger line) so the scrape sees the full training run.
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	deadline := time.After(60 * time.Second)
-	lines := make(chan string)
-	go func() {
-		defer close(lines)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-	}()
-wait:
-	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatal("alstrain exited before lingering")
-			}
-			if rest, found := strings.CutPrefix(line, "debug server listening on http://"); found {
-				addr = rest
-			}
-			if strings.HasPrefix(line, "debug server lingering") {
-				break wait
-			}
-		case <-deadline:
-			t.Fatal("timed out waiting for alstrain")
-		}
-	}
-	if addr == "" {
-		t.Fatal("alstrain never printed the debug address")
-	}
-
-	body := get(t, "http://"+addr+"/metrics")
-	n, err := obs.ValidateExposition(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("/metrics is not valid exposition: %v\n%s", err, body)
-	}
-	if n == 0 {
-		t.Fatal("/metrics served zero samples")
-	}
+	body := e2e.Scrape(t, base).Text
 	for _, want := range []string{
 		"als_train_iteration 1",
 		`als_train_halves_total{half="X"} 1`,
@@ -109,22 +52,20 @@ wait:
 	}
 
 	var info obs.TrainRunInfo
-	if err := json.Unmarshal([]byte(get(t, "http://"+addr+"/runinfo")), &info); err != nil {
-		t.Fatalf("/runinfo is not JSON: %v", err)
-	}
+	e2e.GetJSON(t, base+"/runinfo", &info)
 	if info.Iteration != 1 || info.Halves != 2 {
 		t.Errorf("/runinfo progress iter=%d halves=%d, want 1 and 2", info.Iteration, info.Halves)
 	}
 
-	if body := get(t, "http://"+addr+"/debug/pprof/cmdline"); !strings.Contains(body, "alstrain") {
+	if body := string(e2e.Get(t, base+"/debug/pprof/cmdline")); !strings.Contains(body, "alstrain") {
 		t.Errorf("pprof cmdline does not mention alstrain: %q", body)
 	}
 
-	if body := get(t, "http://"+addr+"/debug/traces"); !strings.Contains(body, `"iter1/x"`) {
+	if body := string(e2e.Get(t, base+"/debug/traces")); !strings.Contains(body, `"iter1/x"`) {
 		t.Errorf("/debug/traces does not hold the finished run's spans: %.200s", body)
 	}
 	requireHalfSpans(t, tracePath, 1)
-	events := strings.TrimSpace(get(t, "http://"+addr+"/debug/traces?format=jsonl"))
+	events := strings.TrimSpace(string(e2e.Get(t, base+"/debug/traces?format=jsonl")))
 	if !strings.Contains(events, `"iter1/x"`) {
 		t.Errorf("/debug/traces?format=jsonl does not hold the finished run's spans: %.200s", events)
 	}
@@ -140,9 +81,7 @@ wait:
 	} {
 		path := filepath.Join(dir, name+".trace.json")
 		args := append([]string{"-preset", "MVLE", "-scale", "0.005", "-iters", "2", "-test-frac", "0"}, flags...)
-		if out, err := exec.Command(bin, append(args, path)...).CombinedOutput(); err != nil {
-			t.Fatalf("%s run: %v\n%s", name, err, out)
-		}
+		e2e.Run(t, bin, append(args, path)...)
 		requireHalfSpans(t, path, 2)
 	}
 }
@@ -180,21 +119,4 @@ func requireHalfSpans(t *testing.T, path string, iters int) {
 			t.Errorf("%s has no %q span (spans: %v)", path, name, spans)
 		}
 	}
-}
-
-func get(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, b)
-	}
-	return string(b)
 }

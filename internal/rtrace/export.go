@@ -2,8 +2,11 @@ package rtrace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // chromeEvent is the Trace Event Format's JSON object form, which
@@ -171,4 +174,20 @@ func (t *Tracer) SlowestHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(out) // map keys marshal sorted, so output order is stable
 	})
+}
+
+// ServeDebug is the one -debug-addr start-up of every binary: it adds the
+// process gauges to cfg.Registry, mounts t's /debug/traces and
+// /debug/slowest (a nil t leaves them unmounted), starts the server and
+// prints the "debug server listening on http://<addr>" line operators and
+// the process harness wait for.
+func ServeDebug(addr string, t *Tracer, cfg obs.DebugConfig) (*obs.DebugServer, error) {
+	obs.RegisterProcessMetrics(cfg.Registry)
+	cfg.Traces, cfg.Slowest = t.TracesHandler(), t.SlowestHandler()
+	dbg, err := obs.StartDebugServer(addr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("debug server listening on http://%s\n", dbg.Addr())
+	return dbg, nil
 }

@@ -26,9 +26,6 @@ type FrontendConfig struct {
 	// Shards are the replica base URLs in shard order, e.g.
 	// "http://127.0.0.1:8081". Length defines the fleet size K.
 	Shards []string
-	// Client overrides the outbound HTTP client (nil builds one with a
-	// reasonable connection pool).
-	Client *http.Client
 	// ShardTimeout is the per-shard deadline for one fan-out leg (default
 	// 1s). A shard that misses it is treated as down for that request and
 	// the response degrades to the healthy shards' merged results.
@@ -44,9 +41,6 @@ type FrontendConfig struct {
 	MaxN int
 	// MaxFoldInItems caps one fold-in request's ratings (default 10000).
 	MaxFoldInItems int
-	// Lambda is the fold-in regularization fallback when neither the
-	// request nor the shards' model metadata supplies one (default 0.1).
-	Lambda float32
 	// Tracer, when set, records one root span per frontend request with a
 	// child span per shard hop (the context rides the traceparent header,
 	// so shard-side spans join the same trace) plus merge and fold-in
@@ -72,9 +66,6 @@ func (c *FrontendConfig) setDefaults() {
 	}
 	if c.MaxFoldInItems <= 0 {
 		c.MaxFoldInItems = 10000
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.1
 	}
 }
 
@@ -115,13 +106,11 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("serve: frontend needs at least one shard URL")
 	}
 	cfg.setDefaults()
-	f := &Frontend{cfg: cfg, client: cfg.Client, reg: obs.NewRegistry()}
-	if f.client == nil {
-		f.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
+	f := &Frontend{cfg: cfg, reg: obs.NewRegistry()}
+	f.client = &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     30 * time.Second,
+	}}
 	for range cfg.Shards {
 		f.shards = append(f.shards, &shardState{})
 	}
@@ -524,7 +513,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	}
 	_, sspan := rtrace.StartChild(r.Context(), "foldin.solve")
 	xu, err := core.SolveFoldIn(packed, rhs, k,
-		foldInLambda(&req, info.Lambda, info.WeightedLambda, f.cfg.Lambda))
+		foldInLambda(&req, info.Lambda, info.WeightedLambda))
 	sspan.End()
 	if err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, err.Error())

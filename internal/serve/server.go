@@ -35,9 +35,6 @@ type Config struct {
 	// MaxFoldInItems caps the ratings accepted by one fold-in request
 	// (default 10000).
 	MaxFoldInItems int
-	// Lambda is the fold-in regularization used when neither the request
-	// nor the model's Meta supplies one (default 0.1).
-	Lambda float32
 	// Tracer, when set, records request spans: a middleware root (or a
 	// child of the inbound traceparent context) per endpoint with children
 	// for cache lookup, the top-N scan, the fold-in solve and snapshot
@@ -63,9 +60,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxFoldInItems <= 0 {
 		c.MaxFoldInItems = 10000
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.1
 	}
 }
 
@@ -392,10 +386,14 @@ type FoldInResponse struct {
 	Items   []RecItem `json:"items"`
 }
 
+// foldInFallbackLambda regularizes a fold-in when neither the request nor
+// the model's metadata carries a λ (alstrain's own default).
+const foldInFallbackLambda = 0.1
+
 // foldInLambda resolves a fold-in's regularization for either edge: the
 // request's override, else the model's training λ (scaled by |Ω| under the
-// weighted convention), else the edge's configured fallback.
-func foldInLambda(req *FoldInRequest, trained float32, weighted bool, fallback float32) float32 {
+// weighted convention), else foldInFallbackLambda.
+func foldInLambda(req *FoldInRequest, trained float32, weighted bool) float32 {
 	switch {
 	case req.Lambda > 0:
 		return req.Lambda
@@ -404,7 +402,7 @@ func foldInLambda(req *FoldInRequest, trained float32, weighted bool, fallback f
 	case trained > 0:
 		return trained
 	}
-	return fallback
+	return foldInFallbackLambda
 }
 
 // decodeFoldIn reads a /v1/foldin body for either edge and applies the
@@ -455,7 +453,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	meta := sn.Model.Meta
 	_, fspan := rtrace.StartChild(r.Context(), "foldin.solve")
 	xu, err := sn.Model.FoldInUser(req.Items, req.Ratings,
-		foldInLambda(&req, meta.Lambda, meta.WeightedLambda, s.cfg.Lambda))
+		foldInLambda(&req, meta.Lambda, meta.WeightedLambda))
 	fspan.End()
 	if err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, err.Error())

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -114,26 +113,15 @@ func NewWatcher(srv *Server, cfg WatcherConfig) *Watcher {
 // happened. It is not safe for concurrent use with itself; Run is the
 // single-goroutine driver.
 func (w *Watcher) Poll() (bool, error) {
-	names, err := w.cfg.FS.ReadDir(w.cfg.Dir)
-	if err != nil {
-		// The directory may simply not exist yet (training not started);
-		// keep waiting rather than failing the loop.
-		return false, nil
-	}
-	w.pruneRetries(names)
-	type candidate struct {
-		name string
-		iter int
-	}
-	var cands []candidate
-	for _, name := range names {
-		if it, ok := checkpoint.ParseFileName(name); ok && it > w.installed {
-			cands = append(cands, candidate{name, it})
+	// The directory may simply not exist yet (training not started): an
+	// empty listing, and the loop keeps waiting.
+	entries := checkpoint.List(w.cfg.FS, w.cfg.Dir)
+	w.pruneRetries(entries)
+	for _, c := range entries {
+		if c.Iteration <= w.installed {
+			break // newest first: nothing further down is newer than what serves
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].iter > cands[j].iter })
-	for _, c := range cands {
-		path := filepath.Join(w.cfg.Dir, c.name)
+		path := filepath.Join(w.cfg.Dir, c.Name)
 		if w.rejected[path] {
 			continue
 		}
@@ -182,7 +170,7 @@ func (w *Watcher) Poll() (bool, error) {
 		}
 		sn := w.srv.swapShard(model, rated, "", offset, total)
 		w.srv.Telemetry().SwapInstalled(w.cfg.Clock.Now())
-		w.installed = c.iter
+		w.installed = c.Iteration
 		if w.cfg.OnSwap != nil {
 			w.cfg.OnSwap(sn)
 		}
@@ -212,13 +200,13 @@ func (w *Watcher) backoff(attempts int) time.Duration {
 // pruneRetries drops retry state for files no longer in the directory
 // (e.g. rotated away by the trainer's keep-last policy), so the map stays
 // bounded by the directory size.
-func (w *Watcher) pruneRetries(names []string) {
+func (w *Watcher) pruneRetries(entries []checkpoint.Entry) {
 	if len(w.retries) == 0 {
 		return
 	}
-	present := make(map[string]bool, len(names))
-	for _, n := range names {
-		present[filepath.Join(w.cfg.Dir, n)] = true
+	present := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		present[filepath.Join(w.cfg.Dir, e.Name)] = true
 	}
 	for p := range w.retries {
 		if !present[p] {

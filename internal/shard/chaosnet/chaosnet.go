@@ -27,16 +27,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/shard/framing"
 )
 
-// Wire framing constants, kept in sync with internal/shard's protocol.
+// The pieces of the shard frame layout the wrapper parses — package framing's
+// definitions, the ones internal/shard's protocol writes by.
 const (
-	lenPrefix      = 8 // little-endian uint64 body length
-	crcTrailer     = 4 // CRC-32C of the body
-	kindHello      = 1 // first inbound frame; body = kind + uint32 rank
-	kindHeartbeat  = 7 // liveness frame; never advances the frame ordinal
-	helloBodyLen   = 5 // kind byte + 4-byte rank
-	helloWireBytes = lenPrefix + helloBodyLen
+	lenPrefix     = framing.LenPrefix
+	prologueLen   = framing.PrologueLen
+	crcTrailer    = framing.CRCTrailer
+	kindHello     = framing.KindHello
+	kindHeartbeat = framing.KindHeartbeat
+	helloBodyLen  = framing.HelloBodyLen
 )
 
 // Dir is the direction of a frame relative to the coordinator.
@@ -428,7 +431,7 @@ func (c *conn) process(d *dirState, in, out []byte) ([]byte, error) {
 		// Accumulate the prologue: 9 bytes classify the frame; the
 		// connection's first inbound frame needs 13 so the hello's rank can
 		// arm rank-targeted faults before any byte is released.
-		need := lenPrefix + 1
+		need := prologueLen
 		if d.dir == In && c.rank.Load() == rankUnknown {
 			need = lenPrefix + helloBodyLen
 		}
@@ -444,11 +447,11 @@ func (c *conn) process(d *dirState, in, out []byte) ([]byte, error) {
 		bodyLen := binary.LittleEndian.Uint64(d.held[:lenPrefix])
 		kind := d.held[lenPrefix]
 		if d.dir == In && c.rank.Load() == rankUnknown {
-			if kind == kindHello && bodyLen == helloBodyLen {
-				c.rank.Store(int32(binary.LittleEndian.Uint32(d.held[lenPrefix+1:])))
-			} else {
-				c.rank.Store(rankNone)
+			rank, ok := framing.HelloRank(d.held[prologueLen:])
+			if !ok || kind != kindHello || bodyLen != helloBodyLen {
+				rank = rankNone
 			}
+			c.rank.Store(rank)
 		}
 		d.inFrame = true
 		d.kind = kind
@@ -470,12 +473,12 @@ func (c *conn) process(d *dirState, in, out []byte) ([]byte, error) {
 				case Corrupt:
 					// Flip one bit somewhere in body-after-kind or the CRC
 					// trailer: either way the checksum cannot match.
-					span := d.total - (lenPrefix + 1)
+					span := d.total - prologueLen
 					h := mix(uint64(c.plan.Seed) ^ mix(uint64(f.Rank)<<32|uint64(f.Frame)<<8|uint64(f.Dir)))
-					d.flipAt = lenPrefix + 1 + int(h>>8)%span
+					d.flipAt = prologueLen + int(h>>8)%span
 					d.flipBit = uint8(1) << (h & 7)
 				case Truncate:
-					d.cutAt = (lenPrefix + 1 + d.total) / 2
+					d.cutAt = (prologueLen + d.total) / 2
 				}
 			}
 		}

@@ -1,24 +1,19 @@
 package shard_test
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/obs"
+	"repro/internal/e2e"
 )
 
 // The fault-smoke lane runs the supervision layer through the real alstrain
@@ -33,124 +28,23 @@ import (
 // to land mid-run regardless of how fast the machine trains.
 const faultStall = "delay=0:in:4:3s"
 
+// faultTrainArgs is every run's base command line (a literal's capacity is
+// its length, so appending to it copies).
 var faultTrainArgs = []string{"-preset", "YMR4", "-scale", "0.02", "-iters", "60",
 	"-k", "6", "-test-frac", "0", "-seed", "11"}
 
-func buildAlstrain(t *testing.T) string {
+// workerPids waits until ranks 0..n-1 have each announced a "worker R pid P"
+// line and returns the first PID announced for each, indexed by rank.
+func workerPids(t *testing.T, p *e2e.Proc, n int) []int {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "alstrain")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/alstrain")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building alstrain: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// trainProc wraps a running alstrain coordinator: it captures the combined
-// output, and parses the "worker R pid P" and debug-server lines as they
-// appear.
-type trainProc struct {
-	t    *testing.T
-	cmd  *exec.Cmd
-	done chan struct{}
-
-	mu       sync.Mutex
-	out      bytes.Buffer
-	pids     map[int]int
-	debugURL string
-}
-
-var workerPidRE = regexp.MustCompile(`^worker (\d+) pid (\d+)$`)
-
-func startTrain(t *testing.T, bin string, args ...string) *trainProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stdout, cmd.Stderr = pw, pw
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	pw.Close()
-	tp := &trainProc{t: t, cmd: cmd, done: make(chan struct{}), pids: map[int]int{}}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	go func() {
-		defer close(tp.done)
-		sc := bufio.NewScanner(pr)
-		for sc.Scan() {
-			line := sc.Text()
-			tp.mu.Lock()
-			tp.out.WriteString(line)
-			tp.out.WriteByte('\n')
-			if m := workerPidRE.FindStringSubmatch(line); m != nil {
-				rank, _ := strconv.Atoi(m[1])
-				pid, _ := strconv.Atoi(m[2])
-				tp.pids[rank] = pid
-			}
-			if rest, ok := strings.CutPrefix(line, "debug server listening on "); ok {
-				tp.debugURL = strings.TrimSpace(rest)
-			}
-			tp.mu.Unlock()
+	pids := make([]int, n)
+	for rank := range pids {
+		var err error
+		if pids[rank], err = strconv.Atoi(p.WaitLine(fmt.Sprintf("worker %d pid ", rank))); err != nil {
+			t.Fatalf("worker %d PID line: %v", rank, err)
 		}
-	}()
-	return tp
-}
-
-// waitPids blocks until n distinct worker ranks have announced their PIDs.
-func (tp *trainProc) waitPids(n int) map[int]int {
-	tp.t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		tp.mu.Lock()
-		if len(tp.pids) >= n {
-			got := make(map[int]int, len(tp.pids))
-			for r, p := range tp.pids {
-				got[r] = p
-			}
-			tp.mu.Unlock()
-			return got
-		}
-		tp.mu.Unlock()
-		if time.Now().After(deadline) {
-			tp.t.Fatalf("saw %d worker PID lines, want %d; output:\n%s", len(tp.pids), n, tp.output())
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func (tp *trainProc) output() string {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	return tp.out.String()
-}
-
-// wait blocks for process exit and returns its exit code.
-func (tp *trainProc) wait() int {
-	tp.t.Helper()
-	<-tp.done
-	err := tp.cmd.Wait()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if ok := isExitError(err, &ee); ok {
-		return ee.ExitCode()
-	}
-	tp.t.Fatalf("wait: %v", err)
-	return -1
-}
-
-func isExitError(err error, ee **exec.ExitError) bool {
-	e, ok := err.(*exec.ExitError)
-	if ok {
-		*ee = e
-	}
-	return ok
+	return pids
 }
 
 // processGone reports whether pid no longer runs (a zombie awaiting a reap
@@ -167,7 +61,7 @@ func processGone(pid int) bool {
 	return false
 }
 
-func waitGone(t *testing.T, label string, pids map[int]int) {
+func waitGone(t *testing.T, label string, pids []int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -196,21 +90,18 @@ func TestFaultSmokeKillWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
 	}
-	bin := buildAlstrain(t)
+	bin := e2e.Build(t, "alstrain")
 	dir := t.TempDir()
 
 	clean := filepath.Join(dir, "clean.model")
-	cmd := exec.Command(bin, append(append([]string{}, faultTrainArgs...), "-out", clean)...)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("clean run: %v\n%s", err, out)
-	}
+	e2e.Run(t, bin, append(faultTrainArgs, "-out", clean)...)
 
 	faulted := filepath.Join(dir, "faulted.model")
-	tp := startTrain(t, bin, append(append([]string{}, faultTrainArgs...),
+	p := e2e.Start(t, bin, append(faultTrainArgs,
 		"-workers", "3", "-out", faulted,
 		"-net-chaos", faultStall,
 		"-debug-addr", "127.0.0.1:0", "-debug-linger", "60s")...)
-	pids := tp.waitPids(3)
+	pids := workerPids(t, p, 3)
 
 	// Let the run reach the iteration-2 stall, then kill a worker there.
 	time.Sleep(1 * time.Second)
@@ -218,59 +109,28 @@ func TestFaultSmokeKillWorker(t *testing.T) {
 		t.Fatalf("killing worker 1 (pid %d): %v", pids[1], err)
 	}
 
-	// The run must complete: the atomic model write is the completion marker.
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		if _, err := os.Stat(faulted); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("faulted run never wrote its model; output:\n%s", tp.output())
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	a, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(faulted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("model after worker SIGKILL differs from clean run (%d vs %d bytes)", len(b), len(a))
-	}
+	// The run must complete: the line follows the atomic model write.
+	p.WaitLine("model written to ")
+	requireSameModel(t, clean, faulted, "model after worker SIGKILL differs from clean run")
 
-	// Workers were stopped by the coordinator before the model was written.
-	waitGone(t, "after completion", tp.pids)
+	// Workers were stopped by the coordinator before the model was written:
+	// every PID the run announced, the respawned worker's included.
+	var all []int
+	for _, m := range regexp.MustCompile(`(?m)^worker \d+ pid (\d+)$`).FindAllStringSubmatch(p.Output(), -1) {
+		pid, _ := strconv.Atoi(m[1])
+		all = append(all, pid)
+	}
+	if len(all) < 4 {
+		t.Fatalf("%d worker PID lines, want the 3 workers and a respawn; output:\n%s", len(all), p.Output())
+	}
+	waitGone(t, "after completion", all)
 
-	tp.mu.Lock()
-	debugURL := tp.debugURL
-	tp.mu.Unlock()
-	if debugURL == "" {
-		t.Fatalf("no debug server line; output:\n%s", tp.output())
+	m := e2e.Scrape(t, p.WaitLine("debug server listening on "))
+	if n := m.Sum("als_dist_respawns_total"); n < 1 {
+		t.Fatalf("als_dist_respawns_total = %g, want >= 1", n)
 	}
-	resp, err := http.Get(debugURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, raw)
-	}
-	respawns := regexp.MustCompile(`(?m)^als_dist_respawns_total ([0-9]+)$`).FindSubmatch(raw)
-	if respawns == nil {
-		t.Fatalf("exposition lacks als_dist_respawns_total:\n%s", raw)
-	}
-	if n, _ := strconv.Atoi(string(respawns[1])); n < 1 {
-		t.Fatalf("als_dist_respawns_total = %s, want >= 1", respawns[1])
-	}
-	if !bytes.Contains(raw, []byte(`als_dist_worker_failures_total{`)) {
-		t.Fatalf("exposition lacks als_dist_worker_failures_total:\n%s", raw)
+	if !strings.Contains(m.Text, `als_dist_worker_failures_total{`) {
+		t.Fatalf("exposition lacks als_dist_worker_failures_total:\n%s", m.Text)
 	}
 }
 
@@ -282,53 +142,35 @@ func TestFaultSmokeGracefulShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
 	}
-	bin := buildAlstrain(t)
+	bin := e2e.Build(t, "alstrain")
 	dir := t.TempDir()
 	ckpts := filepath.Join(dir, "ckpts")
 
 	clean := filepath.Join(dir, "clean.model")
-	cmd := exec.Command(bin, append(append([]string{}, faultTrainArgs...), "-out", clean)...)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("clean run: %v\n%s", err, out)
-	}
+	e2e.Run(t, bin, append(faultTrainArgs, "-out", clean)...)
 
-	tp := startTrain(t, bin, append(append([]string{}, faultTrainArgs...),
+	p := e2e.Start(t, bin, append(faultTrainArgs,
 		"-workers", "2", "-checkpoint-dir", ckpts, "-net-chaos", faultStall)...)
-	pids := tp.waitPids(2)
+	pids := workerPids(t, p, 2)
 	time.Sleep(1 * time.Second) // inside the iteration-2 stall
-	if err := tp.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	code := tp.wait()
-	out := tp.output()
-	if code == 0 {
-		t.Fatalf("SIGTERM run exited 0; output:\n%s", out)
+	p.Signal(syscall.SIGTERM)
+	code := p.Wait()
+	out := p.Output()
+	if code <= 0 {
+		t.Fatalf("SIGTERM run: exit code %d, want a nonzero exit of its own; output:\n%s", code, out)
 	}
 	if !strings.Contains(out, "resumable") {
 		t.Fatalf("interrupted run did not report itself resumable:\n%s", out)
 	}
-	if _, it, err := checkpoint.Latest(checkpoint.OS, ckpts); err != nil || it < 1 {
-		t.Fatalf("no checkpoint after graceful shutdown (iter %d): %v", it, err)
+	if st, _, err := checkpoint.LoadLatest(checkpoint.OS, ckpts); err != nil || st.Iteration < 1 {
+		t.Fatalf("no checkpoint after graceful shutdown: %v", err)
 	}
 	waitGone(t, "after SIGTERM", pids)
 
 	resumed := filepath.Join(dir, "resumed.model")
-	cmd = exec.Command(bin, append(append([]string{}, faultTrainArgs...),
+	e2e.Run(t, bin, append(faultTrainArgs,
 		"-workers", "2", "-checkpoint-dir", ckpts, "-resume", "-out", resumed)...)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("resume run: %v\n%s", err, out)
-	}
-	a, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed model differs from clean run (%d vs %d bytes)", len(b), len(a))
-	}
+	requireSameModel(t, clean, resumed, "resumed model differs from clean run")
 }
 
 // TestFaultSmokeCoordinatorKill9 kills the coordinator with SIGKILL — no
@@ -338,14 +180,10 @@ func TestFaultSmokeCoordinatorKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
 	}
-	bin := buildAlstrain(t)
-	tp := startTrain(t, bin, append(append([]string{}, faultTrainArgs...),
+	p := e2e.Start(t, e2e.Build(t, "alstrain"), append(faultTrainArgs,
 		"-workers", "2", "-net-chaos", faultStall)...)
-	pids := tp.waitPids(2)
+	pids := workerPids(t, p, 2)
 	time.Sleep(1 * time.Second) // inside the iteration-2 stall
-	if err := tp.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	tp.cmd.Wait()
+	p.Signal(syscall.SIGKILL)
 	waitGone(t, "after coordinator SIGKILL", pids)
 }

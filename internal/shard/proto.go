@@ -9,11 +9,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lebin"
+	"repro/internal/shard/framing"
 )
 
 // The trainer's exchange protocol: every frame is a little-endian uint64
 // body length, the body (whose first byte names the frame kind), and a
-// little-endian uint32 CRC-32C of the body. The checksum rides as a trailer,
+// little-endian uint32 CRC-32C of the body (the layout constants and the
+// hello payload are package framing's, shared with chaosnet). The checksum
+// rides as a trailer,
 // not a header, so a multi-megabyte factor frame still streams through the
 // scratch buffer with the CRC accumulated chunk by chunk — no frame-sized
 // staging copy on either end. A mismatched trailer surfaces as the typed
@@ -26,13 +29,13 @@ import (
 // empty liveness markers a worker emits while computing; readers skip them
 // transparently, refreshing their deadline per beat.
 const (
-	frameHello     byte = 1 // worker → coordinator: uint32 rank
-	frameConfig    byte = 2 // coordinator → worker: JSON workerConfig
-	frameFactors   byte = 3 // either direction: factorHeader + float32 payload
-	frameError     byte = 4 // worker → coordinator: UTF-8 failure message
-	frameTraceCtx  byte = 5 // coordinator → worker: rtrace binary span context (17 bytes)
-	frameSpans     byte = 6 // worker → coordinator: rtrace.EncodeSpans payload
-	frameHeartbeat byte = 7 // worker → coordinator: empty liveness marker
+	frameHello          = framing.KindHello     // worker → coordinator: framing.HelloPayload(rank)
+	frameConfig    byte = 2                     // coordinator → worker: JSON workerConfig
+	frameFactors   byte = 3                     // either direction: factorHeader + float32 payload
+	frameError     byte = 4                     // worker → coordinator: UTF-8 failure message
+	frameTraceCtx  byte = 5                     // coordinator → worker: rtrace binary span context (17 bytes)
+	frameSpans     byte = 6                     // worker → coordinator: rtrace.EncodeSpans payload
+	frameHeartbeat      = framing.KindHeartbeat // worker → coordinator: empty liveness marker
 )
 
 // maxSmallFrame bounds hello/config/error bodies; factor frames are bounded
@@ -53,12 +56,6 @@ type factorHeader struct {
 }
 
 const factorHeaderLen = 17
-
-// framePrologueLen is the length prefix plus the kind byte.
-const framePrologueLen = 9
-
-// crcTrailerLen is the per-frame checksum trailer size.
-const crcTrailerLen = 4
 
 // wire is one framed connection. Reads and writes are buffered and go
 // through the lebin codec, which keeps each direction's running body CRC;
@@ -113,7 +110,7 @@ func (w *wire) endFrame(payloadLen int) error {
 	if err := w.lw.Err(); err != nil {
 		return err
 	}
-	w.count(framePrologueLen + payloadLen + crcTrailerLen)
+	w.count(framing.PrologueLen + payloadLen + framing.CRCTrailer)
 	return w.bw.Flush()
 }
 
@@ -158,7 +155,7 @@ func (w *wire) readHeader() (kind byte, bodyLen uint64, err error) {
 	if n < 1 {
 		return 0, 0, fmt.Errorf("shard: empty frame")
 	}
-	w.count(framePrologueLen)
+	w.count(framing.PrologueLen)
 	return kind, n - 1, nil
 }
 
@@ -180,7 +177,7 @@ func (w *wire) readTrailer(kind byte) error {
 	if err := w.lr.Err(); err != nil {
 		return err
 	}
-	w.count(crcTrailerLen)
+	w.count(framing.CRCTrailer)
 	if got != sum {
 		return fmt.Errorf("%w (kind=%d, trailer=%08x, computed=%08x)", ErrFrameCorrupt, kind, got, sum)
 	}

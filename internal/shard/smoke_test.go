@@ -1,19 +1,16 @@
 package shard_test
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/e2e"
 )
 
 // TestDistSmoke is the distributed end-to-end check the `make dist-smoke`
@@ -29,153 +26,80 @@ func TestDistSmoke(t *testing.T) {
 		t.Skip("builds and runs the alstrain/alsserve/alsfront binaries")
 	}
 	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, name := range []string{"alstrain", "alsserve", "alsfront"} {
-		bin := filepath.Join(dir, name)
-		build := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
+	alstrain := e2e.Build(t, "alstrain")
 
 	// Distributed training must be byte-identical to single-process.
 	single := filepath.Join(dir, "single.model")
 	dist := filepath.Join(dir, "dist.model")
-	trainArgs := []string{"-preset", "YMR4", "-scale", "0.02", "-iters", "2",
-		"-k", "6", "-test-frac", "0", "-seed", "11"}
-	for _, run := range [][]string{
-		append(trainArgs[:len(trainArgs):len(trainArgs)], "-out", single),
-		append(trainArgs[:len(trainArgs):len(trainArgs)], "-workers", "2", "-out", dist),
-	} {
-		cmd := exec.Command(bins["alstrain"], run...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("alstrain %v: %v\n%s", run, err, out)
-		}
-	}
-	a, err := os.ReadFile(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("-workers 2 model differs from single-process (%d vs %d bytes)", len(b), len(a))
-	}
+	e2e.Run(t, alstrain, append(fleetTrainArgs, "-out", single)...)
+	e2e.Run(t, alstrain, append(fleetTrainArgs, "-workers", "2", "-out", dist)...)
+	requireSameModel(t, single, dist, "-workers 2 model differs from single-process")
 
-	// Two shard replicas on ephemeral ports.
-	var shardURLs []string
-	for i := 0; i < 2; i++ {
-		addr := startServer(t, bins["alsserve"],
-			[]string{"-model", single, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0"},
-			"alsserve: listening on ")
-		shardURLs = append(shardURLs, "http://"+addr)
-	}
-
-	frontAddr := startServer(t, bins["alsfront"],
-		[]string{"-shards", strings.Join(shardURLs, ","), "-addr", "127.0.0.1:0",
-			"-probe-interval", "100ms"},
-		"alsfront: listening on ")
-	frontURL := "http://" + frontAddr
-
-	// Wait for the prober to mark both shards up.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(frontURL + "/readyz")
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("frontend never became ready")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	resp, err := http.Get(frontURL + "/v1/recommend?user=1&n=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("recommend through the fleet: HTTP %d: %s", resp.StatusCode, body)
-	}
+	_, frontURL := startFleet(t, single)
+	body := e2e.Get(t, frontURL+"/v1/recommend?user=1&n=5")
 	if !bytes.Contains(body, []byte(`"items":[{`)) || bytes.Contains(body, []byte(`"partial":true`)) {
 		t.Fatalf("recommend response not a full merged top-N: %s", body)
 	}
 
-	mresp, err := http.Get(frontURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	raw, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("frontend exposition invalid: %v\n%s", err, raw)
-	} else if n == 0 {
-		t.Fatal("frontend exposition empty")
-	}
+	raw := e2e.Scrape(t, frontURL).Text
 	for _, want := range []string{"als_shard_partial_total", "als_front_requests_total", "als_front_shard_up"} {
-		if !bytes.Contains(raw, []byte(want)) {
+		if !strings.Contains(raw, want) {
 			t.Fatalf("frontend exposition lacks %s:\n%s", want, raw)
 		}
 	}
 }
 
-// startServer launches a server binary, waits for its "listening on" line,
-// and returns the bound address. The process is killed on test cleanup —
-// including failures — so the smoke lane cannot leak orphans.
-func startServer(t *testing.T, bin string, args []string, listenPrefix string) string {
+// requireSameModel fails the test with what unless the two model files hold
+// the same bytes.
+func requireSameModel(t *testing.T, want, got, what string) {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
+	a, err := os.ReadFile(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	b, err := os.ReadFile(got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s (%d vs %d bytes)", what, len(b), len(a))
+	}
+}
 
-	lines := make(chan string, 16)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
-	}()
-	deadline := time.After(15 * time.Second)
+// fleetTrainArgs trains the tiny model the fleet lanes serve (a literal's
+// capacity is its length, so appending to it copies).
+var fleetTrainArgs = []string{"-preset", "YMR4", "-scale", "0.02", "-iters", "2",
+	"-k", "6", "-test-frac", "0", "-seed", "11"}
+
+// startFleet stands up two alsserve shard replicas of model on ephemeral
+// ports and an alsfront (with frontArgs) fanning out to them, waits until
+// the frontend's prober has marked both shards up, and returns the frontend
+// with its base URL.
+func startFleet(t *testing.T, model string, frontArgs ...string) (front *e2e.Proc, frontURL string) {
+	t.Helper()
+	alsserve, alsfront := e2e.Build(t, "alsserve"), e2e.Build(t, "alsfront")
+	var shardURLs []string
+	for i := 0; i < 2; i++ {
+		p := e2e.Start(t, alsserve, "-model", model, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0")
+		shardURLs = append(shardURLs, "http://"+p.WaitLine("alsserve: listening on "))
+	}
+	front = e2e.Start(t, alsfront, append([]string{"-shards", strings.Join(shardURLs, ","),
+		"-addr", "127.0.0.1:0", "-probe-interval", "100ms"}, frontArgs...)...)
+	// The announce line goes on: "<addr>, fanning out to N shard(s)".
+	addr, _, _ := strings.Cut(front.WaitLine("alsfront: listening on "), ",")
+	frontURL = "http://" + addr
+	deadline := time.Now().Add(15 * time.Second)
 	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatalf("%s exited before announcing its address", bin)
+		resp, err := http.Get(frontURL + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return front, frontURL
 			}
-			if rest, found := strings.CutPrefix(line, listenPrefix); found {
-				addr := strings.Fields(rest)[0]
-				addr = strings.TrimSuffix(addr, ",")
-				go func() {
-					for range lines {
-					}
-				}()
-				return addr
-			}
-		case <-deadline:
-			t.Fatalf("%s never announced its address", bin)
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("frontend never became ready (last error: %v); output:\n%s", err, front.Output())
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
 }

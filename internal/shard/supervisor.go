@@ -17,6 +17,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
+	"repro/internal/shard/framing"
 )
 
 // ErrInterrupted reports a training run stopped by TrainerConfig.Interrupt
@@ -192,13 +193,14 @@ func (s *supervisor) acceptRanks(want map[int]bool, deadline time.Time) (map[int
 		c.SetReadDeadline(deadline)
 		wc := newWire(c, s.traffic)
 		kind, body, err := wc.readSmall(nil)
-		if err != nil || kind != frameHello || len(body) != 4 {
+		rank32, ok := framing.HelloRank(body)
+		if err != nil || kind != frameHello || !ok {
 			wc.close()
 			broken++
 			lastErr = fmt.Errorf("bad hello from %s (kind=%d err=%v)", c.RemoteAddr(), kind, err)
 			continue
 		}
-		rank := int(int32(uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24))
+		rank := int(rank32)
 		if !want[rank] || got[rank] != nil {
 			wc.close()
 			broken++
@@ -561,7 +563,7 @@ func (s *supervisor) collectSpans() {
 			s.root.SetAttr("spans_lost_worker"+strconv.Itoa(rank), "dead")
 			continue
 		}
-		arm := func() { w.wire.c.SetReadDeadline(time.Now().Add(s.cfg.Timeout)) }
+		arm := func() { w.wire.c.SetReadDeadline(time.Now().Add(exchangeTimeout)) }
 		arm()
 		kind, body, err := w.wire.readSmall(arm)
 		if err != nil || kind != frameSpans {

@@ -1,17 +1,13 @@
 package shard_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/e2e"
 )
 
 // chromeExport is the /debug/traces document shape this test validates.
@@ -35,80 +31,17 @@ func TestTraceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain/alsserve/alsfront binaries")
 	}
-	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, name := range []string{"alstrain", "alsserve", "alsfront"} {
-		bin := filepath.Join(dir, name)
-		build := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
-
-	model := filepath.Join(dir, "smoke.model")
-	train := exec.Command(bins["alstrain"], "-preset", "YMR4", "-scale", "0.02",
-		"-iters", "2", "-k", "6", "-test-frac", "0", "-seed", "11", "-out", model)
-	if out, err := train.CombinedOutput(); err != nil {
-		t.Fatalf("alstrain: %v\n%s", err, out)
-	}
-
-	var shardURLs []string
-	for i := 0; i < 2; i++ {
-		addrs := startServerPrefixes(t, bins["alsserve"],
-			[]string{"-model", model, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0"},
-			"alsserve: listening on ")
-		shardURLs = append(shardURLs, "http://"+addrs["alsserve: listening on "])
-	}
-
-	const debugPrefix = "debug server listening on http://"
-	const listenPrefix = "alsfront: listening on "
-	addrs := startServerPrefixes(t, bins["alsfront"],
-		[]string{"-shards", strings.Join(shardURLs, ","), "-addr", "127.0.0.1:0",
-			"-probe-interval", "100ms", "-debug-addr", "127.0.0.1:0",
-			"-trace-sample", "1.0"},
-		debugPrefix, listenPrefix)
-	frontURL := "http://" + addrs[listenPrefix]
-	debugURL := "http://" + addrs[debugPrefix]
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(frontURL + "/readyz")
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("frontend never became ready")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	model := filepath.Join(t.TempDir(), "smoke.model")
+	e2e.Run(t, e2e.Build(t, "alstrain"), append(fleetTrainArgs, "-out", model)...)
+	front, frontURL := startFleet(t, model, "-debug-addr", "127.0.0.1:0", "-trace-sample", "1.0")
+	debugURL := "http://" + front.WaitLine("debug server listening on http://")
 
 	const requests = 5
 	for i := 0; i < requests; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/recommend?user=%d&n=5", frontURL, i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("recommend %d: HTTP %d", i, resp.StatusCode)
-		}
+		e2e.Get(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", frontURL, i+1))
 	}
 
-	resp, err := http.Get(debugURL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/traces: HTTP %d", resp.StatusCode)
-	}
+	raw := e2e.Get(t, debugURL+"/debug/traces")
 	var export chromeExport
 	if err := json.Unmarshal(raw, &export); err != nil {
 		t.Fatalf("/debug/traces is not valid Chrome trace JSON: %v\n%s", err, raw)
@@ -164,76 +97,16 @@ func TestTraceSmoke(t *testing.T) {
 	}
 
 	// The flight recorder retains the same traces, addressable by ID.
-	sresp, err := http.Get(debugURL + "/debug/slowest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sraw, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
 	var slowest map[string][]struct {
 		TraceID string `json:"trace_id"`
 	}
-	if err := json.Unmarshal(sraw, &slowest); err != nil {
-		t.Fatalf("/debug/slowest is not valid JSON: %v\n%s", err, sraw)
-	}
+	e2e.GetJSON(t, debugURL+"/debug/slowest", &slowest)
 	if len(slowest["recommend"]) == 0 {
-		t.Fatalf("/debug/slowest holds no recommend traces:\n%s", sraw)
+		t.Fatalf("/debug/slowest holds no recommend traces: %v", slowest)
 	}
 	for _, st := range slowest["recommend"] {
 		if !rootTraces[st.TraceID] {
 			t.Errorf("slowest trace %s not among the exported root trace IDs", st.TraceID)
 		}
 	}
-}
-
-// startServerPrefixes launches a server binary and waits until every given
-// stdout prefix has announced an address, returning prefix → address. The
-// process is killed on test cleanup, so the smoke lane cannot leak orphans.
-func startServerPrefixes(t *testing.T, bin string, args []string, prefixes ...string) map[string]string {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-
-	lines := make(chan string, 16)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
-	}()
-	addrs := map[string]string{}
-	deadline := time.After(15 * time.Second)
-	for len(addrs) < len(prefixes) {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				t.Fatalf("%s exited before announcing %v (got %v)", bin, prefixes, addrs)
-			}
-			for _, p := range prefixes {
-				if rest, found := strings.CutPrefix(line, p); found {
-					addr := strings.Fields(rest)[0]
-					addrs[p] = strings.TrimSuffix(addr, ",")
-				}
-			}
-		case <-deadline:
-			t.Fatalf("%s never announced %v (got %v)", bin, prefixes, addrs)
-		}
-	}
-	go func() {
-		for range lines {
-		}
-	}()
-	return addrs
 }

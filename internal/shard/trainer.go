@@ -20,6 +20,7 @@ import (
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/shard/chaosnet"
+	"repro/internal/shard/framing"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
@@ -94,9 +95,6 @@ type TrainerConfig struct {
 	// Workers is the number of worker processes (>= 1; 1 is a degenerate
 	// but valid single-worker exchange).
 	Workers int
-	// ListenAddr is the coordinator's listen address (default
-	// "127.0.0.1:0" — an ephemeral loopback port).
-	ListenAddr string
 	// Spawn starts worker rank, pointing it at the coordinator address,
 	// and returns a stop function (called on coordinator failure so no
 	// worker outlives a dead run; it must be idempotent — the supervisor
@@ -105,10 +103,6 @@ type TrainerConfig struct {
 	// with -dist-rank instead. The supervisor also calls Spawn to replace
 	// a failed rank mid-run.
 	Spawn func(rank int, addr string) (stop func(), err error)
-	// Timeout bounds the worker handshake and the end-of-run span
-	// collection read (default 10m). Liveness during the exchange itself
-	// is governed by the much tighter HeartbeatTimeout and RoundTimeout.
-	Timeout time.Duration
 
 	// HeartbeatInterval is how often a worker emits a liveness frame while
 	// computing (default 1s; <0 disables heartbeats).
@@ -119,10 +113,10 @@ type TrainerConfig struct {
 	HeartbeatTimeout time.Duration
 	// RoundTimeout bounds one half-iteration exchange end to end, catching
 	// failures liveness cannot (a worker that heartbeats forever but never
-	// sends its shard). Default: Timeout.
+	// sends its shard). Default: exchangeTimeout.
 	RoundTimeout time.Duration
 	// SpawnTimeout bounds a (re)spawned worker's dial-hello-config
-	// handshake (default: Timeout).
+	// handshake (default: exchangeTimeout).
 	SpawnTimeout time.Duration
 	// MaxRespawns is the per-run budget of worker respawns before the
 	// supervisor stops replacing dead ranks and elastically downscales to
@@ -241,18 +235,18 @@ type workerConfig struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// exchangeTimeout is the slack bound on the steps liveness does not govern:
+// the default for a gather round and a worker's handshake, and the
+// end-of-run span collection read. Liveness during the exchange itself is
+// the much tighter HeartbeatTimeout's.
+const exchangeTimeout = 10 * time.Minute
+
 func (cfg *TrainerConfig) setDefaults() {
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 5
-	}
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Minute
 	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Second
@@ -267,10 +261,10 @@ func (cfg *TrainerConfig) setDefaults() {
 		cfg.HeartbeatTimeout = 2 * cfg.HeartbeatInterval
 	}
 	if cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = cfg.Timeout
+		cfg.RoundTimeout = exchangeTimeout
 	}
 	if cfg.SpawnTimeout <= 0 {
-		cfg.SpawnTimeout = cfg.Timeout
+		cfg.SpawnTimeout = exchangeTimeout
 	}
 	if cfg.MaxRespawns == 0 {
 		cfg.MaxRespawns = 3
@@ -354,7 +348,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 		return model, info, nil
 	}
 
-	lis, err := net.Listen("tcp", cfg.ListenAddr)
+	lis, err := net.Listen("tcp", "127.0.0.1:0") // the workers are this host's: an ephemeral loopback port
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: coordinator listen: %w", err)
 	}
@@ -452,8 +446,7 @@ func RunWorker(coordAddr string, rank int) error {
 	w := newWire(c, nil)
 	defer w.close()
 
-	hello := []byte{byte(rank), byte(rank >> 8), byte(rank >> 16), byte(rank >> 24)}
-	if err := w.writeSmall(frameHello, hello); err != nil {
+	if err := w.writeSmall(frameHello, framing.HelloPayload(int32(rank))); err != nil {
 		return err
 	}
 	kind, body, err := w.readSmall(nil)

@@ -1,19 +1,14 @@
 package solvers_test
 
 import (
-	"bufio"
 	"bytes"
-	"io"
-	"net/http"
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/obs"
+	"repro/internal/e2e"
 )
 
 // TestImplicitSmoke is the implicit-mode end-to-end check the CI lane runs
@@ -32,22 +27,14 @@ func TestImplicitSmoke(t *testing.T) {
 		t.Skip("builds and runs the alstrain binary")
 	}
 	dir := t.TempDir()
-	build := func(file string, flags ...string) string {
-		bin := filepath.Join(dir, file)
-		cmd := exec.Command("go", append(append([]string{"build"}, flags...), "-o", bin, "repro/cmd/alstrain")...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building alstrain %v: %v\n%s", flags, err, out)
-		}
-		return bin
-	}
-	bin := build("alstrain")
+	bin := e2e.Build(t, "alstrain")
 
 	// The CG matvec and the shared Gram run linalg's SSE2 kernels in the
 	// default amd64 build and the portable loops under -tags purego; the two
 	// must write the same model, byte for byte: k = 64 and 32 take the
 	// assembly for every row, k = 20 too (a multiple of four, not of eight).
 	t.Run("kernels", func(t *testing.T) {
-		purego := build("alstrain-purego", "-tags", "purego")
+		purego := e2e.Build(t, "alstrain", "purego")
 		for _, tc := range [][]string{
 			{"-implicit", "-alpha", "5", "-k", "64"},
 			{"-implicit", "-alpha", "5", "-k", "20"},
@@ -56,11 +43,8 @@ func TestImplicitSmoke(t *testing.T) {
 			var models [2][]byte
 			for i, b := range []string{bin, purego} {
 				out := filepath.Join(dir, "kernels.model")
-				args := append([]string{"-preset", "YMR4", "-scale", "0.02", "-iters", "3", "-seed", "5",
-					"-test-frac", "0", "-solver", "cg", "-cg-iters", "3", "-out", out}, tc...)
-				if msg, err := exec.Command(b, args...).CombinedOutput(); err != nil {
-					t.Fatalf("%s %v: %v\n%s", filepath.Base(b), tc, err, msg)
-				}
+				e2e.Run(t, b, append([]string{"-preset", "YMR4", "-scale", "0.02", "-iters", "3", "-seed", "5",
+					"-test-frac", "0", "-solver", "cg", "-cg-iters", "3", "-out", out}, tc...)...)
 				var err error
 				if models[i], err = os.ReadFile(out); err != nil {
 					t.Fatal(err)
@@ -98,81 +82,20 @@ func TestImplicitSmoke(t *testing.T) {
 				"-implicit", "-alpha", "5", "-test-frac", "0.1",
 				"-debug-addr", "127.0.0.1:0", "-debug-linger", "30s",
 			}, tc.extraFlags...)
-			cmd := exec.Command(bin, args...)
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				cmd.Process.Kill()
-				cmd.Wait()
-			}()
-
-			// Follow stdout for the debug address, the recall line, and the
-			// linger marker that means training (and metric flushing) is done.
-			var addr string
-			recall := -1.0
-			sc := bufio.NewScanner(stdout)
-			deadline := time.After(60 * time.Second)
-			lines := make(chan string)
-			go func() {
-				defer close(lines)
-				for sc.Scan() {
-					lines <- sc.Text()
-				}
-			}()
-		wait:
-			for {
-				select {
-				case line, ok := <-lines:
-					if !ok {
-						t.Fatal("alstrain exited before lingering")
-					}
-					if rest, found := strings.CutPrefix(line, "debug server listening on http://"); found {
-						addr = rest
-					}
-					if i := strings.Index(line, "recall@10: "); i >= 0 {
-						fields := strings.Fields(line[i:])
-						if len(fields) >= 2 {
-							if v, err := strconv.ParseFloat(fields[1], 64); err == nil {
-								recall = v
-							}
-						}
-					}
-					if strings.HasPrefix(line, "debug server lingering") {
-						break wait
-					}
-				case <-deadline:
-					t.Fatal("timed out waiting for alstrain")
-				}
-			}
-			if addr == "" {
-				t.Fatal("alstrain never printed the debug address")
-			}
-			if recall < 0 {
-				t.Fatal("alstrain never printed recall@10")
+			p := e2e.Start(t, bin, args...)
+			base := "http://" + p.WaitLine("debug server listening on http://")
+			// The linger marker means training (and metric flushing) is done.
+			p.WaitLine("debug server lingering")
+			_, line, _ := strings.Cut(p.Output(), "recall@10: ")
+			var recall float64
+			if _, err := fmt.Sscan(line, &recall); err != nil {
+				t.Fatalf("no recall@10 value (%v) in:\n%s", err, p.Output())
 			}
 			if recall < recallFloor {
 				t.Errorf("implicit %s recall@10 = %g, want ≥ %g", tc.name, recall, recallFloor)
 			}
 
-			resp, err := http.Get("http://" + addr + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := string(b)
-			if n, err := obs.ValidateExposition(strings.NewReader(body)); err != nil || n == 0 {
-				t.Fatalf("/metrics invalid exposition (%d samples): %v\n%s", n, err, body)
-			}
+			body := e2e.Scrape(t, base).Text
 			for _, want := range append([]string{
 				`als_train_info{program="alstrain"`,
 				`mode="implicit"`,
