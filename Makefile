@@ -18,7 +18,8 @@ test-short:
 
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
-# boundary, one codec, one process harness), build, the race passes, the
+# boundary, one codec, one process harness, one row-update arithmetic),
+# build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the smoke lanes through the real binaries, the bench smokes.
 ci:
@@ -42,8 +43,12 @@ ci:
 	if [ -n "$$harness" ]; then \
 		echo 'exec.Command("go" in a test outside internal/e2e (use e2e.Build):'; echo "$$harness"; exit 1; \
 	fi
+	@solvers=$$(ls internal/kernels/*.go internal/sim/*.go internal/cluster/*.go internal/baseline/*.go internal/tuner/*.go | grep -v '_test\.go$$' | xargs grep -lE 'linalg\.(Gram|GatherGaxpy|Cholesky|LDL)' || true); \
+	if [ -n "$$solvers" ]; then \
+		echo "the simulator keeps the clock; the row update's arithmetic has one home, internal/host:"; echo "$$solvers"; exit 1; \
+	fi
 	$(GO) build ./...
-	$(GO) test -race -short $$($(GO) list ./... | grep -v '^repro/internal/experiments$$')
+	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/e2e ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/shard ./internal/solvers
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin

@@ -38,12 +38,12 @@ func BenchmarkAblationSkewVsFlatPenalty(b *testing.B) {
 			imb := sparse.WarpImbalance(mx.R, 32)
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				flat, err := kernels.Train(mx, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
+				flat, err := kernels.Estimate(mx, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
 					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				batched, err := kernels.Train(mx, kernels.Config{Device: gpu, Spec: kernels.Spec{},
+				batched, err := kernels.Estimate(mx, kernels.Config{Device: gpu, Spec: kernels.Spec{},
 					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
@@ -76,12 +76,12 @@ func BenchmarkAblationCacheWorkingSet(b *testing.B) {
 			mx := p.Generate(2).Matrix
 			var perNNZ, boost float64
 			for i := 0; i < b.N; i++ {
-				plain, err := kernels.Train(mx, kernels.Config{Device: cpu, Spec: kernels.Spec{},
+				plain, err := kernels.Estimate(mx, kernels.Config{Device: cpu, Spec: kernels.Spec{},
 					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				staged, err := kernels.Train(mx, kernels.Config{Device: cpu,
+				staged, err := kernels.Estimate(mx, kernels.Config{Device: cpu,
 					Spec: kernels.Spec{S1Local: true, S2Local: true},
 					K:    10, Lambda: 0.1, Iterations: 1, Seed: 1})
 				if err != nil {
@@ -106,7 +106,7 @@ func BenchmarkAblationTransferShare(b *testing.B) {
 			mx := dataset.YahooR4.ScaledForBench(scale).Generate(3).Matrix
 			var share float64
 			for i := 0; i < b.N; i++ {
-				res, err := kernels.Train(mx, kernels.Config{Device: gpu,
+				res, err := kernels.Estimate(mx, kernels.Config{Device: gpu,
 					Spec: kernels.FromVariant(variant.Options{Local: true, Register: true}),
 					K:    10, Lambda: 0.1, Iterations: 5, Seed: 1})
 				if err != nil {
@@ -130,7 +130,7 @@ func BenchmarkAblationGroupGrid(b *testing.B) {
 		b.Run("groups"+itoa(groups), func(b *testing.B) {
 			var secs float64
 			for i := 0; i < b.N; i++ {
-				res, err := kernels.Train(mx, kernels.Config{Device: gpu,
+				res, err := kernels.Estimate(mx, kernels.Config{Device: gpu,
 					Spec: kernels.FromVariant(variant.Options{Local: true, Register: true}),
 					K:    10, Lambda: 0.1, Iterations: 1, Seed: 1, Groups: groups})
 				if err != nil {

@@ -61,12 +61,12 @@ func BenchmarkFig1BaselineCPUvsGPU(b *testing.B) {
 	cpu, gpu := device.XeonE52670(), device.K20c()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		tc, err := kernels.Train(ds.Matrix, kernels.Config{Device: cpu, Spec: kernels.Baseline(),
+		tc, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: cpu, Spec: kernels.Baseline(),
 			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tg, err := kernels.Train(ds.Matrix, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
+		tg, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
 			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 		if err != nil {
 			b.Fatal(err)
@@ -137,7 +137,7 @@ func BenchmarkFig6Variants(b *testing.B) {
 			b.Run(dev.Kind.String()+"/"+v.ID(), func(b *testing.B) {
 				var secs float64
 				for i := 0; i < b.N; i++ {
-					res, err := kernels.Train(ds.Matrix, kernels.Config{
+					res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 						Device: dev, Spec: kernels.FromVariant(v),
 						K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 					if err != nil {
@@ -160,7 +160,7 @@ func BenchmarkFig7Speedups(b *testing.B) {
 	var vsCPU, vsGPU, vsCuMF float64
 	for i := 0; i < b.N; i++ {
 		run := func(dev *device.Device, spec kernels.Spec) float64 {
-			res, err := kernels.Train(ds.Matrix, kernels.Config{Device: dev, Spec: spec,
+			res, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: dev, Spec: spec,
 				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 			if err != nil {
 				b.Fatal(err)
@@ -171,7 +171,7 @@ func BenchmarkFig7Speedups(b *testing.B) {
 		oursGPU := run(gpu, kernels.FromVariant(experiments.BestVariant(device.GPU)))
 		flatCPU := run(cpu, kernels.Baseline())
 		flatGPU := run(gpu, kernels.Baseline())
-		cm, err := baseline.TrainCuMF(ds.Matrix, baseline.CuMFConfig{Device: gpu,
+		cm, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{Device: gpu,
 			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 		if err != nil {
 			b.Fatal(err)
@@ -190,7 +190,7 @@ func BenchmarkFig8StageBreakdown(b *testing.B) {
 	ds := experiments.Datasets(s)[1]
 	var share [3]float64
 	for i := 0; i < b.N; i++ {
-		res, err := kernels.Train(ds.Matrix, kernels.Config{
+		res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 			Device: device.K20c(),
 			Spec:   kernels.Spec{S1Local: true, S1Register: true, S2Local: true},
 			K:      s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
@@ -214,7 +214,7 @@ func BenchmarkFig9CrossPlatform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		times := map[device.Kind]float64{}
 		for _, dev := range device.All() {
-			res, err := kernels.Train(ds.Matrix, kernels.Config{
+			res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 				Device: dev, Spec: kernels.FromVariant(experiments.BestVariant(dev.Kind)),
 				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
 			if err != nil {
@@ -239,7 +239,7 @@ func BenchmarkFig10BlockSize(b *testing.B) {
 		b.Run("ws"+itoa(ws), func(b *testing.B) {
 			var secs float64
 			for i := 0; i < b.N; i++ {
-				res, err := kernels.Train(ds.Matrix, kernels.Config{
+				res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 					Device: device.K20c(), Spec: kernels.FromVariant(experiments.BestVariant(device.GPU)),
 					K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed, GroupSize: ws})
 				if err != nil {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
-	"repro/internal/trace"
+	"repro/internal/tuner"
 )
 
 func main() {
@@ -109,7 +109,7 @@ func main() {
 		// The hotspot-guided tuning walk of Sec. V-C (Fig. 8's narrative),
 		// on Netflix/K20c.
 		ds := dataset.Netflix.ScaledForBench(0.002 * s.Scale).Generate(s.Seed)
-		steps, final, err := trace.Tune(ds.Matrix, kernels.Config{
+		steps, final, err := tuner.Tune(ds.Matrix, kernels.Config{
 			Device: device.K20c(), K: s.K, Lambda: s.Lambda,
 			Iterations: s.Iterations, Seed: s.Seed,
 		})

@@ -32,7 +32,7 @@ func main() {
 		for i := range devs {
 			devs[i] = device.K20c()
 		}
-		res, err := kernels.TrainMulti(mx, cfg, devs)
+		res, err := kernels.EstimateMulti(mx, cfg, devs) // the clock only; TrainMulti adds the factors
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,5 +43,5 @@ func main() {
 		fmt.Printf("%-7d  %.4f      %.4f       %.4f    %.2fx    %.0f%%\n",
 			n, res.ComputeSeconds, res.TransferSeconds, res.Seconds(), sp, sp/float64(n)*100)
 	}
-	fmt.Println("\n(The factors are identical at every device count; sharding only moves compute.)")
+	fmt.Println("\n(kernels.TrainMulti returns identical factors at every device count; sharding only moves compute.)")
 }

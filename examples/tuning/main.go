@@ -17,7 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/kernels"
-	"repro/internal/trace"
+	"repro/internal/tuner"
 	"repro/internal/variant"
 )
 
@@ -69,7 +69,7 @@ func main() {
 
 	fmt.Println("\n== hotspot-guided tuning on Netflix/K20c (Sec. V-C, Fig. 8) ==")
 	ntfx := dataset.Netflix.ScaledForBench(0.002).Generate(7)
-	steps, final, err := trace.Tune(ntfx.Matrix, kernels.Config{
+	steps, final, err := tuner.Tune(ntfx.Matrix, kernels.Config{
 		Device: device.K20c(), K: 10, Lambda: 0.1, Iterations: 1, Seed: 7,
 	})
 	if err != nil {

@@ -68,9 +68,23 @@ const (
 	cumfBatchedLUCPI = 1.1
 )
 
+// EstimateCuMF is the cost pass of a cuMF run: the Result TrainCuMF returns,
+// without the factors — the one-time placement of our own kernels plus the
+// library cost model above.
+func EstimateCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
+	return cuMF(kernels.Estimate, mx, cfg)
+}
+
 // TrainCuMF runs the cuMF-style ALS: real arithmetic identical to the other
-// solvers (it is the same exact ALS), with the library cost model above.
+// solvers (it is the same exact ALS), timed by the library cost model.
 func TrainCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
+	return cuMF(kernels.Train, mx, cfg)
+}
+
+// cuMF runs our batched kernel for the placement cost (and, when run is
+// kernels.Train, the factors), then replaces its timing report with the
+// library's.
+func cuMF(run func(*sparse.Matrix, kernels.Config) (*kernels.Result, error), mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
 	if cfg.Device == nil || cfg.Device.Kind != device.GPU {
 		return nil, fmt.Errorf("baseline: cuMF requires a GPU device")
 	}
@@ -80,8 +94,7 @@ func TrainCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 5
 	}
-	// Real math: reuse the batched kernel implementation for the factors…
-	res, err := kernels.Train(mx, kernels.Config{
+	res, err := run(mx, kernels.Config{
 		Device: cfg.Device,
 		Spec:   kernels.Spec{S1Local: true, S2Local: true, S1Register: true},
 		K:      cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
@@ -89,7 +102,6 @@ func TrainCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// …then replace the timing report with the library cost model.
 	res.Report = cuMFReport(mx, cfg)
 	return res, nil
 }

@@ -43,8 +43,11 @@ func TestSAC15HostMatchesSimFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := linalg.MaxAbsDiff(h.X, s.X); d > 2e-3 {
-		t.Fatalf("host/sim baseline factors differ by %g", d)
+	if d := linalg.MaxAbsDiff(h.X, s.X); d != 0 {
+		t.Fatalf("host/sim baseline X factors differ by %g", d)
+	}
+	if d := linalg.MaxAbsDiff(h.Y, s.Y); d != 0 {
+		t.Fatalf("host/sim baseline Y factors differ by %g", d)
 	}
 }
 
@@ -53,7 +56,7 @@ func TestCuMFRequiresGPU(t *testing.T) {
 	if _, err := TrainCuMF(mx, CuMFConfig{Device: device.XeonE52670()}); err == nil {
 		t.Fatal("cuMF accepted a CPU device")
 	}
-	if _, err := TrainCuMF(mx, CuMFConfig{}); err == nil {
+	if _, err := EstimateCuMF(mx, CuMFConfig{}); err == nil {
 		t.Fatal("cuMF accepted nil device")
 	}
 }
@@ -70,6 +73,15 @@ func TestCuMFProducesValidModel(t *testing.T) {
 	if res.Seconds() <= 0 {
 		t.Fatal("cuMF charged no time")
 	}
+	// The cost pass alone reports the run's clock.
+	est, err := EstimateCuMF(mx, CuMFConfig{Device: device.K20c(), K: 10, Lambda: 0.1, Iterations: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Report != res.Report || est.Seconds() != res.Seconds() || est.TransferSeconds != res.TransferSeconds {
+		t.Fatalf("EstimateCuMF %+v (transfer %g) != TrainCuMF %+v (transfer %g)",
+			est.Report, est.TransferSeconds, res.Report, res.TransferSeconds)
+	}
 }
 
 // TestCuMFSlowerThanCustomKernels: the paper's core comparison — the
@@ -78,14 +90,14 @@ func TestCuMFProducesValidModel(t *testing.T) {
 func TestCuMFSlowerThanCustomKernels(t *testing.T) {
 	mx := testMatrix(t)
 	gpu := device.K20c()
-	ours, err := kernels.Train(mx, kernels.Config{
+	ours, err := kernels.Estimate(mx, kernels.Config{
 		Device: gpu, Spec: kernels.Spec{S1Local: true, S2Local: true, S1Register: true},
 		K: 10, Lambda: 0.1, Iterations: 3, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := TrainCuMF(mx, CuMFConfig{Device: gpu, K: 10, Lambda: 0.1, Iterations: 3, Seed: 7})
+	cm, err := EstimateCuMF(mx, CuMFConfig{Device: gpu, K: 10, Lambda: 0.1, Iterations: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +112,11 @@ func TestCuMFSlowerThanCustomKernels(t *testing.T) {
 func TestCuMFTilePaddingCost(t *testing.T) {
 	mx := testMatrix(t)
 	gpu := device.K20c()
-	t10, err := TrainCuMF(mx, CuMFConfig{Device: gpu, K: 10, Lambda: 0.1, Iterations: 2, Seed: 1})
+	t10, err := EstimateCuMF(mx, CuMFConfig{Device: gpu, K: 10, Lambda: 0.1, Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t32, err := TrainCuMF(mx, CuMFConfig{Device: gpu, K: 32, Lambda: 0.1, Iterations: 2, Seed: 1})
+	t32, err := EstimateCuMF(mx, CuMFConfig{Device: gpu, K: 32, Lambda: 0.1, Iterations: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,17 @@
 // "partial replication"), and after it the updated factor shards are
 // exchanged. Compute uses the host cost of a multicore worker per node;
 // communication pays per-node bandwidth and per-message latency over a
-// shared switch. The arithmetic is real (factors match the single-node
-// solver bit-for-bit), so the package doubles as a correct distributed ALS
-// implementation with a simulated clock.
+// shared switch. The clock is modeled from the sparsity pattern (Estimate);
+// the arithmetic is internal/host's, partition by partition, through
+// kernels.TrainMulti (factors match the single-node solver bit-for-bit), so
+// the package doubles as a correct distributed ALS implementation with a
+// simulated clock.
 package cluster
 
 import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/host"
 	"repro/internal/kernels"
 	"repro/internal/linalg"
 	"repro/internal/sparse"
@@ -68,7 +69,7 @@ func (c *Config) setDefaults() {
 
 // Result is a simulated distributed training run.
 type Result struct {
-	X, Y *linalg.Dense
+	X, Y *linalg.Dense // nil from Estimate
 	// ComputeSeconds: summed per-iteration makespans (slowest node).
 	ComputeSeconds float64
 	// NetworkSeconds: replication + shard-exchange time.
@@ -81,78 +82,74 @@ type Result struct {
 // Seconds is the simulated end-to-end time.
 func (r *Result) Seconds() float64 { return r.ComputeSeconds + r.NetworkSeconds }
 
+// Estimate is the cost pass of a distributed run: the Result Train returns,
+// without the factors.
+func Estimate(mx *sparse.Matrix, cfg Config) (*Result, error) {
+	return run(kernels.EstimateMulti, mx, cfg)
+}
+
 // Train runs distributed ALS. Factors are identical to a single-node run.
 func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
-	cfg.setDefaults()
-	if mx.NNZ() == 0 {
-		return nil, fmt.Errorf("cluster: empty rating matrix")
-	}
-	m, n := mx.Rows(), mx.Cols()
-	x := linalg.NewDense(m, cfg.K)
-	y := host.InitialY(n, cfg.K, cfg.Seed)
-	rt := mx.RT()
+	return run(kernels.TrainMulti, mx, cfg)
+}
 
-	res := &Result{X: x, Y: y}
+// run is the multi-device model with one simulated device per node (compute
+// overlaps across nodes, so the slowest partition sets each half's pace;
+// sharded is kernels.EstimateMulti, or kernels.TrainMulti for the factors
+// too) plus this package's network model. Network time and replication
+// traffic follow from the sparsity pattern, so each half's exchange is
+// tallied once and charged every iteration.
+func run(sharded func(*sparse.Matrix, kernels.Config, []*device.Device) (*kernels.MultiResult, error),
+	mx *sparse.Matrix, cfg Config) (*Result, error) {
+	cfg.setDefaults()
+	nodes := make([]*device.Device, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = cfg.NodeDevice
+	}
+	// Every node runs the paper's CPU recommendation.
+	multi, err := sharded(mx, kernels.Config{
+		Device: cfg.NodeDevice, Spec: kernels.Spec{S1Local: true, S2Local: true},
+		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+	}, nodes)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	res := &Result{X: multi.X, Y: multi.Y, ComputeSeconds: multi.ComputeSeconds}
+	xNet, xBytes := exchange(mx.R, cfg)
+	yNet, yBytes := exchange(mx.RT(), cfg)
 	for it := 0; it < cfg.Iterations; it++ {
-		if err := halfIteration(mx.R, y, x, cfg, res); err != nil {
-			return nil, fmt.Errorf("cluster: iteration %d (X): %w", it+1, err)
-		}
-		if err := halfIteration(rt, x, y, cfg, res); err != nil {
-			return nil, fmt.Errorf("cluster: iteration %d (Y): %w", it+1, err)
-		}
+		res.NetworkSeconds += xNet
+		res.NetworkSeconds += yNet
+		res.ReplicationBytes += xBytes + yBytes
 	}
 	return res, nil
 }
 
-// halfIteration updates `out` from `fixed` over the rows of r across the
-// nodes, accounting compute and communication.
-func halfIteration(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config, res *Result) error {
+// exchange accounts one half-iteration's communication when r's rows are
+// updated across the nodes: the slowest node's replicate + exchange time
+// (transfers overlap across NICs) and the replicated bytes of all nodes.
+func exchange(r *sparse.CSR, cfg Config) (seconds float64, replicated int64) {
 	nodes := cfg.Nodes
+	if nodes == 1 {
+		return 0, 0 // a single node holds all data locally and pays nothing
+	}
 	bytesPerRow := int64(cfg.K)*4 + 8 // factor row + routing key
-	// Bulk-synchronous phases: replicate, compute, exchange. Each phase's
-	// time is the slowest node's (transfers overlap across NICs; compute
-	// overlaps across nodes).
-	var computeMax, netMax float64
-
 	for node := 0; node < nodes; node++ {
-		lo := node * r.NumRows / nodes
-		hi := (node + 1) * r.NumRows / nodes
+		// The contiguous row split kernels.TrainMulti makes across devices.
+		lo, hi := node*r.NumRows/nodes, (node+1)*r.NumRows/nodes
 		if lo == hi {
 			continue
 		}
 		// Partial replication: the distinct fixed rows this partition
-		// references must be shipped to the node. A single node holds all
-		// data locally and pays nothing.
-		if nodes > 1 {
-			needed := distinctCols(r, lo, hi)
-			repl := int64(needed) * bytesPerRow
-			res.ReplicationBytes += repl
-			net := float64(repl)/(cfg.Network.GbitPerSec*1e9/8) + cfg.Network.LatencySec
-			// Updated shard flows back.
-			net += float64(int64(hi-lo)*bytesPerRow)/(cfg.Network.GbitPerSec*1e9/8) + cfg.Network.LatencySec
-			if net > netMax {
-				netMax = net
-			}
-		}
-
-		// Node-local compute via the per-node device model.
-		view := shardView(r, lo, hi)
-		shardOut := linalg.NewDenseFrom(hi-lo, cfg.K, out.Data[lo*cfg.K:hi*cfg.K])
-		rep, err := kernels.UpdateSide(view, fixed, shardOut, kernels.Config{
-			Device: cfg.NodeDevice,
-			Spec:   kernels.Spec{S1Local: true, S2Local: true},
-			K:      cfg.K, Lambda: cfg.Lambda,
-		})
-		if err != nil {
-			return err
-		}
-		if rep.Seconds > computeMax {
-			computeMax = rep.Seconds
-		}
+		// references must be shipped to the node.
+		repl := int64(distinctCols(r, lo, hi)) * bytesPerRow
+		replicated += repl
+		net := float64(repl)/(cfg.Network.GbitPerSec*1e9/8) + cfg.Network.LatencySec
+		// Updated shard flows back.
+		net += float64(int64(hi-lo)*bytesPerRow)/(cfg.Network.GbitPerSec*1e9/8) + cfg.Network.LatencySec
+		seconds = max(seconds, net)
 	}
-	res.ComputeSeconds += computeMax
-	res.NetworkSeconds += netMax
-	return nil
+	return seconds, replicated
 }
 
 // AllGatherBytes predicts the coordinator-side wire traffic of the real
@@ -184,9 +181,4 @@ func distinctCols(r *sparse.CSR, lo, hi int) int {
 		}
 	}
 	return len(seen)
-}
-
-// shardView builds a zero-copy CSR view of rows [lo, hi).
-func shardView(r *sparse.CSR, lo, hi int) *sparse.CSR {
-	return r.RowRange(lo, hi)
 }

@@ -187,6 +187,55 @@ func TestImplicitResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointRecordsResolvedDefaults: an implicit CG run that leaves α and
+// the CG budget unset trains with the defaults, so its checkpoint must say
+// 40 / 3 — not the zeros that asked for them — and resuming with the
+// defaults spelled out must continue it bit-identically.
+func TestCheckpointRecordsResolvedDefaults(t *testing.T) {
+	mx := ckptMatrix(t)
+	unset := Config{K: 6, Lambda: 0.1, Iterations: 3, Seed: 7, Implicit: true, Solver: host.SolverCG}
+	straight, _, err := Train(mx, unset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := checkpoint.NewMemFS()
+	partial := unset
+	partial.Iterations = 1
+	partial.CheckpointDir = "ckpts"
+	partial.CheckpointFS = fsys
+	if _, _, err := Train(mx, partial); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := checkpoint.LoadLatest(fsys, "ckpts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Alpha != host.DefaultAlpha || st.CGIters != host.DefaultCGIters {
+		t.Errorf("checkpoint records alpha=%g cg-iters=%d, the run trained with %d / %d",
+			st.Alpha, st.CGIters, host.DefaultAlpha, host.DefaultCGIters)
+	}
+	spelled := unset
+	spelled.Alpha, spelled.CGIters = 40, 3
+	spelled.CheckpointDir = "ckpts"
+	spelled.CheckpointFS = fsys
+	spelled.Resume = true
+	resumed, info, err := Train(mx, spelled)
+	if err != nil {
+		t.Fatalf("resume with the defaults spelled out: %v", err)
+	}
+	if info.ResumedFrom != 1 {
+		t.Fatalf("ResumedFrom = %d, want 1", info.ResumedFrom)
+	}
+	if d := max(linalg.MaxAbsDiff(straight.X, resumed.X), linalg.MaxAbsDiff(straight.Y, resumed.Y)); d != 0 {
+		t.Errorf("resumed model differs by %g from the uninterrupted run", d)
+	}
+	// A file from before the defaults were resolved stores the zeros.
+	st.Alpha, st.CGIters = 0, 0
+	if err := resumeMismatch(st, &spelled, st.Variant); err != nil {
+		t.Errorf("a stored 0 is not read as the default: %v", err)
+	}
+}
+
 // TestResumeRejectsModeBoundary: a checkpoint from one training mode must
 // not silently continue under another — the objective, solver arithmetic
 // and hyperparameters all differ, so the result would be neither run.
@@ -217,7 +266,9 @@ func TestResumeRejectsModeBoundary(t *testing.T) {
 			implicitFS, "alpha"},
 		"solver": {func() Config { c := ibase; c.Solver = host.SolverCG; c.CGIters = 3; return c }(),
 			implicitFS, "solver"},
-		"cg-iters": {func() Config { c := ibase; c.Solver = host.SolverCG; return c }(),
+		// An unset budget is the default 3 the checkpoint below records, i.e.
+		// the same run (TestCheckpointRecordsResolvedDefaults); 5 is another.
+		"cg-iters": {func() Config { c := ibase; c.Solver = host.SolverCG; c.CGIters = 5; return c }(),
 			func() checkpoint.FS {
 				fs := checkpoint.NewMemFS()
 				c := ibase

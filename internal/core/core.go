@@ -182,6 +182,14 @@ func (c *Config) setDefaults() {
 	if c.Platform == "" {
 		c.Platform = PlatformHost
 	}
+	// The training-mode defaults are resolved here, before the host config
+	// and the Run are built, so checkpoints record what the run trained with.
+	if c.Alpha <= 0 {
+		c.Alpha = host.DefaultAlpha
+	}
+	if c.CGIters <= 0 {
+		c.CGIters = host.DefaultCGIters
+	}
 }
 
 // RunInfo reports how a training run went.
@@ -501,45 +509,39 @@ func trainSim(mx *sparse.Matrix, dev *device.Device, cfg Config) (*Model, *RunIn
 // fastest-first.
 func SelectVariant(mx *sparse.Matrix, platform string, cfg Config) (variant.Options, []variant.Measurement, error) {
 	cfg.setDefaults()
-	probe := cfg
-	probe.Iterations = 1
-	probe.AutoVariant = false
-	probe.UseRecommended = false
-	probe.Baseline = false
-
+	var dev *device.Device // nil probes the host
+	if platform != PlatformHost {
+		var err error
+		if dev, err = device.ByName(platform); err != nil {
+			return variant.Options{}, nil, err
+		}
+	}
 	var firstErr error
-	measure := func(v variant.Options) float64 {
-		probe.Variant = v
-		if platform == PlatformHost {
+	measure := func(v variant.Options) (sec float64) {
+		var err error
+		if dev == nil {
 			start := time.Now()
-			_, err := host.Train(mx, host.Config{
-				K: probe.K, Lambda: probe.Lambda, Iterations: 1, Seed: probe.Seed,
-				Workers: probe.Workers, Variant: v,
+			_, err = host.Train(mx, host.Config{
+				K: cfg.K, Lambda: cfg.Lambda, Iterations: 1, Seed: cfg.Seed,
+				Workers: cfg.Workers, Variant: v,
 			})
-			if err != nil && firstErr == nil {
-				firstErr = err
+			sec = time.Since(start).Seconds()
+		} else {
+			// A simulated probe reads the clock only: the cost pass.
+			var res *kernels.Result
+			res, err = kernels.Estimate(mx, kernels.Config{
+				Device: dev, Spec: kernels.FromVariant(v),
+				K: cfg.K, Lambda: cfg.Lambda, Iterations: 1, Seed: cfg.Seed,
+				Groups: cfg.Groups, GroupSize: cfg.GroupSize,
+			})
+			if err == nil {
+				sec = res.Seconds()
 			}
-			return time.Since(start).Seconds()
 		}
-		dev, err := device.ByName(platform)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return 0
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		res, err := kernels.Train(mx, kernels.Config{
-			Device: dev, Spec: kernels.FromVariant(v),
-			K: probe.K, Lambda: probe.Lambda, Iterations: 1, Seed: probe.Seed,
-			Groups: probe.Groups, GroupSize: probe.GroupSize,
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return 0
-		}
-		return res.Seconds()
+		return sec
 	}
 	best, ms := variant.SelectBest(variant.Extended(), measure)
 	if firstErr != nil {

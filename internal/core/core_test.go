@@ -76,7 +76,14 @@ func TestPlatformsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := linalg.MaxAbsDiff(ref.X, m.X); d > 2e-3 {
+		// CPU and MIC are recommended +local, which stages data and moves
+		// no bit: the host default's row kernel exactly. The GPU's +register
+		// is another variant, equal within float tolerance.
+		tol := 0.0
+		if platform == "GPU" {
+			tol = 2e-3
+		}
+		if d := linalg.MaxAbsDiff(ref.X, m.X); d > tol {
 			t.Errorf("%s: X deviates by %g", platform, d)
 		}
 	}

@@ -206,8 +206,16 @@ func (r *Run) save(it int, x, y *linalg.Dense, hist []host.IterStats) error {
 // are compared where they enter the arithmetic — implicit runs and the CG
 // solver — so an explicit direct-solver checkpoint resumes the same whether
 // a single process or the distributed coordinator (which records neither)
-// wrote it.
+// wrote it. A stored 0 is a file from before Train resolved the defaults:
+// that run trained with them.
 func resumeMismatch(st *checkpoint.State, cfg *Config, variantID string) error {
+	alpha, cgIters := st.Alpha, st.CGIters
+	if alpha == 0 {
+		alpha = host.DefaultAlpha
+	}
+	if cgIters == 0 {
+		cgIters = host.DefaultCGIters
+	}
 	switch {
 	case st.K != cfg.K:
 		return fmt.Errorf("core: checkpoint has k=%d, run wants k=%d", st.K, cfg.K)
@@ -225,11 +233,11 @@ func resumeMismatch(st *checkpoint.State, cfg *Config, variantID string) error {
 		// run under a different objective entirely.
 		return fmt.Errorf("core: checkpoint is from an %s-feedback run, run wants %s feedback",
 			host.ModeLabel(st.Implicit), host.ModeLabel(cfg.Implicit))
-	case cfg.Implicit && st.Alpha != cfg.Alpha:
+	case cfg.Implicit && alpha != cfg.Alpha:
 		return fmt.Errorf("core: checkpoint has alpha=%g, run wants %g", st.Alpha, cfg.Alpha)
 	case st.Solver != cfg.Solver:
 		return fmt.Errorf("core: checkpoint was trained with solver %q, run wants %q", st.Solver, cfg.Solver)
-	case cfg.Solver == host.SolverCG && st.CGIters != cfg.CGIters:
+	case cfg.Solver == host.SolverCG && cgIters != cfg.CGIters:
 		return fmt.Errorf("core: checkpoint has cg-iters=%d, run wants %d", st.CGIters, cfg.CGIters)
 	case st.BlockSize != cfg.BlockSize:
 		return fmt.Errorf("core: checkpoint has block-size=%d, run wants %d", st.BlockSize, cfg.BlockSize)

@@ -119,7 +119,7 @@ func TestCalibrationCuMF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm, err := baseline.TrainCuMF(ds.Matrix, baseline.CuMFConfig{
+		cm, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{
 			Device: gpu, K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
 		})
 		if err != nil {

@@ -107,9 +107,10 @@ func kernelConfig(dev *device.Device, spec kernels.Spec, s Settings) kernels.Con
 	}
 }
 
-// runSeconds trains on the simulated device and returns end-to-end seconds.
+// runSeconds returns the simulated device's end-to-end seconds for the run
+// (the cost pass: the figures read the clock, not the factors).
 func runSeconds(ds *dataset.Dataset, dev *device.Device, spec kernels.Spec, s Settings) (float64, error) {
-	res, err := kernels.Train(ds.Matrix, kernelConfig(dev, spec, s))
+	res, err := kernels.Estimate(ds.Matrix, kernelConfig(dev, spec, s))
 	if err != nil {
 		return 0, fmt.Errorf("%s on %s (%s): %w", ds.Name, dev.Kind, spec.Name(), err)
 	}

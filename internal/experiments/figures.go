@@ -115,7 +115,7 @@ func Fig7(s Settings) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cumf, err := baseline.TrainCuMF(ds.Matrix, baseline.CuMFConfig{
+		cumf, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{
 			Device: gpu, K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
 		})
 		if err != nil {
@@ -158,7 +158,7 @@ func Fig8(s Settings) (*Table, error) {
 		{"(e) + Cholesky S3", kernels.Spec{S1Register: true, S1Local: true, S2Local: true}},
 	}
 	for _, st := range steps {
-		res, err := kernels.Train(ntfx, kernelConfig(gpu, st.spec, s))
+		res, err := kernels.Estimate(ntfx, kernelConfig(gpu, st.spec, s))
 		if err != nil {
 			return nil, err
 		}

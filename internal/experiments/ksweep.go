@@ -47,7 +47,7 @@ func KSweep(s Settings, ks []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cm, err := baseline.TrainCuMF(ntfx.Matrix, baseline.CuMFConfig{
+		cm, err := baseline.EstimateCuMF(ntfx.Matrix, baseline.CuMFConfig{
 			Device: gpu, K: k, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
 		})
 		if err != nil {

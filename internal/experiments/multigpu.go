@@ -27,11 +27,8 @@ func MultiGPU(s Settings) (*Table, error) {
 			for j := range devs {
 				devs[j] = device.K20c()
 			}
-			res, err := kernels.TrainMulti(ds.Matrix, kernels.Config{
-				Device: devs[0], Spec: kernels.FromVariant(BestVariant(device.GPU)),
-				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
-				Groups: s.Groups, GroupSize: s.GroupSize,
-			}, devs)
+			res, err := kernels.EstimateMulti(ds.Matrix,
+				kernelConfig(devs[0], kernels.FromVariant(BestVariant(device.GPU)), s), devs)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %d GPUs: %w", ds.Name, n, err)
 			}

@@ -194,6 +194,15 @@ func defaultChunk(m, nnz, workers int) int {
 	return c
 }
 
+// DefaultAlpha and DefaultCGIters are what an unset (≤ 0) Config.Alpha and
+// Config.CGIters train with. core.Train resolves them before it builds a run,
+// so a checkpoint records the values used and not the zeros that asked for
+// them.
+const (
+	DefaultAlpha   = 40
+	DefaultCGIters = 3
+)
+
 func (c *Config) setDefaults() {
 	if c.K <= 0 {
 		c.K = 10
@@ -205,10 +214,10 @@ func (c *Config) setDefaults() {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Alpha <= 0 {
-		c.Alpha = 40
+		c.Alpha = DefaultAlpha
 	}
 	if c.CGIters <= 0 {
-		c.CGIters = 3
+		c.CGIters = DefaultCGIters
 	}
 	if c.BlockSize > c.K {
 		c.BlockSize = c.K

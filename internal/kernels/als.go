@@ -2,13 +2,13 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 	"repro/internal/host"
 	"repro/internal/linalg"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/variant"
 )
 
 // Config describes one simulated ALS run.
@@ -46,10 +46,21 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Result is a simulated training run: real factors plus the simulated
-// execution-time report.
+// hostConfig is the internal/host configuration whose row kernel computes
+// this run's factors: the gram, gather and solve forms the spec names, the
+// flat baseline's plain ones. Staging (S1Local/S2Local) and the S3 form
+// move cycles only, never a bit of the result, so they have no host side.
+func (c Config) hostConfig() host.Config {
+	return host.Config{
+		K: c.K, Lambda: c.Lambda, Flat: c.Spec.Flat,
+		Variant: variant.Options{Register: c.Spec.S1Register, Vector: c.Spec.Vector, Fused: c.Spec.Fused},
+	}
+}
+
+// Result is a simulated training run: the simulated execution-time report
+// and, from Train, the factors.
 type Result struct {
-	X, Y *linalg.Dense
+	X, Y *linalg.Dense // nil from Estimate
 	// Report accumulates all update launches across iterations.
 	Report sim.Report
 	// TransferSeconds is the one-time PCIe placement cost (GPU/MIC).
@@ -60,10 +71,10 @@ type Result struct {
 // plus the initial transfer.
 func (r *Result) Seconds() float64 { return r.Report.Seconds + r.TransferSeconds }
 
-// Train runs the full ALS loop (Algorithm 1) on the simulated device. The
-// arithmetic is real — the returned factors match internal/host's within
-// float tolerance — while the Report carries the modeled device time.
-func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
+// Estimate is the cost pass of a run: the Result Train returns, without the
+// factors. Simulated time depends on the sparsity pattern alone, so each
+// side is tallied once and charged every iteration.
+func Estimate(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -71,143 +82,82 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("kernels: empty rating matrix")
 	}
 	m, n := mx.Rows(), mx.Cols()
-	x := linalg.NewDense(m, cfg.K)
-	y := host.InitialY(n, cfg.K, cfg.Seed)
-	rt := mx.RT()
-
-	res := &Result{X: x, Y: y}
+	res := &Result{}
 	// One-time placement of R (CSR+CSC), X and Y on the accelerator.
 	bytes := int64(mx.NNZ())*16 + int64(m+n+2)*8 + int64((m+n)*cfg.K)*4
 	res.TransferSeconds = cfg.Device.TransferSeconds(bytes)
 
+	xHalf, yHalf := sideCost(mx.R, n, cfg), sideCost(mx.RT(), m, cfg)
 	for it := 0; it < cfg.Iterations; it++ {
-		rep, err := UpdateSide(mx.R, y, x, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: iteration %d update X: %w", it+1, err)
-		}
-		res.Report.Add(rep)
-		rep, err = UpdateSide(rt, x, y, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: iteration %d update Y: %w", it+1, err)
-		}
-		res.Report.Add(rep)
+		res.Report.Add(xHalf)
+		res.Report.Add(yHalf)
 	}
 	return res, nil
 }
 
-// UpdateSide recomputes out (m×k) from fixed (n×k) over the rows of r on
-// the simulated device, returning the launch report.
-func UpdateSide(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config) (*sim.Report, error) {
+// Train runs the full ALS loop (Algorithm 1) for the simulated device:
+// Estimate's report carries the modeled device time, and the factors are
+// internal/host's, computed with the spec's variant (hostConfig) — the
+// simulator changes the clock, never the arithmetic.
+func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	res, err := Estimate(mx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if res.X, res.Y, err = factorize(mx, cfg, 1); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// factorize is the arithmetic of a run: ALS on one borrowed host worker
+// pool, each half computed as `shards` contiguous row ranges (one per
+// device). Row updates are independent, so the factors do not depend on
+// shards.
+func factorize(mx *sparse.Matrix, cfg Config, shards int) (x, y *linalg.Dense, err error) {
+	ru, err := host.NewRangeUpdater(cfg.hostConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ru.Close()
+	x = linalg.NewDense(mx.Rows(), cfg.K)
+	y = host.InitialY(mx.Cols(), cfg.K, cfg.Seed)
+	sides := [2]struct {
+		name       string
+		r          *sparse.CSR
+		fixed, out *linalg.Dense
+	}{{"X", mx.R, y, x}, {"Y", mx.RT(), x, y}}
+	for it := 1; it <= cfg.Iterations; it++ {
+		for _, s := range sides {
+			for i := 0; i < shards; i++ {
+				lo, hi := shard(s.r.NumRows, shards, i)
+				if err := ru.UpdateRange(s.r, s.fixed, s.out, lo, hi, it, s.name == "X"); err != nil {
+					return nil, nil, fmt.Errorf("kernels: iteration %d update %s: %w", it, s.name, err)
+				}
+			}
+		}
+	}
+	return x, y, nil
+}
+
+// sideCost is the launch report of one half iteration: the update of the
+// rows of r against a fixed factor of fixedRows rows, for a defaulted
+// config. It reads row lengths only.
+func sideCost(r *sparse.CSR, fixedRows int, cfg Config) *sim.Report {
 	if cfg.Spec.Flat {
-		return flatUpdate(r, fixed, out, cfg)
+		return flatCost(r, fixedRows, cfg)
 	}
-	return batchedUpdate(r, fixed, out, cfg)
+	return batchedCost(r, fixedRows, cfg)
 }
 
-// scratch is the per-group workspace; pooled because sim.Run creates group
-// contexts concurrently. gsum backs the baseline scatter kernel's private
-// buffer; packed and ldl back the fused/packed S1+S3 path.
-type scratch struct {
-	smat   *linalg.Dense
-	svec   []float32
-	gsum   []float32
-	packed []float32
-	ldl    []float64
-}
-
-var scratchPool = sync.Pool{}
-
-func getScratch(k int) *scratch {
-	if v := scratchPool.Get(); v != nil {
-		s := v.(*scratch)
-		if s.smat.Rows == k {
-			return s
-		}
-	}
-	return &scratch{smat: linalg.NewDense(k, k), svec: make([]float32, k),
-		gsum: make([]float32, k*k), packed: make([]float32, linalg.PackedLen(k)),
-		ldl: make([]float64, k)}
-}
-
-func putScratch(s *scratch) { scratchPool.Put(s) }
-
-// solveRow performs the real Algorithm 2 body for one row. The Gram kernel
-// matches the spec so the arithmetic truly differs per variant (all
-// variants are equivalent within float tolerance; the tests verify it).
-func solveRow(r *sparse.CSR, fixed, out *linalg.Dense, u int, cfg Config, s *scratch) error {
-	cols, vals := r.Row(u)
-	xu := out.Row(u)
-	if len(cols) == 0 {
-		for i := range xu {
-			xu[i] = 0
-		}
-		return nil
-	}
-	if cfg.Spec.Fused {
-		// Fused S1+S2 into packed storage, packed Cholesky S3.
-		fused := linalg.GramRHSFused
-		if cfg.Spec.Vector {
-			fused = linalg.GramRHSFusedUnrolled
-		}
-		fused(fixed.Data, cfg.K, cols, vals, s.packed, s.svec)
-		linalg.AddDiagPacked(s.packed, cfg.K, cfg.Lambda)
-		if err := linalg.CholeskySolvePacked(s.packed, cfg.K, s.svec); err != nil {
-			fused(fixed.Data, cfg.K, cols, vals, s.packed, s.svec)
-			linalg.AddDiagPacked(s.packed, cfg.K, cfg.Lambda)
-			if err := linalg.LDLSolvePacked(s.packed, cfg.K, s.svec, s.ldl); err != nil {
-				return fmt.Errorf("row %d: %w", u, err)
-			}
-		}
-		copy(xu, s.svec)
-		return nil
-	}
-	gram := func(y []float32, k int, cols []int32, smat []float32) {
-		linalg.GramScatter(y, k, cols, smat, s.gsum)
-	}
-	switch {
-	case cfg.Spec.Vector:
-		gram = linalg.GramUnrolled
-	case cfg.Spec.S1Register:
-		gram = linalg.GramRegister
-	}
-	gram(fixed.Data, cfg.K, cols, s.smat.Data)
-	s.smat.AddDiag(cfg.Lambda)
-	if cfg.Spec.Vector {
-		linalg.GatherGaxpyUnrolled(fixed.Data, cfg.K, cols, vals, s.svec)
-	} else {
-		linalg.GatherGaxpy(fixed.Data, cfg.K, cols, vals, s.svec)
-	}
-	if err := linalg.CholeskySolve(s.smat, s.svec); err != nil {
-		gram(fixed.Data, cfg.K, cols, s.smat.Data)
-		s.smat.AddDiag(cfg.Lambda)
-		if err := linalg.LDLSolve(s.smat, s.svec); err != nil {
-			return fmt.Errorf("row %d: %w", u, err)
-		}
-	}
-	copy(xu, s.svec)
-	return nil
-}
-
-// batchedUpdate launches the thread-batched kernel: one work-group per row
+// batchedCost launches the thread-batched kernel: one work-group per row
 // task, grid-stride over rows (Sec. III-B).
-func batchedUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config) (*sim.Report, error) {
-	e := newEnv(cfg.Device, cfg.K, cfg.GroupSize, fixed.Rows)
-	var firstErr error
-	var errMu sync.Mutex
+func batchedCost(r *sparse.CSR, fixedRows int, cfg Config) *sim.Report {
+	e := newEnv(cfg.Device, cfg.K, cfg.GroupSize, fixedRows)
 	kernel := func(task int, acc *sim.Acc) {
-		s := getScratch(cfg.K)
-		defer putScratch(s)
-		if err := solveRow(r, fixed, out, task, cfg, s); err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return
-		}
 		omega := r.RowNNZ(task)
 		if omega == 0 {
 			return
@@ -217,48 +167,29 @@ func batchedUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config) (*sim.Re
 			e.batchedS2(cfg.Spec, omega),
 			e.s3(cfg.Spec))
 	}
-	rep := sim.Run(sim.Launch{
+	return sim.Run(sim.Launch{
 		Device: cfg.Device, Groups: cfg.Groups, GroupSize: cfg.GroupSize, Tasks: r.NumRows,
 	}, kernel)
-	return rep, firstErr
 }
 
-// flatUpdate launches the SAC'15 baseline: one work-item per row. On the
+// flatCost launches the SAC'15 baseline: one work-item per row. On the
 // GPU, rows are bundled into lock-step warps (a bundle's cost follows its
 // longest row); on CPU/MIC the bundles model OpenMP threads processing row
 // ranges independently.
-func flatUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config) (*sim.Report, error) {
+func flatCost(r *sparse.CSR, fixedRows int, cfg Config) *sim.Report {
 	bundle := cfg.Device.WarpSize
 	tasks := (r.NumRows + bundle - 1) / bundle
-	e := newEnv(cfg.Device, cfg.K, bundle, fixed.Rows)
-	var firstErr error
-	var errMu sync.Mutex
+	e := newEnv(cfg.Device, cfg.K, bundle, fixedRows)
+	omegas := make([]int, 0, bundle)
 	kernel := func(task int, acc *sim.Acc) {
-		s := getScratch(cfg.K)
-		defer putScratch(s)
 		lo := task * bundle
-		hi := lo + bundle
-		if hi > r.NumRows {
-			hi = r.NumRows
-		}
-		omegas := make([]int, 0, bundle)
+		hi := min(lo+bundle, r.NumRows)
+		omegas = omegas[:0]
 		maxOmega := 0
 		for u := lo; u < hi; u++ {
-			if err := solveRow(r, fixed, out, u, cfg, s); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			omega := r.RowNNZ(u)
-			if omega == 0 {
-				continue
-			}
-			omegas = append(omegas, omega)
-			if omega > maxOmega {
-				maxOmega = omega
+			if omega := r.RowNNZ(u); omega > 0 {
+				omegas = append(omegas, omega)
+				maxOmega = max(maxOmega, omega)
 			}
 		}
 		if len(omegas) == 0 {
@@ -267,8 +198,7 @@ func flatUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config) (*sim.Repor
 		s1, s2, s3 := e.flatWarp(omegas, maxOmega)
 		chargeStages(acc, s1, s2, s3)
 	}
-	rep := sim.Run(sim.Launch{
+	return sim.Run(sim.Launch{
 		Device: cfg.Device, Groups: cfg.Groups, GroupSize: bundle, Tasks: tasks,
 	}, kernel)
-	return rep, firstErr
 }

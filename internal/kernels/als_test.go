@@ -53,10 +53,11 @@ func TestSimMatchesHost(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesHost covers the baseline spec's arithmetic too.
+// TestFlatMatchesHost covers the baseline spec's arithmetic too: the same
+// variant on host and simulator is the same row kernel, bit for bit.
 func TestFlatMatchesHost(t *testing.T) {
 	mx := testMatrix(t)
-	ref, err := host.Train(mx, host.Config{K: 8, Lambda: 0.1, Iterations: 1, Seed: 5})
+	ref, err := host.Train(mx, host.Config{K: 8, Lambda: 0.1, Iterations: 1, Seed: 5, Flat: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,23 +66,57 @@ func TestFlatMatchesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := linalg.MaxAbsDiff(ref.X, res.X); d > 2e-3 {
+	if d := linalg.MaxAbsDiff(ref.X, res.X); d != 0 {
 		t.Errorf("flat X deviates from host by %g", d)
+	}
+	if d := linalg.MaxAbsDiff(ref.Y, res.Y); d != 0 {
+		t.Errorf("flat Y deviates from host by %g", d)
 	}
 }
 
-// TestSimDeterministic: identical configs give identical simulated times —
-// the cost accounting must not depend on goroutine interleaving.
+// TestEstimateMatchesTrain is the identity the simulator rests on: the cost
+// pass alone reports exactly what a training run reports — every stage's
+// cycles, the makespan, the counters, the seconds — for the baseline and all
+// twelve variants on every device.
+func TestEstimateMatchesTrain(t *testing.T) {
+	mx := testMatrix(t)
+	specs := []Spec{Baseline(), {S3Gauss: true}}
+	for _, v := range variant.Extended() {
+		specs = append(specs, FromVariant(v))
+	}
+	for _, dev := range device.All() {
+		for _, spec := range specs {
+			cfg := Config{Device: dev, Spec: spec, K: 12, Lambda: 0.1, Iterations: 3, Seed: 3}
+			est, err := Estimate(mx, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", dev.Kind, spec.Name(), err)
+			}
+			res, err := Train(mx, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", dev.Kind, spec.Name(), err)
+			}
+			if est.Report != res.Report || est.Seconds() != res.Seconds() || est.TransferSeconds != res.TransferSeconds {
+				t.Errorf("%s/%s: Estimate %+v (transfer %g) != Train %+v (transfer %g)",
+					dev.Kind, spec.Name(), est.Report, est.TransferSeconds, res.Report, res.TransferSeconds)
+			}
+			if est.X != nil || est.Y != nil || res.X == nil || res.Y == nil {
+				t.Errorf("%s/%s: factors belong to Train alone", dev.Kind, spec.Name())
+			}
+		}
+	}
+}
+
+// TestSimDeterministic: identical configs give identical simulated times.
 func TestSimDeterministic(t *testing.T) {
 	mx := testMatrix(t)
 	cfg := Config{Device: device.K20c(), Spec: FromVariant(variant.Options{Local: true, Register: true}),
 		K: 10, Lambda: 0.1, Iterations: 1, Seed: 7}
-	a, err := Train(mx, cfg)
+	a, err := Estimate(mx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		b, err := Train(mx, cfg)
+		b, err := Estimate(mx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +180,7 @@ func TestTrainRejectsEmptyAndNilDevice(t *testing.T) {
 // in Sec. V-C).
 func TestStageDominance(t *testing.T) {
 	mx := longRowMatrix(t)
-	res, err := Train(mx, Config{Device: device.K20c(), Spec: Spec{},
+	res, err := Estimate(mx, Config{Device: device.K20c(), Spec: Spec{},
 		K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +198,12 @@ func TestStageDominance(t *testing.T) {
 // stage toward S2 (Fig. 8 b→c transition).
 func TestOptimizationShiftsHotspot(t *testing.T) {
 	mx := longRowMatrix(t)
-	before, err := Train(mx, Config{Device: device.K20c(), Spec: Spec{S3Gauss: true},
+	before, err := Estimate(mx, Config{Device: device.K20c(), Spec: Spec{S3Gauss: true},
 		K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Train(mx, Config{Device: device.K20c(),
+	after, err := Estimate(mx, Config{Device: device.K20c(),
 		Spec: Spec{S1Local: true, S1Register: true, S3Gauss: true},
 		K:    10, Lambda: 0.1, Iterations: 1, Seed: 1})
 	if err != nil {
@@ -189,7 +224,7 @@ func TestGroupSizeSweepGPU(t *testing.T) {
 	mx := testMatrix(t)
 	times := map[int]float64{}
 	for _, ws := range []int{8, 16, 32, 128} {
-		res, err := Train(mx, Config{Device: device.K20c(),
+		res, err := Estimate(mx, Config{Device: device.K20c(),
 			Spec: FromVariant(variant.Options{Local: true, Register: true}),
 			K:    10, Lambda: 0.1, Iterations: 1, Seed: 1, GroupSize: ws})
 		if err != nil {
@@ -210,7 +245,7 @@ func TestGroupSizeSweepGPU(t *testing.T) {
 func TestTransferChargedOnAccelerators(t *testing.T) {
 	mx := testMatrix(t)
 	for _, dev := range device.All() {
-		res, err := Train(mx, Config{Device: dev, K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+		res, err := Estimate(mx, Config{Device: dev, K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,15 +268,11 @@ func TestEmptyRowsCostNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := linalg.NewDense(10, 4)
-	for i := range fixed.Data {
-		fixed.Data[i] = 0.1
-	}
-	out := linalg.NewDense(100, 4)
-	rep, err := UpdateSide(mx.R, fixed, out, Config{Device: device.K20c(), K: 4, Lambda: 0.1})
-	if err != nil {
+	cfg := Config{Device: device.K20c(), K: 4, Lambda: 0.1}
+	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
+	rep := sideCost(mx.R, mx.Cols(), cfg)
 	// One active row: the report must reflect exactly one row's overhead.
 	single := rep.StageCycles[sim.S3]
 	if single <= 0 {
@@ -254,11 +285,7 @@ func TestEmptyRowsCostNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2 := linalg.NewDense(100, 4)
-	rep2, err := UpdateSide(mx2.R, fixed, out2, Config{Device: device.K20c(), K: 4, Lambda: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := sideCost(mx2.R, mx2.Cols(), cfg)
 	if rep.StageCycles[sim.S1] != rep2.StageCycles[sim.S1] {
 		t.Fatalf("same single-row work charged differently: %g vs %g",
 			rep.StageCycles[sim.S1], rep2.StageCycles[sim.S1])

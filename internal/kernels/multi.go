@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/host"
 	"repro/internal/linalg"
 	"repro/internal/sparse"
 )
@@ -21,7 +20,7 @@ import (
 
 // MultiResult is a simulated multi-device training run.
 type MultiResult struct {
-	X, Y *linalg.Dense
+	X, Y *linalg.Dense // nil from EstimateMulti
 	// ComputeSeconds is the summed per-iteration makespan of the slowest
 	// device; TransferSeconds the serialized PCIe traffic (initial shard
 	// placement + per-iteration broadcasts and gathers).
@@ -32,11 +31,11 @@ type MultiResult struct {
 // Seconds is the simulated end-to-end time.
 func (r *MultiResult) Seconds() float64 { return r.ComputeSeconds + r.TransferSeconds }
 
-// TrainMulti runs ALS sharded across the given devices (all must share the
-// config's spec/launch parameters; they would typically be identical GPUs).
-// The factors it produces are identical to a single-device run — sharding
-// only changes where rows are computed.
-func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*MultiResult, error) {
+// EstimateMulti is the cost pass of a run sharded across the given devices
+// (all must share the config's spec/launch parameters; they would typically
+// be identical GPUs): the MultiResult TrainMulti returns, without the
+// factors.
+func EstimateMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*MultiResult, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("kernels: no devices")
 	}
@@ -47,11 +46,7 @@ func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*Multi
 		return nil, fmt.Errorf("kernels: empty rating matrix")
 	}
 	m, n := mx.Rows(), mx.Cols()
-	x := linalg.NewDense(m, cfg.K)
-	y := host.InitialY(n, cfg.K, cfg.Seed)
-	rt := mx.RT()
-
-	res := &MultiResult{X: x, Y: y}
+	res := &MultiResult{}
 
 	// Initial placement: each device receives its R shards (both views)
 	// once. Approximate each device's share of the nonzeros as uniform.
@@ -61,30 +56,40 @@ func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*Multi
 	}
 
 	factorBytes := func(rows int) int64 { return int64(rows) * int64(cfg.K) * 4 }
+	xHalf, yHalf := multiCost(mx.R, n, cfg, devices), multiCost(mx.RT(), m, cfg, devices)
 	for it := 0; it < cfg.Iterations; it++ {
 		// X update: broadcast Y to every device, compute row shards,
 		// gather the X shards back.
-		comp, err := multiUpdate(mx.R, y, x, cfg, devices)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: multi iteration %d (X): %w", it+1, err)
-		}
-		res.ComputeSeconds += comp
+		res.ComputeSeconds += xHalf
 		for i, d := range devices {
 			res.TransferSeconds += d.TransferSeconds(factorBytes(n)) // Y broadcast
 			lo, hi := shard(m, len(devices), i)
 			res.TransferSeconds += d.TransferSeconds(factorBytes(hi - lo)) // X gather
 		}
 		// Y update, symmetric.
-		comp, err = multiUpdate(rt, x, y, cfg, devices)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: multi iteration %d (Y): %w", it+1, err)
-		}
-		res.ComputeSeconds += comp
+		res.ComputeSeconds += yHalf
 		for i, d := range devices {
 			res.TransferSeconds += d.TransferSeconds(factorBytes(m))
 			lo, hi := shard(n, len(devices), i)
 			res.TransferSeconds += d.TransferSeconds(factorBytes(hi - lo))
 		}
+	}
+	return res, nil
+}
+
+// TrainMulti runs ALS sharded across the given devices. The factors it
+// produces are identical to a single-device run — sharding only changes
+// where rows are computed.
+func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*MultiResult, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	res, err := EstimateMulti(mx, cfg, devices)
+	if err != nil {
+		return nil, err
+	}
+	if res.X, res.Y, err = factorize(mx, cfg, len(devices)); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -96,26 +101,17 @@ func shard(rows, devices, i int) (lo, hi int) {
 	return
 }
 
-// multiUpdate computes one half-iteration across devices, returning the
-// compute makespan (the slowest device's simulated time).
-func multiUpdate(r *sparse.CSR, fixed, out *linalg.Dense, cfg Config, devices []*device.Device) (float64, error) {
+// multiCost is one half-iteration's compute makespan across devices: the
+// slowest device's simulated time over its shard of r's rows.
+func multiCost(r *sparse.CSR, fixedRows int, cfg Config, devices []*device.Device) float64 {
 	var slowest float64
 	for i, d := range devices {
 		lo, hi := shard(r.NumRows, len(devices), i)
 		if lo == hi {
 			continue
 		}
-		view := r.RowRange(lo, hi)
-		shardOut := linalg.NewDenseFrom(hi-lo, cfg.K, out.Data[lo*cfg.K:hi*cfg.K])
-		devCfg := cfg
-		devCfg.Device = d
-		rep, err := UpdateSide(view, fixed, shardOut, devCfg)
-		if err != nil {
-			return 0, err
-		}
-		if rep.Seconds > slowest {
-			slowest = rep.Seconds
-		}
+		cfg.Device = d
+		slowest = max(slowest, sideCost(r.RowRange(lo, hi), fixedRows, cfg).Seconds)
 	}
-	return slowest, nil
+	return slowest
 }

@@ -35,6 +35,15 @@ func TestMultiMatchesSingle(t *testing.T) {
 		if d := linalg.MaxAbsDiff(single.Y, multi.Y); d != 0 {
 			t.Fatalf("%d devices: Y differs by %g", n, d)
 		}
+		// The cost pass alone reports the clock of the sharded run.
+		est, err := EstimateMulti(mx, multiConfig(), devs)
+		if err != nil {
+			t.Fatalf("%d devices: %v", n, err)
+		}
+		if est.ComputeSeconds != multi.ComputeSeconds || est.TransferSeconds != multi.TransferSeconds {
+			t.Fatalf("%d devices: EstimateMulti %+v != TrainMulti's clock (%g, %g)",
+				n, est, multi.ComputeSeconds, multi.TransferSeconds)
+		}
 	}
 }
 
@@ -42,11 +51,11 @@ func TestMultiMatchesSingle(t *testing.T) {
 // shrink close to linearly while transfers grow with the device count.
 func TestMultiComputeScales(t *testing.T) {
 	mx := longRowMatrix(t)
-	one, err := TrainMulti(mx, multiConfig(), []*device.Device{device.K20c()})
+	one, err := EstimateMulti(mx, multiConfig(), []*device.Device{device.K20c()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := TrainMulti(mx, multiConfig(), []*device.Device{
+	four, err := EstimateMulti(mx, multiConfig(), []*device.Device{
 		device.K20c(), device.K20c(), device.K20c(), device.K20c()})
 	if err != nil {
 		t.Fatal(err)

@@ -3,11 +3,13 @@
 // thread-batched kernel family with the register / local-memory / vector
 // optimizations individually applicable per stage.
 //
-// Each kernel performs the real per-row arithmetic (the factors it produces
-// are checked against the host solver bit-tolerantly) and charges
-// device.Counters describing its memory-access pattern and lock-step
-// execution shape on the target device; internal/sim turns those into
-// simulated execution times. The cost formulas and their rationale are
+// A kernel here is a cost pass: for each row it charges device.Counters
+// describing the memory-access pattern and lock-step execution shape of the
+// update on the target device — a function of the row's length — and
+// internal/sim turns those into simulated execution times (Estimate). The
+// per-row arithmetic is internal/host's: Train runs that package's row
+// kernel with the variant the spec names, so the simulator changes the
+// clock and never the factors. The cost formulas and their rationale are
 // documented in cost.go and DESIGN.md §5.
 package kernels
 

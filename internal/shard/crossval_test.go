@@ -56,7 +56,7 @@ func TestBroadcastBytesCrossValidation(t *testing.T) {
 	// The simulator ships fixed-factor working sets instead of relaying
 	// whole sides through a coordinator; for matched shapes the two totals
 	// must agree within 2x or the simulator's traffic constant is wrong.
-	sim, err := cluster.Train(mx, cluster.Config{
+	sim, err := cluster.Estimate(mx, cluster.Config{
 		Nodes: workers, K: k, Lambda: 0.05, Iterations: iters, Seed: 7,
 	})
 	if err != nil {

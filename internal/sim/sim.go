@@ -1,22 +1,21 @@
 // Package sim is the OpenCL-style execution engine for the simulated
 // devices: it launches an NDRange of work-groups over a device's compute
-// units, runs the kernel's real arithmetic on the host, and aggregates the
-// device.Counters the kernel charges into per-stage and per-compute-unit
-// cycle totals.
+// units and aggregates the device.Counters the kernel charges into per-stage
+// and per-compute-unit cycle totals. It keeps the clock only: a kernel is a
+// cost function of its task (for ALS, of the row's length), and the factors
+// are computed elsewhere, by internal/host.
 //
 // Work distribution follows the paper's launch scheme (a fixed grid such as
 // 8192 groups × 32 work-items, Sec. IV): row tasks are assigned to groups
 // grid-stride (group g processes tasks g, g+G, g+2G, …), and groups are
 // assigned to compute units round-robin. The simulated execution time is the
 // makespan: the largest per-CU sum of group cycles, converted to seconds at
-// the device clock. Everything is deterministic — counters do not depend on
-// goroutine scheduling — which the package tests verify.
+// the device clock. Groups are tallied one after another in grid order, so
+// every report is a deterministic function of the launch.
 package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/device"
 )
@@ -48,9 +47,7 @@ func (s Stage) String() string {
 // Acc accumulates a single work-group's charged counters by stage. A kernel
 // receives one Acc per group and calls Charge as it works.
 type Acc struct {
-	Dev       *device.Device
-	GroupSize int
-	stages    [numStages]device.Counters
+	stages [numStages]device.Counters
 }
 
 // Charge adds counters to the given stage.
@@ -58,8 +55,8 @@ func (a *Acc) Charge(s Stage, c device.Counters) {
 	a.stages[s].Add(c)
 }
 
-// Kernel processes one task (typically one row of the factor update) inside
-// a work-group, performing its real arithmetic and charging its cost.
+// Kernel charges the cost of one task (typically one row of the factor
+// update) to the work-group that executes it.
 type Kernel func(task int, acc *Acc)
 
 // Launch describes one kernel invocation.
@@ -111,9 +108,8 @@ func (r *Report) StageShare() [3]float64 {
 	return out
 }
 
-// Run executes the launch. The kernel's arithmetic runs concurrently across
-// host goroutines (group results must only touch per-task outputs), while
-// the cost accounting reproduces the device's round-robin group placement.
+// Run tallies the launch: each group's tasks are charged grid-stride, and
+// the groups land on the device's compute units round-robin.
 func Run(l Launch, kernel Kernel) *Report {
 	if l.Groups <= 0 || l.GroupSize <= 0 {
 		panic(fmt.Sprintf("sim: bad launch geometry %d groups × %d", l.Groups, l.GroupSize))
@@ -123,48 +119,22 @@ func Run(l Launch, kernel Kernel) *Report {
 		groups = l.Tasks // idle groups contribute nothing
 	}
 
-	groupCycles := make([]float64, groups)
-	groupStage := make([][numStages]device.Counters, groups)
-
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > groups {
-		workers = groups
-	}
-	next := make(chan int, groups)
-	for g := 0; g < groups; g++ {
-		next <- g
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for g := range next {
-				acc := &Acc{Dev: l.Device, GroupSize: l.GroupSize}
-				for task := g; task < l.Tasks; task += groups {
-					kernel(task, acc)
-				}
-				groupStage[g] = acc.stages
-				var cy float64
-				for _, c := range acc.stages {
-					cy += l.Device.Cycles(c)
-				}
-				groupCycles[g] = cy
-			}
-		}()
-	}
-	wg.Wait()
-
 	rep := &Report{}
 	cus := l.Device.ComputeUnits
 	perCU := make([]float64, cus)
 	for g := 0; g < groups; g++ {
-		perCU[g%cus] += groupCycles[g]
-		for s := Stage(0); s < numStages; s++ {
-			rep.StageCycles[s] += l.Device.Cycles(groupStage[g][s])
-			rep.Total.Add(groupStage[g][s])
+		var acc Acc
+		for task := g; task < l.Tasks; task += groups {
+			kernel(task, &acc)
 		}
+		var cy float64
+		for s, c := range acc.stages {
+			stage := l.Device.Cycles(c)
+			cy += stage
+			rep.StageCycles[s] += stage
+			rep.Total.Add(c)
+		}
+		perCU[g%cus] += cy
 	}
 	for _, c := range perCU {
 		if c > rep.MakespanCycles {

@@ -1,10 +1,12 @@
-// Package trace implements the paper's hotspot-guided tuning methodology
+// Package tuner implements the paper's hotspot-guided tuning methodology
 // (Sec. V-C): profile the three stages of the ALS update, find the most
 // time-consuming one, apply that stage's optimization, and repeat. The
 // sequence it discovers on the GPU retraces Fig. 8: S1 dominates (~70 %),
 // optimizing S1 promotes S2 to the hotspot, optimizing S2 brings S1 back,
-// and switching S3 to Cholesky trims the remainder.
-package trace
+// and switching S3 to Cholesky trims the remainder. Each round reads the
+// stage shares off the simulator's cost pass (kernels.Estimate); nothing is
+// factorized to take a measurement.
+package tuner
 
 import (
 	"fmt"
@@ -39,9 +41,9 @@ func Tune(mx *sparse.Matrix, cfg kernels.Config) ([]Step, kernels.Spec, error) {
 	var steps []Step
 	for round := 0; round < 6; round++ {
 		cfg.Spec = spec
-		res, err := kernels.Train(mx, cfg)
+		res, err := kernels.Estimate(mx, cfg)
 		if err != nil {
-			return nil, spec, fmt.Errorf("trace: round %d: %w", round, err)
+			return nil, spec, fmt.Errorf("tuner: round %d: %w", round, err)
 		}
 		st := Step{Spec: spec, Shares: res.Report.StageShare(), Seconds: res.Seconds()}
 		st.Hotspot = hotspot(st.Shares)
