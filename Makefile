@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench ci smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
+.PHONY: all build test test-short bench ci layout-check smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
 
 all: build test
 
@@ -21,7 +21,9 @@ test-short:
 # boundary, one codec, one process harness, one row-update arithmetic),
 # build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
-# GOAMD64=v3), the smoke lanes through the real binaries, the bench smokes.
+# GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
+# line whatever the link order (two -randlayout seeds), the smoke lanes
+# through the real binaries, the bench smokes.
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -53,9 +55,26 @@ ci:
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
+	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -C bench ./...
+
+# Every assembly kernel (linalg's six, quant's one) on a cache line under
+# two link orders: Go's linker aligns text to 32 bytes, and which half of a
+# line a hot loop starts in has been worth 6-9 % of a training run
+# (internal/linalg/wide_amd64.s).
+layout-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
+		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
+		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
+		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
+		while read -r addr _ name; do \
+			if [ $$((0x$$addr % 64)) -ne 0 ]; then \
+				echo "$$cmd -randlayout=$$seed: $$name at 0x$$addr is not on a cache line (PCALIGN \$$64 its hot loop: internal/linalg/wide_amd64.s)"; exit 1; \
+			fi; \
+		done < $$tmp/kernels; \
+	done; done
 
 # Every smoke lane: the tests that drive the real binaries through
 # internal/e2e (DESIGN.md "CI lanes" says what each one pins). The seven

@@ -234,8 +234,16 @@ func ConfRHS(src []float32, k int, cols []int32, vals []float32, alpha float32, 
 	for z, c := range cols {
 		f := src[int(c)*k : int(c)*k+k]
 		w := 1 + alpha*vals[z]
-		for i := 0; i < k; i++ {
-			svec[i] += w * f[i]
-		}
+		axpy32(w, f, svec)
+	}
+}
+
+// axpy32Portable computes out[i] += w·f[i] over len(out) elements, in
+// float32: ConfRHS's inner loop, every element its own chain (axpy32 is its
+// SSE2 binding on amd64, wide.go).
+func axpy32Portable(w float32, f, out []float32) {
+	f = f[:len(out)]
+	for i, fi := range f {
+		out[i] += w * fi
 	}
 }

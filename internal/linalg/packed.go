@@ -14,10 +14,11 @@ import (
 // k*(k+1)/2 floats instead of k*k. This removes the mirror copy the dense
 // Gram kernels make after accumulating the upper triangle (Fig. 3's smat is
 // only ever used symmetrically) and halves the S3 working set: the packed
-// Cholesky factors in place over the same triangle. The arithmetic — loop
-// order and float64 accumulation — matches the dense Cholesky/LDLᵀ in
-// cholesky.go exactly, so packed and dense solves agree bit-for-bit on the
-// same input (packed_test.go asserts it).
+// Cholesky factors in place over the same triangle. The arithmetic — every
+// element's terms in the dense loops' order, accumulated in float64 —
+// matches the dense Cholesky/LDLᵀ in cholesky.go exactly, so packed and
+// dense solves agree bit-for-bit on the same input (packed_test.go asserts
+// it).
 
 // PackedLen returns the storage size of a packed symmetric k×k matrix:
 // k*(k+1)/2.
@@ -84,37 +85,68 @@ func DenseToPacked(a *Dense, p []float32) []float32 {
 // (U = Lᵀ of the dense form, so the pivots and off-diagonal values are
 // identical to Cholesky's). Accumulation is in float64, same as the dense
 // path.
+//
+// Row j of the factor is row j of A minus U[q][j]·U[q][j:] for every
+// finished row q < j, taken in ascending q. The textbook loop nest (dense
+// Cholesky's, choleskyPackedColumns in the tests) finishes one element at a
+// time and so walks U[q][j] and U[q][i] down columns of the triangle, a
+// different stride at every step; here the whole row is held in a float64
+// strip and each q subtracts the contiguous tail of its row from it
+// (cholSweep). Every element still sees q = 0..j−1 in that order, and a
+// product of two float32 is exact in float64, so each is rounded exactly
+// where the column walk rounds it: the factor is the same bit for bit.
 func CholeskyPacked(p []float32, k int) error {
+	if k <= cholStackK {
+		var acc [cholStackK]float64
+		return choleskyPacked(p, k, acc[:])
+	}
+	return choleskyPacked(p, k, make([]float64, k))
+}
+
+// cholStackK is the largest k CholeskyPacked keeps its row strip on its own
+// stack for (cgStackK's reason: the row update allocates nothing).
+const cholStackK = 128
+
+func choleskyPacked(p []float32, k int, acc []float64) error {
+	p = p[:PackedLen(k)]
+	oj := 0
 	for j := 0; j < k; j++ {
-		oj := PackedOff(k, j)
-		// Pivot: U[j][j] = sqrt(A[j][j] - Σ_{q<j} U[q][j]²).
-		d := float64(p[oj])
-		off := j // P index of U[q][j] for q=0: row 0 column j.
-		for q := 0; q < j; q++ {
-			v := float64(p[off])
-			d -= v * v
-			off += k - q - 1 // step to U[q+1][j]
+		row := p[oj : oj+k-j] // U[j][j:], contiguous
+		strip := acc[:len(row)]
+		for i, v := range row {
+			strip[i] = float64(v)
 		}
+		cholSweep(p, k, j, strip)
+		// Pivot: U[j][j] = sqrt(A[j][j] - Σ_{q<j} U[q][j]²). A rejected
+		// pivot leaves row j as it was.
+		d := strip[0]
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, j, d)
 		}
 		ujj := math.Sqrt(d)
-		p[oj] = float32(ujj)
-		// Rest of row j: U[j][i] = (A[j][i] - Σ_{q<j} U[q][j]·U[q][i]) / U[j][j]
-		// for i > j. The row is contiguous in packed storage.
-		for i := j + 1; i < k; i++ {
-			s := float64(p[oj+i-j])
-			offJ, offI := j, i
-			for q := 0; q < j; q++ {
-				s -= float64(p[offJ]) * float64(p[offI])
-				step := k - q - 1
-				offJ += step
-				offI += step
-			}
-			p[oj+i-j] = float32(s / ujj)
+		row[0] = float32(ujj)
+		// Rest of row j: U[j][i] = (A[j][i] - Σ_{q<j} U[q][j]·U[q][i]) / U[j][j].
+		for i := 1; i < len(row); i++ {
+			row[i] = float32(strip[i] / ujj)
 		}
+		oj += k - j
 	}
 	return nil
+}
+
+// cholSweepPortable subtracts rows 0..j−1's share from pivot row j's strip:
+// acc[i] −= U[q][j]·U[q][j+i] for q ascending, len(acc) = k − j. U[q][j:] is
+// the tail of packed row q and starts k−q−1 floats after U[q−1][j:].
+func cholSweepPortable(p []float32, k, j int, acc []float64) {
+	off := j
+	for q := 0; q < j; q++ {
+		tail := p[off:][:len(acc)]
+		u := float64(tail[0])
+		for i, v := range tail {
+			acc[i] -= u * float64(v)
+		}
+		off += k - q - 1
+	}
 }
 
 // SolveCholeskyPacked solves A·x = b given the packed factor produced by

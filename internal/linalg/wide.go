@@ -1,31 +1,47 @@
 package linalg
 
 // This file holds the portable bodies of the three float64 kernels the CG
-// matvec and the shared Gram run, and says why they — and not the other
-// wide loops — have a vector form.
+// matvec and the shared Gram run, and says which loops of this package have
+// a vector form and why the others do not.
 //
 // A pinned floating-point order decides whether a loop is lane-shaped.
 // DotWide's order IS four strided chains s0..s3 reduced as (s0+s1)+(s2+s3):
 // two SSE2 registers of two float64 lanes hold them, lane for lane, and a
 // packed multiply and a packed add round each lane exactly as the scalar
 // pair does. The rank-1 scatter out[i] += wd·f[i] and the Gram update
-// gi[j] += fi·fj are vertical — no reduction, every element its own chain.
-// Dot4Wide and Dot are the opposite: one sequential chain per row, so lanes
-// would have to reorder the sum to be of any use, and they stay scalar.
+// gi[j] += fi·fj are vertical — no reduction, every element its own chain —
+// and so are the explicit row update's two hot statements and ConfRHS's.
+// Six loops, then, have a vector form:
 //
-// gemvWide, rank1Wide and axpyWide are bound by build constraint alone
-// (wide_amd64.go / wide_portable.go): SSE2 assembly on amd64 below
-// GOAMD64=v3, these bodies everywhere else and under -tags purego. At v3 the
-// Go compiler fuses x*y+z into an FMA, so only below v3 are the two bindings
-// bit for bit the same in every build — which is the contract: every model
-// and checkpoint is byte-identical whichever binding trained it. (A NaN's
-// payload may follow operand order; no caller can see one — CGSolve turns
-// any NaN into ErrCGBreakdown.) DotWide itself never takes the assembly: it
-// is the independent oracle the kernel tests compare against.
+//	gemvWide     CG matvec, G·p rows             wide_amd64.s    this file
+//	rank1Wide    CG matvec, one rank-1 term      wide_amd64.s    this file
+//	axpyWide     SharedGram.Compute, gi += fi·f  wide_amd64.s    this file
+//	fusedBlock4  GramRHSFusedUnrolled, S1+S2     fused_amd64.s   fused.go
+//	cholSweep    CholeskyPacked, S3 row strip    packed_amd64.s  packed.go
+//	axpy32       ConfRHS, svec += w·f            conf_amd64.s    conf.go
+//
+// Dot4Wide, Dot, and the substitutions of SolveCholeskyPacked and
+// LDLSolvePacked are the opposite: one sequential chain per output, so lanes
+// would have to reorder the sum to be of any use, and they stay scalar (so
+// do LDLSolvePacked's factor loops, and the two- and one-nonzero remainders
+// of the fused sweep, which are cold).
+//
+// All six are bound by build constraint alone (*_amd64.go /
+// wide_portable.go): SSE2 assembly on amd64 below GOAMD64=v3, the portable
+// bodies everywhere else and under -tags purego. At v3 the Go compiler fuses
+// x*y+z into an FMA, so only below v3 are the two bindings bit for bit the
+// same in every build — which is the contract: every model and checkpoint is
+// byte-identical whichever binding trained it. (A NaN's payload may follow
+// operand order; no caller can see one — CGSolve turns any NaN into
+// ErrCGBreakdown and the packed Cholesky rejects a NaN pivot.) DotWide itself
+// never takes the assembly: it is the independent oracle the kernel tests
+// compare against. DESIGN.md "Vector kernels" tables lane shapes and tests.
 
-// KernelName names the binding of the CG matvec and shared-Gram kernels in
-// this build: "sse2" on amd64 below GOAMD64=v3, "portable" elsewhere and
-// under -tags purego.
+// KernelName names the binding of this build's six vector kernels (the
+// table above: the CG matvec and shared Gram, the explicit fused sweep and
+// packed Cholesky, ConfRHS): "sse2" on amd64 below GOAMD64=v3, "portable"
+// elsewhere and under -tags purego. Dot, Dot4Wide, SolveCholeskyPacked and
+// LDLSolvePacked are the same scalar Go in both.
 func KernelName() string { return kernelName }
 
 // gemvWidePortable computes out[i] = float32(lam·w[i] + g[i·k:i·k+k]·w) for

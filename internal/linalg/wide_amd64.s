@@ -8,6 +8,16 @@
 // multiply and add do. Every memory access is an unaligned MOVUPD / MOVUPS /
 // MOVSD load or store into a register — never a memory operand of an
 // arithmetic instruction, which legacy SSE requires to be 16-byte aligned.
+//
+// Every hot loop here and in fused_amd64.s and packed_amd64.s is pinned to a
+// cache line with PCALIGN $64 (which also aligns the function's entry to 64).
+// Go's linker aligns text symbols to 32 bytes, so without it which half of a
+// line a loop starts in depends on the size of whatever was linked ahead of
+// it, and that has been worth 6–9 % of a training run twice: PR 25 moved
+// GramRHSFusedUnrolled from ≡ 0 to ≡ 32 (mod 64) by deleting an unrelated
+// function, and PR 26's first prototype moved these three by adding an
+// assembly file (EXPERIMENTS.md). `make ci` checks the symbols under two
+// -randlayout seeds.
 
 // GROW adds four columns of one G row, at mem and 16+mem, times the
 // direction's (X8: w[j], w[j+1]; X9: w[j+2], w[j+3]) to the row's chains:
@@ -69,6 +79,7 @@ rows:
 	MOVQ  DI, BX
 	MOVQ  CX, R12
 
+	PCALIGN $64
 cols:
 	MOVUPD (BX), X8
 	MOVUPD 16(BX), X9
@@ -110,6 +121,7 @@ TEXT ·rank1WideSSE2(SB), NOSPLIT, $0-40
 	MOVQ  SI, AX
 	MOVQ  CX, R8
 
+	PCALIGN $64
 dot:
 	MOVSD    (AX), X2
 	MOVSD    8(AX), X3
@@ -131,6 +143,7 @@ dot:
 	CVTSD2SS X7, X7
 	SHUFPS   $0, X7, X7
 
+	PCALIGN $64
 scatter:
 	MOVUPS (SI), X2
 	MOVUPS (DX), X3
@@ -156,6 +169,7 @@ TEXT ·axpyWideSSE2(SB), NOSPLIT, $0-32
 	SUBQ     $4, CX
 	JL       tail2
 
+	PCALIGN $64
 loop4:
 	MOVUPD (SI), X1
 	MOVUPD 16(SI), X2

@@ -4,7 +4,7 @@ package linalg
 
 const kernelName = "portable"
 
-// This build has no vector form of the three kernels: the names are the
+// This build has no vector form of the six kernels: the names are the
 // portable bodies.
 
 func gemvWide(g, w []float64, lam float64, out []float32) { gemvWidePortable(g, w, lam, out) }
@@ -14,3 +14,11 @@ func rank1Wide(f []float32, w []float64, wt float64, out []float32) {
 }
 
 func axpyWide(a float64, x, y []float64) { axpyWidePortable(a, x, y) }
+
+func fusedBlock4(r1, r2, r3, r4, v, packed, svec []float32) {
+	fusedBlock4Portable(r1, r2, r3, r4, v, packed, svec)
+}
+
+func cholSweep(p []float32, k, j int, acc []float64) { cholSweepPortable(p, k, j, acc) }
+
+func axpy32(w float32, f, out []float32) { axpy32Portable(w, f, out) }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/asmtest"
 )
 
 // The contract of gemvWide, rank1Wide and axpyWide is equality of bits with
@@ -151,20 +153,12 @@ func wideFixture(rng *rand.Rand, k, omega int, withVals bool) (*CGSystem, []floa
 // plantSpecials overwrites a few entries of every operand with dotSpecials
 // values, the finite ones only or all of them.
 func plantSpecials(rng *rand.Rand, s *CGSystem, p []float32, finite bool) {
-	pick := func() float32 {
-		for {
-			v := dotSpecials[rng.Intn(len(dotSpecials))]
-			if !finite || !(math.IsNaN(float64(v)) || math.IsInf(float64(v), 0)) {
-				return v
-			}
-		}
-	}
 	for n := 0; n < 3; n++ {
-		s.GWide[rng.Intn(len(s.GWide))] = float64(pick())
-		s.Src[rng.Intn(len(s.Src))] = pick()
-		p[rng.Intn(len(p))] = pick()
+		s.GWide[rng.Intn(len(s.GWide))] = float64(pickSpecial(rng, finite))
+		s.Src[rng.Intn(len(s.Src))] = pickSpecial(rng, finite)
+		p[rng.Intn(len(p))] = pickSpecial(rng, finite)
 		if len(s.Vals) > 0 {
-			s.Vals[rng.Intn(len(s.Vals))] = pick()
+			s.Vals[rng.Intn(len(s.Vals))] = pickSpecial(rng, finite)
 		}
 	}
 }
@@ -279,55 +273,40 @@ func TestSharedGramComputeMatchesPlainLoop(t *testing.T) {
 }
 
 // TestWideKernelsUnaligned starts every operand the kernels load or store
-// at each element offset inside a 16-byte window of its allocation — so at
-// each 8-byte (float64) and 4-byte (float32) alignment — and checks that
-// nothing outside the k elements of out or y was written.
+// at each element offset inside a 16-byte window — so at each 8-byte
+// (float64) and 4-byte (float32) alignment — and checks that nothing
+// outside the k elements of out or y was written.
 func TestWideKernelsUnaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const sentinel = 12345
 	for _, k := range []int{4, 8, 20, 64} {
 		ref, p := wideFixture(rng, k, 7, true)
-		gbuf, wbuf := make([]float64, k*k+2), make([]float64, k+2)
-		sbuf, obuf := make([]float32, len(ref.Src)+4), make([]float32, k+8)
 		for off := 0; off < 2*2*4*4; off++ {
 			gOff, wOff, sOff, oOff := off&1, off>>1&1, off>>2&3, off>>4&3
 			s := *ref
-			s.GWide = gbuf[gOff:][:k*k]
-			s.Wide = wbuf[wOff:][:k]
-			s.Src = sbuf[sOff:][:len(ref.Src)]
+			s.GWide, _ = asmtest.Unaligned[float64](k*k, gOff, 0)
+			s.Wide, _ = asmtest.Unaligned[float64](k, wOff, 0)
+			s.Src, _ = asmtest.Unaligned[float32](len(ref.Src), sOff, 0)
 			copy(s.GWide, ref.GWide)
 			copy(s.Src, ref.Src)
-			for i := range obuf {
-				obuf[i] = sentinel
-			}
-			out := obuf[oOff:][:k]
+			out, intact := asmtest.Unaligned[float32](k, oOff, sentinel)
 			mustMatchApply(t, &s, p, out, fmt.Sprintf("k=%d offsets g%d w%d f%d out%d", k, gOff, wOff, sOff, oOff))
-			for i, v := range obuf {
-				if (i < oOff || i >= oOff+k) && v != sentinel {
-					t.Fatalf("k=%d out offset %d: element %d outside out was written", k, oOff, i-oOff)
-				}
+			if !intact() {
+				t.Fatalf("k=%d out offset %d: an element outside out was written", k, oOff)
 			}
 		}
 	}
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64} {
-		xbuf, ybuf := make([]float64, n+2), make([]float64, n+4)
 		for off := 0; off < 4; off++ {
 			xOff, yOff := off&1, off>>1
-			for i := range xbuf {
-				xbuf[i] = rng.NormFloat64()
+			x, _ := asmtest.Unaligned[float64](n, xOff, 0)
+			y, intact := asmtest.Unaligned[float64](n, yOff, sentinel)
+			for j := range x {
+				x[j], y[j] = rng.NormFloat64(), rng.NormFloat64()
 			}
-			for i := range ybuf {
-				ybuf[i] = sentinel
-			}
-			y := ybuf[yOff:][:n]
-			for j := range y {
-				y[j] = rng.NormFloat64()
-			}
-			mustMatchAxpy(t, rng.NormFloat64(), xbuf[xOff:][:n], y, fmt.Sprintf("axpy n=%d offsets x%d y%d", n, xOff, yOff))
-			for i, v := range ybuf {
-				if (i < yOff || i >= yOff+n) && v != sentinel {
-					t.Fatalf("axpy n=%d y offset %d: element %d outside y was written", n, yOff, i-yOff)
-				}
+			mustMatchAxpy(t, rng.NormFloat64(), x, y, fmt.Sprintf("axpy n=%d offsets x%d y%d", n, xOff, yOff))
+			if !intact() {
+				t.Fatalf("axpy n=%d y offset %d: an element outside y was written", n, yOff)
 			}
 		}
 	}

@@ -33,6 +33,10 @@ TEXT ·dot4I8SSE2(SB), NOSPLIT, $0-48
 	PXOR X2, X2
 	PXOR X3, X3
 
+	// Pinned to a cache line: the linker aligns text to 32 bytes only, and nm
+	// shows this kernel at ≡ 0 or ≡ 32 (mod 64) by link order
+	// (internal/linalg/wide_amd64.s has the measurements).
+	PCALIGN $64
 group:
 	MOVOU     (SI), X4
 	MOVO      X4, X5

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/asmtest"
 )
 
 // mustMatchPortable checks the serving kernel against the portable block
@@ -89,20 +91,21 @@ func TestDot4I8MatchesPortable(t *testing.T) {
 }
 
 // TestDot4I8Unaligned starts the query and the rows at every offset 0…15
-// from their allocation, so every 16-byte load alignment is read.
+// from a cache-line boundary, so every 16-byte load alignment is read.
 func TestDot4I8Unaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, k := range []int{15, 16, 17, 33, 64, 65} {
-		xbuf, rbuf := make([]int8, k+16), make([]int8, 4*k+16)
-		for i := range xbuf {
-			xbuf[i] = int8(rng.Intn(256) - 128)
-		}
-		for i := range rbuf {
-			rbuf[i] = int8(rng.Intn(256) - 128)
-		}
 		for xo := 0; xo < 16; xo++ {
+			xq, _ := asmtest.Unaligned[int8](k, xo, 0)
+			for i := range xq {
+				xq[i] = int8(rng.Intn(256) - 128)
+			}
 			for ro := 0; ro < 16; ro++ {
-				mustMatchPortable(t, xbuf[xo:][:k], rbuf[ro:][:4*k], k, fmt.Sprintf("k=%d offsets %d/%d", k, xo, ro))
+				rows, _ := asmtest.Unaligned[int8](4*k, ro, 0)
+				for i := range rows {
+					rows[i] = int8(rng.Intn(256) - 128)
+				}
+				mustMatchPortable(t, xq, rows, k, fmt.Sprintf("k=%d offsets %d/%d", k, xo, ro))
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
@@ -50,6 +51,16 @@ func TestTrainerTraceSpans(t *testing.T) {
 	}
 	if root.ID == 0 {
 		t.Fatalf("no train root span among %d spans", len(spans))
+	}
+	// The ranks run the explicit row update, whose kernels this build binds.
+	kernel := ""
+	for _, a := range root.Attrs {
+		if a.Key == "linalg_kernel" {
+			kernel = a.Value
+		}
+	}
+	if kernel != linalg.KernelName() {
+		t.Errorf("root linalg_kernel attr %q, this build runs %q", kernel, linalg.KernelName())
 	}
 
 	// Coordinator side: one iterN/half span per half-iteration, each with a

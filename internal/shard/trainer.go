@@ -311,6 +311,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	defer root.End()
 	root.SetAttr("workers", strconv.Itoa(cfg.Workers))
 	root.SetAttr("variant", vname)
+	root.SetAttr("linalg_kernel", linalg.KernelName())
 
 	// The distributed path trains the explicit objective with the direct
 	// solver, so the run's mode block is the zero one.

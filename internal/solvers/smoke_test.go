@@ -19,9 +19,9 @@ import (
 // /metrics exposition that passes the strict parser and carries the
 // per-mode stage attribution (CG spends s2+s3, block sweeps spend s1+s2,
 // both labeled mode="implicit"). Before those, a second alstrain built
-// -tags purego must train the same bytes as the default build through the
-// CG solver, implicit and explicit: linalg's SSE2 kernels against the
-// portable loops, through the binaries.
+// -tags purego must train the same bytes as the default build through
+// every solver, implicit and explicit, one process and two ranks: linalg's
+// SSE2 kernels against the portable loops, through the binaries.
 func TestImplicitSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
@@ -29,22 +29,33 @@ func TestImplicitSmoke(t *testing.T) {
 	dir := t.TempDir()
 	bin := e2e.Build(t, "alstrain")
 
-	// The CG matvec and the shared Gram run linalg's SSE2 kernels in the
-	// default amd64 build and the portable loops under -tags purego; the two
-	// must write the same model, byte for byte: k = 64 and 32 take the
-	// assembly for every row, k = 20 too (a multiple of four, not of eight).
+	// linalg's six vector kernels are SSE2 in the default amd64 build and the
+	// portable loops under -tags purego; the two must write the same model,
+	// byte for byte. CG runs the matvec, the shared Gram and ConfRHS: k = 64
+	// and 32 take the assembly for every row, k = 20 too (a multiple of four,
+	// not of eight). The direct solvers run the fused sweep and, for chol, the
+	// row-ordered factorization: k = 10 and 20 leave every strip remainder,
+	// and the forked ranks of -workers run them behind the BSP exchange.
 	t.Run("kernels", func(t *testing.T) {
 		purego := e2e.Build(t, "alstrain", "purego")
-		for _, tc := range [][]string{
-			{"-implicit", "-alpha", "5", "-k", "64"},
-			{"-implicit", "-alpha", "5", "-k", "20"},
-			{"-k", "32"},
-		} {
+		cg := []string{"-solver", "cg", "-cg-iters", "3"}
+		cases := [][]string{
+			append([]string{"-implicit", "-alpha", "5", "-k", "64"}, cg...),
+			append([]string{"-implicit", "-alpha", "5", "-k", "20"}, cg...),
+			append([]string{"-k", "32"}, cg...),
+			{"-workers", "2", "-threads", "1", "-k", "32"},
+		}
+		for _, solver := range []string{"chol", "ldl"} {
+			for _, k := range []string{"10", "20", "32"} {
+				cases = append(cases, []string{"-solver", solver, "-k", k})
+			}
+		}
+		for _, tc := range cases {
 			var models [2][]byte
 			for i, b := range []string{bin, purego} {
 				out := filepath.Join(dir, "kernels.model")
 				e2e.Run(t, b, append([]string{"-preset", "YMR4", "-scale", "0.02", "-iters", "3", "-seed", "5",
-					"-test-frac", "0", "-solver", "cg", "-cg-iters", "3", "-out", out}, tc...)...)
+					"-test-frac", "0", "-out", out}, tc...)...)
 				var err error
 				if models[i], err = os.ReadFile(out); err != nil {
 					t.Fatal(err)
