@@ -58,6 +58,7 @@ ci:
 	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) vet -C bench ./... && $(GO) build -C bench -o /dev/null .
 	$(GO) test -C bench ./...
 
 # Every assembly kernel (linalg's six, quant's one) on a cache line under

@@ -4,11 +4,12 @@
 // model for alsrecommend.
 //
 // With -workers N the run becomes data-parallel across N forked worker
-// processes: each solves a static partition of the user (then item) rows
-// and the coordinator relays the factor shards between half-iterations
-// over loopback TCP. The resulting model is bit-identical to a
-// single-process run with the same flags. The -dist-rank/-dist-coord
-// flags are the internal re-exec hook for those workers.
+// processes: each is sent its static partition of the user (then item) rows
+// of the ratings this process loaded, solves it, and the coordinator relays
+// the factor shards between half-iterations over loopback TCP. The
+// resulting model is bit-identical to a single-process run with the same
+// flags. The -dist-rank/-dist-coord flags are the internal re-exec hook for
+// those workers.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"syscall"
 	"time"
@@ -70,7 +70,7 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "inject deterministic numerical faults, e.g. nan=1,inf=1,gram=2,fail=1,blowup=2,seed=7 (host platform; tests the resilience layer)")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /runinfo and /debug/pprof on this address during training (e.g. :9090)")
 	debugLinger := flag.Duration("debug-linger", 0, "keep the -debug-addr server up this long after training finishes (for scraping short runs)")
-	workers := flag.Int("workers", 0, "fork this many worker processes for data-parallel distributed training (host platform only; the model stays bit-identical to a single-process run; 0 = in-process)")
+	workers := flag.Int("workers", 0, "fork this many worker processes for data-parallel distributed training (host platform only; the coordinator loads the ratings once and sends each worker its rows; the model stays bit-identical to a single-process run; 0 = in-process)")
 	threads := flag.Int("threads", 0, "solver goroutines per distributed worker process (0 = GOMAXPROCS; only with -workers)")
 	distRank := flag.Int("dist-rank", -1, "internal: run as distributed worker with this rank (set by the -workers coordinator)")
 	distCoord := flag.String("dist-coord", "", "internal: coordinator address for -dist-rank")
@@ -89,8 +89,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *distRank >= 0 {
-		// Worker mode: everything (dataset spec, hyperparameters, variant)
-		// arrives in the coordinator's config frame, not from our flags.
+		// Worker mode: everything (hyperparameters, variant, this rank's rows
+		// of the ratings) arrives in the coordinator's frames, not from our
+		// flags or from a file.
 		if *distCoord == "" {
 			fail(fmt.Errorf("-dist-rank needs -dist-coord"))
 		}
@@ -165,24 +166,28 @@ func main() {
 	if *input == "" && *preset == "" {
 		fail(fmt.Errorf("need -input or -preset"))
 	}
-	// One description of the data for this process and, with -workers, for
-	// every rank: generation and the split are deterministic, so all of
-	// them see identical ratings.
+	// This process is the only one that loads the data: with -workers the
+	// ranks are sent their rows of it. The load comes before the train span
+	// and is its own root in the run's trace.
 	spec := shard.DataSpec{
 		Preset: *preset, Scale: *scale,
 		Input: *input, OneBased: *oneBased, Compact: *compact,
 		TestFrac: *testFrac, Seed: *seed,
 	}
+	_, load := tracer.StartRequest(context.Background(), "load", rtrace.SpanContext{})
 	ds, userIDs, itemIDs, err := spec.Dataset()
 	if err != nil {
 		fail(err)
 	}
 	mx := ds.Matrix
-	// The loader's parse buffers die about where a background collection
-	// starts; whether that cycle still sees them decides every later heap
-	// goal and moved the process's peak RSS by a quarter from run to run.
-	// One collection here (0.3 ms) starts training from the matrix alone.
-	runtime.GC()
+	load.SetAttr("nnz", strconv.Itoa(mx.NNZ()))
+	if st := ds.Ingest; st != nil {
+		load.SetAttr("bytes", strconv.FormatInt(st.Bytes, 10))
+		load.SetAttr("lines", strconv.Itoa(st.Lines))
+		load.SetAttr("parse_ms", strconv.FormatFloat(st.ParseSeconds*1e3, 'f', 1, 64))
+		load.SetAttr("build_ms", strconv.FormatFloat(st.BuildSeconds*1e3, 'f', 1, 64))
+	}
+	load.End()
 	fmt.Printf("dataset: %s  m=%d n=%d nnz=%d\n", ds.Name, mx.Rows(), mx.Cols(), mx.NNZ())
 	rec.SetMeta("alstrain", ds.Name, *k, *lambda, *iters)
 
@@ -262,8 +267,8 @@ func main() {
 	var model *core.Model
 	if *workers > 0 {
 		// Distributed data-parallel training: fork -workers copies of this
-		// binary as rank workers; they reload the identical dataset from the
-		// spec and exchange factor shards through this coordinator.
+		// binary as rank workers; each is sent its rows of train and they
+		// exchange factor shards through this coordinator.
 		switch {
 		case *platform != "host":
 			fail(fmt.Errorf("-workers trains on the host; -platform %s is a simulated device", *platform))
@@ -283,7 +288,6 @@ func main() {
 			K:       *k, Lambda: float32(*lambda), Iterations: *iters, Seed: *seed,
 			WeightedLambda: *weighted, UseRecommended: *variantID == "", Variant: cfg.Variant,
 			Threads:       *threads,
-			Data:          spec,
 			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 			CheckpointKeep: *ckptKeep, CheckpointPrecision: ckPrec,
 			Resume:            *resume,
@@ -333,6 +337,7 @@ func main() {
 		fmt.Printf("trained on host with %s: %.4fs (wall-clock, %d worker processes)\n",
 			dinfo.Variant, dinfo.Seconds, dinfo.Workers)
 		fmt.Printf("coordinator exchange traffic: %d bytes\n", dinfo.BroadcastBytes)
+		fmt.Printf("ratings shipped to workers: %d bytes\n", dinfo.DataBytes)
 	} else {
 		m, info, err := core.Train(train, cfg)
 		if err != nil {

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"time"
 
 	"repro/internal/sparse"
 )
@@ -26,6 +27,35 @@ type Dataset struct {
 	Matrix *sparse.Matrix
 	// Meta describes the preset this dataset was generated from, if any.
 	Meta *Preset
+	// Ingest is what reading the rating file took, if one was read.
+	Ingest *IngestStats
+}
+
+// IngestStats splits the cost of Load and LoadCompact into their two steps:
+// parsing the text into coordinates, and building the matrix from them.
+type IngestStats struct {
+	Bytes                      int64 // size of the rating file
+	Lines                      int   // rating lines parsed (re-rated pairs counted each time)
+	ParseSeconds, BuildSeconds float64
+}
+
+// readRatings opens and parses a rating file.
+func readRatings(path string, oneBased bool) (*sparse.COO, *IngestStats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	start := time.Now()
+	coo, err := sparse.ReadTriples(f, oneBased)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataset: %s: %w", path, err)
+	}
+	st := &IngestStats{Lines: len(coo.Entries), ParseSeconds: time.Since(start).Seconds()}
+	if fi, err := f.Stat(); err == nil {
+		st.Bytes = fi.Size()
+	}
+	return coo, st, nil
 }
 
 // Preset describes one of the paper's Table I datasets.
@@ -244,20 +274,17 @@ func (a *alias) draw(rng *rand.Rand) int {
 
 // Load reads a rating file in the paper's `<userID, itemID, rating>` format.
 func Load(path string, oneBased bool) (*Dataset, error) {
-	f, err := os.Open(path)
+	coo, st, err := readRatings(path, oneBased)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	coo, err := sparse.ReadTriples(f, oneBased)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", path, err)
-	}
+	start := time.Now()
 	mx, err := sparse.NewMatrix(coo)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	return &Dataset{Name: path, Matrix: mx}, nil
+	st.BuildSeconds = time.Since(start).Seconds()
+	return &Dataset{Name: path, Matrix: mx, Ingest: st}, nil
 }
 
 // ScaledForBench returns a benchmark-sized copy of the preset that keeps

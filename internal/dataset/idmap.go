@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"fmt"
-	"os"
 	"sort"
+	"time"
 
 	"repro/internal/sparse"
 )
@@ -59,16 +59,18 @@ type CompactDataset struct {
 // dense indices, returning the translation maps. Use it for real datasets
 // whose ID spaces are sparse.
 func LoadCompact(path string, oneBased bool) (*CompactDataset, error) {
-	f, err := os.Open(path)
+	coo, st, err := readRatings(path, oneBased)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	coo, err := sparse.ReadTriples(f, oneBased)
+	start := time.Now()
+	cd, err := CompactFromCOO(path, coo)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", path, err)
+		return nil, err
 	}
-	return CompactFromCOO(path, coo)
+	st.BuildSeconds = time.Since(start).Seconds()
+	cd.Ingest = st
+	return cd, nil
 }
 
 // CompactFromCOO remaps an already-parsed COO matrix.

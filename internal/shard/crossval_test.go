@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 // exchange traffic (als_dist_broadcast_bytes_total) against two models of
 // it: the closed-form cluster.AllGatherBytes prediction, which must match
 // to within a few percent (only the one-time hello/config frames separate
-// them), and the cluster simulator's ReplicationBytes for the same problem
+// them: the rating slices shipped at start-up are counted apart, in
+// als_dist_data_bytes_total), and the cluster simulator's ReplicationBytes for the same problem
 // shape, which models a partial-replication topology instead of a star and
 // therefore only has to land within the issue's 2x criterion.
 func TestBroadcastBytesCrossValidation(t *testing.T) {
@@ -41,8 +43,13 @@ func TestBroadcastBytesCrossValidation(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "als_dist_broadcast_bytes_total") {
-		t.Fatalf("exposition lacks als_dist_broadcast_bytes_total:\n%s", sb.String())
+	for _, want := range []string{
+		fmt.Sprintf("als_dist_broadcast_bytes_total %d\n", measured),
+		fmt.Sprintf("als_dist_data_bytes_total %d\n", info.DataBytes),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, sb.String())
+		}
 	}
 
 	predicted := cluster.AllGatherBytes(mx.Rows(), mx.Cols(), k, workers, iters)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/lebin"
 	"repro/internal/shard/framing"
+	"repro/internal/sparse"
 )
 
 // The trainer's exchange protocol: every frame is a little-endian uint64
@@ -25,9 +26,12 @@ import (
 //
 // Factor frames carry a fixed 17-byte header (iteration, half, first row,
 // row count, k) and then rows·k raw little-endian float32s, so a full factor
-// matrix moves as one frame with no per-row framing. Heartbeat frames are
-// empty liveness markers a worker emits while computing; readers skip them
-// transparently, refreshing their deadline per beat.
+// matrix moves as one frame with no per-row framing. Data frames carry a
+// rank's rows of one side of the rating matrix the same way: a fixed 21-byte
+// header (first row, row count, column count, nonzero count, half) and then
+// the three CSR arrays as slabs. Heartbeat frames are empty liveness markers
+// a worker emits while computing; readers skip them transparently,
+// refreshing their deadline per beat.
 const (
 	frameHello          = framing.KindHello     // worker → coordinator: framing.HelloPayload(rank)
 	frameConfig    byte = 2                     // coordinator → worker: JSON workerConfig
@@ -36,16 +40,18 @@ const (
 	frameTraceCtx  byte = 5                     // coordinator → worker: rtrace binary span context (17 bytes)
 	frameSpans     byte = 6                     // worker → coordinator: rtrace.EncodeSpans payload
 	frameHeartbeat      = framing.KindHeartbeat // worker → coordinator: empty liveness marker
+	frameData      byte = 8                     // coordinator → worker: dataHeader + RowPtr, ColIdx, Val slabs
 )
 
 // maxSmallFrame bounds hello/config/error bodies; factor frames are bounded
-// by their declared row count instead.
+// by the row count the reader expects, data frames by their own length.
 const maxSmallFrame = 1 << 20
 
 const halfX, halfY byte = 0, 1
 
 // ErrFrameCorrupt reports a frame whose CRC-32C trailer does not match its
-// body — bytes were damaged in flight (or injected as damaged by chaosnet).
+// body — bytes were damaged in flight (or injected as damaged by chaosnet) —
+// or a data frame whose header declares arrays its length does not hold.
 var ErrFrameCorrupt = errors.New("shard: frame checksum mismatch")
 
 // factorHeader describes one factor frame: rows [Lo, Lo+Rows) of the
@@ -57,23 +63,34 @@ type factorHeader struct {
 
 const factorHeaderLen = 17
 
+// dataHeaderLen is a data frame's header: Lo, Rows, Cols as uint32, the
+// nonzero count as uint64, the half byte. The slabs behind it are Rows+1
+// row pointers rebased to start at 0 (int64), then the column indices
+// (int32, global ids) and the values (float32) of the nonzeros.
+const dataHeaderLen = 21
+
+// dataFrameLen is the payload length of a data frame of rows rows and nnz
+// nonzeros.
+func dataFrameLen(rows, nnz uint64) uint64 { return dataHeaderLen + (rows+1)*8 + nnz*8 }
+
 // wire is one framed connection. Reads and writes are buffered and go
 // through the lebin codec, which keeps each direction's running body CRC;
 // writes are additionally serialized by a mutex, because a worker's
 // heartbeat goroutine emits liveness frames concurrently with the training
-// loop's factor frames. traffic, when non-nil, accumulates the full
-// on-the-wire size of every frame sent or received (the
+// loop's factor frames. The counters, when non-nil, accumulate the full
+// on-the-wire size of every frame sent or received: data frames into data
+// (als_dist_data_bytes_total), every other kind into traffic (the
 // als_dist_broadcast_bytes_total measurement point).
 type wire struct {
-	c       net.Conn
-	lr      *lebin.Reader
-	wmu     sync.Mutex
-	bw      *bufio.Writer
-	lw      *lebin.Writer
-	traffic *atomic.Int64
+	c             net.Conn
+	lr            *lebin.Reader
+	wmu           sync.Mutex
+	bw            *bufio.Writer
+	lw            *lebin.Writer
+	traffic, data *atomic.Int64
 }
 
-func newWire(c net.Conn, traffic *atomic.Int64) *wire {
+func newWire(c net.Conn, traffic, data *atomic.Int64) *wire {
 	bw := bufio.NewWriterSize(c, 1<<16)
 	return &wire{
 		c:       c,
@@ -81,6 +98,7 @@ func newWire(c net.Conn, traffic *atomic.Int64) *wire {
 		bw:      bw,
 		lw:      lebin.NewWriter(bw),
 		traffic: traffic,
+		data:    data,
 	}
 }
 
@@ -90,9 +108,14 @@ func (w *wire) close() {
 	}
 }
 
-func (w *wire) count(n int) {
-	if w.traffic != nil {
-		w.traffic.Add(int64(n))
+// count adds n bytes of a frame of the given kind to its counter.
+func (w *wire) count(kind byte, n int) {
+	c := w.traffic
+	if kind == frameData {
+		c = w.data
+	}
+	if c != nil {
+		c.Add(int64(n))
 	}
 }
 
@@ -105,12 +128,12 @@ func (w *wire) beginFrame(kind byte, payloadLen int) {
 }
 
 // endFrame writes the CRC trailer, counts the frame and flushes.
-func (w *wire) endFrame(payloadLen int) error {
+func (w *wire) endFrame(kind byte, payloadLen int) error {
 	w.lw.U32(w.lw.Sum32())
 	if err := w.lw.Err(); err != nil {
 		return err
 	}
-	w.count(framing.PrologueLen + payloadLen + framing.CRCTrailer)
+	w.count(kind, framing.PrologueLen+payloadLen+framing.CRCTrailer)
 	return w.bw.Flush()
 }
 
@@ -120,7 +143,7 @@ func (w *wire) writeSmall(kind byte, payload []byte) error {
 	defer w.wmu.Unlock()
 	w.beginFrame(kind, len(payload))
 	w.lw.Bytes(payload)
-	return w.endFrame(len(payload))
+	return w.endFrame(kind, len(payload))
 }
 
 // writeFactors sends one factor frame and flushes. The floats stream
@@ -140,7 +163,27 @@ func (w *wire) writeFactors(h factorHeader, data []float32) error {
 	w.lw.U32(h.K)
 	w.lw.U8(h.Half)
 	w.lw.F32s(data)
-	return w.endFrame(payloadLen)
+	return w.endFrame(frameFactors, payloadLen)
+}
+
+// writeData sends rows [lo, lo+s.NumRows) of one side of the rating matrix
+// as one data frame and flushes. s is the rows' own CSR (sparse.CSR.RowRange:
+// row pointers from 0, global column ids); its arrays stream through the
+// codec's scratch like a factor matrix.
+func (w *wire) writeData(half byte, lo int, s *sparse.CSR) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	payloadLen := int(dataFrameLen(uint64(s.NumRows), uint64(s.NNZ())))
+	w.beginFrame(frameData, payloadLen)
+	w.lw.U32(uint32(lo))
+	w.lw.U32(uint32(s.NumRows))
+	w.lw.U32(uint32(s.NumCols))
+	w.lw.U64(uint64(s.NNZ()))
+	w.lw.U8(half)
+	w.lw.I64s(s.RowPtr)
+	w.lw.I32s(s.ColIdx)
+	w.lw.F32s(s.Val)
+	return w.endFrame(frameData, payloadLen)
 }
 
 // readHeader reads the next frame's length prefix and kind byte, starting
@@ -155,7 +198,7 @@ func (w *wire) readHeader() (kind byte, bodyLen uint64, err error) {
 	if n < 1 {
 		return 0, 0, fmt.Errorf("shard: empty frame")
 	}
-	w.count(framing.PrologueLen)
+	w.count(kind, framing.PrologueLen)
 	return kind, n - 1, nil
 }
 
@@ -165,7 +208,7 @@ func (w *wire) readBody(kind byte, n uint64) ([]byte, error) {
 	if !w.lr.Bytes(body) {
 		return nil, w.lr.Err()
 	}
-	w.count(int(n))
+	w.count(kind, int(n))
 	return body, w.readTrailer(kind)
 }
 
@@ -177,7 +220,7 @@ func (w *wire) readTrailer(kind byte) error {
 	if err := w.lr.Err(); err != nil {
 		return err
 	}
-	w.count(framing.CRCTrailer)
+	w.count(kind, framing.CRCTrailer)
 	if got != sum {
 		return fmt.Errorf("%w (kind=%d, trailer=%08x, computed=%08x)", ErrFrameCorrupt, kind, got, sum)
 	}
@@ -212,8 +255,8 @@ func (w *wire) readSmall(onBeat func()) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if kind == frameFactors {
-		return 0, nil, fmt.Errorf("shard: unexpected factor frame")
+	if kind == frameFactors || kind == frameData {
+		return 0, nil, fmt.Errorf("shard: unexpected bulk frame (kind %d)", kind)
 	}
 	if n > maxSmallFrame {
 		return 0, nil, fmt.Errorf("shard: %d-byte control frame exceeds limit", n)
@@ -244,7 +287,7 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 		if !w.lr.Bytes(msg) {
 			return fmt.Errorf("shard: peer failed (message lost: %v)", w.lr.Err())
 		}
-		w.count(int(n))
+		w.count(kind, int(n))
 		if err := w.readTrailer(kind); err != nil {
 			return err
 		}
@@ -275,8 +318,59 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 	if err := w.lr.Err(); err != nil {
 		return err
 	}
-	w.count(int(n))
+	w.count(kind, int(n))
 	return w.readTrailer(kind)
+}
+
+// expectData reads the next frame, which must be the data frame of the
+// given half, and returns its rows as a CSR with the first row's index. The
+// header is held to the frame's own length before anything is allocated:
+// the arrays a frame declares are exactly the bytes it brings, so a short
+// frame cannot ask for a large matrix. The CSR is validated after its
+// checksum.
+func (w *wire) expectData(half byte) (s *sparse.CSR, lo int, err error) {
+	kind, n, err := w.nextFrame(nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if kind != frameData {
+		return nil, 0, fmt.Errorf("shard: unexpected frame kind %d (want data)", kind)
+	}
+	if n < dataHeaderLen {
+		return nil, 0, fmt.Errorf("%w: %d-byte data frame is shorter than its header", ErrFrameCorrupt, n)
+	}
+	lo32, rows, cols, nnz, gotHalf := w.lr.U32(), w.lr.U32(), w.lr.U32(), w.lr.U64(), w.lr.U8()
+	if err := w.lr.Err(); err != nil {
+		return nil, 0, err
+	}
+	if gotHalf != half {
+		return nil, 0, fmt.Errorf("shard: data frame for half %d, want half %d", gotHalf, half)
+	}
+	// Bounding nnz by the length first keeps dataFrameLen from wrapping.
+	if nnz > (n-dataHeaderLen)/8 || !lebin.SlabFits(int64(nnz), 1) || n != dataFrameLen(uint64(rows), nnz) {
+		return nil, 0, fmt.Errorf("%w: %d-byte data frame declares %d rows and %d nonzeros", ErrFrameCorrupt, n, rows, nnz)
+	}
+	s = &sparse.CSR{
+		NumRows: int(rows),
+		NumCols: int(cols),
+		RowPtr:  make([]int64, rows+1),
+		ColIdx:  make([]int32, nnz),
+		Val:     make([]float32, nnz),
+	}
+	w.lr.I64s(s.RowPtr)
+	w.lr.I32s(s.ColIdx)
+	w.lr.F32s(s.Val)
+	if err := w.lr.Err(); err != nil {
+		return nil, 0, err
+	}
+	w.count(kind, int(n))
+	if err := w.readTrailer(kind); err != nil {
+		return nil, 0, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("shard: data frame: %w", err)
+	}
+	return s, int(lo32), nil
 }
 
 // workerFailure is a frameError relayed from a worker: the peer is alive

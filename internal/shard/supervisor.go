@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 	"repro/internal/shard/framing"
+	"repro/internal/sparse"
 )
 
 // ErrInterrupted reports a training run stopped by TrainerConfig.Interrupt
@@ -68,8 +69,10 @@ type supervisor struct {
 	lis     net.Listener
 	addr    string
 	spawn   func(rank int, addr string) (func(), error)
-	traffic *atomic.Int64
+	traffic *atomic.Int64 // factor and control frames, both directions
+	data    *atomic.Int64 // data frames
 
+	r, rt   *sparse.CSR // the two sides the ranks' rows are cut from: R and Rᵀ
 	m, n, k int
 	x, y    *linalg.Dense
 	vname   string
@@ -191,7 +194,7 @@ func (s *supervisor) acceptRanks(want map[int]bool, deadline time.Time) (map[int
 		}
 		c = s.chaosWrap(c)
 		c.SetReadDeadline(deadline)
-		wc := newWire(c, s.traffic)
+		wc := newWire(c, s.traffic, s.data)
 		kind, body, err := wc.readSmall(nil)
 		rank32, ok := framing.HelloRank(body)
 		if err != nil || kind != frameHello || !ok {
@@ -214,8 +217,11 @@ func (s *supervisor) acceptRanks(want map[int]bool, deadline time.Time) (map[int
 }
 
 // sendSetup ships a freshly accepted worker its config frame, the trace
-// context when the run is traced, and — when seeded — both factor matrices
-// at the resume point's boundary, so the worker can start mid-run.
+// context when the run is traced, the rows of R and of Rᵀ it owns in the
+// current cohort, and — when seeded — both factor matrices at the resume
+// point's boundary, so the worker can start mid-run. Every way a rank comes
+// to be (first spawn, respawn, a downscaled cohort's new ranges) passes
+// through here, so this is the one place ratings leave the coordinator.
 func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded bool, deadline time.Time) error {
 	cfg := s.cfg
 	wcfg := workerConfig{
@@ -226,7 +232,6 @@ func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded boo
 		StartIteration: point.iter - 1, StartY: point.startY,
 		Seeded:          seeded,
 		HeartbeatMillis: int(cfg.HeartbeatInterval / time.Millisecond),
-		Data:            cfg.Data,
 		Trace:           s.root != nil,
 	}
 	body, err := json.Marshal(wcfg)
@@ -243,6 +248,9 @@ func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded boo
 			return fmt.Errorf("sending trace context: %w", err)
 		}
 	}
+	if err := s.shipRows(rank, wc); err != nil {
+		return err
+	}
 	if seeded {
 		it := uint32(point.iter - 1)
 		if err := wc.writeFactors(factorHeader{Iter: it, Half: halfX, Lo: 0, Rows: uint32(s.m), K: uint32(s.k)}, s.x.Data); err != nil {
@@ -252,6 +260,25 @@ func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded boo
 			return fmt.Errorf("seeding Y: %w", err)
 		}
 	}
+	return nil
+}
+
+// shipRows sends a rank the rows of R and of Rᵀ it owns in the current
+// cohort, as two data frames.
+func (s *supervisor) shipRows(rank int, wc *wire) error {
+	var span *rtrace.Span
+	if s.root != nil {
+		_, span = rtrace.StartChild(s.runCtx, "ship"+strconv.Itoa(rank))
+	}
+	defer span.End()
+	before := s.data.Load()
+	for half, side := range [...]*sparse.CSR{halfX: s.r, halfY: s.rt} {
+		lo, hi := Range(side.NumRows, rank, s.total)
+		if err := wc.writeData(byte(half), lo, side.RowRange(lo, hi)); err != nil {
+			return fmt.Errorf("shipping rows [%d,%d) of half %d: %w", lo, hi, half, err)
+		}
+	}
+	span.SetAttr("bytes", strconv.FormatInt(s.data.Load()-before, 10))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard/chaosnet"
+	"repro/internal/shard/framing"
+	"repro/internal/sparse"
 )
 
 // sweepSpec is the shared tiny workload for the chaos tests: small enough
@@ -57,9 +60,10 @@ func sweepConfig(workers int, plan *chaosnet.Plan) TrainerConfig {
 }
 
 // TestKillAtEveryFrameSweep is the acceptance sweep: a 2-worker, 3-iteration
-// run exchanges 7 frames in each direction per rank (hello + 6 shards up;
-// config + 6 broadcasts down). Severing the connection at every one of those
-// boundaries, for both ranks, must still produce factors byte-identical to
+// run exchanges 7 frames up and 9 down per rank (hello + 6 shards up;
+// config + 2 data frames + 6 broadcasts down). Severing the connection at
+// every one of those boundaries, for both ranks — so a rank loses its rows
+// of R, then of Rᵀ, in flight — must still produce factors byte-identical to
 // the clean single-process run — via respawn when the budget allows it, via
 // elastic downscale when it does not (safe because worker count does not
 // change the bits).
@@ -77,9 +81,10 @@ func TestKillAtEveryFrameSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	inFrames, outFrames := count.Frames(1, chaosnet.In), count.Frames(1, chaosnet.Out)
-	wantFrames := 1 + 2*sweepIters // hello/config + one frame per half
-	if inFrames != wantFrames || outFrames != wantFrames {
-		t.Fatalf("counting run saw %d in / %d out frames, want %d each", inFrames, outFrames, wantFrames)
+	wantIn := 1 + 2*sweepIters  // hello + one shard per half
+	wantOut := 3 + 2*sweepIters // config, the rank's rows of R and of Rᵀ + one broadcast per half
+	if inFrames != wantIn || outFrames != wantOut {
+		t.Fatalf("counting run saw %d in / %d out frames, want %d / %d", inFrames, outFrames, wantIn, wantOut)
 	}
 
 	for _, mode := range []struct {
@@ -191,19 +196,22 @@ func TestCorruptFrameTyped(t *testing.T) {
 		}
 	}
 
-	// Broadcast corruption: the worker rejects the frame and dies; the next
-	// gather detects the loss and recovery still lands on the same bits.
-	plan = chaosnet.NewPlan(12,
-		chaosnet.Fault{Rank: 0, Dir: chaosnet.Out, Frame: 2, Action: chaosnet.Corrupt})
-	m, info, err = Train(mx, sweepConfig(2, plan))
-	if err != nil {
-		t.Fatal(err)
+	// A corrupted frame to a worker — its rows of R (frame 2), a broadcast
+	// (frame 4): the worker rejects the frame and dies; the next gather
+	// detects the loss and recovery still lands on the same bits.
+	for _, frame := range []int{2, 4} {
+		plan = chaosnet.NewPlan(12,
+			chaosnet.Fault{Rank: 0, Dir: chaosnet.Out, Frame: frame, Action: chaosnet.Corrupt})
+		m, info, err = Train(mx, sweepConfig(2, plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Failures < 1 {
+			t.Fatalf("corruption of outbound frame %d went unnoticed", frame)
+		}
+		bitsEqual(t, "out X", m.X, ref.X)
+		bitsEqual(t, "out Y", m.Y, ref.Y)
 	}
-	if info.Failures < 1 {
-		t.Fatal("broadcast corruption went unnoticed")
-	}
-	bitsEqual(t, "bcast X", m.X, ref.X)
-	bitsEqual(t, "bcast Y", m.Y, ref.Y)
 }
 
 // TestHungWorkerDetected stalls a worker's shard mid-flight for longer than
@@ -306,23 +314,92 @@ func TestDroppedFrameRoundDeadline(t *testing.T) {
 }
 
 // TestAllWorkersLost pins the terminal case: a failure every cohort hits
-// deterministically (the workers cannot load their dataset) burns the
-// respawn budget, downscales to nothing, and surfaces the workers' own
-// error instead of hanging or succeeding vacuously.
+// deterministically (each rank takes its setup, then reports that it cannot
+// start) burns the respawn budget, downscales to nothing, and surfaces the
+// workers' own error instead of hanging or succeeding vacuously.
 func TestAllWorkersLost(t *testing.T) {
 	mx, err := sweepSpec.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sweepConfig(2, nil)
-	cfg.Data = DataSpec{Input: "/nonexistent/ratings.csv"}
 	cfg.MaxRespawns = 2
+	cfg.Spawn = func(rank int, addr string) (func(), error) {
+		go func() {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return
+			}
+			w := newWire(c, nil, nil)
+			defer w.close()
+			w.writeSmall(frameHello, framing.HelloPayload(int32(rank)))
+			w.readSmall(nil) // config
+			w.expectData(halfX)
+			w.expectData(halfY)
+			w.writeSmall(frameError, []byte("rank cannot start"))
+		}()
+		return func() {}, nil
+	}
 	_, _, err = Train(mx, cfg)
 	if err == nil {
-		t.Fatal("run with unloadable worker data succeeded")
+		t.Fatal("run whose workers all fail succeeded")
 	}
-	if !strings.Contains(err.Error(), "all workers lost") {
-		t.Fatalf("error %q does not name the terminal condition", err)
+	if !strings.Contains(err.Error(), "all workers lost") || !strings.Contains(err.Error(), "rank cannot start") {
+		t.Fatalf("error %q does not name the terminal condition and the workers' message", err)
+	}
+}
+
+// TestRanksReadOnlyFrames: a rank's ratings are the frames it is sent. A
+// run whose Data names a file that does not exist trains the single-process
+// model bit for bit, so no rank opened anything; the data frames are counted
+// apart from the factor exchange, and a respawned rank is counted again.
+func TestRanksReadOnlyFrames(t *testing.T) {
+	mx, err := sweepSpec.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sweepRef(t)
+	const workers = 2
+	cfg := sweepConfig(workers, nil)
+	cfg.Data = DataSpec{Input: "/nonexistent/ratings.csv"}
+	m, info, err := Train(mx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "X", m.X, ref.X)
+	bitsEqual(t, "Y", m.Y, ref.Y)
+
+	frame := func(rows, nnz int) int64 {
+		return int64(framing.PrologueLen) + int64(dataFrameLen(uint64(rows), uint64(nnz))) + framing.CRCTrailer
+	}
+	var want, rank1 int64
+	for rank := 0; rank < workers; rank++ {
+		for _, side := range []*sparse.CSR{mx.R, mx.RT()} {
+			lo, hi := Range(side.NumRows, rank, workers)
+			n := frame(hi-lo, int(side.RowPtr[hi]-side.RowPtr[lo]))
+			want += n
+			if rank == 1 {
+				rank1 += n
+			}
+		}
+	}
+	if info.DataBytes != want {
+		t.Fatalf("DataBytes = %d, want %d (two data frames per rank)", info.DataBytes, want)
+	}
+	clean := info.BroadcastBytes
+
+	// Rank 1 loses its connection at its first shard and is respawned: it is
+	// sent its rows again, and only that is added to the data count.
+	plan := chaosnet.NewPlan(1, chaosnet.Fault{Rank: 1, Dir: chaosnet.In, Frame: 2, Action: chaosnet.Sever})
+	_, info, err = Train(mx, sweepConfig(workers, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Respawns != 1 || info.DataBytes != want+rank1 {
+		t.Fatalf("after %d respawn(s) DataBytes = %d, want %d + %d", info.Respawns, info.DataBytes, want, rank1)
+	}
+	if info.BroadcastBytes <= clean {
+		t.Fatalf("BroadcastBytes = %d after a respawn, clean run %d: the re-sent factor seeds are exchange traffic", info.BroadcastBytes, clean)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 )
 
 // TestTrainerTraceSpans runs a traced 2-worker in-process training job and
-// checks the assembled span forest: a coordinator "train" root with per-half
-// gather/broadcast children (and one wait span per rank), plus each worker's
-// own compute/gather/broadcast spans shipped back over the frameSpans frame
-// and stitched into the same trace.
+// checks the assembled span forest: a coordinator "train" root with one ship
+// span per rank and per-half gather/broadcast children (and one wait span
+// per rank), plus each worker's own setup and compute/gather/broadcast spans
+// shipped back over the frameSpans frame and stitched into the same trace.
 func TestTrainerTraceSpans(t *testing.T) {
 	spec := DataSpec{Preset: "YMR4", Scale: 0.02, Seed: 7, TestFrac: 0}
 	mx, err := spec.Load()
@@ -65,9 +65,16 @@ func TestTrainerTraceSpans(t *testing.T) {
 
 	// Coordinator side: one iterN/half span per half-iteration, each with a
 	// gather (holding per-rank waits) and a broadcast child.
-	halves := 0
+	halves, ships := 0, 0
 	for _, h := range children[root.ID] {
 		if h.Name == "worker0" || h.Name == "worker1" {
+			continue
+		}
+		if h.Name == "ship0" || h.Name == "ship1" {
+			ships++
+			if len(h.Attrs) != 1 || h.Attrs[0].Key != "bytes" || h.Attrs[0].Value == "0" {
+				t.Errorf("%s attrs = %v, want the bytes shipped", h.Name, h.Attrs)
+			}
 			continue
 		}
 		halves++
@@ -84,8 +91,8 @@ func TestTrainerTraceSpans(t *testing.T) {
 			t.Errorf("%s children = %v, want one gather and one broadcast", h.Name, names)
 		}
 	}
-	if halves != iters*2 {
-		t.Errorf("coordinator half spans = %d, want %d", halves, iters*2)
+	if halves != iters*2 || ships != workers {
+		t.Errorf("coordinator half spans = %d, ship spans = %d, want %d and %d", halves, ships, iters*2, workers)
 	}
 
 	// Worker side: each rank's root continues the coordinator's trace and
@@ -109,8 +116,14 @@ func TestTrainerTraceSpans(t *testing.T) {
 		}
 		phases := map[string]int{}
 		for _, h := range children[wroot.ID] {
+			if h.Name == "setup" {
+				phases["setup"]++
+			}
 			for _, c := range children[h.ID] {
 				phases[c.Name]++
+				if c.Name == "compute" && phases["setup"] != 1 {
+					t.Errorf("%s computed before its setup span", name)
+				}
 			}
 		}
 		want := iters * 2

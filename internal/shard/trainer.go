@@ -25,12 +25,11 @@ import (
 	"repro/internal/variant"
 )
 
-// DataSpec tells a worker process how to materialize the training matrix on
-// its own, exactly as the alstrain front-end does: generate or read the
-// dataset, then carve off the held-out fraction with dataset.Split seeded at
-// Seed+1. Dataset generation and splitting are deterministic, so every
-// worker — and the single-process reference run — sees byte-identical
-// ratings, which is what the trainer's bit-identity guarantee rests on.
+// DataSpec describes the training matrix the way the alstrain front-end
+// materializes it: generate or read the dataset, then carve off the held-out
+// fraction with dataset.Split seeded at Seed+1. Only the process that calls
+// Train loads it: the ranks of a distributed run are sent their rows of the
+// loaded matrix and never see a DataSpec.
 type DataSpec struct {
 	Preset   string  `json:"preset,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
@@ -75,19 +74,6 @@ func origIDs(m *dataset.IDMap) []int64 {
 		ids[i] = m.Orig(i)
 	}
 	return ids
-}
-
-// Load materializes the training matrix the spec describes.
-func (sp DataSpec) Load() (*sparse.Matrix, error) {
-	ds, _, _, err := sp.Dataset()
-	if err != nil {
-		return nil, err
-	}
-	if sp.TestFrac <= 0 {
-		return ds.Matrix, nil
-	}
-	train, _, err := dataset.Split(ds.Matrix, sp.TestFrac, sp.Seed+1)
-	return train, err
 }
 
 // TrainerConfig configures a distributed data-parallel training run.
@@ -149,8 +135,8 @@ type TrainerConfig struct {
 	// Threads is the per-worker goroutine count (0 = GOMAXPROCS).
 	Threads int
 
-	// Data is shipped to every worker, which loads the training matrix
-	// itself rather than receiving it over the wire.
+	// Data is not used by Train, which ships every worker its rows of mx.
+	// The field stays until bench/traced.go stops setting it (ROADMAP 1(d)).
 	Data DataSpec
 
 	// Checkpointing (coordinator-side, core.Train's own scaffold — see
@@ -168,8 +154,10 @@ type TrainerConfig struct {
 	// and serve directly at that precision, but cannot seed Resume.
 	CheckpointPrecision quant.Precision
 
-	// Registry, when set, gains als_dist_broadcast_bytes_total (the bytes
-	// relayed through the coordinator) plus the supervision counters:
+	// Registry, when set, gains als_dist_broadcast_bytes_total (the factor
+	// and control bytes relayed through the coordinator),
+	// als_dist_data_bytes_total (the rating slices shipped to the ranks)
+	// plus the supervision counters:
 	// als_dist_worker_failures_total{reason}, als_dist_respawns_total and
 	// als_dist_round_deadline_exceeded_total.
 	Registry *obs.Registry
@@ -192,10 +180,15 @@ type TrainInfo struct {
 	Seconds float64
 	// BroadcastBytes is the total exchange traffic through the
 	// coordinator: every factor shard received plus every assembled
-	// factor matrix sent, frame headers included.
+	// factor matrix sent, frame headers and control frames included. The
+	// rating slices are not in it.
 	BroadcastBytes int64
-	ResumedFrom    int
-	Variant        string
+	// DataBytes is the size of the data frames the coordinator sent: each
+	// rank's rows of R and of Rᵀ, once per spawn, so a respawned rank or
+	// a downscaled cohort adds what it was re-sent.
+	DataBytes   int64
+	ResumedFrom int
+	Variant     string
 	// Supervision outcomes: worker failures detected, ranks respawned,
 	// elastic downscales taken, and the cohort size that finished the run
 	// (== Workers when nothing failed or every failure was respawned).
@@ -207,18 +200,17 @@ type TrainInfo struct {
 
 // workerConfig is the JSON config frame the coordinator sends each worker.
 type workerConfig struct {
-	Workers        int      `json:"workers"`
-	Rank           int      `json:"rank"`
-	K              int      `json:"k"`
-	Lambda         float32  `json:"lambda"`
-	Iterations     int      `json:"iterations"`
-	Seed           int64    `json:"seed"`
-	WeightedLambda bool     `json:"weighted_lambda"`
-	Flat           bool     `json:"flat"`
-	VariantID      string   `json:"variant_id"`
-	Threads        int      `json:"threads"`
-	StartIteration int      `json:"start_iteration"`
-	Data           DataSpec `json:"data"`
+	Workers        int     `json:"workers"`
+	Rank           int     `json:"rank"`
+	K              int     `json:"k"`
+	Lambda         float32 `json:"lambda"`
+	Iterations     int     `json:"iterations"`
+	Seed           int64   `json:"seed"`
+	WeightedLambda bool    `json:"weighted_lambda"`
+	Flat           bool    `json:"flat"`
+	VariantID      string  `json:"variant_id"`
+	Threads        int     `json:"threads"`
+	StartIteration int     `json:"start_iteration"`
 	// StartY makes the worker's first computed half StartIteration+1's Y
 	// half instead of its X half — how a rank respawned mid-iteration
 	// rejoins without redoing the half that already completed.
@@ -272,15 +264,16 @@ func (cfg *TrainerConfig) setDefaults() {
 }
 
 // Train runs the coordinator of a distributed data-parallel ALS job. mx is
-// the training matrix (already split, exactly what Data describes) — the
-// coordinator uses it only for its dimensions and never touches the
-// ratings; each worker loads its own copy from Data.
+// the training matrix (already split). The coordinator holds the one copy
+// of it: each worker is sent the rows of R and of Rᵀ it owns, in two data
+// frames after its config, and opens no file.
 //
 // The exchange is a BSP star: per half-iteration every worker solves its
 // static row range and sends that shard up, the coordinator assembles the
 // full side and broadcasts it back, and no worker starts the next half
 // before holding the complete fixed factor. Row updates are pure functions
-// of (row data, fixed factors, λ, k, variant), so the assembled model is
+// of (row data, fixed factors, λ, k, variant), and a worker's row data is a
+// CRC-checked copy of the coordinator's arrays, so the assembled model is
 // bit-identical to a single-process run with the same seed.
 //
 // The run is supervised: workers heartbeat while computing, every frame is
@@ -355,7 +348,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	}
 	defer lis.Close()
 
-	var traffic atomic.Int64
+	var traffic, data atomic.Int64
 	spawn := cfg.Spawn
 	if spawn == nil {
 		spawn = func(rank int, addr string) (func(), error) {
@@ -366,7 +359,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 
 	sup := &supervisor{
 		cfg: &cfg, lis: lis, addr: lis.Addr().String(), spawn: spawn,
-		traffic: &traffic, m: m, n: n, k: k, x: x, y: y, vname: vname,
+		traffic: &traffic, data: &data, r: mx.R, rt: mx.RT(), m: m, n: n, k: k, x: x, y: y, vname: vname,
 		total: cfg.Workers, workers: make([]*supWorker, cfg.Workers),
 		runCtx: runCtx, root: root,
 	}
@@ -397,6 +390,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	finish := func() {
 		info.Seconds = time.Since(sup.started).Seconds()
 		info.BroadcastBytes = traffic.Load()
+		info.DataBytes = data.Load()
 		info.Failures = sup.failuresN
 		info.Respawns = sup.respawns
 		info.Downscales = sup.downscales
@@ -405,6 +399,9 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 			cfg.Registry.Counter("als_dist_broadcast_bytes_total",
 				"Factor-exchange bytes relayed through the distributed trainer coordinator.").
 				With().Add(float64(info.BroadcastBytes))
+			cfg.Registry.Counter("als_dist_data_bytes_total",
+				"Rating-matrix bytes the distributed trainer coordinator shipped to its workers.").
+				With().Add(float64(info.DataBytes))
 		}
 	}
 	sup.started = time.Now()
@@ -433,18 +430,18 @@ func Range(total, i, of int) (lo, hi int) {
 }
 
 // RunWorker connects to a coordinator, identifies as rank, and serves one
-// worker's share of a distributed training run: load the dataset the
-// config frame describes, then per half-iteration solve the static row
-// range this rank owns, send the shard up, and receive the assembled side
-// back. While computing it emits heartbeat frames so the coordinator can
-// tell a slow worker from a dead one. It returns when training completes or
-// the coordinator goes away — a worker never outlives its run.
+// worker's share of a distributed training run: receive the config and the
+// rows of R and Rᵀ this rank owns, then per half-iteration solve those
+// rows, send the shard up, and receive the assembled side back. While
+// computing it emits heartbeat frames so the coordinator can tell a slow
+// worker from a dead one. It returns when training completes or the
+// coordinator goes away — a worker never outlives its run.
 func RunWorker(coordAddr string, rank int) error {
 	c, err := net.Dial("tcp", coordAddr)
 	if err != nil {
 		return fmt.Errorf("shard: worker %d dialing %s: %w", rank, coordAddr, err)
 	}
-	w := newWire(c, nil)
+	w := newWire(c, nil, nil)
 	defer w.close()
 
 	if err := w.writeSmall(frameHello, framing.HelloPayload(int32(rank))); err != nil {
@@ -528,11 +525,27 @@ func RunWorker(coordAddr string, rank int) error {
 	if err != nil {
 		return fail(err)
 	}
-	mx, err := cfg.Data.Load()
+	// The rank's rows of both sides arrive as two data frames. Each names
+	// the other side's size as its column count, so the pair must describe
+	// the static partition this rank computes for itself.
+	_, sspan := rtrace.StartChild(wctx, "setup")
+	r, xlo, err := w.expectData(halfX)
 	if err != nil {
-		return fail(fmt.Errorf("worker %d: %w", rank, err))
+		return fmt.Errorf("shard: worker %d data: %w", rank, err)
 	}
-	m, n, k := mx.Rows(), mx.Cols(), cfg.K
+	rt, ylo, err := w.expectData(halfY)
+	if err != nil {
+		return fmt.Errorf("shard: worker %d data: %w", rank, err)
+	}
+	m, n, k := rt.NumCols, r.NumCols, cfg.K
+	if lo, hi := Range(m, rank, cfg.Workers); lo != xlo || hi-lo != r.NumRows {
+		return fail(fmt.Errorf("worker %d: received rows [%d,%d) of R (%d users), own [%d,%d)", rank, xlo, xlo+r.NumRows, m, lo, hi))
+	}
+	if lo, hi := Range(n, rank, cfg.Workers); lo != ylo || hi-lo != rt.NumRows {
+		return fail(fmt.Errorf("worker %d: received rows [%d,%d) of Rᵀ (%d items), own [%d,%d)", rank, ylo, ylo+rt.NumRows, n, lo, hi))
+	}
+	sspan.SetAttr("nnz", strconv.Itoa(r.NNZ()+rt.NNZ()))
+	sspan.End()
 	x := linalg.NewDense(m, k)
 	y := host.InitialY(n, k, cfg.Seed)
 	if cfg.Seeded {
@@ -545,8 +558,6 @@ func RunWorker(coordAddr string, rank int) error {
 		}
 	}
 
-	// The Y half runs the same row updates on Rᵀ, exactly as host.Train does.
-	rt := mx.RT()
 	ru, err := host.NewRangeUpdater(host.Config{
 		K: k, Lambda: cfg.Lambda, Workers: cfg.Threads,
 		Flat: cfg.Flat, Variant: v, WeightedLambda: cfg.WeightedLambda,
@@ -557,20 +568,18 @@ func RunWorker(coordAddr string, rank int) error {
 	defer ru.Close()
 
 	// One half is: solve this rank's rows of the side, send the shard up,
-	// receive the assembled side back.
+	// receive the assembled side back. The Y half runs the same row updates
+	// on Rᵀ, exactly as host.Train does.
 	type side struct {
 		half       byte
 		name       string
-		r          *sparse.CSR
+		rows       *sparse.CSR // this rank's rows [lo, lo+rows.NumRows) of the side
+		lo, total  int
 		fixed, out *linalg.Dense
-		lo, hi     int
 	}
 	sides := [2]side{
-		{half: halfX, name: "x", r: mx.R, fixed: y, out: x},
-		{half: halfY, name: "y", r: rt, fixed: x, out: y},
-	}
-	for i := range sides {
-		sides[i].lo, sides[i].hi = Range(sides[i].r.NumRows, rank, cfg.Workers)
+		{half: halfX, name: "x", rows: r, lo: xlo, total: m, fixed: y, out: x},
+		{half: halfY, name: "y", rows: rt, lo: ylo, total: n, fixed: x, out: y},
 	}
 	startIt := cfg.StartIteration + 1
 	for it := startIt; it <= cfg.Iterations; it++ {
@@ -585,19 +594,21 @@ func RunWorker(coordAddr string, rank int) error {
 				hctx, hspan = rtrace.StartChild(wctx, "iter"+strconv.Itoa(it)+"/"+s.name)
 			}
 			_, cspan := rtrace.StartChild(hctx, "compute")
-			err := ru.UpdateRange(s.r, s.fixed, s.out, s.lo, s.hi, it, s.half == halfX)
+			hi := s.lo + s.rows.NumRows
+			shard := s.out.Data[s.lo*k : hi*k]
+			err := ru.UpdateRange(s.rows, s.fixed, linalg.NewDenseFrom(s.rows.NumRows, k, shard), 0, s.rows.NumRows, it, s.half == halfX)
 			cspan.End()
 			if err != nil {
 				return fail(fmt.Errorf("worker %d iteration %d %s: %w", rank, it, strings.ToUpper(s.name), err))
 			}
 			_, gspan := rtrace.StartChild(hctx, "gather")
-			err = w.writeFactors(factorHeader{Iter: uint32(it), Half: s.half, Lo: uint32(s.lo), Rows: uint32(s.hi - s.lo), K: uint32(k)}, s.out.Data[s.lo*k:s.hi*k])
+			err = w.writeFactors(factorHeader{Iter: uint32(it), Half: s.half, Lo: uint32(s.lo), Rows: uint32(s.rows.NumRows), K: uint32(k)}, shard)
 			gspan.End()
 			if err != nil {
 				return err
 			}
 			_, bspan := rtrace.StartChild(hctx, "broadcast")
-			err = w.expectFactors(it, s.half, k, s.out.Data, 0, s.r.NumRows, nil)
+			err = w.expectFactors(it, s.half, k, s.out.Data, 0, s.total, nil)
 			bspan.End()
 			hspan.End()
 			if err != nil {

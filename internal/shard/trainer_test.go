@@ -5,8 +5,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 )
+
+// Load materializes the training matrix the spec describes, as alstrain
+// does: the dataset, minus the held-out fraction.
+func (sp DataSpec) Load() (*sparse.Matrix, error) {
+	ds, _, _, err := sp.Dataset()
+	if err != nil {
+		return nil, err
+	}
+	if sp.TestFrac <= 0 {
+		return ds.Matrix, nil
+	}
+	train, _, err := dataset.Split(ds.Matrix, sp.TestFrac, sp.Seed+1)
+	return train, err
+}
 
 func bitsEqual(t *testing.T, label string, got, want *linalg.Dense) {
 	t.Helper()

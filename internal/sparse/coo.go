@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -57,31 +59,30 @@ func (c *COO) Validate() error {
 	return nil
 }
 
-// SortRowMajor orders entries by (row, col). The sort is deterministic for
-// inputs without duplicate coordinates.
+// SortRowMajor orders entries by (row, col). The sort is stable: entries
+// with one coordinate keep the order they were appended in.
 func (c *COO) SortRowMajor() {
-	sort.Slice(c.Entries, func(i, j int) bool {
-		a, b := c.Entries[i], c.Entries[j]
+	slices.SortStableFunc(c.Entries, func(a, b Entry) int {
 		if a.Row != b.Row {
-			return a.Row < b.Row
+			return cmp.Compare(a.Row, b.Row)
 		}
-		return a.Col < b.Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 }
 
-// SortColMajor orders entries by (col, row).
+// SortColMajor orders entries by (col, row), stably.
 func (c *COO) SortColMajor() {
-	sort.Slice(c.Entries, func(i, j int) bool {
-		a, b := c.Entries[i], c.Entries[j]
+	slices.SortStableFunc(c.Entries, func(a, b Entry) int {
 		if a.Col != b.Col {
-			return a.Col < b.Col
+			return cmp.Compare(a.Col, b.Col)
 		}
-		return a.Row < b.Row
+		return cmp.Compare(a.Row, b.Row)
 	})
 }
 
 // Dedup merges duplicate (row, col) coordinates. The keep policy decides the
-// surviving value. Dedup sorts the entries row-major as a side effect.
+// surviving value; first and last mean the order the entries were appended
+// in. Dedup sorts the entries row-major as a side effect.
 func (c *COO) Dedup(keep DedupPolicy) {
 	if len(c.Entries) == 0 {
 		return

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CSR is a compressed-sparse-row matrix (Fig. 2 of the paper): Val stores the
 // nonzero ratings row by row, ColIdx the column (item) index of each nonzero,
@@ -274,15 +277,92 @@ type Matrix struct {
 	C *CSC // column view of the same matrix
 }
 
-// NewMatrix builds both views from coordinate data. Duplicates are merged
-// with DedupKeepLast.
+// NewMatrix builds both views from coordinate data, in time linear in the
+// entries and without reordering them. A coordinate that occurs more than
+// once keeps the value of its last occurrence: a re-rated item keeps the
+// last rating in the file (COO.Dedup's DedupKeepLast).
 func NewMatrix(coo *COO) (*Matrix, error) {
-	coo.Dedup(DedupKeepLast)
-	r, err := coo.ToCSR()
-	if err != nil {
+	if err := coo.Validate(); err != nil {
 		return nil, err
 	}
+	if coo.Rows > math.MaxInt32+1 || coo.Cols > math.MaxInt32+1 {
+		return nil, fmt.Errorf("sparse: dimensions %dx%d do not fit the 32-bit index", coo.Rows, coo.Cols)
+	}
+	r := &CSR{
+		NumRows: coo.Rows,
+		NumCols: coo.Cols,
+		RowPtr:  make([]int64, coo.Rows+1),
+		ColIdx:  make([]int32, len(coo.Entries)),
+		Val:     make([]float32, len(coo.Entries)),
+	}
+	// Count the rows, and see whether the entries already ascend strictly
+	// by (row, col): sorted, and no coordinate twice.
+	rowMajor := true
+	for i, e := range coo.Entries {
+		r.RowPtr[e.Row+1]++
+		if i > 0 && rowMajor {
+			p := coo.Entries[i-1]
+			rowMajor = p.Row < e.Row || (p.Row == e.Row && p.Col < e.Col)
+		}
+	}
+	for u := 0; u < coo.Rows; u++ {
+		r.RowPtr[u+1] += r.RowPtr[u]
+	}
+	if rowMajor {
+		// What a rating file written row by row holds: the entries are
+		// the CSR arrays already.
+		for p, e := range coo.Entries {
+			r.ColIdx[p], r.Val[p] = int32(e.Col), e.Val
+		}
+	} else {
+		r.fillSorted(coo)
+	}
 	return &Matrix{R: r, C: r.ToCSC()}, nil
+}
+
+// fillSorted fills ColIdx and Val from entries in any order, given the
+// RowPtr of their row counts: a stable counting pass by column, then one
+// by row, leaves every row ascending by column with equal coordinates
+// adjacent and in entry order, so keeping the last of each run is a
+// compaction. No comparison sort.
+func (m *CSR) fillSorted(coo *COO) {
+	type triple struct {
+		row, col int32
+		val      float32
+	}
+	next := make([]int64, max(m.NumRows, m.NumCols)+1)
+	for _, e := range coo.Entries {
+		next[e.Col+1]++
+	}
+	for c := 0; c < m.NumCols; c++ {
+		next[c+1] += next[c]
+	}
+	byCol := make([]triple, len(coo.Entries))
+	for _, e := range coo.Entries {
+		byCol[next[e.Col]] = triple{int32(e.Row), int32(e.Col), e.Val}
+		next[e.Col]++
+	}
+	copy(next, m.RowPtr)
+	for _, t := range byCol {
+		p := next[t.row]
+		m.ColIdx[p], m.Val[p] = t.col, t.val
+		next[t.row]++
+	}
+	// Keep the last entry of every run of one coordinate.
+	w := int64(0)
+	for u := 0; u < m.NumRows; u++ {
+		lo, hi := m.RowPtr[u], m.RowPtr[u+1]
+		m.RowPtr[u] = w
+		for p := lo; p < hi; p++ {
+			if p+1 < hi && m.ColIdx[p+1] == m.ColIdx[p] {
+				continue
+			}
+			m.ColIdx[w], m.Val[w] = m.ColIdx[p], m.Val[p]
+			w++
+		}
+	}
+	m.RowPtr[m.NumRows] = w
+	m.ColIdx, m.Val = m.ColIdx[:w], m.Val[:w]
 }
 
 // Rows returns the number of users m.

@@ -2,8 +2,10 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // randomCOO builds a random sparse matrix with unique coordinates.
@@ -143,6 +145,136 @@ func TestDedupPolicies(t *testing.T) {
 		if got := m.At(0, 0); got != tc.want {
 			t.Errorf("policy %v: At(0,0) = %g, want %g", tc.policy, got, tc.want)
 		}
+	}
+}
+
+// TestDedupKeepsFileOrder: first and last mean the order the entries were
+// appended in, at a length where an unstable sort would scramble it. 480
+// entries fall on an 8 x 8 grid, so every coordinate is rated several times.
+func TestDedupKeepsFileOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	coo := NewCOO(8, 8)
+	first, last, sum := map[[2]int]float32{}, map[[2]int]float32{}, map[[2]int]float32{}
+	for i := 0; i < 480; i++ {
+		at, v := [2]int{rng.Intn(8), rng.Intn(8)}, float32(i+1)
+		coo.Append(at[0], at[1], v)
+		if _, seen := first[at]; !seen {
+			first[at] = v
+		}
+		last[at] = v
+		sum[at] += v
+	}
+	for _, tc := range []struct {
+		name   string
+		policy DedupPolicy
+		want   map[[2]int]float32
+	}{{"keep last", DedupKeepLast, last}, {"keep first", DedupKeepFirst, first}, {"sum", DedupSum, sum}} {
+		c := &COO{Rows: 8, Cols: 8, Entries: slices.Clone(coo.Entries)}
+		c.Dedup(tc.policy)
+		if len(c.Entries) != len(tc.want) {
+			t.Fatalf("%s: %d entries, want %d", tc.name, len(c.Entries), len(tc.want))
+		}
+		for _, e := range c.Entries {
+			if want := tc.want[[2]int{e.Row, e.Col}]; e.Val != want {
+				t.Errorf("%s: (%d,%d) = %g, want %g", tc.name, e.Row, e.Col, e.Val, want)
+			}
+		}
+	}
+}
+
+// sortedBuild is the reference NewMatrix is held to: the comparison sort
+// and the per-row sort it replaced.
+func sortedBuild(t *testing.T, coo *COO) *Matrix {
+	t.Helper()
+	c := &COO{Rows: coo.Rows, Cols: coo.Cols, Entries: slices.Clone(coo.Entries)}
+	c.Dedup(DedupKeepLast)
+	r, err := c.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Matrix{R: r, C: r.ToCSC()}
+}
+
+// TestNewMatrixMatchesSortedBuild: the counting build returns, array for
+// array, what stable Dedup + ToCSR + ToCSC return, for entries in any order
+// with or without repeated coordinates, and leaves its argument alone.
+func TestNewMatrixMatchesSortedBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	withDups := func(rows, cols, n int) *COO {
+		coo := NewCOO(rows, cols)
+		for i := 0; i < n; i++ {
+			coo.Append(rng.Intn(rows), rng.Intn(cols), float32(i))
+		}
+		return coo
+	}
+	rowMajor := randomCOO(rng, 40, 30, 300)
+	rowMajor.SortRowMajor()
+	colMajor := randomCOO(rng, 40, 30, 300)
+	colMajor.SortColMajor()
+	// Row-major but for one repeated coordinate at the very end.
+	almost := &COO{Rows: 40, Cols: 30, Entries: slices.Clone(rowMajor.Entries)}
+	almost.Append(almost.Entries[len(almost.Entries)-1].Row, almost.Entries[len(almost.Entries)-1].Col, 77)
+	cases := map[string]*COO{
+		"empty":           NewCOO(0, 0),
+		"no entries":      NewCOO(5, 7),
+		"one entry":       {Rows: 3, Cols: 4, Entries: []Entry{{2, 1, 5}}},
+		"one row":         withDups(1, 50, 200),
+		"one column":      withDups(50, 1, 200),
+		"duplicates":      withDups(8, 8, 480),
+		"row-major":       rowMajor,
+		"row-major + dup": almost,
+		"column-major":    colMajor,
+		"shuffled":        randomCOO(rng, 60, 90, 2000),
+		"trailing empty":  {Rows: 9, Cols: 9, Entries: []Entry{{4, 4, 1}, {0, 8, 2}}},
+	}
+	for name, coo := range cases {
+		before := slices.Clone(coo.Entries)
+		got, err := NewMatrix(coo)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(coo.Entries, before) {
+			t.Errorf("%s: NewMatrix reordered its argument", name)
+		}
+		want := sortedBuild(t, coo)
+		if !slices.Equal(got.R.RowPtr, want.R.RowPtr) || !slices.Equal(got.R.ColIdx, want.R.ColIdx) || !slices.Equal(got.R.Val, want.R.Val) ||
+			!slices.Equal(got.C.ColPtr, want.C.ColPtr) || !slices.Equal(got.C.RowIdx, want.C.RowIdx) || !slices.Equal(got.C.Val, want.C.Val) ||
+			got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Errorf("%s: NewMatrix differs from the sorted build:\n got %+v %+v\nwant %+v %+v", name, got.R, got.C, want.R, want.C)
+		}
+		if err := got.R.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if err := got.C.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := NewMatrix(&COO{Rows: 2, Cols: 2, Entries: []Entry{{2, 0, 1}}}); err == nil {
+		t.Error("NewMatrix accepted an entry outside the matrix")
+	}
+}
+
+// BenchmarkNewMatrix builds both views from 200k ratings as a rating file
+// holds them (row-major) and as the generator draws them (shuffled).
+func BenchmarkNewMatrix(b *testing.B) {
+	rowMajor := benchTriples(b, 200000).ToCOO()
+	shuffled := &COO{Rows: rowMajor.Rows, Cols: rowMajor.Cols, Entries: slices.Clone(rowMajor.Entries)}
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled.Entries), func(i, j int) {
+		shuffled.Entries[i], shuffled.Entries[j] = shuffled.Entries[j], shuffled.Entries[i]
+	})
+	for _, bc := range []struct {
+		name string
+		coo  *COO
+	}{{"rowmajor", rowMajor}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.coo.Entries)) * int64(unsafe.Sizeof(Entry{})))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewMatrix(bc.coo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

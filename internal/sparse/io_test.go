@@ -11,21 +11,22 @@ import (
 	"testing"
 )
 
+var formatCases = []struct {
+	name     string
+	input    string
+	oneBased bool
+}{
+	{"space separated", "0 1 4.0\n1 0 2.5\n", false},
+	{"tab separated", "0\t1\t4.0\n1\t0\t2.5\n", false},
+	{"comma separated", "0,1,4.0\n1,0,2.5\n", false},
+	{"movielens double colon", "1::2::4.0\n2::1::2.5\n", true},
+	{"one based", "1 2 4.0\n2 1 2.5\n", true},
+	{"with comments and blanks", "% header\n\n# note\n0 1 4.0\n1 0 2.5\n", false},
+	{"extra fields (timestamps)", "0 1 4.0 978300760\n1 0 2.5 978302109\n", false},
+}
+
 func TestReadTriplesFormats(t *testing.T) {
-	cases := []struct {
-		name     string
-		input    string
-		oneBased bool
-	}{
-		{"space separated", "0 1 4.0\n1 0 2.5\n", false},
-		{"tab separated", "0\t1\t4.0\n1\t0\t2.5\n", false},
-		{"comma separated", "0,1,4.0\n1,0,2.5\n", false},
-		{"movielens double colon", "1::2::4.0\n2::1::2.5\n", true},
-		{"one based", "1 2 4.0\n2 1 2.5\n", true},
-		{"with comments and blanks", "% header\n\n# note\n0 1 4.0\n1 0 2.5\n", false},
-		{"extra fields (timestamps)", "0 1 4.0 978300760\n1 0 2.5 978302109\n", false},
-	}
-	for _, tc := range cases {
+	for _, tc := range formatCases {
 		t.Run(tc.name, func(t *testing.T) {
 			coo, err := ReadTriples(strings.NewReader(tc.input), tc.oneBased)
 			if err != nil {
@@ -42,29 +43,30 @@ func TestReadTriplesFormats(t *testing.T) {
 	}
 }
 
+var errorCases = []struct {
+	name     string
+	input    string
+	oneBased bool
+	want     string // the error must carry the line number and the reason
+}{
+	{"too few fields", "0 1 4\n0 1\n", false, "line 2: want at least 3 fields, got 2"},
+	{"too few fields, double colon", "0::1\n", false, "line 1: want at least 3 fields, got 2"},
+	{"bad user", "x 1 4.0\n", false, `line 1: bad user id "x"`},
+	{"bad item", "# c\n0 y 4.0\n", false, `line 2: bad item id "y"`},
+	{"bad rating", "0 1 zzz\n", false, `line 1: bad rating "zzz"`},
+	{"empty double-colon field", "0::1::\n", false, `line 1: bad rating ""`},
+	{"spaces inside double-colon fields", "0 :: 1 :: 4\n", false, `line 1: bad user id "0 "`},
+	{"negative id", "0 -1 4.0\n", false, "line 1: negative id after adjustment (0,-1)"},
+	{"negative after one-based adjust", "1 1 4.0\n0 1 4.0\n", true, "line 2: negative id after adjustment (-1,0)"},
+	{"user id past int32", "3000000000 0 5\n", false, "line 1: id (3000000000,0) does not fit"},
+	{"item id past int32", "0 1 1\n0 3000000000 5\n", false, "line 2: id (0,3000000000) does not fit"},
+	{"item id past int32, one-based", "1 2147483649 5\n", true, "line 1: id (0,2147483648) does not fit"},
+	{"id past int64", "0 99999999999999999999 5\n", false, `line 1: bad item id "99999999999999999999"`},
+	{"overlong line", "0 1 4\n0 1 " + strings.Repeat("4", maxLineBytes) + "\n", false, "line 2: bufio.Scanner: token too long"},
+}
+
 func TestReadTriplesErrors(t *testing.T) {
-	cases := []struct {
-		name     string
-		input    string
-		oneBased bool
-		want     string // the error must carry the line number and the reason
-	}{
-		{"too few fields", "0 1 4\n0 1\n", false, "line 2: want at least 3 fields, got 2"},
-		{"too few fields, double colon", "0::1\n", false, "line 1: want at least 3 fields, got 2"},
-		{"bad user", "x 1 4.0\n", false, `line 1: bad user id "x"`},
-		{"bad item", "# c\n0 y 4.0\n", false, `line 2: bad item id "y"`},
-		{"bad rating", "0 1 zzz\n", false, `line 1: bad rating "zzz"`},
-		{"empty double-colon field", "0::1::\n", false, `line 1: bad rating ""`},
-		{"spaces inside double-colon fields", "0 :: 1 :: 4\n", false, `line 1: bad user id "0 "`},
-		{"negative id", "0 -1 4.0\n", false, "line 1: negative id after adjustment (0,-1)"},
-		{"negative after one-based adjust", "1 1 4.0\n0 1 4.0\n", true, "line 2: negative id after adjustment (-1,0)"},
-		{"user id past int32", "3000000000 0 5\n", false, "line 1: id (3000000000,0) does not fit"},
-		{"item id past int32", "0 1 1\n0 3000000000 5\n", false, "line 2: id (0,3000000000) does not fit"},
-		{"item id past int32, one-based", "1 2147483649 5\n", true, "line 1: id (0,2147483648) does not fit"},
-		{"id past int64", "0 99999999999999999999 5\n", false, `line 1: bad item id "99999999999999999999"`},
-		{"overlong line", "0 1 4\n0 1 " + strings.Repeat("4", maxLineBytes) + "\n", false, "line 2: bufio.Scanner: token too long"},
-	}
-	for _, tc := range cases {
+	for _, tc := range errorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadTriples(strings.NewReader(tc.input), tc.oneBased)
 			if err == nil {
@@ -80,16 +82,17 @@ func TestReadTriplesErrors(t *testing.T) {
 // TestReadTriplesGrammar pins what the in-place splitter accepts: the
 // largest id, CRLF line ends, runs and mixtures of separators, padding,
 // signed ids, exponent ratings, comments of both kinds and trailing fields.
+const grammarInput = "% header\r\n" +
+	"  0 \t,, 1 ,4.5  \r\n" +
+	"\r\n" +
+	"#0 0 0\n" +
+	"+1,0,1e-3,ignored,fields\n" +
+	"2::3::2.5::978300760\n" +
+	"\t2147483647 2147483647 -0.5\n" +
+	"3 4 5" // no final newline
+
 func TestReadTriplesGrammar(t *testing.T) {
-	input := "% header\r\n" +
-		"  0 \t,, 1 ,4.5  \r\n" +
-		"\r\n" +
-		"#0 0 0\n" +
-		"+1,0,1e-3,ignored,fields\n" +
-		"2::3::2.5::978300760\n" +
-		"\t2147483647 2147483647 -0.5\n" +
-		"3 4 5" // no final newline
-	coo, err := ReadTriples(strings.NewReader(input), false)
+	coo, err := ReadTriples(strings.NewReader(grammarInput), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +142,33 @@ func TestWriteTriplesBytes(t *testing.T) {
 }
 
 // TestTextIOAllocations: neither direction allocates per rating. Reading
-// grows the entry slice (a logarithmic number of times) and owns one scan
-// buffer; writing owns one line and one write buffer.
+// owns one block buffer and, told the input's length, sizes the entry list
+// in one step however many blocks follow; writing owns one line and one
+// write buffer.
 func TestTextIOAllocations(t *testing.T) {
-	m := benchTriples(t, 20000)
+	m := benchTriples(t, 60000) // a few blocks of text
 	var text bytes.Buffer
 	if err := WriteTriples(&text, m); err != nil {
 		t.Fatal(err)
+	}
+	if text.Len() < 2*blockBytes {
+		t.Fatalf("%d bytes of text do not span blocks of %d", text.Len(), blockBytes)
 	}
 	if n := testing.AllocsPerRun(3, func() {
 		if _, err := ReadTriples(bytes.NewReader(text.Bytes()), false); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 60 {
+	}); n > 5 {
 		t.Errorf("ReadTriples of %d ratings: %v allocations", m.NNZ(), n)
+	}
+	// A reader that cannot say how long it is costs the entry list's
+	// doublings, nothing per block.
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := ReadTriples(io.MultiReader(bytes.NewReader(text.Bytes())), false); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 20 {
+		t.Errorf("ReadTriples of %d ratings from a plain reader: %v allocations", m.NNZ(), n)
 	}
 	if n := testing.AllocsPerRun(3, func() {
 		if err := WriteTriples(io.Discard, m); err != nil {
