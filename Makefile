@@ -23,7 +23,8 @@ test-short:
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
 # line whatever the link order (two -randlayout seeds), the smoke lanes
-# through the real binaries, the bench smokes.
+# through the real binaries, the bench smokes (every benchmark once, then the
+# two that split their work over goroutines at -cpu 1,2).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -58,6 +59,7 @@ ci:
 	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant
 	$(GO) vet -C bench ./... && $(GO) build -C bench -o /dev/null .
 	$(GO) test -C bench ./...
 

@@ -7,7 +7,11 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/guard"
+	"repro/internal/host"
+	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/sparse"
+	"repro/internal/variant"
 )
 
 // TestDivergenceRollback: a chaos loss blow-up mid-run must roll training
@@ -46,6 +50,53 @@ func TestDivergenceRollback(t *testing.T) {
 	}
 	if st.Lambda != 0.1 {
 		t.Fatalf("checkpoint records λ=%g, want the configured 0.1", st.Lambda)
+	}
+}
+
+// TestRollbackRestartsWithCurrentGrams: implicit training keeps the shared
+// Gram of each factor between a half and the objective that follows it. A
+// rollback restarts from a checkpoint's factors, and the replay's objective
+// and halves must read Grams of those — every loss recorded after the
+// rollback is the serial oracle's on the factors at that point (at the
+// escalated λ the replay trains with), and the run ends where a run resumed
+// by hand from the same checkpoint at that λ ends, bit for bit.
+func TestRollbackRestartsWithCurrentGrams(t *testing.T) {
+	mx := ckptMatrix(t)
+	g := guard.New(guard.Policy{})
+	g.Chaos = &guard.Chaos{BlowUpIter: 2}
+	fsys := checkpoint.NewMemFS()
+	base := Config{
+		K: 6, Lambda: 0.1, Iterations: 4, Seed: 3, Workers: 2,
+		Implicit: true, Alpha: 5, Solver: host.SolverCG, TrackLoss: true,
+	}
+	cfg := base
+	cfg.CheckpointDir, cfg.CheckpointFS, cfg.CheckpointKeep, cfg.Guard = "ckpts", fsys, base.Iterations, g
+	model, info, err := Train(mx, cfg)
+	if err != nil || info.Rollbacks != 1 {
+		t.Fatalf("err %v, rollbacks %d", err, info.Rollbacks)
+	}
+	lam := float64(base.Lambda) * guard.LambdaEscalation
+	last := info.History[len(info.History)-1]
+	want := metrics.ImplicitLoss(mx.R, model.X, model.Y, float64(base.Alpha), lam)
+	if d := math.Abs(last.Loss-want) / want; !(d <= 1e-12) {
+		t.Errorf("final loss %.17g, oracle on the final factors %.17g (rel %g)", last.Loss, want, d)
+	}
+
+	st, err := checkpoint.Load(fsys, "ckpts/"+checkpoint.FileName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := host.Train(mx, host.Config{
+		K: base.K, Lambda: base.Lambda * guard.LambdaEscalation, Iterations: base.Iterations, Seed: base.Seed, Workers: base.Workers,
+		Implicit: true, Alpha: base.Alpha, Solver: base.Solver, CGIters: host.DefaultCGIters,
+		Variant:        variant.Options{},
+		StartIteration: 1, ResumeX: st.X, ResumeY: st.Y,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dx, dy := linalg.MaxAbsDiff(res.X, model.X), linalg.MaxAbsDiff(res.Y, model.Y); dx != 0 || dy != 0 {
+		t.Errorf("post-rollback factors differ from a resume of checkpoint 1 at λ=%g by %g / %g", lam, dx, dy)
 	}
 }
 

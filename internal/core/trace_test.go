@@ -16,18 +16,23 @@ import (
 	"repro/internal/rtrace"
 )
 
-// spanTree indexes one published trace: the root and, per name, its direct
-// children.
+// spanTree indexes one published trace: the root, per name its direct
+// children, and per child the "gram" spans under it — the one grandchild a
+// training trace has (implicit mode's shared Gram, under the half or the
+// objective that computed or reused it).
 type spanTree struct {
 	root     rtrace.SpanRecord
 	children map[string][]rtrace.SpanRecord
+	grams    map[rtrace.SpanID][]rtrace.SpanRecord
 }
 
 func readTree(t *testing.T, tr *rtrace.Tracer) spanTree {
 	t.Helper()
-	tree := spanTree{children: map[string][]rtrace.SpanRecord{}}
+	tree := spanTree{children: map[string][]rtrace.SpanRecord{}, grams: map[rtrace.SpanID][]rtrace.SpanRecord{}}
 	spans := tr.Snapshot()
+	names := map[rtrace.SpanID]string{}
 	for _, s := range spans {
+		names[s.ID] = s.Name
 		if s.Parent == 0 {
 			if tree.root.ID != 0 {
 				t.Fatalf("two root spans: %q and %q", tree.root.Name, s.Name)
@@ -42,12 +47,17 @@ func readTree(t *testing.T, tr *rtrace.Tracer) spanTree {
 		if s.ID == tree.root.ID {
 			continue
 		}
-		if s.Trace != tree.root.Trace || s.Parent != tree.root.ID {
-			t.Errorf("span %q is not a child of train (trace %v parent %v)", s.Name, s.Trace, s.Parent)
-		}
 		if s.Start.Before(tree.root.Start) || s.Start.Add(s.Dur).After(tree.root.Start.Add(tree.root.Dur)) {
 			t.Errorf("span %q [%v +%v] leaves train's envelope [%v +%v]",
 				s.Name, s.Start, s.Dur, tree.root.Start, tree.root.Dur)
+		}
+		if over := names[s.Parent]; s.Name == "gram" && s.Trace == tree.root.Trace &&
+			(over == "objective" || strings.HasPrefix(over, "iter")) {
+			tree.grams[s.Parent] = append(tree.grams[s.Parent], s)
+			continue
+		}
+		if s.Trace != tree.root.Trace || s.Parent != tree.root.ID {
+			t.Errorf("span %q is not a child of train (trace %v parent %v)", s.Name, s.Trace, s.Parent)
 		}
 		tree.children[s.Name] = append(tree.children[s.Name], s)
 	}
@@ -139,14 +149,24 @@ func TestTrainSpanTree(t *testing.T) {
 			if stageMS <= 0 || stageMS > budget {
 				t.Errorf("%s %s: stage time %.3f ms outside (0, %d workers × %v]", name, half, stageMS, workers, hs[0].Dur)
 			}
-			// The shared Gram is serial work inside an implicit half's
-			// envelope; an explicit half has none to name.
+			// The shared Gram is a pool pass inside an implicit half's
+			// envelope — or, when the objective before the half already
+			// computed it (every X half after the first), a reuse that costs
+			// nothing; an explicit half has none to name.
 			gramMS, err := strconv.ParseFloat(a["shared_gram_ms"], 64)
+			grams := tree.grams[hs[0].ID]
 			if base.Implicit {
-				if halfMS := float64(hs[0].Dur)/float64(time.Millisecond) + 0.01; err != nil || gramMS <= 0 || gramMS > halfMS {
-					t.Errorf("%s %s: shared_gram_ms %q outside (0, %v]", name, half, a["shared_gram_ms"], hs[0].Dur)
+				reused := half == "iter2/x"
+				halfMS := float64(hs[0].Dur)/float64(time.Millisecond) + 0.01
+				if err != nil || gramMS < 0 || gramMS > halfMS || (gramMS == 0) != reused || (a["shared_gram_reused"] == "true") != reused {
+					t.Errorf("%s %s: shared_gram_ms %q (reused %q) outside [0, %v], or zero without a reuse", name, half, a["shared_gram_ms"], a["shared_gram_reused"], hs[0].Dur)
 				}
-			} else if _, has := a["shared_gram_ms"]; has {
+				if len(grams) != 1 {
+					t.Errorf("%s %s: %d gram spans, want 1", name, half, len(grams))
+				} else if ga := spanAttrs(grams[0]); ga["reused"] != strconv.FormatBool(reused) || ga["workers"] != strconv.Itoa(workers) || ga["rows"] == "" {
+					t.Errorf("%s %s: gram span attrs %v, want reused=%v", name, half, ga, reused)
+				}
+			} else if _, has := a["shared_gram_ms"]; has || len(grams) != 0 {
 				t.Errorf("%s %s: an explicit half reports a shared Gram", name, half)
 			}
 			for _, key := range []string{"rows", "nnz", "rows_per_sec", "worker0.busy_ms", "worker1.chunks", "worker1.rows"} {
@@ -155,7 +175,18 @@ func TestTrainSpanTree(t *testing.T) {
 				}
 			}
 		}
-		// The armed guard judges the objective once per iteration.
+		// The armed guard judges the objective once per iteration; an
+		// implicit one computes the Gram of the side just solved (Y) and
+		// reuses the one the Y half took (X).
+		for _, o := range tree.children["objective"] {
+			var reused []string
+			for _, g := range tree.grams[o.ID] {
+				reused = append(reused, spanAttrs(g)["reused"])
+			}
+			if want := map[bool]string{false: "", true: "false true"}[base.Implicit]; strings.Join(reused, " ") != want {
+				t.Errorf("%s: objective's gram spans reused=%q, want %q", name, reused, want)
+			}
+		}
 		for spanName, n := range map[string]int{"objective": iters, "checkpoint.save": iters, "checkpoint.gc": iters} {
 			if len(tree.children[spanName]) != n {
 				t.Errorf("%s: %d %s spans, want %d", name, len(tree.children[spanName]), spanName, n)

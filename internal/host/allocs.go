@@ -39,8 +39,9 @@ func rowAllocs(mx *sparse.Matrix, cfg Config, objective bool) float64 {
 		r:     mx.R,
 		fixed: InitialY(mx.Cols(), cfg.K, cfg.Seed),
 		out:   linalg.NewDense(m, cfg.K),
+		xHalf: true,
 	}
-	job := &halfJob{halfSide: side, iter: 1, xHalf: true}
+	job := &halfJob{halfSide: side, iter: 1}
 	if cfg.Implicit {
 		job.gram = linalg.NewSharedGram(cfg.K)
 		job.gram.Compute(job.fixed)

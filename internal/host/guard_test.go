@@ -244,7 +244,7 @@ func TestPoolErrorStopsMidChunk(t *testing.T) {
 
 	p := newWorkerPool(cfg)
 	defer p.close()
-	job := &halfJob{halfSide: halfSide{r: mx.R, fixed: y, out: x, chunk: chunk}, iter: 1, xHalf: true}
+	job := &halfJob{halfSide: halfSide{r: mx.R, fixed: y, out: x, xHalf: true, chunk: chunk}, iter: 1}
 	job.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.jobs <- job

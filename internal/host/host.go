@@ -30,6 +30,8 @@
 //     shared job (an atomic row cursor), not a fresh goroutine fan-out, and
 //     every schedule — LPT-ordered chunks or the flat baseline's W static
 //     blocks — is the same claim loop with a different chunk and order.
+//     Implicit mode's shared Gram is a third kind of pass on the same
+//     workers (gramOf), run once per factor per iteration.
 //   - rowKernel (kernel.go) owns the row update. It is built once per pool
 //     from Config as gather × assemble × solve plus an optional matrix-free
 //     first attempt (CG, iALS++ block sweep; implicit.go), and its one
@@ -83,9 +85,10 @@ type Config struct {
 
 	// Implicit switches training to implicit-feedback ALS (Hu et al.):
 	// ratings become confidences c_ui = 1 + Alpha·r_ui over unit
-	// preferences, each half iteration precomputes the shared FᵀF Gram
-	// sequentially in float64, and the row kernels apply confidence-weighted
-	// rank-1 corrections on top of it. The direct-solver path is
+	// preferences, the shared FᵀF Gram of each fixed factor is accumulated in
+	// float64 (every element in factor-row order, whichever worker holds its
+	// tile), and the row kernels apply confidence-weighted rank-1 corrections
+	// on top of it. The direct-solver path is
 	// bit-identical to the reference solver in internal/solvers (the
 	// equivalence suite pins it). Incompatible with WeightedLambda. The
 	// Fused and Register variant toggles are no-ops in this mode — the
@@ -313,7 +316,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	// Per-side schedules, built once and reused every iteration. The Y half
 	// is the X half with the roles swapped.
 	names := [2]string{"X", "Y"}
-	sides := [2]halfSide{pool.side(mx.R, y, x), pool.side(rt, x, y)}
+	sides := [2]halfSide{pool.side(mx.R, y, x, true), pool.side(rt, x, y, false)}
 
 	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, VariantLabel(cfg.Flat, cfg.Variant), ModeLabel(cfg.Implicit))
 	g := cfg.Guard
@@ -344,7 +347,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	for it := cfg.StartIteration + 1; it <= cfg.Iterations; it++ {
 		var loss float64
 		for i, name := range names {
-			if err := pool.runHalf(sides[i], it, i == 0); err != nil {
+			if err := pool.runHalf(sides[i], it); err != nil {
 				return nil, fmt.Errorf("host: iteration %d update %s: %w", it, name, err)
 			}
 			if cfg.TrackLoss {
@@ -362,11 +365,9 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		blew := g != nil && g.Chaos.BlowUp(it)
 		if blew {
 			g.Chaos.CorruptFactors(x.Data)
-			if pool.gram != nil {
-				// The one case where the fixed factor moved under the Gram
-				// the Y half took: judge the corrupted X, not the stale XᵀX.
-				pool.gram.Compute(x)
-			}
+			// X moved under the Gram the Y half took: judge the corrupted
+			// X, not the stale XᵀX.
+			pool.grams[gramIdx(false)].fresh = false
 		}
 		if (g != nil || cfg.Tolerance > 0) && (!cfg.TrackLoss || blew) {
 			loss = pool.objective(sides[1], sides[0], terms)
@@ -462,24 +463,45 @@ func lptOrder(r *sparse.CSR) []int32 {
 type halfSide struct {
 	r          *sparse.CSR
 	fixed, out *linalg.Dense
+	xHalf      bool    // true for the X half (out is X), false for the Y half
 	order      []int32 // LPT permutation; nil = natural order
 	chunk      int
 }
 
-// halfJob is one pass over a side handed to every worker: the side plus a
-// shared atomic cursor the workers claim chunks from. A job completes when
-// all workers return from it. With terms nil the pass is a half iteration
-// (every row is solved); with terms set it is the objective pass (every row
-// of the side just solved writes its share of the objective to terms[row]).
+// halfJob is one pass handed to every worker: a side plus a shared atomic
+// cursor the workers claim chunks from. A job completes when all workers
+// return from it. With terms nil the pass is a half iteration (every row is
+// solved); with terms set it is the objective pass (every row of the side
+// just solved writes its share of the objective to terms[row]); with no
+// rating matrix at all (r nil) it is the Gram pass, which refills gram from
+// fixed, the claims being ranges of chunk of the Gram's pieces.
 type halfJob struct {
 	halfSide
 	iter   int                // 1-based full iteration (guard/chaos addressing)
-	xHalf  bool               // true for the X half, false for the Y half
-	gram   *linalg.SharedGram // implicit mode's FᵀF precompute; nil otherwise
+	gram   *linalg.SharedGram // implicit mode's FᵀF of fixed; nil otherwise
 	terms  []float64
 	cursor atomic.Int64
 	err    atomic.Value
 	wg     sync.WaitGroup
+}
+
+// factorGram is implicit mode's FᵀF of one factor and whether it still is
+// that: whatever writes the factor — the half that solves it, a chaos
+// blow-up, a RangeUpdater's caller — clears fresh, and the next half or
+// objective to need the Gram recomputes it on the pool (gramOf). Within an
+// iteration each factor's Gram is therefore computed once and read twice: by
+// the objective that follows the factor's own half, and by the other half.
+type factorGram struct {
+	*linalg.SharedGram
+	fresh bool
+}
+
+// gramIdx is where the pool keeps the Gram of the factor a half holds fixed.
+func gramIdx(xHalf bool) int {
+	if xHalf {
+		return 0
+	}
+	return 1
 }
 
 // workerPool owns Config.Workers goroutines and the row kernel they run,
@@ -498,12 +520,13 @@ type workerPool struct {
 	obs    *obs.TrainRecorder
 	trace  context.Context
 	shares []obs.WorkerShare
-	// gram is implicit mode's shared FᵀF, recomputed from the fixed factor
-	// at the start of every half; the buffers live here so workers never
-	// allocate. Nil in explicit mode.
-	gram *linalg.SharedGram
-	jobs chan *halfJob
-	wg   sync.WaitGroup
+	// grams are implicit mode's shared FᵀF of the two factors, at
+	// gramIdx(half that holds the factor fixed); the buffers live here so
+	// workers never allocate. Both SharedGrams are nil in explicit mode.
+	grams   [2]factorGram
+	gramJob halfJob // the Gram pass's job, reused: the workers are done with it when do returns
+	jobs    chan *halfJob
+	wg      sync.WaitGroup
 }
 
 // newWorkerPool expects cfg after setDefaults.
@@ -517,7 +540,8 @@ func newWorkerPool(cfg Config) *workerPool {
 		jobs:    make(chan *halfJob, cfg.Workers),
 	}
 	if cfg.Implicit {
-		p.gram = linalg.NewSharedGram(cfg.K)
+		p.grams[0].SharedGram = linalg.NewSharedGram(cfg.K)
+		p.grams[1].SharedGram = linalg.NewSharedGram(cfg.K)
 	}
 	if p.obs != nil || p.trace != nil {
 		p.shares = make([]obs.WorkerShare, p.workers)
@@ -540,8 +564,8 @@ func (p *workerPool) close() {
 // order. Batched runs claim degree-aware chunks (defaultChunk)
 // longest-row-first — except with a single worker, where there is no
 // imbalance to fix and the natural order has better locality.
-func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense) halfSide {
-	s := halfSide{r: r, fixed: fixed, out: out}
+func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense, xHalf bool) halfSide {
+	s := halfSide{r: r, fixed: fixed, out: out, xHalf: xHalf}
 	if p.flat {
 		s.chunk = max(1, (r.NumRows+p.workers-1)/p.workers)
 		return s
@@ -553,46 +577,95 @@ func (p *workerPool) side(r *sparse.CSR, fixed, out *linalg.Dense) halfSide {
 	return s
 }
 
-// runHalf solves every row of s against its fixed factor, after refilling
-// implicit mode's shared FᵀF from it: the Gram depends only on the fixed
-// factor, so every range of the same half sees it identically.
-func (p *workerPool) runHalf(s halfSide, iter int, xHalf bool) error {
-	job := &halfJob{halfSide: s, iter: iter, xHalf: xHalf, gram: p.gram}
+// runHalf solves every row of s against its fixed factor, on implicit mode's
+// shared FᵀF of it: the Gram depends only on the fixed factor, so every range
+// of the same half sees it identically.
+func (p *workerPool) runHalf(s halfSide, iter int) error {
+	job := &halfJob{halfSide: s, iter: iter}
 	if p.shares != nil {
 		return p.doObserved(job)
 	}
-	if p.gram != nil {
-		p.gram.Compute(s.fixed)
-	}
+	job.gram, _ = p.fixedGram(nil, s)
 	return p.do(job)
 }
 
+// fixedGram is the first step of a half in implicit mode (explicit mode has
+// no Gram: nil): the Gram of the factor the half writes goes stale, and the
+// Gram of the one it holds fixed is taken fresh or computed.
+func (p *workerPool) fixedGram(ctx context.Context, s halfSide) (g *linalg.SharedGram, reused bool) {
+	if p.grams[0].SharedGram == nil {
+		return nil, false
+	}
+	p.grams[gramIdx(!s.xHalf)].fresh = false
+	return p.gramOf(ctx, &p.grams[gramIdx(s.xHalf)], s.fixed)
+}
+
+// gramOf returns fg as the Gram of factor f: as it stands when nothing wrote
+// f since it was computed (reused), otherwise recomputed by a Gram pass on
+// the workers. No element's sum depends on who computed its piece, so the
+// Gram is the serial Compute's bit for bit at any worker count. Under a live
+// span in ctx either outcome is a child span "gram".
+func (p *workerPool) gramOf(ctx context.Context, fg *factorGram, f *linalg.Dense) (g *linalg.SharedGram, reused bool) {
+	var span *rtrace.Span
+	if ctx != nil {
+		_, span = rtrace.StartChild(ctx, "gram")
+	}
+	reused = fg.fresh
+	if !reused {
+		// One claim per worker would read f from memory the fewest times;
+		// two leave the faster worker something to take.
+		chunk := fg.Pieces()
+		if p.workers > 1 {
+			chunk = max(1, chunk/(2*p.workers))
+		}
+		// The pass reuses one job, so a Gram allocates nothing; and it has no
+		// row that can fail, so do has no error to return.
+		job := &p.gramJob
+		job.halfSide, job.gram = halfSide{fixed: f, chunk: chunk}, fg.SharedGram
+		job.cursor.Store(0)
+		_ = p.do(job)
+		fg.Finish()
+		fg.fresh = true
+	}
+	if span != nil {
+		span.SetAttr("rows", strconv.Itoa(f.Rows))
+		span.SetAttr("workers", strconv.Itoa(p.workers))
+		span.SetAttr("reused", strconv.FormatBool(reused))
+		span.End()
+	}
+	return fg.SharedGram, reused
+}
+
 // doObserved is runHalf's work for a half iteration somebody watches: the
-// half — Gram precompute included — is timed, reported to the recorder, and,
-// under a live trace, becomes the span "iter<N>/x" or "iter<N>/y" (the names
-// the distributed coordinator uses) carrying the same measurements as
-// attributes, the serial Gram's share of the envelope as shared_gram_ms.
+// half — Gram included — is timed, reported to the recorder, and, under a
+// live trace, becomes the span "iter<N>/x" or "iter<N>/y" (the names the
+// distributed coordinator uses) carrying the same measurements as
+// attributes, the Gram's share of the envelope as shared_gram_ms (next to
+// shared_gram_reused when an objective had computed it already).
 func (p *workerPool) doObserved(job *halfJob) error {
 	half := obs.Half{Name: "Y", Rows: job.r.NumRows, Workers: p.shares}
 	if job.xHalf {
 		half.Name = "X"
 	}
 	clear(p.shares)
+	ctx := p.trace
 	var span *rtrace.Span
 	if p.trace != nil {
-		_, span = rtrace.StartChild(p.trace, "iter"+strconv.Itoa(job.iter)+"/"+strings.ToLower(half.Name))
+		ctx, span = rtrace.StartChild(p.trace, "iter"+strconv.Itoa(job.iter)+"/"+strings.ToLower(half.Name))
 	}
 	start := time.Now()
-	var gramDur time.Duration
-	if job.gram != nil {
-		job.gram.Compute(job.fixed)
-		gramDur = time.Since(start)
-	}
+	var reused bool
+	job.gram, reused = p.fixedGram(ctx, job.halfSide)
+	gramDur := time.Since(start)
 	err := p.do(job)
 	half.Dur = time.Since(start)
 	p.obs.RecordHalf(&half)
 	if span != nil {
-		if job.gram != nil {
+		switch {
+		case reused: // readers of shared_gram_ms sum it: a reuse cost the half nothing
+			span.SetAttr("shared_gram_ms", fmtMS(0))
+			span.SetAttr("shared_gram_reused", "true")
+		case job.gram != nil:
 			span.SetAttr("shared_gram_ms", fmtMS(gramDur))
 		}
 		span.SetAttr("rows", strconv.Itoa(half.Rows))
@@ -638,7 +711,7 @@ func (p *workerPool) run(id int) {
 	for job := range p.jobs {
 		t0 := time.Now()
 		chunks, rows := p.work(job, ws)
-		if ws.timed && job.terms == nil { // what is watched are half iterations
+		if ws.timed && job.r != nil && job.terms == nil { // what is watched are half iterations
 			// Shares accumulate: the channel does not guarantee one copy of
 			// the broadcast job per worker, and one that drains several
 			// adds each in.
@@ -663,6 +736,15 @@ func (p *workerPool) run(id int) {
 // not guarantee one copy per worker, and a block tied to a starved worker's
 // id would be silently skipped.
 func (p *workerPool) work(job *halfJob, ws *workerState) (chunks, rows int) {
+	if job.r == nil {
+		for n := job.gram.Pieces(); ; {
+			lo := int(job.cursor.Add(int64(job.chunk))) - job.chunk
+			if lo >= n {
+				return
+			}
+			job.gram.ComputePieces(job.fixed, lo, min(lo+job.chunk, n), ws.tile)
+		}
+	}
 	m := job.r.NumRows
 	for job.err.Load() == nil {
 		base := int(job.cursor.Add(int64(job.chunk))) - job.chunk

@@ -158,6 +158,7 @@ type workerState struct {
 	delta  []float32
 	dots   []float32 // per-nonzero f_z·x dot products, grown per row
 	wide   []float64 // a k-vector widened: CG's direction, the objective pass's row
+	tile   []float64 // the Gram pass's scratch (linalg.GramScratchLen)
 
 	// timed brackets the stages of updateRow with wall-clock probes,
 	// accumulated into stage; set only when Config.Obs or a live Config.Trace
@@ -183,6 +184,7 @@ func newWorkerState(k int) *workerState {
 		blk:   make([]float32, k*k),
 		delta: make([]float32, k),
 		wide:  make([]float64, k),
+		tile:  make([]float64, linalg.GramScratchLen(k)),
 	}
 }
 

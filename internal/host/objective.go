@@ -16,26 +16,35 @@ import (
 // Each row of s writes its share — its data term and its own ridge term —
 // to terms; the shares are then added up serially in row order, so the
 // value does not depend on the worker count or on which worker took which
-// chunk. Implicit mode needs no Gram of its own: the all-items baseline
-// Σ(x·y)² is Σᵢ sᵢᵀ(FᵀF)sᵢ over the rows of s, and FᵀF of the fixed factor
-// is what the pool took to solve s. (A caller that changed the fixed factor
-// since must recompute p.gram first.) The fixed side's ridge term, O(rows·k)
-// against the pass's O(nnz·k), is added serially. metrics.RegularizedLoss
-// and metrics.ImplicitLoss are the serial oracles the tests hold this to.
+// chunk. Implicit mode's all-items baseline Σ(x·y)² over every (row of s,
+// row of the fixed factor) pair is no row's share: it is the Frobenius
+// product ⟨SᵀS, FᵀF⟩ of the two factors' float64 Grams, k² multiply-adds.
+// FᵀF is what the pool took to solve s; SᵀS is computed here, on the pool,
+// and is the Gram the next half starts from (gramOf; a caller that wrote a
+// factor behind the pool's back must mark its Gram stale first). The fixed
+// side's ridge term, O(rows·k) against the pass's O(nnz·k), is added
+// serially. metrics.RegularizedLoss and metrics.ImplicitLoss are the serial
+// oracles the tests hold this to.
 //
 // A watched run reports the value to the recorder and, under a live trace,
 // times the evaluation as an "objective" span.
 func (p *workerPool) objective(s, fixed halfSide, terms []float64) float64 {
+	ctx := p.trace
 	var span *rtrace.Span
 	if p.trace != nil {
-		_, span = rtrace.StartChild(p.trace, "objective")
+		ctx, span = rtrace.StartChild(p.trace, "objective")
 	}
 	terms = terms[:s.r.NumRows]
 	// A pass without a row that can fail: do has no error to return.
-	_ = p.do(&halfJob{halfSide: s, gram: p.gram, terms: terms})
+	_ = p.do(&halfJob{halfSide: s, terms: terms})
 	var sum float64
 	for _, t := range terms {
 		sum += t
+	}
+	if p.grams[0].SharedGram != nil {
+		gs, _ := p.gramOf(ctx, &p.grams[gramIdx(!s.xHalf)], s.out)
+		gf, _ := p.gramOf(ctx, &p.grams[gramIdx(s.xHalf)], s.fixed)
+		sum += gs.Frob(gf)
 	}
 	kn := p.kernel
 	var reg float64
@@ -70,9 +79,9 @@ func (kn *rowKernel) ridgeCount(n int) float64 {
 }
 
 // rowObjective is row u's share of the objective: its squared errors
-// (explicit) or its all-items baseline plus the observed corrections
-// c(1−s)² − s² (implicit), plus its own ridge term. The row is widened once
-// and every dot product accumulates in float64. Like updateRow it allocates
+// (explicit) or the observed corrections c(1−s)² − s² to the all-items
+// baseline (implicit), plus its own ridge term. The row is widened once and
+// every dot product accumulates in float64. Like updateRow it allocates
 // nothing on a warmed workerState.
 func (kn *rowKernel) rowObjective(job *halfJob, u int, ws *workerState) float64 {
 	k := kn.k
@@ -83,8 +92,7 @@ func (kn *rowKernel) rowObjective(job *halfJob, u int, ws *workerState) float64 
 	}
 	src := job.fixed.Data
 	var t float64
-	if job.gram != nil {
-		t = job.gram.Quad(w)
+	if kn.conf != nil {
 		alpha := float64(kn.alpha)
 		for z, c := range cols {
 			s := linalg.DotWide(src[int(c)*k:int(c)*k+k], w)

@@ -158,8 +158,8 @@ func BenchmarkObjectivePass(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			cfg.Workers = workers
 			pool := newWorkerPool(cfg)
-			sx, sy := pool.side(mx.R, y, x), pool.side(rt, x, y)
-			if err := pool.runHalf(sx, 1, true); err != nil {
+			sx, sy := pool.side(mx.R, y, x, true), pool.side(rt, x, y, false)
+			if err := pool.runHalf(sx, 1); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {

@@ -57,7 +57,10 @@ func (ru *RangeUpdater) UpdateRange(r *sparse.CSR, fixed, out *linalg.Dense, lo,
 	}
 	view := r.RowRange(lo, hi)
 	outView := linalg.NewDenseFrom(hi-lo, ru.k, out.Data[lo*ru.k:hi*ru.k])
-	return ru.pool.runHalf(ru.pool.side(view, fixed, outView), iter, xHalf)
+	// Between calls the factors are the caller's (the fixed one arrives by
+	// broadcast): no Gram outlives a call.
+	ru.pool.grams[gramIdx(xHalf)].fresh = false
+	return ru.pool.runHalf(ru.pool.side(view, fixed, outView, xHalf), iter)
 }
 
 // Close releases the worker pool; UpdateRange must not be called after it.

@@ -62,6 +62,42 @@ func TestUpdateRangeMatchesTrainHalf(t *testing.T) {
 	}
 }
 
+// TestUpdateRangeSeesARewrittenFixedFactor: between two calls the factors
+// are the caller's — the distributed trainer overwrites the fixed one with
+// the coordinator's broadcast — so the second call of the same half, on the
+// same Dense rewritten in place, must solve against the new factor's Gram,
+// as a fresh updater does.
+func TestUpdateRangeSeesARewrittenFixedFactor(t *testing.T) {
+	mx := smallDataset(t, 67)
+	m, n := mx.Rows(), mx.Cols()
+	cfg := Config{K: 8, Lambda: 0.1, Seed: 17, Workers: 2, Implicit: true, Alpha: 5}
+	solve := func(ru *RangeUpdater, y *linalg.Dense) *linalg.Dense {
+		x := linalg.NewDense(m, cfg.K)
+		if err := ru.UpdateRange(mx.R, y, x, 0, m, 1, true); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	ru, err := NewRangeUpdater(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ru.Close()
+	y := InitialY(n, cfg.K, cfg.Seed)
+	solve(ru, y)
+	copy(y.Data, InitialY(n, cfg.K, cfg.Seed+1).Data) // the broadcast lands
+	got := solve(ru, y)
+
+	fresh, err := NewRangeUpdater(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if d := linalg.MaxAbsDiff(solve(fresh, y), got); d != 0 {
+		t.Errorf("the second call solved against the first call's Gram: X differs from a fresh updater's by %g", d)
+	}
+}
+
 // TestNewRangeUpdaterValidatesMode: a mode Train would reject must not be
 // silently trained as something else by the distributed building block.
 func TestNewRangeUpdaterValidatesMode(t *testing.T) {

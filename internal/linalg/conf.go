@@ -26,15 +26,16 @@ package linalg
 // themselves bit-identical (packed.go), so the fast-path factors match the
 // reference float-for-float.
 
-// SharedGram is the per-half-iteration FᵀF precompute for implicit ALS.
+// SharedGram is the FᵀF precompute of one factor for implicit ALS.
 // Accumulation is sequential float64 in row order — the same arithmetic as
 // the reference solver — so the downstream float32 casts are reproducible
 // regardless of worker count. Sequential is per element: entry (i, j) adds
-// its products one factor row after another, and the entries of a Gram row
-// are independent of each other, so the update of a row is a vertical axpy
-// (axpyWide, two entries per SSE2 register on amd64 — see wide.go) with no
-// sum reordered. The float64 Gram itself is read only through
-// Quad (the training objective, which must match the float64 oracle); the
+// f_r[i]·f_r[j] one factor row r after another, and the entries are
+// independent of each other, so the upper triangle splits by output into
+// 4-row bands of 4 × 4 tiles (gramTile, a tile held in registers on amd64 —
+// wide.go) with no sum reordered, and the bands into Pieces that any number
+// of goroutines may compute. The float64 Gram itself is read only through
+// Frob (the training objective, which must match the float64 oracle); the
 // float32 projections are what the kernels consume.
 type SharedGram struct {
 	K int
@@ -47,46 +48,98 @@ type SharedGram struct {
 	Wide []float64
 	// Packed is the upper-triangle packed projection the fused kernels seed
 	// their accumulator from.
-	Packed []float32
-	f64    []float64
-	row    []float64 // one factor row, widened
+	Packed  []float32
+	f64     []float64
+	scratch []float64 // Compute's GramScratchLen
 }
 
 // NewSharedGram allocates the precompute buffers for dimensionality k.
 func NewSharedGram(k int) *SharedGram {
 	return &SharedGram{
-		K:      k,
-		Dense:  make([]float32, k*k),
-		Wide:   make([]float64, k*k),
-		Packed: make([]float32, PackedLen(k)),
-		f64:    make([]float64, k*k),
-		row:    make([]float64, k),
+		K:       k,
+		Dense:   make([]float32, k*k),
+		Wide:    make([]float64, k*k),
+		Packed:  make([]float32, PackedLen(k)),
+		f64:     make([]float64, k*k),
+		scratch: make([]float64, GramScratchLen(k)),
 	}
 }
 
-// Compute refills the Gram projections from the fixed factor. One call per
-// half iteration; cost k²·rows/2 float64 multiply-adds, independent of nnz.
-// Each factor row is widened once, not once per (i, j) pair; every element
-// still accumulates its products in row order, Gram row i taking
-// fi·fw[i:] through axpyWide.
+// gramBlock is how many factor rows pass a tile between its load and its
+// store: the block's float32 rows (16 KB at k = 64) stay in L1 under every
+// tile of every band applied to it.
+const gramBlock = 64
+
+// GramScratchLen is the float64 scratch ComputePieces needs at dimensionality
+// k: a widened factor row (portable), or a block's duplicated band elements
+// (gramTileSSE2).
+func GramScratchLen(k int) int { return max(k, 8*gramBlock) }
+
+// Pieces is how many independent parts the Gram splits into: its ⌈k/4⌉
+// bands paired b with nb−1−b, so that every piece covers the same nb+1
+// tiles of the upper triangle (the middle band of an odd count is a piece of
+// its own). Which goroutine computes a piece changes no bit of it.
+func (g *SharedGram) Pieces() int { return ((g.K+3)/4 + 1) / 2 }
+
+// Compute refills the Gram projections from the fixed factor, every piece on
+// the calling goroutine. Cost k²·rows/2 float64 multiply-adds, independent
+// of nnz.
 func (g *SharedGram) Compute(fixed *Dense) {
+	g.ComputePieces(fixed, 0, g.Pieces(), g.scratch)
+	g.Finish()
+}
+
+// ComputePieces accumulates pieces [lo, hi) of the float64 Gram from the
+// fixed factor, overwriting what they held; scratch is GramScratchLen(K)
+// float64 of the caller's. Pieces write disjoint rows of the Gram, so
+// disjoint ranges may run concurrently; Finish, after all of them, makes the
+// result readable. The factor is taken block by block with every band of the
+// range applied to a block while it is in L1, so a call reads it from memory
+// once however many pieces it covers.
+func (g *SharedGram) ComputePieces(fixed *Dense, lo, hi int, scratch []float64) {
 	k := g.K
-	clear(g.f64)
-	fw := g.row
-	for row := 0; row < fixed.Rows; row++ {
-		for j, v := range fixed.Row(row) {
+	last := (k+3)/4 - 1
+	for p := lo; p < hi; p++ {
+		clear(g.f64[4*p*k : min(4*p+4, k)*k])
+		clear(g.f64[4*(last-p)*k : min(4*(last-p)+4, k)*k])
+	}
+	for r0 := 0; r0 < fixed.Rows; r0 += gramBlock {
+		f := fixed.Data[r0*k : min(r0+gramBlock, fixed.Rows)*k]
+		for p := lo; p < hi; p++ {
+			gramTile(f, k, g.f64, p, scratch)
+			if q := last - p; q != p {
+				gramTile(f, k, g.f64, q, scratch)
+			}
+		}
+	}
+}
+
+// gramTilePortable adds the products of the factor rows in f (at most
+// gramBlock of them, k wide) to band b of g: element (i, j) += f_r[i]·f_r[j]
+// for r ascending, over rows 4b ≤ i < min(4b+4, k) and columns 4b ≤ j < k —
+// the band's share of the upper triangle plus the corner under its diagonal
+// tile, which Finish overwrites. Each factor row is widened once into
+// scratch, not once per (i, j) pair. gramTile is this loop, or its SSE2
+// binding with a 4 × 4 tile of g in registers (wide.go).
+func gramTilePortable(f []float32, k int, g []float64, b int, scratch []float64) {
+	c0 := 4 * b
+	fw := scratch[:k-c0]
+	for ; len(f) >= k; f = f[k:] {
+		for j, v := range f[c0:k] {
 			fw[j] = float64(v)
 		}
-		for i, fi := range fw {
-			axpyWide(fi, fw[i:], g.f64[i*k+i:i*k+k])
+		for i, fi := range fw[:min(4, k-c0)] {
+			gi := g[(c0+i)*k+c0 : (c0+i)*k+k]
+			for j, fj := range fw {
+				gi[j] += fi * fj
+			}
 		}
 	}
-	g.project()
 }
 
-// project mirrors the accumulated upper triangle and refills the float32
+// Finish mirrors the accumulated upper triangle and refills the float32
 // projections (and Wide) from it.
-func (g *SharedGram) project() {
+func (g *SharedGram) Finish() {
 	k := g.K
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
@@ -106,17 +159,11 @@ func (g *SharedGram) project() {
 	}
 }
 
-// Quad returns xᵀ(FᵀF)x for the widened vector x against the float64 Gram —
-// one row's share of the implicit objective's all-items baseline Σᵢ(x·fᵢ)².
-// Only the upper triangle is read: xᵀGx = Σᵢ xᵢ(Gᵢᵢxᵢ + 2Σ_{j>i} Gᵢⱼxⱼ).
-func (g *SharedGram) Quad(x []float64) float64 {
-	k := g.K
-	var q float64
-	for i, xi := range x[:k] {
-		q += xi * (g.f64[i*k+i]*xi + 2*DotWide(g.f64[i*k+i+1:i*k+k], x[i+1:k]))
-	}
-	return q
-}
+// Frob returns the Frobenius product ⟨G, H⟩ = Σᵢⱼ Gᵢⱼ·Hᵢⱼ of two finished
+// float64 Grams. With G = SᵀS and H = FᵀF it is Σ over all (row of S, row of
+// F) pairs of (s·f)² — the implicit objective's all-items baseline in k²
+// multiply-adds, where a pass over the rows of S would spend k² on each.
+func (g *SharedGram) Frob(h *SharedGram) float64 { return DotWide(g.f64, h.f64) }
 
 // ConfGramRHSFused seeds the packed accumulator from the shared Gram base
 // and sweeps the gathered rows once, accumulating the confidence-weighted

@@ -232,7 +232,7 @@ func TestSharedGramMatchesPerPairConversion(t *testing.T) {
 			}
 		}
 
-		// Quad reads the float64 sums themselves, not a projection.
+		// The float64 sums themselves, not a projection, are what Frob reads.
 		x := make([]float64, k)
 		for i := range x {
 			x[i] = rng.Float64()*2 - 1
@@ -243,8 +243,8 @@ func TestSharedGramMatchesPerPairConversion(t *testing.T) {
 				want += x[i] * ref[min(i, j)*k+max(i, j)] * x[j]
 			}
 		}
-		if got := g.Quad(x); math.Abs(got-want) > 1e-13*math.Abs(want) {
-			t.Fatalf("k=%d: Quad = %.17g, dense xᵀGx = %.17g", k, got, want)
+		if got := gramQuad(g, x); math.Abs(got-want) > 1e-13*math.Abs(want) {
+			t.Fatalf("k=%d: xᵀ(f64)x = %.17g, dense xᵀGx = %.17g", k, got, want)
 		}
 	}
 }

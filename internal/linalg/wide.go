@@ -1,24 +1,24 @@
 package linalg
 
-// This file holds the portable bodies of the three float64 kernels the CG
-// matvec and the shared Gram run, and says which loops of this package have
-// a vector form and why the others do not.
+// This file holds the portable bodies of the two float64 kernels the CG
+// matvec runs, and says which loops of this package have a vector form and
+// why the others do not.
 //
 // A pinned floating-point order decides whether a loop is lane-shaped.
 // DotWide's order IS four strided chains s0..s3 reduced as (s0+s1)+(s2+s3):
 // two SSE2 registers of two float64 lanes hold them, lane for lane, and a
 // packed multiply and a packed add round each lane exactly as the scalar
 // pair does. The rank-1 scatter out[i] += wd·f[i] and the Gram update
-// gi[j] += fi·fj are vertical — no reduction, every element its own chain —
-// and so are the explicit row update's two hot statements and ConfRHS's.
-// Six loops, then, have a vector form:
+// g[i][j] += f[i]·f[j] are vertical — no reduction, every element its own
+// chain — and so are the explicit row update's two hot statements and
+// ConfRHS's. Six loops, then, have a vector form:
 //
-//	gemvWide     CG matvec, G·p rows             wide_amd64.s    this file
-//	rank1Wide    CG matvec, one rank-1 term      wide_amd64.s    this file
-//	axpyWide     SharedGram.Compute, gi += fi·f  wide_amd64.s    this file
-//	fusedBlock4  GramRHSFusedUnrolled, S1+S2     fused_amd64.s   fused.go
-//	cholSweep    CholeskyPacked, S3 row strip    packed_amd64.s  packed.go
-//	axpy32       ConfRHS, svec += w·f            conf_amd64.s    conf.go
+//	gemvWide     CG matvec, G·p rows               wide_amd64.s    this file
+//	rank1Wide    CG matvec, one rank-1 term        wide_amd64.s    this file
+//	gramTile     SharedGram, a band's 4 × 4 tiles  gram_amd64.s    conf.go
+//	fusedBlock4  GramRHSFusedUnrolled, S1+S2       fused_amd64.s   fused.go
+//	cholSweep    CholeskyPacked, S3 row strip      packed_amd64.s  packed.go
+//	axpy32       ConfRHS, svec += w·f              conf_amd64.s    conf.go
 //
 // Dot4Wide, Dot, and the substitutions of SolveCholeskyPacked and
 // LDLSolvePacked are the opposite: one sequential chain per output, so lanes
@@ -61,13 +61,5 @@ func rank1WidePortable(f []float32, w []float64, wt float64, out []float32) {
 	out = out[:len(w)]
 	for i, fi := range f[:len(w)] {
 		out[i] += wd * fi
-	}
-}
-
-// axpyWidePortable computes y[j] += a·x[j] over len(x) elements.
-func axpyWidePortable(a float64, x, y []float64) {
-	y = y[:len(x)]
-	for j, xj := range x {
-		y[j] += a * xj
 	}
 }

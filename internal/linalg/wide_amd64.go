@@ -2,8 +2,6 @@
 
 package linalg
 
-import "unsafe"
-
 // SSE2 is part of the amd64 baseline (GOAMD64=v1), so these kernels need no
 // CPUID probe and no fallback: the build constraint is the whole selection
 // (wide.go says why it stops at v3).
@@ -34,13 +32,6 @@ func rank1Wide(f []float32, w []float64, wt float64, out []float32) {
 	rank1WideSSE2(&f[0], &w[0], k, wt, &out[0])
 }
 
-// axpyWide is small enough to inline, so SharedGram.Compute's k calls per
-// factor row are one call each; SliceData because x may be empty.
-func axpyWide(a float64, x, y []float64) {
-	y = y[:len(x)]
-	axpyWideSSE2(a, unsafe.SliceData(x), unsafe.SliceData(y), len(x))
-}
-
 // gemvWideSSE2 is gemvWidePortable for k a positive multiple of 4.
 //
 //go:noescape
@@ -50,9 +41,3 @@ func gemvWideSSE2(gw, w *float64, k int, lam float64, out *float32)
 //
 //go:noescape
 func rank1WideSSE2(f *float32, w *float64, k int, wt float64, out *float32)
-
-// axpyWideSSE2 is axpyWidePortable for any n ≥ 0; it loads from neither
-// pointer when n is 0.
-//
-//go:noescape
-func axpyWideSSE2(a float64, x, y *float64, n int)

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// All three kernels keep DotWide's order lane for lane: chains s0 and s1 are
+// Both kernels keep DotWide's order lane for lane: chains s0 and s1 are
 // the two float64 lanes of one register, s2 and s3 of another, and a packed
 // multiply followed by a packed add rounds each lane exactly as the scalar
 // multiply and add do. Every memory access is an unaligned MOVUPD / MOVUPS /
@@ -154,57 +154,4 @@ scatter:
 	ADDQ   $16, DX
 	SUBQ   $4, CX
 	JNZ    scatter
-	RET
-
-// func axpyWideSSE2(a float64, x, y *float64, n int)
-//
-// y[j] += a·x[j], four elements per step, then a two- and a one-element
-// tail: vertical, so every n is handled here (n = 0 touches nothing).
-TEXT ·axpyWideSSE2(SB), NOSPLIT, $0-32
-	MOVSD    a+0(FP), X0
-	UNPCKLPD X0, X0
-	MOVQ     x+8(FP), SI
-	MOVQ     y+16(FP), DI
-	MOVQ     n+24(FP), CX
-	SUBQ     $4, CX
-	JL       tail2
-
-	PCALIGN $64
-loop4:
-	MOVUPD (SI), X1
-	MOVUPD 16(SI), X2
-	MOVUPD (DI), X3
-	MOVUPD 16(DI), X4
-	MULPD  X0, X1
-	MULPD  X0, X2
-	ADDPD  X1, X3
-	ADDPD  X2, X4
-	MOVUPD X3, (DI)
-	MOVUPD X4, 16(DI)
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	SUBQ   $4, CX
-	JGE    loop4
-
-tail2:
-	TESTQ  $2, CX
-	JZ     tail1
-	MOVUPD (SI), X1
-	MOVUPD (DI), X3
-	MULPD  X0, X1
-	ADDPD  X1, X3
-	MOVUPD X3, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-
-tail1:
-	TESTQ $1, CX
-	JZ    done
-	MOVSD (SI), X1
-	MOVSD (DI), X3
-	MULSD X0, X1
-	ADDSD X1, X3
-	MOVSD X3, (DI)
-
-done:
 	RET

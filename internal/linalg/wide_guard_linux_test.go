@@ -4,6 +4,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestWideKernelsNeverReadPastARow: a 16-byte load or store that ran over
-// the end of the Gram, the direction, the last factor row, out, x or y would
+// the end of the Gram, the direction, the last factor row or out would
 // hit the guard page and kill the test binary.
 func TestWideKernelsNeverReadPastARow(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -26,11 +27,32 @@ func TestWideKernelsNeverReadPastARow(t *testing.T) {
 		s.Cols[0] = int32(len(s.Src)/k - 1) // the row that ends at the guard page
 		mustMatchApply(t, &s, p, asmtest.Guarded[float32](t, k), fmt.Sprintf("guarded k=%d", k))
 	}
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64} {
-		x, y := asmtest.Guarded[float64](t, n), asmtest.Guarded[float64](t, n)
-		for j := range x {
-			x[j], y[j] = rng.NormFloat64(), rng.NormFloat64()
+}
+
+// TestGramTileNeverReadsPastABlock: the factor block, the Gram and the
+// scratch each end at a guard page, and the band is the last one, whose tile
+// stores run to the Gram's last element.
+func TestGramTileNeverReadsPastABlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, k := range []int{4, 8, 20, 64} {
+		for _, rows := range []int{1, 5, gramBlock} {
+			f := asmtest.Guarded[float32](t, rows*k)
+			copy(f, randomFactor(rng, rows, k))
+			g, want := asmtest.Guarded[float64](t, k*k), make([]float64, k*k)
+			scratch := asmtest.Guarded[float64](t, 8*rows)
+			if k > 8*rows {
+				scratch = asmtest.Guarded[float64](t, k) // a purego build widens a row into it
+			}
+			for _, b := range []int{0, k/4 - 1} {
+				gramTilePortable(f, k, want, b, make([]float64, GramScratchLen(k)))
+				gramTile(f, k, g, b, scratch)
+			}
+			for i := range want {
+				if !sameBits(g[i], want[i]) {
+					t.Fatalf("guarded k=%d rows=%d: entry (%d,%d): %s %x, portable %x", k, rows, i/k, i%k, KernelName(),
+						math.Float64bits(g[i]), math.Float64bits(want[i]))
+				}
+			}
 		}
-		mustMatchAxpy(t, rng.NormFloat64(), x, y, fmt.Sprintf("guarded axpy n=%d", n))
 	}
 }

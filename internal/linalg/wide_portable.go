@@ -13,7 +13,9 @@ func rank1Wide(f []float32, w []float64, wt float64, out []float32) {
 	rank1WidePortable(f, w, wt, out)
 }
 
-func axpyWide(a float64, x, y []float64) { axpyWidePortable(a, x, y) }
+func gramTile(f []float32, k int, g []float64, b int, scratch []float64) {
+	gramTilePortable(f, k, g, b, scratch)
+}
 
 func fusedBlock4(r1, r2, r3, r4, v, packed, svec []float32) {
 	fusedBlock4Portable(r1, r2, r3, r4, v, packed, svec)

@@ -10,10 +10,9 @@ import (
 	"repro/internal/asmtest"
 )
 
-// The contract of gemvWide, rank1Wide and axpyWide is equality of bits with
-// the portable bodies, and of those with loops written against DotWide (the
-// code CGSystem.apply and SharedGram.Compute ran before they had kernels):
-// no tolerance. Two NaNs count as equal whatever their payload, as in
+// The contract of gemvWide and rank1Wide is equality of bits with the
+// portable bodies, and of those with loops written against DotWide (the code
+// CGSystem.apply ran before it had kernels): no tolerance. Two NaNs count as equal whatever their payload, as in
 // sameBits — CGSolve turns any NaN into ErrCGBreakdown before a caller
 // could look at one.
 
@@ -79,47 +78,6 @@ func mustMatchApply(t testing.TB, s *CGSystem, p, out []float32, what string) {
 				math.Float32bits(out[i]), out[i], math.Float32bits(want[i]), want[i])
 		}
 	}
-}
-
-// mustMatchAxpy runs axpyWide(a, x, y) in place and holds it to the
-// portable body and the plain loop, started from the same y.
-func mustMatchAxpy(t testing.TB, a float64, x, y []float64, what string) {
-	t.Helper()
-	port := append([]float64(nil), y[:len(x)]...)
-	want := append([]float64(nil), y[:len(x)]...)
-	for j, xj := range x {
-		want[j] += a * xj
-	}
-	axpyWidePortable(a, x, port)
-	axpyWide(a, x, y)
-	for j := range want {
-		if !sameBits(port[j], want[j]) {
-			t.Fatalf("%s: element %d: portable %x, plain loop %x", what, j, math.Float64bits(port[j]), math.Float64bits(want[j]))
-		}
-		if !sameBits(y[j], want[j]) {
-			t.Fatalf("%s: element %d: %s %x, portable %x", what, j, KernelName(), math.Float64bits(y[j]), math.Float64bits(want[j]))
-		}
-	}
-}
-
-// gramOracle is SharedGram.Compute with the accumulation spelled as the
-// plain triple loop.
-func gramOracle(g *SharedGram, fixed *Dense) {
-	k := g.K
-	clear(g.f64)
-	fw := g.row
-	for row := 0; row < fixed.Rows; row++ {
-		for j, v := range fixed.Row(row) {
-			fw[j] = float64(v)
-		}
-		for i, fi := range fw {
-			gi := g.f64[i*k+i : i*k+k]
-			for j, fj := range fw[i:] {
-				gi[j] += fi * fj
-			}
-		}
-	}
-	g.project()
 }
 
 // wideFixture is a GWide system over omega rank-1 terms drawn (with
@@ -217,65 +175,13 @@ func TestWideKernelsMatchPortable(t *testing.T) {
 				mustMatchApply(t, s, p, out, what+" all specials")
 			}
 		}
-
-		x, y := make([]float64, k), make([]float64, k)
-		for trial := 0; trial < 3; trial++ {
-			for j := range x {
-				x[j], y[j] = rng.NormFloat64(), rng.NormFloat64()
-			}
-			for n := 0; n < trial; n++ {
-				x[rng.Intn(k)] = float64(dotSpecials[rng.Intn(len(dotSpecials))])
-				y[rng.Intn(k)] = float64(dotSpecials[rng.Intn(len(dotSpecials))])
-			}
-			a := rng.NormFloat64()
-			if trial == 2 {
-				a = math.MaxFloat64 // a·x overflows float64 itself
-			}
-			mustMatchAxpy(t, a, x, y, fmt.Sprintf("axpy n=%d trial %d", k, trial))
-		}
-	}
-	mustMatchAxpy(t, 2, nil, nil, "axpy n=0")
-}
-
-// TestSharedGramComputeMatchesPlainLoop: the float64 Gram, and so every
-// projection of it, is the plain triple loop's bit for bit.
-func TestSharedGramComputeMatchesPlainLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for _, k := range []int{1, 3, 10, 20, 63, 64} {
-		for trial := 0; trial < 3; trial++ {
-			fixed := &Dense{Rows: 3*k + 5, Cols: k, Data: randomFactor(rng, 3*k+5, k)}
-			for n := 0; n < 2*trial; n++ {
-				v := dotSpecials[rng.Intn(len(dotSpecials))]
-				if trial == 1 && (math.IsNaN(float64(v)) || math.IsInf(float64(v), 0)) {
-					continue
-				}
-				fixed.Data[rng.Intn(len(fixed.Data))] = v
-			}
-			got, want := NewSharedGram(k), NewSharedGram(k)
-			got.Compute(fixed)
-			gramOracle(want, fixed)
-			for i := range want.f64 {
-				if !sameBits(got.f64[i], want.f64[i]) {
-					t.Fatalf("k=%d trial %d: Gram entry %d: %s %x, plain loop %x", k, trial, i, KernelName(),
-						math.Float64bits(got.f64[i]), math.Float64bits(want.f64[i]))
-				}
-				if !sameBits32(got.Dense[i], want.Dense[i]) || !sameBits(got.Wide[i], want.Wide[i]) {
-					t.Fatalf("k=%d trial %d: projection %d differs", k, trial, i)
-				}
-			}
-			for i := range want.Packed {
-				if !sameBits32(got.Packed[i], want.Packed[i]) {
-					t.Fatalf("k=%d trial %d: packed slot %d differs", k, trial, i)
-				}
-			}
-		}
 	}
 }
 
 // TestWideKernelsUnaligned starts every operand the kernels load or store
 // at each element offset inside a 16-byte window — so at each 8-byte
 // (float64) and 4-byte (float32) alignment — and checks that nothing
-// outside the k elements of out or y was written.
+// outside the k elements of out was written.
 func TestWideKernelsUnaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const sentinel = 12345
@@ -293,20 +199,6 @@ func TestWideKernelsUnaligned(t *testing.T) {
 			mustMatchApply(t, &s, p, out, fmt.Sprintf("k=%d offsets g%d w%d f%d out%d", k, gOff, wOff, sOff, oOff))
 			if !intact() {
 				t.Fatalf("k=%d out offset %d: an element outside out was written", k, oOff)
-			}
-		}
-	}
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64} {
-		for off := 0; off < 4; off++ {
-			xOff, yOff := off&1, off>>1
-			x, _ := asmtest.Unaligned[float64](n, xOff, 0)
-			y, intact := asmtest.Unaligned[float64](n, yOff, sentinel)
-			for j := range x {
-				x[j], y[j] = rng.NormFloat64(), rng.NormFloat64()
-			}
-			mustMatchAxpy(t, rng.NormFloat64(), x, y, fmt.Sprintf("axpy n=%d offsets x%d y%d", n, xOff, yOff))
-			if !intact() {
-				t.Fatalf("axpy n=%d y offset %d: an element outside y was written", n, yOff)
 			}
 		}
 	}
@@ -379,23 +271,5 @@ func FuzzApplyMatchesPortable(f *testing.F) {
 			return
 		}
 		mustMatchApply(t, s, p, out, fmt.Sprintf("k=%d omega=%d vals=%v", s.K, len(s.Cols), s.Vals != nil))
-	})
-}
-
-// BenchmarkSharedGramCompute is one half iteration's Gram on the catalog
-// workload's item side (50 000 × 64): the plain loop against Compute.
-func BenchmarkSharedGramCompute(b *testing.B) {
-	const rows, k = 50000, 64
-	fixed := &Dense{Rows: rows, Cols: k, Data: randomFactor(rand.New(rand.NewSource(5)), rows, k)}
-	g := NewSharedGram(k)
-	b.Run("portable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gramOracle(g, fixed)
-		}
-	})
-	b.Run("kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.Compute(fixed)
-		}
 	})
 }

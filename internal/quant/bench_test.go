@@ -61,6 +61,24 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeDense quantizes the catalog benchmark's item factors
+// (50 000 × 64), what every i8 or f16 checkpoint and every hot-swap pays:
+// run with -cpu 1,2 to see the row split.
+func BenchmarkEncodeDense(b *testing.B) {
+	const rows, k = 50000, 64
+	y := randDense(rand.New(rand.NewSource(1)), rows, k, 1.0)
+	for _, prec := range []Precision{I8, F16} {
+		b.Run(prec.String(), func(b *testing.B) {
+			b.SetBytes(4 * rows * k)
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeDense(y, prec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDot4I8 times the serving scan's int8 block kernel against the
 // portable Go loop on a 50 000 × 64 payload (the catalog benchmark's item
 // factors): one op is one pass over every row, four rows per call.

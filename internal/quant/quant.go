@@ -16,6 +16,8 @@ package quant
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -63,8 +65,9 @@ func Parse(s string) (Precision, error) {
 
 // Matrix is a per-row-scaled quantized encoding of a row-major float32
 // matrix. Exactly one payload slice is populated, matching Prec; Scales
-// holds one float32 per row. Rows with all-zero entries store scale 0 and
-// an all-zero payload, so dequantization needs no special case.
+// holds one float32 per row. Rows with all-zero entries (and rows too small
+// for their scale to have a float32 inverse) store scale 0 and an all-zero
+// payload, so dequantization needs no special case.
 type Matrix struct {
 	Prec       Precision
 	Rows, Cols int
@@ -79,11 +82,20 @@ type Matrix struct {
 	MaxAbsErr float64
 }
 
+// encodeRowsPerPart is the fewest rows worth a goroutine of their own in
+// EncodeDense: below it the encode is shorter than the hand-off.
+const encodeRowsPerPart = 4096
+
 // EncodeDense quantizes d at the requested precision. Inputs containing
 // NaN or ±Inf are rejected: a non-finite factor would poison every score
 // in its row, and the float32 training path never produces one (the guard
 // layer rolls back instead), so refusing loudly beats encoding garbage.
 // prec must be F16 or I8 — F32 has no quantized form.
+//
+// Rows are encoded independently, so a matrix of many rows is split into
+// contiguous ranges over up to GOMAXPROCS goroutines: the same bytes, scales
+// and MaxAbsErr (a maximum) at any count, and the error reported is the
+// lowest non-finite row's.
 func EncodeDense(d *linalg.Dense, prec Precision) (*Matrix, error) {
 	if prec != F16 && prec != I8 {
 		return nil, fmt.Errorf("quant: cannot encode at precision %v", prec)
@@ -99,39 +111,67 @@ func EncodeDense(d *linalg.Dense, prec Precision) (*Matrix, error) {
 	case I8:
 		q.I8 = make([]int8, len(d.Data))
 	}
-	for r := 0; r < d.Rows; r++ {
+	parts := max(1, min(runtime.GOMAXPROCS(0), d.Rows/encodeRowsPerPart))
+	maxErrs, errs := make([]float64, parts), make([]error, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			maxErrs[p], errs[p] = q.encodeRows(d, d.Rows*p/parts, d.Rows*(p+1)/parts)
+		}()
+	}
+	maxErrs[0], errs[0] = q.encodeRows(d, 0, d.Rows/parts)
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		q.MaxAbsErr = max(q.MaxAbsErr, maxErrs[p])
+	}
+	return q, nil
+}
+
+// encodeRows fills rows [lo, hi) of q from d and returns their largest
+// absolute dequantization error, or the first non-finite value's error.
+func (q *Matrix) encodeRows(d *linalg.Dense, lo, hi int) (maxErr float64, err error) {
+	for r := lo; r < hi; r++ {
 		row := d.Row(r)
 		maxAbs := float32(0)
 		for c, v := range row {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return nil, fmt.Errorf("quant: non-finite value %v at (%d,%d)", v, r, c)
+				return 0, fmt.Errorf("quant: non-finite value %v at (%d,%d)", v, r, c)
 			}
 			if a := abs32(v); a > maxAbs {
 				maxAbs = a
 			}
 		}
-		if maxAbs == 0 {
-			continue // scale 0, zero payload: dequantizes to exact zeros
+		// F16 scales the row into [-1, 1]: overflow is impossible and the
+		// half's relative precision (2^-11) applies uniformly.
+		scale := maxAbs
+		if q.Prec == I8 {
+			scale = maxAbs / 127
 		}
+		inv := 1 / scale
+		if math.IsInf(float64(inv), 0) {
+			// An all-zero row — or one so small (largest magnitude denormal)
+			// that its scale has no float32 inverse: scale 0 and a zero
+			// payload dequantize to exact zeros, at most maxAbs off.
+			maxErr = max(maxErr, float64(maxAbs))
+			continue
+		}
+		q.Scales[r] = scale
 		base := r * d.Cols
-		switch prec {
+		switch q.Prec {
 		case F16:
-			// Scale the row into [-1, 1]: overflow is impossible and the
-			// half's relative precision (2^-11) applies uniformly.
-			scale := maxAbs
-			q.Scales[r] = scale
-			inv := 1 / scale
 			for c, v := range row {
 				h := linalg.F32ToF16(v * inv)
 				q.F16[base+c] = h
-				if e := math.Abs(float64(scale*linalg.F16ToF32(h)) - float64(v)); e > q.MaxAbsErr {
-					q.MaxAbsErr = e
+				if e := math.Abs(float64(scale*linalg.F16ToF32(h)) - float64(v)); e > maxErr {
+					maxErr = e
 				}
 			}
 		case I8:
-			scale := maxAbs / 127
-			q.Scales[r] = scale
-			inv := 1 / scale
 			for c, v := range row {
 				iv := int32(math.RoundToEven(float64(v * inv)))
 				if iv > 127 {
@@ -140,13 +180,13 @@ func EncodeDense(d *linalg.Dense, prec Precision) (*Matrix, error) {
 					iv = -127
 				}
 				q.I8[base+c] = int8(iv)
-				if e := math.Abs(float64(scale*float32(iv)) - float64(v)); e > q.MaxAbsErr {
-					q.MaxAbsErr = e
+				if e := math.Abs(float64(scale*float32(iv)) - float64(v)); e > maxErr {
+					maxErr = e
 				}
 			}
 		}
 	}
-	return q, nil
+	return maxErr, nil
 }
 
 // Decode materializes the dequantized matrix (evaluation and tests; the
@@ -196,9 +236,6 @@ func (q *Matrix) Bytes() int {
 	return n
 }
 
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
+// abs32 clears the sign bit: a sign test would be a coin-flip branch per
+// element of EncodeDense's largest-magnitude scan.
+func abs32(v float32) float32 { return math.Float32frombits(math.Float32bits(v) &^ (1 << 31)) }

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -90,6 +91,148 @@ func TestAllZeroRows(t *testing.T) {
 			t.Errorf("%v: nonzero row decoded to %v", prec, got)
 		}
 	}
+}
+
+// TestDenormalRowsEncodeAsZero: a row whose largest magnitude is denormal has
+// a scale with no float32 inverse (1/maxAbs, or 127/maxAbs, is +Inf). It is
+// stored as the zero row — scale 0, zero payload, decoding to exact zeros at
+// most maxAbs off — instead of Inf/NaN halves or int32(±Inf) bytes; rows
+// beside it are untouched, and the smallest rows that do have an inverse
+// still round-trip.
+func TestDenormalRowsEncodeAsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		row    []float32
+		zeroAt []Precision // precisions at which the row has no inverse scale
+	}{
+		{"far denormal", []float32{1e-44, 0, -1e-44, 5e-45}, []Precision{F16, I8}},
+		{"smallest denormal", []float32{0, math.SmallestNonzeroFloat32, 0, 0}, []Precision{F16, I8}},
+		{"2^-129", []float32{0x1p-129, -0x1p-130, 0, 0}, []Precision{F16, I8}},
+		{"smallest normal", []float32{0x1p-126, -0x1p-127, 0, 0x1p-126}, []Precision{I8}}, // ÷127 is denormal
+		{"2^-118", []float32{0x1p-118, -0x1p-119, 0, 0x1p-120}, nil},
+	} {
+		d := linalg.NewDense(3, 4)
+		copy(d.Row(0), []float32{1, -2, 3, -4})
+		copy(d.Row(1), tc.row)
+		copy(d.Row(2), []float32{0.5, 0.25, -0.125, 0})
+		var maxAbs float64
+		for _, v := range tc.row {
+			maxAbs = math.Max(maxAbs, math.Abs(float64(v)))
+		}
+		for _, prec := range []Precision{F16, I8} {
+			q, err := EncodeDense(d, prec)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, prec, err)
+			}
+			if math.IsNaN(q.MaxAbsErr) || math.IsInf(q.MaxAbsErr, 0) {
+				t.Errorf("%s %v: MaxAbsErr = %v", tc.name, prec, q.MaxAbsErr)
+			}
+			back := q.Decode()
+			wantZero := false
+			for _, p := range tc.zeroAt {
+				wantZero = wantZero || p == prec
+			}
+			for c, v := range back.Row(1) {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("%s %v: decoded row %v is not finite", tc.name, prec, back.Row(1))
+				}
+				if e := math.Abs(float64(v) - float64(tc.row[c])); e > maxAbs || e > q.MaxAbsErr {
+					t.Errorf("%s %v: column %d decodes to %g for %g: off by more than the row's maxAbs %g or MaxAbsErr %g",
+						tc.name, prec, c, v, tc.row[c], maxAbs, q.MaxAbsErr)
+				}
+				if wantZero && (v != 0 || q.Scales[1] != 0) {
+					t.Errorf("%s %v: want the zero row, got scale %g value %g", tc.name, prec, q.Scales[1], v)
+				}
+			}
+			if !wantZero && q.Scales[1] == 0 {
+				t.Errorf("%s %v: a row with an invertible scale was zeroed", tc.name, prec)
+			}
+			only := linalg.NewDense(2, 4)
+			copy(only.Row(0), d.Row(0))
+			copy(only.Row(1), d.Row(2))
+			ref, _ := EncodeDense(only, prec)
+			if rb := ref.Decode(); !equalRows(back.Row(0), rb.Row(0)) || !equalRows(back.Row(2), rb.Row(1)) {
+				t.Errorf("%s %v: the rows beside the denormal one changed", tc.name, prec)
+			}
+		}
+	}
+}
+
+func equalRows(a, b []float32) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestEncodeDenseSplitsWithoutAChange: the encoding of a matrix tall enough
+// to be split over goroutines is the single-goroutine encoding — payload,
+// scales and MaxAbsErr — at every row count around the split sizes and every
+// GOMAXPROCS, and of two non-finite values the one in the lower row is
+// reported, whichever goroutine met its own first.
+func TestEncodeDenseSplitsWithoutAChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, rows := range []int{0, 1, encodeRowsPerPart - 1, encodeRowsPerPart, 2*encodeRowsPerPart + 1, 50001} {
+		d := randDense(rng, rows, 7, 3)
+		if rows > 2 {
+			clear(d.Row(rows / 2))           // a zero row
+			d.Row(rows - 1)[3] = 1e-44       // a denormal one
+			d.Row(rows / 3)[0] = 1e3         // the one MaxAbsErr comes from
+			d.Row(rows / 3)[1] = 1e3 / 254.5 // half a step off at i8
+		}
+		for _, prec := range []Precision{F16, I8} {
+			runtime.GOMAXPROCS(1)
+			want, err := EncodeDense(d, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got, err := EncodeDense(d, prec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.MaxAbsErr != want.MaxAbsErr || !equalRows(got.Scales, want.Scales) ||
+					string(i8Bytes(got.I8)) != string(i8Bytes(want.I8)) || !equalU16(got.F16, want.F16) {
+					t.Errorf("rows=%d %v GOMAXPROCS=%d: encoding differs from the single-goroutine one (MaxAbsErr %g vs %g)",
+						rows, prec, procs, got.MaxAbsErr, want.MaxAbsErr)
+				}
+			}
+		}
+		if rows < 2*encodeRowsPerPart {
+			continue
+		}
+		lo, hi := rows/2-1, rows-2 // in the first and the last part of any split
+		d.Row(hi)[2] = float32(math.NaN())
+		d.Row(lo)[5] = float32(math.Inf(-1))
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			_, err := EncodeDense(d, I8)
+			if want := fmt.Sprintf("quant: non-finite value -Inf at (%d,5)", lo); err == nil || err.Error() != want {
+				t.Errorf("rows=%d GOMAXPROCS=%d: error %v, want %q", rows, procs, err, want)
+			}
+		}
+	}
+}
+
+func i8Bytes(s []int8) []byte {
+	b := make([]byte, len(s))
+	for i, v := range s {
+		b[i] = byte(v)
+	}
+	return b
+}
+
+func equalU16(a, b []uint16) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 func TestNonFiniteRejected(t *testing.T) {
