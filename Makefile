@@ -53,25 +53,29 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/e2e ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/shard ./internal/solvers
-	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/linalg ./internal/host ./internal/solvers ./internal/core
+	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/metrics ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
 	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant
+	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense|RowScan' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant
+	$(GO) test -run '^$$' -bench 'TopN/sharded/k32' -benchtime 1x -cpu 1,2 .
 	$(GO) vet -C bench ./... && $(GO) build -C bench -o /dev/null .
 	$(GO) test -C bench ./...
 
-# Every assembly kernel (linalg's six, quant's one) on a cache line under
+# Every assembly kernel (linalg's seven, quant's one) on a cache line under
 # two link orders: Go's linker aligns text to 32 bytes, and which half of a
 # line a hot loop starts in has been worth 6-9 % of a training run
-# (internal/linalg/wide_amd64.s).
+# (internal/linalg/wide_amd64.s). alsserve must link the serving scan's.
 layout-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
 		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
 		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
 		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
+		if [ $$cmd = alsserve ] && ! grep -q 'linalg\.dot8F32SSE2' $$tmp/kernels; then \
+			echo "alsserve -randlayout=$$seed does not link linalg.dot8F32SSE2"; exit 1; \
+		fi; \
 		while read -r addr _ name; do \
 			if [ $$((0x$$addr % 64)) -ne 0 ]; then \
 				echo "$$cmd -randlayout=$$seed: $$name at 0x$$addr is not on a cache line (PCALIGN \$$64 its hot loop: internal/linalg/wide_amd64.s)"; exit 1; \

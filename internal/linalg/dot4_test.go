@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"repro/internal/asmtest"
 )
 
 // sameBits is equality under math.Float64bits, except that two NaNs count
@@ -33,22 +35,39 @@ func widen(x []float32) []float64 {
 	return xw
 }
 
-// TestDot4WideMatchesDot pins "exact": each of the four results, and the
-// one-row tail, equals Dot on that row bit for bit — for widths on both
-// sides of every unroll boundary, a stride wider than the query, and
-// special values anywhere in the query or the rows.
+// TestDot4WideMatchesDot pins "exact" for the serving scan's row kernels:
+// each of Dot8Wide's eight results, Dot4Wide's over either half of the same
+// rows, and the one-row tail equals Dot on that row bit for bit — for widths
+// on both sides of every unroll boundary (odd k is Dot8Wide's portable
+// body), a stride wider than the query, and special values anywhere in the
+// query or the rows. The cancellation plant makes a reordered chain show:
+// with x_j = x_j+1 = 1, a row's components at j, j+1 equal to 2^53 and 1, and
+// a running sum s ≡ 1 (mod 4) before them, Dot's order rounds twice down to
+// 2^53 + s − 1 where adding j+1 first gives 2^53 + s + 1; and s differs from
+// row to row, so two swapped lanes land in the wrong results.
 func TestDot4WideMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, k := range []int{1, 3, 4, 5, 32, 33, 64, 130} {
+	for _, k := range []int{1, 2, 3, 4, 5, 31, 32, 33, 64, 130} {
 		for _, stride := range []int{k, k + 3} {
 			for trial := 0; trial < 40; trial++ {
 				x := make([]float32, k)
-				rows := make([]float32, 4*stride)
+				rows := make([]float32, 8*stride)
 				for i := range x {
 					x[i] = float32(rng.NormFloat64())
 				}
 				for i := range rows {
 					rows[i] = float32(rng.NormFloat64())
+				}
+				if trial%4 == 1 && k >= 4 {
+					j := 2 + 2*rng.Intn((k-2)/2)
+					x[0], x[j], x[j+1] = 1, 1, 1
+					for r := 0; r < 8; r++ {
+						row := rows[r*stride:][:k]
+						for c := 1; c < j; c++ {
+							row[c] = 0
+						}
+						row[0], row[j], row[j+1] = float32(1+4*r), 0x1p53, 1
+					}
 				}
 				// From the second trial on, plant specials: a few, then many,
 				// so finite-but-extreme sums and NaN/Inf floods both occur.
@@ -64,20 +83,51 @@ func TestDot4WideMatchesDot(t *testing.T) {
 					}
 				}
 				xw := widen(x)
-				got := [4]float64{}
-				got[0], got[1], got[2], got[3] = Dot4Wide(xw, rows, stride)
-				for r := 0; r < 4; r++ {
-					row := rows[r*stride:][:k]
-					want := Dot(x, row)
-					if !sameBits(got[r], want) {
-						t.Fatalf("k=%d stride=%d trial=%d row %d: Dot4Wide %x (%v), Dot %x (%v)",
-							k, stride, trial, r, math.Float64bits(got[r]), got[r], math.Float64bits(want), want)
-					}
-					if one := Dot1Wide(xw, rows[r*stride:]); !sameBits(one, want) {
-						t.Fatalf("k=%d stride=%d trial=%d row %d: Dot1Wide %x (%v), Dot %x (%v)",
-							k, stride, trial, r, math.Float64bits(one), one, math.Float64bits(want), want)
+				var got8, got4 [8]float64
+				Dot8Wide(xw, rows, stride, &got8)
+				got4[0], got4[1], got4[2], got4[3] = Dot4Wide(xw, rows, stride)
+				got4[4], got4[5], got4[6], got4[7] = Dot4Wide(xw, rows[4*stride:], stride)
+				for r := range got8 {
+					want := Dot(x, rows[r*stride:][:k])
+					for _, got := range []struct {
+						name string
+						v    float64
+					}{{"Dot8Wide", got8[r]}, {"Dot4Wide", got4[r]}, {"Dot1Wide", Dot1Wide(xw, rows[r*stride:])}} {
+						if !sameBits(got.v, want) {
+							t.Fatalf("k=%d stride=%d trial=%d row %d: %s %x (%v), Dot %x (%v)", k, stride, trial, r,
+								got.name, math.Float64bits(got.v), got.v, math.Float64bits(want), want)
+						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDot8WideUnaligned starts the rows, the query and out at each element
+// offset inside a 16-byte window and checks that nothing outside out's
+// eight elements was written.
+func TestDot8WideUnaligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const sentinel = 12345
+	for _, k := range []int{2, 8, 32} {
+		stride := k + 1
+		ref, x := randomFactor(rng, 8, stride), randomFactor(rng, 1, k)
+		for off := 0; off < 4*2*2; off++ {
+			rOff, xOff, oOff := off&3, off>>2&1, off>>3&1
+			rows, _ := asmtest.Unaligned[float32](len(ref), rOff, 0)
+			xw, _ := asmtest.Unaligned[float64](k, xOff, 0)
+			out, intact := asmtest.Unaligned[float64](8, oOff, sentinel)
+			copy(rows, ref)
+			copy(xw, widen(x))
+			Dot8Wide(xw, rows, stride, (*[8]float64)(out))
+			for r := range 8 {
+				if want := Dot(x, rows[r*stride:][:k]); !sameBits(out[r], want) {
+					t.Fatalf("k=%d offsets rows%d x%d out%d row %d: %v, Dot %v", k, rOff, xOff, oOff, r, out[r], want)
+				}
+			}
+			if !intact() {
+				t.Fatalf("k=%d out offset %d: an element outside out was written", k, oOff)
 			}
 		}
 	}
@@ -131,6 +181,36 @@ func BenchmarkDot4Wide(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < 4; r++ {
 					dotSink += Dot(x, rows[r*k:][:k])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRowScan scores a whole row range the way metrics.ScanTopK does,
+// eight rows per call against four: one fleet2-mixed-k32 shard's slice
+// (12 400 × 32, 1.6 MB) and 248 rows that stay in L1. One op is the range.
+func BenchmarkRowScan(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const k = 32
+	xw := widen(randomFactor(rng, 1, k))
+	for _, rows := range []int{248, 12400} {
+		y := randomFactor(rng, rows, k)
+		shape := strconv.Itoa(rows) + "x" + strconv.Itoa(k)
+		b.Run("dot8wide/"+shape, func(b *testing.B) {
+			var s [8]float64
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r += 8 {
+					Dot8Wide(xw, y[r*k:], k, &s)
+					dotSink += s[0]
+				}
+			}
+		})
+		b.Run("dot4wide/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r += 4 {
+					s0, _, _, _ := Dot4Wide(xw, y[r*k:], k)
+					dotSink += s0
 				}
 			}
 		})

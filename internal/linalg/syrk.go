@@ -195,6 +195,19 @@ func Dot4Wide(xw []float64, rows []float32, stride int) (s0, s1, s2, s3 float64)
 	return
 }
 
+// Dot8Wide is Dot4Wide over eight consecutive rows, into out: every result
+// bit for bit Dot(x, row). It is the serving scan's kernel, SSE2 with two
+// rows per register where the build has it (wide.go).
+func Dot8Wide(xw []float64, rows []float32, stride int, out *[8]float64) {
+	dot8Wide(xw, rows, stride, out)
+}
+
+// dot8WidePortable is Dot8Wide as two passes of Dot4Wide.
+func dot8WidePortable(xw []float64, rows []float32, stride int, out *[8]float64) {
+	out[0], out[1], out[2], out[3] = Dot4Wide(xw, rows, stride)
+	out[4], out[5], out[6], out[7] = Dot4Wide(xw, rows[4*stride:], stride)
+}
+
 // Dot1Wide is Dot4Wide's one-row tail: bit for bit Dot(x, row) as well,
 // which DotWide's four-way split of a single row is not.
 func Dot1Wide(xw []float64, row []float32) (s float64) {

@@ -11,7 +11,9 @@ package linalg
 // pair does. The rank-1 scatter out[i] += wd·f[i] and the Gram update
 // g[i][j] += f[i]·f[j] are vertical — no reduction, every element its own
 // chain — and so are the explicit row update's two hot statements and
-// ConfRHS's. Six loops, then, have a vector form:
+// ConfRHS's. A sequential chain per row is lane-shaped too once the lanes
+// are rows: Dot8Wide holds two rows' chains in one register. Seven loops,
+// then, have a vector form:
 //
 //	gemvWide     CG matvec, G·p rows               wide_amd64.s    this file
 //	rank1Wide    CG matvec, one rank-1 term        wide_amd64.s    this file
@@ -19,29 +21,34 @@ package linalg
 //	fusedBlock4  GramRHSFusedUnrolled, S1+S2       fused_amd64.s   fused.go
 //	cholSweep    CholeskyPacked, S3 row strip      packed_amd64.s  packed.go
 //	axpy32       ConfRHS, svec += w·f              conf_amd64.s    conf.go
+//	dot8Wide     serving scan, 8 rows per call     dot8_amd64.s    syrk.go
 //
-// Dot4Wide, Dot, and the substitutions of SolveCholeskyPacked and
-// LDLSolvePacked are the opposite: one sequential chain per output, so lanes
-// would have to reorder the sum to be of any use, and they stay scalar (so
-// do LDLSolvePacked's factor loops, and the two- and one-nonzero remainders
-// of the fused sweep, which are cold).
+// Dot, Dot4Wide and Dot1Wide (one row, or the scan's 4- and 1-row tails),
+// and the substitutions of SolveCholeskyPacked and LDLSolvePacked are the
+// opposite: one sequential chain per output and no second output beside it
+// worth a lane, so they stay scalar (so do LDLSolvePacked's factor loops,
+// and the two- and one-nonzero remainders of the fused sweep, which are
+// cold).
 //
-// All six are bound by build constraint alone (*_amd64.go /
+// All seven are bound by build constraint alone (*_amd64.go /
 // wide_portable.go): SSE2 assembly on amd64 below GOAMD64=v3, the portable
 // bodies everywhere else and under -tags purego. At v3 the Go compiler fuses
 // x*y+z into an FMA, so only below v3 are the two bindings bit for bit the
 // same in every build — which is the contract: every model and checkpoint is
-// byte-identical whichever binding trained it. (A NaN's payload may follow
-// operand order; no caller can see one — CGSolve turns any NaN into
-// ErrCGBreakdown and the packed Cholesky rejects a NaN pivot.) DotWide itself
-// never takes the assembly: it is the independent oracle the kernel tests
-// compare against. DESIGN.md "Vector kernels" tables lane shapes and tests.
+// byte-identical whichever binding trained it, and every served score
+// whichever binding scanned. (A NaN's payload may follow operand order; no
+// caller can see one — CGSolve turns any NaN into ErrCGBreakdown, the packed
+// Cholesky rejects a NaN pivot, and no heap compare reads a payload.)
+// DotWide itself never takes the assembly: it is the independent oracle the
+// kernel tests compare against. DESIGN.md "Vector kernels" tables lane
+// shapes and tests.
 
-// KernelName names the binding of this build's six vector kernels (the
+// KernelName names the binding of this build's seven vector kernels (the
 // table above: the CG matvec and shared Gram, the explicit fused sweep and
-// packed Cholesky, ConfRHS): "sse2" on amd64 below GOAMD64=v3, "portable"
-// elsewhere and under -tags purego. Dot, Dot4Wide, SolveCholeskyPacked and
-// LDLSolvePacked are the same scalar Go in both.
+// packed Cholesky, ConfRHS, and the serving scan's Dot8Wide): "sse2" on
+// amd64 below GOAMD64=v3, "portable" elsewhere and under -tags purego. Dot,
+// Dot4Wide, Dot1Wide, SolveCholeskyPacked and LDLSolvePacked are the same
+// scalar Go in both.
 func KernelName() string { return kernelName }
 
 // gemvWidePortable computes out[i] = float32(lam·w[i] + g[i·k:i·k+k]·w) for

@@ -29,6 +29,28 @@ func TestWideKernelsNeverReadPastARow(t *testing.T) {
 	}
 }
 
+// TestDot8WideNeverReadsPastARow: the query, the eighth row and out each
+// end at a guard page, at a stride equal to k and one wider.
+func TestDot8WideNeverReadsPastARow(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, k := range []int{2, 8, 32, 64} {
+		for _, stride := range []int{k, k + 1} {
+			x := randomFactor(rng, 1, k)
+			xw := asmtest.Guarded[float64](t, k)
+			copy(xw, widen(x))
+			rows := asmtest.Guarded[float32](t, 7*stride+k)
+			copy(rows, randomFactor(rng, 1, len(rows)))
+			out := asmtest.Guarded[float64](t, 8)
+			Dot8Wide(xw, rows, stride, (*[8]float64)(out))
+			for r := range 8 {
+				if want := Dot(x, rows[r*stride:][:k]); !sameBits(out[r], want) {
+					t.Fatalf("guarded k=%d stride=%d row %d: %v, Dot %v", k, stride, r, out[r], want)
+				}
+			}
+		}
+	}
+}
+
 // TestGramTileNeverReadsPastABlock: the factor block, the Gram and the
 // scratch each end at a guard page, and the band is the last one, whose tile
 // stores run to the Gram's last element.

@@ -4,7 +4,7 @@ package linalg
 
 const kernelName = "portable"
 
-// This build has no vector form of the six kernels: the names are the
+// This build has no vector form of the seven kernels: the names are the
 // portable bodies.
 
 func gemvWide(g, w []float64, lam float64, out []float32) { gemvWidePortable(g, w, lam, out) }
@@ -24,3 +24,7 @@ func fusedBlock4(r1, r2, r3, r4, v, packed, svec []float32) {
 func cholSweep(p []float32, k, j int, acc []float64) { cholSweepPortable(p, k, j, acc) }
 
 func axpy32(w float32, f, out []float32) { axpy32Portable(w, f, out) }
+
+func dot8Wide(xw []float64, rows []float32, stride int, out *[8]float64) {
+	dot8WidePortable(xw, rows, stride, out)
+}

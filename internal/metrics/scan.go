@@ -56,21 +56,29 @@ func (s *Sink) admit(item int, score float64) {
 // ScanTopK scores rows [lo, hi) of y against a query widened to float64
 // (xw[j] = float64(x[j]), once per scan) and offers each row for which
 // excluded returns false (nil excludes nothing) to t. Rows go through
-// linalg.Dot4Wide four at a time, so every score is bit for bit
-// linalg.Dot(x, y.Row(i)) and the heap is exactly what the row-at-a-time
-// loop in TopN would leave. This is the serving scan; TopN and TopNSort
-// stay on linalg.Dot as the references it is tested against. Callers slab
-// the range and check their context between calls. It allocates nothing.
+// linalg.Dot8Wide eight at a time, then linalg.Dot4Wide and Dot1Wide for
+// the tail, so every score is bit for bit linalg.Dot(x, y.Row(i)) and the
+// heap is exactly what the row-at-a-time loop in TopN would leave. This is
+// the serving scan; TopN and TopNSort stay on linalg.Dot as the references
+// it is tested against. Callers slab the range and check their context
+// between calls. It allocates nothing.
 func ScanTopK(xw []float64, y *linalg.Dense, lo, hi int, excluded func(int) bool, t *TopK) {
 	k := y.Cols
 	sk := NewSink(t, excluded)
 	i := lo
-	for ; i+4 <= hi; i += 4 {
-		s0, s1, s2, s3 := linalg.Dot4Wide(xw, y.Data[i*k:], k)
-		sk.Offer(i, s0)
-		sk.Offer(i+1, s1)
-		sk.Offer(i+2, s2)
-		sk.Offer(i+3, s3)
+	var s [8]float64
+	for ; i+8 <= hi; i += 8 {
+		linalg.Dot8Wide(xw, y.Data[i*k:], k, &s)
+		for r, v := range s {
+			sk.Offer(i+r, v)
+		}
+	}
+	if i+4 <= hi {
+		s[0], s[1], s[2], s[3] = linalg.Dot4Wide(xw, y.Data[i*k:], k)
+		for r, v := range s[:4] {
+			sk.Offer(i+r, v)
+		}
+		i += 4
 	}
 	for ; i < hi; i++ {
 		sk.Offer(i, linalg.Dot1Wide(xw, y.Data[i*k:]))

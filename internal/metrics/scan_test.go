@@ -59,13 +59,18 @@ func randScanDense(rng *rand.Rand, rows, k int) *linalg.Dense {
 }
 
 // TestScanTopKMatchesReference: the blocked scan and the old loop leave the
-// same heap — over row counts on both sides of the 4-row block, unaligned
+// same heap — over every row count up to two 8-row blocks and a 4- and 1-row
+// tail, odd k (the portable body of the 8-row kernel) and even, unaligned
 // ranges, heaps smaller and larger than the range, and exclusion sets from
 // none to "everything that would have won".
 func TestScanTopKMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 1001, 1002, 1003} {
-		for _, k := range []int{1, 7, 32} {
+	rowCounts := []int{1000, 1001, 1002, 1003}
+	for rows := 0; rows <= 17; rows++ {
+		rowCounts = append(rowCounts, rows)
+	}
+	for _, rows := range rowCounts {
+		for _, k := range []int{1, 7, 32, 33} {
 			y := randScanDense(rng, rows, k)
 			x := make([]float32, k)
 			for j := range x {
@@ -146,24 +151,31 @@ func TestScanTopKNaNScores(t *testing.T) {
 }
 
 // TestScanTopKSlabs: scanning a range in slabs into one heap — how the
-// serving scorer calls it — equals scanning it at once.
+// serving scorer calls it — equals scanning it at once, for every slab width
+// up to two 8-row blocks and a tail, at an even and an odd k.
 func TestScanTopKSlabs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	const rows, k, n = 1003, 16, 10
-	y := randScanDense(rng, rows, k)
-	x := y.Row(17)
-	ex := func(i int) bool { return i == 17 || i%7 == 0 }
-	want := referenceScan(x, y, 0, rows, ex, n)
-	for _, slab := range []int{1, 3, 4, 250, rows} {
-		tk := NewTopK(n)
-		xw := widen(x)
-		for lo := 0; lo < rows; lo += slab {
-			ScanTopK(xw, y, lo, min(lo+slab, rows), ex, tk)
-		}
-		got := tk.Drain()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("slab=%d rank %d: got %+v, want %+v", slab, i, got[i], want[i])
+	const rows, n = 1003, 10
+	slabs := []int{250, rows}
+	for slab := 1; slab <= 17; slab++ {
+		slabs = append(slabs, slab)
+	}
+	for _, k := range []int{16, 33} {
+		y := randScanDense(rng, rows, k)
+		x := y.Row(17)
+		ex := func(i int) bool { return i == 17 || i%7 == 0 }
+		want := referenceScan(x, y, 0, rows, ex, n)
+		for _, slab := range slabs {
+			tk := NewTopK(n)
+			xw := widen(x)
+			for lo := 0; lo < rows; lo += slab {
+				ScanTopK(xw, y, lo, min(lo+slab, rows), ex, tk)
+			}
+			got := tk.Drain()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d slab=%d rank %d: got %+v, want %+v", k, slab, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -255,6 +267,24 @@ func FuzzScanF32MatchesReference(f *testing.F) {
 	f.Add(fuzzScanBytes(3, 2, 0, 1, 0, []int8{8, 8, 8}, nans))                              // NaN after it fills
 	f.Add(fuzzScanBytes(3, 4, 0b00000010, 0, 2, []int8{-128, 8, 0}, mixed))                 // NaN in the query: every score NaN
 	f.Add(fuzzScanBytes(1, 5, 0, 2, 0, []int8{-8}, [][]int8{{1}, {2}, {3}, {4}, {5}, {6}})) // k = 1, 1-row tail only after lo
+	// Ranges of 0 to 17 rows from row 1, at widths 2 to 9 (odd k takes the
+	// 8-row kernel's portable body): every mix of 8-row blocks and 4- and
+	// 1-row tails.
+	rng := rand.New(rand.NewSource(43))
+	for d := 0; d <= 17; d++ {
+		k := 2 + d%8
+		x, rows := make([]int8, k), make([][]int8, d+3)
+		for j := range x {
+			x[j] = int8(rng.Intn(33) - 16)
+		}
+		for r := range rows {
+			rows[r] = make([]int8, k)
+			for j := range rows[r] {
+				rows[r][j] = int8(rng.Intn(33) - 16)
+			}
+		}
+		f.Add(fuzzScanBytes(k, 1+d%12, byte(d*37), 1, 2, x, rows)) // [1, d+1)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, y, lo, hi, n, excluded, ok := fuzzScan(data)
 		if !ok {

@@ -500,16 +500,14 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		if p == nil {
 			continue
 		}
-		if p.K != k || len(p.Gram) != len(packed) || len(p.RHS) != k {
+		// A reply in another build's format (JSON numbers under "gram") has
+		// no gram_le, and fails here like a wrong k.
+		if p.K != k || len(p.Gram) != 4*len(packed) || len(p.RHS) != 4*k {
 			obs.HTTPError(w, http.StatusBadGateway, "shards disagree on model dimensionality")
 			return
 		}
-		for z, v := range p.Gram {
-			packed[z] += v
-		}
-		for z, v := range p.RHS {
-			rhs[z] += v
-		}
+		addLE(packed, p.Gram)
+		addLE(rhs, p.RHS)
 	}
 	_, sspan := rtrace.StartChild(r.Context(), "foldin.solve")
 	xu, err := core.SolveFoldIn(packed, rhs, k,

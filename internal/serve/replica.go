@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"time"
@@ -133,14 +135,33 @@ type partialsRequest struct {
 
 // partialsResponse carries the shard's partial normal equations: the packed
 // upper-triangular Gram term Σ y_i·y_iᵀ and right-hand side Σ r_i·y_i over
-// the shard-local rated items, without the λI the frontend adds once.
+// the shard-local rated items, without the λI the frontend adds once. Both
+// travel as their float32 values' little-endian bytes — one base64 string
+// each in the JSON — which the frontend reads back bit for bit, instead of
+// PackedLen(k)+k decimal numbers it would parse.
 type partialsResponse struct {
-	K       int       `json:"k"`
-	Gram    []float32 `json:"gram"`
-	RHS     []float32 `json:"rhs"`
-	Local   int       `json:"local"` // ratings that fell in this slice
-	Version string    `json:"version"`
-	Seq     uint64    `json:"seq"`
+	K       int    `json:"k"`
+	Gram    []byte `json:"gram_le"` // PackedLen(K) float32
+	RHS     []byte `json:"rhs_le"`  // K float32
+	Local   int    `json:"local"`   // ratings that fell in this slice
+	Version string `json:"version"`
+	Seq     uint64 `json:"seq"`
+}
+
+// appendLE appends vals' little-endian float32 bytes to buf.
+func appendLE(buf []byte, vals []float32) []byte {
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	}
+	return buf
+}
+
+// addLE adds the little-endian float32 values in src to dst, element for
+// element; src holds at least 4·len(dst) bytes.
+func addLE(dst []float32, src []byte) {
+	for z := range dst {
+		dst[z] += math.Float32frombits(binary.LittleEndian.Uint32(src[4*z:]))
+	}
 }
 
 // catalogBodyLimit bounds the bodies of the frontend's fold-in hops. The
@@ -185,8 +206,9 @@ func (r *Replica) handlePartials(w http.ResponseWriter, req *http.Request) {
 	// GramRHSFused zeroes both outputs, so an empty local set still
 	// returns valid all-zero terms.
 	linalg.GramRHSFused(sn.Model.Y.Data, k, cols, vals, packed, rhs)
-	obs.WriteJSON(w, partialsResponse{K: k, Gram: packed, RHS: rhs, Local: len(cols),
-		Version: sn.Version, Seq: sn.Seq})
+	buf := appendLE(appendLE(make([]byte, 0, 4*(len(packed)+k)), packed), rhs)
+	obs.WriteJSON(w, partialsResponse{K: k, Gram: buf[:4*len(packed)], RHS: buf[4*len(packed):],
+		Local: len(cols), Version: sn.Version, Seq: sn.Seq})
 }
 
 // scoreRequest asks for the shard's top-N against a caller-provided user

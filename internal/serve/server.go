@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/quant"
@@ -150,6 +151,9 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 	}
 	if span != nil {
 		span.SetAttr("rows_scored", strconv.Itoa(rows))
+		if sn.QY == nil { // the float32 scan: which binding of linalg.Dot8Wide ran
+			span.SetAttr("kernel", linalg.KernelName())
+		}
 		span.End()
 	}
 	if err == nil {

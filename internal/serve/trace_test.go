@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/rtrace"
 )
 
@@ -79,6 +80,9 @@ func TestServerTraceSpans(t *testing.T) {
 	}
 	if scanAttrs["rows_scored"] != "64" {
 		t.Errorf("scan rows_scored attr = %q, want all 64 rows at f32", scanAttrs["rows_scored"])
+	}
+	if scanAttrs["kernel"] != linalg.KernelName() {
+		t.Errorf("scan kernel attr = %q, want %q", scanAttrs["kernel"], linalg.KernelName())
 	}
 
 	// An unsampled inbound context suppresses the whole tree.

@@ -3,18 +3,24 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -296,6 +302,212 @@ func TestFoldInAcrossShards(t *testing.T) {
 	// against a partial Gram matrix and return silently wrong factors.
 	if code := postJSON(t, f.shardTS[0].URL+"/v1/foldin", req, nil); code != 501 {
 		t.Fatalf("shard-direct fold-in: HTTP %d, want 501", code)
+	}
+
+	// At k = 32 with factors that are not integers, the order of a sum shows
+	// in its bits. Each shard's reply must carry its slice's float32 terms bit
+	// for bit, and the frontend must add them component by component in shard
+	// order, solve that sum and score with the solution: its answer, scores to
+	// the bit, is the one built here from the same replies.
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("k=32/shards=%d", shards), func(t *testing.T) {
+			const items, k = 61, 32
+			m := randomModel(4, items, k)
+			f := newFleet(t, m, nil, shards)
+			req := spreadFoldIn(items)
+			packed, rhs := make([]float32, linalg.PackedLen(k)), make([]float32, k)
+			for s, ts := range f.shardTS {
+				var p partialsReply
+				if code := postJSON(t, ts.URL+"/shard/v1/partials", req, &p); code != 200 {
+					t.Fatalf("shard %d partials: HTTP %d", s, code)
+				}
+				lo, hi := s*items/shards, (s+1)*items/shards
+				var cols []int32
+				var vals []float32
+				for z, it := range req.Items {
+					if int(it) >= lo && int(it) < hi {
+						cols, vals = append(cols, it-int32(lo)), append(vals, req.Ratings[z])
+					}
+				}
+				wantG, wantR := make([]float32, len(packed)), make([]float32, k)
+				linalg.GramRHSFused(m.Y.Data[lo*k:hi*k], k, cols, vals, wantG, wantR)
+				gotG, gotR := fromLE(p.Gram), fromLE(p.RHS)
+				same32(t, fmt.Sprintf("shard %d gram", s), gotG, wantG)
+				same32(t, fmt.Sprintf("shard %d rhs", s), gotR, wantR)
+				for z, v := range gotG {
+					packed[z] += v
+				}
+				for z, v := range gotR {
+					rhs[z] += v
+				}
+			}
+			x, err := core.SolveFoldIn(packed, rhs, k, m.Meta.Lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rated := map[int]bool{}
+			for _, it := range req.Items {
+				rated[int(it)] = true
+			}
+			top := metrics.NewTopK(req.N)
+			for i := 0; i < items; i++ {
+				if !rated[i] {
+					top.Push(i, linalg.Dot(x, m.Y.Row(i)))
+				}
+			}
+			var want []serve.RecItem
+			for _, s := range top.Drain() {
+				want = append(want, serve.RecItem{Item: s.Item, Score: s.Score})
+			}
+			var got frontAnswer
+			if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, &got); code != 200 {
+				t.Fatalf("frontend fold-in: HTTP %d", code)
+			}
+			sameItems(t, "k=32 foldin", got.Items, want)
+		})
+	}
+}
+
+// randomModel is a non-compact model with Gaussian factors at the scale of a
+// trained one, so Gram and RHS sums round.
+func randomModel(users, items, k int) *core.Model {
+	rng := rand.New(rand.NewSource(int64(items*k + users)))
+	x, y := linalg.NewDense(users, k), linalg.NewDense(items, k)
+	for _, d := range [][]float32{x.Data, y.Data} {
+		for i := range d {
+			d[i] = float32(0.3 * rng.NormFloat64())
+		}
+	}
+	return &core.Model{K: k, X: x, Y: y, Meta: core.Meta{Lambda: 0.5}}
+}
+
+// spreadFoldIn rates every third item of the catalog, so each shard of a
+// small fleet holds several of the ratings.
+func spreadFoldIn(items int) serve.FoldInRequest {
+	req := serve.FoldInRequest{N: 10}
+	for i := 0; i < items; i += 3 {
+		req.Items = append(req.Items, int32(i))
+		req.Ratings = append(req.Ratings, float32(1+i%5))
+	}
+	return req
+}
+
+// partialsReply is the part of a /shard/v1/partials reply the tests read.
+type partialsReply struct {
+	K    int    `json:"k"`
+	Gram []byte `json:"gram_le"`
+	RHS  []byte `json:"rhs_le"`
+}
+
+func fromLE(b []byte) []float32 {
+	out := make([]float32, len(b)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+func same32(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFoldInRejectsForeignPartials: a shard whose partials reply is not in
+// this build's format — gram_le four bytes short, or the JSON numbers under
+// "gram" and "rhs" of the format before it — fails the fold-in with 502
+// "shards disagree", never a solve over missing terms. And the format pays
+// for itself: the reply is at most half the bytes of the JSON-number body.
+func TestFoldInRejectsForeignPartials(t *testing.T) {
+	const items, k = 61, 32
+	f := newFleet(t, randomModel(4, items, k), nil, 2)
+	var mode atomic.Value // how shard 1's proxy rewrites a partials reply
+	mode.Store("")
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/shard/v1/partials" || mode.Load() == "" {
+			f.replicas[1].Handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		f.replicas[1].Handler().ServeHTTP(rec, r)
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Error(err)
+			return
+		}
+		var p partialsReply
+		json.Unmarshal(rec.Body.Bytes(), &p)
+		switch mode.Load() {
+		case "short":
+			body["gram_le"] = p.Gram[:len(p.Gram)-4]
+		case "numbers":
+			delete(body, "gram_le")
+			delete(body, "rhs_le")
+			body["gram"], body["rhs"] = fromLE(p.Gram), fromLE(p.RHS)
+		}
+		json.NewEncoder(w).Encode(body)
+	}))
+	t.Cleanup(proxy.Close)
+	front, err := serve.NewFrontend(serve.FrontendConfig{
+		Shards: []string{f.shardTS[0].URL, proxy.URL}, ShardTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front.ProbeOnce(context.Background())
+	fts := httptest.NewServer(front.Handler())
+	t.Cleanup(fts.Close)
+
+	req := spreadFoldIn(items)
+	for _, m := range []string{"", "short", "numbers"} {
+		mode.Store(m)
+		want := http.StatusOK
+		if m != "" {
+			want = http.StatusBadGateway
+		}
+		if code := postJSON(t, fts.URL+"/v1/foldin", req, nil); code != want {
+			t.Errorf("shard 1 replying %q: HTTP %d, want %d", m, code, want)
+		}
+	}
+
+	resp, err := http.Post(f.shardTS[0].URL+"/shard/v1/partials", "application/json",
+		bytes.NewReader([]byte(`{"items":[0,3,6,9,12,15,18,21,24,27],"ratings":[5,4,3,2,1,5,4,3,2,1]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p struct {
+		partialsReply
+		Local   int    `json:"local"`
+		Version string `json:"version"`
+		Seq     uint64 `json:"seq"`
+	}
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatal(err)
+	}
+	numbers, err := json.Marshal(struct {
+		K       int       `json:"k"`
+		Gram    []float32 `json:"gram"`
+		RHS     []float32 `json:"rhs"`
+		Local   int       `json:"local"`
+		Version string    `json:"version"`
+		Seq     uint64    `json:"seq"`
+	}{p.K, fromLE(p.Gram), fromLE(p.RHS), p.Local, p.Version, p.Seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Local != 10 || 2*len(body) > len(numbers)+1 {
+		t.Errorf("partials reply over %d local ratings is %d bytes, JSON numbers %d: want at most half",
+			p.Local, len(body), len(numbers)+1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -316,7 +317,11 @@ func TestDroppedFrameRoundDeadline(t *testing.T) {
 // TestAllWorkersLost pins the terminal case: a failure every cohort hits
 // deterministically (each rank takes its setup, then reports that it cannot
 // start) burns the respawn budget, downscales to nothing, and surfaces the
-// workers' own error instead of hanging or succeeding vacuously.
+// workers' own error instead of hanging or succeeding vacuously. A
+// respawned rank is also sent the factor seeds, which the fake reads past
+// until the coordinator hangs up: closing first, with a seed unread, would
+// reset the connection under the coordinator's write of it, and the run
+// would end on that error instead of the rank's.
 func TestAllWorkersLost(t *testing.T) {
 	mx, err := sweepSpec.Load()
 	if err != nil {
@@ -337,6 +342,7 @@ func TestAllWorkersLost(t *testing.T) {
 			w.expectData(halfX)
 			w.expectData(halfY)
 			w.writeSmall(frameError, []byte("rank cannot start"))
+			io.Copy(io.Discard, c)
 		}()
 		return func() {}, nil
 	}
