@@ -18,7 +18,8 @@ test-short:
 
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
-# boundary, one codec, one process harness, one row-update arithmetic),
+# boundary and the hop's one frame layout, one codec, one process harness,
+# one row-update arithmetic),
 # build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
@@ -31,8 +32,12 @@ ci:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
-	@if $(GO) list -deps ./internal/serve | grep -qx repro/internal/shard; then \
-		echo "internal/serve must not depend on internal/shard"; exit 1; \
+	@deps=$$($(GO) list -deps ./internal/serve); \
+	if echo "$$deps" | grep -q '^repro/internal/shard'; then \
+		echo "internal/serve must not depend on internal/shard/..."; exit 1; \
+	fi; \
+	if ! echo "$$deps" | grep -qx repro/internal/framing; then \
+		echo "internal/serve must speak the shard hop through repro/internal/framing"; exit 1; \
 	fi
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
@@ -61,6 +66,7 @@ ci:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense|RowScan' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant
 	$(GO) test -run '^$$' -bench 'TopN/sharded/k32' -benchtime 1x -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'ShardHop' -benchtime 1x -cpu 1,2 ./internal/serve
 	$(GO) vet -C bench ./... && $(GO) build -C bench -o /dev/null .
 	$(GO) test -C bench ./...
 

@@ -1,6 +1,7 @@
 // alsfront is the scatter-gather frontend for a fleet of alsserve shard
 // replicas (alsserve -shard i/N). It fans each request out to every shard
-// with a per-shard deadline, merges the partial top-N heaps into the exact
+// — as frames on persistent connections it upgrades from each replica's
+// GET /shard/v1/frames — with a per-shard deadline, merges the partial top-N heaps into the exact
 // single-process ranking, and degrades to the healthy shards' merged
 // results when a shard is down or slow (flagged in the response and
 // counted in als_shard_partial_total). Endpoints:
@@ -38,7 +39,7 @@ func main() {
 	maxN := flag.Int("max-n", 100, "largest accepted n per request")
 	maxFoldIn := flag.Int("max-foldin-items", 10000, "largest accepted fold-in rating count")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/pprof (and, with -trace-sample, /debug/traces and /debug/slowest) on a second address")
-	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into span traces: one root per request with a child per shard hop, propagated to the shards over traceparent (0 disables)")
+	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into span traces: one root per request with a child per shard hop, propagated to the shards in each hop's request frame (0 disables)")
 	slowLog := flag.Duration("slow-log", 0, "log requests at or above this duration with their trace ID (0 disables)")
 	flag.Parse()
 
@@ -88,7 +89,9 @@ func main() {
 	for i, u := range urls {
 		detail += fmt.Sprintf("\nalsfront: shard %d -> %s", i, u)
 	}
-	if err := serve.ListenAndServe(ctx, "alsfront", *addr, front.Handler(), detail); err != nil {
+	err = serve.ListenAndServe(ctx, "alsfront", *addr, front.Handler(), detail)
+	front.Close()
+	if err != nil {
 		fail(err)
 	}
 }

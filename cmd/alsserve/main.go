@@ -19,10 +19,12 @@
 // With -shard i/N the process becomes shard replica i of an N-way fleet:
 // it keeps only its static range of the item factors, answers
 // /v1/recommend over that slice (global item indices preserved), and adds
-// GET /readyz plus the /shard/v1/* partial endpoints the alsfront
-// scatter-gather frontend fans out to. Fold-in requests belong on the
-// frontend and are rejected with 501 here. -watch composes: each shard
-// watches the same checkpoint directory and hot-swaps only its slice.
+// GET /readyz, GET /shard/v1/info and GET /shard/v1/frames, which the
+// alsfront scatter-gather frontend upgrades to persistent connections
+// carrying its recommend, score, partials and purge requests as CRC-checked
+// frames. Fold-in requests belong on the frontend and are rejected with 501
+// here. -watch composes: each shard watches the same checkpoint directory
+// and hot-swaps only its slice.
 package main
 
 import (
@@ -56,9 +58,9 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
 	debugAddr := flag.String("debug-addr", "", "serve the same metrics plus process health, /healthz, /readyz and /debug/pprof on a second address (keeps profiling off the public listener)")
 	maxStale := flag.Duration("max-staleness", 0, "readiness bound for -debug-addr's /readyz: fail once the last checkpoint installed by -watch is older than this (0 disables the age check)")
-	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors are kept, and the /shard/v1/* endpoints for alsfront are enabled")
+	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors are kept, and alsfront's endpoints are enabled: /shard/v1/info, and /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
 	precision := flag.String("precision", "f32", "scoring precision for the item factors: f32, f16 or i8; quantized precisions compress each swapped-in model once per swap and score with the fused dequantizing kernels (fold-in still solves in float32)")
-	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into per-request span traces (0 disables tracing entirely; inbound traceparent headers always continue a sampled trace); browse them at -debug-addr's /debug/traces and /debug/slowest")
+	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into per-request span traces (0 disables tracing entirely; inbound traceparent headers and shard hop frames always continue a sampled trace); browse them at -debug-addr's /debug/traces and /debug/slowest")
 	slowLog := flag.Duration("slow-log", 0, "log requests at or above this duration with their trace ID (0 disables)")
 	flag.Parse()
 
@@ -164,7 +166,13 @@ func main() {
 		go w.Run(ctx)
 		fmt.Printf("alsserve: watching %s every %s\n", *watch, *watchInterval)
 	}
-	if err := serve.ListenAndServe(ctx, "alsserve", *addr, handler, ""); err != nil {
+	err = serve.ListenAndServe(ctx, "alsserve", *addr, handler, "")
+	if rep != nil {
+		// Upgraded frame connections outlive the listener's shutdown: end
+		// them, and the requests on them, before the scoring pool closes.
+		rep.Close()
+	}
+	if err != nil {
 		fail(err)
 	}
 }

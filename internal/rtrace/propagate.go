@@ -84,7 +84,7 @@ func parseHex(s string) (uint64, bool) {
 
 // BinaryContextLen is the wire size of a binary span context: 8-byte trace,
 // 8-byte span (little-endian), 1 flag byte — the payload of the trainer's
-// frameTraceCtx frame.
+// frameTraceCtx frame and the trace prefix of a serving shard hop request.
 const BinaryContextLen = 17
 
 // AppendBinary appends the 17-byte binary form.

@@ -21,27 +21,64 @@ import (
 // the frontend's URL.
 func newTestFrontend(t testing.TB, cfg Config, m *core.Model, shards int) string {
 	t.Helper()
-	urls := make([]string, shards)
-	for i := range urls {
+	return newTestFleet(t, cfg, m, shards, FrontendConfig{ShardTimeout: 5 * time.Second,
+		MaxN: cfg.MaxN, MaxFoldInItems: cfg.MaxFoldInItems}, nil).url
+}
+
+// testFleet is a frontend over replicas of one model, each behind its own
+// loopback listener.
+type testFleet struct {
+	front    *Frontend
+	url      string // the frontend's
+	replicas []*Replica
+	servers  []*Server
+}
+
+// newTestFleet builds a testFleet of shards replicas of m, servers built from
+// cfg and the frontend from fcfg (its Shards filled in). wrap, when non-nil,
+// stands between a shard's hop frames and its replica: shard i's frames are
+// answered by wrap(i, replica's answer). Everything closes at cleanup in a
+// host's order: listeners, frontend and replicas, servers.
+func newTestFleet(t testing.TB, cfg Config, m *core.Model, shards int, fcfg FrontendConfig,
+	wrap func(i int, next hopAnswer) hopAnswer) *testFleet {
+	t.Helper()
+	f := &testFleet{}
+	fcfg.Shards = nil
+	for i := 0; i < shards; i++ {
 		srv := New(cfg)
 		rep, err := NewReplica(srv, ReplicaConfig{Index: i, Count: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.Swap(m, nil, "v1")
-		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
-		urls[i] = ts.URL
+		h := rep.Handler()
+		if wrap != nil {
+			answer := wrap(i, rep.answer)
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != hopPath {
+					rep.Handler().ServeHTTP(w, r)
+					return
+				}
+				if c, br, ok := upgradeHop(w, r); ok {
+					go func() { serveHop(c, br, rep.frameLimit, answer); c.Close() }()
+				}
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		f.replicas = append(f.replicas, rep)
+		f.servers = append(f.servers, srv)
+		fcfg.Shards = append(fcfg.Shards, ts.URL)
 	}
-	front, err := NewFrontend(FrontendConfig{Shards: urls, ShardTimeout: 5 * time.Second,
-		MaxN: cfg.MaxN, MaxFoldInItems: cfg.MaxFoldInItems})
+	front, err := NewFrontend(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	front.ProbeOnce(context.Background())
 	fts := httptest.NewServer(front.Handler())
-	t.Cleanup(fts.Close)
-	return fts.URL
+	t.Cleanup(func() { fts.Close(); front.Close() })
+	f.front, f.url = front, fts.URL
+	return f
 }
 
 // TestEdgesRejectAlike sends the same malformed and boundary requests to a

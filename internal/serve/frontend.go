@@ -1,14 +1,17 @@
 package serve
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/framing"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
@@ -42,9 +46,9 @@ type FrontendConfig struct {
 	// MaxFoldInItems caps one fold-in request's ratings (default 10000).
 	MaxFoldInItems int
 	// Tracer, when set, records one root span per frontend request with a
-	// child span per shard hop (the context rides the traceparent header,
-	// so shard-side spans join the same trace) plus merge and fold-in
-	// phase spans. Nil disables tracing with zero per-request cost.
+	// child span per shard hop (the context rides in the hop's request
+	// frame, so shard-side spans join the same trace) plus merge and
+	// fold-in phase spans. Nil disables tracing with zero per-request cost.
 	Tracer *rtrace.Tracer
 	// SlowLog, when positive, logs requests at or above this duration
 	// with their trace ID.
@@ -86,8 +90,9 @@ type shardState struct {
 // fleet is degraded.
 type Frontend struct {
 	cfg    FrontendConfig
-	client *http.Client
+	client *http.Client // the probe's /readyz and /shard/v1/info
 	shards []*shardState
+	hops   []*hopPool // one per shard
 	mux    *http.ServeMux
 
 	reg       *obs.Registry
@@ -111,8 +116,20 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     30 * time.Second,
 	}}
-	for range cfg.Shards {
+	dials := f.reg.Counter("als_front_shard_dials_total",
+		"Connections dialed and upgraded to the shard hop's frames, by shard.", "shard")
+	for i, base := range cfg.Shards {
+		u, err := url.Parse(base)
+		if err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("serve: shard URL %q is not http://host:port", base)
+		}
+		addr := u.Host
+		if u.Port() == "" {
+			addr = net.JoinHostPort(u.Hostname(), "80")
+		}
 		f.shards = append(f.shards, &shardState{})
+		f.hops = append(f.hops, &hopPool{addr: addr, host: u.Host, path: u.Path + hopPath,
+			dials: dials.With(strconv.Itoa(i))})
 	}
 	f.partial = f.reg.Counter("als_shard_partial_total",
 		"Requests answered from fewer than all shards (degraded scatter-gather).").With()
@@ -159,6 +176,15 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 // Handler returns the frontend's HTTP routing.
 func (f *Frontend) Handler() http.Handler { return f.mux }
 
+// Close drops the frontend's idle shard connections, frame and probe
+// alike; a connection in use is closed when its leg returns it.
+func (f *Frontend) Close() {
+	for _, p := range f.hops {
+		p.close()
+	}
+	f.client.CloseIdleConnections()
+}
+
 // Registry exposes the frontend's metrics (for embedding hosts).
 func (f *Frontend) Registry() *obs.Registry { return f.reg }
 
@@ -169,15 +195,6 @@ func (f *Frontend) observe(endpoint string, code int, d time.Duration) {
 	f.requests.With(endpoint, c).Inc()
 	f.latency.With(c).Observe(d.Seconds())
 }
-
-// statusError is a non-2xx shard reply; 4xx codes mean the request (not
-// the shard) is at fault, so they never mark a shard down.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
 
 // Run probes shard health until ctx is cancelled (one immediate sweep,
 // then every ProbeInterval).
@@ -250,51 +267,28 @@ func (f *Frontend) Healthy() (up, total int) {
 }
 
 // getJSON GETs path from shard i and decodes the response into out (nil
-// discards the body). Non-2xx replies surface as *statusError.
+// discards the body). Non-2xx replies surface as *statusError. On a traced
+// request it opens a per-hop child span ("shard<i> <path>") and injects its
+// context into the outbound traceparent header.
 func (f *Frontend) getJSON(ctx context.Context, i int, path string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Shards[i]+path, nil)
 	if err != nil {
 		return err
 	}
-	return f.doJSON(ctx, i, req, out)
-}
-
-// postJSON POSTs body to path on shard i and decodes the response.
-func (f *Frontend) postJSON(ctx context.Context, i int, path string, body, out any) error {
-	enc, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.cfg.Shards[i]+path, bytes.NewReader(enc))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return f.doJSON(ctx, i, req, out)
-}
-
-// doJSON runs one fan-out leg. On a traced request it opens a per-hop child
-// span ("shard<i> <path>") and injects its context into the outbound
-// traceparent header, so the shard's own middleware span joins the trace.
-func (f *Frontend) doJSON(ctx context.Context, i int, req *http.Request, out any) error {
 	var hop *rtrace.Span
 	if rtrace.Active(ctx) {
-		_, hop = rtrace.StartChild(ctx, "shard"+strconv.Itoa(i)+" "+req.URL.Path)
+		_, hop = rtrace.StartChild(ctx, "shard"+strconv.Itoa(i)+" "+path)
 		hop.SetAttr("shard", strconv.Itoa(i))
 		rtrace.Inject(req.Header, hop.Context())
 		defer hop.End()
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		if hop != nil {
-			hop.SetAttr("error", err.Error())
-		}
+		hop.SetAttr("error", err.Error())
 		return err
 	}
 	defer resp.Body.Close()
-	if hop != nil {
-		hop.SetAttr("code", strconv.Itoa(resp.StatusCode))
-	}
+	hop.SetAttr("code", strconv.Itoa(resp.StatusCode))
 	if resp.StatusCode/100 != 2 {
 		msg := fmt.Sprintf("shard replied %d", resp.StatusCode)
 		var e struct {
@@ -310,6 +304,204 @@ func (f *Frontend) doJSON(ctx context.Context, i int, req *http.Request, out any
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// call runs one fan-out leg over shard i's hop: q as a kind request frame
+// out, and the reply's body, when its status is 2xx, to decode. A non-2xx
+// reply surfaces as *statusError. On a traced request it opens a per-hop
+// child span ("shard<i> <endpoint>") whose context rides in the frame, so
+// the shard's own span joins the trace.
+func (f *Frontend) call(ctx context.Context, i int, kind byte, q hopRequest,
+	decode func(h hopReplyHeader, body []byte) error) error {
+	var hop *rtrace.Span
+	if rtrace.Active(ctx) {
+		_, hop = rtrace.StartChild(ctx, "shard"+strconv.Itoa(i)+" "+hopEndpoint(kind))
+		hop.SetAttr("shard", strconv.Itoa(i))
+		q.trace = hop.Context()
+		defer hop.End()
+	}
+	code, err := f.hops[i].roundTrip(ctx, kind, &q, decode)
+	if code != 0 {
+		hop.SetAttr("code", strconv.Itoa(code))
+	} else if err != nil {
+		hop.SetAttr("error", err.Error())
+	}
+	return err
+}
+
+// maxIdleHops is how many idle frame connections the frontend keeps per
+// shard (net/http's client kept as many per host before them).
+const maxIdleHops = 16
+
+// hopPool is one shard's idle frame connections. Each connection carries
+// one request at a time; a leg takes one (or dials and upgrades a new one)
+// and gives it back only after a whole, well-formed reply.
+type hopPool struct {
+	addr, host, path string      // dial address, Host header, upgrade path
+	dials            *obs.Metric // als_front_shard_dials_total{shard}
+
+	mu     sync.Mutex
+	idle   []*hopConn
+	closed bool
+}
+
+// hopConn is one upgraded connection and what it reuses from leg to leg.
+type hopConn struct {
+	c             net.Conn
+	br            *bufio.Reader
+	in, out, body []byte
+	version       string // the last reply's snapshot version
+}
+
+func (c *hopConn) close() { c.c.Close() }
+
+// get takes the most recently used idle connection, or dials a new one;
+// reused says which.
+func (p *hopPool) get(ctx context.Context) (c *hopConn, reused bool, err error) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		c = p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return c, true, nil
+	}
+	p.mu.Unlock()
+	c, err = p.dial(ctx)
+	return c, false, err
+}
+
+// put gives a connection back after a whole reply, or closes it when the
+// pool is full or closed.
+func (p *hopPool) put(c *hopConn) {
+	p.mu.Lock()
+	if !p.closed && len(p.idle) < maxIdleHops {
+		p.idle = append(p.idle, c)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	c.close()
+}
+
+// close drops the idle connections; later puts close theirs.
+func (p *hopPool) close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, c := range idle {
+		c.close()
+	}
+}
+
+// dial connects to the shard and upgrades the connection to frames. Any
+// answer but 101 with the hop's protocol is a transport failure, like a
+// refused dial.
+func (p *hopPool) dial(ctx context.Context) (*hopConn, error) {
+	p.dials.Inc()
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", p.addr)
+	if err != nil {
+		return nil, err
+	}
+	deadline, _ := ctx.Deadline()
+	nc.SetDeadline(deadline)
+	c := &hopConn{c: nc, br: bufio.NewReaderSize(nc, 4<<10)}
+	if _, err := io.WriteString(nc, "GET "+p.path+" HTTP/1.1\r\nHost: "+p.host+
+		"\r\nConnection: Upgrade\r\nUpgrade: "+hopProtocol+"\r\n\r\n"); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		nc.Close()
+		return nil, err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusSwitchingProtocols || !headerHas(resp.Header, "Upgrade", hopProtocol) {
+		nc.Close()
+		return nil, fmt.Errorf("shard at %s did not upgrade to %s: %s", p.addr, hopProtocol, resp.Status)
+	}
+	return c, nil
+}
+
+// roundTrip sends q as a kind frame and reads the reply on a pooled
+// connection. code is the reply's status, 0 when no whole reply arrived.
+// The connection goes back to the pool only after a whole, well-formed
+// reply; after any other outcome — a timeout included, whose reply may
+// still be on its way — it is closed, so no later leg can read a stale
+// reply. A reused connection that fails before a reply (the shard may have
+// closed it while idle) is replaced by a fresh one once, as net/http
+// retried a request on a reused connection.
+func (p *hopPool) roundTrip(ctx context.Context, kind byte, q *hopRequest,
+	decode func(h hopReplyHeader, body []byte) error) (int, error) {
+	for {
+		c, reused, err := p.get(ctx)
+		if err != nil {
+			return 0, legError(ctx, err)
+		}
+		code, err := c.exchange(ctx, kind, q, decode)
+		var se *statusError
+		switch {
+		case err == nil || errors.As(err, &se):
+			// A whole reply. The shard closes its end after a 413: the
+			// frame it refused is still in the stream.
+			if code == http.StatusRequestEntityTooLarge {
+				c.close()
+			} else {
+				p.put(c)
+			}
+			return code, err
+		case code == 0 && reused && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded):
+			c.close()
+			continue
+		}
+		c.close()
+		return code, legError(ctx, err)
+	}
+}
+
+// legError reports a leg that ran out of time as its context's error, so
+// the retry rule (retryable) sees a spent deadline as one.
+func legError(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return context.DeadlineExceeded
+	}
+	return err
+}
+
+// exchange writes one request frame and reads its reply under ctx's
+// deadline; see roundTrip for code.
+func (c *hopConn) exchange(ctx context.Context, kind byte, q *hopRequest,
+	decode func(h hopReplyHeader, body []byte) error) (code int, err error) {
+	deadline, _ := ctx.Deadline()
+	if err := c.c.SetDeadline(deadline); err != nil {
+		return 0, err
+	}
+	c.body = q.encode(c.body[:0], kind)
+	c.out = framing.Append(c.out[:0], kind, c.body)
+	if _, err := c.c.Write(c.out); err != nil {
+		return 0, err
+	}
+	rk, p, in, err := framing.Read(c.br, c.in, maxHopReply)
+	c.in = in
+	if err != nil {
+		return 0, err
+	}
+	if rk != hopReply {
+		return 0, fmt.Errorf("shard replied with a kind %d frame", rk)
+	}
+	h, body, err := parseReplyHeader(p, &c.version)
+	if err != nil {
+		return 0, err
+	}
+	if h.status/100 != 2 {
+		return h.status, &statusError{code: h.status, msg: string(body)}
+	}
+	return h.status, decode(h, body)
 }
 
 // scatter runs fn for every shard concurrently under the per-shard
@@ -420,9 +612,11 @@ func (f *Frontend) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	path := fmt.Sprintf("/v1/recommend?user=%d&n=%d", user, n)
+	q := hopRequest{user: user, n: n}
 	results, answered := gather(r.Context(), f, w, func(ctx context.Context, i int, out *RecommendResponse) error {
-		return f.getJSON(ctx, i, path, out)
+		return f.call(ctx, i, hopRecommend, q, func(h hopReplyHeader, body []byte) error {
+			return decodeScored(h, body, out)
+		})
 	})
 	if answered == 0 {
 		return
@@ -477,40 +671,42 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 
 	// Phase 1: gather partial normal equations. Each phase runs under its
 	// own span so its per-shard hop spans nest beneath it.
-	preq := partialsRequest{Items: req.Items, Ratings: req.Ratings}
+	pq := hopRequest{items: req.Items, ratings: req.Ratings}
 	pctx, pspan := rtrace.StartChild(r.Context(), "foldin.partials")
-	partials, answered := gather(pctx, f, w, func(ctx context.Context, i int, out *partialsResponse) error {
-		return f.postJSON(ctx, i, "/shard/v1/partials", preq, out)
+	parts, answered := gather(pctx, f, w, func(ctx context.Context, i int, out *partials) error {
+		return f.call(ctx, i, hopPartials, pq, func(h hopReplyHeader, body []byte) error {
+			return decodePartials(h, body, out)
+		})
 	})
 	pspan.End()
 	if answered == 0 {
 		return
 	}
 	degraded := answered < len(f.shards)
-	k := 0
-	for _, p := range partials {
-		if p != nil {
-			k = p.K
-			break
-		}
-	}
-	packed := make([]float32, linalg.PackedLen(k))
-	rhs := make([]float32, k)
-	for _, p := range partials {
+	k := -1
+	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		// A reply in another build's format (JSON numbers under "gram") has
-		// no gram_le, and fails here like a wrong k.
-		if p.K != k || len(p.Gram) != 4*len(packed) || len(p.RHS) != 4*k {
+		if k < 0 {
+			k = p.K
+		}
+		if p.K != k || len(p.Terms) != linalg.PackedLen(k)+k {
 			obs.HTTPError(w, http.StatusBadGateway, "shards disagree on model dimensionality")
 			return
 		}
-		addLE(packed, p.Gram)
-		addLE(rhs, p.RHS)
+	}
+	// Summed component by component in shard order, from zero.
+	terms := make([]float32, linalg.PackedLen(k)+k)
+	for _, p := range parts {
+		if p != nil {
+			for z, v := range p.Terms {
+				terms[z] += v
+			}
+		}
 	}
 	_, sspan := rtrace.StartChild(r.Context(), "foldin.solve")
-	xu, err := core.SolveFoldIn(packed, rhs, k,
+	xu, err := core.SolveFoldIn(terms[:linalg.PackedLen(k)], terms[linalg.PackedLen(k):], k,
 		foldInLambda(&req, info.Lambda, info.WeightedLambda))
 	sspan.End()
 	if err != nil {
@@ -520,12 +716,12 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 
 	// Phase 2: scatter the solved factor for scoring (the user's own rated
 	// items excluded, as in the single-process path).
-	sreq := scoreRequest{X: xu, N: req.N, Exclude: req.Items}
+	sq := hopRequest{x: xu, n: req.N, items: req.Items}
 	scctx, scspan := rtrace.StartChild(r.Context(), "foldin.score")
-	// A scoreResponse is a RecommendResponse's version, seq and items: decode
-	// it as what mergeItems takes.
 	scores, answered := gather(scctx, f, w, func(ctx context.Context, i int, out *RecommendResponse) error {
-		return f.postJSON(ctx, i, "/shard/v1/score", sreq, out)
+		return f.call(ctx, i, hopScore, sq, func(h hopReplyHeader, body []byte) error {
+			return decodeScored(h, body, out)
+		})
 	})
 	scspan.End()
 	if answered == 0 {
@@ -538,9 +734,13 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	// deadline — so a recovering replica cannot serve the user's pre-write
 	// recommendations out of its LRU.
 	if req.User != nil {
+		uq := hopRequest{user: *req.User}
 		puctx, puspan := rtrace.StartChild(r.Context(), "foldin.purge")
 		f.scatter(puctx, func(ctx context.Context, i int) error {
-			return f.postJSON(ctx, i, "/shard/v1/purge", purgeRequest{User: *req.User}, nil)
+			return f.call(ctx, i, hopPurge, uq, func(_ hopReplyHeader, body []byte) error {
+				_, err := decodePurge(body)
+				return err
+			})
 		})
 		puspan.End()
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 // FuzzRequestDecoders posts one arbitrary body to every JSON endpoint of
-// both edges and of a shard replica. Whatever the bytes, no handler may
-// panic (there is no recover between a handler and the test), an endpoint
-// answers 2xx only for a body that decodes as its request type, and
+// both edges and of a shard replica (the hop's frames are FuzzHopFrame's).
+// Whatever the bytes, no handler may panic (there is no recover between a
+// handler and the test), an endpoint answers 2xx only for a body that
+// decodes as its request type, and
 // neither edge's /v1/foldin answers 2xx for ratings core.CheckFoldIn
 // rejects — nor do the two edges disagree on the status. The seed corpus
 // runs as a plain test in every lane.
@@ -108,9 +109,6 @@ func FuzzRequestDecoders(f *testing.F) {
 		}{
 			{serverH, "/admin/swap", new(swapRequest)},
 			{replicaH, "/admin/swap", new(swapRequest)},
-			{replicaH, "/shard/v1/partials", new(partialsRequest)},
-			{replicaH, "/shard/v1/score", new(scoreRequest)},
-			{replicaH, "/shard/v1/purge", new(purgeRequest)},
 		} {
 			if code := post(c.h, c.path, body); code/100 == 2 && !decodes(body, c.into) {
 				t.Errorf("%s answered %d for a body that is not its request", c.path, code)

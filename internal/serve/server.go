@@ -180,9 +180,8 @@ type middleware struct {
 
 // wrap runs h under the endpoint's trace span — when a tracer is configured,
 // continuing an inbound traceparent context — captures the status code h
-// answers with, reports endpoint, code and duration to observe, and logs a
-// request at or over the slow-log threshold with its trace ID. With tracing
-// off it adds no allocation beyond the status writer.
+// answers with and hands it to done. With tracing off it adds no allocation
+// beyond the status writer.
 func (mw *middleware) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -196,49 +195,74 @@ func (mw *middleware) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc
 		}
 		sw := obs.NewStatusWriter(w)
 		h(sw, r)
-		d := time.Since(start)
-		mw.observe(endpoint, sw.Code, d)
-		if span != nil {
-			span.SetAttr("code", strconv.Itoa(sw.Code))
-			span.End()
-		}
-		if mw.slowLog > 0 && d >= mw.slowLog {
-			log.Printf("%s: slow request endpoint=%s code=%d dur=%s trace=%s",
-				mw.who, endpoint, sw.Code, d, span.TraceID())
-		}
+		mw.done(endpoint, sw.Code, start, span)
 	}
+}
+
+// done finishes one request begun at start, whichever encoding carried it:
+// it reports endpoint, code and duration to observe, closes the request's
+// span and logs a request at or over the slow-log threshold with its trace
+// ID.
+func (mw *middleware) done(endpoint string, code int, start time.Time, span *rtrace.Span) {
+	d := time.Since(start)
+	mw.observe(endpoint, code, d)
+	if span != nil {
+		span.SetAttr("code", strconv.Itoa(code))
+		span.End()
+	}
+	if mw.slowLog > 0 && d >= mw.slowLog {
+		log.Printf("%s: slow request endpoint=%s code=%d dur=%s trace=%s",
+			mw.who, endpoint, code, d, span.TraceID())
+	}
+}
+
+// saturated is the answer to a request the admission queue sheds.
+const saturated = "server saturated, retry later"
+
+// admit takes a slot in the bounded admission queue for one request of
+// endpoint and counts it in flight. When the queue is full it counts the
+// shed and the 429 instead and reports false. Every admitted request ends
+// with release.
+func (s *Server) admit(endpoint string) bool {
+	select {
+	case s.sem <- struct{}{}:
+		s.tel.IncInflight()
+		return true
+	default:
+		s.tel.Shed(endpoint)
+		s.tel.Observe(endpoint, http.StatusTooManyRequests, 0)
+		return false
+	}
+}
+
+// release ends a request admit let in.
+func (s *Server) release() {
+	s.tel.DecInflight()
+	<-s.sem
 }
 
 // instrument puts a handler behind the server's admission path — bounded
 // queue (429 with Retry-After on saturation), in-flight gauge, per-request
-// deadline — and then the shared middleware. The replica's /shard/v1/*
-// endpoints go through it too, so they are admitted like any other request.
+// deadline — and then the shared middleware. A replica's hop frames are
+// admitted by the same two steps (Replica.answer).
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	h = s.mw.wrap(endpoint, h)
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.tel.Shed(endpoint)
-			s.tel.Observe(endpoint, http.StatusTooManyRequests, 0)
+		if !s.admit(endpoint) {
 			// One second is long enough for the bounded queue to drain at
 			// any realistic service time without parking clients.
 			w.Header().Set("Retry-After", "1")
-			obs.HTTPError(w, http.StatusTooManyRequests, "server saturated, retry later")
+			obs.HTTPError(w, http.StatusTooManyRequests, saturated)
 			return
 		}
-		defer func() { <-s.sem }()
-		s.tel.IncInflight()
-		defer s.tel.DecInflight()
-
+		defer s.release()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
 }
 
-// smallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap,
-// /shard/v1/purge).
+// smallBodyLimit bounds bodies of a few scalars or file paths (/admin/swap).
 const smallBodyLimit = 64 << 10
 
 // foldInBodyLimit is the body size allowed a fold-in of maxItems ratings:
@@ -262,14 +286,30 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return err == nil
 }
 
-// scoreError maps a scorer/context failure to an HTTP status.
-func scoreError(w http.ResponseWriter, err error) {
+// scoreError maps a scorer/context failure to the status the request gets.
+func scoreError(err error) *statusError {
 	if errors.Is(err, context.DeadlineExceeded) {
-		obs.HTTPError(w, http.StatusGatewayTimeout, "deadline exceeded while scoring")
-		return
+		return &statusError{code: http.StatusGatewayTimeout, msg: "deadline exceeded while scoring"}
 	}
-	obs.HTTPError(w, http.StatusServiceUnavailable, err.Error())
+	return &statusError{code: http.StatusServiceUnavailable, msg: err.Error()}
 }
+
+// statusError is a request's rejection: the status code and the words both
+// encodings carry (the JSON edges' {"error": msg}, a hop reply's message).
+// From a shard, 4xx codes mean the request (not the shard) is at fault, so
+// they never mark a shard down.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// httpError answers a JSON request with err's status and words.
+func httpError(w http.ResponseWriter, err *statusError) { obs.HTTPError(w, err.code, err.msg) }
+
+// errNoModel answers any request that arrives before the first swap.
+var errNoModel = &statusError{code: http.StatusServiceUnavailable, msg: "no model loaded"}
 
 // RecItem is one recommended item in a response.
 type RecItem struct {
@@ -324,31 +364,41 @@ func recommendQuery(w http.ResponseWriter, r *http.Request, maxN int) (user int6
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	sn := s.store.Current()
 	if sn == nil {
-		obs.HTTPError(w, http.StatusServiceUnavailable, "no model loaded")
+		httpError(w, errNoModel)
 		return
 	}
 	orig, n, ok := recommendQuery(w, r, s.cfg.MaxN)
 	if !ok {
 		return
 	}
+	scored, cached, err := s.recommend(r.Context(), sn, orig, n)
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	obs.WriteJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
+		Items: recItems(sn.Model, scored, sn.ItemOffset), Cached: cached})
+}
+
+// recommend is /v1/recommend's core for both encodings — the JSON edge and a
+// replica's recommend frame: the top n of sn's item slice for the user with
+// external ID orig, from the response cache when it holds them (cached),
+// else scanned with the user's rated items excluded and cached.
+func (s *Server) recommend(ctx context.Context, sn *Snapshot, orig int64, n int) (scored []metrics.Scored, cached bool, _ *statusError) {
 	// Compact models address users by external ID, dense models by row.
 	u, ok := sn.UserIndex(orig)
 	if !ok {
-		obs.HTTPError(w, http.StatusNotFound, fmt.Sprintf("user %d not in the model", orig))
-		return
+		return nil, false, &statusError{code: http.StatusNotFound, msg: fmt.Sprintf("user %d not in the model", orig)}
 	}
-
 	key := cacheKey{version: sn.Version, seq: sn.Seq, user: u, n: n, prec: sn.Precision}
-	_, cspan := rtrace.StartChild(r.Context(), "cache.lookup")
+	_, cspan := rtrace.StartChild(ctx, "cache.lookup")
 	items, hit := s.cache.Get(key)
 	if cspan != nil {
 		cspan.SetAttr("hit", strconv.FormatBool(hit))
 		cspan.End()
 	}
 	if hit {
-		obs.WriteJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
-			Items: recItems(sn.Model, items, sn.ItemOffset), Cached: true})
-		return
+		return items, true, nil
 	}
 	// On a sharded snapshot the rated set is indexed by global item, while
 	// the scorer walks local Y rows: shift the predicate by the offset.
@@ -357,14 +407,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		ex, off := excluded, sn.ItemOffset
 		excluded = func(i int) bool { return ex(i + off) }
 	}
-	scored, err := s.ScoreTopN(r.Context(), sn, sn.Model.X.Row(u), excluded, n)
+	scored, err := s.ScoreTopN(ctx, sn, sn.Model.X.Row(u), excluded, n)
 	if err != nil {
-		scoreError(w, err)
-		return
+		return nil, false, scoreError(err)
 	}
 	s.cache.Put(key, scored)
-	obs.WriteJSON(w, RecommendResponse{Version: sn.Version, Seq: sn.Seq, User: orig,
-		Items: recItems(sn.Model, scored, sn.ItemOffset)})
+	return scored, false, nil
 }
 
 // FoldInRequest is the /v1/foldin payload: the cold-start user's observed
@@ -473,7 +521,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	scored, err := s.ScoreTopN(r.Context(), sn, xu,
 		func(i int) bool { return rated[i] }, req.N)
 	if err != nil {
-		scoreError(w, err)
+		httpError(w, scoreError(err))
 		return
 	}
 	if req.User != nil {

@@ -28,7 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/shard/framing"
+	"repro/internal/framing"
 )
 
 // The pieces of the shard frame layout the wrapper parses — package framing's

@@ -3,18 +3,15 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,7 +97,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 		}
 		rep.Swap(m, rated, "v1")
 		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
 		f.replicas = append(f.replicas, rep)
 		f.servers = append(f.servers, srv)
 		f.shardTS = append(f.shardTS, ts)
@@ -113,7 +110,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 	front.ProbeOnce(context.Background())
 	f.front = front
 	f.frontTS = httptest.NewServer(front.Handler())
-	t.Cleanup(f.frontTS.Close)
+	t.Cleanup(func() { f.frontTS.Close(); front.Close() })
 
 	f.full = serve.New(serve.Config{})
 	f.full.SetPrecision(prec)
@@ -308,7 +305,7 @@ func TestFoldInAcrossShards(t *testing.T) {
 	// in its bits. Each shard's reply must carry its slice's float32 terms bit
 	// for bit, and the frontend must add them component by component in shard
 	// order, solve that sum and score with the solution: its answer, scores to
-	// the bit, is the one built here from the same replies.
+	// the bit, is the one built here from each slice's terms.
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("k=32/shards=%d", shards), func(t *testing.T) {
 			const items, k = 61, 32
@@ -316,11 +313,7 @@ func TestFoldInAcrossShards(t *testing.T) {
 			f := newFleet(t, m, nil, shards)
 			req := spreadFoldIn(items)
 			packed, rhs := make([]float32, linalg.PackedLen(k)), make([]float32, k)
-			for s, ts := range f.shardTS {
-				var p partialsReply
-				if code := postJSON(t, ts.URL+"/shard/v1/partials", req, &p); code != 200 {
-					t.Fatalf("shard %d partials: HTTP %d", s, code)
-				}
+			for s := 0; s < shards; s++ {
 				lo, hi := s*items/shards, (s+1)*items/shards
 				var cols []int32
 				var vals []float32
@@ -329,15 +322,12 @@ func TestFoldInAcrossShards(t *testing.T) {
 						cols, vals = append(cols, it-int32(lo)), append(vals, req.Ratings[z])
 					}
 				}
-				wantG, wantR := make([]float32, len(packed)), make([]float32, k)
-				linalg.GramRHSFused(m.Y.Data[lo*k:hi*k], k, cols, vals, wantG, wantR)
-				gotG, gotR := fromLE(p.Gram), fromLE(p.RHS)
-				same32(t, fmt.Sprintf("shard %d gram", s), gotG, wantG)
-				same32(t, fmt.Sprintf("shard %d rhs", s), gotR, wantR)
-				for z, v := range gotG {
+				gram, r := make([]float32, len(packed)), make([]float32, k)
+				linalg.GramRHSFused(m.Y.Data[lo*k:hi*k], k, cols, vals, gram, r)
+				for z, v := range gram {
 					packed[z] += v
 				}
-				for z, v := range gotR {
+				for z, v := range r {
 					rhs[z] += v
 				}
 			}
@@ -390,125 +380,6 @@ func spreadFoldIn(items int) serve.FoldInRequest {
 		req.Ratings = append(req.Ratings, float32(1+i%5))
 	}
 	return req
-}
-
-// partialsReply is the part of a /shard/v1/partials reply the tests read.
-type partialsReply struct {
-	K    int    `json:"k"`
-	Gram []byte `json:"gram_le"`
-	RHS  []byte `json:"rhs_le"`
-}
-
-func fromLE(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func same32(t *testing.T, what string, got, want []float32) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
-	}
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
-		}
-	}
-}
-
-// TestFoldInRejectsForeignPartials: a shard whose partials reply is not in
-// this build's format — gram_le four bytes short, or the JSON numbers under
-// "gram" and "rhs" of the format before it — fails the fold-in with 502
-// "shards disagree", never a solve over missing terms. And the format pays
-// for itself: the reply is at most half the bytes of the JSON-number body.
-func TestFoldInRejectsForeignPartials(t *testing.T) {
-	const items, k = 61, 32
-	f := newFleet(t, randomModel(4, items, k), nil, 2)
-	var mode atomic.Value // how shard 1's proxy rewrites a partials reply
-	mode.Store("")
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/shard/v1/partials" || mode.Load() == "" {
-			f.replicas[1].Handler().ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		f.replicas[1].Handler().ServeHTTP(rec, r)
-		var body map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Error(err)
-			return
-		}
-		var p partialsReply
-		json.Unmarshal(rec.Body.Bytes(), &p)
-		switch mode.Load() {
-		case "short":
-			body["gram_le"] = p.Gram[:len(p.Gram)-4]
-		case "numbers":
-			delete(body, "gram_le")
-			delete(body, "rhs_le")
-			body["gram"], body["rhs"] = fromLE(p.Gram), fromLE(p.RHS)
-		}
-		json.NewEncoder(w).Encode(body)
-	}))
-	t.Cleanup(proxy.Close)
-	front, err := serve.NewFrontend(serve.FrontendConfig{
-		Shards: []string{f.shardTS[0].URL, proxy.URL}, ShardTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front.ProbeOnce(context.Background())
-	fts := httptest.NewServer(front.Handler())
-	t.Cleanup(fts.Close)
-
-	req := spreadFoldIn(items)
-	for _, m := range []string{"", "short", "numbers"} {
-		mode.Store(m)
-		want := http.StatusOK
-		if m != "" {
-			want = http.StatusBadGateway
-		}
-		if code := postJSON(t, fts.URL+"/v1/foldin", req, nil); code != want {
-			t.Errorf("shard 1 replying %q: HTTP %d, want %d", m, code, want)
-		}
-	}
-
-	resp, err := http.Post(f.shardTS[0].URL+"/shard/v1/partials", "application/json",
-		bytes.NewReader([]byte(`{"items":[0,3,6,9,12,15,18,21,24,27],"ratings":[5,4,3,2,1,5,4,3,2,1]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p struct {
-		partialsReply
-		Local   int    `json:"local"`
-		Version string `json:"version"`
-		Seq     uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(body, &p); err != nil {
-		t.Fatal(err)
-	}
-	numbers, err := json.Marshal(struct {
-		K       int       `json:"k"`
-		Gram    []float32 `json:"gram"`
-		RHS     []float32 `json:"rhs"`
-		Local   int       `json:"local"`
-		Version string    `json:"version"`
-		Seq     uint64    `json:"seq"`
-	}{p.K, fromLE(p.Gram), fromLE(p.RHS), p.Local, p.Version, p.Seq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Local != 10 || 2*len(body) > len(numbers)+1 {
-		t.Errorf("partials reply over %d local ratings is %d bytes, JSON numbers %d: want at most half",
-			p.Local, len(body), len(numbers)+1)
-	}
 }
 
 // TestFoldInPurgesAllShards is the regression test for the distributed
@@ -584,8 +455,9 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	}
 	rep0.Swap(m, nil, "v1")
 	ts0 := httptest.NewServer(rep0.Handler())
-	defer ts0.Close()
 	defer srv0.Close()
+	defer rep0.Close()
+	defer ts0.Close()
 
 	srv1 := serve.New(serve.Config{})
 	rep1, err := serve.NewReplica(srv1, serve.ReplicaConfig{Index: 1, Count: 2})
@@ -613,6 +485,7 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	if up, total := front.Healthy(); up != 2 || total != 2 {
 		t.Fatalf("fresh fleet: %d/%d up", up, total)
 	}
+	defer front.Close()
 	fts := httptest.NewServer(front.Handler())
 	defer fts.Close()
 
@@ -624,8 +497,10 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 		t.Fatal("healthy fleet answered partial")
 	}
 
-	// Kill shard 1.
+	// Kill shard 1: its listener and its upgraded frame connections, which
+	// http.Server.Close does not reach.
 	hs1.Close()
+	rep1.Close()
 	var degraded frontAnswer
 	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &degraded); code != 200 {
 		t.Fatalf("degraded request: HTTP %d", code)
@@ -651,8 +526,13 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebinding %s: %v", addr, err)
 	}
-	hs2 := &http.Server{Handler: rep1.Handler()}
+	rep1b, err := serve.NewReplica(srv1, serve.ReplicaConfig{Index: 1, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2 := &http.Server{Handler: rep1b.Handler()}
 	go hs2.Serve(lis2)
+	defer rep1b.Close()
 	defer hs2.Close()
 	front.ProbeOnce(context.Background())
 	if up, _ := front.Healthy(); up != 2 {
@@ -671,27 +551,23 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	sameItems(t, "recovered", recovered.Items, full.Items)
 }
 
-// TestRequestBodyLimits: the replica's internal endpoints and the
-// frontend's fold-in stop reading a body at a limit derived from what they
-// can accept (413 past it); a body of exactly the limit is decoded and
-// judged on its content.
+// TestRequestBodyLimits: the replica's JSON endpoints and the frontend's
+// fold-in stop reading a body at a limit derived from what they can accept
+// (413 past it); a body of exactly the limit is decoded and judged on its
+// content. (The replica's hop frames — partials, score, purge — have the
+// same rule and their own test, internal/serve's TestHopBodyLimits.)
 func TestRequestBodyLimits(t *testing.T) {
 	const items, k = 30, 2
 	f := newFleet(t, tieModel(2, items, k), nil, 2)
 	// serve's limits, spelled out: a fold-in of n ratings may take 1 KiB + 48n
-	// bytes, a replica's fold-in hops that for the whole catalog plus 32 bytes
-	// per factor component, and bodies of a few scalars 64 KiB.
+	// bytes, and bodies of a few scalars 64 KiB.
 	foldIn := func(n int) int64 { return 1<<10 + 48*int64(n) }
 	const small = 64 << 10
-	catalog := foldIn(items) + 32*k
 	cases := []struct {
 		name, url, prefix string
 		limit             int64
 		atLimit           int // status for a body of exactly limit bytes
 	}{
-		{"partials", f.shardTS[0].URL + "/shard/v1/partials", `{"items":[1],"ratings":[5]`, catalog, 200},
-		{"score", f.shardTS[1].URL + "/shard/v1/score", `{"x":[1,0],"n":3`, catalog, 200},
-		{"purge", f.shardTS[0].URL + "/shard/v1/purge", `{"user":500`, small, 200},
 		{"replica swap", f.shardTS[0].URL + "/admin/swap", `{"model":""`, small, 400},
 		{"frontend foldin", f.frontTS.URL + "/v1/foldin", `{"items":[1],"ratings":[5]`, foldIn(10000), 200},
 	}
@@ -713,6 +589,38 @@ func TestRequestBodyLimits(t *testing.T) {
 			if resp.StatusCode != want {
 				t.Errorf("%s, %d bytes over the limit: status %d (%q), want %d", c.name, over, resp.StatusCode, e.Error, want)
 			}
+		}
+	}
+}
+
+// TestFleetLeavesNoGoroutines: a fleet that has served recommends, fold-ins
+// and probes leaves nothing running once it is shut down in the order a
+// host does it — listeners, then Frontend.Close and Replica.Close, then the
+// Servers. An upgraded frame connection outlives http.Server.Close, so its
+// loop on the replica and its idle place on the frontend are the two ends
+// this holds to account.
+func TestFleetLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Run("fleet", func(t *testing.T) {
+		const users, items, k = 5, 23, 3
+		f := newFleet(t, tieModel(users, items, k), nil, 3)
+		u := int64(501)
+		for i := 0; i < 4; i++ {
+			if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", f.frontTS.URL, 500+i), nil); code != 200 {
+				t.Fatalf("recommend: HTTP %d", code)
+			}
+			req := serve.FoldInRequest{Items: []int32{1, 9, 20}, Ratings: []float32{5, 3, 4}, N: 5, User: &u}
+			if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, nil); code != 200 {
+				t.Fatalf("fold-in: HTTP %d", code)
+			}
+		}
+		f.front.ProbeOnce(context.Background())
+	})
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the fleet, %d after it closed:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

@@ -8,17 +8,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/framing"
 	"repro/internal/lebin"
-	"repro/internal/shard/framing"
 	"repro/internal/sparse"
 )
 
 // The trainer's exchange protocol: every frame is a little-endian uint64
 // body length, the body (whose first byte names the frame kind), and a
 // little-endian uint32 CRC-32C of the body (the layout constants and the
-// hello payload are package framing's, shared with chaosnet). The checksum
-// rides as a trailer,
-// not a header, so a multi-megabyte factor frame still streams through the
+// hello payload are package framing's, shared with chaosnet and with the
+// serving fleet's shard hop). The checksum rides as a trailer, not a
+// header, so a multi-megabyte factor frame still streams through the
 // scratch buffer with the CRC accumulated chunk by chunk — no frame-sized
 // staging copy on either end. A mismatched trailer surfaces as the typed
 // ErrFrameCorrupt, which the supervisor treats as a worker failure rather

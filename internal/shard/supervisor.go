@@ -14,10 +14,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/framing"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
-	"repro/internal/shard/framing"
 	"repro/internal/sparse"
 )
 

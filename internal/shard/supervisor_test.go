@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/framing"
 	"repro/internal/obs"
 	"repro/internal/shard/chaosnet"
-	"repro/internal/shard/framing"
 	"repro/internal/sparse"
 )
 

@@ -167,7 +167,7 @@ func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
 		}
 		rep.Swap(m, nil, "v1")
 		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
 		urls[i] = ts.URL
 	}
 	front, err := serve.NewFrontend(serve.FrontendConfig{
@@ -176,6 +176,7 @@ func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(front.Close)
 	front.ProbeOnce(context.Background())
 	return front
 }
@@ -183,7 +184,7 @@ func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
 // TestFrontendTraceSpans checks the scatter-gather span tree: a frontend
 // root with one hop child per contacted shard (plus the merge span), hop
 // envelopes inside the root's, the shard's own middleware span stitched
-// under its hop via the traceparent header, and the trace retrievable from
+// under its hop via the context its request frame carries, and the trace retrievable from
 // the flight recorder by the same ID.
 func TestFrontendTraceSpans(t *testing.T) {
 	tr := rtrace.New(rtrace.Config{Sample: 1, Process: "alsfront"})
@@ -219,7 +220,7 @@ func TestFrontendTraceSpans(t *testing.T) {
 		case strings.HasPrefix(c.Name, "shard"):
 			hops++
 			// The shard's middleware span joined the trace through the
-			// injected traceparent header.
+			// context in the hop's request frame.
 			found := false
 			for _, g := range children[c.ID] {
 				if g.Name == "recommend" {

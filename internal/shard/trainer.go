@@ -14,13 +14,13 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/framing"
 	"repro/internal/host"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/shard/chaosnet"
-	"repro/internal/shard/framing"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
