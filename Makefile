@@ -70,18 +70,19 @@ ci:
 	$(GO) vet -C bench ./... && $(GO) build -C bench -o /dev/null .
 	$(GO) test -C bench ./...
 
-# Every assembly kernel (linalg's seven, quant's one) on a cache line under
+# Every assembly kernel (linalg's eight, quant's one) on a cache line under
 # two link orders: Go's linker aligns text to 32 bytes, and which half of a
 # line a hot loop starts in has been worth 6-9 % of a training run
-# (internal/linalg/wide_amd64.s). alsserve must link the serving scan's.
+# (internal/linalg/wide_amd64.s). alsserve must link the serving scan's two:
+# the exact dot8F32SSE2 and the float32 screen8F32SSE2.
 layout-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
 		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
 		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
 		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
-		if [ $$cmd = alsserve ] && ! grep -q 'linalg\.dot8F32SSE2' $$tmp/kernels; then \
-			echo "alsserve -randlayout=$$seed does not link linalg.dot8F32SSE2"; exit 1; \
-		fi; \
+		if [ $$cmd = alsserve ]; then for k in dot8F32SSE2 screen8F32SSE2; do \
+			grep -q "linalg\.$$k" $$tmp/kernels || { echo "alsserve -randlayout=$$seed does not link linalg.$$k"; exit 1; }; \
+		done; fi; \
 		while read -r addr _ name; do \
 			if [ $$((0x$$addr % 64)) -ne 0 ]; then \
 				echo "$$cmd -randlayout=$$seed: $$name at 0x$$addr is not on a cache line (PCALIGN \$$64 its hot loop: internal/linalg/wide_amd64.s)"; exit 1; \

@@ -495,9 +495,10 @@ func BenchmarkTopN(b *testing.B) {
 		defer sc.Close()
 		ex := serve.RatedExcluder(m, 0)
 		ctx := context.Background()
+		maxNorm := linalg.MaxRowNorm(y)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := sc.TopN(ctx, x.Row(0), y, ex, 10)
+			out, _, err := sc.TopN(ctx, x.Row(0), y, maxNorm, ex, 10)
 			if err != nil || len(out) != 10 {
 				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
 			}
@@ -528,30 +529,28 @@ func BenchmarkTopN(b *testing.B) {
 		defer sc.Close()
 		ex := serve.RatedExcluder(m32, 0)
 		ctx := context.Background()
+		maxNorm := linalg.MaxRowNorm(y32)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := sc.TopN(ctx, x32, y32, ex, 10)
+			out, _, err := sc.TopN(ctx, x32, y32, maxNorm, ex, 10)
 			if err != nil || len(out) != 10 {
 				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
 			}
 		}
 	})
-	// The bare float32 range scan with the query already widened, beside
+	// The bare float32 range scan with the query already prepared, beside
 	// scan-f16 / scan-i8 below: the steady-state inner loop of "sharded",
 	// 0 allocs/op (pinned by metrics.TestScanTopKZeroAllocs).
 	b.Run("scan-f32", func(b *testing.B) {
 		ex := serve.RatedExcluder(m, 0)
-		xw := make([]float64, y.Cols)
-		for j, v := range x.Row(0) {
-			xw[j] = float64(v)
-		}
+		q := metrics.PrepareScan(x.Row(0), nil, linalg.MaxRowNorm(y))
 		t := metrics.NewTopK(10)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t.Reset()
-			metrics.ScanTopK(xw, y, 0, y.Rows, ex, t)
+			metrics.ScanTopK(q, y, 0, y.Rows, ex, t)
 			if t.Len() != 10 {
 				b.Fatal("wrong top-N size")
 			}

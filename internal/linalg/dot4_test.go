@@ -2,7 +2,9 @@ package linalg
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -188,15 +190,33 @@ func BenchmarkDot4Wide(b *testing.B) {
 }
 
 // BenchmarkRowScan scores a whole row range the way metrics.ScanTopK does,
-// eight rows per call against four: one fleet2-mixed-k32 shard's slice
+// eight rows per call against four, and the way its warm scan does:
+// "screened" runs Screen8 on every block against a cut that 1 % of the rows
+// reach, and Dot1Wide on those. Shapes: one fleet2-mixed-k32 shard's slice
 // (12 400 × 32, 1.6 MB) and 248 rows that stay in L1. One op is the range.
 func BenchmarkRowScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const k = 32
-	xw := widen(randomFactor(rng, 1, k))
+	x := randomFactor(rng, 1, k)
+	xw := widen(x)
 	for _, rows := range []int{248, 12400} {
 		y := randomFactor(rng, rows, k)
 		shape := strconv.Itoa(rows) + "x" + strconv.Itoa(k)
+		dots := make([]float64, rows)
+		for r := range dots {
+			dots[r] = Dot(x, y[r*k:][:k])
+		}
+		slices.Sort(dots)
+		cut := float32(dots[rows-rows/100-1])
+		b.Run("screened/"+shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < rows; r += 8 {
+					for m := Screen8(x, y[r*k:], k, cut); m != 0; m &= m - 1 {
+						dotSink += Dot1Wide(xw, y[(r+bits.TrailingZeros32(m))*k:])
+					}
+				}
+			}
+		})
 		b.Run("dot8wide/"+shape, func(b *testing.B) {
 			var s [8]float64
 			for i := 0; i < b.N; i++ {

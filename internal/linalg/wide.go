@@ -12,16 +12,20 @@ package linalg
 // g[i][j] += f[i]·f[j] are vertical — no reduction, every element its own
 // chain — and so are the explicit row update's two hot statements and
 // ConfRHS's. A sequential chain per row is lane-shaped too once the lanes
-// are rows: Dot8Wide holds two rows' chains in one register. Seven loops,
-// then, have a vector form:
+// are rows: Dot8Wide holds two rows' chains in one register. The serving
+// scan's float32 screen is lane-shaped by definition — its order is four
+// lanes per row, reduced as (l0 + l2) + (l1 + l3) — and exists only because
+// a float32 value is cheap; a bound, not bit-identity with Dot, is what its
+// caller relies on. Eight loops, then, have a vector form:
 //
-//	gemvWide     CG matvec, G·p rows               wide_amd64.s    this file
-//	rank1Wide    CG matvec, one rank-1 term        wide_amd64.s    this file
-//	gramTile     SharedGram, a band's 4 × 4 tiles  gram_amd64.s    conf.go
-//	fusedBlock4  GramRHSFusedUnrolled, S1+S2       fused_amd64.s   fused.go
-//	cholSweep    CholeskyPacked, S3 row strip      packed_amd64.s  packed.go
-//	axpy32       ConfRHS, svec += w·f              conf_amd64.s    conf.go
-//	dot8Wide     serving scan, 8 rows per call     dot8_amd64.s    syrk.go
+//	gemvWide     CG matvec, G·p rows                 wide_amd64.s    this file
+//	rank1Wide    CG matvec, one rank-1 term          wide_amd64.s    this file
+//	gramTile     SharedGram, a band's 4 × 4 tiles    gram_amd64.s    conf.go
+//	fusedBlock4  GramRHSFusedUnrolled, S1+S2         fused_amd64.s   fused.go
+//	cholSweep    CholeskyPacked, S3 row strip        packed_amd64.s  packed.go
+//	axpy32       ConfRHS, svec += w·f                conf_amd64.s    conf.go
+//	dot8Wide     serving scan, 8 exact rows per call dot8_amd64.s    syrk.go
+//	screen8      serving scan, 8-row float32 screen  screen_amd64.s  screen.go
 //
 // Dot, Dot4Wide and Dot1Wide (one row, or the scan's 4- and 1-row tails),
 // and the substitutions of SolveCholeskyPacked and LDLSolvePacked are the
@@ -30,7 +34,7 @@ package linalg
 // and the two- and one-nonzero remainders of the fused sweep, which are
 // cold).
 //
-// All seven are bound by build constraint alone (*_amd64.go /
+// All eight are bound by build constraint alone (*_amd64.go /
 // wide_portable.go): SSE2 assembly on amd64 below GOAMD64=v3, the portable
 // bodies everywhere else and under -tags purego. At v3 the Go compiler fuses
 // x*y+z into an FMA, so only below v3 are the two bindings bit for bit the
@@ -43,12 +47,14 @@ package linalg
 // kernel tests compare against. DESIGN.md "Vector kernels" tables lane
 // shapes and tests.
 
-// KernelName names the binding of this build's seven vector kernels (the
+// KernelName names the binding of this build's eight vector kernels (the
 // table above: the CG matvec and shared Gram, the explicit fused sweep and
-// packed Cholesky, ConfRHS, and the serving scan's Dot8Wide): "sse2" on
-// amd64 below GOAMD64=v3, "portable" elsewhere and under -tags purego. Dot,
-// Dot4Wide, Dot1Wide, SolveCholeskyPacked and LDLSolvePacked are the same
-// scalar Go in both.
+// packed Cholesky, ConfRHS, and the serving scan's Dot8Wide and Screen8):
+// "sse2" on amd64 below GOAMD64=v3, "portable" elsewhere and under -tags
+// purego. Dot, Dot4Wide, Dot1Wide, SolveCholeskyPacked and LDLSolvePacked
+// are the same scalar Go in both. (Screen8's portable body converts each
+// product to float32 explicitly, so no build fuses it: its values are the
+// same in every build, FMA or not.)
 func KernelName() string { return kernelName }
 
 // gemvWidePortable computes out[i] = float32(lam·w[i] + g[i·k:i·k+k]·w) for

@@ -51,6 +51,21 @@ func TestDot8WideNeverReadsPastARow(t *testing.T) {
 	}
 }
 
+// TestScreen8NeverReadsPastARow: the query and the eighth row each end at a
+// guard page, at a stride equal to k and one wider.
+func TestScreen8NeverReadsPastARow(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, k := range []int{4, 8, 32, 64} {
+		for _, stride := range []int{k, k + 1} {
+			x := asmtest.Guarded[float32](t, k)
+			copy(x, randomFactor(rng, 1, k))
+			rows := asmtest.Guarded[float32](t, 7*stride+k)
+			copy(rows, randomFactor(rng, 1, len(rows)))
+			mustScreenLikePortable(t, x, rows, stride, fmt.Sprintf("guarded k=%d stride=%d", k, stride))
+		}
+	}
+}
+
 // TestGramTileNeverReadsPastABlock: the factor block, the Gram and the
 // scratch each end at a guard page, and the band is the last one, whose tile
 // stores run to the Gram's last element.

@@ -22,7 +22,8 @@ func BenchmarkScan(b *testing.B) {
 
 	// f32-reference is the row-at-a-time loop evaluation scores with
 	// (metrics.TopN); f32 is the serving scan, metrics.ScanTopK: the same
-	// scores from the blocked kernel behind the threshold-first sink.
+	// scores from the blocked kernel and the float32 screen behind the
+	// threshold-first sink.
 	b.Run("f32-reference", func(b *testing.B) {
 		b.SetBytes(int64(4 * rows * k))
 		b.ReportAllocs()
@@ -36,13 +37,11 @@ func BenchmarkScan(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(4 * rows * k))
 		b.ReportAllocs()
+		maxNorm := linalg.MaxRowNorm(y)
 		for i := 0; i < b.N; i++ {
 			t := metrics.NewTopK(n)
-			xw := make([]float64, k)
-			for j, v := range x {
-				xw[j] = float64(v)
-			}
-			metrics.ScanTopK(xw, y, 0, rows, nil, t)
+			var buf [k]float64
+			metrics.ScanTopK(metrics.PrepareScan(x, buf[:], maxNorm), y, 0, rows, nil, t)
 		}
 	})
 	for _, prec := range []Precision{F16, I8} {

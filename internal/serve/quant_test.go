@@ -343,8 +343,10 @@ func TestScoreTopNF32Allocs(t *testing.T) {
 
 // TestScanRowsCounter: als_scan_rows_total splits every scanned snapshot's
 // rows into scored and pruned, where the scan happens. A quantized server
-// prunes on a catalog with popularity-shaped norms, a float32 server scores
-// every row, and the count for a fixed request sequence repeats exactly.
+// prunes on a catalog with popularity-shaped norms, a float32 server's
+// screen prunes too where the build has one (linalg.ScreenVectorized) —
+// scored + pruned is every row at both — and the count for a fixed request
+// sequence repeats exactly.
 func TestScanRowsCounter(t *testing.T) {
 	const users, items, k = 6, 2000, 8
 	rng := rand.New(rand.NewSource(47))
@@ -375,8 +377,16 @@ func TestScanRowsCounter(t *testing.T) {
 	if again, _ := rows(quant.I8); again != scored {
 		t.Errorf("i8: the same requests scored %v rows, then %v", scored, again)
 	}
-	if scored, pruned := rows(quant.F32); scored != users*items || pruned != 0 {
-		t.Errorf("f32: %v rows scored + %v pruned, want every row scored", scored, pruned)
+	scored, pruned = rows(quant.F32)
+	if !linalg.ScreenVectorized(k) {
+		if scored != users*items || pruned != 0 {
+			t.Errorf("f32 without a vector screen: %v rows scored + %v pruned, want every row scored", scored, pruned)
+		}
+	} else if scored+pruned != users*items || scored > users*items/2 || scored < users*10 {
+		t.Errorf("f32: %v rows scored + %v pruned over %d requests of %d rows", scored, pruned, users, items)
+	}
+	if again, _ := rows(quant.F32); again != scored {
+		t.Errorf("f32: the same requests scored %v rows, then %v", scored, again)
 	}
 	var sb strings.Builder
 	s, _ := newTestServer(t, Config{})

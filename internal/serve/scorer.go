@@ -64,12 +64,15 @@ func (s *Scorer) Close() {
 }
 
 // TopN returns the n strongest items of y under x·y_i, strongest first,
-// skipping items for which excluded returns true (nil excludes nothing).
-// It honors ctx: an expired deadline aborts both shard submission and
-// in-shard scanning and returns ctx.Err().
-func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, excluded func(int) bool, n int) ([]metrics.Scored, error) {
+// skipping items for which excluded returns true (nil excludes nothing),
+// and how many rows got an exact score. maxNorm is max‖y_i‖₂
+// (linalg.MaxRowNorm, Snapshot.MaxNorm), the bound behind the scan's
+// float32 screen; 0 switches the screen off and scores every row. It
+// honors ctx: an expired deadline aborts both shard submission and in-shard
+// scanning and returns ctx.Err().
+func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, maxNorm float64, excluded func(int) bool, n int) ([]metrics.Scored, int, error) {
 	if n <= 0 || y == nil || y.Rows == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	shards := s.workers
 	if max := (y.Rows + minShardRows - 1) / minShardRows; shards > max {
@@ -77,8 +80,12 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, exclude
 	}
 	per := (y.Rows + shards - 1) / shards
 
-	heaps := make([]*metrics.TopK, shards)
-	errs := make([]error, shards)
+	type result struct {
+		t      *metrics.TopK
+		err    error
+		scored int
+	}
+	res := make([]result, shards)
 	var wg sync.WaitGroup
 	var submitErr error
 	for si := 0; si < shards; si++ {
@@ -90,23 +97,20 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, exclude
 		}
 		job := func() {
 			defer wg.Done()
-			// The query is widened once per task, on the task's stack up
-			// to scanStackK components (append moves a longer one to the
-			// heap); metrics.ScanTopK then converts only the item side.
+			// The query is prepared once per task: widened on the task's
+			// stack up to scanStackK components (a longer one grows onto
+			// the heap), so metrics.ScanTopK converts only the item side.
 			var stack [scanStackK]float64
-			xw := stack[:0]
-			for _, v := range x {
-				xw = append(xw, float64(v))
-			}
-			t := metrics.NewTopK(n)
+			q := metrics.PrepareScan(x, stack[:], maxNorm)
+			r := &res[si]
+			r.t = metrics.NewTopK(n)
 			for slab := lo; slab < hi; slab += checkEvery {
 				if err := ctx.Err(); err != nil {
-					errs[si] = err
+					r.err = err
 					return
 				}
-				metrics.ScanTopK(xw, y, slab, min(slab+checkEvery, hi), excluded, t)
+				r.scored += metrics.ScanTopK(q, y, slab, min(slab+checkEvery, hi), excluded, r.t)
 			}
-			heaps[si] = t
 		}
 		wg.Add(1)
 		select {
@@ -121,18 +125,17 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, exclude
 	}
 	wg.Wait()
 	if submitErr != nil {
-		return nil, submitErr
+		return nil, 0, submitErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	merged, scored := metrics.NewTopK(n), 0
+	for _, r := range res {
+		if r.err != nil {
+			return nil, 0, r.err
 		}
+		merged.Merge(r.t)
+		scored += r.scored
 	}
-	merged := metrics.NewTopK(n)
-	for _, h := range heaps {
-		merged.Merge(h)
-	}
-	return merged.Drain(), nil
+	return merged.Drain(), scored, nil
 }
 
 // rankedSlab is how many rows a ranked scan scores between context checks:

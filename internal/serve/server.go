@@ -142,16 +142,16 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 	span.SetAttr("precision", sn.Precision.String())
 	start := time.Now()
 	var scored []metrics.Scored
+	var rows int // rows that got an exact score; the rest were pruned
 	var err error
-	rows := sn.Model.Y.Rows // the float32 scan scores every row
 	if sn.QY != nil {
 		scored, rows, err = s.scorer.TopNRanked(ctx, x, sn.QY, excluded, n)
 	} else {
-		scored, err = s.scorer.TopN(ctx, x, sn.Model.Y, excluded, n)
+		scored, rows, err = s.scorer.TopN(ctx, x, sn.Model.Y, sn.MaxNorm, excluded, n)
 	}
 	if span != nil {
 		span.SetAttr("rows_scored", strconv.Itoa(rows))
-		if sn.QY == nil { // the float32 scan: which binding of linalg.Dot8Wide ran
+		if sn.QY == nil { // the float32 scan: which binding of linalg.Dot8Wide and Screen8 ran
 			span.SetAttr("kernel", linalg.KernelName())
 		}
 		span.End()

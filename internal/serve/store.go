@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
 	"repro/internal/quant"
 	"repro/internal/sparse"
 )
@@ -36,6 +37,12 @@ type Snapshot struct {
 	// float32 Model.Y — only the top-N scan reads QY.
 	Precision quant.Precision
 	QY        *quant.Ranked
+
+	// MaxNorm is max‖y_i‖₂ over Model.Y's rows (linalg.MaxRowNorm), the
+	// bound the float32 scan's screen derives its cut from. A swap computes
+	// it only when the snapshot serves at F32; elsewhere it stays 0, which
+	// switches the screen off (metrics.PrepareScan).
+	MaxNorm float64
 
 	// userIdx maps external user IDs to dense rows for compact models;
 	// built once per swap so request-path lookups are O(1) instead of the
@@ -104,6 +111,9 @@ func (s *Store) swapShard(m *core.Model, rated *sparse.CSR, version string, offs
 		if qy != nil {
 			sn.QY, sn.Precision = quant.Rank(qy), prec
 		}
+	}
+	if sn.QY == nil {
+		sn.MaxNorm = linalg.MaxRowNorm(m.Y)
 	}
 	if m.QY != nil {
 		// The ranked copy replaces the natural-order matrix; holding the

@@ -64,7 +64,7 @@ func NewTelemetry() *Telemetry {
 	}
 	// Resolved once: the scan path adds to these on every request.
 	rows := reg.Counter("als_scan_rows_total",
-		"Item rows top-N scans scored, and rows the norm-bound stop rule skipped.", "precision", "outcome")
+		"Item rows top-N scans scored exactly, and rows they pruned: the quantized scans' norm-bound stop rule, the float32 scan's screen.", "precision", "outcome")
 	for p := range t.scanRows {
 		prec := quant.Precision(p).String()
 		t.scanRows[p] = [2]*obs.Metric{rows.With(prec, "scored"), rows.With(prec, "pruned")}

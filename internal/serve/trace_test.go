@@ -3,9 +3,11 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/quant"
 	"repro/internal/rtrace"
 )
 
@@ -78,8 +80,12 @@ func TestServerTraceSpans(t *testing.T) {
 	if scanAttrs["precision"] != "f32" {
 		t.Errorf("scan precision attr = %q, want f32", scanAttrs["precision"])
 	}
-	if scanAttrs["rows_scored"] != "64" {
-		t.Errorf("scan rows_scored attr = %q, want all 64 rows at f32", scanAttrs["rows_scored"])
+	// At f32 the span counts the rows that got an exact score, the rows the
+	// screen did not rule out: what als_scan_rows_total{outcome="scored"}
+	// added for this request, the rest of the 64 going to "pruned".
+	scored, pruned := s.tel.scanRows[quant.F32][0].Value(), s.tel.scanRows[quant.F32][1].Value()
+	if want := strconv.Itoa(int(scored)); scanAttrs["rows_scored"] != want || scored+pruned != 64 {
+		t.Errorf("scan rows_scored attr = %q, counter %v scored + %v pruned, want %s of 64 rows", scanAttrs["rows_scored"], scored, pruned, want)
 	}
 	if scanAttrs["kernel"] != linalg.KernelName() {
 		t.Errorf("scan kernel attr = %q, want %q", scanAttrs["kernel"], linalg.KernelName())
