@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench ci layout-check smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
+.PHONY: all build test test-short bench ci layout-check fuzz-smoke smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
 
 all: build test
 
@@ -18,14 +18,15 @@ test-short:
 
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
-# boundary and the hop's one frame layout, one codec, one process harness,
-# one row-update arithmetic),
+# boundary and the hop's one frame layout, one codec, one byte decoder, one
+# process harness, one row-update arithmetic),
 # build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
 # line whatever the link order (two -randlayout seeds), the smoke lanes
-# through the real binaries, the bench smokes (every benchmark once, then the
-# two that split their work over goroutines at -cpu 1,2).
+# through the real binaries, every fuzz target for 10 s, the bench smokes
+# (every benchmark once, then the two that split their work over goroutines
+# at -cpu 1,2).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -47,6 +48,10 @@ ci:
 	if [ -n "$$codecs" ]; then \
 		echo "binary.Write/binary.Read outside tests (use internal/lebin):"; echo "$$codecs"; exit 1; \
 	fi
+	@decoders=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './internal/lebin/*' -not -path './internal/framing/*' | xargs grep -lE 'binary\.LittleEndian\.Uint(16|32|64)\(|binary\.(Uvarint|Varint)\(' || true); \
+	if [ -n "$$decoders" ]; then \
+		echo "bytes decoded outside internal/lebin and internal/framing (use lebin.Reader or lebin.Cursor):"; echo "$$decoders"; exit 1; \
+	fi
 	@harness=$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './internal/e2e/*' | xargs grep -l 'exec.Command("go"' || true); \
 	if [ -n "$$harness" ]; then \
 		echo 'exec.Command("go" in a test outside internal/e2e (use e2e.Build):'; echo "$$harness"; exit 1; \
@@ -63,6 +68,7 @@ ci:
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
 	$(MAKE) layout-check
 	$(MAKE) smoke
+	$(MAKE) fuzz-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense|RowScan' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant
 	$(GO) test -run '^$$' -bench 'TopN/sharded/k32' -benchtime 1x -cpu 1,2 .
@@ -89,6 +95,18 @@ layout-check:
 			fi; \
 		done < $$tmp/kernels; \
 	done; done
+
+# Every Fuzz* target in the tree, 10 s each under a 512 MiB soft memory
+# limit (CI otherwise runs only their seeds). The decoder targets assert
+# their allocation bound, so a finding fails by that assertion: GOMEMLIMIT
+# does not stop a lazily paged make.
+fuzz-smoke:
+	@for f in $$(grep -l '^func Fuzz' $$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*')); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$t in $$(dirname $$f)"; \
+			GOMEMLIMIT=512MiB $(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s ./$$(dirname $$f) || exit 1; \
+		done; \
+	done
 
 # Every smoke lane: the tests that drive the real binaries through
 # internal/e2e (DESIGN.md "CI lanes" says what each one pins). The seven

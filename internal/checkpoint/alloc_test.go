@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"runtime"
 	"testing"
@@ -74,6 +76,48 @@ func TestCodecAllocatesNoSlabCopies(t *testing.T) {
 		if got > retained+codecSlack {
 			t.Errorf("%v: Decode allocated %d bytes for %d retained: %d over the ceiling",
 				prec, got, retained, got-retained-codecSlack)
+		}
+	}
+}
+
+// decodeBound is what Decode may allocate for a file that holds none of the
+// factors its header declares: its fixed buffer, the codec's 64 KiB
+// scratch, and 64 KiB more.
+const decodeBound = 64<<10 + 64<<10
+
+// hugeHeader is a checkpoint of the given format version that is all
+// header: it declares a 2²² × 1024 float32 X, 16 GiB, and brings none of
+// it. It is the shortest file that reaches the factor section: the fixed
+// fields, an empty variant and an empty history.
+func hugeHeader(version uint32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(Magic))
+	for _, v := range []uint64{uint64(version), 1024, 1 << 22, 1, 1, 0} { // version, k, m, n, iteration, seed
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = append(b, 0, 0, 0, 0, 0) // lambda, λ convention
+	if version >= formatV2 {
+		b = append(b, 0) // precision f32
+	}
+	if version >= FormatVersion {
+		b = append(b, make([]byte, 10)...) // the training-mode block
+	}
+	return append(b, make([]byte, 2+4)...) // variant length, history length
+}
+
+// TestHugeHeaderBoundsAllocation: a header that declares 16 GiB of factors
+// over a file that holds none of them fails Load with ErrCorrupt after
+// allocating no more than decodeBound, at every format version: the
+// factor's dimensions are believed only as far as the bytes behind them.
+func TestHugeHeaderBoundsAllocation(t *testing.T) {
+	for _, version := range []uint32{formatV1, formatV2, FormatVersion} {
+		fsys := NewMemFS()
+		fsys.WriteFile("ckpt", hugeHeader(version))
+		var err error
+		if n := allocated(func() { _, err = Load(fsys, "ckpt") }); n > decodeBound {
+			t.Errorf("v%d: Load of a %d-byte file allocated %d bytes, bound %d", version, len(hugeHeader(version)), n, decodeBound)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("v%d: err = %v, want ErrCorrupt", version, err)
 		}
 	}
 }

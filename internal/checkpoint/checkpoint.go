@@ -54,6 +54,7 @@ const (
 const (
 	maxVariantLen = 256
 	maxHistory    = 1 << 16
+	histEntry     = 4 + 1 + 8 + 8 // one history record: iteration, half, loss, elapsed
 )
 
 // ErrNoCheckpoint is returned by Latest/LoadLatest when the directory
@@ -172,7 +173,6 @@ func (st *State) EncodedSize() int64 {
 		header    = 7 * 8             // magic..seed, uint64 each
 		fixed     = 4 + 1 + 1 + 2 + 4 // lambda + weighted + precision + variant len + history len
 		modeBlock = 1 + 4 + 1 + 2 + 2 // v3: implicit + alpha + solver + cg iters + block size
-		histEntry = 4 + 1 + 8 + 8     // iteration, half, loss, elapsed
 		trailer   = 4                 // CRC-32C
 	)
 	n := int64(header + fixed + modeBlock + trailer)
@@ -278,15 +278,22 @@ func writeFactor(lw *lebin.Writer, d *linalg.Dense, q *quant.Matrix, prec quant.
 
 // readFactor reads one factor section at the given precision, returning
 // the float32 matrix (dequantized if needed) and, for quantized sections,
-// the compact form.
-func readFactor(lr *lebin.Reader, rows, cols int, prec quant.Precision) (*linalg.Dense, *quant.Matrix, error) {
+// the compact form. Each array is held to the bytes the file has left
+// before it is allocated.
+func readFactor(lr *lebin.Reader, rows, cols uint64, prec quant.Precision) (*linalg.Dense, *quant.Matrix, error) {
 	if prec == quant.F32 {
-		d := linalg.NewDense(rows, cols)
+		if !lr.Fits(rows, cols, 4) {
+			return nil, nil, lr.Err()
+		}
+		d := linalg.NewDense(int(rows), int(cols))
 		lr.F32s(d.Data)
 		return d, nil, lr.Err()
 	}
+	if !lr.Fits(rows, 1, 4) {
+		return nil, nil, lr.Err()
+	}
 	q := &quant.Matrix{
-		Prec: prec, Rows: rows, Cols: cols,
+		Prec: prec, Rows: int(rows), Cols: int(cols),
 		Scales:    make([]float32, rows),
 		MaxAbsErr: math.Float64frombits(lr.U64()),
 	}
@@ -306,9 +313,11 @@ func readFactor(lr *lebin.Reader, rows, cols int, prec quant.Precision) (*linalg
 		}
 	}
 	if prec == quant.F16 {
-		q.F16 = make([]uint16, rows*cols)
-		lr.U16s(q.F16)
-	} else {
+		if lr.Fits(rows, cols, 2) {
+			q.F16 = make([]uint16, rows*cols)
+			lr.U16s(q.F16)
+		}
+	} else if lr.Fits(rows, cols, 1) {
 		q.I8 = make([]int8, rows*cols)
 		lr.I8s(q.I8)
 	}
@@ -319,11 +328,12 @@ func readFactor(lr *lebin.Reader, rows, cols int, prec quant.Precision) (*linalg
 }
 
 // Decode reads a checkpoint written by Encode, verifying format version,
-// dimension plausibility and the CRC. It returns an error — never panics,
-// never allocates unboundedly — on arbitrary corrupt input (the fuzz test
-// holds it to that).
+// the CRC, and every count against the bytes the input has left. It
+// returns an error — never panics, never allocates for bytes the input
+// does not hold — on arbitrary corrupt input (the fuzz test holds it to
+// that).
 func Decode(r io.Reader) (*State, error) {
-	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
+	lr := lebin.NewReader(r)
 	var hdr [7]uint64
 	for i := range hdr {
 		hdr[i] = lr.U64()
@@ -339,15 +349,11 @@ func Decode(r io.Reader) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: unsupported format version %d (want %d..%d)",
 			version, formatV1, FormatVersion)
 	}
-	k, m, n := int64(hdr[2]), int64(hdr[3]), int64(hdr[4])
-	if !lebin.SlabFits(m, k) || !lebin.SlabFits(n, k) {
-		return nil, fmt.Errorf("checkpoint: implausible dims k=%d m=%d n=%d", k, m, n)
-	}
+	k, m, n := hdr[2], hdr[3], hdr[4]
 	if hdr[5] > 1<<32 {
 		return nil, fmt.Errorf("checkpoint: implausible iteration %d", hdr[5])
 	}
 	st := &State{
-		K:         int(k),
 		Iteration: int(hdr[5]),
 		Seed:      int64(hdr[6]),
 	}
@@ -388,17 +394,15 @@ func Decode(r io.Reader) (*State, error) {
 	if st.Solver > host.SolverCG {
 		return nil, fmt.Errorf("checkpoint: unknown solver %d", st.Solver)
 	}
-	if vlen > maxVariantLen {
+	if vlen > maxVariantLen || !lr.Fits(uint64(vlen), 1, 1) {
 		return nil, fmt.Errorf("checkpoint: implausible variant length %d", vlen)
 	}
-	vbuf := make([]byte, vlen)
-	lr.Bytes(vbuf)
-	st.Variant = string(vbuf)
+	st.Variant = string(lr.Take(int(vlen)))
 	histLen := lr.U32()
 	if err := lr.Err(); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading variant: %w", err)
 	}
-	if histLen > maxHistory {
+	if histLen > maxHistory || !lr.Fits(uint64(histLen), 1, histEntry) {
 		return nil, fmt.Errorf("checkpoint: implausible history length %d", histLen)
 	}
 	if histLen > 0 {
@@ -422,12 +426,13 @@ func Decode(r io.Reader) (*State, error) {
 		}
 	}
 	var ferr error
-	if st.X, st.QX, ferr = readFactor(lr, int(m), int(k), st.Precision); ferr != nil {
+	if st.X, st.QX, ferr = readFactor(lr, m, k, st.Precision); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading X: %w", ferr)
 	}
-	if st.Y, st.QY, ferr = readFactor(lr, int(n), int(k), st.Precision); ferr != nil {
+	if st.Y, st.QY, ferr = readFactor(lr, n, k, st.Precision); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading Y: %w", ferr)
 	}
+	st.K = int(k)
 	sum := lr.Sum32()
 	stored := lr.U32()
 	if err := lr.Err(); err != nil {

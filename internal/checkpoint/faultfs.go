@@ -162,8 +162,14 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("memfs: open %s: file does not exist", name)
 	}
-	return io.NopCloser(bytes.NewReader(append([]byte(nil), b.Bytes()...))), nil
+	return memReader{bytes.NewReader(append([]byte(nil), b.Bytes()...))}, nil
 }
+
+// memReader is an opened MemFS file. It keeps the bytes.Reader's Len in
+// view, so a decoder learns the file's size as it would from an os.File.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
 
 func (m *MemFS) Rename(oldpath, newpath string) error {
 	m.mu.Lock()

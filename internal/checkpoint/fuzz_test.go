@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzLoadCheckpoint: the checkpoint decoder must return errors — never
-// panic, never allocate unboundedly — on arbitrary input, and anything it
+// panic, never allocate for bytes its input does not hold — on arbitrary
+// input, and anything it
 // accepts must survive an encode/decode round trip. Seeded with valid
 // checkpoints at every precision (the v2 quantized sections carry their
 // own scale/error fields for the fuzzer to mangle) plus the corruption
@@ -64,8 +65,17 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		iflip[off] ^= 0x03
 		f.Add(iflip)
 	}
+	for _, version := range []uint32{formatV1, formatV2, FormatVersion} {
+		f.Add(hugeHeader(version))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Decode(bytes.NewReader(data))
+		var st *State
+		var err error
+		// Beyond its fixed buffers Decode allocates only for bytes it
+		// read, at most 5 a byte: an i8 payload is kept and dequantized.
+		if n := allocated(func() { st, err = Decode(bytes.NewReader(data)) }); n > decodeBound+8*int64(len(data)) {
+			t.Fatalf("a %d-byte input allocated %d bytes", len(data), n)
+		}
 		if err != nil {
 			return
 		}

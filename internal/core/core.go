@@ -626,7 +626,7 @@ func (m *Model) Save(w io.Writer) error {
 
 // LoadModel reads a model written by Save.
 func LoadModel(r io.Reader) (*Model, error) {
-	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
+	lr := lebin.NewReader(r)
 	var hdr [5]uint64
 	for i := range hdr {
 		hdr[i] = lr.U64()
@@ -637,27 +637,35 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if uint32(hdr[0]) != modelMagic {
 		return nil, fmt.Errorf("core: bad model magic %#x", hdr[0])
 	}
-	k, m, n, flags := int(hdr[1]), int(hdr[2]), int(hdr[3]), hdr[4]
-	// A corrupt header must not demand an absurd allocation.
-	if !lebin.SlabFits(int64(m), int64(k)) || !lebin.SlabFits(int64(n), int64(k)) {
-		return nil, fmt.Errorf("core: implausible model dims k=%d m=%d n=%d", k, m, n)
-	}
+	k, m, n, flags := hdr[1], hdr[2], hdr[3], hdr[4]
 	// Sections cannot be skipped, so a flag this reader does not know means
 	// bytes it would misread.
 	if unknown := flags &^ (flagHasIDMaps | flagHasMeta); unknown != 0 {
 		return nil, fmt.Errorf("core: unknown model section flags %#x", unknown)
 	}
-	mod := &Model{K: k, X: linalg.NewDense(m, k), Y: linalg.NewDense(n, k)}
-	lr.F32s(mod.X.Data)
-	lr.F32s(mod.Y.Data)
+	// Each array is held to the bytes the file has left before it is
+	// allocated: a corrupt header must not demand memory it does not hold.
+	mod := &Model{K: int(k)}
+	if lr.Fits(m, k, 4) {
+		mod.X = linalg.NewDense(int(m), int(k))
+		lr.F32s(mod.X.Data)
+	}
+	if lr.Fits(n, k, 4) {
+		mod.Y = linalg.NewDense(int(n), int(k))
+		lr.F32s(mod.Y.Data)
+	}
 	if err := lr.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading factors: %w", err)
 	}
 	if flags&flagHasIDMaps != 0 {
-		mod.UserIDs = make([]int64, m)
-		mod.ItemIDs = make([]int64, n)
-		lr.I64s(mod.UserIDs)
-		lr.I64s(mod.ItemIDs)
+		if lr.Fits(m, 1, 8) {
+			mod.UserIDs = make([]int64, m)
+			lr.I64s(mod.UserIDs)
+		}
+		if lr.Fits(n, 1, 8) {
+			mod.ItemIDs = make([]int64, n)
+			lr.I64s(mod.ItemIDs)
+		}
 		if err := lr.Err(); err != nil {
 			return nil, fmt.Errorf("core: reading ID tables: %w", err)
 		}
@@ -667,12 +675,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 		if err := lr.Err(); err != nil {
 			return nil, fmt.Errorf("core: reading meta: %w", err)
 		}
-		if vlen > maxVersionLen {
+		if vlen > maxVersionLen || !lr.Fits(vlen, 1, 1) {
 			return nil, fmt.Errorf("core: implausible version length %d", vlen)
 		}
-		vbuf := make([]byte, vlen)
-		lr.Bytes(vbuf)
-		mod.Meta.Version = string(vbuf)
+		mod.Meta.Version = string(lr.Take(int(vlen)))
 		mod.Meta.Lambda = lr.F32()
 		mod.Meta.WeightedLambda = lr.U8() != 0
 		if err := lr.Err(); err != nil {

@@ -58,6 +58,10 @@ func HelloRank(payload []byte) (rank int32, ok bool) {
 	return int32(binary.LittleEndian.Uint32(payload)), true
 }
 
+// BodyLen returns the body length a frame's length prefix, the first
+// LenPrefix bytes of p, declares.
+func BodyLen(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
+
 // castagnoli returns the standard library's cached CRC-32C table. It is a
 // call, not a package variable, so importing framing for its constants adds
 // no initializer to a binary.
@@ -100,7 +104,7 @@ func Read(r io.Reader, buf []byte, limit int) (kind byte, payload, grown []byte,
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, buf, err
 	}
-	n := binary.LittleEndian.Uint64(buf)
+	n := BodyLen(buf)
 	kind = buf[LenPrefix]
 	if n == 0 {
 		return 0, nil, buf, fmt.Errorf("%w: empty frame", ErrCorrupt)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/lebin"
 )
 
 // TraceparentHeader carries the span context across HTTP hops in the W3C
@@ -103,11 +105,8 @@ func ContextFromBinary(b []byte) (SpanContext, error) {
 	if len(b) != BinaryContextLen {
 		return SpanContext{}, fmt.Errorf("rtrace: binary span context is %d bytes, want %d", len(b), BinaryContextLen)
 	}
-	return SpanContext{
-		Trace:   TraceID(binary.LittleEndian.Uint64(b)),
-		Span:    SpanID(binary.LittleEndian.Uint64(b[8:])),
-		Sampled: b[16]&1 == 1,
-	}, nil
+	r := lebin.Payload(b)
+	return SpanContext{Trace: TraceID(r.U64()), Span: SpanID(r.U64()), Sampled: r.U8()&1 == 1}, nil
 }
 
 // EncodeSpans serializes finished span records for shipping between
@@ -131,36 +130,33 @@ func EncodeSpans(spans []SpanRecord) []byte {
 	return b
 }
 
-// DecodeSpans reverses EncodeSpans.
+// minSpanLen is the fewest bytes an encoded span takes: three IDs, two
+// one-byte varints, an empty name and no attrs. minAttrLen is an attr's
+// fewest, two empty strings.
+const minSpanLen, minAttrLen = 3*8 + 1 + 1 + 1 + 1, 1 + 1
+
+// DecodeSpans reverses EncodeSpans. Every count is held to the bytes left
+// in the payload before anything is allocated for it.
 func DecodeSpans(b []byte) ([]SpanRecord, error) {
-	d := &decoder{b: b}
-	n := d.uvarint()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("rtrace: implausible span count %d", n)
+	r := lebin.Payload(b)
+	spans := make([]SpanRecord, r.Count(r.Uvarint(), minSpanLen))
+	for i := range spans {
+		sp := &spans[i]
+		sp.Trace = TraceID(r.U64())
+		sp.ID = SpanID(r.U64())
+		sp.Parent = SpanID(r.U64())
+		sp.Start = time.Unix(0, r.Varint())
+		sp.Dur = time.Duration(r.Varint())
+		sp.Name = r.Str()
+		if na := r.Count(r.Uvarint(), minAttrLen); na > 0 {
+			sp.Attrs = make([]Attr, na)
+			for j := range sp.Attrs {
+				sp.Attrs[j] = Attr{Key: r.Str(), Value: r.Str()}
+			}
+		}
 	}
-	spans := make([]SpanRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r SpanRecord
-		r.Trace = TraceID(d.u64())
-		r.ID = SpanID(d.u64())
-		r.Parent = SpanID(d.u64())
-		r.Start = time.Unix(0, d.varint())
-		r.Dur = time.Duration(d.varint())
-		r.Name = d.str()
-		na := d.uvarint()
-		if na > 1<<16 {
-			return nil, fmt.Errorf("rtrace: implausible attr count %d", na)
-		}
-		for j := uint64(0); j < na; j++ {
-			r.Attrs = append(r.Attrs, Attr{Key: d.str(), Value: d.str()})
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		spans = append(spans, r)
-	}
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("rtrace: span payload: %w", err)
 	}
 	return spans, nil
 }
@@ -168,64 +164,4 @@ func DecodeSpans(b []byte) ([]SpanRecord, error) {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-// decoder is a cursor over an encoded span payload; the first malformed
-// field latches err and zeroes every later read.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("rtrace: truncated span payload")
-	}
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/lebin"
 	"repro/internal/metrics"
 	"repro/internal/rtrace"
 )
@@ -125,33 +126,39 @@ func (q *hopRequest) encode(b []byte, kind byte) []byte {
 // to the bytes left in the payload before it is allocated, and a payload
 // with bytes left over is as malformed as a short one.
 func (q *hopRequest) decode(kind byte, p []byte) error {
-	d := hopDecoder{b: p}
+	r := lebin.Payload(p)
 	q.trace = rtrace.SpanContext{}
-	switch d.u8() {
+	switch r.U8() {
 	case 0:
 	case 1:
-		q.trace, _ = rtrace.ContextFromBinary(d.take(rtrace.BinaryContextLen))
+		q.trace, _ = rtrace.ContextFromBinary(r.Take(rtrace.BinaryContextLen))
 	default:
-		d.fail("bad trace prefix")
+		r.Fail(errors.New("bad trace prefix"))
 	}
 	switch kind {
 	case hopRecommend:
-		q.user, q.n = int64(d.u64()), int(d.u32())
+		q.user, q.n = int64(r.U64()), int(r.U32())
 	case hopScore:
-		q.n = int(d.u32())
-		q.x = d.f32s(q.x, d.count(4))
-		q.items = d.i32s(q.items, d.count(4))
+		q.n = int(r.U32())
+		q.x = resize(q.x, r.Count(uint64(r.U32()), 4))
+		r.F32s(q.x)
+		q.items = resize(q.items, r.Count(uint64(r.U32()), 4))
+		r.I32s(q.items)
 	case hopPartials:
-		m := d.count(8)
-		q.items = d.i32s(q.items, m)
-		q.ratings = d.f32s(q.ratings, m)
+		m := r.Count(uint64(r.U32()), 8)
+		q.items, q.ratings = resize(q.items, m), resize(q.ratings, m)
+		r.I32s(q.items)
+		r.F32s(q.ratings)
 	case hopPurge:
-		q.user = int64(d.u64())
+		q.user = int64(r.U64())
 	default:
 		return fmt.Errorf("unknown frame kind %d", kind)
 	}
-	return d.end()
+	return badFrame(&r)
 }
+
+// resize returns s's storage holding n elements.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // hopReplyHeader is what every reply carries first.
 type hopReplyHeader struct {
@@ -207,32 +214,32 @@ func appendPartialsReply(b []byte, k, local int, terms []float32) []byte {
 // version equal to *last is returned as *last, so a connection that keeps
 // seeing one snapshot allocates its version string once.
 func parseReplyHeader(p []byte, last *string) (hopReplyHeader, []byte, error) {
-	d := hopDecoder{b: p}
-	h := hopReplyHeader{status: int(d.u16()), seq: d.u64()}
-	v := d.take(d.count(1))
-	if d.err != nil {
-		return h, nil, d.err
+	r := lebin.Payload(p)
+	h := hopReplyHeader{status: int(r.U16()), seq: r.U64()}
+	v := r.Take(r.Count(uint64(r.U32()), 1))
+	if r.Err() != nil {
+		return h, nil, badFrame(&r)
 	}
 	if string(v) != *last {
 		*last = string(v)
 	}
 	h.version = *last
-	return h, d.b, nil
+	return h, r.Rest(), nil
 }
 
 // decodeScored reads a recommend or score reply's items into out.
 func decodeScored(h hopReplyHeader, p []byte, out *RecommendResponse) error {
-	d := hopDecoder{b: p}
-	m := d.count(20)
-	if d.err != nil {
-		return d.err
+	r := lebin.Payload(p)
+	m := r.Count(uint64(r.U32()), 20)
+	if r.Err() != nil {
+		return badFrame(&r)
 	}
 	items := make([]RecItem, m)
 	for i := range items {
-		items[i] = RecItem{Item: int(int32(d.u32())), ID: int64(d.u64()), Score: math.Float64frombits(d.u64())}
+		items[i] = RecItem{Item: int(int32(r.U32())), ID: int64(r.U64()), Score: math.Float64frombits(r.U64())}
 	}
 	*out = RecommendResponse{Version: h.version, Seq: h.seq, Items: items}
-	return d.end()
+	return badFrame(&r)
 }
 
 // partials is one shard's contribution to a fold-in solve: the packed
@@ -249,118 +256,34 @@ type partials struct {
 // whole float32s: how many a k needs is the frontend's check, across
 // shards (a reply with the wrong count is a shard that disagrees).
 func decodePartials(h hopReplyHeader, p []byte, out *partials) error {
-	d := hopDecoder{b: p}
-	k, local := d.u32(), d.u32()
-	if d.err == nil && len(d.b)%4 != 0 {
-		d.fail("partial terms are not whole float32s")
+	r := lebin.Payload(p)
+	k, local := r.U32(), r.U32()
+	if len(r.Rest())%4 != 0 {
+		r.Fail(errors.New("partial terms are not whole float32s"))
 	}
-	terms := d.f32s(nil, len(d.b)/4)
+	terms := make([]float32, len(r.Rest())/4)
+	r.F32s(terms)
 	*out = partials{K: int(k), Local: int(local), Terms: terms, Version: h.version, Seq: h.seq}
-	return d.end()
+	return badFrame(&r)
 }
 
 // decodePurge reads a purge reply's count.
 func decodePurge(p []byte) (int, error) {
-	d := hopDecoder{b: p}
-	n := d.u32()
-	return int(n), d.end()
+	r := lebin.Payload(p)
+	return int(r.U32()), badFrame(&r)
 }
 
 // errBadFrame wraps every way a hop payload fails to decode.
 var errBadFrame = errors.New("bad frame")
 
-// hopDecoder reads a hop payload front to back. The first failure sticks:
-// every later read returns zero, so a decoder checks err once at the end.
-type hopDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *hopDecoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", errBadFrame, msg)
+// badFrame finishes a payload — bytes left over fail it like a short one —
+// and returns its first failure as an errBadFrame, or nil.
+func badFrame(r *lebin.Reader) error {
+	if n := len(r.Rest()); n != 0 {
+		r.Fail(fmt.Errorf("%d bytes past the end", n))
 	}
-	d.b = nil
-}
-
-// take returns the next n bytes, or nil once the payload is short.
-func (d *hopDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: %w", errBadFrame, err)
 	}
-	if n > len(d.b) {
-		d.fail("payload ends early")
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *hopDecoder) u8() byte {
-	if p := d.take(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (d *hopDecoder) u16() uint16 {
-	if p := d.take(2); p != nil {
-		return binary.LittleEndian.Uint16(p)
-	}
-	return 0
-}
-
-func (d *hopDecoder) u32() uint32 {
-	if p := d.take(4); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (d *hopDecoder) u64() uint64 {
-	if p := d.take(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
-}
-
-// count reads an element count and holds it to the bytes left, at size
-// bytes an element, so no decoder allocates for elements a payload cannot
-// hold.
-func (d *hopDecoder) count(size int) int {
-	n := d.u32()
-	if d.err == nil && uint64(n)*uint64(size) > uint64(len(d.b)) {
-		d.fail(fmt.Sprintf("%d elements declared, %d bytes left", n, len(d.b)))
-		return 0
-	}
-	return int(n)
-}
-
-// f32s reads n float32s into dst's storage.
-func (d *hopDecoder) f32s(dst []float32, n int) []float32 {
-	p := d.take(4 * n)
-	dst = slices.Grow(dst[:0], len(p)/4)[:len(p)/4]
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return dst
-}
-
-// i32s reads n int32s into dst's storage.
-func (d *hopDecoder) i32s(dst []int32, n int) []int32 {
-	p := d.take(4 * n)
-	dst = slices.Grow(dst[:0], len(p)/4)[:len(p)/4]
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return dst
-}
-
-// end fails a payload with bytes left over and returns the first failure.
-func (d *hopDecoder) end() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.fail(fmt.Sprintf("%d bytes past the end", len(d.b)))
-	}
-	return d.err
+	return nil
 }

@@ -138,7 +138,8 @@ func TestHopGoldenFrames(t *testing.T) {
 
 // FuzzHopFrame feeds arbitrary bytes to both ends of the hop: the replica's
 // whole frame path (framing, request decoder, admission and the kind's
-// core) and the frontend's reply decoders. Nothing may panic. The goldens
+// core) and the frontend's reply decoders. Nothing may panic, and no
+// decoder may allocate for bytes the payload does not hold. The goldens
 // and a few hostile frames are the seed corpus, which runs as a plain test
 // in every lane.
 func FuzzHopFrame(f *testing.F) {
@@ -175,13 +176,21 @@ func FuzzHopFrame(f *testing.F) {
 		if reply := rep.answer(&st, kind, p, nil); len(reply) < 2 {
 			t.Fatalf("kind %d: %d-byte reply", kind, len(reply))
 		}
+		// The decoders allocate only for bytes the payload holds: a scored
+		// item is 24 bytes in memory for its 20 on the wire.
 		var version string
-		if h, body, err := parseReplyHeader(p, &version); err == nil {
-			var rr RecommendResponse
-			decodeScored(h, body, &rr)
-			var pp partials
-			decodePartials(h, body, &pp)
-			decodePurge(body)
+		if n := allocated(func() {
+			var q hopRequest
+			q.decode(kind, p)
+			if h, body, err := parseReplyHeader(p, &version); err == nil {
+				var rr RecommendResponse
+				decodeScored(h, body, &rr)
+				var pp partials
+				decodePartials(h, body, &pp)
+				decodePurge(body)
+			}
+		}); n > 64<<10+2*uint64(len(p)) {
+			t.Fatalf("a %d-byte payload allocated %d bytes", len(p), n)
 		}
 	})
 }

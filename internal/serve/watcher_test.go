@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -226,6 +228,48 @@ func TestWatcherFallsBackToOlderValidCandidate(t *testing.T) {
 	}
 	if n := s.Telemetry().SwapRejectedCount(); n != 1 {
 		t.Fatalf("swap_rejected = %d, want 1", n)
+	}
+}
+
+// TestWatcherRejectsHugeTornCheckpoint: a torn checkpoint whose damaged
+// header declares a 2²² × 1024 factor (16 GiB) over the 80 bytes it holds
+// is rejected — counted in als_swap_rejected_total while the previous
+// snapshot keeps serving — after the poll allocates no more than the
+// decoder's fixed buffer, the codec's 64 KiB scratch, and 64 KiB more. The
+// directory is a real one: an os.File tells the decoder its size.
+func TestWatcherRejectsHugeTornCheckpoint(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	dir := t.TempDir()
+	w := NewWatcher(s, WatcherConfig{Dir: dir, FS: checkpoint.OS})
+	saveCheckpoint(t, checkpoint.OS, dir, 5, 1, 4, 6, 3)
+	if swapped, err := w.Poll(); !swapped || err != nil {
+		t.Fatalf("poll = (%v, %v)", swapped, err)
+	}
+
+	good, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header, the fixed fields, the variant "tb" and the history
+	// length; then the torn end.
+	torn := good[:80]
+	binary.LittleEndian.PutUint64(torn[16:], 1024)  // k
+	binary.LittleEndian.PutUint64(torn[24:], 1<<22) // users
+	if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName(99)), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var swapped bool
+	if n := allocated(func() { swapped, err = w.Poll() }); n > 64<<10+64<<10 {
+		t.Errorf("the poll allocated %d bytes", n)
+	}
+	if swapped || err != nil {
+		t.Fatalf("poll = (%v, %v), want no swap", swapped, err)
+	}
+	if n := s.Telemetry().SwapRejectedCount(); n != 1 {
+		t.Errorf("swap_rejected = %d, want 1", n)
+	}
+	if v := s.Current().Version; v != "ckpt-5" {
+		t.Errorf("version = %s, want ckpt-5 still serving", v)
 	}
 }
 

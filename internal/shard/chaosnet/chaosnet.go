@@ -18,7 +18,6 @@
 package chaosnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sort"
@@ -444,7 +443,7 @@ func (c *conn) process(d *dirState, in, out []byte) ([]byte, error) {
 		if len(d.held) < need {
 			return out, nil // mid-prologue; wait for more bytes
 		}
-		bodyLen := binary.LittleEndian.Uint64(d.held[:lenPrefix])
+		bodyLen := framing.BodyLen(d.held)
 		kind := d.held[lenPrefix]
 		if d.dir == In && c.rank.Load() == rankUnknown {
 			rank, ok := framing.HelloRank(d.held[prologueLen:])

@@ -198,12 +198,17 @@ func (w *wire) readHeader() (kind byte, bodyLen uint64, err error) {
 	if n < 1 {
 		return 0, 0, fmt.Errorf("shard: empty frame")
 	}
+	w.lr.Limit(n - 1)
 	w.count(kind, framing.PrologueLen)
 	return kind, n - 1, nil
 }
 
-// readBody reads the n-byte body of a control frame and checks its trailer.
+// readBody reads the n-byte body of a control frame, at most
+// maxSmallFrame, and checks its trailer.
 func (w *wire) readBody(kind byte, n uint64) ([]byte, error) {
+	if n > maxSmallFrame {
+		return nil, fmt.Errorf("shard: %d-byte kind %d frame exceeds limit", n, kind)
+	}
 	body := make([]byte, n)
 	if !w.lr.Bytes(body) {
 		return nil, w.lr.Err()
@@ -236,9 +241,6 @@ func (w *wire) nextFrame(onBeat func()) (kind byte, n uint64, err error) {
 		if err != nil || kind != frameHeartbeat {
 			return kind, n, err
 		}
-		if n > maxSmallFrame {
-			return 0, 0, fmt.Errorf("shard: %d-byte heartbeat frame exceeds limit", n)
-		}
 		if _, err := w.readBody(kind, n); err != nil {
 			return 0, 0, err
 		}
@@ -257,9 +259,6 @@ func (w *wire) readSmall(onBeat func()) (byte, []byte, error) {
 	}
 	if kind == frameFactors || kind == frameData {
 		return 0, nil, fmt.Errorf("shard: unexpected bulk frame (kind %d)", kind)
-	}
-	if n > maxSmallFrame {
-		return 0, nil, fmt.Errorf("shard: %d-byte control frame exceeds limit", n)
 	}
 	body, err := w.readBody(kind, n)
 	if err != nil {
@@ -280,16 +279,9 @@ func (w *wire) expectFactors(iter int, half byte, k int, dst []float32, wantLo, 
 	}
 	switch kind {
 	case frameError:
-		if n > maxSmallFrame {
-			return fmt.Errorf("shard: oversized error frame")
-		}
-		msg := make([]byte, n)
-		if !w.lr.Bytes(msg) {
-			return fmt.Errorf("shard: peer failed (message lost: %v)", w.lr.Err())
-		}
-		w.count(kind, int(n))
-		if err := w.readTrailer(kind); err != nil {
-			return err
+		msg, err := w.readBody(kind, n)
+		if err != nil {
+			return fmt.Errorf("shard: peer failed (message lost: %w)", err)
 		}
 		return &workerFailure{msg: string(msg)}
 	case frameFactors:
@@ -346,8 +338,9 @@ func (w *wire) expectData(half byte) (s *sparse.CSR, lo int, err error) {
 	if gotHalf != half {
 		return nil, 0, fmt.Errorf("shard: data frame for half %d, want half %d", gotHalf, half)
 	}
-	// Bounding nnz by the length first keeps dataFrameLen from wrapping.
-	if nnz > (n-dataHeaderLen)/8 || !lebin.SlabFits(int64(nnz), 1) || n != dataFrameLen(uint64(rows), nnz) {
+	// Each count is held to the frame first: a dataFrameLen that wraps then
+	// falls short of n, so the length check is exact.
+	if !w.lr.Fits(uint64(rows)+1, 1, 8) || !w.lr.Fits(nnz, 1, 8) || n != dataFrameLen(uint64(rows), nnz) {
 		return nil, 0, fmt.Errorf("%w: %d-byte data frame declares %d rows and %d nonzeros", ErrFrameCorrupt, n, rows, nnz)
 	}
 	s = &sparse.CSR{

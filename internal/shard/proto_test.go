@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -214,17 +215,24 @@ func TestOversizeFrameRejected(t *testing.T) {
 
 	// A data frame allocates only what its own length backs: 64 bytes on
 	// the wire declaring 2^31 nonzeros (16 GiB of arrays) fail typed, before
-	// any array is made. So does a header whose nonzero count would wrap
-	// the length it is checked against.
-	for _, nnz := range []uint64{1 << 31, 1<<61 + 5} {
+	// any array is made. So do a header whose nonzero count would wrap the
+	// length it is checked against and one declaring the largest counts it
+	// can hold. The bound is the reader's fixed buffer, the codec's 64 KiB
+	// scratch, and 64 KiB more.
+	for _, c := range []struct {
+		rows uint32
+		nnz  uint64
+	}{{3, 1 << 31}, {3, 1<<61 + 5}, {math.MaxUint32, math.MaxUint64}} {
 		raw = mustHex(t, goldenDataHex)[:64]
-		binary.LittleEndian.PutUint64(raw[9+12:], nnz)
+		binary.LittleEndian.PutUint32(raw[9+4:], c.rows)
+		binary.LittleEndian.PutUint64(raw[9+12:], c.nnz)
+		nnz := c.nnz
 		var err error
 		allocated := allocatedBytes(func() { _, _, err = readerWire(raw).expectData(halfY) })
 		if !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("data frame declaring %d nonzeros in %d bytes: err = %v, want ErrFrameCorrupt", nnz, len(raw), err)
 		}
-		if allocated >= 1<<20 {
+		if allocated > 64<<10+64<<10 {
 			t.Fatalf("data frame declaring %d nonzeros in %d bytes allocated %d bytes before failing", nnz, len(raw), allocated)
 		}
 	}
@@ -253,7 +261,7 @@ func TestWorkerFailureSurfaces(t *testing.T) {
 
 // FuzzReadFrame hammers the frame decoders with arbitrary bytes. The
 // invariant is total: any input either decodes or returns an error — no
-// panics, no unbounded allocation (control bodies are capped at
+// panics, no allocation past the bound below (control bodies are capped at
 // maxSmallFrame; factor payloads at the expected row count; data arrays at
 // the frame's own length), no hangs (the
 // reader consumes at least a header per loop iteration from a finite
@@ -270,15 +278,24 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := readerWire(data).readSmall(nil); err != nil {
-			_ = err.Error()
-		}
+		// A control frame may declare up to maxSmallFrame; past that, a
+		// reader allocates only for bytes it read (a data frame's arrays
+		// take 8 bytes in memory for each 8 on the wire).
+		bound := uint64(maxSmallFrame + 64<<10 + 8*len(data))
 		dst := make([]float32, 16)
-		if err := readerWire(data).expectFactors(2, halfY, 4, dst, 1, 3, nil); err != nil {
-			_ = err.Error()
-		}
-		if _, _, err := readerWire(data).expectData(halfY); err != nil {
-			_ = err.Error()
+		for name, read := range map[string]func(w *wire) error{
+			"readSmall":     func(w *wire) error { _, _, err := w.readSmall(nil); return err },
+			"expectFactors": func(w *wire) error { return w.expectFactors(2, halfY, 4, dst, 1, 3, nil) },
+			"expectData":    func(w *wire) error { _, _, err := w.expectData(halfY); return err },
+		} {
+			w := readerWire(data)
+			var err error
+			if n := allocatedBytes(func() { err = read(w) }); n > bound {
+				t.Fatalf("%s: a %d-byte stream allocated %d bytes", name, len(data), n)
+			}
+			if err != nil {
+				_ = err.Error()
+			}
 		}
 	})
 }

@@ -1,19 +1,10 @@
 package shard
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"net/http/httptest"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/rtrace"
-	"repro/internal/serve"
 )
 
 // TestTrainerTraceSpans runs a traced 2-worker in-process training job and
@@ -146,155 +137,5 @@ func TestTrainerTraceSpans(t *testing.T) {
 	}
 	if got := len(tr.Snapshot()); got != before {
 		t.Errorf("untraced run added %d spans", got-before)
-	}
-}
-
-// tracedFleet builds a 2-shard fleet where the frontend and both replicas
-// share one tracer, so shard-side middleware spans land in the same ring the
-// frontend publishes to (in production each process has its own tracer and
-// the traces are joined by ID in the UI; sharing one here lets the test see
-// the whole stitched tree).
-func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
-	t.Helper()
-	const shards = 2
-	m := tieModel(5, 23, 3)
-	urls := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		srv := serve.New(serve.Config{Tracer: tr})
-		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Swap(m, nil, "v1")
-		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
-		urls[i] = ts.URL
-	}
-	front, err := serve.NewFrontend(serve.FrontendConfig{
-		Shards: urls, ShardTimeout: 5 * time.Second, Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(front.Close)
-	front.ProbeOnce(context.Background())
-	return front
-}
-
-// TestFrontendTraceSpans checks the scatter-gather span tree: a frontend
-// root with one hop child per contacted shard (plus the merge span), hop
-// envelopes inside the root's, the shard's own middleware span stitched
-// under its hop via the context its request frame carries, and the trace retrievable from
-// the flight recorder by the same ID.
-func TestFrontendTraceSpans(t *testing.T) {
-	tr := rtrace.New(rtrace.Config{Sample: 1, Process: "alsfront"})
-	front := tracedFleet(t, tr)
-	fts := httptest.NewServer(front.Handler())
-	t.Cleanup(fts.Close)
-
-	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=5", nil); code != 200 {
-		t.Fatalf("recommend: HTTP %d", code)
-	}
-
-	spans := tr.Snapshot()
-	children := map[rtrace.SpanID][]rtrace.SpanRecord{}
-	var root rtrace.SpanRecord
-	for _, sp := range spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-		if sp.Name == "recommend" && sp.Parent == 0 {
-			root = sp
-		}
-	}
-	if root.ID == 0 {
-		t.Fatalf("no frontend root span among %d spans", len(spans))
-	}
-	hops, merges := 0, 0
-	for _, c := range children[root.ID] {
-		if c.Trace != root.Trace {
-			t.Errorf("child %q trace = %v, want root trace %v", c.Name, c.Trace, root.Trace)
-		}
-		if c.Start.Before(root.Start) || c.Start.Add(c.Dur).After(root.Start.Add(root.Dur)) {
-			t.Errorf("child %q outside the root envelope", c.Name)
-		}
-		switch {
-		case strings.HasPrefix(c.Name, "shard"):
-			hops++
-			// The shard's middleware span joined the trace through the
-			// context in the hop's request frame.
-			found := false
-			for _, g := range children[c.ID] {
-				if g.Name == "recommend" {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("hop %q has no shard-side middleware span beneath it", c.Name)
-			}
-		case c.Name == "merge":
-			merges++
-		}
-	}
-	if hops != 2 {
-		t.Errorf("root has %d shard hop spans, want 2", hops)
-	}
-	if merges != 1 {
-		t.Errorf("root has %d merge spans, want 1", merges)
-	}
-
-	slowest := tr.Slowest()
-	traces, ok := slowest["recommend"]
-	if !ok || len(traces) == 0 {
-		t.Fatalf("flight recorder has no recommend traces: %v", slowest)
-	}
-	if traces[0].Trace != root.Trace {
-		t.Errorf("slowest trace ID %v, want %v", traces[0].Trace, root.Trace)
-	}
-}
-
-// TestTimedStatusCodesConcurrent drives mixed-status requests through the
-// frontend middleware from many goroutines at once: the statusWriter must
-// capture each handler's code without races, and the per-code counter and
-// histogram labels must add up exactly.
-func TestTimedStatusCodesConcurrent(t *testing.T) {
-	front := tracedFleet(t, nil)
-	fts := httptest.NewServer(front.Handler())
-	t.Cleanup(fts.Close)
-
-	const perCode = 8
-	var wg sync.WaitGroup
-	for i := 0; i < perCode; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=3", nil); code != 200 {
-				t.Errorf("known user: HTTP %d", code)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if code := getJSON(t, fts.URL+"/v1/recommend?user=99999&n=3", nil); code != 404 {
-				t.Errorf("unknown user: HTTP %d", code)
-			}
-		}()
-	}
-	wg.Wait()
-
-	var buf bytes.Buffer
-	if err := front.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
-		t.Fatalf("exposition does not validate: %v", err)
-	}
-	for _, want := range []string{
-		fmt.Sprintf(`als_front_requests_total{endpoint="recommend",code="200"} %d`, perCode),
-		fmt.Sprintf(`als_front_requests_total{endpoint="recommend",code="404"} %d`, perCode),
-		fmt.Sprintf(`als_front_request_seconds_count{code="200"} %d`, perCode),
-		fmt.Sprintf(`als_front_request_seconds_count{code="404"} %d`, perCode),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition lacks %q", want)
-		}
 	}
 }

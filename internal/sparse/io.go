@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"slices"
 	"strconv"
@@ -36,7 +35,7 @@ func ReadTriples(r io.Reader, oneBased bool) (*COO, error) {
 // parseLine, which is how the tests hold the fast path to it.
 func readTriples(r io.Reader, oneBased, fast bool) (*COO, error) {
 	coo := NewCOO(0, 0)
-	total := sizeHint(r)
+	total := lebin.Remaining(r)
 	buf := make([]byte, blockBytes)
 	var read int64 // bytes read so far
 	carry := 0     // buf[:carry] is the head of a line the last block cut
@@ -103,20 +102,6 @@ const (
 )
 
 var newline = []byte{'\n'}
-
-// sizeHint is the number of bytes r will deliver when r can say (a file, a
-// bytes or strings reader), else -1. It only sizes the entry list.
-func sizeHint(r io.Reader) int64 {
-	switch r := r.(type) {
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
-			return fi.Size()
-		}
-	case interface{ Len() int }:
-		return int64(r.Len())
-	}
-	return -1
-}
 
 // fastLine parses a line of the form
 //
@@ -304,7 +289,7 @@ func WriteBinary(w io.Writer, m *CSR) error {
 
 // ReadBinary reads a matrix written by WriteBinary and validates it.
 func ReadBinary(r io.Reader) (*CSR, error) {
-	lr := lebin.NewReader(bufio.NewReaderSize(r, 1<<20))
+	lr := lebin.NewReader(r)
 	var hdr [4]uint64
 	for i := range hdr {
 		hdr[i] = lr.U64()
@@ -315,22 +300,20 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if uint32(hdr[0]) != binaryMagic {
 		return nil, fmt.Errorf("sparse: bad magic %#x", hdr[0])
 	}
-	// Reject corrupt headers before allocating: the largest dataset this
-	// library targets (full YahooMusic R1) has ~1.2e8 nonzeros.
-	const maxDim, maxNNZ = uint64(1) << 33, uint64(1) << 31
-	if hdr[1] > maxDim || hdr[2] > maxDim || hdr[3] > maxNNZ {
-		return nil, fmt.Errorf("sparse: implausible header dims %dx%d nnz %d", hdr[1], hdr[2], hdr[3])
+	// Each array is held to the bytes the file has left before it is
+	// allocated: the row pointers (one more than the rows), then the
+	// nonzeros, a column index and a value each.
+	m := &CSR{NumRows: int(hdr[1]), NumCols: int(hdr[2])}
+	if lr.Fits(hdr[1], 1, 8) {
+		m.RowPtr = make([]int64, hdr[1]+1)
+		lr.I64s(m.RowPtr)
 	}
-	m := &CSR{
-		NumRows: int(hdr[1]),
-		NumCols: int(hdr[2]),
-		RowPtr:  make([]int64, hdr[1]+1),
-		ColIdx:  make([]int32, hdr[3]),
-		Val:     make([]float32, hdr[3]),
+	if lr.Fits(hdr[3], 1, 4+4) {
+		m.ColIdx = make([]int32, hdr[3])
+		m.Val = make([]float32, hdr[3])
+		lr.I32s(m.ColIdx)
+		lr.F32s(m.Val)
 	}
-	lr.I64s(m.RowPtr)
-	lr.I32s(m.ColIdx)
-	lr.F32s(m.Val)
 	if err := lr.Err(); err != nil {
 		return nil, fmt.Errorf("sparse: reading arrays: %w", err)
 	}

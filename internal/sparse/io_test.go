@@ -3,12 +3,16 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/lebin"
 )
 
 var formatCases = []struct {
@@ -310,5 +314,26 @@ func TestReadBinaryRejectsImplausibleHeader(t *testing.T) {
 	}
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Fatal("accepted 2^60-row header")
+	}
+}
+
+// TestReadBinaryBoundsAllocation: a 32-byte header declaring 2³¹ rows and
+// 2³¹ nonzeros — 32 GiB of arrays — over a file that holds none of them
+// fails after allocating no more than the reader's fixed buffer, the
+// codec's 64 KiB scratch, and 64 KiB more.
+func TestReadBinaryBoundsAllocation(t *testing.T) {
+	var hdr []byte
+	for _, v := range []uint64{uint64(binaryMagic), 1 << 31, 4, 1 << 31} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64<<10); n > bound {
+		t.Errorf("ReadBinary of a 32-byte header allocated %d bytes, bound %d", n, bound)
+	}
+	if !errors.Is(err, lebin.ErrCount) {
+		t.Errorf("err = %v, want lebin.ErrCount", err)
 	}
 }
