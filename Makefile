@@ -18,8 +18,8 @@ test-short:
 
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
-# boundary and the hop's one frame layout, one codec, one byte decoder, one
-# process harness, one row-update arithmetic),
+# boundary and the hop's one frame layout and one transport, one codec, one
+# byte decoder, one process harness, one row-update arithmetic),
 # build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
@@ -39,6 +39,10 @@ ci:
 	fi; \
 	if ! echo "$$deps" | grep -qx repro/internal/framing; then \
 		echo "internal/serve must speak the shard hop through repro/internal/framing"; exit 1; \
+	fi; \
+	clients=$$(ls internal/serve/*.go | grep -v '_test\.go$$' | xargs grep -lE 'http\.(Client|DefaultClient|Transport|NewRequest|Get\(|Post\(|PostForm\(|Head\()' || true); \
+	if [ -n "$$clients" ]; then \
+		echo "internal/serve reaches a shard only through the hop's frames, never an HTTP client:"; echo "$$clients"; exit 1; \
 	fi
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \

@@ -1,10 +1,12 @@
 // alsfront is the scatter-gather frontend for a fleet of alsserve shard
-// replicas (alsserve -shard i/N). It fans each request out to every shard
-// — as frames on persistent connections it upgrades from each replica's
-// GET /shard/v1/frames — with a per-shard deadline, merges the partial top-N heaps into the exact
+// replicas (alsserve -shard i/N). It reaches a shard only as frames on
+// persistent connections it upgrades from each replica's GET
+// /shard/v1/frames: it fans each request out to every shard with a
+// per-shard deadline, merges the partial top-N heaps into the exact
 // single-process ranking, and degrades to the healthy shards' merged
 // results when a shard is down or slow (flagged in the response and
-// counted in als_shard_partial_total). Endpoints:
+// counted in als_shard_partial_total). Its prober (-probe-interval) sends
+// each shard an info frame, under the same deadline and retry. Endpoints:
 //
 //	GET  /v1/recommend?user=U&n=N   merged top-N across all shards
 //	POST /v1/foldin                 distributed fold-in: partial normal

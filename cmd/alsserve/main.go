@@ -19,10 +19,11 @@
 // With -shard i/N the process becomes shard replica i of an N-way fleet:
 // it keeps only its static range of the item factors, answers
 // /v1/recommend over that slice (global item indices preserved), and adds
-// GET /readyz, GET /shard/v1/info and GET /shard/v1/frames, which the
-// alsfront scatter-gather frontend upgrades to persistent connections
-// carrying its recommend, score, partials and purge requests as CRC-checked
-// frames. Fold-in requests belong on the frontend and are rejected with 501
+// GET /shard/v1/frames, which the alsfront scatter-gather frontend upgrades
+// to persistent connections carrying all it asks of a shard — recommend,
+// score, partials, purge and its probe, info — as CRC-checked frames. An
+// info frame is answered 503 while -debug-addr's /readyz would fail.
+// Fold-in requests belong on the frontend and are rejected with 501
 // here. -watch composes: each shard watches the same checkpoint directory
 // and hot-swaps only its slice.
 package main
@@ -57,8 +58,8 @@ func main() {
 	watch := flag.String("watch", "", "checkpoint directory to follow: the newest valid checkpoint is hot-swapped in as training writes it (-model becomes optional)")
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
 	debugAddr := flag.String("debug-addr", "", "serve the same metrics plus process health, /healthz, /readyz and /debug/pprof on a second address (keeps profiling off the public listener)")
-	maxStale := flag.Duration("max-staleness", 0, "readiness bound for -debug-addr's /readyz: fail once the last checkpoint installed by -watch is older than this (0 disables the age check)")
-	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors are kept, and alsfront's endpoints are enabled: /shard/v1/info, and /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
+	maxStale := flag.Duration("max-staleness", 0, "readiness bound for -debug-addr's /readyz and, with -shard, for the info frames alsfront probes with: fail once the last checkpoint installed by -watch is older than this (0 disables the age check)")
+	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors are kept, and alsfront's endpoint is enabled: /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
 	precision := flag.String("precision", "f32", "scoring precision for the item factors: f32, f16 or i8; quantized precisions compress each swapped-in model once per swap and score with the fused dequantizing kernels (fold-in still solves in float32)")
 	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into per-request span traces (0 disables tracing entirely; inbound traceparent headers and shard hop frames always continue a sampled trace); browse them at -debug-addr's /debug/traces and /debug/slowest")
 	slowLog := flag.Duration("slow-log", 0, "log requests at or above this duration with their trace ID (0 disables)")

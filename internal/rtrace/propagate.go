@@ -35,15 +35,6 @@ func (sc SpanContext) Traceparent() string {
 	return "00-0000000000000000" + hex16(uint64(sc.Trace)) + "-" + hex16(uint64(sc.Span)) + "-" + flags
 }
 
-// Inject writes the context into outbound request headers. Invalid contexts
-// write nothing.
-func Inject(h http.Header, sc SpanContext) {
-	if !sc.Valid() {
-		return
-	}
-	h.Set(TraceparentHeader, sc.Traceparent())
-}
-
 // Extract reads the inbound context; a missing or malformed header returns
 // the zero (invalid) context.
 func Extract(h http.Header) SpanContext {

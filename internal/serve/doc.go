@@ -19,15 +19,15 @@
 //     saturation) and a per-request deadline, with Prometheus-style /metrics;
 //   - the fleet: a Replica (alsserve -shard i/N) wraps a Server holding only
 //     its static range of Y — /v1/recommend answers over that slice in global
-//     item indices, GET /shard/v1/info describes the slice, and the
-//     watcher's Transform hook slices each checkpoint, so one training run's
-//     directory syncs the whole fleet — and a Frontend (cmd/alsfront) that
-//     serves the same /v1 API by scatter-gather. The shard hop between them
-//     is not HTTP: the frontend upgrades a connection from GET
-//     /shard/v1/frames and sends recommend, score, partials and purge
-//     requests as internal/framing frames (hop.go has the layouts), one at a
-//     time per connection, each admitted by the replica like an HTTP
-//     request. Per-shard deadline, one jittered retry of a transiently failed
+//     item indices, and the watcher's Transform hook slices each
+//     checkpoint, so one training run's directory syncs the whole fleet —
+//     and a Frontend (cmd/alsfront) that serves the same /v1 API by
+//     scatter-gather. The shard hop between them is not HTTP, and it is the
+//     only way the frontend reaches a shard: it upgrades a connection from
+//     GET /shard/v1/frames and sends recommend, score, partials, purge and
+//     info (the snapshot's shape; the probe) requests as internal/framing
+//     frames (hop.go has the layouts), one at a time per connection, each
+//     admitted by the replica like an HTTP request. Per-shard deadline, one jittered retry of a transiently failed
 //     leg (als_shard_retries_total), a merge that keeps metrics.TopK's order
 //     (identical to one process scanning the full catalog, ties included),
 //     fold-in from summed per-shard Gram/RHS terms through the same

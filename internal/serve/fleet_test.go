@@ -2,16 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/framing"
 	"repro/internal/linalg"
@@ -268,5 +274,163 @@ func TestHopConnectionReuse(t *testing.T) {
 		if dials < 1 || dials > 2 {
 			t.Errorf("shard %d: %v dials over 200 sequential requests, want 1 or 2\n%s", shard, dials, text)
 		}
+	}
+}
+
+// firstLines is a listener that records the first request line of every
+// connection it accepts.
+type firstLines struct {
+	net.Listener
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *firstLines) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &firstLineConn{Conn: c, l: l}, nil
+}
+
+// seen returns the first lines recorded so far.
+func (l *firstLines) seen() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.lines)
+}
+
+// firstLineConn copies what it reads until its first line is whole, and
+// then hands that line to its listener.
+type firstLineConn struct {
+	net.Conn
+	l    *firstLines
+	head []byte
+	done bool
+}
+
+func (c *firstLineConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	defer c.l.mu.Unlock()
+	if !c.done {
+		c.head = append(c.head, p[:n]...)
+		if line, _, ok := bytes.Cut(c.head, []byte("\r\n")); ok {
+			c.l.lines, c.done = append(c.l.lines, string(line)), true
+		}
+	}
+	return n, err
+}
+
+// TestFrontendSpeaksOnlyFrames: every connection the frontend opens to a
+// replica — for the probe, /v1/model, a recommend and a fold-in that purges
+// a user — begins with the upgrade to frames, so nothing reaches a shard
+// any other way. And the probe follows the rule every leg follows: a
+// replica whose staleness bound has lapsed answers info 503 and is marked
+// down until a fresh install, and a saturated replica's 429 leaves it up.
+func TestFrontendSpeaksOnlyFrames(t *testing.T) {
+	const users, items, k = 4, 16, 2
+	clk := checkpoint.NewFakeClock(time.Unix(1000, 0))
+	fsys := checkpoint.NewMemFS()
+	saveCheckpoint(t, fsys, "ckpts", 1, 1, users, items, k)
+	var (
+		listeners []*firstLines
+		servers   []*Server
+		watchers  []*Watcher
+		urls      []string
+	)
+	for i := 0; i < 2; i++ {
+		// One admission slot each, so a test can fill a replica's queue.
+		srv := New(Config{Queue: 1})
+		// Shard 0 must have installed a checkpoint within the last minute.
+		rcfg := ReplicaConfig{Index: i, Count: 2}
+		if i == 0 {
+			rcfg.MaxStaleness, rcfg.Clock = time.Minute, clk
+		}
+		rep, err := NewReplica(srv, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWatcher(srv, WatcherConfig{Dir: "ckpts", FS: fsys, Clock: clk, Transform: rep.Transform})
+		if swapped, err := w.Poll(); !swapped || err != nil {
+			t.Fatalf("shard %d: first poll = (%v, %v)", i, swapped, err)
+		}
+		ts := httptest.NewUnstartedServer(rep.Handler())
+		l := &firstLines{Listener: ts.Listener}
+		ts.Listener = l
+		ts.Start()
+		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		listeners, servers, watchers = append(listeners, l), append(servers, srv), append(watchers, w)
+		urls = append(urls, ts.URL)
+	}
+	front, err := NewFrontend(FrontendConfig{Shards: urls, ShardTimeout: 5 * time.Second, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(front.Handler())
+	t.Cleanup(func() { fts.Close(); front.Close() })
+	ctx := context.Background()
+
+	front.ProbeOnce(ctx)
+	if up, total := front.Healthy(); up != total {
+		t.Fatalf("fresh fleet: %d/%d up", up, total)
+	}
+	var model ModelResponse
+	if code := getJSON(t, fts.URL+"/v1/model", &model); code != 200 || model.Items != items || model.Users != users || model.K != k {
+		t.Fatalf("/v1/model: HTTP %d %+v", code, model)
+	}
+	if code := getJSON(t, fts.URL+"/v1/recommend?user=0&n=3", nil); code != 200 {
+		t.Fatalf("recommend: HTTP %d", code)
+	}
+	u := int64(1)
+	req := FoldInRequest{Items: []int32{1, 9}, Ratings: []float32{5, 3}, N: 3, User: &u}
+	if code := postJSON(t, fts.URL+"/v1/foldin", req, nil); code != 200 {
+		t.Fatalf("fold-in: HTTP %d", code)
+	}
+	for i, l := range listeners {
+		lines := l.seen()
+		if len(lines) == 0 {
+			t.Errorf("shard %d: no connection reached it", i)
+		}
+		for _, line := range lines {
+			if !strings.HasPrefix(line, "GET "+hopPath+" ") {
+				t.Errorf("shard %d: a connection began with %q, not the upgrade to frames", i, line)
+			}
+		}
+	}
+
+	// Shard 0's checkpoint outlives its staleness bound: its info answer is
+	// 503, and the probe marks it down until a fresh checkpoint lands.
+	clk.Advance(2 * time.Minute)
+	front.ProbeOnce(ctx)
+	if front.shards[0].up.Load() || !front.shards[1].up.Load() {
+		t.Fatalf("stale shard 0: up = %v, %v; want shard 0 alone down", front.shards[0].up.Load(), front.shards[1].up.Load())
+	}
+	if text := renderTel(t, servers[0].Telemetry()); !strings.Contains(text, `als_requests_total{endpoint="info",code="503"}`) {
+		t.Errorf("stale shard 0 did not answer info 503:\n%s", text)
+	}
+	saveCheckpoint(t, fsys, "ckpts", 2, 2, users, items, k)
+	for i, w := range watchers {
+		if swapped, err := w.Poll(); !swapped || err != nil {
+			t.Fatalf("shard %d: second poll = (%v, %v)", i, swapped, err)
+		}
+	}
+	front.ProbeOnce(ctx)
+	if up, total := front.Healthy(); up != total {
+		t.Fatalf("after a fresh install: %d/%d up", up, total)
+	}
+
+	// Shard 1's one admission slot is taken: its info answer is 429, which
+	// blames the request, not the shard.
+	if !servers[1].admit("test") {
+		t.Fatal("shard 1's admission slot was not free")
+	}
+	front.ProbeOnce(ctx)
+	servers[1].release()
+	if up, total := front.Healthy(); up != total {
+		t.Errorf("a saturated shard's 429 changed the fleet to %d/%d up", up, total)
+	}
+	if text := exposition(t, front); !strings.Contains(text, `als_front_shard_requests_total{shard="1",outcome="rejected"} 1`) {
+		t.Errorf("the 429 was not counted as a rejected leg:\n%s", text)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -73,11 +72,11 @@ func (c *FrontendConfig) setDefaults() {
 	}
 }
 
-// shardState is the frontend's per-shard view: liveness (set by the health
-// prober and passively by request outcomes) and the last /shard/v1/info.
+// shardState is the frontend's per-shard view: liveness (set by every leg's
+// outcome, the prober's info legs included) and the last info reply.
 type shardState struct {
 	up   atomic.Bool
-	info atomic.Pointer[infoResponse]
+	info atomic.Pointer[shardInfo]
 }
 
 // Frontend fans /v1/recommend and /v1/foldin out to a fleet of shard
@@ -90,7 +89,6 @@ type shardState struct {
 // fleet is degraded.
 type Frontend struct {
 	cfg    FrontendConfig
-	client *http.Client // the probe's /readyz and /shard/v1/info
 	shards []*shardState
 	hops   []*hopPool // one per shard
 	mux    *http.ServeMux
@@ -112,10 +110,6 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	cfg.setDefaults()
 	f := &Frontend{cfg: cfg, reg: obs.NewRegistry()}
-	f.client = &http.Client{Transport: &http.Transport{
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     30 * time.Second,
-	}}
 	dials := f.reg.Counter("als_front_shard_dials_total",
 		"Connections dialed and upgraded to the shard hop's frames, by shard.", "shard")
 	for i, base := range cfg.Shards {
@@ -176,13 +170,12 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 // Handler returns the frontend's HTTP routing.
 func (f *Frontend) Handler() http.Handler { return f.mux }
 
-// Close drops the frontend's idle shard connections, frame and probe
-// alike; a connection in use is closed when its leg returns it.
+// Close drops the frontend's idle shard connections; a connection in use is
+// closed when its leg returns it.
 func (f *Frontend) Close() {
 	for _, p := range f.hops {
 		p.close()
 	}
-	f.client.CloseIdleConnections()
 }
 
 // Registry exposes the frontend's metrics (for embedding hosts).
@@ -212,29 +205,13 @@ func (f *Frontend) Run(ctx context.Context) {
 	}
 }
 
-// ProbeOnce health-checks every shard through its public /readyz and, for
-// ready shards, refreshes the cached /shard/v1/info.
+// ProbeOnce sends every shard an info leg, which follows the rule every
+// leg follows (scatter): an answer marks the shard up and refreshes its
+// cached info, a transport failure or 5xx — a replica that is not ready
+// answers 503 — marks it down, and a 4xx, such as a saturated shard's 429,
+// leaves its state as it was.
 func (f *Frontend) ProbeOnce(ctx context.Context) {
-	var wg sync.WaitGroup
-	for i := range f.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, f.cfg.ShardTimeout)
-			defer cancel()
-			st := f.shards[i]
-			if err := f.getJSON(sctx, i, "/readyz", nil); err != nil {
-				st.up.Store(false)
-				return
-			}
-			var info infoResponse
-			if err := f.getJSON(sctx, i, "/shard/v1/info", &info); err == nil {
-				st.info.Store(&info)
-			}
-			st.up.Store(true)
-		}(i)
-	}
-	wg.Wait()
+	f.scatter(ctx, func(ctx context.Context, i int) error { return f.info(ctx, i, new(shardInfo)) })
 }
 
 // Ready reports fleet health for /readyz: an error while any shard is
@@ -264,46 +241,6 @@ func (f *Frontend) Healthy() (up, total int) {
 		}
 	}
 	return up, len(f.shards)
-}
-
-// getJSON GETs path from shard i and decodes the response into out (nil
-// discards the body). Non-2xx replies surface as *statusError. On a traced
-// request it opens a per-hop child span ("shard<i> <path>") and injects its
-// context into the outbound traceparent header.
-func (f *Frontend) getJSON(ctx context.Context, i int, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Shards[i]+path, nil)
-	if err != nil {
-		return err
-	}
-	var hop *rtrace.Span
-	if rtrace.Active(ctx) {
-		_, hop = rtrace.StartChild(ctx, "shard"+strconv.Itoa(i)+" "+path)
-		hop.SetAttr("shard", strconv.Itoa(i))
-		rtrace.Inject(req.Header, hop.Context())
-		defer hop.End()
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		hop.SetAttr("error", err.Error())
-		return err
-	}
-	defer resp.Body.Close()
-	hop.SetAttr("code", strconv.Itoa(resp.StatusCode))
-	if resp.StatusCode/100 != 2 {
-		msg := fmt.Sprintf("shard replied %d", resp.StatusCode)
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &statusError{code: resp.StatusCode, msg: msg}
-	}
-	if out == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // call runs one fan-out leg over shard i's hop: q as a kind request frame
@@ -568,29 +505,36 @@ func retryable(err error) bool {
 	return true
 }
 
-// anyInfo returns the freshest cached shard info, fetching one
-// synchronously when nothing is cached yet.
-func (f *Frontend) anyInfo(ctx context.Context) *infoResponse {
-	var best *infoResponse
+// info runs one info leg to shard i into out and caches the answer.
+func (f *Frontend) info(ctx context.Context, i int, out *shardInfo) error {
+	return f.call(ctx, i, hopInfo, hopRequest{}, func(h hopReplyHeader, body []byte) error {
+		if err := decodeInfo(h, body, out); err != nil {
+			return err
+		}
+		f.shards[i].info.Store(out)
+		return nil
+	})
+}
+
+// anyInfo returns the freshest cached shard info, probing the fleet first
+// when nothing is cached yet.
+func (f *Frontend) anyInfo(ctx context.Context) *shardInfo {
+	if best := f.freshestInfo(); best != nil {
+		return best
+	}
+	f.ProbeOnce(ctx)
+	return f.freshestInfo()
+}
+
+// freshestInfo returns the cached info with the newest snapshot, or nil.
+func (f *Frontend) freshestInfo() *shardInfo {
+	var best *shardInfo
 	for _, st := range f.shards {
 		if in := st.info.Load(); in != nil && (best == nil || in.Seq > best.Seq) {
 			best = in
 		}
 	}
-	if best != nil {
-		return best
-	}
-	for i := range f.shards {
-		sctx, cancel := context.WithTimeout(ctx, f.cfg.ShardTimeout)
-		var info infoResponse
-		err := f.getJSON(sctx, i, "/shard/v1/info", &info)
-		cancel()
-		if err == nil {
-			f.shards[i].info.Store(&info)
-			return &info
-		}
-	}
-	return nil
+	return best
 }
 
 // gathered is the scatter-gather outcome the frontend appends to the
@@ -664,7 +608,7 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "no shard answered")
 		return
 	}
-	if err := core.CheckFoldIn(req.Items, req.Ratings, info.TotalItems); err != nil {
+	if err := core.CheckFoldIn(req.Items, req.Ratings, info.Items); err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -754,20 +698,14 @@ func (f *Frontend) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleModel aggregates the fleet's /shard/v1/info into the standard
+// handleModel aggregates the fleet's info replies into the standard
 // /v1/model discovery answer (full catalog size, shared user count).
 func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
-	infos, answered := gather(r.Context(), f, w, func(ctx context.Context, i int, out *infoResponse) error {
-		if err := f.getJSON(ctx, i, "/shard/v1/info", out); err != nil {
-			return err
-		}
-		f.shards[i].info.Store(out)
-		return nil
-	})
+	infos, answered := gather(r.Context(), f, w, f.info)
 	if answered == 0 {
 		return
 	}
-	var best *infoResponse
+	var best *shardInfo
 	for _, in := range infos {
 		if in != nil && (best == nil || in.Seq > best.Seq) {
 			best = in
@@ -775,7 +713,7 @@ func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.WriteJSON(w, ModelResponse{
 		Version: best.Version, Seq: best.Seq,
-		Users: best.Users, Items: best.TotalItems, K: best.K,
+		Users: best.Users, Items: best.Items, K: best.K,
 		Compact: best.Compact,
 	})
 }

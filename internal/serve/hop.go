@@ -25,6 +25,7 @@ import (
 //	hopScore      u32 n, u32 k, k×f32 x, u32 m, m×i32 excluded global items
 //	hopPartials   u32 m, m×i32 rated global items, m×f32 ratings
 //	hopPurge      i64 user
+//	hopInfo       nothing more
 //
 // A reply payload starts with u16 status, u64 snapshot seq, u32 length and
 // the snapshot version's bytes. Then, for a 2xx status:
@@ -33,6 +34,8 @@ import (
 //	partials          u32 k, u32 local ratings, PackedLen(k)+k f32: the
 //	                  packed Gram terms, then the RHS
 //	purge             u32 cache entries dropped
+//	info              u32 users, u32 catalog items, u32 k, f32 training λ,
+//	                  u8 flags (infoWeightedLambda, infoCompact)
 //
 // and for any other status the rest is the error message, the words the
 // JSON edges put in {"error": msg}.
@@ -44,6 +47,7 @@ const (
 	hopScore     byte = 17
 	hopPartials  byte = 18
 	hopPurge     byte = 19
+	hopInfo      byte = 20
 	hopReply     byte = 32
 )
 
@@ -60,6 +64,8 @@ func hopEndpoint(kind byte) string {
 		return "partials"
 	case hopPurge:
 		return "purge"
+	case hopInfo:
+		return "info"
 	}
 	return ""
 }
@@ -118,6 +124,8 @@ func (q *hopRequest) encode(b []byte, kind byte) []byte {
 		return appendF32s(b, q.ratings)
 	case hopPurge:
 		return binary.LittleEndian.AppendUint64(b, uint64(q.user))
+	case hopInfo:
+		return b
 	}
 	panic(fmt.Sprintf("serve: hop kind %d is not a request", kind))
 }
@@ -151,6 +159,7 @@ func (q *hopRequest) decode(kind byte, p []byte) error {
 		r.F32s(q.ratings)
 	case hopPurge:
 		q.user = int64(r.U64())
+	case hopInfo:
 	default:
 		return fmt.Errorf("unknown frame kind %d", kind)
 	}
@@ -271,6 +280,63 @@ func decodePartials(h hopReplyHeader, p []byte, out *partials) error {
 func decodePurge(p []byte) (int, error) {
 	r := lebin.Payload(p)
 	return int(r.U32()), badFrame(&r)
+}
+
+// shardInfo is an info reply: the shape of a shard's snapshot that the
+// frontend's /v1/model reports, and the catalog size and training λ its
+// fold-in needs. Version and Seq come from the reply header.
+type shardInfo struct {
+	Users, Items, K         int // Items is the whole catalog, not the slice
+	Lambda                  float32
+	WeightedLambda, Compact bool
+	Version                 string
+	Seq                     uint64
+}
+
+// An info reply's flag bits.
+const (
+	infoWeightedLambda byte = 1
+	infoCompact        byte = 2
+)
+
+// snapshotInfo describes sn as an info reply's body does.
+func snapshotInfo(sn *Snapshot) shardInfo {
+	m := sn.Model
+	items := sn.ItemTotal
+	if items == 0 {
+		items = m.Y.Rows
+	}
+	return shardInfo{Users: m.X.Rows, Items: items, K: m.K, Lambda: m.Meta.Lambda,
+		WeightedLambda: m.Meta.WeightedLambda, Compact: m.UserIDs != nil}
+}
+
+// appendInfo appends an info reply's body.
+func appendInfo(b []byte, in shardInfo) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Users))
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Items))
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.K))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(in.Lambda))
+	var flags byte
+	if in.WeightedLambda {
+		flags |= infoWeightedLambda
+	}
+	if in.Compact {
+		flags |= infoCompact
+	}
+	return append(b, flags)
+}
+
+// decodeInfo reads an info reply into out.
+func decodeInfo(h hopReplyHeader, p []byte, out *shardInfo) error {
+	r := lebin.Payload(p)
+	users, items, k, lambda, flags := r.U32(), r.U32(), r.U32(), r.F32(), r.U8()
+	if flags&^(infoWeightedLambda|infoCompact) != 0 {
+		r.Fail(fmt.Errorf("unknown info flags %#x", flags))
+	}
+	*out = shardInfo{Users: int(users), Items: int(items), K: int(k), Lambda: lambda,
+		WeightedLambda: flags&infoWeightedLambda != 0, Compact: flags&infoCompact != 0,
+		Version: h.version, Seq: h.seq}
+	return badFrame(&r)
 }
 
 // errBadFrame wraps every way a hop payload fails to decode.

@@ -45,10 +45,12 @@ func hopGoldens() map[string][]byte {
 		"score.bin":     request(hopScore, hopRequest{n: 5, x: []float32{0.5, -1.25, 2}, items: []int32{3, 7}}),
 		"partials.bin":  request(hopPartials, hopRequest{items: []int32{1, 6, 11}, ratings: []float32{5, 3.5, 4}}),
 		"purge.bin":     request(hopPurge, hopRequest{user: 501}),
+		"info.bin":      request(hopInfo, hopRequest{trace: traced}),
 		"reply-scored.bin": reply(appendScored(ok, sn,
 			[]metrics.Scored{{Item: 2, Score: 4.75}, {Item: 0, Score: 1.5}})),
 		"reply-partials.bin": reply(appendPartialsReply(ok, 2, 3, []float32{1, 2, 3, 4, 5})),
 		"reply-purge.bin":    reply(binary.LittleEndian.AppendUint32(ok, 1)),
+		"reply-info.bin":     reply(appendInfo(ok, shardInfo{Users: 4, Items: 40, K: 2, Lambda: 0.05, WeightedLambda: true, Compact: true})),
 		"reply-error.bin":    reply(appendError(nil, sn, &statusError{code: http.StatusNotFound, msg: "user 9 not in the model"})),
 	}
 }
@@ -98,6 +100,10 @@ func reencodeHop(t *testing.T, name string, frame []byte) []byte {
 		var n int
 		n, err = decodePurge(body)
 		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	case "reply-info.bin":
+		var in shardInfo
+		err = decodeInfo(h, body, &in)
+		b = appendInfo(b, in)
 	case "reply-error.bin":
 		b = appendError(nil, sn, &statusError{code: h.status, msg: string(body)})
 	}
@@ -161,6 +167,7 @@ func FuzzHopFrame(f *testing.F) {
 	}
 	f.Add(framing.Append(nil, hopPartials, binary.LittleEndian.AppendUint32([]byte{0}, 1e9)))
 	f.Add(framing.Append(nil, hopScore, []byte{2, 1, 0, 0, 0}))
+	f.Add(framing.Append(nil, hopInfo, []byte{0, 0}))
 	f.Add(framing.Append(nil, hopReply, []byte{200, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, hopRecommend})
 
@@ -188,6 +195,8 @@ func FuzzHopFrame(f *testing.F) {
 				var pp partials
 				decodePartials(h, body, &pp)
 				decodePurge(body)
+				var in shardInfo
+				decodeInfo(h, body, &in)
 			}
 		}); n > 64<<10+2*uint64(len(p)) {
 			t.Fatalf("a %d-byte payload allocated %d bytes", len(p), n)
@@ -226,6 +235,13 @@ func TestHopDecodersBoundAllocation(t *testing.T) {
 				return err
 			}
 			return decodeScored(h, body, new(RecommendResponse))
+		}},
+		{"info reply", func() error {
+			h, body, err := parseReplyHeader(append(header, huge()...), new(string))
+			if err != nil {
+				return err
+			}
+			return decodeInfo(h, body, new(shardInfo))
 		}},
 		{"reply version", func() error {
 			_, _, err := parseReplyHeader(append(header[:10:10], huge()...), new(string))
@@ -407,6 +423,15 @@ func TestHopCodecAllocs(t *testing.T) {
 		{"encode partials reply", 0, func() {
 			local := st.partials(sn, part.items, part.ratings)
 			st.reply = appendPartialsReply(appendReplyHeader(st.reply[:0], http.StatusOK, sn), m.K, local, st.terms)
+		}},
+		{"encode info reply", 0, func() {
+			st.reply = appendInfo(appendReplyHeader(st.reply[:0], http.StatusOK, sn), snapshotInfo(sn))
+			reply = st.reply
+		}},
+		{"decode info reply", 0, func() {
+			h, body, _ := parseReplyHeader(reply, &version)
+			var in shardInfo
+			decodeInfo(h, body, &in)
 		}},
 	} {
 		c.run()

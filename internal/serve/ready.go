@@ -8,7 +8,8 @@ import (
 )
 
 // Readiness builds a /readyz probe for srv, suitable for
-// obs.DebugConfig.Ready: the server is ready when a model is installed
+// obs.DebugConfig.Ready and the rule a Replica answers info frames by: the
+// server is ready when a model is installed
 // and — if maxStaleness > 0 — the checkpoint watcher has installed one
 // within the staleness bound. A positive bound therefore requires the
 // watcher: a model loaded statically at startup carries no install

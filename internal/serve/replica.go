@@ -33,8 +33,9 @@ type ReplicaConfig struct {
 	// Index / Count name the shard: the replica serves item rows
 	// [Index·total/Count, (Index+1)·total/Count) of the catalog.
 	Index, Count int
-	// MaxStaleness bounds /readyz freshness when the replica follows a
-	// checkpoint watcher (0 disables the age check; see Readiness).
+	// MaxStaleness bounds the freshness an info frame, the frontend's probe,
+	// requires when the replica follows a checkpoint watcher (0 disables the
+	// age check; see Readiness).
 	MaxStaleness time.Duration
 	// Clock overrides time for readiness (tests); nil is real time.
 	Clock checkpoint.Clock
@@ -42,22 +43,19 @@ type ReplicaConfig struct {
 
 // Replica wraps a Server into one shard of the item catalog. The
 // ordinary endpoints keep working — /v1/recommend answers partial top-N
-// over the local slice with global item indices — and two internal
-// endpoints give the scatter-gather frontend what it needs:
-//
-//	GET /shard/v1/info    shard identity, slice bounds, model meta (JSON)
-//	GET /shard/v1/frames  upgrade to the hop's frame protocol (hop.go):
-//	                      recommend, score (top-N for a given factor),
-//	                      partials (Gram/RHS terms for a fold-in solve) and
-//	                      purge (a fold-in's cache write) as frames
-//
-// plus a public GET /readyz, so frontends health-check replicas without
-// needing the debug listener. A host closes the replica (Close) before the
-// Server it wraps.
+// over the local slice with global item indices — and one internal
+// endpoint gives the scatter-gather frontend everything it asks of a
+// shard: GET /shard/v1/frames upgrades a connection to the hop's frames
+// (hop.go), which carry recommend, score (top-N for a given factor),
+// partials (Gram/RHS terms for a fold-in solve), purge (a fold-in's cache
+// write) and info (the snapshot's shape, answered 503 while Readiness
+// fails: the frontend's probe). A host closes the replica (Close) before
+// the Server it wraps.
 type Replica struct {
-	srv *Server
-	cfg ReplicaConfig
-	mux *http.ServeMux
+	srv   *Server
+	cfg   ReplicaConfig
+	mux   *http.ServeMux
+	ready func() error // Readiness(srv, cfg.MaxStaleness, cfg.Clock)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // upgraded connections
@@ -70,11 +68,10 @@ func NewReplica(srv *Server, cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Count < 1 || cfg.Index < 0 || cfg.Index >= cfg.Count {
 		return nil, fmt.Errorf("serve: shard replica %d/%d is not 0 <= i < N", cfg.Index, cfg.Count)
 	}
-	r := &Replica{srv: srv, cfg: cfg, conns: map[net.Conn]struct{}{}}
+	r := &Replica{srv: srv, cfg: cfg, conns: map[net.Conn]struct{}{},
+		ready: Readiness(srv, cfg.MaxStaleness, cfg.Clock)}
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("GET /readyz", probeHandler(Readiness(srv, cfg.MaxStaleness, cfg.Clock)))
-	mux.HandleFunc("GET /shard/v1/info", srv.instrument("shardinfo", r.handleInfo))
 	// Bare: the connection outlives this handler, and each frame on it is
 	// admitted on its own (answer).
 	mux.HandleFunc("GET "+hopPath, r.handleFrames)
@@ -99,44 +96,6 @@ func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapsh
 // checkpoint directory the fleet's shard-sync mechanism.
 func (r *Replica) Transform(m *core.Model) (*core.Model, int, int) {
 	return sliceModel(m, r.cfg.Index, r.cfg.Count)
-}
-
-// infoResponse answers /shard/v1/info.
-type infoResponse struct {
-	Shard          int     `json:"shard"`
-	Of             int     `json:"of"`
-	ItemOffset     int     `json:"item_offset"`
-	ShardItems     int     `json:"shard_items"`
-	TotalItems     int     `json:"total_items"`
-	Users          int     `json:"users"`
-	K              int     `json:"k"`
-	Lambda         float32 `json:"lambda"`
-	WeightedLambda bool    `json:"weighted_lambda"`
-	Compact        bool    `json:"compact"`
-	Precision      string  `json:"precision"` // scoring precision of this shard's snapshot
-	Version        string  `json:"version"`
-	Seq            uint64  `json:"seq"`
-}
-
-func (r *Replica) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	sn := r.srv.Current()
-	if sn == nil {
-		httpError(w, errNoModel)
-		return
-	}
-	total, off := sn.ItemTotal, sn.ItemOffset
-	if total == 0 {
-		total = sn.Model.Y.Rows
-	}
-	obs.WriteJSON(w, infoResponse{
-		Shard: r.cfg.Index, Of: r.cfg.Count,
-		ItemOffset: off, ShardItems: sn.Model.Y.Rows, TotalItems: total,
-		Users: sn.Model.X.Rows, K: sn.Model.K,
-		Lambda: sn.Model.Meta.Lambda, WeightedLambda: sn.Model.Meta.WeightedLambda,
-		Compact:   sn.Model.UserIDs != nil,
-		Precision: sn.Precision.String(),
-		Version:   sn.Version, Seq: sn.Seq,
-	})
 }
 
 // Close ends the replica's frame connections and waits for the requests
@@ -322,12 +281,18 @@ func (r *Replica) answer(st *hopScratch, kind byte, p []byte, readErr error) []b
 	start := time.Now()
 	derr := st.req.decode(kind, p)
 	ctx, span := s.mw.tracer.StartRequest(ctx, endpoint, st.req.trace)
+	var notReady error
+	if kind == hopInfo {
+		notReady = r.ready()
+	}
 	sn := s.Current()
 	var reply []byte
 	var fail *statusError
 	switch {
 	case derr != nil:
 		fail = &statusError{code: http.StatusBadRequest, msg: derr.Error()}
+	case notReady != nil:
+		fail = &statusError{code: http.StatusServiceUnavailable, msg: notReady.Error()}
 	case sn == nil:
 		fail = errNoModel
 	default:
@@ -366,6 +331,8 @@ func (r *Replica) serveKind(ctx context.Context, st *hopScratch, kind byte, sn *
 	case hopPartials:
 		local := st.partials(sn, q.items, q.ratings)
 		return appendPartialsReply(b, sn.Model.K, local, st.terms), nil
+	case hopInfo:
+		return appendInfo(b, snapshotInfo(sn)), nil
 	default: // hopPurge
 		purged := 0
 		if u, ok := sn.UserIndex(q.user); ok {

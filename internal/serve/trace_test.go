@@ -28,7 +28,7 @@ func TestServerTraceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtrace.Inject(req.Header, remote)
+	req.Header.Set(rtrace.TraceparentHeader, remote.Traceparent())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestServerTraceSpans(t *testing.T) {
 	// An unsampled inbound context suppresses the whole tree.
 	before := len(tr.Snapshot())
 	req, _ = http.NewRequest("GET", ts.URL+"/v1/recommend?user=0", nil)
-	rtrace.Inject(req.Header, rtrace.SpanContext{Trace: 1, Span: 2, Sampled: false})
+	req.Header.Set(rtrace.TraceparentHeader, rtrace.SpanContext{Trace: 1, Span: 2, Sampled: false}.Traceparent())
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

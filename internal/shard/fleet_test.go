@@ -6,12 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -217,48 +214,6 @@ func TestScatterGatherMergeIdentical(t *testing.T) {
 	}
 }
 
-// TestScatterGatherQuantizedMergeIdentical pins the quantized fleet to the
-// single-process quantized server: because factors are quantized per row,
-// a replica's zero-copy slice of the catalog encoding scores every item
-// bit-identically to the full server, so the merged top-N — scores and the
-// lower-index tie-break over tieModel's many exact ties — must match
-// item-for-item at every precision and fleet size.
-func TestScatterGatherQuantizedMergeIdentical(t *testing.T) {
-	const users, items, k = 5, 23, 3
-	m := tieModel(users, items, k)
-	rated := ratedSet(users, items, 2, 9, 22)
-	for _, prec := range []quant.Precision{quant.F16, quant.I8} {
-		for _, shards := range []int{1, 2, 3} {
-			t.Run(fmt.Sprintf("%v/shards=%d", prec, shards), func(t *testing.T) {
-				f := newFleetPrec(t, m, rated, shards, prec)
-				var info struct{ Precision string }
-				if code := getJSON(t, f.shardTS[0].URL+"/shard/v1/info", &info); code != 200 {
-					t.Fatalf("/shard/v1/info: HTTP %d", code)
-				}
-				if info.Precision != prec.String() {
-					t.Fatalf("shard info precision %q, want %q", info.Precision, prec)
-				}
-				for _, n := range []int{1, 3, 10, 40} {
-					for _, user := range []int64{500, 501, 504} {
-						var want serve.RecommendResponse
-						if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.fullTS.URL, user, n), &want); code != 200 {
-							t.Fatalf("full server: HTTP %d", code)
-						}
-						var got frontAnswer
-						if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.frontTS.URL, user, n), &got); code != 200 {
-							t.Fatalf("frontend: HTTP %d", code)
-						}
-						if got.Partial || got.ShardsOK != shards {
-							t.Fatalf("healthy fleet answered partial=%v shards_ok=%d", got.Partial, got.ShardsOK)
-						}
-						sameItems(t, fmt.Sprintf("user=%d n=%d", user, n), got.Items, want.Items)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestFoldInAcrossShards holds the distributed fold-in — partial normal
 // equations gathered per shard, solved once at the frontend, scored across
 // the fleet — bit-identical to the single-process fold-in path.
@@ -416,139 +371,6 @@ func TestFoldInPurgesAllShards(t *testing.T) {
 			t.Fatalf("shard %d still holds %d cached entries for the folded-in user", i, got)
 		}
 	}
-}
-
-var partialCounterRe = regexp.MustCompile(`(?m)^als_shard_partial_total (\d+)`)
-
-func partialCount(t *testing.T, f *serve.Frontend) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := f.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m := partialCounterRe.FindStringSubmatch(buf.String())
-	if m == nil {
-		t.Fatalf("exposition lacks als_shard_partial_total:\n%s", buf.String())
-	}
-	n, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestFrontendDegradationAndRecovery kills a shard mid-service and checks
-// the documented degradation ladder: requests keep answering from the
-// healthy shard flagged partial, als_shard_partial_total counts them,
-// /readyz goes 503 — and after the shard restarts on the same address the
-// fleet recovers to full, non-partial answers.
-func TestFrontendDegradationAndRecovery(t *testing.T) {
-	const users, items, k = 5, 23, 3
-	m := tieModel(users, items, k)
-
-	// Shard 0 lives on a plain httptest server; shard 1 on a hand-rolled
-	// listener so it can be killed and restarted on the same address.
-	srv0 := serve.New(serve.Config{})
-	rep0, err := serve.NewReplica(srv0, serve.ReplicaConfig{Index: 0, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep0.Swap(m, nil, "v1")
-	ts0 := httptest.NewServer(rep0.Handler())
-	defer srv0.Close()
-	defer rep0.Close()
-	defer ts0.Close()
-
-	srv1 := serve.New(serve.Config{})
-	rep1, err := serve.NewReplica(srv1, serve.ReplicaConfig{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1.Swap(m, nil, "v1")
-	defer srv1.Close()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := lis.Addr().String()
-	hs1 := &http.Server{Handler: rep1.Handler()}
-	go hs1.Serve(lis)
-
-	front, err := serve.NewFrontend(serve.FrontendConfig{
-		Shards:       []string{ts0.URL, "http://" + addr},
-		ShardTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front.ProbeOnce(context.Background())
-	if up, total := front.Healthy(); up != 2 || total != 2 {
-		t.Fatalf("fresh fleet: %d/%d up", up, total)
-	}
-	defer front.Close()
-	fts := httptest.NewServer(front.Handler())
-	defer fts.Close()
-
-	var full frontAnswer
-	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &full); code != 200 {
-		t.Fatalf("healthy request: HTTP %d", code)
-	}
-	if full.Partial {
-		t.Fatal("healthy fleet answered partial")
-	}
-
-	// Kill shard 1: its listener and its upgraded frame connections, which
-	// http.Server.Close does not reach.
-	hs1.Close()
-	rep1.Close()
-	var degraded frontAnswer
-	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &degraded); code != 200 {
-		t.Fatalf("degraded request: HTTP %d", code)
-	}
-	if !degraded.Partial || degraded.ShardsOK != 1 {
-		t.Fatalf("killed shard: partial=%v shards_ok=%d, want partial from 1 shard", degraded.Partial, degraded.ShardsOK)
-	}
-	if len(degraded.Items) == 0 {
-		t.Fatal("degraded response returned no items from the surviving shard")
-	}
-	if got := partialCount(t, front); got < 1 {
-		t.Fatalf("als_shard_partial_total = %d after degraded request, want >= 1", got)
-	}
-	if code := getJSON(t, fts.URL+"/readyz", nil); code != 503 {
-		t.Fatalf("degraded /readyz: HTTP %d, want 503", code)
-	}
-	if err := front.Ready(); err == nil {
-		t.Fatal("Ready() reported healthy with a dead shard")
-	}
-
-	// Restart shard 1 on the same address and let the prober find it.
-	lis2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
-	}
-	rep1b, err := serve.NewReplica(srv1, serve.ReplicaConfig{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := &http.Server{Handler: rep1b.Handler()}
-	go hs2.Serve(lis2)
-	defer rep1b.Close()
-	defer hs2.Close()
-	front.ProbeOnce(context.Background())
-	if up, _ := front.Healthy(); up != 2 {
-		t.Fatalf("after restart: %d/2 up", up)
-	}
-	if code := getJSON(t, fts.URL+"/readyz", nil); code != 200 {
-		t.Fatalf("recovered /readyz: HTTP %d, want 200", code)
-	}
-	var recovered frontAnswer
-	if code := getJSON(t, fts.URL+"/v1/recommend?user=500&n=10", &recovered); code != 200 {
-		t.Fatalf("recovered request: HTTP %d", code)
-	}
-	if recovered.Partial {
-		t.Fatal("recovered fleet still answering partial")
-	}
-	sameItems(t, "recovered", recovered.Items, full.Items)
 }
 
 // TestRequestBodyLimits: the replica's JSON endpoints and the frontend's
