@@ -19,7 +19,8 @@ test-short:
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
 # boundary and the hop's one frame layout and one transport, one codec, one
-# byte decoder, one process harness, one row-update arithmetic),
+# byte decoder, one process harness, a simulator that imports no
+# arithmetic),
 # build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
@@ -60,9 +61,9 @@ ci:
 	if [ -n "$$harness" ]; then \
 		echo 'exec.Command("go" in a test outside internal/e2e (use e2e.Build):'; echo "$$harness"; exit 1; \
 	fi
-	@solvers=$$(ls internal/kernels/*.go internal/sim/*.go internal/cluster/*.go internal/baseline/*.go internal/tuner/*.go | grep -v '_test\.go$$' | xargs grep -lE 'linalg\.(Gram|GatherGaxpy|Cholesky|LDL)' || true); \
-	if [ -n "$$solvers" ]; then \
-		echo "the simulator keeps the clock; the row update's arithmetic has one home, internal/host:"; echo "$$solvers"; exit 1; \
+	@arith=$$($(GO) list -deps ./internal/kernels ./internal/sim ./internal/cluster ./internal/baseline ./internal/tuner | grep -xE 'repro/internal/(host|linalg)' || true); \
+	if [ -n "$$arith" ]; then \
+		echo "the simulator returns a clock and nothing else; internal/{kernels,sim,cluster,baseline,tuner} must not depend on:"; echo "$$arith"; exit 1; \
 	fi
 	$(GO) build ./...
 	$(GO) test -race -short ./...

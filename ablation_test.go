@@ -39,12 +39,12 @@ func BenchmarkAblationSkewVsFlatPenalty(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				flat, err := kernels.Estimate(mx, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
-					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+					K: 10, Iterations: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 				batched, err := kernels.Estimate(mx, kernels.Config{Device: gpu, Spec: kernels.Spec{},
-					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+					K: 10, Iterations: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -77,13 +77,13 @@ func BenchmarkAblationCacheWorkingSet(b *testing.B) {
 			var perNNZ, boost float64
 			for i := 0; i < b.N; i++ {
 				plain, err := kernels.Estimate(mx, kernels.Config{Device: cpu, Spec: kernels.Spec{},
-					K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+					K: 10, Iterations: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 				staged, err := kernels.Estimate(mx, kernels.Config{Device: cpu,
 					Spec: kernels.Spec{S1Local: true, S2Local: true},
-					K:    10, Lambda: 0.1, Iterations: 1, Seed: 1})
+					K:    10, Iterations: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func BenchmarkAblationTransferShare(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := kernels.Estimate(mx, kernels.Config{Device: gpu,
 					Spec: kernels.FromVariant(variant.Options{Local: true, Register: true}),
-					K:    10, Lambda: 0.1, Iterations: 5, Seed: 1})
+					K:    10, Iterations: 5})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func BenchmarkAblationGroupGrid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := kernels.Estimate(mx, kernels.Config{Device: gpu,
 					Spec: kernels.FromVariant(variant.Options{Local: true, Register: true}),
-					K:    10, Lambda: 0.1, Iterations: 1, Seed: 1, Groups: groups})
+					K:    10, Iterations: 1, Groups: groups})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -62,12 +62,12 @@ func BenchmarkFig1BaselineCPUvsGPU(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		tc, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: cpu, Spec: kernels.Baseline(),
-			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+			K: s.K, Iterations: s.Iterations})
 		if err != nil {
 			b.Fatal(err)
 		}
 		tg, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: gpu, Spec: kernels.Baseline(),
-			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+			K: s.K, Iterations: s.Iterations})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFig6Variants(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 						Device: dev, Spec: kernels.FromVariant(v),
-						K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+						K: s.K, Iterations: s.Iterations})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func BenchmarkFig7Speedups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(dev *device.Device, spec kernels.Spec) float64 {
 			res, err := kernels.Estimate(ds.Matrix, kernels.Config{Device: dev, Spec: spec,
-				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+				K: s.K, Iterations: s.Iterations})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func BenchmarkFig7Speedups(b *testing.B) {
 		flatCPU := run(cpu, kernels.Baseline())
 		flatGPU := run(gpu, kernels.Baseline())
 		cm, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{Device: gpu,
-			K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+			K: s.K, Iterations: s.Iterations})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func BenchmarkFig8StageBreakdown(b *testing.B) {
 		res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 			Device: device.K20c(),
 			Spec:   kernels.Spec{S1Local: true, S1Register: true, S2Local: true},
-			K:      s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+			K:      s.K, Iterations: s.Iterations})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func BenchmarkFig9CrossPlatform(b *testing.B) {
 		for _, dev := range device.All() {
 			res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 				Device: dev, Spec: kernels.FromVariant(experiments.BestVariant(dev.Kind)),
-				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed})
+				K: s.K, Iterations: s.Iterations})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func BenchmarkFig10BlockSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := kernels.Estimate(ds.Matrix, kernels.Config{
 					Device: device.K20c(), Spec: kernels.FromVariant(experiments.BestVariant(device.GPU)),
-					K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed, GroupSize: ws})
+					K: s.K, Iterations: s.Iterations, GroupSize: ws})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,51 +404,6 @@ func BenchmarkHostScaling(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBatchedCholesky measures the batched small-system solver
-// (reference [21]'s batched factorization idea) against per-system calls.
-func BenchmarkBatchedCholesky(b *testing.B) {
-	const k, batch = 10, 2048
-	rng := rand.New(rand.NewSource(9))
-	proto := linalg.NewDense(k, k)
-	y := make([]float32, 4*k*k)
-	for i := range y {
-		y[i] = rng.Float32()
-	}
-	cols := make([]int32, 4*k)
-	for i := range cols {
-		cols[i] = int32(i)
-	}
-	linalg.GramRegister(y, k, cols, proto.Data)
-	proto.AddDiag(0.5)
-	fill := func(bs *linalg.BatchedSystems) {
-		for i := 0; i < bs.Batch; i++ {
-			a, rhs := bs.System(i)
-			copy(a.Data, proto.Data)
-			for j := range rhs {
-				rhs[j] = rng.Float32()
-			}
-		}
-	}
-	b.Run("batched", func(b *testing.B) {
-		bs := linalg.NewBatchedSystems(k, batch)
-		for i := 0; i < b.N; i++ {
-			fill(bs)
-			if err := bs.SolveAll(0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		bs := linalg.NewBatchedSystems(k, batch)
-		for i := 0; i < b.N; i++ {
-			fill(bs)
-			if err := bs.SolveAll(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTopN measures the three top-N selection strategies over a large

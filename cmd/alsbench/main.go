@@ -110,8 +110,7 @@ func main() {
 		// on Netflix/K20c.
 		ds := dataset.Netflix.ScaledForBench(0.002 * s.Scale).Generate(s.Seed)
 		steps, final, err := tuner.Tune(ds.Matrix, kernels.Config{
-			Device: device.K20c(), K: s.K, Lambda: s.Lambda,
-			Iterations: s.Iterations, Seed: s.Seed,
+			Device: device.K20c(), K: s.K, Iterations: s.Iterations,
 		})
 		if err != nil {
 			fail(err)

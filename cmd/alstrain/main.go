@@ -358,7 +358,7 @@ func main() {
 			}
 		}
 		if info.Simulated {
-			fmt.Printf("stage breakdown: S1=%.4fs S2=%.4fs S3=%.4fs\n",
+			fmt.Printf("stage time summed over compute units: S1=%.4fs S2=%.4fs S3=%.4fs\n",
 				info.StageSeconds[0], info.StageSeconds[1], info.StageSeconds[2])
 		}
 	}

@@ -70,7 +70,7 @@ func main() {
 	fmt.Println("\n== hotspot-guided tuning on Netflix/K20c (Sec. V-C, Fig. 8) ==")
 	ntfx := dataset.Netflix.ScaledForBench(0.002).Generate(7)
 	steps, final, err := tuner.Tune(ntfx.Matrix, kernels.Config{
-		Device: device.K20c(), K: 10, Lambda: 0.1, Iterations: 1, Seed: 7,
+		Device: device.K20c(), K: 10, Iterations: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

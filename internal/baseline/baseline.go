@@ -1,9 +1,10 @@
-// Package baseline implements the two systems the paper compares against:
+// Package baseline models the two systems the paper compares against:
 //
 //   - SAC'15 (Rodrigues et al.): the flat one-thread-per-row ALS whose
 //     OpenMP and CUDA forms the paper uses as its baseline (Fig. 1, Fig. 7).
-//     These are thin wrappers over the flat kernel spec in internal/kernels
-//     and the flat scheduling mode of internal/host.
+//     It has no code here: its clock is the flat kernel spec of
+//     internal/kernels (kernels.Baseline) and its factors are the flat
+//     scheduling mode of internal/host (host.Config.Flat).
 //
 //   - HPDC'16 (cuMF, Tan et al.): a CUDA matrix-factorization library built
 //     from generic batched sparse primitives (cusparseScsrmm2,
@@ -14,40 +15,23 @@
 //     padding of k up to the library's tile width, generic (non-fused)
 //     passes over the data, and fixed per-launch library overhead that
 //     dominates on small datasets such as YahooMusic R4 (where the paper
-//     measures its largest speedup, 6.8×).
+//     measures its largest speedup, 6.8×). EstimateCuMF is its clock.
 package baseline
 
 import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/host"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 )
 
-// SAC15Sim runs the flat baseline kernel on a simulated device (the CUDA
-// baseline when dev is the K20c; the OpenMP baseline when dev is the CPU).
-func SAC15Sim(mx *sparse.Matrix, dev *device.Device, k int, lambda float32, iters int, seed int64) (*kernels.Result, error) {
-	return kernels.Train(mx, kernels.Config{
-		Device: dev, Spec: kernels.Baseline(),
-		K: k, Lambda: lambda, Iterations: iters, Seed: seed,
-	})
-}
-
-// SAC15Host runs the flat baseline as real goroutine-parallel host code.
-func SAC15Host(mx *sparse.Matrix, k int, lambda float32, iters int, seed int64) (*host.Result, error) {
-	return host.Train(mx, host.Config{K: k, Lambda: lambda, Iterations: iters, Seed: seed, Flat: true})
-}
-
-// CuMF models the HPDC'16 library on a simulated GPU.
+// CuMFConfig describes a run of the HPDC'16 library on a simulated GPU.
 type CuMFConfig struct {
 	Device     *device.Device // must be a GPU
 	K          int
-	Lambda     float32
 	Iterations int
-	Seed       int64
 }
 
 // cuMF model constants (HPDC'16 structure).
@@ -68,23 +52,10 @@ const (
 	cumfBatchedLUCPI = 1.1
 )
 
-// EstimateCuMF is the cost pass of a cuMF run: the Result TrainCuMF returns,
-// without the factors — the one-time placement of our own kernels plus the
-// library cost model above.
+// EstimateCuMF is the cost pass of a cuMF run: the one-time placement of
+// our own kernels (kernels.Estimate) with the library cost model above in
+// place of their timing report.
 func EstimateCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
-	return cuMF(kernels.Estimate, mx, cfg)
-}
-
-// TrainCuMF runs the cuMF-style ALS: real arithmetic identical to the other
-// solvers (it is the same exact ALS), timed by the library cost model.
-func TrainCuMF(mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
-	return cuMF(kernels.Train, mx, cfg)
-}
-
-// cuMF runs our batched kernel for the placement cost (and, when run is
-// kernels.Train, the factors), then replaces its timing report with the
-// library's.
-func cuMF(run func(*sparse.Matrix, kernels.Config) (*kernels.Result, error), mx *sparse.Matrix, cfg CuMFConfig) (*kernels.Result, error) {
 	if cfg.Device == nil || cfg.Device.Kind != device.GPU {
 		return nil, fmt.Errorf("baseline: cuMF requires a GPU device")
 	}
@@ -94,10 +65,10 @@ func cuMF(run func(*sparse.Matrix, kernels.Config) (*kernels.Result, error), mx 
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 5
 	}
-	res, err := run(mx, kernels.Config{
+	res, err := kernels.Estimate(mx, kernels.Config{
 		Device: cfg.Device,
 		Spec:   kernels.Spec{S1Local: true, S2Local: true, S1Register: true},
-		K:      cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+		K:      cfg.K, Iterations: cfg.Iterations,
 	})
 	if err != nil {
 		return nil, err

@@ -3,11 +3,12 @@
 // / local-memory / vector toggles), specialized for a latent factor k and a
 // work-group size.
 //
-// The Go reproduction executes these kernels' semantics on the simulated
-// devices (internal/kernels); this package closes the loop for users with
-// real OpenCL hardware: the emitted sources follow the structures of the
-// paper's Fig. 3 (register restructuring) and Fig. 5 (local staging), and
-// the golden tests pin their shape. The sources target OpenCL C 1.2, the
+// The Go reproduction only times these kernels: internal/kernels charges
+// their cost on the simulated devices and internal/host computes the
+// factors. This package is for users with real OpenCL hardware: the
+// emitted sources follow the structures of the paper's Fig. 3 (register
+// restructuring) and Fig. 5 (local staging), and the golden tests pin
+// their shape. The sources target OpenCL C 1.2, the
 // version the paper used.
 package clgen
 

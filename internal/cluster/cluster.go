@@ -10,11 +10,9 @@
 // "partial replication"), and after it the updated factor shards are
 // exchanged. Compute uses the host cost of a multicore worker per node;
 // communication pays per-node bandwidth and per-message latency over a
-// shared switch. The clock is modeled from the sparsity pattern (Estimate);
-// the arithmetic is internal/host's, partition by partition, through
-// kernels.TrainMulti (factors match the single-node solver bit-for-bit), so
-// the package doubles as a correct distributed ALS implementation with a
-// simulated clock.
+// shared switch. Estimate is the clock, modeled from the sparsity pattern
+// alone: row updates are independent, so partitioning moves compute and
+// traffic but not a factor. The real distributed trainer is internal/shard.
 package cluster
 
 import (
@@ -22,7 +20,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/kernels"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 )
 
@@ -44,9 +41,7 @@ type Config struct {
 	Network    Network
 	NodeDevice *device.Device // per-node compute model; nil = Xeon E5-2670
 	K          int
-	Lambda     float32
 	Iterations int
-	Seed       int64
 }
 
 func (c *Config) setDefaults() {
@@ -67,9 +62,8 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Result is a simulated distributed training run.
+// Result is the clock and traffic of a simulated distributed training run.
 type Result struct {
-	X, Y *linalg.Dense // nil from Estimate
 	// ComputeSeconds: summed per-iteration makespans (slowest node).
 	ComputeSeconds float64
 	// NetworkSeconds: replication + shard-exchange time.
@@ -82,39 +76,27 @@ type Result struct {
 // Seconds is the simulated end-to-end time.
 func (r *Result) Seconds() float64 { return r.ComputeSeconds + r.NetworkSeconds }
 
-// Estimate is the cost pass of a distributed run: the Result Train returns,
-// without the factors.
+// Estimate is the cost pass of a distributed run: the multi-device model
+// with one simulated device per node (compute overlaps across nodes, so the
+// slowest partition sets each half's pace) plus this package's network
+// model. Network time and replication traffic follow from the sparsity
+// pattern, so each half's exchange is tallied once and charged every
+// iteration.
 func Estimate(mx *sparse.Matrix, cfg Config) (*Result, error) {
-	return run(kernels.EstimateMulti, mx, cfg)
-}
-
-// Train runs distributed ALS. Factors are identical to a single-node run.
-func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
-	return run(kernels.TrainMulti, mx, cfg)
-}
-
-// run is the multi-device model with one simulated device per node (compute
-// overlaps across nodes, so the slowest partition sets each half's pace;
-// sharded is kernels.EstimateMulti, or kernels.TrainMulti for the factors
-// too) plus this package's network model. Network time and replication
-// traffic follow from the sparsity pattern, so each half's exchange is
-// tallied once and charged every iteration.
-func run(sharded func(*sparse.Matrix, kernels.Config, []*device.Device) (*kernels.MultiResult, error),
-	mx *sparse.Matrix, cfg Config) (*Result, error) {
 	cfg.setDefaults()
 	nodes := make([]*device.Device, cfg.Nodes)
 	for i := range nodes {
 		nodes[i] = cfg.NodeDevice
 	}
 	// Every node runs the paper's CPU recommendation.
-	multi, err := sharded(mx, kernels.Config{
+	multi, err := kernels.EstimateMulti(mx, kernels.Config{
 		Device: cfg.NodeDevice, Spec: kernels.Spec{S1Local: true, S2Local: true},
-		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+		K: cfg.K, Iterations: cfg.Iterations,
 	}, nodes)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	res := &Result{X: multi.X, Y: multi.Y, ComputeSeconds: multi.ComputeSeconds}
+	res := &Result{ComputeSeconds: multi.ComputeSeconds}
 	xNet, xBytes := exchange(mx.R, cfg)
 	yNet, yBytes := exchange(mx.RT(), cfg)
 	for it := 0; it < cfg.Iterations; it++ {
@@ -135,7 +117,7 @@ func exchange(r *sparse.CSR, cfg Config) (seconds float64, replicated int64) {
 	}
 	bytesPerRow := int64(cfg.K)*4 + 8 // factor row + routing key
 	for node := 0; node < nodes; node++ {
-		// The contiguous row split kernels.TrainMulti makes across devices.
+		// The contiguous row split kernels.EstimateMulti makes across devices.
 		lo, hi := node*r.NumRows/nodes, (node+1)*r.NumRows/nodes
 		if lo == hi {
 			continue

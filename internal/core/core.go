@@ -200,7 +200,10 @@ type RunInfo struct {
 	Seconds float64
 	// Simulated is true when Seconds is modeled rather than measured.
 	Simulated bool
-	// StageSeconds breaks simulated runs into the paper's S1/S2/S3.
+	// StageSeconds is a simulated run's time in the paper's S1/S2/S3,
+	// summed over compute units (13 on the K20c, 16 on the E5-2670, 57 on
+	// the Phi): S1+S2+S3 is many times the makespan Seconds. Their shares
+	// are Fig. 8's breakdown.
 	StageSeconds [3]float64
 	// History carries per-half-iteration loss when TrackLoss was set
 	// (including history restored from a resumed checkpoint).
@@ -356,9 +359,8 @@ func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		return nil, nil, fmt.Errorf("core: the numerical guard is supported on the host platform only (got %q)", cfg.Platform)
 	}
 	// The simulated devices model the explicit fused/register kernels only;
-	// implicit mode and the alternative solvers are host fast paths. (The
-	// kernels cost model can still *estimate* implicit-mode stage costs —
-	// see kernels.EstimateMode — it just cannot train with them.)
+	// implicit mode and the alternative solvers are host fast paths, which
+	// the cost model has no clock for.
 	if cfg.Platform != PlatformHost && (cfg.Implicit || cfg.Solver != host.SolverCholesky || cfg.BlockSize != 0) {
 		return nil, nil, fmt.Errorf("core: implicit mode and solver selection are supported on the host platform only (got %q)", cfg.Platform)
 	}
@@ -484,20 +486,29 @@ func trainSim(mx *sparse.Matrix, dev *device.Device, cfg Config) (*Model, *RunIn
 	if cfg.Baseline {
 		spec = kernels.Baseline()
 	}
-	res, err := kernels.Train(mx, kernels.Config{
-		Device: dev, Spec: spec,
-		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+	// The clock is the simulator's; the factors are the host's, computed
+	// with the same variant, since staging and the S3 form move cycles and
+	// never a bit.
+	est, err := kernels.Estimate(mx, kernels.Config{
+		Device: dev, Spec: spec, K: cfg.K, Iterations: cfg.Iterations,
 		Groups: cfg.Groups, GroupSize: cfg.GroupSize,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := host.Train(mx, host.Config{
+		K: cfg.K, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
+		Workers: cfg.Workers, Flat: cfg.Baseline, Variant: v,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &RunInfo{
 		Platform: cfg.Platform, Variant: host.VariantLabel(cfg.Baseline, v),
-		Seconds: res.Seconds(), Simulated: true,
+		Seconds: est.Seconds(), Simulated: true,
 	}
 	for i := 0; i < 3; i++ {
-		info.StageSeconds[i] = dev.Seconds(res.Report.StageCycles[i])
+		info.StageSeconds[i] = dev.Seconds(est.Report.StageCycles[i])
 	}
 	mod := &Model{K: cfg.K, X: res.X, Y: res.Y, Meta: Meta{Lambda: cfg.Lambda}}
 	return mod, info, nil
@@ -530,8 +541,7 @@ func SelectVariant(mx *sparse.Matrix, platform string, cfg Config) (variant.Opti
 			// A simulated probe reads the clock only: the cost pass.
 			var res *kernels.Result
 			res, err = kernels.Estimate(mx, kernels.Config{
-				Device: dev, Spec: kernels.FromVariant(v),
-				K: cfg.K, Lambda: cfg.Lambda, Iterations: 1, Seed: cfg.Seed,
+				Device: dev, Spec: kernels.FromVariant(v), K: cfg.K, Iterations: 1,
 				Groups: cfg.Groups, GroupSize: cfg.GroupSize,
 			})
 			if err == nil {

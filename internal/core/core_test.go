@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/device"
+	"repro/internal/host"
+	"repro/internal/kernels"
 	"repro/internal/linalg"
 	"repro/internal/sparse"
 	"repro/internal/variant"
@@ -85,6 +88,73 @@ func TestPlatformsAgree(t *testing.T) {
 		}
 		if d := linalg.MaxAbsDiff(ref.X, m.X); d > tol {
 			t.Errorf("%s: X deviates by %g", platform, d)
+		}
+	}
+}
+
+// TestSimulatedRunIsHostFactorsAndEstimateClock: a simulated run's model
+// is the host's for the same variant, and its clock is the cost pass's —
+// for the flat baseline and every extended variant on each platform. The
+// host reference runs on one worker, the simulated runs on three: rows are
+// independent, so neither the platform nor the pool moves a bit.
+func TestSimulatedRunIsHostFactorsAndEstimateClock(t *testing.T) {
+	mx := testMatrix(t)
+	const k, lambda, iters, seed = 8, 0.1, 2, 4
+	type run struct {
+		name string
+		flat bool
+		v    variant.Options
+	}
+	runs := []run{{name: "flat baseline", flat: true}}
+	for _, v := range variant.Extended() {
+		runs = append(runs, run{name: v.ID(), v: v})
+	}
+	sameBits := func(a, b *linalg.Dense) bool {
+		if a.Rows != b.Rows || a.Cols != b.Cols {
+			return false
+		}
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, r := range runs {
+		ref, err := host.Train(mx, host.Config{K: k, Lambda: lambda, Iterations: iters, Seed: seed,
+			Workers: 1, Flat: r.flat, Variant: r.v})
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		spec := kernels.FromVariant(r.v)
+		if r.flat {
+			spec = kernels.Baseline()
+		}
+		for _, platform := range []string{"GPU", "MIC", "CPU"} {
+			dev, err := device.ByName(platform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, info, err := Train(mx, Config{Platform: platform, K: k, Lambda: lambda, Iterations: iters,
+				Seed: seed, Workers: 3, Baseline: r.flat, Variant: r.v})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", platform, r.name, err)
+			}
+			if !sameBits(m.X, ref.X) || !sameBits(m.Y, ref.Y) {
+				t.Errorf("%s/%s: factors are not host.Train's", platform, r.name)
+			}
+			est, err := kernels.Estimate(mx, kernels.Config{Device: dev, Spec: spec, K: k, Iterations: iters})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", platform, r.name, err)
+			}
+			if math.Float64bits(info.Seconds) != math.Float64bits(est.Seconds()) {
+				t.Errorf("%s/%s: Seconds %g, Estimate %g", platform, r.name, info.Seconds, est.Seconds())
+			}
+			for s, c := range est.Report.StageCycles {
+				if want := dev.Seconds(c); math.Float64bits(info.StageSeconds[s]) != math.Float64bits(want) {
+					t.Errorf("%s/%s: S%d %g s, Estimate %g s", platform, r.name, s+1, info.StageSeconds[s], want)
+				}
+			}
 		}
 	}
 }

@@ -120,7 +120,7 @@ func TestCalibrationCuMF(t *testing.T) {
 			t.Fatal(err)
 		}
 		cm, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{
-			Device: gpu, K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
+			Device: gpu, K: s.K, Iterations: s.Iterations,
 		})
 		if err != nil {
 			t.Fatal(err)

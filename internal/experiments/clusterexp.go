@@ -10,9 +10,9 @@ import (
 // paper's single-node design leans on (Sec. VI: distributing the matrix
 // "results in heavy cross-node traffic"): distributed ALS with Spark-style
 // partial replication across commodity nodes, sweeping the node count and
-// interconnect. The factors stay bit-identical to single-node training
-// (cluster.Train); only the simulated clock changes, and the clock is all
-// this table reads.
+// interconnect. Row updates are independent, so partitioning would leave
+// every factor bit-identical to single-node training; only the simulated
+// clock changes, and the clock is all this table reads.
 func Cluster(s Settings) (*Table, error) {
 	t := &Table{
 		ID: "cluster", Title: "Distributed ALS (partial replication) on Netflix",
@@ -27,7 +27,7 @@ func Cluster(s Settings) (*Table, error) {
 		for _, nodes := range []int{1, 2, 4, 8} {
 			res, err := cluster.Estimate(ntfx.Matrix, cluster.Config{
 				Nodes: nodes, Network: net.n,
-				K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
+				K: s.K, Iterations: s.Iterations,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster %d nodes on %s: %w", nodes, net.name, err)

@@ -102,7 +102,7 @@ func BestVariant(kind device.Kind) variant.Options {
 func kernelConfig(dev *device.Device, spec kernels.Spec, s Settings) kernels.Config {
 	return kernels.Config{
 		Device: dev, Spec: spec,
-		K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
+		K: s.K, Iterations: s.Iterations,
 		Groups: s.Groups, GroupSize: s.GroupSize,
 	}
 }

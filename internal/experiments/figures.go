@@ -116,7 +116,7 @@ func Fig7(s Settings) (*Table, error) {
 			return nil, err
 		}
 		cumf, err := baseline.EstimateCuMF(ds.Matrix, baseline.CuMFConfig{
-			Device: gpu, K: s.K, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
+			Device: gpu, K: s.K, Iterations: s.Iterations,
 		})
 		if err != nil {
 			return nil, err

@@ -48,7 +48,7 @@ func KSweep(s Settings, ks []int) (*Table, error) {
 			return nil, err
 		}
 		cm, err := baseline.EstimateCuMF(ntfx.Matrix, baseline.CuMFConfig{
-			Device: gpu, K: k, Lambda: s.Lambda, Iterations: s.Iterations, Seed: s.Seed,
+			Device: gpu, K: k, Iterations: s.Iterations,
 		})
 		if err != nil {
 			return nil, err

@@ -415,8 +415,8 @@ func ModeLabel(implicit bool) string {
 }
 
 // InitialY fills Y with the paper's "small random numbers" initial guess.
-// Exported so the simulated-device kernels start from the identical Y and
-// the variant-equivalence tests can compare factors across substrates.
+// Exported so the distributed trainer and the reference solvers start from
+// the identical Y and the equivalence tests can compare factors across them.
 func InitialY(n, k int, seed int64) *linalg.Dense {
 	rng := rand.New(rand.NewSource(seed))
 	y := linalg.NewDense(n, k)

@@ -4,22 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/host"
-	"repro/internal/linalg"
 	"repro/internal/sim"
 	"repro/internal/sparse"
-	"repro/internal/variant"
 )
 
-// Config describes one simulated ALS run.
+// Config describes one simulated ALS run. Only the shapes a clock reads
+// are here: the factors' values (λ, the initial guess) move no cycle.
 type Config struct {
 	Device *device.Device
 	Spec   Spec
 
-	K          int     // latent factor (paper default 10)
-	Lambda     float32 // regularization (paper default 0.1)
-	Iterations int     // paper times 5 iterations
-	Seed       int64
+	K          int // latent factor (paper default 10)
+	Iterations int // paper times 5 iterations
 
 	// Groups×GroupSize is the launch grid; the paper's experiments use
 	// 8192×32 (Sec. V). Zero values take those defaults.
@@ -46,21 +42,8 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// hostConfig is the internal/host configuration whose row kernel computes
-// this run's factors: the gram, gather and solve forms the spec names, the
-// flat baseline's plain ones. Staging (S1Local/S2Local) and the S3 form
-// move cycles only, never a bit of the result, so they have no host side.
-func (c Config) hostConfig() host.Config {
-	return host.Config{
-		K: c.K, Lambda: c.Lambda, Flat: c.Spec.Flat,
-		Variant: variant.Options{Register: c.Spec.S1Register, Vector: c.Spec.Vector, Fused: c.Spec.Fused},
-	}
-}
-
-// Result is a simulated training run: the simulated execution-time report
-// and, from Train, the factors.
+// Result is the clock of a simulated training run.
 type Result struct {
-	X, Y *linalg.Dense // nil from Estimate
 	// Report accumulates all update launches across iterations.
 	Report sim.Report
 	// TransferSeconds is the one-time PCIe placement cost (GPU/MIC).
@@ -71,9 +54,9 @@ type Result struct {
 // plus the initial transfer.
 func (r *Result) Seconds() float64 { return r.Report.Seconds + r.TransferSeconds }
 
-// Estimate is the cost pass of a run: the Result Train returns, without the
-// factors. Simulated time depends on the sparsity pattern alone, so each
-// side is tallied once and charged every iteration.
+// Estimate is the cost pass of a run: the simulated device time of
+// Algorithm 1 on mx. Simulated time depends on the sparsity pattern alone,
+// so each side is tallied once and charged every iteration.
 func Estimate(mx *sparse.Matrix, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -93,54 +76,6 @@ func Estimate(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		res.Report.Add(yHalf)
 	}
 	return res, nil
-}
-
-// Train runs the full ALS loop (Algorithm 1) for the simulated device:
-// Estimate's report carries the modeled device time, and the factors are
-// internal/host's, computed with the spec's variant (hostConfig) — the
-// simulator changes the clock, never the arithmetic.
-func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	res, err := Estimate(mx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if res.X, res.Y, err = factorize(mx, cfg, 1); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// factorize is the arithmetic of a run: ALS on one borrowed host worker
-// pool, each half computed as `shards` contiguous row ranges (one per
-// device). Row updates are independent, so the factors do not depend on
-// shards.
-func factorize(mx *sparse.Matrix, cfg Config, shards int) (x, y *linalg.Dense, err error) {
-	ru, err := host.NewRangeUpdater(cfg.hostConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ru.Close()
-	x = linalg.NewDense(mx.Rows(), cfg.K)
-	y = host.InitialY(mx.Cols(), cfg.K, cfg.Seed)
-	sides := [2]struct {
-		name       string
-		r          *sparse.CSR
-		fixed, out *linalg.Dense
-	}{{"X", mx.R, y, x}, {"Y", mx.RT(), x, y}}
-	for it := 1; it <= cfg.Iterations; it++ {
-		for _, s := range sides {
-			for i := 0; i < shards; i++ {
-				lo, hi := shard(s.r.NumRows, shards, i)
-				if err := ru.UpdateRange(s.r, s.fixed, s.out, lo, hi, it, s.name == "X"); err != nil {
-					return nil, nil, fmt.Errorf("kernels: iteration %d update %s: %w", it, s.name, err)
-				}
-			}
-		}
-	}
-	return x, y, nil
 }
 
 // sideCost is the launch report of one half iteration: the update of the

@@ -1,14 +1,10 @@
 package kernels
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/host"
-	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/variant"
@@ -27,90 +23,11 @@ func longRowMatrix(t testing.TB) *sparse.Matrix {
 	return dataset.Netflix.ScaledForBench(0.002).Generate(13).Matrix
 }
 
-// TestSimMatchesHost: the simulated kernels do real arithmetic — the
-// factors they produce must match the host solver's for every device and
-// variant (the simulator only changes the clock, not the math).
-func TestSimMatchesHost(t *testing.T) {
-	mx := testMatrix(t)
-	ref, err := host.Train(mx, host.Config{K: 10, Lambda: 0.1, Iterations: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dev := range device.All() {
-		for _, v := range variant.All() {
-			res, err := Train(mx, Config{Device: dev, Spec: FromVariant(v),
-				K: 10, Lambda: 0.1, Iterations: 2, Seed: 3})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", dev.Kind, v, err)
-			}
-			if d := linalg.MaxAbsDiff(ref.X, res.X); d > 2e-3 {
-				t.Errorf("%s/%s: X deviates from host by %g", dev.Kind, v, d)
-			}
-			if d := linalg.MaxAbsDiff(ref.Y, res.Y); d > 2e-3 {
-				t.Errorf("%s/%s: Y deviates from host by %g", dev.Kind, v, d)
-			}
-		}
-	}
-}
-
-// TestFlatMatchesHost covers the baseline spec's arithmetic too: the same
-// variant on host and simulator is the same row kernel, bit for bit.
-func TestFlatMatchesHost(t *testing.T) {
-	mx := testMatrix(t)
-	ref, err := host.Train(mx, host.Config{K: 8, Lambda: 0.1, Iterations: 1, Seed: 5, Flat: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Train(mx, Config{Device: device.K20c(), Spec: Baseline(),
-		K: 8, Lambda: 0.1, Iterations: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := linalg.MaxAbsDiff(ref.X, res.X); d != 0 {
-		t.Errorf("flat X deviates from host by %g", d)
-	}
-	if d := linalg.MaxAbsDiff(ref.Y, res.Y); d != 0 {
-		t.Errorf("flat Y deviates from host by %g", d)
-	}
-}
-
-// TestEstimateMatchesTrain is the identity the simulator rests on: the cost
-// pass alone reports exactly what a training run reports — every stage's
-// cycles, the makespan, the counters, the seconds — for the baseline and all
-// twelve variants on every device.
-func TestEstimateMatchesTrain(t *testing.T) {
-	mx := testMatrix(t)
-	specs := []Spec{Baseline(), {S3Gauss: true}}
-	for _, v := range variant.Extended() {
-		specs = append(specs, FromVariant(v))
-	}
-	for _, dev := range device.All() {
-		for _, spec := range specs {
-			cfg := Config{Device: dev, Spec: spec, K: 12, Lambda: 0.1, Iterations: 3, Seed: 3}
-			est, err := Estimate(mx, cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", dev.Kind, spec.Name(), err)
-			}
-			res, err := Train(mx, cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", dev.Kind, spec.Name(), err)
-			}
-			if est.Report != res.Report || est.Seconds() != res.Seconds() || est.TransferSeconds != res.TransferSeconds {
-				t.Errorf("%s/%s: Estimate %+v (transfer %g) != Train %+v (transfer %g)",
-					dev.Kind, spec.Name(), est.Report, est.TransferSeconds, res.Report, res.TransferSeconds)
-			}
-			if est.X != nil || est.Y != nil || res.X == nil || res.Y == nil {
-				t.Errorf("%s/%s: factors belong to Train alone", dev.Kind, spec.Name())
-			}
-		}
-	}
-}
-
 // TestSimDeterministic: identical configs give identical simulated times.
 func TestSimDeterministic(t *testing.T) {
 	mx := testMatrix(t)
 	cfg := Config{Device: device.K20c(), Spec: FromVariant(variant.Options{Local: true, Register: true}),
-		K: 10, Lambda: 0.1, Iterations: 1, Seed: 7}
+		K: 10, Iterations: 1}
 	a, err := Estimate(mx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,21 +48,6 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimLearns: the simulated run must actually factorize (sanity on the
-// real-math claim).
-func TestSimLearns(t *testing.T) {
-	mx := testMatrix(t)
-	res, err := Train(mx, Config{Device: device.XeonE52670(),
-		K: 10, Lambda: 0.1, Iterations: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse := metrics.RMSE(mx.R, res.X, res.Y)
-	if math.IsNaN(rmse) || rmse > 1.0 {
-		t.Fatalf("simulated training RMSE = %g, want < 1.0", rmse)
-	}
-}
-
 func TestSpecNames(t *testing.T) {
 	if Baseline().Name() != "flat baseline" {
 		t.Fatalf("Baseline name = %q", Baseline().Name())
@@ -160,17 +62,17 @@ func TestSpecNames(t *testing.T) {
 	}
 }
 
-func TestTrainRejectsEmptyAndNilDevice(t *testing.T) {
+func TestEstimateRejectsEmptyAndNilDevice(t *testing.T) {
 	coo := sparse.NewCOO(3, 3)
 	empty, err := sparse.NewMatrix(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(empty, Config{Device: device.K20c()}); err == nil {
+	if _, err := Estimate(empty, Config{Device: device.K20c()}); err == nil {
 		t.Fatal("accepted empty matrix")
 	}
 	mx := testMatrix(t)
-	if _, err := Train(mx, Config{}); err == nil {
+	if _, err := Estimate(mx, Config{}); err == nil {
 		t.Fatal("accepted nil device")
 	}
 }
@@ -181,7 +83,7 @@ func TestTrainRejectsEmptyAndNilDevice(t *testing.T) {
 func TestStageDominance(t *testing.T) {
 	mx := longRowMatrix(t)
 	res, err := Estimate(mx, Config{Device: device.K20c(), Spec: Spec{},
-		K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+		K: 10, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +101,13 @@ func TestStageDominance(t *testing.T) {
 func TestOptimizationShiftsHotspot(t *testing.T) {
 	mx := longRowMatrix(t)
 	before, err := Estimate(mx, Config{Device: device.K20c(), Spec: Spec{S3Gauss: true},
-		K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+		K: 10, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after, err := Estimate(mx, Config{Device: device.K20c(),
 		Spec: Spec{S1Local: true, S1Register: true, S3Gauss: true},
-		K:    10, Lambda: 0.1, Iterations: 1, Seed: 1})
+		K:    10, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +128,7 @@ func TestGroupSizeSweepGPU(t *testing.T) {
 	for _, ws := range []int{8, 16, 32, 128} {
 		res, err := Estimate(mx, Config{Device: device.K20c(),
 			Spec: FromVariant(variant.Options{Local: true, Register: true}),
-			K:    10, Lambda: 0.1, Iterations: 1, Seed: 1, GroupSize: ws})
+			K:    10, Iterations: 1, GroupSize: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +147,7 @@ func TestGroupSizeSweepGPU(t *testing.T) {
 func TestTransferChargedOnAccelerators(t *testing.T) {
 	mx := testMatrix(t)
 	for _, dev := range device.All() {
-		res, err := Estimate(mx, Config{Device: dev, K: 10, Lambda: 0.1, Iterations: 1, Seed: 1})
+		res, err := Estimate(mx, Config{Device: dev, K: 10, Iterations: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +170,7 @@ func TestEmptyRowsCostNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Device: device.K20c(), K: 4, Lambda: 0.1}
+	cfg := Config{Device: device.K20c(), K: 4}
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 )
 
-// This file implements data-parallel multi-device ALS in the style the
+// This file models data-parallel multi-device ALS in the style the
 // paper's related work attributes to cuMF ("using data parallelism in
 // conjunction with model parallelism, minimizing the communication overhead
 // between computing units"): user rows are sharded across devices for the
@@ -18,9 +17,8 @@ import (
 // shard sets the pace) while transfers serialize on the shared host link —
 // which is exactly why small datasets stop scaling.
 
-// MultiResult is a simulated multi-device training run.
+// MultiResult is the clock of a simulated multi-device training run.
 type MultiResult struct {
-	X, Y *linalg.Dense // nil from EstimateMulti
 	// ComputeSeconds is the summed per-iteration makespan of the slowest
 	// device; TransferSeconds the serialized PCIe traffic (initial shard
 	// placement + per-iteration broadcasts and gathers).
@@ -33,8 +31,8 @@ func (r *MultiResult) Seconds() float64 { return r.ComputeSeconds + r.TransferSe
 
 // EstimateMulti is the cost pass of a run sharded across the given devices
 // (all must share the config's spec/launch parameters; they would typically
-// be identical GPUs): the MultiResult TrainMulti returns, without the
-// factors.
+// be identical GPUs). Row updates are independent, so sharding moves
+// compute and adds transfers but would not change a factor.
 func EstimateMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*MultiResult, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("kernels: no devices")
@@ -73,23 +71,6 @@ func EstimateMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*Mu
 			lo, hi := shard(n, len(devices), i)
 			res.TransferSeconds += d.TransferSeconds(factorBytes(hi - lo))
 		}
-	}
-	return res, nil
-}
-
-// TrainMulti runs ALS sharded across the given devices. The factors it
-// produces are identical to a single-device run — sharding only changes
-// where rows are computed.
-func TrainMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*MultiResult, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	res, err := EstimateMulti(mx, cfg, devices)
-	if err != nil {
-		return nil, err
-	}
-	if res.X, res.Y, err = factorize(mx, cfg, len(devices)); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -1,16 +1,17 @@
-// Package kernels implements the paper's ALS update kernels for the
-// simulated devices: the flat one-thread-per-row baseline (SAC'15) and the
-// thread-batched kernel family with the register / local-memory / vector
-// optimizations individually applicable per stage.
+// Package kernels is the cost model of the paper's ALS update kernels on
+// the simulated devices: the flat one-thread-per-row baseline (SAC'15) and
+// the thread-batched kernel family with the register / local-memory /
+// vector optimizations individually applicable per stage.
 //
 // A kernel here is a cost pass: for each row it charges device.Counters
 // describing the memory-access pattern and lock-step execution shape of the
 // update on the target device — a function of the row's length — and
-// internal/sim turns those into simulated execution times (Estimate). The
-// per-row arithmetic is internal/host's: Train runs that package's row
-// kernel with the variant the spec names, so the simulator changes the
-// clock and never the factors. The cost formulas and their rationale are
-// documented in cost.go and DESIGN.md §5.
+// internal/sim turns those into simulated execution times (Estimate,
+// EstimateMulti). The package returns a clock and nothing else. A simulated
+// run's factors are internal/host's, computed by core.Train with the
+// variant the spec came from: staging and the S3 form move cycles, never a
+// bit. The cost formulas and their rationale are documented in cost.go and
+// DESIGN.md §5.
 package kernels
 
 import (

@@ -138,25 +138,3 @@ func LDLSolve(a *Dense, b []float32) error {
 	}
 	return nil
 }
-
-// ConditionEstimate returns a cheap lower-bound estimate of the 1-norm
-// condition number of an SPD matrix from its Cholesky factor: the squared
-// ratio of the largest to smallest diagonal of L. Used by diagnostics to
-// flag nearly-singular normal equations (tiny λ, cold users).
-func ConditionEstimate(l *Dense) float64 {
-	var min, max float64 = math.Inf(1), 0
-	for i := 0; i < l.Rows; i++ {
-		d := math.Abs(float64(l.At(i, i)))
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if min == 0 {
-		return math.Inf(1)
-	}
-	r := max / min
-	return r * r
-}

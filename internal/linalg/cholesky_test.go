@@ -190,21 +190,3 @@ func TestCholeskySolveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestConditionEstimate(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float32{100, 0, 0, 1})
-	if err := Cholesky(a); err != nil {
-		t.Fatal(err)
-	}
-	got := ConditionEstimate(a)
-	if math.Abs(got-100) > 1e-3 {
-		t.Fatalf("ConditionEstimate = %g, want 100", got)
-	}
-	id := NewDenseFrom(2, 2, []float32{1, 0, 0, 1})
-	if err := Cholesky(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := ConditionEstimate(id); got != 1 {
-		t.Fatalf("ConditionEstimate(I) = %g, want 1", got)
-	}
-}

@@ -64,7 +64,7 @@ func TestBroadcastBytesCrossValidation(t *testing.T) {
 	// whole sides through a coordinator; for matched shapes the two totals
 	// must agree within 2x or the simulator's traffic constant is wrong.
 	sim, err := cluster.Estimate(mx, cluster.Config{
-		Nodes: workers, K: k, Lambda: 0.05, Iterations: iters, Seed: 7,
+		Nodes: workers, K: k, Iterations: iters,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 func tuneConfig() kernels.Config {
-	return kernels.Config{Device: device.K20c(), K: 10, Lambda: 0.1, Iterations: 1, Seed: 4}
+	return kernels.Config{Device: device.K20c(), K: 10, Iterations: 1}
 }
 
 func tuneMatrix(t testing.TB) *dataset.Dataset {
