@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench ci layout-check fuzz-smoke smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples kernels serve clean
+.PHONY: all build test test-short bench ci layout-check fuzz-smoke smoke obs-smoke chaos-smoke dist-smoke fault-smoke quant-smoke implicit-smoke trace-smoke experiments examples serve clean
 
 all: build test
 
@@ -18,10 +18,9 @@ test-short:
 
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
-# boundary and the hop's one frame layout and one transport, one codec, one
-# byte decoder, one process harness, a simulator that imports no
-# arithmetic),
-# build, the race passes, the
+# boundary both ways and the hop's one frame layout and one transport, one
+# codec, one byte decoder, one process harness, a simulator that imports no
+# arithmetic), build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
 # GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
 # line whatever the link order (two -randlayout seeds), the smoke lanes
@@ -48,6 +47,10 @@ ci:
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
 		echo "internal/shard is the BSP trainer: only serving.go may import internal/serve or net/http"; exit 1; \
+	fi
+	@fleet=$$(find internal/shard -name '*_test.go' | xargs grep -l '"repro/internal/serve"' || true); \
+	if [ -n "$$fleet" ]; then \
+		echo "the fleet's tests live in internal/serve; no internal/shard test may import it:"; echo "$$fleet"; exit 1; \
 	fi
 	@codecs=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -lE 'binary\.(Write|Read)\(' || true); \
 	if [ -n "$$codecs" ]; then \
@@ -148,15 +151,12 @@ examples:
 	$(GO) run ./examples/tuning
 	$(GO) run ./examples/implicit
 	$(GO) run ./examples/coldstart
+	$(GO) run ./examples/multigpu
 
 # Train a small preset model and serve it (see README "Serving").
 serve:
 	$(GO) run ./cmd/alstrain -preset MVLE -scale 0.02 -iters 8 -out /tmp/als-model.bin
 	$(GO) run ./cmd/alsserve -model /tmp/als-model.bin
-
-# Emit the OpenCL C sources for real hardware.
-kernels:
-	$(GO) run ./cmd/alsclgen -k 10 -group-size 32
 
 clean:
 	$(GO) clean ./...

@@ -117,8 +117,7 @@ func exchange(r *sparse.CSR, cfg Config) (seconds float64, replicated int64) {
 	}
 	bytesPerRow := int64(cfg.K)*4 + 8 // factor row + routing key
 	for node := 0; node < nodes; node++ {
-		// The contiguous row split kernels.EstimateMulti makes across devices.
-		lo, hi := node*r.NumRows/nodes, (node+1)*r.NumRows/nodes
+		lo, hi := sparse.Range(r.NumRows, node, nodes)
 		if lo == hi {
 			continue
 		}

@@ -61,25 +61,18 @@ func EstimateMulti(mx *sparse.Matrix, cfg Config, devices []*device.Device) (*Mu
 		res.ComputeSeconds += xHalf
 		for i, d := range devices {
 			res.TransferSeconds += d.TransferSeconds(factorBytes(n)) // Y broadcast
-			lo, hi := shard(m, len(devices), i)
+			lo, hi := sparse.Range(m, i, len(devices))
 			res.TransferSeconds += d.TransferSeconds(factorBytes(hi - lo)) // X gather
 		}
 		// Y update, symmetric.
 		res.ComputeSeconds += yHalf
 		for i, d := range devices {
 			res.TransferSeconds += d.TransferSeconds(factorBytes(m))
-			lo, hi := shard(n, len(devices), i)
+			lo, hi := sparse.Range(n, i, len(devices))
 			res.TransferSeconds += d.TransferSeconds(factorBytes(hi - lo))
 		}
 	}
 	return res, nil
-}
-
-// shard returns device i's contiguous row range out of total rows.
-func shard(rows, devices, i int) (lo, hi int) {
-	lo = i * rows / devices
-	hi = (i + 1) * rows / devices
-	return
 }
 
 // multiCost is one half-iteration's compute makespan across devices: the
@@ -87,7 +80,7 @@ func shard(rows, devices, i int) (lo, hi int) {
 func multiCost(r *sparse.CSR, fixedRows int, cfg Config, devices []*device.Device) float64 {
 	var slowest float64
 	for i, d := range devices {
-		lo, hi := shard(r.NumRows, len(devices), i)
+		lo, hi := sparse.Range(r.NumRows, i, len(devices))
 		if lo == hi {
 			continue
 		}

@@ -46,32 +46,6 @@ func (d *Dense) Clone() *Dense {
 	return out
 }
 
-// Zero clears all elements in place.
-func (d *Dense) Zero() {
-	for i := range d.Data {
-		d.Data[i] = 0
-	}
-}
-
-// Fill sets all elements to v.
-func (d *Dense) Fill(v float32) {
-	for i := range d.Data {
-		d.Data[i] = v
-	}
-}
-
-// Transpose returns a new matrix with rows and columns swapped.
-func (d *Dense) Transpose() *Dense {
-	out := NewDense(d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			out.Data[j*d.Rows+i] = v
-		}
-	}
-	return out
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between
 // two same-shaped matrices; it is the metric the variant-equivalence tests
 // use to show the 8 code variants are functionally identical.
@@ -89,16 +63,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	return max
 }
 
-// FrobeniusNorm returns sqrt(sum of squares) of all elements, accumulated in
-// float64.
-func (d *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range d.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // String renders small matrices for debugging; large ones are abbreviated.
 func (d *Dense) String() string {
 	var b strings.Builder
@@ -113,20 +77,6 @@ func (d *Dense) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Symmetrize copies the strictly-upper triangle onto the lower triangle of a
-// square matrix in place, as the register-optimized YᵀY kernel does when it
-// writes smat[(j,i)] and smat[(i,j)] from one accumulator (paper Fig. 3).
-func (d *Dense) Symmetrize() {
-	if d.Rows != d.Cols {
-		panic("linalg: Symmetrize requires a square matrix")
-	}
-	for i := 0; i < d.Rows; i++ {
-		for j := i + 1; j < d.Cols; j++ {
-			d.Set(j, i, d.At(i, j))
-		}
-	}
 }
 
 // AddDiag adds lambda to every diagonal element of a square matrix — the

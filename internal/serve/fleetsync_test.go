@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
+	"repro/internal/sparse"
 )
 
 // TestWatcherShardSync exercises the fleet's model-distribution mechanism:
@@ -66,7 +67,7 @@ func TestWatcherShardSync(t *testing.T) {
 
 	for i, srv := range servers {
 		sn := srv.Current()
-		lo, hi := Range(items, i, shards)
+		lo, hi := sparse.Range(items, i, shards)
 		if sn.ItemOffset != lo || sn.ItemTotal != items || sn.Model.Y.Rows != hi-lo {
 			t.Fatalf("shard %d installed offset=%d total=%d rows=%d, want offset=%d total=%d rows=%d",
 				i, sn.ItemOffset, sn.ItemTotal, sn.Model.Y.Rows, lo, items, hi-lo)
@@ -93,7 +94,7 @@ func TestWatcherShardSync(t *testing.T) {
 			t.Fatalf("shard %d: second poll swapped=%v err=%v", i, swapped, err)
 		}
 		sn := servers[i].Current()
-		lo, _ := Range(items, i, shards)
+		lo, _ := sparse.Range(items, i, shards)
 		if sn.Version != "ckpt-2" {
 			t.Fatalf("shard %d version = %q after new checkpoint", i, sn.Version)
 		}
@@ -289,15 +290,28 @@ func tieModel(users, items, k int) *core.Model {
 	return m
 }
 
-// Range returns the item range [lo, hi) that replica i of `of` holds out
-// of total items: the static partition a Replica slices its model by.
-func Range(total, i, of int) (lo, hi int) {
-	return i * total / of, (i + 1) * total / of
-}
-
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+func postJSON(t *testing.T, url string, body, out any) int {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

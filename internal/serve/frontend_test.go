@@ -7,16 +7,20 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -41,6 +45,7 @@ func ratedSet(users, items int, rated ...int) *sparse.CSR {
 type fleet struct {
 	front   *serve.Frontend
 	frontTS *httptest.Server
+	servers []*serve.Server
 	shardTS []*httptest.Server
 	fullTS  *httptest.Server
 }
@@ -66,6 +71,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 		rep.Swap(m, rated, "v1")
 		ts := httptest.NewServer(rep.Handler())
 		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		f.servers = append(f.servers, srv)
 		f.shardTS = append(f.shardTS, ts)
 		urls[i] = ts.URL
 	}
@@ -104,6 +110,48 @@ func sameItems(t *testing.T, label string, got, want []serve.RecItem) {
 			t.Fatalf("%s: item %d = %+v, want %+v\ngot:  %+v\nwant: %+v",
 				label, i, got[i], want[i], got, want)
 		}
+	}
+}
+
+// TestScatterGatherMergeIdentical holds the frontend's merged top-N
+// item-for-item identical — indices, external IDs, scores, and the
+// deterministic lower-index tie-break — to a single process serving the
+// full catalog, across fleet sizes including ones where n exceeds every
+// shard's local item count.
+func TestScatterGatherMergeIdentical(t *testing.T) {
+	const users, items, k = 5, 23, 3
+	m := tieModel(users, items, k)
+	rated := ratedSet(users, items, 2, 9, 22)
+	for _, shards := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := newFleet(t, m, rated, shards)
+			// n=10 and n=40 exceed the 3-4 items a 7-way shard holds; n=40
+			// exceeds the whole catalog and must return every unrated item.
+			for _, n := range []int{1, 3, 10, 40} {
+				for _, user := range []int64{500, 501, 504} {
+					var want serve.RecommendResponse
+					if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.fullTS.URL, user, n), &want); code != 200 {
+						t.Fatalf("full server: HTTP %d", code)
+					}
+					var got frontAnswer
+					if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=%d", f.frontTS.URL, user, n), &got); code != 200 {
+						t.Fatalf("frontend: HTTP %d", code)
+					}
+					if got.Partial || got.ShardsOK != shards {
+						t.Fatalf("healthy fleet answered partial=%v shards_ok=%d", got.Partial, got.ShardsOK)
+					}
+					sameItems(t, fmt.Sprintf("user=%d n=%d", user, n), got.Items, want.Items)
+				}
+			}
+			// Unknown user: every shard rejects with 404, and so must the
+			// frontend (a shard must NOT be marked down for it).
+			if code := getJSON(t, f.frontTS.URL+"/v1/recommend?user=99999&n=3", nil); code != 404 {
+				t.Fatalf("unknown user: HTTP %d, want 404", code)
+			}
+			if up, total := f.front.Healthy(); up != total {
+				t.Fatalf("4xx marked shards down: %d/%d up", up, total)
+			}
+		})
 	}
 }
 
@@ -299,5 +347,185 @@ func TestFrontendRejectionNotRetried(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "als_shard_retries_total{") {
 		t.Errorf("4xx reply was retried:\n%s", buf.String())
+	}
+}
+
+// TestFoldInAcrossShards holds the distributed fold-in — partial normal
+// equations gathered per shard, solved once at the frontend, scored across
+// the fleet — bit-identical to the single-process fold-in path.
+func TestFoldInAcrossShards(t *testing.T) {
+	const users, items, k = 5, 23, 3
+	m := tieModel(users, items, k)
+	f := newFleet(t, m, nil, 3)
+	req := serve.FoldInRequest{
+		Items:   []int32{1, 6, 11, 17, 22}, // spans all three slices
+		Ratings: []float32{5, 3, 4, 1, 2},
+		N:       8,
+	}
+	var want serve.FoldInResponse
+	if code := postJSON(t, f.fullTS.URL+"/v1/foldin", req, &want); code != 200 {
+		t.Fatalf("full server fold-in: HTTP %d", code)
+	}
+	var got frontAnswer
+	if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, &got); code != 200 {
+		t.Fatalf("frontend fold-in: HTTP %d", code)
+	}
+	if got.Partial {
+		t.Fatal("healthy fleet answered partial fold-in")
+	}
+	sameItems(t, "foldin", got.Items, want.Items)
+
+	// The single-process validation rules hold at the frontend too.
+	for _, bad := range []serve.FoldInRequest{
+		{Items: []int32{1, 2}, Ratings: []float32{5}, N: 3},
+		{Items: []int32{1, 1}, Ratings: []float32{5, 4}, N: 3},
+		{Items: []int32{int32(items)}, Ratings: []float32{5}, N: 3},
+		{Items: nil, Ratings: nil, N: 3},
+	} {
+		if code := postJSON(t, f.frontTS.URL+"/v1/foldin", bad, nil); code != 400 {
+			t.Fatalf("bad fold-in %+v: HTTP %d, want 400", bad, code)
+		}
+	}
+	// Fold-in sent directly to a shard replica is refused: it would solve
+	// against a partial Gram matrix and return silently wrong factors.
+	if code := postJSON(t, f.shardTS[0].URL+"/v1/foldin", req, nil); code != 501 {
+		t.Fatalf("shard-direct fold-in: HTTP %d, want 501", code)
+	}
+
+	// At k = 32 with factors that are not integers, the order of a sum shows
+	// in its bits. Each shard's reply must carry its slice's float32 terms bit
+	// for bit, and the frontend must add them component by component in shard
+	// order, solve that sum and score with the solution: its answer, scores to
+	// the bit, is the one built here from each slice's terms.
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("k=32/shards=%d", shards), func(t *testing.T) {
+			const items, k = 61, 32
+			// Gaussian factors at the scale of a trained model, so Gram and
+			// RHS sums round, and a fold-in rating every third item, so each
+			// shard holds several of the ratings.
+			rng := rand.New(rand.NewSource(int64(items*k + 4)))
+			m := &core.Model{K: k, X: linalg.NewDense(4, k), Y: linalg.NewDense(items, k), Meta: core.Meta{Lambda: 0.5}}
+			for _, d := range [][]float32{m.X.Data, m.Y.Data} {
+				for i := range d {
+					d[i] = float32(0.3 * rng.NormFloat64())
+				}
+			}
+			f := newFleet(t, m, nil, shards)
+			req := serve.FoldInRequest{N: 10}
+			for i := 0; i < items; i += 3 {
+				req.Items = append(req.Items, int32(i))
+				req.Ratings = append(req.Ratings, float32(1+i%5))
+			}
+			packed, rhs := make([]float32, linalg.PackedLen(k)), make([]float32, k)
+			for s := 0; s < shards; s++ {
+				lo, hi := sparse.Range(items, s, shards)
+				var cols []int32
+				var vals []float32
+				for z, it := range req.Items {
+					if int(it) >= lo && int(it) < hi {
+						cols, vals = append(cols, it-int32(lo)), append(vals, req.Ratings[z])
+					}
+				}
+				gram, r := make([]float32, len(packed)), make([]float32, k)
+				linalg.GramRHSFused(m.Y.Data[lo*k:hi*k], k, cols, vals, gram, r)
+				for z, v := range gram {
+					packed[z] += v
+				}
+				for z, v := range r {
+					rhs[z] += v
+				}
+			}
+			x, err := core.SolveFoldIn(packed, rhs, k, m.Meta.Lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rated := map[int]bool{}
+			for _, it := range req.Items {
+				rated[int(it)] = true
+			}
+			top := metrics.NewTopK(req.N)
+			for i := 0; i < items; i++ {
+				if !rated[i] {
+					top.Push(i, linalg.Dot(x, m.Y.Row(i)))
+				}
+			}
+			var want []serve.RecItem
+			for _, s := range top.Drain() {
+				want = append(want, serve.RecItem{Item: s.Item, Score: s.Score})
+			}
+			var got frontAnswer
+			if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, &got); code != 200 {
+				t.Fatalf("frontend fold-in: HTTP %d", code)
+			}
+			sameItems(t, "k=32 foldin", got.Items, want)
+		})
+	}
+}
+
+// TestFoldInPurgesAllShards is the regression test for the distributed
+// write path: a fold-in that names a user must purge that user's cached
+// responses on every shard, or a later /v1/recommend through the frontend
+// would merge one shard's fresh slice with another's stale cache entry.
+func TestFoldInPurgesAllShards(t *testing.T) {
+	const users, items, k = 5, 23, 3
+	m := tieModel(users, items, k)
+	f := newFleet(t, m, nil, 3)
+	const user = int64(501)
+
+	// Warm every shard's LRU through the frontend.
+	var warm frontAnswer
+	if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", f.frontTS.URL, user), &warm); code != 200 {
+		t.Fatalf("warming: HTTP %d", code)
+	}
+	dense := int(user - 500)
+	for i, srv := range f.servers {
+		if got := srv.ResponseCache().UserEntries(dense); got != 1 {
+			t.Fatalf("shard %d: %d cached entries for user after warm, want 1", i, got)
+		}
+	}
+
+	u := user
+	req := serve.FoldInRequest{
+		Items: []int32{0, 8, 20}, Ratings: []float32{5, 4, 3}, N: 5, User: &u,
+	}
+	if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, nil); code != 200 {
+		t.Fatalf("fold-in: HTTP %d", code)
+	}
+	for i, srv := range f.servers {
+		if got := srv.ResponseCache().UserEntries(dense); got != 0 {
+			t.Fatalf("shard %d still holds %d cached entries for the folded-in user", i, got)
+		}
+	}
+}
+
+// TestFleetLeavesNoGoroutines: a fleet that has served recommends, fold-ins
+// and probes leaves nothing running once it is shut down in the order a
+// host does it — listeners, then Frontend.Close and Replica.Close, then the
+// Servers. An upgraded frame connection outlives http.Server.Close, so its
+// loop on the replica and its idle place on the frontend are the two ends
+// this holds to account.
+func TestFleetLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Run("fleet", func(t *testing.T) {
+		const users, items, k = 5, 23, 3
+		f := newFleet(t, tieModel(users, items, k), nil, 3)
+		u := int64(501)
+		for i := 0; i < 4; i++ {
+			if code := getJSON(t, fmt.Sprintf("%s/v1/recommend?user=%d&n=5", f.frontTS.URL, 500+i), nil); code != 200 {
+				t.Fatalf("recommend: HTTP %d", code)
+			}
+			req := serve.FoldInRequest{Items: []int32{1, 9, 20}, Ratings: []float32{5, 3, 4}, N: 5, User: &u}
+			if code := postJSON(t, f.frontTS.URL+"/v1/foldin", req, nil); code != 200 {
+				t.Fatalf("fold-in: HTTP %d", code)
+			}
+		}
+		f.front.ProbeOnce(context.Background())
+	})
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the fleet, %d after it closed:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/sparse"
 )
 
 // mergeItemsOracle is the merge mergeItems replaced, kept as its oracle:
@@ -48,7 +49,7 @@ func shardLists(rng *rand.Rand, shards, total, per int, down map[int]bool) []*Re
 		if down[si] {
 			continue
 		}
-		lo, hi := si*total/shards, (si+1)*total/shards
+		lo, hi := sparse.Range(total, si, shards)
 		items := make([]RecItem, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			items = append(items, RecItem{Item: i, ID: int64(1000 + i), Score: float64(rng.Intn(4)) / 2})

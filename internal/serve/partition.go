@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 )
 
 // ParseSpec parses a "-shard i/N" specification.
@@ -25,13 +26,13 @@ func ParseSpec(s string) (i, of int, err error) {
 }
 
 // sliceModel returns shard i's zero-copy view of a full model: the item
-// factors (and item ID labels) restricted to rows [i·total/of, (i+1)·total/of)
-// — a static range, so replicas agree on ownership without coordination —
-// the user factors shared, and the metadata copied. It reports the slice's
+// factors (and item ID labels) restricted to its sparse.Range of the
+// catalog — a static range, so replicas agree on ownership without
+// coordination — the user factors shared, and the metadata copied. It reports the slice's
 // global item offset and the full catalog size.
 func sliceModel(m *core.Model, i, of int) (view *core.Model, itemOffset, itemTotal int) {
 	total := m.Y.Rows
-	lo, hi := i*total/of, (i+1)*total/of
+	lo, hi := sparse.Range(total, i, of)
 	view = &core.Model{
 		K:       m.K,
 		X:       m.X,

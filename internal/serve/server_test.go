@@ -436,23 +436,30 @@ func paddedBody(prefix string, size int64) string {
 	return prefix + strings.Repeat(" ", int(size)-len(prefix)-1) + "}"
 }
 
-// TestRequestBodyLimits: every JSON endpoint stops reading at a limit
-// derived from what it can accept and answers 413 past it; a body of
-// exactly the limit is decoded and judged on its content.
+// TestRequestBodyLimits: every JSON endpoint — a server's, a replica's and
+// the frontend's — stops reading at a limit derived from what it can accept
+// and answers 413 past it; a body of exactly the limit is decoded and judged
+// on its content. (The replica's hop frames have the same rule and their own
+// test, TestHopBodyLimits.)
 func TestRequestBodyLimits(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxFoldInItems: 4})
-	s.Swap(linearModel(1, 2, 16, 2), nil, "")
+	cfg := Config{Workers: 1, MaxFoldInItems: 4}
+	m := linearModel(1, 2, 16, 2)
+	s, ts := newTestServer(t, cfg)
+	s.Swap(m, nil, "")
+	f := newTestFleet(t, cfg, m, 2, FrontendConfig{MaxFoldInItems: cfg.MaxFoldInItems}, nil)
 	cases := []struct {
-		name, path, prefix string
-		limit              int64
-		atLimit            int // status for a body of exactly limit bytes
+		name, url, prefix string
+		limit             int64
+		atLimit           int // status for a body of exactly limit bytes
 	}{
-		{"foldin", "/v1/foldin", `{"items":[1],"ratings":[5]`, foldInBodyLimit(4), 200},
-		{"swap", "/admin/swap", `{"model":""`, smallBodyLimit, 400},
+		{"foldin", ts.URL + "/v1/foldin", `{"items":[1],"ratings":[5]`, foldInBodyLimit(4), 200},
+		{"swap", ts.URL + "/admin/swap", `{"model":""`, smallBodyLimit, 400},
+		{"replica swap", f.front.cfg.Shards[0] + "/admin/swap", `{"model":""`, smallBodyLimit, 400},
+		{"frontend foldin", f.url + "/v1/foldin", `{"items":[1],"ratings":[5]`, foldInBodyLimit(4), 200},
 	}
 	for _, c := range cases {
 		for _, over := range []int64{0, 1} {
-			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(paddedBody(c.prefix, c.limit+over)))
+			resp, err := http.Post(c.url, "application/json", strings.NewReader(paddedBody(c.prefix, c.limit+over)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -35,7 +36,7 @@ func TestDistSmoke(t *testing.T) {
 	e2e.Run(t, alstrain, append(fleetTrainArgs, "-workers", "2", "-out", dist)...)
 	requireSameModel(t, single, dist, "-workers 2 model differs from single-process")
 
-	_, frontURL := startFleet(t, single)
+	_, frontURL, _ := startFleet(t, single)
 	body := e2e.Get(t, frontURL+"/v1/recommend?user=1&n=5")
 	if !bytes.Contains(body, []byte(`"items":[{`)) || bytes.Contains(body, []byte(`"partial":true`)) {
 		t.Fatalf("recommend response not a full merged top-N: %s", body)
@@ -45,6 +46,54 @@ func TestDistSmoke(t *testing.T) {
 	for _, want := range []string{"als_shard_partial_total", "als_front_requests_total", "als_front_shard_up"} {
 		if !strings.Contains(raw, want) {
 			t.Fatalf("frontend exposition lacks %s:\n%s", want, raw)
+		}
+	}
+}
+
+// TestRequestBodyLimits: a deployed fleet's JSON endpoints — a replica's
+// /admin/swap and the frontend's /v1/foldin — stop reading a body at a limit
+// derived from what they can accept and answer 413 past it; a body of
+// exactly the limit is decoded and judged on its content. internal/serve's
+// TestRequestBodyLimits holds the handlers to the same rule; this holds the
+// binaries, wired from their flags, to it.
+func TestRequestBodyLimits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the alstrain/alsserve/alsfront binaries")
+	}
+	model := filepath.Join(t.TempDir(), "fleet.model")
+	e2e.Run(t, e2e.Build(t, "alstrain"), append(fleetTrainArgs, "-out", model)...)
+	const maxFoldIn = 4
+	_, frontURL, shardURLs := startFleet(t, model, "-max-foldin-items", fmt.Sprint(maxFoldIn))
+	// serve's limits, spelled out: a fold-in of n ratings may take 1 KiB + 48n
+	// bytes, and bodies of a few scalars 64 KiB.
+	foldIn := func(n int) int64 { return 1<<10 + 48*int64(n) }
+	const small = 64 << 10
+	cases := []struct {
+		name, url, prefix string
+		limit             int64
+		atLimit           int // status for a body of exactly limit bytes
+	}{
+		{"replica swap", shardURLs[0] + "/admin/swap", `{"model":""`, small, 400},
+		{"frontend foldin", frontURL + "/v1/foldin", `{"items":[1],"ratings":[5]`, foldIn(maxFoldIn), 200},
+	}
+	for _, c := range cases {
+		for _, over := range []int64{0, 1} {
+			size := c.limit + over
+			body := c.prefix + strings.Repeat(" ", int(size)-len(c.prefix)-1) + "}"
+			resp, err := http.Post(c.url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct{ Error string }
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			want := c.atLimit
+			if over > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s, %d bytes over the limit: status %d (%q), want %d", c.name, over, resp.StatusCode, e.Error, want)
+			}
 		}
 	}
 }
@@ -74,11 +123,10 @@ var fleetTrainArgs = []string{"-preset", "YMR4", "-scale", "0.02", "-iters", "2"
 // startFleet stands up two alsserve shard replicas of model on ephemeral
 // ports and an alsfront (with frontArgs) fanning out to them, waits until
 // the frontend's prober has marked both shards up, and returns the frontend
-// with its base URL.
-func startFleet(t *testing.T, model string, frontArgs ...string) (front *e2e.Proc, frontURL string) {
+// with its base URL and the replicas' base URLs.
+func startFleet(t *testing.T, model string, frontArgs ...string) (front *e2e.Proc, frontURL string, shardURLs []string) {
 	t.Helper()
 	alsserve, alsfront := e2e.Build(t, "alsserve"), e2e.Build(t, "alsfront")
-	var shardURLs []string
 	for i := 0; i < 2; i++ {
 		p := e2e.Start(t, alsserve, "-model", model, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0")
 		shardURLs = append(shardURLs, "http://"+p.WaitLine("alsserve: listening on "))
@@ -94,7 +142,7 @@ func startFleet(t *testing.T, model string, frontArgs ...string) (front *e2e.Pro
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				return front, frontURL
+				return front, frontURL, shardURLs
 			}
 		}
 		if time.Now().After(deadline) {

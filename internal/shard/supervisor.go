@@ -273,7 +273,7 @@ func (s *supervisor) shipRows(rank int, wc *wire) error {
 	defer span.End()
 	before := s.data.Load()
 	for half, side := range [...]*sparse.CSR{halfX: s.r, halfY: s.rt} {
-		lo, hi := Range(side.NumRows, rank, s.total)
+		lo, hi := sparse.Range(side.NumRows, rank, s.total)
 		if err := wc.writeData(byte(half), lo, side.RowRange(lo, hi)); err != nil {
 			return fmt.Errorf("shipping rows [%d,%d) of half %d: %w", lo, hi, half, err)
 		}
@@ -505,7 +505,7 @@ func (s *supervisor) gather(ctx context.Context, pending []int, it int, half byt
 			failed[rank] = fmt.Errorf("%w: rank %d has no connection", errSpawnFailed, rank)
 			continue
 		}
-		lo, hi := Range(rows, rank, s.total)
+		lo, hi := sparse.Range(rows, rank, s.total)
 		wg.Add(1)
 		go func(rank int, w *supWorker, lo, hi int) {
 			defer wg.Done()

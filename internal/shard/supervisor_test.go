@@ -381,7 +381,7 @@ func TestRanksReadOnlyFrames(t *testing.T) {
 	var want, rank1 int64
 	for rank := 0; rank < workers; rank++ {
 		for _, side := range []*sparse.CSR{mx.R, mx.RT()} {
-			lo, hi := Range(side.NumRows, rank, workers)
+			lo, hi := sparse.Range(side.NumRows, rank, workers)
 			n := frame(hi-lo, int(side.RowPtr[hi]-side.RowPtr[lo]))
 			want += n
 			if rank == 1 {

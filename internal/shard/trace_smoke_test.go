@@ -33,7 +33,7 @@ func TestTraceSmoke(t *testing.T) {
 	}
 	model := filepath.Join(t.TempDir(), "smoke.model")
 	e2e.Run(t, e2e.Build(t, "alstrain"), append(fleetTrainArgs, "-out", model)...)
-	front, frontURL := startFleet(t, model, "-debug-addr", "127.0.0.1:0", "-trace-sample", "1.0")
+	front, frontURL, _ := startFleet(t, model, "-debug-addr", "127.0.0.1:0", "-trace-sample", "1.0")
 	debugURL := "http://" + front.WaitLine("debug server listening on http://")
 
 	const requests = 5

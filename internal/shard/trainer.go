@@ -422,13 +422,6 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 	return model, info, nil
 }
 
-// Range returns the half-open row range [lo, hi) that rank i of `of` owns
-// out of total rows: a static partition, so the coordinator and every
-// worker agree on ownership without coordination.
-func Range(total, i, of int) (lo, hi int) {
-	return i * total / of, (i + 1) * total / of
-}
-
 // RunWorker connects to a coordinator, identifies as rank, and serves one
 // worker's share of a distributed training run: receive the config and the
 // rows of R and Rᵀ this rank owns, then per half-iteration solve those
@@ -538,10 +531,10 @@ func RunWorker(coordAddr string, rank int) error {
 		return fmt.Errorf("shard: worker %d data: %w", rank, err)
 	}
 	m, n, k := rt.NumCols, r.NumCols, cfg.K
-	if lo, hi := Range(m, rank, cfg.Workers); lo != xlo || hi-lo != r.NumRows {
+	if lo, hi := sparse.Range(m, rank, cfg.Workers); lo != xlo || hi-lo != r.NumRows {
 		return fail(fmt.Errorf("worker %d: received rows [%d,%d) of R (%d users), own [%d,%d)", rank, xlo, xlo+r.NumRows, m, lo, hi))
 	}
-	if lo, hi := Range(n, rank, cfg.Workers); lo != ylo || hi-lo != rt.NumRows {
+	if lo, hi := sparse.Range(n, rank, cfg.Workers); lo != ylo || hi-lo != rt.NumRows {
 		return fail(fmt.Errorf("worker %d: received rows [%d,%d) of Rᵀ (%d items), own [%d,%d)", rank, ylo, ylo+rt.NumRows, n, lo, hi))
 	}
 	sspan.SetAttr("nnz", strconv.Itoa(r.NNZ()+rt.NNZ()))

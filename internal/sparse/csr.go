@@ -51,6 +51,15 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 	return view
 }
 
+// Range returns the half-open range [lo, hi) that part i of `of` owns out
+// of total rows: a static partition, contiguous and in order, so every
+// party that knows (total, i, of) agrees on ownership without coordination.
+// The distributed trainer's ranks, a serving fleet's replicas and the
+// simulator's devices and nodes all split this way.
+func Range(total, i, of int) (lo, hi int) {
+	return i * total / of, (i + 1) * total / of
+}
+
 // At returns the value at (row, col), or 0 if the coordinate is not stored.
 // Rows are kept column-sorted, so the lookup is a binary search.
 func (m *CSR) At(row, col int) float32 {

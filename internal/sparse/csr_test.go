@@ -417,3 +417,24 @@ func TestAppendGrowsDims(t *testing.T) {
 		t.Fatalf("dims = %dx%d, want 5x10", coo.Rows, coo.Cols)
 	}
 }
+
+// TestRangeTiles: for every size, including more parts than rows, the parts
+// of Range are in order, each starts where the one before it ended, and
+// together they cover [0, total) exactly.
+func TestRangeTiles(t *testing.T) {
+	for _, total := range []int{0, 1, 7, 12400} {
+		for _, of := range []int{1, 2, 3, 8, 13} {
+			next := 0
+			for i := 0; i < of; i++ {
+				lo, hi := Range(total, i, of)
+				if lo != next || hi < lo {
+					t.Fatalf("Range(%d, %d, %d) = [%d, %d), want it to start at %d", total, i, of, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != total {
+				t.Fatalf("Range(%d, ·, %d) covers [0, %d), want [0, %d)", total, of, next, total)
+			}
+		}
+	}
+}
