@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/quant"
@@ -21,7 +22,7 @@ import (
 )
 
 func main() {
-	modelPath := flag.String("model", "", "model file written by alstrain -out")
+	modelPath := flag.String("model", "", "model checkpoint written by alstrain -out")
 	testPath := flag.String("test", "", "rating file to evaluate against")
 	trainPath := flag.String("train", "", "training rating file (enables precision/recall@N; its items are excluded from top-N)")
 	oneBased := flag.Bool("one-based", true, "IDs in the rating files start at 1")
@@ -42,15 +43,11 @@ func main() {
 		fail(fmt.Errorf("need -model and -test"))
 	}
 
-	f, err := os.Open(*modelPath)
+	st, err := checkpoint.Load(checkpoint.OS, *modelPath)
 	if err != nil {
 		fail(err)
 	}
-	model, err := core.LoadModel(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
+	model := core.ModelOf(st)
 	test, err := core.AlignRatings(model, *testPath, *oneBased)
 	if err != nil {
 		fail(err)

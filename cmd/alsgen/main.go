@@ -1,13 +1,12 @@
 // alsgen generates a synthetic rating dataset from one of the Table I
 // presets (shape-matched to Movielens10M / Netflix / YahooMusic R1 / R4)
-// and writes it as text triples or as the compact binary CSR container.
+// and writes it as zero-based `<user item rating>` text triples.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/sparse"
@@ -15,10 +14,10 @@ import (
 
 func main() {
 	preset := flag.String("preset", "YMR4", "MVLE, NTFX, YMR1 or YMR4")
-	scale := flag.Float64("scale", 1.0, "scale factor; <1 shrinks the dataset (bench scaling)")
-	densityPreserving := flag.Bool("density-preserving", false, "use density-preserving scaling instead of degree-preserving bench scaling")
+	scale := flag.Float64("scale", 1.0, "scale factor: <1 shrinks the dataset, >1 grows it (bench scaling, as alstrain -preset -scale)")
+	densityPreserving := flag.Bool("density-preserving", false, "use density-preserving scaling instead of degree-preserving bench scaling (shrinks only)")
 	seed := flag.Int64("seed", 2017, "generator seed")
-	out := flag.String("out", "", "output path (.txt for triples, .bin for binary CSR); default stdout text")
+	out := flag.String("out", "", "output path for the text triples; default stdout")
 	stats := flag.Bool("stats", true, "print degree statistics to stderr")
 	flag.Parse()
 
@@ -31,12 +30,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *scale < 1 {
-		if *densityPreserving {
-			p = p.Scaled(*scale)
-		} else {
-			p = p.ScaledForBench(*scale)
-		}
+	switch {
+	case *scale <= 0:
+		fail(fmt.Errorf("-scale %g must be positive", *scale))
+	case *scale == 1:
+	case *densityPreserving && *scale > 1:
+		fail(fmt.Errorf("-density-preserving only shrinks; -scale %g grows the preset", *scale))
+	case *densityPreserving:
+		p = p.Scaled(*scale)
+	default:
+		p = p.ScaledForBench(*scale)
 	}
 	ds := p.Generate(*seed)
 	mx := ds.Matrix
@@ -58,12 +61,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if strings.HasSuffix(*out, ".bin") {
-		err = sparse.WriteBinary(w, mx.R)
-	} else {
-		err = sparse.WriteTriples(w, mx.R)
-	}
-	if err != nil {
+	if err := sparse.WriteTriples(w, mx.R); err != nil {
 		fail(err)
 	}
 }

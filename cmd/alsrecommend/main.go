@@ -11,11 +11,12 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
 
 func main() {
-	modelPath := flag.String("model", "", "model file written by alstrain -out")
+	modelPath := flag.String("model", "", "model checkpoint written by alstrain -out")
 	ratings := flag.String("ratings", "", "training rating file (to exclude already-rated items)")
 	oneBased := flag.Bool("one-based", true, "IDs in the rating file start at 1")
 	users := flag.String("users", "0", "comma-separated user IDs (external IDs for compact models)")
@@ -30,15 +31,11 @@ func main() {
 		fail(fmt.Errorf("need -model and -ratings"))
 	}
 
-	f, err := os.Open(*modelPath)
+	st, err := checkpoint.Load(checkpoint.OS, *modelPath)
 	if err != nil {
 		fail(err)
 	}
-	model, err := core.LoadModel(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
+	model := core.ModelOf(st)
 	mx, err := core.AlignRatings(model, *ratings, *oneBased)
 	if err != nil {
 		fail(err)

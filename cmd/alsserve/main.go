@@ -42,10 +42,11 @@ import (
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
+	"repro/internal/sparse"
 )
 
 func main() {
-	modelPath := flag.String("model", "", "model file written by alstrain -out (required)")
+	modelPath := flag.String("model", "", "model checkpoint written by alstrain -out (required)")
 	ratings := flag.String("ratings", "", "training rating file for rated-item exclusion (optional)")
 	oneBased := flag.Bool("one-based", true, "IDs in the rating file start at 1")
 	version := flag.String("version", "", "version label for the initial model (default: model meta, then v<seq>)")
@@ -113,11 +114,13 @@ func main() {
 		}
 		defer dbg.Close()
 	}
+	var rated *sparse.CSR // the -model file's rated set, aligned to its rows
 	if *modelPath != "" {
-		m, rated, err := serve.LoadSnapshotFiles(*modelPath, *ratings, *oneBased)
+		m, r, err := serve.LoadSnapshotFiles(*modelPath, *ratings, *oneBased)
 		if err != nil {
 			fail(err)
 		}
+		rated = r
 		if rep != nil {
 			sn := rep.Swap(m, rated, *version)
 			fmt.Printf("alsserve: model %s (seq %d): shard %s holds items [%d,%d) of %d, %d users, k=%d\n",
@@ -151,14 +154,18 @@ func main() {
 			// directory and installs only its item slice of each model.
 			wcfg.Transform = rep.Transform
 		}
-		if *watch != "" && *ratings != "" && *modelPath == "" {
-			// Rated-item exclusion for watched checkpoints: checkpoints carry
-			// dense indices, so load the ratings densely too.
-			ds, err := dataset.Load(*ratings, *oneBased)
-			if err != nil {
-				fail(err)
+		if *ratings != "" {
+			// Rated-item exclusion for watched checkpoints, which carry dense
+			// indices: a -model file's ratings are already aligned to its
+			// dense rows, the same index space; otherwise load them densely.
+			wcfg.Rated = rated
+			if rated == nil {
+				ds, err := dataset.Load(*ratings, *oneBased)
+				if err != nil {
+					fail(err)
+				}
+				wcfg.Rated = ds.Matrix.R
 			}
-			wcfg.Rated = ds.Matrix.R
 		}
 		w := serve.NewWatcher(srv, wcfg)
 		if _, err := w.Poll(); err != nil {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -53,8 +54,8 @@ func main() {
 	variantID := flag.String("variant", "", "code variant (e.g. tb+loc+reg); empty = per-architecture recommendation")
 	auto := flag.Bool("auto-variant", false, "empirically select the fastest of the 8 variants first")
 	testFrac := flag.Float64("test-frac", 0.1, "held-out fraction for RMSE reporting (0 disables)")
-	out := flag.String("out", "", "write the trained model to this file")
-	version := flag.String("version", "", "version label stored in the model's metadata (shown by alsserve)")
+	out := flag.String("out", "", "write the trained model to this file as a float32 checkpoint (what alsserve -model, alsrecommend and alseval read)")
+	version := flag.String("version", "", "version label stored in the -out file (shown by alsserve)")
 	weighted := flag.Bool("weighted-lambda", false, "use the ALS-WR convention lambda*|Omega|*I")
 	implicit := flag.Bool("implicit", false, "train implicit-feedback ALS (Hu et al.): ratings become confidences 1+alpha*r over unit preferences (host platform only)")
 	alpha := flag.Float64("alpha", 40, "confidence scale for -implicit")
@@ -265,6 +266,7 @@ func main() {
 	}
 
 	var model *core.Model
+	var variantLabel string
 	if *workers > 0 {
 		// Distributed data-parallel training: fork -workers copies of this
 		// binary as rank workers; each is sent its rows of train and they
@@ -326,7 +328,7 @@ func main() {
 		if err != nil {
 			failOrResumable(err)
 		}
-		model = m
+		model, variantLabel = m, dinfo.Variant
 		if dinfo.ResumedFrom > 0 {
 			fmt.Printf("resumed from checkpoint at iteration %d\n", dinfo.ResumedFrom)
 		}
@@ -343,7 +345,7 @@ func main() {
 		if err != nil {
 			failOrResumable(err)
 		}
-		model = m
+		model, variantLabel = m, info.Variant
 		if info.ResumedFrom > 0 {
 			fmt.Printf("resumed from checkpoint at iteration %d\n", info.ResumedFrom)
 		}
@@ -362,10 +364,6 @@ func main() {
 				info.StageSeconds[0], info.StageSeconds[1], info.StageSeconds[2])
 		}
 	}
-	model.UserIDs, model.ItemIDs = userIDs, itemIDs
-	if *version != "" {
-		model.Meta.Version = *version
-	}
 	if *implicit {
 		// RMSE against raw ratings is meaningless for an implicit model (it
 		// predicts preference ≈ 1 on observed pairs); report ranking quality.
@@ -382,9 +380,16 @@ func main() {
 	}
 
 	if *out != "" {
-		// Atomic (temp + fsync + rename) so a crash mid-save cannot leave a
-		// torn model file for alsserve to pick up.
-		if err := checkpoint.WriteFileAtomic(checkpoint.OS, *out, model.Save); err != nil {
+		// The model file is a float32 checkpoint of the last iteration, the
+		// same State whether one process or -workers trained it, with the
+		// version label and ID tables in its model block. Atomic (temp +
+		// fsync + rename) so a crash mid-save cannot leave a torn model file
+		// for alsserve to pick up.
+		st := cfg.State(variantLabel, *iters, model.X, model.Y)
+		st.Version, st.UserIDs, st.ItemIDs = *version, userIDs, itemIDs
+		if err := checkpoint.WriteFileAtomic(checkpoint.OS, *out, func(w io.Writer) error {
+			return checkpoint.Encode(w, st)
+		}); err != nil {
 			fail(err)
 		}
 		fmt.Printf("model written to %s\n", *out)

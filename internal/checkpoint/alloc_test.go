@@ -39,8 +39,19 @@ func TestCodecAllocatesNoSlabCopies(t *testing.T) {
 		x.Data[i] = float32(i%97) * 0.01
 		y.Data[i] = float32(i%89) * -0.02
 	}
-	for _, prec := range []quant.Precision{quant.F32, quant.I8} {
+	ids := make([]int64, rows)
+	for i := range ids {
+		ids[i] = int64(i) * 31
+	}
+	for _, tc := range []struct {
+		prec quant.Precision
+		ids  []int64 // nil: format v3; else both ID tables, format v4
+	}{{quant.F32, nil}, {quant.I8, nil}, {quant.F32, ids}} {
+		prec := tc.prec
 		st := &State{Iteration: 1, K: k, Lambda: 0.1, Variant: "tb+vec+fus", X: x, Y: y, Precision: prec}
+		if tc.ids != nil {
+			st.Version, st.UserIDs, st.ItemIDs = "v4", tc.ids, tc.ids
+		}
 		var quantizer int64
 		var err error
 		if prec != quant.F32 {
@@ -67,7 +78,7 @@ func TestCodecAllocatesNoSlabCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		retained := int64(len(dec.X.Data)+len(dec.Y.Data)) * 4
+		retained := int64(len(dec.X.Data)+len(dec.Y.Data))*4 + int64(len(dec.UserIDs)+len(dec.ItemIDs))*8
 		for _, q := range []*quant.Matrix{dec.QX, dec.QY} {
 			if q != nil {
 				retained += int64(len(q.Scales))*4 + int64(len(q.I8)) + int64(len(q.F16))*2
@@ -98,26 +109,46 @@ func hugeHeader(version uint32) []byte {
 	if version >= formatV2 {
 		b = append(b, 0) // precision f32
 	}
-	if version >= FormatVersion {
+	if version >= formatV3 {
 		b = append(b, make([]byte, 10)...) // the training-mode block
 	}
 	return append(b, make([]byte, 2+4)...) // variant length, history length
 }
 
-// TestHugeHeaderBoundsAllocation: a header that declares 16 GiB of factors
-// over a file that holds none of them fails Load with ErrCorrupt after
+// hugeModelHeader is a format-v4 file that declares 2³² users and 2³² items
+// at k = 1 and carries, where its factors should be, only a model block
+// with the ID flag set: 64 GiB of factors and IDs, none of them present.
+func hugeModelHeader() []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(Magic))
+	for _, v := range []uint64{uint64(FormatVersion), 1, 1 << 32, 1 << 32, 1, 0} { // version, k, m, n, iteration, seed
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = append(b, make([]byte, 4+1+1+10+2+4)...) // lambda .. history length, all zero
+	return append(b, 0, 0, 1)                    // version length 0, ID flag set
+}
+
+// TestHugeHeaderBoundsAllocation: a header that declares 16 GiB or more of
+// factors over a file that holds none of them fails Load with ErrCorrupt after
 // allocating no more than decodeBound, at every format version: the
 // factor's dimensions are believed only as far as the bytes behind them.
 func TestHugeHeaderBoundsAllocation(t *testing.T) {
-	for _, version := range []uint32{formatV1, formatV2, FormatVersion} {
+	for _, tc := range []struct {
+		version uint32
+		file    []byte
+	}{
+		{formatV1, hugeHeader(formatV1)},
+		{formatV2, hugeHeader(formatV2)},
+		{formatV3, hugeHeader(formatV3)},
+		{FormatVersion, hugeModelHeader()},
+	} {
 		fsys := NewMemFS()
-		fsys.WriteFile("ckpt", hugeHeader(version))
+		fsys.WriteFile("ckpt", tc.file)
 		var err error
 		if n := allocated(func() { _, err = Load(fsys, "ckpt") }); n > decodeBound {
-			t.Errorf("v%d: Load of a %d-byte file allocated %d bytes, bound %d", version, len(hugeHeader(version)), n, decodeBound)
+			t.Errorf("v%d: Load of a %d-byte file allocated %d bytes, bound %d", tc.version, len(tc.file), n, decodeBound)
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("v%d: err = %v, want ErrCorrupt", version, err)
+			t.Errorf("v%d: err = %v, want ErrCorrupt", tc.version, err)
 		}
 	}
 }

@@ -5,7 +5,10 @@
 // fsync) so a kill at any byte leaves either the previous checkpoint or
 // the new one — never a torn file. Load verifies the checksum, Latest
 // picks the newest checkpoint that actually decodes (falling back past
-// torn or corrupt files), and GC bounds the directory to the last N.
+// torn or corrupt files), and GC bounds the directory to the last N. The
+// same format is the trained model file (alstrain -out): a float32 State
+// whose model block carries the serving label and a compact run's ID
+// tables.
 //
 // The package doubles as the repo's fault-injection harness: every
 // filesystem touch goes through the FS interface, and MemFS implements it
@@ -38,21 +41,25 @@ const Magic = uint32(0x414C534B)
 // versions it does not know but keeps decoding every version it ever
 // wrote. Version 2 added the precision byte and quantized factor
 // sections; version 3 added the training-mode block (implicit flag, α,
-// solver, CG iterations, iALS++ block size). Version 1 and 2 files still
+// solver, CG iterations, iALS++ block size); version 4 added the model
+// block after Y (version label, ID tables). Version 1 and 2 files still
 // load, decoding as explicit-mode Cholesky runs. Golden-file tests pin
 // every version byte for byte.
-const FormatVersion = uint32(3)
+const FormatVersion = uint32(4)
 
 // formatV1 is the pre-quantization layout: no precision byte, factors
 // always raw float32. formatV2 added the precision byte but predates the
-// training-mode block.
+// training-mode block. formatV3 is the layout Encode still writes for a
+// State without a model block, so training checkpoints keep their bytes.
 const (
 	formatV1 = uint32(1)
 	formatV2 = uint32(2)
+	formatV3 = uint32(3)
 )
 
 const (
 	maxVariantLen = 256
+	maxVersionLen = 1 << 10
 	maxHistory    = 1 << 16
 	histEntry     = 4 + 1 + 8 + 8 // one history record: iteration, half, loss, elapsed
 )
@@ -108,6 +115,13 @@ type State struct {
 	BlockSize int
 
 	History []host.IterStats // per-half-iteration loss when tracked
+
+	// Model block (format v4): the serving version label, and the external
+	// user and item ID of every row of X and Y when the run trained on a
+	// compact (ID-remapped) dataset. Both are optional; a State that carries
+	// neither encodes as format v3.
+	Version          string
+	UserIDs, ItemIDs []int64
 }
 
 // FileName returns the canonical file name for a checkpoint at the given
@@ -161,8 +175,20 @@ func (st *State) validate() error {
 	if st.BlockSize < 0 || st.BlockSize > math.MaxUint16 {
 		return fmt.Errorf("checkpoint: block size %d out of range", st.BlockSize)
 	}
+	if len(st.Version) > maxVersionLen {
+		return fmt.Errorf("checkpoint: version label longer than %d bytes", maxVersionLen)
+	}
+	if st.hasIDs() && (len(st.UserIDs) != st.X.Rows || len(st.ItemIDs) != st.Y.Rows) {
+		return fmt.Errorf("checkpoint: ID table lengths (%d,%d) do not match factors (%d,%d)",
+			len(st.UserIDs), len(st.ItemIDs), st.X.Rows, st.Y.Rows)
+	}
 	return nil
 }
+
+func (st *State) hasIDs() bool { return st.UserIDs != nil || st.ItemIDs != nil }
+
+// hasModelBlock reports whether st encodes as format v4.
+func (st *State) hasModelBlock() bool { return st.Version != "" || st.hasIDs() }
 
 // EncodedSize returns the exact byte count Encode will produce for st,
 // including the CRC trailer. The observability layer uses it to report
@@ -184,6 +210,9 @@ func (st *State) EncodedSize() int64 {
 	if st.Y != nil {
 		n += factorSize(st.Y.Rows, st.Y.Cols, st.Precision)
 	}
+	if st.hasModelBlock() {
+		n += 2 + int64(len(st.Version)) + 1 + 8*int64(len(st.UserIDs)+len(st.ItemIDs))
+	}
 	return n
 }
 
@@ -203,15 +232,20 @@ func factorSize(rows, cols int, prec quant.Precision) int64 {
 
 // Encode writes st in the on-disk format: a little-endian header (magic,
 // format version, dims, training state), the variant label and history,
-// both factor matrices, and a trailing CRC-32C over every preceding byte.
+// both factor matrices, the model block when st has one, and a trailing
+// CRC-32C over every preceding byte.
 func Encode(w io.Writer, st *State) error {
 	if err := st.validate(); err != nil {
 		return err
 	}
+	version := formatV3
+	if st.hasModelBlock() {
+		version = FormatVersion
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	lw := lebin.NewWriter(bw)
 	lw.U64(uint64(Magic))
-	lw.U64(uint64(FormatVersion))
+	lw.U64(uint64(version))
 	lw.U64(uint64(st.K))
 	lw.U64(uint64(st.X.Rows))
 	lw.U64(uint64(st.Y.Rows))
@@ -240,6 +274,13 @@ func Encode(w io.Writer, st *State) error {
 	}
 	if err := writeFactor(lw, st.Y, st.QY, st.Precision); err != nil {
 		return err
+	}
+	if version == FormatVersion {
+		lw.U16(uint16(len(st.Version)))
+		lw.Bytes([]byte(st.Version))
+		lw.Bool(st.hasIDs())
+		lw.I64s(st.UserIDs)
+		lw.I64s(st.ItemIDs)
 	}
 	lw.U32(lw.Sum32())
 	if err := lw.Err(); err != nil {
@@ -327,6 +368,27 @@ func readFactor(lr *lebin.Reader, rows, cols uint64, prec quant.Precision) (*lin
 	return q.Decode(), q, nil
 }
 
+// readModelBlock reads format v4's version label and, when its flag is
+// set, the m user and n item IDs, each count held to the bytes left.
+func readModelBlock(lr *lebin.Reader, st *State, m, n uint64) error {
+	vlen := uint64(lr.U16())
+	if lr.Err() == nil && (vlen > maxVersionLen || !lr.Fits(vlen, 1, 1)) {
+		return fmt.Errorf("implausible version length %d", vlen)
+	}
+	st.Version = string(lr.Take(int(vlen)))
+	if ids := lr.U8(); ids > 1 {
+		return fmt.Errorf("invalid ID flag %d", ids)
+	} else if ids == 1 && lr.Fits(m, 1, 8) {
+		st.UserIDs = make([]int64, m)
+		lr.I64s(st.UserIDs)
+		if lr.Fits(n, 1, 8) {
+			st.ItemIDs = make([]int64, n)
+			lr.I64s(st.ItemIDs)
+		}
+	}
+	return lr.Err()
+}
+
 // Decode reads a checkpoint written by Encode, verifying format version,
 // the CRC, and every count against the bytes the input has left. It
 // returns an error — never panics, never allocates for bytes the input
@@ -366,7 +428,7 @@ func Decode(r io.Reader) (*State, error) {
 	if version >= formatV2 {
 		st.Precision = quant.Precision(lr.U8())
 	}
-	if version >= FormatVersion {
+	if version >= formatV3 {
 		implicit = lr.U8()
 		st.Alpha = lr.F32()
 		st.Solver = host.Solver(lr.U8())
@@ -431,6 +493,11 @@ func Decode(r io.Reader) (*State, error) {
 	}
 	if st.Y, st.QY, ferr = readFactor(lr, n, k, st.Precision); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading Y: %w", ferr)
+	}
+	if version >= FormatVersion {
+		if err := readModelBlock(lr, st, m, n); err != nil {
+			return nil, fmt.Errorf("checkpoint: reading model block: %w", err)
+		}
 	}
 	st.K = int(k)
 	sum := lr.Sum32()

@@ -36,6 +36,23 @@ func testState(iter int, seed float32) *State {
 	}
 }
 
+// withModelBlock adds a format-v4 model block to st: a version label and,
+// when ids is set, an external ID for every row of X and Y.
+func withModelBlock(st *State, ids bool) *State {
+	st.Version = "v7"
+	if ids {
+		st.UserIDs = make([]int64, st.X.Rows)
+		st.ItemIDs = make([]int64, st.Y.Rows)
+		for i := range st.UserIDs {
+			st.UserIDs[i] = int64(1000 + 3*i)
+		}
+		for i := range st.ItemIDs {
+			st.ItemIDs[i] = int64(-7 * i)
+		}
+	}
+	return st
+}
+
 func statesEqual(t *testing.T, want, got *State) {
 	t.Helper()
 	if got.Iteration != want.Iteration || got.K != want.K ||
@@ -44,8 +61,11 @@ func statesEqual(t *testing.T, want, got *State) {
 		got.Precision != want.Precision ||
 		got.Implicit != want.Implicit || got.Alpha != want.Alpha ||
 		got.Solver != want.Solver || got.CGIters != want.CGIters ||
-		got.BlockSize != want.BlockSize {
+		got.BlockSize != want.BlockSize || got.Version != want.Version {
 		t.Fatalf("scalar state mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+	if !reflect.DeepEqual(want.UserIDs, got.UserIDs) || !reflect.DeepEqual(want.ItemIDs, got.ItemIDs) {
+		t.Fatalf("ID tables mismatch:\nwant %v %v\ngot  %v %v", want.UserIDs, want.ItemIDs, got.UserIDs, got.ItemIDs)
 	}
 	if d := linalg.MaxAbsDiff(want.X, got.X); d != 0 {
 		t.Fatalf("X differs by %g", d)
@@ -58,17 +78,33 @@ func statesEqual(t *testing.T, want, got *State) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: a State without a model block is written as
+// format v3, one with a version label or ID tables as v4, and either
+// decodes back to what was encoded.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	st := testState(7, 1.5)
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		st      *State
+		version uint32
+	}{
+		{"v3", testState(7, 1.5), formatV3},
+		{"v4/version", withModelBlock(testState(7, 1.5), false), FormatVersion},
+		{"v4/ids", withModelBlock(testState(8, 0.5), true), FormatVersion},
+		{"v4/ids-only", func() *State { st := withModelBlock(testState(2, 1), true); st.Version = ""; return st }(), FormatVersion},
+	} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, tc.st); err != nil {
+			t.Fatal(err)
+		}
+		if v := buf.Bytes()[8]; uint32(v) != tc.version {
+			t.Errorf("%s: written as format v%d, want v%d", tc.name, v, tc.version)
+		}
+		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		statesEqual(t, tc.st, got)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	statesEqual(t, st, got)
 }
 
 // TestQuantizedRoundTrip: a state saved at a quantized precision decodes
@@ -111,11 +147,13 @@ func TestQuantizedRoundTrip(t *testing.T) {
 // count, with and without history, with an empty variant label, and at
 // every precision.
 func TestEncodedSizeMatchesEncode(t *testing.T) {
-	states := []*State{testState(7, 1.5), testState(2, 0), testState(3, 1), testState(4, 1)}
+	states := []*State{testState(7, 1.5), testState(2, 0), testState(3, 1), testState(4, 1),
+		withModelBlock(testState(5, 1), false), withModelBlock(testState(6, 1), true), withModelBlock(testState(7, 1), true)}
 	states[1].History = nil
 	states[1].Variant = ""
 	states[2].Precision = quant.F16
 	states[3].Precision = quant.I8
+	states[6].Precision = quant.I8
 	for i, st := range states {
 		var buf bytes.Buffer
 		if err := Encode(&buf, st); err != nil {
@@ -128,25 +166,26 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 }
 
 func TestDecodeRejectsBitFlips(t *testing.T) {
-	st := testState(3, 0.25)
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
-	// Flip one bit at a spread of offsets; every flip must be rejected
-	// (header checks or the CRC trailer), never silently accepted.
-	for off := 0; off < len(enc); off += 17 {
-		bad := append([]byte(nil), enc...)
-		bad[off] ^= 0x40
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("bit flip at offset %d accepted", off)
+	for _, st := range []*State{testState(3, 0.25), withModelBlock(testState(3, 0.25), true)} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, st); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Truncations at every length must error too.
-	for cut := 0; cut < len(enc); cut += 13 {
-		if _, err := Decode(bytes.NewReader(enc[:cut])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", cut)
+		enc := buf.Bytes()
+		// Flip one bit at a spread of offsets; every flip must be rejected
+		// (header checks or the CRC trailer), never silently accepted.
+		for off := 0; off < len(enc); off += 17 {
+			bad := append([]byte(nil), enc...)
+			bad[off] ^= 0x40
+			if _, err := Decode(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("v%d: bit flip at offset %d accepted", enc[8], off)
+			}
+		}
+		// Truncations at every length must error too.
+		for cut := 0; cut < len(enc); cut += 13 {
+			if _, err := Decode(bytes.NewReader(enc[:cut])); err == nil {
+				t.Fatalf("v%d: truncation to %d bytes accepted", enc[8], cut)
+			}
 		}
 	}
 }
@@ -309,6 +348,21 @@ func TestEncodeValidatesState(t *testing.T) {
 	bad.Precision = quant.Precision(9)
 	if err := Encode(&buf, bad); err == nil {
 		t.Fatal("unknown precision accepted")
+	}
+	bad = withModelBlock(testState(1, 1), true)
+	bad.ItemIDs = nil
+	if err := Encode(&buf, bad); err == nil {
+		t.Fatal("one ID table without the other accepted")
+	}
+	bad = withModelBlock(testState(1, 1), true)
+	bad.UserIDs = bad.UserIDs[1:]
+	if err := Encode(&buf, bad); err == nil {
+		t.Fatal("ID table shorter than its factor accepted")
+	}
+	bad = testState(1, 1)
+	bad.Version = string(make([]byte, maxVersionLen+1))
+	if err := Encode(&buf, bad); err == nil {
+		t.Fatal("over-long version label accepted")
 	}
 }
 

@@ -65,9 +65,23 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		iflip[off] ^= 0x03
 		f.Add(iflip)
 	}
-	for _, version := range []uint32{formatV1, formatV2, FormatVersion} {
+	for _, version := range []uint32{formatV1, formatV2, formatV3} {
 		f.Add(hugeHeader(version))
 	}
+	// The v4 model block: a version label and both ID tables, then the same
+	// with the flag byte flipped and with the tail cut inside the IDs.
+	mst := withModelBlock(testState(4, 0.5), true)
+	var mbuf bytes.Buffer
+	if err := Encode(&mbuf, mst); err != nil {
+		f.Fatal(err)
+	}
+	mvalid := mbuf.Bytes()
+	f.Add(mvalid)
+	f.Add(mvalid[:len(mvalid)-20]) // truncated inside the item IDs
+	mflip := append([]byte(nil), mvalid...)
+	mflip[len(mflip)-4-8*(4+5)-1] ^= 0x02 // the ID flag
+	f.Add(mflip)
+	f.Add(hugeModelHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st *State
 		var err error

@@ -134,6 +134,18 @@ func TestGoldenQuantizedFormats(t *testing.T) {
 	}
 }
 
+// TestGoldenModelBlockFormat pins format v4 byte for byte: the v3 layout
+// with a model block after Y (version label, ID flag, m + n IDs).
+func TestGoldenModelBlockFormat(t *testing.T) {
+	orig := withModelBlock(goldenState(), true)
+	want := checkGolden(t, "golden_v4.alsck", orig)
+	st, err := Decode(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	statesEqual(t, orig, st)
+}
+
 // TestGoldenV1StillLoads is the backward-compatibility gate: the pinned
 // format-v1 file (written before the precision byte existed) must keep
 // decoding to the exact same state, reported as float32 precision and

@@ -19,11 +19,9 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"time"
@@ -33,7 +31,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/host"
 	"repro/internal/kernels"
-	"repro/internal/lebin"
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -237,13 +234,23 @@ type Model struct {
 	UserIDs []int64 // optional: external user ID per row of X
 	ItemIDs []int64 // optional: external item ID per row of Y
 
-	Meta Meta // optional provenance; persisted by Save when non-zero
+	Meta Meta // optional provenance
 
 	// QY is the quantized item-factor matrix when the model came from a
 	// compressed (format v2) checkpoint: the serving layer installs it
-	// directly instead of re-encoding Y. Transient — Save does not persist
-	// it, and it is nil for float32 models.
+	// directly instead of re-encoding Y. Nil for float32 models.
 	QY *quant.Matrix
+}
+
+// ModelOf is the model a checkpoint holds: its factors (with the compact
+// item factors of a quantized checkpoint), its ID tables and the provenance
+// serving needs. It is the one conversion from a file's State to a Model:
+// every program that reads trained factors loads them with checkpoint.Load
+// and converts them here.
+func ModelOf(st *checkpoint.State) *Model {
+	return &Model{K: st.K, X: st.X, Y: st.Y, QY: st.QY,
+		UserIDs: st.UserIDs, ItemIDs: st.ItemIDs,
+		Meta: Meta{Version: st.Version, Lambda: st.Lambda, WeightedLambda: st.WeightedLambda}}
 }
 
 // Predict estimates the rating of item i by user u (Eq. 1: x_u·y_iᵀ).
@@ -572,128 +579,4 @@ func FeaturesOf(mx *sparse.Matrix, platform string, k int) variant.Features {
 		Rows:        float64(mx.Rows()),
 		FixedFactor: float64(mx.Cols()*k) * 4 / (1 << 20),
 	}
-}
-
-const modelMagic = uint32(0x414C5332) // "ALS2"
-
-const (
-	flagHasIDMaps = uint64(1)
-	flagHasMeta   = uint64(2)
-)
-
-// maxVersionLen bounds the stored version label so a corrupt header cannot
-// demand an absurd allocation at load time.
-const maxVersionLen = 1 << 10
-
-// Save writes the model in a compact little-endian binary format:
-// header (magic, k, m, n, flags), X, Y, then — when present — the external
-// user and item ID tables, then — when present — the meta section
-// (length-prefixed version label, training λ, λ convention). Sections are
-// flagged so old files load unchanged and old readers reject new sections
-// they cannot skip.
-func (m *Model) Save(w io.Writer) error {
-	if (m.UserIDs == nil) != (m.ItemIDs == nil) {
-		return fmt.Errorf("core: model has only one of UserIDs/ItemIDs")
-	}
-	if m.UserIDs != nil && (len(m.UserIDs) != m.X.Rows || len(m.ItemIDs) != m.Y.Rows) {
-		return fmt.Errorf("core: ID table lengths (%d,%d) do not match factors (%d,%d)",
-			len(m.UserIDs), len(m.ItemIDs), m.X.Rows, m.Y.Rows)
-	}
-	if len(m.Meta.Version) > maxVersionLen {
-		return fmt.Errorf("core: version label longer than %d bytes", maxVersionLen)
-	}
-	var flags uint64
-	if m.UserIDs != nil {
-		flags |= flagHasIDMaps
-	}
-	if m.Meta != (Meta{}) {
-		flags |= flagHasMeta
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	lw := lebin.NewWriter(bw)
-	lw.U64(uint64(modelMagic))
-	lw.U64(uint64(m.K))
-	lw.U64(uint64(m.X.Rows))
-	lw.U64(uint64(m.Y.Rows))
-	lw.U64(flags)
-	lw.F32s(m.X.Data)
-	lw.F32s(m.Y.Data)
-	if flags&flagHasIDMaps != 0 {
-		lw.I64s(m.UserIDs)
-		lw.I64s(m.ItemIDs)
-	}
-	if flags&flagHasMeta != 0 {
-		lw.U64(uint64(len(m.Meta.Version)))
-		lw.Bytes([]byte(m.Meta.Version))
-		lw.F32(m.Meta.Lambda)
-		lw.Bool(m.Meta.WeightedLambda)
-	}
-	if err := lw.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadModel reads a model written by Save.
-func LoadModel(r io.Reader) (*Model, error) {
-	lr := lebin.NewReader(r)
-	var hdr [5]uint64
-	for i := range hdr {
-		hdr[i] = lr.U64()
-	}
-	if err := lr.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading model header: %w", err)
-	}
-	if uint32(hdr[0]) != modelMagic {
-		return nil, fmt.Errorf("core: bad model magic %#x", hdr[0])
-	}
-	k, m, n, flags := hdr[1], hdr[2], hdr[3], hdr[4]
-	// Sections cannot be skipped, so a flag this reader does not know means
-	// bytes it would misread.
-	if unknown := flags &^ (flagHasIDMaps | flagHasMeta); unknown != 0 {
-		return nil, fmt.Errorf("core: unknown model section flags %#x", unknown)
-	}
-	// Each array is held to the bytes the file has left before it is
-	// allocated: a corrupt header must not demand memory it does not hold.
-	mod := &Model{K: int(k)}
-	if lr.Fits(m, k, 4) {
-		mod.X = linalg.NewDense(int(m), int(k))
-		lr.F32s(mod.X.Data)
-	}
-	if lr.Fits(n, k, 4) {
-		mod.Y = linalg.NewDense(int(n), int(k))
-		lr.F32s(mod.Y.Data)
-	}
-	if err := lr.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading factors: %w", err)
-	}
-	if flags&flagHasIDMaps != 0 {
-		if lr.Fits(m, 1, 8) {
-			mod.UserIDs = make([]int64, m)
-			lr.I64s(mod.UserIDs)
-		}
-		if lr.Fits(n, 1, 8) {
-			mod.ItemIDs = make([]int64, n)
-			lr.I64s(mod.ItemIDs)
-		}
-		if err := lr.Err(); err != nil {
-			return nil, fmt.Errorf("core: reading ID tables: %w", err)
-		}
-	}
-	if flags&flagHasMeta != 0 {
-		vlen := lr.U64()
-		if err := lr.Err(); err != nil {
-			return nil, fmt.Errorf("core: reading meta: %w", err)
-		}
-		if vlen > maxVersionLen || !lr.Fits(vlen, 1, 1) {
-			return nil, fmt.Errorf("core: implausible version length %d", vlen)
-		}
-		mod.Meta.Version = string(lr.Take(int(vlen)))
-		mod.Meta.Lambda = lr.F32()
-		mod.Meta.WeightedLambda = lr.U8() != 0
-		if err := lr.Err(); err != nil {
-			return nil, fmt.Errorf("core: reading meta: %w", err)
-		}
-	}
-	return mod, nil
 }

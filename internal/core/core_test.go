@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/host"
@@ -272,20 +276,48 @@ func TestRecommendExcludesRated(t *testing.T) {
 	}
 }
 
+// modelFile is the file alstrain -out writes for a model of cfg: the run's
+// float32 State, plus a model block (format v4) when the model carries a
+// version label or ID tables.
+func modelFile(cfg Config, m *Model) ([]byte, error) {
+	st := cfg.State("", cfg.Iterations, m.X, m.Y)
+	st.Version, st.UserIDs, st.ItemIDs = m.Meta.Version, m.UserIDs, m.ItemIDs
+	var buf bytes.Buffer
+	err := checkpoint.Encode(&buf, st)
+	return buf.Bytes(), err
+}
+
+// loadModel reads a model file as every program does: the checkpoint
+// decoder, then ModelOf.
+func loadModel(file []byte) (*Model, error) {
+	st, err := checkpoint.Decode(bytes.NewReader(file))
+	if err != nil {
+		return nil, err
+	}
+	return ModelOf(st), nil
+}
+
+// TestModelSaveLoad: a trained model written as alstrain -out writes it
+// (checkpoint.WriteFileAtomic of its run's State) and read back with
+// checkpoint.Load and ModelOf keeps its factors bit for bit.
 func TestModelSaveLoad(t *testing.T) {
 	mx := testMatrix(t)
-	model, _, err := Train(mx, Config{Seed: 4, Iterations: 2})
+	cfg := Config{K: 4, Seed: 4, Iterations: 2}
+	model, info, err := Train(mx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	fsys := checkpoint.NewMemFS()
+	if err := checkpoint.WriteFileAtomic(fsys, "model.bin", func(w io.Writer) error {
+		return checkpoint.Encode(w, cfg.State(info.Variant, cfg.Iterations, model.X, model.Y))
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&buf)
+	st, err := checkpoint.Load(fsys, "model.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := ModelOf(st)
 	if got.K != model.K || got.X.Rows != model.X.Rows || got.Y.Rows != model.Y.Rows {
 		t.Fatal("model dims changed across save/load")
 	}
@@ -295,11 +327,15 @@ func TestModelSaveLoad(t *testing.T) {
 	if d := linalg.MaxAbsDiff(model.Y, got.Y); d != 0 {
 		t.Fatalf("Y changed by %g", d)
 	}
+	if got.UserIDs != nil || got.ItemIDs != nil {
+		t.Fatal("a model without ID tables loaded with some")
+	}
 }
 
 func TestModelSaveLoadWithIDMaps(t *testing.T) {
 	mx := testMatrix(t)
-	model, _, err := Train(mx, Config{Seed: 4, Iterations: 1})
+	cfg := Config{K: 4, Seed: 4, Iterations: 1}
+	model, _, err := Train(mx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,66 +347,68 @@ func TestModelSaveLoadWithIDMaps(t *testing.T) {
 	for i := range model.ItemIDs {
 		model.ItemIDs[i] = int64(i)*3 + 5
 	}
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadModel(&buf)
+	file, err := modelFile(cfg, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.UserIDs) != len(model.UserIDs) || len(got.ItemIDs) != len(model.ItemIDs) {
-		t.Fatal("ID tables lost across save/load")
+	got, err := loadModel(file)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.UserIDs {
-		if got.UserIDs[i] != model.UserIDs[i] {
-			t.Fatalf("UserIDs[%d] = %d", i, got.UserIDs[i])
-		}
+	if !slices.Equal(got.UserIDs, model.UserIDs) || !slices.Equal(got.ItemIDs, model.ItemIDs) {
+		t.Fatal("ID tables changed across save/load")
 	}
-	if got.ItemIDs[1] != 8 {
-		t.Fatalf("ItemIDs[1] = %d", got.ItemIDs[1])
+	if u, ok := got.UserIndex(1007); !ok || u != 1 || got.ItemLabel(1) != 8 {
+		t.Fatalf("external IDs do not resolve: user 1007 -> %d,%v; item 1 -> %d", u, ok, got.ItemLabel(1))
 	}
 }
 
 func TestModelSaveRejectsInconsistentIDMaps(t *testing.T) {
 	mx := testMatrix(t)
-	model, _, err := Train(mx, Config{Seed: 4, Iterations: 1})
+	cfg := Config{K: 4, Seed: 4, Iterations: 1}
+	model, _, err := Train(mx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model.UserIDs = []int64{1} // wrong length, no item table
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err == nil {
-		t.Fatal("Save accepted one-sided ID tables")
+	if _, err := modelFile(cfg, model); err == nil {
+		t.Fatal("save accepted one-sided ID tables")
 	}
 	model.ItemIDs = []int64{2}
-	if err := model.Save(&buf); err == nil {
-		t.Fatal("Save accepted wrong-length ID tables")
+	if _, err := modelFile(cfg, model); err == nil {
+		t.Fatal("save accepted wrong-length ID tables")
 	}
 }
 
+// TestLoadModelErrors: what is not a model file fails to load. An ALS2
+// file, the model format before the checkpoint carried factors for
+// serving, fails on its magic; the retired format is not read.
 func TestLoadModelErrors(t *testing.T) {
-	if _, err := LoadModel(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("accepted bad magic")
+	if _, err := loadModel(make([]byte, 64)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("zero bytes: err = %v, want bad magic", err)
 	}
-	if _, err := LoadModel(bytes.NewReader(nil)); err == nil {
+	if _, err := loadModel(nil); err == nil {
 		t.Fatal("accepted empty stream")
 	}
-	// A section flag this reader does not know marks bytes it cannot skip.
-	var buf bytes.Buffer
-	if err := (&Model{K: 2, X: linalg.NewDense(1, 2), Y: linalg.NewDense(1, 2)}).Save(&buf); err != nil {
+	var als2 []byte // magic "ALS2", k, m, n, flags; then X and Y
+	for _, v := range []uint64{0x414C5332, 2, 1, 1, 0} {
+		als2 = binary.LittleEndian.AppendUint64(als2, v)
+	}
+	als2 = append(als2, make([]byte, 16)...)
+	if _, err := loadModel(als2); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("ALS2 header: err = %v, want bad magic", err)
+	}
+	// An ID flag this reader does not know marks bytes it cannot skip.
+	cfg := Config{K: 2}
+	file, err := modelFile(cfg, &Model{K: 2, X: linalg.NewDense(1, 2), Y: linalg.NewDense(1, 2), Meta: Meta{Version: "v"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[modelFlagsOffset] |= 4
-	if _, err := LoadModel(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "section flags") {
-		t.Fatalf("unknown section flag: err = %v", err)
+	file[len(file)-4-1] = 2 // the ID flag, before the CRC
+	if _, err := loadModel(file); err == nil || !strings.Contains(err.Error(), "ID flag") {
+		t.Fatalf("unknown ID flag: err = %v", err)
 	}
 }
-
-// modelFlagsOffset is where the header's flags word starts: after magic, k,
-// m and n, a uint64 each.
-const modelFlagsOffset = 4 * 8
 
 func TestFeaturesOf(t *testing.T) {
 	mx := testMatrix(t)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -85,14 +84,19 @@ func TestFoldInApproximatesTrainedFactor(t *testing.T) {
 	}
 }
 
+// TestModelMetaSaveLoadRoundTrip: the version label rides in the model
+// block, λ and its convention in the checkpoint header; a model with
+// neither label nor ID tables keeps the v3 layout and loads with a zero
+// meta again.
 func TestModelMetaSaveLoadRoundTrip(t *testing.T) {
+	cfg := Config{K: 2, Lambda: 0.05, WeightedLambda: true}
 	m := &Model{K: 2, X: linalg.NewDense(3, 2), Y: linalg.NewDense(4, 2),
 		Meta: Meta{Version: "2026-08-04/a", Lambda: 0.05, WeightedLambda: true}}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	file, err := modelFile(cfg, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&buf)
+	got, err := loadModel(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +104,15 @@ func TestModelMetaSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("meta round trip: %+v != %+v", got.Meta, m.Meta)
 	}
 
-	// A zero meta keeps the legacy layout: the flag stays clear and loading
-	// yields a zero meta again.
 	m2 := &Model{K: 2, X: linalg.NewDense(3, 2), Y: linalg.NewDense(4, 2)}
-	buf.Reset()
-	if err := m2.Save(&buf); err != nil {
+	file, err = modelFile(Config{K: 2}, m2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := LoadModel(&buf)
+	if file[8] != 3 { // the low byte of the format version, after the magic
+		t.Fatalf("a model without label or IDs wrote format %d, want 3", file[8])
+	}
+	got2, err := loadModel(file)
 	if err != nil {
 		t.Fatal(err)
 	}

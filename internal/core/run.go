@@ -168,20 +168,27 @@ func (r *Run) Boundary(it int, x, y *linalg.Dense, hist []host.IterStats) error 
 	return fmt.Errorf("%w at iteration %d/%d", ErrInterrupted, it, cfg.Iterations)
 }
 
-// save writes iteration it's checkpoint and collects the ones past
-// CheckpointKeep. Checkpoints record the configured λ, never an escalated one
-// (see Config.Guard).
-func (r *Run) save(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-	cfg := r.cfg
-	st := &checkpoint.State{
+// State is the float32 checkpoint a run of cfg labelled variantID records
+// for factors x, y after iteration it, without history. Run's checkpoints
+// are this State at their precision and with the loss history; alstrain
+// -out writes it with the model block. Checkpoints record the configured λ,
+// never an escalated one (see Config.Guard).
+func (cfg *Config) State(variantID string, it int, x, y *linalg.Dense) *checkpoint.State {
+	return &checkpoint.State{
 		Iteration: it, K: cfg.K, Lambda: cfg.Lambda,
 		WeightedLambda: cfg.WeightedLambda, Seed: cfg.Seed,
-		Variant: r.variant, X: x, Y: y,
-		Precision: cfg.CheckpointPrecision,
-		Implicit:  cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
+		Variant: variantID, X: x, Y: y,
+		Implicit: cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
 		CGIters: cfg.CGIters, BlockSize: cfg.BlockSize,
-		History: concatHistory(r.history, hist),
 	}
+}
+
+// save writes iteration it's checkpoint and collects the ones past
+// CheckpointKeep.
+func (r *Run) save(it int, x, y *linalg.Dense, hist []host.IterStats) error {
+	cfg := r.cfg
+	st := cfg.State(r.variant, it, x, y)
+	st.Precision, st.History = cfg.CheckpointPrecision, concatHistory(r.history, hist)
 	_, span := rtrace.StartChild(r.ctx, "checkpoint.save")
 	start := time.Now()
 	_, err := checkpoint.Save(r.fsys, cfg.CheckpointDir, st)

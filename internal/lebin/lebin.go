@@ -2,10 +2,10 @@
 // scalars and slabs written through, or read through, a fixed 64 KiB
 // scratch while a CRC-32C (Castagnoli) of every byte accumulates, and the
 // same reads over a payload already in memory (Payload). Every byte the
-// programs decode goes through it: checkpoints (internal/checkpoint), the
-// model file (internal/core), the CSR container (internal/sparse), the BSP
-// trainer's frames (internal/shard), the shard hop's request and reply
-// payloads (internal/serve) and span shipping (internal/rtrace). What each
+// programs decode goes through it: checkpoints, which are also the trained
+// model files (internal/checkpoint), the BSP trainer's frames
+// (internal/shard), the shard hop's request and reply payloads
+// (internal/serve) and span shipping (internal/rtrace). What each
 // of them owns is its layout, validation and framing, not a byte loop.
 //
 // It is also the one place that decides whether a declared count is

@@ -6,12 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/rtrace"
 )
@@ -146,18 +146,17 @@ func TestEdgesRejectAlike(t *testing.T) {
 	}
 }
 
-// saveModel writes m the way alstrain -out does and returns the path.
-func saveModel(t *testing.T, m *core.Model) string {
+// saveModel writes m the way alstrain -out does, as a float32 checkpoint
+// with its model block, and returns the path.
+func saveModel(t testing.TB, m *core.Model) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "model.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	st := &checkpoint.State{K: m.K, X: m.X, Y: m.Y,
+		Lambda: m.Meta.Lambda, WeightedLambda: m.Meta.WeightedLambda,
+		Version: m.Meta.Version, UserIDs: m.UserIDs, ItemIDs: m.ItemIDs}
+	if err := checkpoint.WriteFileAtomic(checkpoint.OS, path, func(w io.Writer) error {
+		return checkpoint.Encode(w, st)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -39,14 +37,7 @@ func FuzzRequestDecoders(f *testing.F) {
 
 	// The one model a fuzzed /admin/swap can name keeps the catalog at
 	// `items`, so the fold-in oracle below stays right after it.
-	modelPath := filepath.Join(f.TempDir(), "model.bin")
-	var file bytes.Buffer
-	if err := m.Save(&file); err != nil {
-		f.Fatal(err)
-	}
-	if err := os.WriteFile(modelPath, file.Bytes(), 0o600); err != nil {
-		f.Fatal(err)
-	}
+	modelPath := saveModel(f, m)
 
 	for _, seed := range []string{
 		``, `{}`, `null`, `[]`, `{not json`, `{"items":`,

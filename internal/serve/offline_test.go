@@ -3,6 +3,7 @@ package serve_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -19,8 +20,11 @@ import (
 // what the server answers, through the real binaries: alsgen writes a rating
 // file, alstrain trains on all of it into a model file and a checkpoint
 // directory, alsserve follows that directory, and alsrecommend ranks the
-// same users offline from the model file. At f32 the served top-10 must be
-// alsrecommend's, item for item in order. At int8 (checkpoints written and
+// same users offline from the model file. The model file is a checkpoint
+// holding the final checkpoint's factors, and every reader refuses it with
+// one factor byte flipped. At f32 the served top-10 must be alsrecommend's,
+// item for item in order, also from a server started with -model and
+// -watch together. At int8 (checkpoints written and
 // served quantized) every served score must sit within the quantization
 // bounds of the offline score of the same item: the max-abs error of Y the
 // server reports (als_quant_max_abs_error) times ‖x̃‖₁, plus the
@@ -41,9 +45,9 @@ func TestServedEqualsOffline(t *testing.T) {
 			"-k", "12", "-iters", "3", "-seed", "23", "-out", model,
 			"-checkpoint-dir", ckpts, "-checkpoint-precision", precision)
 	}
-	serveDir := func(ckpts, precision string) (base string) {
-		p := e2e.Start(t, alsserve, "-watch", ckpts, "-ratings", ratings, "-one-based=false",
-			"-precision", precision, "-addr", "127.0.0.1:0")
+	serveDir := func(ckpts, precision string, args ...string) (base string) {
+		p := e2e.Start(t, alsserve, append([]string{"-watch", ckpts, "-ratings", ratings, "-one-based=false",
+			"-precision", precision, "-addr", "127.0.0.1:0"}, args...)...)
 		return "http://" + p.WaitLine("alsserve: listening on ")
 	}
 	const n = 10
@@ -60,6 +64,18 @@ func TestServedEqualsOffline(t *testing.T) {
 	// sides rank them with the same exclusions and the same tie-breaks.
 	f32 := filepath.Join(dir, "ckpt-f32")
 	train(f32, "f32")
+	written, err := checkpoint.Load(checkpoint.OS, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := checkpoint.Load(checkpoint.OS, filepath.Join(f32, checkpoint.FileName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if linalg.MaxAbsDiff(written.X, last.X) != 0 || linalg.MaxAbsDiff(written.Y, last.Y) != 0 {
+		t.Fatal("the -out file's factors are not the final checkpoint's")
+	}
+	refuseFlipped(t, model, ratings, alsrecommend, alsserve)
 	var users []int
 	var list []string
 	for u := 0; u < 24; u++ {
@@ -71,12 +87,16 @@ func TestServedEqualsOffline(t *testing.T) {
 			"-one-based=false", "-users", strings.Join(list, ","), "-n", strconv.Itoa(n))
 		return parseRecommend(t, out)
 	}
-	base := serveDir(f32, "f32")
-	for u, want := range offline(n) {
-		for rank, got := range served(base, u) {
-			if got.Item != want[rank].Item || math.Abs(got.Score-want[rank].Score) > 0.0005 {
-				t.Errorf("f32 user %d rank %d: served item %d (%.4f), offline item %d (%.3f)",
-					u, rank+1, got.Item, got.Score, want[rank].Item, want[rank].Score)
+	// -model with -watch: the watcher's swaps exclude the -model file's
+	// rated items too.
+	for _, mode := range [][]string{nil, {"-model", model}} {
+		base := serveDir(f32, "f32", mode...)
+		for u, want := range offline(n) {
+			for rank, got := range served(base, u) {
+				if got.Item != want[rank].Item || math.Abs(got.Score-want[rank].Score) > 0.0005 {
+					t.Errorf("f32 %v user %d rank %d: served item %d (%.4f), offline item %d (%.3f)",
+						mode, u, rank+1, got.Item, got.Score, want[rank].Item, want[rank].Score)
+				}
 			}
 		}
 	}
@@ -89,7 +109,7 @@ func TestServedEqualsOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base = serveDir(i8, "i8")
+	base := serveDir(i8, "i8")
 	errY := e2e.Scrape(t, base).Sum("als_quant_max_abs_error")
 	if errY <= 0 || errY != st.QY.MaxAbsErr {
 		t.Fatalf("served max-abs error %g, the checkpoint's is %g", errY, st.QY.MaxAbsErr)
@@ -112,6 +132,32 @@ func TestServedEqualsOffline(t *testing.T) {
 				t.Errorf("i8 user %d item %d: served %.5f, offline %.3f: off by %.5f, bound %.5f",
 					u, got.Item, got.Score, want, diff, bound)
 			}
+		}
+	}
+}
+
+// refuseFlipped copies the model file with one bit flipped inside X and
+// requires alsrecommend, alseval and alsserve -model each to exit non-zero
+// with an error that names the checksum.
+func refuseFlipped(t *testing.T, model, ratings, alsrecommend, alsserve string) {
+	t.Helper()
+	raw, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[300] ^= 0x04 // past the 78-byte header and the variant label: inside X
+	flipped := filepath.Join(filepath.Dir(model), "flipped.bin")
+	if err := os.WriteFile(flipped, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range [][]string{
+		{alsrecommend, "-model", flipped, "-ratings", ratings, "-one-based=false", "-users", "0"},
+		{e2e.Build(t, "alseval"), "-model", flipped, "-test", ratings, "-one-based=false"},
+		{alsserve, "-model", flipped, "-addr", "127.0.0.1:0"},
+	} {
+		p := e2e.Start(t, run[0], run[1:]...)
+		if code := p.Wait(); code == 0 || !strings.Contains(p.Output(), "checksum mismatch") {
+			t.Errorf("%s on a flipped model file: exit %d, output:\n%s", filepath.Base(run[0]), code, p.Output())
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +336,23 @@ func TestSwapEndpointAndVersioning(t *testing.T) {
 
 	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{Model: path + ".missing"}, nil); code != 400 {
 		t.Fatalf("missing model file swap = %d", code)
+	}
+	// One flipped bit inside the factors: the checksum refuses the file and
+	// the snapshot in place keeps serving.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	flipped := path + ".flipped"
+	if err := os.WriteFile(flipped, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{Model: flipped}, nil); code != 400 {
+		t.Fatalf("swap of a model file with a flipped bit = %d", code)
+	}
+	if got := s.Current(); got.Version != "meta-v" || got.Seq != 2 {
+		t.Fatalf("after a refused swap the server holds %s seq %d", got.Version, got.Seq)
 	}
 	if code := postJSON(t, ts.URL+"/admin/swap", swapRequest{}, nil); code != 400 {
 		t.Fatalf("empty swap = %d", code)

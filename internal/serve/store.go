@@ -2,9 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/quant"
@@ -132,19 +132,15 @@ func (s *Store) swapShard(m *core.Model, rated *sparse.CSR, version string, offs
 	return sn
 }
 
-// LoadSnapshotFiles reads a model written by alstrain -out and, when
+// LoadSnapshotFiles reads a checkpoint (alstrain -out writes one) and, when
 // ratingsPath is non-empty, the rating file it was trained on (aligned to
 // the model's ID space for compact models) for rated-item exclusion.
 func LoadSnapshotFiles(modelPath, ratingsPath string, oneBased bool) (*core.Model, *sparse.CSR, error) {
-	f, err := os.Open(modelPath)
+	st, err := checkpoint.Load(checkpoint.OS, modelPath)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
-	m, err := core.LoadModel(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %s: %w", modelPath, err)
-	}
+	m := core.ModelOf(st)
 	if ratingsPath == "" {
 		return m, nil, nil
 	}

@@ -149,17 +149,11 @@ func (w *Watcher) Poll() (bool, error) {
 			continue
 		}
 		delete(w.retries, path)
-		model := &core.Model{
-			K: st.K, X: st.X, Y: st.Y,
-			// A compressed (format v2) checkpoint already carries quantized
-			// item factors; attaching them lets the swap reuse the encoding
-			// instead of re-quantizing when the serving precision matches.
-			QY: st.QY,
-			Meta: core.Meta{
-				Version: fmt.Sprintf("ckpt-%d", st.Iteration),
-				Lambda:  st.Lambda, WeightedLambda: st.WeightedLambda,
-			},
-		}
+		// A compressed (format v2) checkpoint already carries quantized item
+		// factors; the model keeps them, so the swap reuses the encoding
+		// instead of re-quantizing when the serving precision matches.
+		model := core.ModelOf(st)
+		model.Meta.Version = fmt.Sprintf("ckpt-%d", st.Iteration)
 		rated := w.cfg.Rated
 		if rated != nil && rated.NumRows != model.X.Rows {
 			rated = nil

@@ -264,61 +264,3 @@ func WriteTriples(w io.Writer, m *CSR) error {
 	}
 	return bw.Flush()
 }
-
-// binaryMagic identifies the binary CSR container written by WriteBinary.
-const binaryMagic = uint32(0x43535231) // "CSR1"
-
-// WriteBinary writes a compact little-endian binary encoding of the CSR
-// matrix: magic, dims, nnz, then the three arrays. Binary snapshots make
-// repeated benchmark runs on large synthetic datasets cheap to reload.
-func WriteBinary(w io.Writer, m *CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	lw := lebin.NewWriter(bw)
-	lw.U64(uint64(binaryMagic))
-	lw.U64(uint64(m.NumRows))
-	lw.U64(uint64(m.NumCols))
-	lw.U64(uint64(m.NNZ()))
-	lw.I64s(m.RowPtr)
-	lw.I32s(m.ColIdx)
-	lw.F32s(m.Val)
-	if err := lw.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a matrix written by WriteBinary and validates it.
-func ReadBinary(r io.Reader) (*CSR, error) {
-	lr := lebin.NewReader(r)
-	var hdr [4]uint64
-	for i := range hdr {
-		hdr[i] = lr.U64()
-	}
-	if err := lr.Err(); err != nil {
-		return nil, fmt.Errorf("sparse: reading header: %w", err)
-	}
-	if uint32(hdr[0]) != binaryMagic {
-		return nil, fmt.Errorf("sparse: bad magic %#x", hdr[0])
-	}
-	// Each array is held to the bytes the file has left before it is
-	// allocated: the row pointers (one more than the rows), then the
-	// nonzeros, a column index and a value each.
-	m := &CSR{NumRows: int(hdr[1]), NumCols: int(hdr[2])}
-	if lr.Fits(hdr[1], 1, 8) {
-		m.RowPtr = make([]int64, hdr[1]+1)
-		lr.I64s(m.RowPtr)
-	}
-	if lr.Fits(hdr[3], 1, 4+4) {
-		m.ColIdx = make([]int32, hdr[3])
-		m.Val = make([]float32, hdr[3])
-		lr.I32s(m.ColIdx)
-		lr.F32s(m.Val)
-	}
-	if err := lr.Err(); err != nil {
-		return nil, fmt.Errorf("sparse: reading arrays: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}

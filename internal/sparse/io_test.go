@@ -2,17 +2,12 @@ package sparse
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/lebin"
 )
 
 var formatCases = []struct {
@@ -253,87 +248,5 @@ func TestTextRoundTrip(t *testing.T) {
 				t.Fatalf("value mismatch at (%d,%d): %g != %g", r, cols[j], got, vals[j])
 			}
 		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m, err := randomCOO(rng, 50, 60, 500).ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NumRows != m.NumRows || m2.NumCols != m.NumCols || m2.NNZ() != m.NNZ() {
-		t.Fatalf("dims mismatch after binary round trip")
-	}
-	for i := range m.Val {
-		if m.Val[i] != m2.Val[i] || m.ColIdx[i] != m2.ColIdx[i] {
-			t.Fatalf("payload mismatch at %d", i)
-		}
-	}
-}
-
-func TestReadBinaryRejectsBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 64))
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("expected bad-magic error")
-	}
-}
-
-func TestReadBinaryTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m, err := randomCOO(rng, 10, 10, 40).ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected truncation error")
-	}
-}
-
-func TestReadBinaryRejectsImplausibleHeader(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := []uint64{uint64(binaryMagic), 1 << 60, 4, 4}
-	for _, h := range hdr {
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("accepted 2^60-row header")
-	}
-}
-
-// TestReadBinaryBoundsAllocation: a 32-byte header declaring 2³¹ rows and
-// 2³¹ nonzeros — 32 GiB of arrays — over a file that holds none of them
-// fails after allocating no more than the reader's fixed buffer, the
-// codec's 64 KiB scratch, and 64 KiB more.
-func TestReadBinaryBoundsAllocation(t *testing.T) {
-	var hdr []byte
-	for _, v := range []uint64{uint64(binaryMagic), 1 << 31, 4, 1 << 31} {
-		hdr = binary.LittleEndian.AppendUint64(hdr, v)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadBinary(bytes.NewReader(hdr))
-	runtime.ReadMemStats(&after)
-	if n, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64<<10); n > bound {
-		t.Errorf("ReadBinary of a 32-byte header allocated %d bytes, bound %d", n, bound)
-	}
-	if !errors.Is(err, lebin.ErrCount) {
-		t.Errorf("err = %v, want lebin.ErrCount", err)
 	}
 }
