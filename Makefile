@@ -22,7 +22,7 @@ test-short:
 # codec, one byte decoder, one process harness, a simulator that imports no
 # arithmetic), build, the race passes, the
 # lanes that keep the assembly kernels' other bindings alive (purego, arm64,
-# GOAMD64=v3), the check that every linalg assembly kernel sits on a cache
+# GOAMD64=v3), the check that every assembly kernel sits on a cache
 # line whatever the link order (two -randlayout seeds), the smoke lanes
 # through the real binaries, every fuzz target for 10 s, the bench smokes
 # (every benchmark once, then the two that split their work over goroutines
@@ -73,7 +73,7 @@ ci:
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/e2e ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/shard ./internal/solvers
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/metrics ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin
-	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg ./internal/quant
 	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(MAKE) fuzz-smoke
@@ -87,15 +87,16 @@ ci:
 # Every assembly kernel (linalg's eight, quant's one) on a cache line under
 # two link orders: Go's linker aligns text to 32 bytes, and which half of a
 # line a hot loop starts in has been worth 6-9 % of a training run
-# (internal/linalg/wide_amd64.s). alsserve must link the serving scan's two:
-# the exact dot8F32SSE2 and the float32 screen8F32SSE2.
+# (internal/linalg/wide_amd64.s). alsserve must link the serving scans'
+# three: the float32 scan's exact dot8F32SSE2 and screen8F32SSE2, and the
+# int8 scan's blocksI8SSE2.
 layout-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
 		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
 		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
 		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
-		if [ $$cmd = alsserve ]; then for k in dot8F32SSE2 screen8F32SSE2; do \
-			grep -q "linalg\.$$k" $$tmp/kernels || { echo "alsserve -randlayout=$$seed does not link linalg.$$k"; exit 1; }; \
+		if [ $$cmd = alsserve ]; then for k in linalg.dot8F32SSE2 linalg.screen8F32SSE2 quant.blocksI8SSE2; do \
+			grep -q "$$k" $$tmp/kernels || { echo "alsserve -randlayout=$$seed does not link $$k"; exit 1; }; \
 		done; fi; \
 		while read -r addr _ name; do \
 			if [ $$((0x$$addr % 64)) -ne 0 ]; then \

@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/linalg"
@@ -78,35 +80,65 @@ func BenchmarkEncodeDense(b *testing.B) {
 	}
 }
 
-// BenchmarkDot4I8 times the serving scan's int8 block kernel against the
-// portable Go loop on a 50 000 × 64 payload (the catalog benchmark's item
-// factors): one op is one pass over every row, four rows per call.
-func BenchmarkDot4I8(b *testing.B) {
-	const rows, k = 50000, 64
+// BenchmarkRankedScan is the catalog request's scan: a 50 000 × 64 int8
+// payload, n = 10, one op one request for the next of 64 users. Rows are
+// signed Gaussians scaled by (1+rank)^-0.275 for a shuffled rank, and a
+// user factor sums five rows: the stop rule then ends a scan after about a
+// third of the rows, so both the kernel's walk and its returns to scanI8
+// show. "rated" excludes 144 items per user (the catalog's mean row length)
+// drawn toward the strongest rows, through a binary search as serve's
+// excluder does.
+func BenchmarkRankedScan(b *testing.B) {
+	const rows, k, n, users, rated = 50000, 64, 10, 64, 144
 	rng := rand.New(rand.NewSource(1))
-	payload, xq := make([]int8, rows*k), make([]int8, k)
-	for i := range payload {
-		payload[i] = int8(rng.Intn(255) - 127)
+	d := linalg.NewDense(rows, k)
+	for i, rank := range rng.Perm(rows) {
+		scale := math.Pow(float64(1+rank), -0.275)
+		for c := range d.Row(i) {
+			d.Data[i*k+c] = float32(rng.NormFloat64() * scale)
+		}
 	}
-	for i := range xq {
-		xq[i] = int8(rng.Intn(255) - 127)
+	m, err := EncodeDense(d, I8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := Rank(m)
+	queries, excluders := make([]Query, users), make([]func(int) bool, users)
+	for u := range queries {
+		x := make([]float32, k)
+		for _, i := range rng.Perm(rows)[:5] {
+			for c, v := range d.Row(i) {
+				x[c] += v
+			}
+		}
+		queries[u] = r.Prepare(x)
+		seen := map[int]bool{}
+		for len(seen) < rated {
+			seen[int(r.ID[int(rows*math.Pow(rng.Float64(), 3))])] = true
+		}
+		items := make([]int, 0, rated)
+		for i := range seen {
+			items = append(items, i)
+		}
+		slices.Sort(items)
+		excluders[u] = func(i int) bool { _, ok := slices.BinarySearch(items, i); return ok }
 	}
 	for _, c := range []struct {
-		name string
-		dot  func(xq, rows []int8, k int) (s0, s1, s2, s3 int32)
-	}{{"kernel", dot4I8}, {"portable", dot4I8Portable}} {
+		name     string
+		excluded func(u int) func(int) bool
+	}{
+		{"all", func(int) func(int) bool { return nil }},
+		{"rated", func(u int) func(int) bool { return excluders[u] }},
+	} {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(rows * k)
-			var sum int32
+			t := metrics.NewTopK(n)
+			scored := 0
 			for i := 0; i < b.N; i++ {
-				for r := 0; r+4 <= rows; r += 4 {
-					s0, s1, s2, s3 := c.dot(xq, payload[r*k:], k)
-					sum += s0 + s1 + s2 + s3
-				}
+				t.Reset()
+				u := i % users
+				scored += r.ScanTopK(queries[u], 0, rows, c.excluded(u), t)
 			}
-			dotSink = sum
+			b.ReportMetric(float64(scored)/float64(b.N), "rows/op")
 		})
 	}
 }
-
-var dotSink int32

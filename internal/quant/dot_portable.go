@@ -4,8 +4,8 @@ package quant
 
 const kernelName = "portable"
 
-// dot4I8 is the serving scan's int8 block kernel; this build has no vector
-// form of it.
-func dot4I8(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
-	return dot4I8Portable(xq, rows, k)
+// blocksI8 is the ranked int8 scan's kernel; this build has no vector form
+// of it.
+func blocksI8(xq, rows []int8, scales, bounds []float32, xs, qnorm, thr float64) (b, mask int, sums [4]int32) {
+	return blocksI8Portable(xq, rows, scales, bounds, xs, qnorm, thr)
 }

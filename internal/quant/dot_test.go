@@ -2,29 +2,48 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/asmtest"
 )
 
-// mustMatchPortable checks the serving kernel against the portable block
-// kernel, and the portable block kernel against four one-row dots, on one
-// (query, four rows at stride k) input. Integer sums are exact, so equality
-// is the whole contract: there is no tolerance and no ordering to respect.
+// kernelCall is one call of the int8 scan kernel: rows holds len(scales)/4
+// blocks of four rows, k = len(xq) apart.
+type kernelCall struct {
+	xq, rows       []int8
+	scales, bounds []float32
+	xs, qnorm, thr float64
+}
+
+// mustMatchTwin runs the build's kernel and its Go twin on one call and
+// requires the same block, mask and sums, bit for bit.
+func mustMatchTwin(t testing.TB, c kernelCall, what string) (b, mask int, sums [4]int32) {
+	t.Helper()
+	wb, wm, ws := blocksI8Portable(c.xq, c.rows, c.scales, c.bounds, c.xs, c.qnorm, c.thr)
+	b, mask, sums = blocksI8(c.xq, c.rows, c.scales, c.bounds, c.xs, c.qnorm, c.thr)
+	if b != wb || mask != wm || sums != ws {
+		t.Fatalf("%s (thr %v, qnorm %v): %s kernel = block %d mask %04b sums %v, twin = block %d mask %04b sums %v",
+			what, c.thr, c.qnorm, KernelName(), b, mask, sums, wb, wm, ws)
+	}
+	return b, mask, sums
+}
+
+// mustMatchPortable checks the kernel's dots on one block (the query and
+// four rows at stride k): with thr = −Inf every row is flagged at block 0,
+// so the sums come back, and they must be four dotI8s. Integer sums are
+// exact, so equality is the whole contract.
 func mustMatchPortable(t testing.TB, xq, rows []int8, k int, what string) {
 	t.Helper()
 	var want [4]int32
 	for r := range want {
 		want[r] = dotI8(xq, rows[r*k:])
 	}
-	p0, p1, p2, p3 := dot4I8Portable(xq, rows, k)
-	if got := [4]int32{p0, p1, p2, p3}; got != want {
-		t.Fatalf("%s: portable dot4I8 = %v, four dotI8 = %v", what, got, want)
-	}
-	s0, s1, s2, s3 := dot4I8(xq, rows, k)
-	if got := [4]int32{s0, s1, s2, s3}; got != want {
-		t.Fatalf("%s: %s dot4I8 = %v, portable = %v", what, KernelName(), got, want)
+	c := kernelCall{xq: xq, rows: rows[:4*k], scales: []float32{1, 1, 1, 1}, bounds: make([]float32, 4),
+		xs: 1, thr: math.Inf(-1)}
+	if b, mask, sums := mustMatchTwin(t, c, what); b != 0 || mask != 0b1111 || sums != want {
+		t.Fatalf("%s: block %d mask %04b sums %v, want block 0 mask 1111 sums %v (four dotI8)", what, b, mask, sums, want)
 	}
 }
 
@@ -46,8 +65,15 @@ func fill(b []int8, v int8) []int8 {
 	return b
 }
 
-// TestDot4I8MatchesPortable pins the serving kernel to the portable one on
-// every int8 value a checkpoint can carry, −128 included (EncodeDense
+func randI8(rng *rand.Rand, b []int8) []int8 {
+	for i := range b {
+		b[i] = int8(rng.Intn(256) - 128)
+	}
+	return b
+}
+
+// TestDot4I8MatchesPortable pins the kernel's dots to the portable ones
+// on every int8 value a checkpoint can carry, −128 included (EncodeDense
 // clamps to ±127, a decoded checkpoint need not), at every width.
 func TestDot4I8MatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -79,33 +105,113 @@ func TestDot4I8MatchesPortable(t *testing.T) {
 		}
 
 		for trial := 0; trial < 4; trial++ {
-			for i := range xq {
-				xq[i] = int8(rng.Intn(256) - 128)
-			}
-			for i := range rows {
-				rows[i] = int8(rng.Intn(256) - 128)
-			}
-			mustMatchPortable(t, xq, rows, k, fmt.Sprintf("k=%d random %d", k, trial))
+			mustMatchPortable(t, randI8(rng, xq), randI8(rng, rows), k, fmt.Sprintf("k=%d random %d", k, trial))
 		}
 	}
 }
 
-// TestDot4I8Unaligned starts the query and the rows at every offset 0…15
-// from a cache-line boundary, so every 16-byte load alignment is read.
+// nextUp and nextDown are the float64s on either side of v.
+func nextUp(v float64) float64   { return math.Nextafter(v, math.Inf(1)) }
+func nextDown(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
+
+// TestBlocksI8Thresholds is the kernel-vs-twin test of the walk: three
+// blocks per width, each row's score flagged or not at thresholds on it and
+// one float64 either side, and the stop rule's boundary — equal to
+// float64(qnorm·bound) + 2⁻¹²⁶ goes on, one above stops — checked against
+// the block it must return, not only against the twin.
+func TestBlocksI8Thresholds(t *testing.T) {
+	const blocks = 3
+	rng := rand.New(rand.NewSource(31))
+	for _, k := range dotWidths() {
+		c := kernelCall{xq: randI8(rng, make([]int8, k)), rows: randI8(rng, make([]int8, 4*blocks*k)),
+			scales: make([]float32, 4*blocks), bounds: make([]float32, 4*blocks),
+			xs: float64(rng.Float32() + 0.1), qnorm: math.Inf(1)}
+		for i := range c.scales {
+			c.scales[i] = rng.Float32() + 0.01
+			c.bounds[i] = float32(8*blocks - i) // non-increasing, as Rank makes them
+		}
+		c.scales[5] = 0
+		what := fmt.Sprintf("k=%d", k)
+
+		// An infinite qnorm never stops: the walk is the flag test alone.
+		for _, thr := range []float64{math.Inf(-1), math.Inf(1)} {
+			c.thr = thr
+			mustMatchTwin(t, c, what)
+		}
+		for i := range c.scales {
+			s := c.xs * float64(c.scales[i]) * float64(dotI8(c.xq, c.rows[i*k:]))
+			for _, thr := range []float64{s, nextUp(s), nextDown(s)} {
+				c.thr = thr
+				mustMatchTwin(t, c, fmt.Sprintf("%s row %d", what, i))
+			}
+		}
+
+		// Scores of 0 flag nothing under a positive thr, so only the stop
+		// rule ends the walk.
+		c.xs = 0
+		for _, qnorm := range []float64{0, 0.37 + rng.Float64()} {
+			c.qnorm = qnorm
+			for b := 0; b < blocks; b++ {
+				edge := float64(qnorm*float64(c.bounds[4*b])) + scoreFloor
+				c.thr = edge
+				if got, _, _ := mustMatchTwin(t, c, what); got <= b {
+					t.Fatalf("%s qnorm %v: thr = the rule's left side at block %d stopped at block %d", what, qnorm, b, got)
+				}
+				want := b
+				if qnorm == 0 {
+					want = 0 // every block's left side is 2⁻¹²⁶
+				}
+				c.thr = nextUp(edge)
+				if got, _, _ := mustMatchTwin(t, c, what); got != want {
+					t.Fatalf("%s qnorm %v: thr one above the rule's left side at block %d stopped at block %d, want %d", what, qnorm, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBlocksI8ScoreRounding: the score is (xs·scale)·sum, the Go
+// expression's order. xs·scale is exact in float64 (two 24-bit
+// significands), so the order shows only when the sum has enough bits for
+// scale·sum to round: at k = 2¹⁷ sums of ≈ 2³⁰ do, and a threshold on the
+// exact score and either side of it tells the two orders apart.
+func TestBlocksI8ScoreRounding(t *testing.T) {
+	const k = 1 << 17
+	rng := rand.New(rand.NewSource(37))
+	c := kernelCall{xq: make([]int8, k), rows: make([]int8, 4*k), scales: make([]float32, 4), bounds: make([]float32, 4),
+		qnorm: math.Inf(1)}
+	for i := range c.xq {
+		c.xq[i] = int8(100 + rng.Intn(28))
+	}
+	for i := range c.rows {
+		c.rows[i] = int8(100 + rng.Intn(28))
+	}
+	for trial := 0; trial < 64; trial++ {
+		c.xs = float64(math.Float32frombits(0x3f000000 | rng.Uint32()&0x7fffff))
+		for i := range c.scales {
+			c.scales[i] = math.Float32frombits(0x3c000000 | rng.Uint32()&0x7fffff)
+		}
+		for i := range c.scales {
+			s := c.xs * float64(c.scales[i]) * float64(dotI8(c.xq, c.rows[i*k:]))
+			for _, thr := range []float64{s, nextUp(s), nextDown(s)} {
+				c.thr = thr
+				mustMatchTwin(t, c, fmt.Sprintf("trial %d row %d", trial, i))
+			}
+		}
+	}
+}
+
+// TestDot4I8Unaligned starts the query and the rows at every offset
+// 0…15 from a cache-line boundary, so every 16-byte load alignment is read.
 func TestDot4I8Unaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, k := range []int{15, 16, 17, 33, 64, 65} {
 		for xo := 0; xo < 16; xo++ {
 			xq, _ := asmtest.Unaligned[int8](k, xo, 0)
-			for i := range xq {
-				xq[i] = int8(rng.Intn(256) - 128)
-			}
+			randI8(rng, xq)
 			for ro := 0; ro < 16; ro++ {
 				rows, _ := asmtest.Unaligned[int8](4*k, ro, 0)
-				for i := range rows {
-					rows[i] = int8(rng.Intn(256) - 128)
-				}
-				mustMatchPortable(t, xq, rows, k, fmt.Sprintf("k=%d offsets %d/%d", k, xo, ro))
+				mustMatchPortable(t, xq, randI8(rng, rows), k, fmt.Sprintf("k=%d offsets %d/%d", k, xo, ro))
 			}
 		}
 	}
@@ -118,13 +224,14 @@ func TestDot4I8WrapsLikeGo(t *testing.T) {
 	xq, rows := fill(make([]int8, k), -128), fill(make([]int8, 4*k), -128)
 	fill(rows[k:2*k], 127)
 	mustMatchPortable(t, xq, rows, k, "k=2^17 wrap")
-	if s0, _, _, _ := dot4I8(xq, rows, k); s0 != -1<<31 {
-		t.Fatalf("row 0 = %d, want the wrapped %d", s0, -1<<31)
+	c := kernelCall{xq: xq, rows: rows, scales: make([]float32, 4), bounds: make([]float32, 4), thr: math.Inf(-1)}
+	if _, _, sums := blocksI8(c.xq, c.rows, c.scales, c.bounds, c.xs, c.qnorm, c.thr); sums[0] != -1<<31 {
+		t.Fatalf("row 0 = %d, want the wrapped %d", sums[0], -1<<31)
 	}
 }
 
-// TestDot4I8ShortRowsPanic: the assembly does no bounds checks of its own,
-// so the wrapper must refuse what the Go loop refuses.
+// TestDot4I8ShortRowsPanic: the assembly does no bounds checks of its
+// own, so the binding must refuse what the Go loop refuses.
 func TestDot4I8ShortRowsPanic(t *testing.T) {
 	for _, k := range []int{8, 16, 40} {
 		func() {
@@ -133,7 +240,7 @@ func TestDot4I8ShortRowsPanic(t *testing.T) {
 					t.Errorf("k=%d: rows one byte short did not panic", k)
 				}
 			}()
-			dot4I8(make([]int8, k), make([]int8, 4*k-1), k)
+			blocksI8(make([]int8, k), make([]int8, 8*k-1), make([]float32, 8), make([]float32, 8), 1, math.Inf(1), math.Inf(1))
 		}()
 	}
 }
@@ -160,8 +267,8 @@ func fuzzDotInput(data []byte) (xq, rows []int8, k int, ok bool) {
 	return xq, rows, k, true
 }
 
-// FuzzDot4I8MatchesPortable: no CI lane fuzzes, so the seeds below are what
-// runs, as ordinary tests; `go test -fuzz` explores from them.
+// FuzzDot4I8MatchesPortable: CI runs the seeds below as ordinary tests
+// and `make fuzz-smoke` explores from them.
 func FuzzDot4I8MatchesPortable(f *testing.F) {
 	seed := func(k, off int, v byte) {
 		data := []byte{byte(k - 1), byte(off)}

@@ -114,12 +114,24 @@ func (r *Ranked) Prepare(x []float32) Query { return r.perm.Prepare(x) }
 // rule serves both.)
 const scoreFloor = 0x1p-126
 
+// threshold is the score a row must reach to be offered to sk: the heap
+// minimum's, or −Inf — which every score reaches and no bound falls under —
+// while the heap is not full.
+func threshold(sk *metrics.Sink) float64 {
+	thr, full := sk.Threshold()
+	if !full {
+		return math.Inf(-1)
+	}
+	return thr
+}
+
 // outOfReach is the stop rule: with the heap full, no row whose computed
 // |score| is at most qnorm·bound can enter it. Strict — a row that only
-// ties the heap minimum's score can still win on its lower index.
+// ties the heap minimum's score can still win on its lower index. The
+// explicit float64 conversion keeps the product rounded on its own (the Go
+// spec lets a compiler fuse x*y+z otherwise), as the kernel rounds it.
 func outOfReach(sk *metrics.Sink, qnorm float64, bound float32) bool {
-	thr, full := sk.Threshold()
-	return full && qnorm*float64(bound)+scoreFloor < thr
+	return float64(qnorm*float64(bound))+scoreFloor < threshold(sk)
 }
 
 // ScanTopK scores scan positions [lo, hi) against the prepared query and
@@ -149,23 +161,34 @@ func (r *Ranked) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 	return r.scanF16(qr, qnorm, lo, hi, excluded, t)
 }
 
-// scanI8 is ScanTopK's int8 loop. Its block kernel is dot4I8, the build's
-// fastest exact form; Matrix.ScanTopK keeps the portable one, so comparing
-// the two scans checks the kernel as well as the order.
+// scanI8 is ScanTopK's int8 loop: blocksI8 walks the range's 4-row blocks
+// against a fixed threshold and comes back at the first block with a row
+// that reaches it, or where the stop rule fires. Rows it passes over score
+// under the threshold, so offering them would change nothing; the flagged
+// ones are offered here, in order, and the sink decides ties and exclusion
+// and moves the threshold before the kernel resumes. Matrix.ScanTopK
+// keeps the portable dots, so comparing the two scans checks the kernel as
+// well as the order.
 func (r *Ranked) scanI8(qr Query, qnorm float64, lo, hi int, excluded func(int) bool, t *metrics.TopK) int {
 	m, k := &r.perm, r.Cols
 	sk := metrics.NewSink(t, excluded)
 	xs := float64(qr.xscale)
-	p := lo
-	for ; p+4 <= hi; p += 4 {
-		if outOfReach(&sk, qnorm, r.Bound[p]) {
-			return p - lo
+	p, end := lo, lo+(hi-lo)&^3
+	for p < end {
+		b, mask, sums := blocksI8(qr.xq, m.I8[p*k:end*k], m.Scales[p:end], r.Bound[p:end], xs, qnorm, threshold(&sk))
+		p += 4 * b
+		if mask == 0 {
+			if p < end {
+				return p - lo
+			}
+			break
 		}
-		s0, s1, s2, s3 := dot4I8(qr.xq, m.I8[p*k:], k)
-		sk.Offer(int(r.ID[p]), xs*float64(m.Scales[p])*float64(s0))
-		sk.Offer(int(r.ID[p+1]), xs*float64(m.Scales[p+1])*float64(s1))
-		sk.Offer(int(r.ID[p+2]), xs*float64(m.Scales[p+2])*float64(s2))
-		sk.Offer(int(r.ID[p+3]), xs*float64(m.Scales[p+3])*float64(s3))
+		for j, s := range sums {
+			if mask>>j&1 != 0 {
+				sk.Offer(int(r.ID[p+j]), xs*float64(m.Scales[p+j])*float64(s))
+			}
+		}
+		p += 4
 	}
 	for ; p < hi; p++ {
 		if outOfReach(&sk, qnorm, r.Bound[p]) {
@@ -174,6 +197,38 @@ func (r *Ranked) scanI8(qr Query, qnorm float64, lo, hi int, excluded func(int) 
 		sk.Offer(int(r.ID[p]), xs*float64(m.Scales[p])*float64(dotI8(qr.xq, m.I8[p*k:])))
 	}
 	return hi - lo
+}
+
+// blocksI8Portable is the int8 scan kernel's contract, in Go: the binding
+// on builds without assembly and the oracle the assembly is tested
+// against. It walks the 4-row blocks of rows (row i at rows[i·k:], k =
+// len(xq); block b is rows 4b…4b+3, their scales and bounds) and, per
+// block, first applies the stop rule to the block's first bound — if
+// float64(qnorm·bound) + 2⁻¹²⁶ < thr it returns b with an empty mask —
+// then computes the four exact int32 dots and flags row j when its score
+// xs·scale·sum, rounded as Go rounds that expression, is not less than thr.
+// It returns the first block with a flagged row, with bit j of mask set for
+// each flagged row and the four sums; after the last block it returns
+// len(scales)/4 and an empty mask. Sums are zero unless mask is not.
+func blocksI8Portable(xq, rows []int8, scales, bounds []float32, xs, qnorm, thr float64) (b, mask int, sums [4]int32) {
+	k := len(xq)
+	for b = 0; b < len(scales)/4; b++ {
+		p := 4 * b
+		if float64(qnorm*float64(bounds[p]))+scoreFloor < thr {
+			return b, 0, [4]int32{}
+		}
+		s0, s1, s2, s3 := dot4I8Portable(xq, rows[p*k:], k)
+		sums = [4]int32{s0, s1, s2, s3}
+		for j, s := range sums {
+			if !(xs*float64(scales[p+j])*float64(s) < thr) {
+				mask |= 1 << j
+			}
+		}
+		if mask != 0 {
+			return b, mask, sums
+		}
+	}
+	return b, 0, [4]int32{}
 }
 
 // scanF16 is ScanTopK's fp16 loop.

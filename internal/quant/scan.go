@@ -169,10 +169,11 @@ func dotF16(x []float32, row []uint16) (s float32) {
 // plausible k, and wrapping if it ever came to that); the only rounding in
 // the whole dot is the caller's final two-scale widening. Exact integers
 // mean any summation order gives the same bits, which is what lets the
-// serving scan (Ranked.ScanTopK) run dot4I8 — this loop, or a vector kernel
-// where the build has one (dot_amd64.go) — while the natural-order scan
-// below stays on this one on every architecture: Matrix.ScanTopK, TopN and
-// Score are the reference the serving kernel is checked against.
+// serving scan (Ranked.ScanTopK) run blocksI8 — built on this loop, or a
+// vector kernel where the build has one (dot_amd64.s) — while the
+// natural-order scan below stays on this one on every architecture:
+// Matrix.ScanTopK, TopN and Score are the reference the serving kernel is
+// checked against.
 func dot4I8Portable(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
 	r0 := rows[:len(xq)]
 	r1 := rows[k:][:len(xq)]
@@ -187,7 +188,7 @@ func dot4I8Portable(xq, rows []int8, k int) (s0, s1, s2, s3 int32) {
 	return
 }
 
-// KernelName names the int8 block kernel this build's serving scan runs:
+// KernelName names the int8 kernel this build's serving scan runs:
 // "sse2" on amd64, "portable" elsewhere and under -tags purego.
 func KernelName() string { return kernelName }
 
