@@ -425,9 +425,8 @@ func BenchmarkTopN(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		coo.Append(0, rng.Intn(items), 5)
 	}
-	coo.Dedup(sparse.DedupKeepLast)
 	coo.Rows, coo.Cols = 1, items
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -476,7 +475,7 @@ func BenchmarkTopN(b *testing.B) {
 		for i := 0; i < 80; i++ {
 			rated.Append(0, i*(rows/80), 5)
 		}
-		m32, err := rated.ToCSR()
+		m32, err := sparse.NewCSR(rated)
 		if err != nil {
 			b.Fatal(err)
 		}

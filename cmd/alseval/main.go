@@ -61,30 +61,26 @@ func main() {
 			fail(fmt.Errorf("-implicit needs -train: implicit models are evaluated by ranking, which excludes training items"))
 		}
 	} else {
-		rmse32 = model.RMSE(test.R)
-		mae32 = model.MAE(test.R)
+		rmse32 = model.RMSE(test)
+		mae32 = model.MAE(test)
 		fmt.Printf("RMSE: %.4f\n", rmse32)
 		fmt.Printf("MAE:  %.4f\n", mae32)
 	}
 
-	var train *sparse.Matrix
+	var train *sparse.CSR
 	var p32, r32 float64
 	if *trainPath != "" {
 		train, err = core.AlignRatings(model, *trainPath, *oneBased)
 		if err != nil {
 			fail(err)
 		}
-		p32, r32 = metrics.PrecisionRecallAtN(train.R, test.R, model.X, model.Y, *n, float32(*relThresh))
+		p32, r32 = metrics.PrecisionRecallAtN(train, test, model.X, model.Y, *n, float32(*relThresh))
 		fmt.Printf("precision@%d: %.4f\n", *n, p32)
 		fmt.Printf("recall@%d:    %.4f\n", *n, r32)
 	}
 
 	if !*comparePrec {
 		return
-	}
-	var trainR *sparse.CSR
-	if train != nil {
-		trainR = train.R
 	}
 	for _, prec := range []quant.Precision{quant.F16, quant.I8} {
 		qy, err := quant.EncodeDense(model.Y, prec)
@@ -97,18 +93,18 @@ func main() {
 		fmt.Printf("\n%v: %d bytes (%.2fx smaller), max |dequant err| %.3g\n",
 			prec, qy.Bytes(), float64(4*len(model.Y.Data))/float64(qy.Bytes()), qy.MaxAbsErr)
 		if !*implicit {
-			rmse := metrics.RMSE(test.R, model.X, yd)
-			mae := metrics.MAE(test.R, model.X, yd)
+			rmse := metrics.RMSE(test, model.X, yd)
+			mae := metrics.MAE(test, model.X, yd)
 			fmt.Printf("  RMSE: %.4f (%+.5f vs f32)\n", rmse, rmse-rmse32)
 			fmt.Printf("  MAE:  %.4f (%+.5f vs f32)\n", mae, mae-mae32)
 		}
-		if trainR != nil {
-			p, r := metrics.PrecisionRecallAtN(trainR, test.R, model.X, yd, *n, float32(*relThresh))
+		if train != nil {
+			p, r := metrics.PrecisionRecallAtN(train, test, model.X, yd, *n, float32(*relThresh))
 			fmt.Printf("  precision@%d: %.4f (%+.4f vs f32)\n", *n, p, p-p32)
 			fmt.Printf("  recall@%d:    %.4f (%+.4f vs f32)\n", *n, r, r-r32)
 		}
 		fmt.Printf("  overlap@%d:   %.4f (mean fraction of the f32 top-%d reproduced)\n",
-			*n, meanOverlap(trainR, model, qy, *n), *n)
+			*n, meanOverlap(train, model, qy, *n), *n)
 	}
 }
 
@@ -118,11 +114,7 @@ func main() {
 func meanOverlap(train *sparse.CSR, m *core.Model, qy *quant.Matrix, n int) float64 {
 	users := m.X.Rows
 	if train == nil {
-		empty, err := sparse.NewCOO(users, m.Y.Rows).ToCSR()
-		if err != nil {
-			panic(err)
-		}
-		train = empty
+		train = &sparse.CSR{NumRows: users, NumCols: m.Y.Rows, RowPtr: make([]int64, users+1)}
 	}
 	var sum float64
 	for u := 0; u < users; u++ {

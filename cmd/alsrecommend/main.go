@@ -36,7 +36,7 @@ func main() {
 		fail(err)
 	}
 	model := core.ModelOf(st)
-	mx, err := core.AlignRatings(model, *ratings, *oneBased)
+	rated, err := core.AlignRatings(model, *ratings, *oneBased)
 	if err != nil {
 		fail(err)
 	}
@@ -50,8 +50,8 @@ func main() {
 		if !ok {
 			fail(fmt.Errorf("user %d not in the model", orig))
 		}
-		top := model.Recommend(mx.R, u, *n)
-		fmt.Printf("user %d (rated %d items):\n", orig, mx.R.RowNNZ(u))
+		top := model.Recommend(rated, u, *n)
+		fmt.Printf("user %d (rated %d items):\n", orig, rated.RowNNZ(u))
 		for rank, item := range top {
 			fmt.Printf("  %2d. item %-8d score %.3f\n", rank+1, model.ItemLabel(item), model.Predict(u, item))
 		}

@@ -160,11 +160,13 @@ func main() {
 			// dense rows, the same index space; otherwise load them densely.
 			wcfg.Rated = rated
 			if rated == nil {
-				ds, err := dataset.Load(*ratings, *oneBased)
+				coo, _, err := dataset.ReadRatings(*ratings, *oneBased)
 				if err != nil {
 					fail(err)
 				}
-				wcfg.Rated = ds.Matrix.R
+				if wcfg.Rated, err = sparse.NewCSR(coo); err != nil {
+					fail(err)
+				}
 			}
 		}
 		w := serve.NewWatcher(srv, wcfg)

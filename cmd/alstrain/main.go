@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"syscall"
 	"time"
@@ -176,11 +177,18 @@ func main() {
 		TestFrac: *testFrac, Seed: *seed,
 	}
 	_, load := tracer.StartRequest(context.Background(), "load", rtrace.SpanContext{})
+	var allocated uint64
+	if load != nil {
+		allocated = heapAllocated()
+	}
 	ds, userIDs, itemIDs, err := spec.Dataset()
 	if err != nil {
 		fail(err)
 	}
 	mx := ds.Matrix
+	if load != nil {
+		load.SetAttr("alloc_mb", strconv.FormatFloat(float64(heapAllocated()-allocated)/(1<<20), 'f', 1, 64))
+	}
 	load.SetAttr("nnz", strconv.Itoa(mx.NNZ()))
 	if st := ds.Ingest; st != nil {
 		load.SetAttr("bytes", strconv.FormatInt(st.Bytes, 10))
@@ -409,4 +417,12 @@ func main() {
 		fmt.Printf("debug server lingering for %s\n", *debugLinger)
 		time.Sleep(*debugLinger)
 	}
+}
+
+// heapAllocated is what the process has allocated on the heap so far, in
+// bytes.
+func heapAllocated() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
 }

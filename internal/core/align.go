@@ -7,66 +7,49 @@ import (
 	"repro/internal/sparse"
 )
 
-// AlignRatings loads a rating file into the model's index space so it can
-// be evaluated or used to exclude rated items.
+// AlignRatings loads a rating file into the model's index space, as the
+// row view: evaluation and rated-item exclusion read nothing else.
 //
 //   - For a compact model (trained with ID remapping), the file's external
 //     IDs are translated through the model's stored ID tables; every user
 //     and item in the file must exist in the model.
 //   - For a plain model, IDs are used directly and the matrix is padded to
 //     the model's dimensions; the file must not exceed them.
-func AlignRatings(m *Model, path string, oneBased bool) (*sparse.Matrix, error) {
-	if m.UserIDs != nil {
-		cd, err := dataset.LoadCompact(path, oneBased)
-		if err != nil {
-			return nil, err
-		}
-		return alignCompact(m, cd)
-	}
-	ds, err := dataset.Load(path, oneBased)
+func AlignRatings(m *Model, path string, oneBased bool) (*sparse.CSR, error) {
+	coo, _, err := dataset.ReadRatings(path, oneBased)
 	if err != nil {
 		return nil, err
 	}
-	if ds.Matrix.Rows() > m.X.Rows || ds.Matrix.Cols() > m.Y.Rows {
+	if m.UserIDs != nil {
+		if err := toModelIndex(coo.RowIdx, m.UserIDs, "user"); err != nil {
+			return nil, err
+		}
+		if err := toModelIndex(coo.ColIdx, m.ItemIDs, "item"); err != nil {
+			return nil, err
+		}
+	} else if coo.Rows > m.X.Rows || coo.Cols > m.Y.Rows {
 		return nil, fmt.Errorf("core: rating file (%dx%d) larger than model (%dx%d); was the model trained with -compact?",
-			ds.Matrix.Rows(), ds.Matrix.Cols(), m.X.Rows, m.Y.Rows)
+			coo.Rows, coo.Cols, m.X.Rows, m.Y.Rows)
 	}
-	coo := ds.Matrix.R.ToCOO()
 	coo.Rows, coo.Cols = m.X.Rows, m.Y.Rows
-	return sparse.NewMatrix(coo)
+	return sparse.NewCSR(coo)
 }
 
-// alignCompact remaps an already-compacted dataset into the model's dense
-// index order (which followed the training file's sorted external IDs).
-func alignCompact(m *Model, cd *dataset.CompactDataset) (*sparse.Matrix, error) {
-	userTo := make(map[int64]int, len(m.UserIDs))
-	for i, id := range m.UserIDs {
-		userTo[id] = i
+// toModelIndex rewrites external IDs in place to their rows in a compact
+// model's ID table (which followed the training file's sorted IDs).
+func toModelIndex(ids []int32, table []int64, what string) error {
+	index := make(map[int64]int32, len(table))
+	for i, id := range table {
+		index[id] = int32(i)
 	}
-	itemTo := make(map[int64]int, len(m.ItemIDs))
-	for i, id := range m.ItemIDs {
-		itemTo[id] = i
-	}
-	out := sparse.NewCOO(m.X.Rows, m.Y.Rows)
-	for u := 0; u < cd.Matrix.Rows(); u++ {
-		cols, vals := cd.Matrix.R.Row(u)
-		if len(cols) == 0 {
-			continue
-		}
-		mu, ok := userTo[cd.Users.Orig(u)]
+	for i, id := range ids {
+		d, ok := index[int64(id)]
 		if !ok {
-			return nil, fmt.Errorf("core: user %d not in the model", cd.Users.Orig(u))
+			return fmt.Errorf("core: %s %d not in the model", what, id)
 		}
-		for j, c := range cols {
-			mi, ok := itemTo[cd.Items.Orig(int(c))]
-			if !ok {
-				return nil, fmt.Errorf("core: item %d not in the model", cd.Items.Orig(int(c)))
-			}
-			out.Append(mu, mi, vals[j])
-		}
+		ids[i] = d
 	}
-	out.Rows, out.Cols = m.X.Rows, m.Y.Rows
-	return sparse.NewMatrix(out)
+	return nil
 }
 
 // UserIndex resolves an external user ID to the model's dense row: through

@@ -49,8 +49,8 @@ func TestAlignRatingsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mx.Rows() != model.X.Rows || mx.Cols() != model.Y.Rows {
-		t.Fatalf("aligned dims %dx%d vs model %dx%d", mx.Rows(), mx.Cols(), model.X.Rows, model.Y.Rows)
+	if mx.NumRows != model.X.Rows || mx.NumCols != model.Y.Rows {
+		t.Fatalf("aligned dims %dx%d vs model %dx%d", mx.NumRows, mx.NumCols, model.X.Rows, model.Y.Rows)
 	}
 	if mx.NNZ() != 6 {
 		t.Fatalf("aligned nnz = %d", mx.NNZ())
@@ -71,7 +71,7 @@ func TestAlignRatingsCompact(t *testing.T) {
 	if !found {
 		t.Fatal("item 33 missing from model")
 	}
-	if got := mx.R.At(u, item); got != 5 {
+	if got := mx.At(u, item); got != 5 {
 		t.Fatalf("aligned value = %g, want 5", got)
 	}
 	if model.ItemLabel(item) != 33 {
@@ -103,8 +103,8 @@ func TestAlignRatingsPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aligned.Rows() != model.X.Rows || aligned.Cols() != model.Y.Rows {
-		t.Fatalf("not padded: %dx%d", aligned.Rows(), aligned.Cols())
+	if aligned.NumRows != model.X.Rows || aligned.NumCols != model.Y.Rows {
+		t.Fatalf("not padded: %dx%d", aligned.NumRows, aligned.NumCols)
 	}
 	// A file exceeding the model must be rejected with a hint.
 	big := writeRatings(t, fmt.Sprintf("%d 1 4\n", model.X.Rows+10))

@@ -39,8 +39,9 @@ type IngestStats struct {
 	ParseSeconds, BuildSeconds float64
 }
 
-// readRatings opens and parses a rating file.
-func readRatings(path string, oneBased bool) (*sparse.COO, *IngestStats, error) {
+// ReadRatings opens and parses a rating file into coordinates, for a
+// caller that builds its own view of them.
+func ReadRatings(path string, oneBased bool) (*sparse.COO, *IngestStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -51,7 +52,7 @@ func readRatings(path string, oneBased bool) (*sparse.COO, *IngestStats, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	st := &IngestStats{Lines: len(coo.Entries), ParseSeconds: time.Since(start).Seconds()}
+	st := &IngestStats{Lines: coo.NNZ(), ParseSeconds: time.Since(start).Seconds()}
 	if fi, err := f.Stat(); err == nil {
 		st.Bytes = fi.Size()
 	}
@@ -156,10 +157,11 @@ func (p Preset) Generate(seed int64) *Dataset {
 
 	span := p.MaxVal - p.MinVal
 	coo := sparse.NewCOO(p.Users, p.Items)
+	coo.Grow(p.NNZ)
 	seen := make(map[uint64]struct{}, p.NNZ+p.NNZ/4)
 	attempts := 0
 	maxAttempts := p.NNZ * 40
-	for len(coo.Entries) < p.NNZ && attempts < maxAttempts {
+	for coo.NNZ() < p.NNZ && attempts < maxAttempts {
 		attempts++
 		u := userAlias.draw(rng)
 		i := itemAlias.draw(rng)
@@ -274,7 +276,7 @@ func (a *alias) draw(rng *rand.Rand) int {
 
 // Load reads a rating file in the paper's `<userID, itemID, rating>` format.
 func Load(path string, oneBased bool) (*Dataset, error) {
-	coo, st, err := readRatings(path, oneBased)
+	coo, st, err := ReadRatings(path, oneBased)
 	if err != nil {
 		return nil, err
 	}

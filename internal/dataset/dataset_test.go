@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,42 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.txt"), false); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestLoadBytesPerRating: loading a rating file written row by row
+// allocates at most 24 bytes a rating: 12 for the parsed columns, of which
+// the CSR keeps the column indices and values, 8 for the CSC, and the row
+// and column pointers and the read buffer. A build that copied the parsed
+// arrays instead of adopting them would allocate 8 bytes a rating more.
+func TestLoadBytesPerRating(t *testing.T) {
+	ds := Movielens.ScaledForBench(0.05).Generate(3)
+	path := filepath.Join(t.TempDir(), "ratings.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteTriples(f, ds.Matrix.R); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loaded, err := Load(path, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := loaded.Matrix.NNZ()
+	if nnz != ds.Matrix.NNZ() {
+		t.Fatalf("loaded %d ratings, wrote %d", nnz, ds.Matrix.NNZ())
+	}
+	perRating := float64(after.TotalAlloc-before.TotalAlloc) / float64(nnz)
+	t.Logf("Load of %d ratings: %.1f B a rating", nnz, perRating)
+	if perRating > 24 {
+		t.Errorf("Load of %d ratings allocated %.1f B a rating, want at most 24", nnz, perRating)
 	}
 }
 

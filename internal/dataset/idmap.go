@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sparse"
@@ -17,23 +17,26 @@ type IDMap struct {
 	toOrig  []int64
 }
 
-// newIDMap builds a map over the given external IDs (deduplicated; dense
-// indices follow the sorted external order for determinism).
-func newIDMap(ids []int64) *IDMap {
-	uniq := make(map[int64]struct{}, len(ids))
+// newIDMap builds a map over the distinct IDs among ids (dense indices
+// follow the sorted external order for determinism) and rewrites ids in
+// place to their dense indices.
+func newIDMap(ids []int32) *IDMap {
+	toDense := make(map[int64]int32)
 	for _, id := range ids {
-		uniq[id] = struct{}{}
+		toDense[int64(id)] = 0
 	}
-	sorted := make([]int64, 0, len(uniq))
-	for id := range uniq {
+	sorted := make([]int64, 0, len(toDense))
+	for id := range toDense {
 		sorted = append(sorted, id)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	m := &IDMap{toDense: make(map[int64]int32, len(sorted)), toOrig: sorted}
+	slices.Sort(sorted)
 	for i, id := range sorted {
-		m.toDense[id] = int32(i)
+		toDense[id] = int32(i)
 	}
-	return m
+	for i, id := range ids {
+		ids[i] = toDense[int64(id)]
+	}
+	return &IDMap{toDense: toDense, toOrig: sorted}
 }
 
 // Len is the number of distinct external IDs.
@@ -59,7 +62,7 @@ type CompactDataset struct {
 // dense indices, returning the translation maps. Use it for real datasets
 // whose ID spaces are sparse.
 func LoadCompact(path string, oneBased bool) (*CompactDataset, error) {
-	coo, st, err := readRatings(path, oneBased)
+	coo, st, err := ReadRatings(path, oneBased)
 	if err != nil {
 		return nil, err
 	}
@@ -73,22 +76,12 @@ func LoadCompact(path string, oneBased bool) (*CompactDataset, error) {
 	return cd, nil
 }
 
-// CompactFromCOO remaps an already-parsed COO matrix.
+// CompactFromCOO remaps an already-parsed COO matrix in place and builds
+// the matrix from it, taking the COO over as sparse.NewMatrix does.
 func CompactFromCOO(name string, coo *sparse.COO) (*CompactDataset, error) {
-	users := make([]int64, len(coo.Entries))
-	items := make([]int64, len(coo.Entries))
-	for i, e := range coo.Entries {
-		users[i] = int64(e.Row)
-		items[i] = int64(e.Col)
-	}
-	um, im := newIDMap(users), newIDMap(items)
-	dense := sparse.NewCOO(um.Len(), im.Len())
-	for _, e := range coo.Entries {
-		u, _ := um.Dense(int64(e.Row))
-		i, _ := im.Dense(int64(e.Col))
-		dense.Append(u, i, e.Val)
-	}
-	mx, err := sparse.NewMatrix(dense)
+	um, im := newIDMap(coo.RowIdx), newIDMap(coo.ColIdx)
+	coo.Rows, coo.Cols = um.Len(), im.Len()
+	mx, err := sparse.NewMatrix(coo)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", name, err)
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +11,13 @@ import (
 )
 
 func TestIDMapRoundTrip(t *testing.T) {
-	m := newIDMap([]int64{100, 5, 100, 2649429, 5})
+	ids := []int32{100, 5, 100, 2649429, 5}
+	m := newIDMap(ids)
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 distinct ids", m.Len())
+	}
+	if want := []int32{1, 0, 1, 2, 0}; !slices.Equal(ids, want) {
+		t.Fatalf("ids rewritten to %v, want %v", ids, want)
 	}
 	// Dense order is sorted external order.
 	wantOrder := []int64{5, 100, 2649429}
@@ -31,14 +36,15 @@ func TestIDMapRoundTrip(t *testing.T) {
 }
 
 func TestIDMapQuick(t *testing.T) {
-	f := func(ids []int64) bool {
+	f := func(ids []int32) bool {
 		if len(ids) == 0 {
 			return true
 		}
-		m := newIDMap(ids)
-		for _, id := range ids {
-			d, ok := m.Dense(id)
-			if !ok || m.Orig(d) != id {
+		dense := slices.Clone(ids)
+		m := newIDMap(dense)
+		for i, id := range ids {
+			d, ok := m.Dense(int64(id))
+			if !ok || d != int(dense[i]) || m.Orig(d) != int64(id) {
 				return false
 			}
 		}

@@ -18,22 +18,29 @@ func Split(mx *sparse.Matrix, testFrac float64, seed int64) (train, test *sparse
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m, n := mx.Rows(), mx.Cols()
+	r := mx.R
+	// Draw every rating's side first, so each side's columns are sized
+	// once: the matrices adopt them.
+	held := make([]bool, r.NNZ())
+	tests := 0
+	for p := range held {
+		if held[p] = rng.Float64() < testFrac; held[p] {
+			tests++
+		}
+	}
 	trainCOO := sparse.NewCOO(m, n)
 	testCOO := sparse.NewCOO(m, n)
-	r := mx.R
+	trainCOO.Grow(len(held) - tests)
+	testCOO.Grow(tests)
 	for u := 0; u < m; u++ {
-		cols, vals := r.Row(u)
-		for j, c := range cols {
-			if rng.Float64() < testFrac {
-				testCOO.Append(u, int(c), vals[j])
+		for p := r.RowPtr[u]; p < r.RowPtr[u+1]; p++ {
+			if held[p] {
+				testCOO.Append(u, int(r.ColIdx[p]), r.Val[p])
 			} else {
-				trainCOO.Append(u, int(c), vals[j])
+				trainCOO.Append(u, int(r.ColIdx[p]), r.Val[p])
 			}
 		}
 	}
-	// Preserve logical dimensions even if the last rows/cols went to one side.
-	trainCOO.Rows, trainCOO.Cols = m, n
-	testCOO.Rows, testCOO.Cols = m, n
 	train, err = sparse.NewMatrix(trainCOO)
 	if err != nil {
 		return nil, nil, err

@@ -136,7 +136,7 @@ func (c *Chaos) CorruptMatrix(mx *sparse.Matrix) (*sparse.Matrix, error) {
 		return mx, nil
 	}
 	coo := mx.R.ToCOO()
-	nnz := len(coo.Entries)
+	nnz := coo.NNZ()
 	if total > nnz {
 		return nil, fmt.Errorf("guard: chaos wants %d corrupt ratings but matrix has %d", total, nnz)
 	}
@@ -145,11 +145,11 @@ func (c *Chaos) CorruptMatrix(mx *sparse.Matrix) (*sparse.Matrix, error) {
 	for i, p := range perm {
 		switch {
 		case i < c.NaN:
-			coo.Entries[p].Val = float32(math.NaN())
+			coo.Val[p] = float32(math.NaN())
 		case i < c.NaN+c.Inf:
-			coo.Entries[p].Val = float32(math.Inf(1 - 2*(i%2))) // alternate ±Inf
+			coo.Val[p] = float32(math.Inf(1 - 2*(i%2))) // alternate ±Inf
 		default:
-			coo.Entries[p].Val = 1e30
+			coo.Val[p] = 1e30
 		}
 	}
 	return sparse.NewMatrix(coo)

@@ -19,7 +19,7 @@ func tinyProblem(t *testing.T) (*sparse.CSR, *linalg.Dense, *linalg.Dense) {
 	coo.Append(0, 0, 2)
 	coo.Append(0, 1, 4)
 	coo.Append(1, 0, 1)
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRMSEKnownError(t *testing.T) {
 
 func TestRMSEEmptyIsNaN(t *testing.T) {
 	coo := sparse.NewCOO(2, 2)
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTopNExcludesRated(t *testing.T) {
 
 func TestTopNOrdering(t *testing.T) {
 	coo := sparse.NewCOO(1, 4)
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestTopNOrdering(t *testing.T) {
 func TestPrecisionRecallBounds(t *testing.T) {
 	train := sparse.NewCOO(2, 5)
 	train.Append(0, 0, 5)
-	trainM, err := train.ToCSR()
+	trainM, err := sparse.NewCSR(train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	test := sparse.NewCOO(2, 5)
 	test.Append(0, 1, 5) // relevant
 	test.Append(0, 2, 1) // not relevant at threshold 4
-	testM, err := test.ToCSR()
+	testM, err := sparse.NewCSR(test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +137,9 @@ func TestPrecisionRecallBounds(t *testing.T) {
 
 func TestPrecisionRecallNoRelevant(t *testing.T) {
 	train := sparse.NewCOO(1, 3)
-	trainM, _ := train.ToCSR()
+	trainM, _ := sparse.NewCSR(train)
 	test := sparse.NewCOO(1, 3)
-	testM, _ := test.ToCSR()
+	testM, _ := sparse.NewCSR(test)
 	x := linalg.NewDense(1, 1)
 	y := linalg.NewDense(3, 1)
 	p, r := PrecisionRecallAtN(trainM, testM, x, y, 2, 4)
@@ -174,7 +174,7 @@ func TestTopNMatchesFullSort(t *testing.T) {
 			}
 		}
 		coo.Rows, coo.Cols = 1, items
-		m, err := coo.ToCSR()
+		m, err := sparse.NewCSR(coo)
 		if err != nil {
 			return false
 		}
@@ -242,7 +242,7 @@ func TestImplicitLossMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	r, err := coo.ToCSR()
+	r, err := sparse.NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}

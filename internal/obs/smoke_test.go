@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,8 +87,9 @@ func TestAlstrainDebugSmoke(t *testing.T) {
 	}
 }
 
-// requireHalfSpans holds a Chrome trace file to: valid JSON, a train span,
-// and an iter<N>/x and iter<N>/y span for every iteration.
+// requireHalfSpans holds a Chrome trace file to: valid JSON, a load span
+// that says what the load allocated, a train span, and an iter<N>/x and
+// iter<N>/y span for every iteration.
 func requireHalfSpans(t *testing.T, path string, iters int) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -96,9 +98,10 @@ func requireHalfSpans(t *testing.T, path string, iters int) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Dur  float64           `json:"dur"`
+			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -109,8 +112,13 @@ func requireHalfSpans(t *testing.T, path string, iters int) {
 		if ev.Ph == "X" && ev.Dur > 0 {
 			spans[ev.Name]++
 		}
+		if ev.Name == "load" {
+			if mb, err := strconv.ParseFloat(ev.Args["alloc_mb"], 64); err != nil || mb <= 0 {
+				t.Errorf("%s: the load span's alloc_mb is %q, want a positive number", path, ev.Args["alloc_mb"])
+			}
+		}
 	}
-	want := []string{"train"}
+	want := []string{"load", "train"}
 	for it := 1; it <= iters; it++ {
 		want = append(want, fmt.Sprintf("iter%d/x", it), fmt.Sprintf("iter%d/y", it))
 	}

@@ -33,7 +33,7 @@ func ratedSet(users, items int, rated ...int) *sparse.CSR {
 		coo.Append(0, it, 5)
 	}
 	coo.Rows, coo.Cols = users, items
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		panic(err)
 	}

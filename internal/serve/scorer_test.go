@@ -27,9 +27,8 @@ func randomRated(rng *rand.Rand, users, items, perUser int) *sparse.CSR {
 			coo.Append(u, rng.Intn(items), 4)
 		}
 	}
-	coo.Dedup(sparse.DedupKeepLast)
 	coo.Rows, coo.Cols = users, items
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		panic(err)
 	}

@@ -41,7 +41,7 @@ func singleRating(users, items, item int) *sparse.CSR {
 	coo := sparse.NewCOO(users, items)
 	coo.Append(0, item, 5)
 	coo.Rows, coo.Cols = users, items
-	m, err := coo.ToCSR()
+	m, err := sparse.NewCSR(coo)
 	if err != nil {
 		panic(err)
 	}

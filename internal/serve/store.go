@@ -144,9 +144,9 @@ func LoadSnapshotFiles(modelPath, ratingsPath string, oneBased bool) (*core.Mode
 	if ratingsPath == "" {
 		return m, nil, nil
 	}
-	mx, err := core.AlignRatings(m, ratingsPath, oneBased)
+	rated, err := core.AlignRatings(m, ratingsPath, oneBased)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, mx.R, nil
+	return m, rated, nil
 }

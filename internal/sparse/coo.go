@@ -1,25 +1,23 @@
 package sparse
 
-import (
-	"cmp"
-	"errors"
-	"fmt"
-	"slices"
-	"sort"
-)
+import "fmt"
 
-// Entry is one rating triple <userID, itemID, rating> in coordinate form.
+// Entry is one rating triple <userID, itemID, rating>: what the parser
+// reads off one line before it lands in a COO's columns.
 type Entry struct {
 	Row, Col int
 	Val      float32
 }
 
-// COO is a coordinate-format sparse matrix: an unordered bag of entries.
-// It is the natural ingestion format for rating files and synthetic
-// generators; convert to CSR/CSC for computation.
+// COO is a coordinate-format sparse matrix: an unordered bag of entries,
+// stored as three columns, 12 bytes a rating. Entry i is (RowIdx[i],
+// ColIdx[i], Val[i]). It is the ingestion format of rating files and the
+// synthetic generator; NewCSR and NewMatrix take its arrays over.
 type COO struct {
 	Rows, Cols int
-	Entries    []Entry
+	RowIdx     []int32
+	ColIdx     []int32
+	Val        []float32
 }
 
 // NewCOO returns an empty COO matrix with the given logical dimensions.
@@ -37,152 +35,50 @@ func (c *COO) Append(row, col int, val float32) {
 	if col >= c.Cols {
 		c.Cols = col + 1
 	}
-	c.Entries = append(c.Entries, Entry{Row: row, Col: col, Val: val})
+	c.RowIdx = append(c.RowIdx, int32(row))
+	c.ColIdx = append(c.ColIdx, int32(col))
+	c.Val = append(c.Val, val)
+}
+
+// Grow makes room for n more entries, so that as many Appends allocate
+// nothing.
+func (c *COO) Grow(n int) {
+	c.RowIdx = grow(c.RowIdx, n)
+	c.ColIdx = grow(c.ColIdx, n)
+	c.Val = grow(c.Val, n)
+}
+
+// grow is slices.Grow in one allocation, to twice the capacity when that
+// is more: slices.Grow allocates twice under the race detector, and the
+// allocation tests run there too.
+func grow[E int32 | float32](s []E, n int) []E {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	g := make([]E, len(s), max(len(s)+n, 2*cap(s)))
+	copy(g, s)
+	return g
 }
 
 // NNZ returns the number of stored entries, including any duplicates.
-func (c *COO) NNZ() int { return len(c.Entries) }
+func (c *COO) NNZ() int { return len(c.Val) }
 
-// Validate checks that every entry lies within the matrix bounds.
+// Validate checks that the columns agree in length and that every entry
+// lies within the matrix bounds.
 func (c *COO) Validate() error {
 	if c.Rows < 0 || c.Cols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", c.Rows, c.Cols)
 	}
-	for i, e := range c.Entries {
-		if e.Row < 0 || e.Row >= c.Rows {
-			return fmt.Errorf("sparse: entry %d row %d out of range [0,%d)", i, e.Row, c.Rows)
+	if len(c.RowIdx) != len(c.Val) || len(c.ColIdx) != len(c.Val) {
+		return fmt.Errorf("sparse: COO columns of %d, %d and %d entries", len(c.RowIdx), len(c.ColIdx), len(c.Val))
+	}
+	for i, r := range c.RowIdx {
+		if r < 0 || int(r) >= c.Rows {
+			return fmt.Errorf("sparse: entry %d row %d out of range [0,%d)", i, r, c.Rows)
 		}
-		if e.Col < 0 || e.Col >= c.Cols {
-			return fmt.Errorf("sparse: entry %d col %d out of range [0,%d)", i, e.Col, c.Cols)
+		if col := c.ColIdx[i]; col < 0 || int(col) >= c.Cols {
+			return fmt.Errorf("sparse: entry %d col %d out of range [0,%d)", i, col, c.Cols)
 		}
 	}
 	return nil
-}
-
-// SortRowMajor orders entries by (row, col). The sort is stable: entries
-// with one coordinate keep the order they were appended in.
-func (c *COO) SortRowMajor() {
-	slices.SortStableFunc(c.Entries, func(a, b Entry) int {
-		if a.Row != b.Row {
-			return cmp.Compare(a.Row, b.Row)
-		}
-		return cmp.Compare(a.Col, b.Col)
-	})
-}
-
-// SortColMajor orders entries by (col, row), stably.
-func (c *COO) SortColMajor() {
-	slices.SortStableFunc(c.Entries, func(a, b Entry) int {
-		if a.Col != b.Col {
-			return cmp.Compare(a.Col, b.Col)
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
-}
-
-// Dedup merges duplicate (row, col) coordinates. The keep policy decides the
-// surviving value; first and last mean the order the entries were appended
-// in. Dedup sorts the entries row-major as a side effect.
-func (c *COO) Dedup(keep DedupPolicy) {
-	if len(c.Entries) == 0 {
-		return
-	}
-	c.SortRowMajor()
-	out := c.Entries[:1]
-	for _, e := range c.Entries[1:] {
-		last := &out[len(out)-1]
-		if e.Row == last.Row && e.Col == last.Col {
-			switch keep {
-			case DedupKeepLast:
-				last.Val = e.Val
-			case DedupKeepFirst:
-				// keep existing
-			case DedupSum:
-				last.Val += e.Val
-			}
-			continue
-		}
-		out = append(out, e)
-	}
-	c.Entries = out
-}
-
-// DedupPolicy selects how duplicate coordinates are merged by Dedup.
-type DedupPolicy int
-
-const (
-	// DedupKeepLast keeps the value of the last duplicate seen (typical for
-	// re-rated items in recommendation logs).
-	DedupKeepLast DedupPolicy = iota
-	// DedupKeepFirst keeps the first value seen.
-	DedupKeepFirst
-	// DedupSum accumulates duplicate values.
-	DedupSum
-)
-
-// ErrDuplicate is returned by conversions that require unique coordinates.
-var ErrDuplicate = errors.New("sparse: duplicate coordinate")
-
-// ToCSR converts the COO matrix to CSR. Entries are counted and bucketed in
-// two passes, so the receiver's entry order does not matter. Duplicate
-// coordinates are rejected with ErrDuplicate; call Dedup first to merge them.
-func (c *COO) ToCSR() (*CSR, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	m := &CSR{
-		NumRows: c.Rows,
-		NumCols: c.Cols,
-		RowPtr:  make([]int64, c.Rows+1),
-		ColIdx:  make([]int32, len(c.Entries)),
-		Val:     make([]float32, len(c.Entries)),
-	}
-	for _, e := range c.Entries {
-		m.RowPtr[e.Row+1]++
-	}
-	for r := 0; r < c.Rows; r++ {
-		m.RowPtr[r+1] += m.RowPtr[r]
-	}
-	next := make([]int64, c.Rows)
-	copy(next, m.RowPtr[:c.Rows])
-	for _, e := range c.Entries {
-		p := next[e.Row]
-		m.ColIdx[p] = int32(e.Col)
-		m.Val[p] = e.Val
-		next[e.Row]++
-	}
-	// Sort each row by column index and detect duplicates.
-	for r := 0; r < c.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		row := rowView{cols: m.ColIdx[lo:hi], vals: m.Val[lo:hi]}
-		sort.Sort(row)
-		for i := 1; i < len(row.cols); i++ {
-			if row.cols[i] == row.cols[i-1] {
-				return nil, fmt.Errorf("%w: (%d,%d)", ErrDuplicate, r, row.cols[i])
-			}
-		}
-	}
-	return m, nil
-}
-
-// ToCSC converts the COO matrix to CSC via the transpose of the CSR path.
-func (c *COO) ToCSC() (*CSC, error) {
-	csr, err := c.ToCSR()
-	if err != nil {
-		return nil, err
-	}
-	return csr.ToCSC(), nil
-}
-
-// rowView sorts one CSR row's (col, val) pairs together.
-type rowView struct {
-	cols []int32
-	vals []float32
-}
-
-func (r rowView) Len() int           { return len(r.cols) }
-func (r rowView) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r rowView) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }

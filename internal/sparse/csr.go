@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix (Fig. 2 of the paper): Val stores the
@@ -148,13 +149,14 @@ func (m *CSR) ToCSC() *CSC {
 
 // ToCOO expands the matrix back to coordinate form (row-major order).
 func (m *CSR) ToCOO() *COO {
-	out := &COO{Rows: m.NumRows, Cols: m.NumCols, Entries: make([]Entry, 0, len(m.Val))}
+	out := NewCOO(m.NumRows, m.NumCols)
+	out.RowIdx = make([]int32, 0, len(m.Val))
 	for r := 0; r < m.NumRows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		for p := lo; p < hi; p++ {
-			out.Entries = append(out.Entries, Entry{Row: r, Col: int(m.ColIdx[p]), Val: m.Val[p]})
+		for range m.RowNNZ(r) {
+			out.RowIdx = append(out.RowIdx, int32(r))
 		}
 	}
+	out.ColIdx, out.Val = slices.Clone(m.ColIdx), slices.Clone(m.Val)
 	return out
 }
 
@@ -286,47 +288,53 @@ type Matrix struct {
 	C *CSC // column view of the same matrix
 }
 
-// NewMatrix builds both views from coordinate data, in time linear in the
-// entries and without reordering them. A coordinate that occurs more than
-// once keeps the value of its last occurrence: a re-rated item keeps the
-// last rating in the file (COO.Dedup's DedupKeepLast).
+// NewMatrix builds both views from coordinate data: NewCSR, then the
+// transpose. It takes the COO over as NewCSR does.
 func NewMatrix(coo *COO) (*Matrix, error) {
+	r, err := NewCSR(coo)
+	if err != nil {
+		return nil, err
+	}
+	return &Matrix{R: r, C: r.ToCSC()}, nil
+}
+
+// NewCSR builds the row view from coordinate data, in time linear in the
+// entries. A coordinate that occurs more than once keeps the value of its
+// last occurrence: a re-rated item keeps the last rating in the file.
+//
+// NewCSR takes ownership of the COO's arrays and leaves it empty. Entries
+// that ascend strictly by (row, col), as a rating file written row by row
+// holds them, are the CSR's arrays already: it counts the row pointers and
+// adopts ColIdx and Val without a copy. Entries in any other order are
+// sorted by two counting passes into new arrays.
+func NewCSR(coo *COO) (*CSR, error) {
 	if err := coo.Validate(); err != nil {
 		return nil, err
 	}
 	if coo.Rows > math.MaxInt32+1 || coo.Cols > math.MaxInt32+1 {
 		return nil, fmt.Errorf("sparse: dimensions %dx%d do not fit the 32-bit index", coo.Rows, coo.Cols)
 	}
-	r := &CSR{
-		NumRows: coo.Rows,
-		NumCols: coo.Cols,
-		RowPtr:  make([]int64, coo.Rows+1),
-		ColIdx:  make([]int32, len(coo.Entries)),
-		Val:     make([]float32, len(coo.Entries)),
-	}
+	r := &CSR{NumRows: coo.Rows, NumCols: coo.Cols, RowPtr: make([]int64, coo.Rows+1)}
 	// Count the rows, and see whether the entries already ascend strictly
 	// by (row, col): sorted, and no coordinate twice.
 	rowMajor := true
-	for i, e := range coo.Entries {
-		r.RowPtr[e.Row+1]++
+	for i, u := range coo.RowIdx {
+		r.RowPtr[u+1]++
 		if i > 0 && rowMajor {
-			p := coo.Entries[i-1]
-			rowMajor = p.Row < e.Row || (p.Row == e.Row && p.Col < e.Col)
+			p := coo.RowIdx[i-1]
+			rowMajor = p < u || (p == u && coo.ColIdx[i-1] < coo.ColIdx[i])
 		}
 	}
 	for u := 0; u < coo.Rows; u++ {
 		r.RowPtr[u+1] += r.RowPtr[u]
 	}
 	if rowMajor {
-		// What a rating file written row by row holds: the entries are
-		// the CSR arrays already.
-		for p, e := range coo.Entries {
-			r.ColIdx[p], r.Val[p] = int32(e.Col), e.Val
-		}
+		r.ColIdx, r.Val = coo.ColIdx, coo.Val
 	} else {
 		r.fillSorted(coo)
 	}
-	return &Matrix{R: r, C: r.ToCSC()}, nil
+	*coo = COO{}
+	return r, nil
 }
 
 // fillSorted fills ColIdx and Val from entries in any order, given the
@@ -335,27 +343,32 @@ func NewMatrix(coo *COO) (*Matrix, error) {
 // adjacent and in entry order, so keeping the last of each run is a
 // compaction. No comparison sort.
 func (m *CSR) fillSorted(coo *COO) {
-	type triple struct {
-		row, col int32
-		val      float32
-	}
-	next := make([]int64, max(m.NumRows, m.NumCols)+1)
-	for _, e := range coo.Entries {
-		next[e.Col+1]++
+	// By column: each column's rows and values in entry order. end[c]
+	// walks from the start of column c to its end.
+	end := make([]int64, m.NumCols+1)
+	for _, c := range coo.ColIdx {
+		end[c+1]++
 	}
 	for c := 0; c < m.NumCols; c++ {
-		next[c+1] += next[c]
+		end[c+1] += end[c]
 	}
-	byCol := make([]triple, len(coo.Entries))
-	for _, e := range coo.Entries {
-		byCol[next[e.Col]] = triple{int32(e.Row), int32(e.Col), e.Val}
-		next[e.Col]++
+	rows := make([]int32, len(coo.RowIdx))
+	vals := make([]float32, len(coo.Val))
+	for i, c := range coo.ColIdx {
+		rows[end[c]], vals[end[c]] = coo.RowIdx[i], coo.Val[i]
+		end[c]++
 	}
-	copy(next, m.RowPtr)
-	for _, t := range byCol {
-		p := next[t.row]
-		m.ColIdx[p], m.Val[p] = t.col, t.val
-		next[t.row]++
+	// By row, the columns in order.
+	m.ColIdx = make([]int32, len(rows))
+	m.Val = make([]float32, len(rows))
+	next := slices.Clone(m.RowPtr)
+	q := int64(0)
+	for c := 0; c < m.NumCols; c++ {
+		for ; q < end[c]; q++ {
+			p := next[rows[q]]
+			m.ColIdx[p], m.Val[p] = int32(c), vals[q]
+			next[rows[q]]++
+		}
 	}
 	// Keep the last entry of every run of one coordinate.
 	w := int64(0)

@@ -1,18 +1,19 @@
 package sparse
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 // randomCOO builds a random sparse matrix with unique coordinates.
 func randomCOO(rng *rand.Rand, rows, cols, nnz int) *COO {
 	coo := NewCOO(rows, cols)
 	seen := make(map[[2]int]bool, nnz)
-	for len(coo.Entries) < nnz {
+	for coo.NNZ() < nnz {
 		r, c := rng.Intn(rows), rng.Intn(cols)
 		if seen[[2]int{r, c}] {
 			continue
@@ -23,6 +24,62 @@ func randomCOO(rng *rand.Rand, rows, cols, nnz int) *COO {
 	return coo
 }
 
+// entriesOf lists the entries of a COO in order.
+func entriesOf(c *COO) []Entry {
+	es := make([]Entry, c.NNZ())
+	for i := range es {
+		es[i] = Entry{Row: int(c.RowIdx[i]), Col: int(c.ColIdx[i]), Val: c.Val[i]}
+	}
+	return es
+}
+
+// cooOf is a COO of the given dimensions holding es in order.
+func cooOf(rows, cols int, es ...Entry) *COO {
+	c := NewCOO(rows, cols)
+	for _, e := range es {
+		c.Append(e.Row, e.Col, e.Val)
+	}
+	return c
+}
+
+// cloneCOO is a deep copy, for a caller that hands one to NewCSR and
+// still needs the other.
+func cloneCOO(c *COO) *COO {
+	return &COO{Rows: c.Rows, Cols: c.Cols, RowIdx: slices.Clone(c.RowIdx), ColIdx: slices.Clone(c.ColIdx), Val: slices.Clone(c.Val)}
+}
+
+// byRowCol orders entries by (row, col).
+func byRowCol(a, b Entry) int { return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col)) }
+
+// keepLast is the reference NewCSR is held to: a stable comparison sort of
+// the entries by (row, col), then the last entry of each run of one
+// coordinate, copied into new arrays.
+func keepLast(rows, cols int, es []Entry) *CSR {
+	es = slices.Clone(es)
+	slices.SortStableFunc(es, byRowCol)
+	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
+	for i, e := range es {
+		if i+1 < len(es) && byRowCol(e, es[i+1]) == 0 {
+			continue
+		}
+		m.RowPtr[e.Row+1]++
+		m.ColIdx = append(m.ColIdx, int32(e.Col))
+		m.Val = append(m.Val, e.Val)
+	}
+	for u := 0; u < rows; u++ {
+		m.RowPtr[u+1] += m.RowPtr[u]
+	}
+	return m
+}
+
+// sameCSR reports whether two matrices are equal array for array, values
+// bit for bit.
+func sameCSR(a, b *CSR) bool {
+	return a.NumRows == b.NumRows && a.NumCols == b.NumCols &&
+		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&
+		slices.EqualFunc(a.Val, b.Val, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
 func TestCOOToCSRBasic(t *testing.T) {
 	// The paper's Fig. 2 example: 4x4 matrix with 5 ratings.
 	coo := NewCOO(4, 4)
@@ -31,9 +88,9 @@ func TestCOOToCSRBasic(t *testing.T) {
 	coo.Append(1, 3, 3)
 	coo.Append(2, 2, 4)
 	coo.Append(3, 1, 1)
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
-		t.Fatalf("ToCSR: %v", err)
+		t.Fatalf("NewCSR: %v", err)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -56,16 +113,16 @@ func TestCOOToCSRBasic(t *testing.T) {
 func TestCSRAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	coo := randomCOO(rng, 30, 40, 200)
-	m, err := coo.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dense := make([][]float32, 30)
 	for i := range dense {
 		dense[i] = make([]float32, 40)
 	}
-	for _, e := range coo.Entries {
+	for _, e := range entriesOf(coo) {
 		dense[e.Row][e.Col] = e.Val
+	}
+	m, err := NewCSR(coo)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for r := 0; r < 30; r++ {
 		for c := 0; c < 40; c++ {
@@ -79,7 +136,7 @@ func TestCSRAt(t *testing.T) {
 func TestCSRValidateRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	mk := func() *CSR {
-		m, err := randomCOO(rng, 10, 10, 30).ToCSR()
+		m, err := NewCSR(randomCOO(rng, 10, 10, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,97 +164,35 @@ func TestCSRValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDuplicateRejected(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Append(0, 0, 1)
-	coo.Append(0, 0, 2)
-	if _, err := coo.ToCSR(); err == nil {
-		t.Fatal("ToCSR accepted duplicate coordinates")
-	}
-}
-
-func TestDedupPolicies(t *testing.T) {
-	mk := func() *COO {
-		coo := NewCOO(2, 2)
-		coo.Append(0, 0, 1)
-		coo.Append(1, 1, 9)
-		coo.Append(0, 0, 2)
-		return coo
-	}
-	cases := []struct {
-		policy DedupPolicy
-		want   float32
-	}{
-		{DedupKeepLast, 2},
-		{DedupKeepFirst, 1},
-		{DedupSum, 3},
-	}
-	for _, tc := range cases {
-		coo := mk()
-		coo.Dedup(tc.policy)
-		if len(coo.Entries) != 2 {
-			t.Fatalf("policy %v: %d entries after dedup, want 2", tc.policy, len(coo.Entries))
-		}
-		m, err := coo.ToCSR()
-		if err != nil {
-			t.Fatalf("policy %v: %v", tc.policy, err)
-		}
-		if got := m.At(0, 0); got != tc.want {
-			t.Errorf("policy %v: At(0,0) = %g, want %g", tc.policy, got, tc.want)
-		}
-	}
-}
-
-// TestDedupKeepsFileOrder: first and last mean the order the entries were
-// appended in, at a length where an unstable sort would scramble it. 480
-// entries fall on an 8 x 8 grid, so every coordinate is rated several times.
+// TestDedupKeepsFileOrder: last means the order the entries were appended
+// in, at a length where an unstable sort would scramble it. 480 entries
+// fall on an 8 x 8 grid, so every coordinate is rated several times.
 func TestDedupKeepsFileOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	coo := NewCOO(8, 8)
-	first, last, sum := map[[2]int]float32{}, map[[2]int]float32{}, map[[2]int]float32{}
+	last := map[[2]int]float32{}
 	for i := 0; i < 480; i++ {
 		at, v := [2]int{rng.Intn(8), rng.Intn(8)}, float32(i+1)
 		coo.Append(at[0], at[1], v)
-		if _, seen := first[at]; !seen {
-			first[at] = v
-		}
 		last[at] = v
-		sum[at] += v
 	}
-	for _, tc := range []struct {
-		name   string
-		policy DedupPolicy
-		want   map[[2]int]float32
-	}{{"keep last", DedupKeepLast, last}, {"keep first", DedupKeepFirst, first}, {"sum", DedupSum, sum}} {
-		c := &COO{Rows: 8, Cols: 8, Entries: slices.Clone(coo.Entries)}
-		c.Dedup(tc.policy)
-		if len(c.Entries) != len(tc.want) {
-			t.Fatalf("%s: %d entries, want %d", tc.name, len(c.Entries), len(tc.want))
-		}
-		for _, e := range c.Entries {
-			if want := tc.want[[2]int{e.Row, e.Col}]; e.Val != want {
-				t.Errorf("%s: (%d,%d) = %g, want %g", tc.name, e.Row, e.Col, e.Val, want)
-			}
-		}
-	}
-}
-
-// sortedBuild is the reference NewMatrix is held to: the comparison sort
-// and the per-row sort it replaced.
-func sortedBuild(t *testing.T, coo *COO) *Matrix {
-	t.Helper()
-	c := &COO{Rows: coo.Rows, Cols: coo.Cols, Entries: slices.Clone(coo.Entries)}
-	c.Dedup(DedupKeepLast)
-	r, err := c.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Matrix{R: r, C: r.ToCSC()}
+	if m.NNZ() != len(last) {
+		t.Fatalf("%d entries, want %d", m.NNZ(), len(last))
+	}
+	for at, want := range last {
+		if got := m.At(at[0], at[1]); got != want {
+			t.Errorf("(%d,%d) = %g, want %g", at[0], at[1], got, want)
+		}
+	}
 }
 
 // TestNewMatrixMatchesSortedBuild: the counting build returns, array for
-// array, what stable Dedup + ToCSR + ToCSC return, for entries in any order
-// with or without repeated coordinates, and leaves its argument alone.
+// array, what a stable sort and a keep-last pass return, for entries in
+// any order with or without repeated coordinates.
 func TestNewMatrixMatchesSortedBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	withDups := func(rows, cols, n int) *COO {
@@ -207,17 +202,22 @@ func TestNewMatrixMatchesSortedBuild(t *testing.T) {
 		}
 		return coo
 	}
-	rowMajor := randomCOO(rng, 40, 30, 300)
-	rowMajor.SortRowMajor()
-	colMajor := randomCOO(rng, 40, 30, 300)
-	colMajor.SortColMajor()
+	sorted := func(coo *COO, order func(a, b Entry) int) *COO {
+		es := entriesOf(coo)
+		slices.SortStableFunc(es, order)
+		return cooOf(coo.Rows, coo.Cols, es...)
+	}
+	rowMajor := sorted(randomCOO(rng, 40, 30, 300), byRowCol)
+	colMajor := sorted(randomCOO(rng, 40, 30, 300), func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+	})
 	// Row-major but for one repeated coordinate at the very end.
-	almost := &COO{Rows: 40, Cols: 30, Entries: slices.Clone(rowMajor.Entries)}
-	almost.Append(almost.Entries[len(almost.Entries)-1].Row, almost.Entries[len(almost.Entries)-1].Col, 77)
+	almost := cloneCOO(rowMajor)
+	almost.Append(int(almost.RowIdx[almost.NNZ()-1]), int(almost.ColIdx[almost.NNZ()-1]), 77)
 	cases := map[string]*COO{
 		"empty":           NewCOO(0, 0),
 		"no entries":      NewCOO(5, 7),
-		"one entry":       {Rows: 3, Cols: 4, Entries: []Entry{{2, 1, 5}}},
+		"one entry":       cooOf(3, 4, Entry{2, 1, 5}),
 		"one row":         withDups(1, 50, 200),
 		"one column":      withDups(50, 1, 200),
 		"duplicates":      withDups(8, 8, 480),
@@ -225,22 +225,18 @@ func TestNewMatrixMatchesSortedBuild(t *testing.T) {
 		"row-major + dup": almost,
 		"column-major":    colMajor,
 		"shuffled":        randomCOO(rng, 60, 90, 2000),
-		"trailing empty":  {Rows: 9, Cols: 9, Entries: []Entry{{4, 4, 1}, {0, 8, 2}}},
+		"trailing empty":  cooOf(9, 9, Entry{4, 4, 1}, Entry{0, 8, 2}),
 	}
 	for name, coo := range cases {
-		before := slices.Clone(coo.Entries)
+		want := keepLast(coo.Rows, coo.Cols, entriesOf(coo))
 		got, err := NewMatrix(coo)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !slices.Equal(coo.Entries, before) {
-			t.Errorf("%s: NewMatrix reordered its argument", name)
-		}
-		want := sortedBuild(t, coo)
-		if !slices.Equal(got.R.RowPtr, want.R.RowPtr) || !slices.Equal(got.R.ColIdx, want.R.ColIdx) || !slices.Equal(got.R.Val, want.R.Val) ||
-			!slices.Equal(got.C.ColPtr, want.C.ColPtr) || !slices.Equal(got.C.RowIdx, want.C.RowIdx) || !slices.Equal(got.C.Val, want.C.Val) ||
-			got.Rows() != want.Rows() || got.Cols() != want.Cols() {
-			t.Errorf("%s: NewMatrix differs from the sorted build:\n got %+v %+v\nwant %+v %+v", name, got.R, got.C, want.R, want.C)
+		wantC := want.ToCSC()
+		if !sameCSR(got.R, want) || !slices.Equal(got.C.ColPtr, wantC.ColPtr) ||
+			!slices.Equal(got.C.RowIdx, wantC.RowIdx) || !slices.Equal(got.C.Val, wantC.Val) {
+			t.Errorf("%s: NewMatrix differs from the sorted build:\n got %+v %+v\nwant %+v %+v", name, got.R, got.C, want, wantC)
 		}
 		if err := got.R.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -249,28 +245,64 @@ func TestNewMatrixMatchesSortedBuild(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := NewMatrix(&COO{Rows: 2, Cols: 2, Entries: []Entry{{2, 0, 1}}}); err == nil {
+	if _, err := NewMatrix(&COO{Rows: 2, Cols: 2, RowIdx: []int32{2}, ColIdx: []int32{0}, Val: []float32{1}}); err == nil {
 		t.Error("NewMatrix accepted an entry outside the matrix")
+	}
+	if _, err := NewMatrix(&COO{Rows: 2, Cols: 2, RowIdx: []int32{0}, ColIdx: []int32{0, 1}, Val: []float32{1}}); err == nil {
+		t.Error("NewMatrix accepted columns of different lengths")
+	}
+}
+
+// TestNewMatrixTakesOwnership: the COO is empty after the call, whatever
+// order its entries were in; row-major entries become the CSR's arrays
+// without a copy, and any other order gets arrays of its own.
+func TestNewMatrixTakesOwnership(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		coo   *COO
+		share bool
+	}{
+		{"row-major", cooOf(3, 4, Entry{0, 1, 4}, Entry{0, 3, 1}, Entry{2, 0, 5}), true},
+		{"unsorted", cooOf(3, 4, Entry{2, 0, 5}, Entry{0, 1, 4}, Entry{0, 3, 1}), false},
+		{"repeated", cooOf(3, 4, Entry{0, 1, 4}, Entry{0, 1, 2}, Entry{2, 0, 5}), false},
+	} {
+		cols, vals := &tc.coo.ColIdx[0], &tc.coo.Val[0]
+		mx, err := NewMatrix(tc.coo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.coo.Rows != 0 || tc.coo.Cols != 0 || tc.coo.RowIdx != nil || tc.coo.ColIdx != nil || tc.coo.Val != nil {
+			t.Errorf("%s: the COO after NewMatrix is %+v, want it empty", tc.name, tc.coo)
+		}
+		if shared := &mx.R.ColIdx[0] == cols && &mx.R.Val[0] == vals; shared != tc.share {
+			t.Errorf("%s: the CSR shares the COO's arrays: %v, want %v", tc.name, shared, tc.share)
+		}
+		if mx.Rows() != 3 || mx.Cols() != 4 {
+			t.Errorf("%s: %dx%d, want 3x4", tc.name, mx.Rows(), mx.Cols())
+		}
 	}
 }
 
 // BenchmarkNewMatrix builds both views from 200k ratings as a rating file
-// holds them (row-major) and as the generator draws them (shuffled).
+// holds them (row-major) and as the generator draws them (shuffled). Each
+// build takes a fresh copy of the COO over, made off the clock.
 func BenchmarkNewMatrix(b *testing.B) {
 	rowMajor := benchTriples(b, 200000).ToCOO()
-	shuffled := &COO{Rows: rowMajor.Rows, Cols: rowMajor.Cols, Entries: slices.Clone(rowMajor.Entries)}
-	rand.New(rand.NewSource(5)).Shuffle(len(shuffled.Entries), func(i, j int) {
-		shuffled.Entries[i], shuffled.Entries[j] = shuffled.Entries[j], shuffled.Entries[i]
-	})
+	es := entriesOf(rowMajor)
+	rand.New(rand.NewSource(5)).Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	shuffled := cooOf(rowMajor.Rows, rowMajor.Cols, es...)
 	for _, bc := range []struct {
 		name string
 		coo  *COO
 	}{{"rowmajor", rowMajor}, {"shuffled", shuffled}} {
 		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(bc.coo.Entries)) * int64(unsafe.Sizeof(Entry{})))
+			b.SetBytes(int64(bc.coo.NNZ()) * 12)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewMatrix(bc.coo); err != nil {
+				b.StopTimer()
+				coo := cloneCOO(bc.coo)
+				b.StartTimer()
+				if _, err := NewMatrix(coo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -291,7 +323,7 @@ func TestTransposeRoundTrip(t *testing.T) {
 		if maxNNZ > 0 {
 			nnz = rng.Intn(maxNNZ)
 		}
-		m, err := randomCOO(rng, rows, cols, nnz).ToCSR()
+		m, err := NewCSR(randomCOO(rng, rows, cols, nnz))
 		if err != nil {
 			return false
 		}
@@ -319,7 +351,7 @@ func TestTransposeRoundTrip(t *testing.T) {
 // TestTransposeValues checks that CSC.At agrees with CSR.At everywhere.
 func TestTransposeValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m, err := randomCOO(rng, 25, 35, 150).ToCSR()
+	m, err := NewCSR(randomCOO(rng, 25, 35, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +370,11 @@ func TestTransposeValues(t *testing.T) {
 
 func TestToCOORoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m, err := randomCOO(rng, 20, 20, 80).ToCSR()
+	m, err := NewCSR(randomCOO(rng, 20, 20, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := m.ToCOO().ToCSR()
+	m2, err := NewCSR(m.ToCOO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +389,7 @@ func TestToCOORoundTrip(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m, err := randomCOO(rng, 10, 10, 20).ToCSR()
+	m, err := NewCSR(randomCOO(rng, 10, 10, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +404,7 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestEmptyMatrix(t *testing.T) {
 	coo := NewCOO(5, 7)
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}

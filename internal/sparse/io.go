@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 
 	"repro/internal/lebin"
@@ -61,11 +60,11 @@ func readTriples(r io.Reader, oneBased, fast bool) (*COO, error) {
 		// Room for the block's entries in one step. When the input's
 		// length is known the step is to the whole file's count, scaled
 		// from what the bytes so far held, so a large file grows once.
-		if need := len(coo.Entries) + bytes.Count(lines, newline); need > cap(coo.Entries) {
+		if need := coo.NNZ() + bytes.Count(lines, newline); need > cap(coo.Val) {
 			if total > read {
 				need = int(float64(need)*float64(total)/float64(read)) + 1
 			}
-			coo.Entries = slices.Grow(coo.Entries, need-len(coo.Entries))
+			coo.Grow(need - coo.NNZ())
 		}
 		for p := 0; p < len(lines); {
 			lineNo++

@@ -31,7 +31,7 @@ func TestReadTriplesFormats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadTriples: %v", err)
 			}
-			m, err := coo.ToCSR()
+			m, err := NewCSR(coo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,10 +96,11 @@ func TestReadTriplesGrammar(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Entry{{0, 1, 4.5}, {1, 0, 1e-3}, {2, 3, 2.5}, {math.MaxInt32, math.MaxInt32, -0.5}, {3, 4, 5}}
-	if len(coo.Entries) != len(want) {
-		t.Fatalf("parsed %d entries %v, want %d", len(coo.Entries), coo.Entries, len(want))
+	got := entriesOf(coo)
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d entries %v, want %d", len(got), got, len(want))
 	}
-	for i, e := range coo.Entries {
+	for i, e := range got {
 		if e != want[i] {
 			t.Errorf("entry %d = %+v, want %+v", i, e, want[i])
 		}
@@ -120,7 +121,7 @@ func TestWriteTriplesBytes(t *testing.T) {
 	for i, v := range vals {
 		coo.Append(i%4*1000003, i*104729, v)
 	}
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +142,9 @@ func TestWriteTriplesBytes(t *testing.T) {
 }
 
 // TestTextIOAllocations: neither direction allocates per rating. Reading
-// owns one block buffer and, told the input's length, sizes the entry list
-// in one step however many blocks follow; writing owns one line and one
-// write buffer.
+// owns one block buffer and, told the input's length, sizes the three
+// columns in one step each however many blocks follow; writing owns one
+// line and one write buffer.
 func TestTextIOAllocations(t *testing.T) {
 	m := benchTriples(t, 60000) // a few blocks of text
 	var text bytes.Buffer
@@ -157,10 +158,10 @@ func TestTextIOAllocations(t *testing.T) {
 		if _, err := ReadTriples(bytes.NewReader(text.Bytes()), false); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 5 {
+	}); n > 7 {
 		t.Errorf("ReadTriples of %d ratings: %v allocations", m.NNZ(), n)
 	}
-	// A reader that cannot say how long it is costs the entry list's
+	// A reader that cannot say how long it is costs the columns'
 	// doublings, nothing per block.
 	if n := testing.AllocsPerRun(3, func() {
 		if _, err := ReadTriples(io.MultiReader(bytes.NewReader(text.Bytes())), false); err != nil {
@@ -186,8 +187,7 @@ func benchTriples(tb testing.TB, nnz int) *CSR {
 	for i := 0; i < nnz; i++ {
 		coo.Append(rng.Intn(nnz/20+1), rng.Intn(nnz/4+1), float32(1+rng.Intn(9))/2)
 	}
-	coo.Dedup(DedupKeepLast)
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func BenchmarkReadTriples(b *testing.B) {
 
 func TestTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	m, err := randomCOO(rng, 15, 25, 100).ToCSR()
+	m, err := NewCSR(randomCOO(rng, 15, 25, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := coo.ToCSR()
+	m2, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}

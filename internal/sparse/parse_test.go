@@ -14,11 +14,11 @@ import (
 	"testing/iotest"
 )
 
-// scanTriples is ReadTriples as it was before it read blocks: bufio.Scanner
+// scanEntries is ReadTriples as it was before it read blocks: bufio.Scanner
 // cuts the lines, parseLine parses each. It defines the line numbers, the
 // longest line and what happens to the lines before a read error.
-func scanTriples(r io.Reader, oneBased bool) (*COO, error) {
-	coo := NewCOO(0, 0)
+func scanEntries(r io.Reader, oneBased bool) ([]Entry, error) {
+	var es []Entry
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	lineNo := 0
@@ -29,13 +29,22 @@ func scanTriples(r io.Reader, oneBased bool) (*COO, error) {
 			return nil, err
 		}
 		if ok {
-			coo.Append(e.Row, e.Col, e.Val)
+			es = append(es, e)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("sparse: line %d: %w", lineNo+1, err)
 	}
-	return coo, nil
+	return es, nil
+}
+
+// scanTriples is scanEntries into a COO.
+func scanTriples(r io.Reader, oneBased bool) (*COO, error) {
+	es, err := scanEntries(r, oneBased)
+	if err != nil {
+		return nil, err
+	}
+	return cooOf(0, 0, es...), nil
 }
 
 // sameParse holds the three readers to one another on one input: the fast
@@ -59,14 +68,15 @@ func sameParse(t *testing.T, name string, open func() io.Reader, oneBased bool) 
 		if fastErr != nil {
 			continue
 		}
-		// Only the entry list's capacity may differ.
-		if fast.Rows != want.Rows || fast.Cols != want.Cols || len(fast.Entries) != len(want.Entries) {
+		// Only the columns' capacity may differ.
+		if fast.Rows != want.Rows || fast.Cols != want.Cols || fast.NNZ() != want.NNZ() {
 			t.Errorf("%s: fast path %dx%d with %d entries, %s %dx%d with %d", name,
-				fast.Rows, fast.Cols, len(fast.Entries), ref.name, want.Rows, want.Cols, len(want.Entries))
+				fast.Rows, fast.Cols, fast.NNZ(), ref.name, want.Rows, want.Cols, want.NNZ())
 			continue
 		}
-		for i, e := range fast.Entries {
-			w := want.Entries[i]
+		wantEntries := entriesOf(want)
+		for i, e := range entriesOf(fast) {
+			w := wantEntries[i]
 			if e.Row != w.Row || e.Col != w.Col || math.Float32bits(e.Val) != math.Float32bits(w.Val) {
 				t.Errorf("%s: entry %d = %+v, %s has %+v", name, i, e, ref.name, w)
 				break

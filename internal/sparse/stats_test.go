@@ -14,7 +14,7 @@ func uniformRowMatrix(t *testing.T, rows, perRow, cols int) *CSR {
 			coo.Append(r, j, 1)
 		}
 	}
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRowStatsSkewed(t *testing.T) {
 	for j := 0; j < 98; j++ {
 		coo.Append(3, j, 1)
 	}
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRowStatsSkewed(t *testing.T) {
 
 func TestColStatsMatchesTransposedRowStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m, err := randomCOO(rng, 40, 30, 300).ToCSR()
+	m, err := NewCSR(randomCOO(rng, 40, 30, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWarpImbalanceSkewed(t *testing.T) {
 	for r := 1; r < 32; r++ {
 		coo.Append(r, 0, 1) // rows 1..31: 1 nonzero
 	}
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWarpImbalancePartialLastGroup(t *testing.T) {
 			coo.Append(r, j, 1)
 		}
 	}
-	m, err := coo.ToCSR()
+	m, err := NewCSR(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
