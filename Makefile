@@ -20,10 +20,10 @@ test-short:
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
 # boundary both ways and the hop's one frame layout and one transport, one
 # codec, one byte decoder, one process harness, a simulator that imports no
-# arithmetic), build, the race passes, the
-# lanes that keep the assembly kernels' other bindings alive (purego, arm64,
-# GOAMD64=v3), the check that every assembly kernel sits on a cache
-# line whatever the link order (two -randlayout seeds), the smoke lanes
+# arithmetic, a trainer that holds no transpose of R), build, the race
+# passes, the lanes that keep the assembly kernels' other bindings alive
+# (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
+# a cache line whatever the link order (two -randlayout seeds), the smoke lanes
 # through the real binaries, every fuzz target for 10 s, the bench smokes
 # (every benchmark once, then the two that split their work over goroutines
 # at -cpu 1,2).
@@ -47,6 +47,10 @@ ci:
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
 		echo "internal/shard is the BSP trainer: only serving.go may import internal/serve or net/http"; exit 1; \
+	fi
+	@csc=$$(find internal/shard -name '*.go' -not -name '*_test.go' | xargs grep -nE '\.RT\(\)|ToCSC|sparse\.CSC' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true); \
+	if [ -n "$$csc" ]; then \
+		echo "internal/shard keeps R once, as a CSR: a rank's rows of R^T stream out of R's columns (writeColumns), never out of a transposed copy:"; echo "$$csc"; exit 1; \
 	fi
 	@fleet=$$(find internal/shard -name '*_test.go' | xargs grep -l '"repro/internal/serve"' || true); \
 	if [ -n "$$fleet" ]; then \

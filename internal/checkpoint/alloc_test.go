@@ -23,7 +23,7 @@ func allocated(f func()) int64 {
 }
 
 // codecSlack is what Encode and Decode may allocate beyond the data itself:
-// the 1 MiB file buffer, the codec's scratch, the header.
+// the file buffer, the codec's scratch, the header.
 const codecSlack = 2 << 20
 
 // TestCodecAllocatesNoSlabCopies holds Encode and Decode to streaming: a
@@ -88,6 +88,22 @@ func TestCodecAllocatesNoSlabCopies(t *testing.T) {
 			t.Errorf("%v: Decode allocated %d bytes for %d retained: %d over the ceiling",
 				prec, got, retained, got-retained-codecSlack)
 		}
+	}
+}
+
+// TestSaveAllocatesOneSmallBuffer: a save goes through one 64 KiB write
+// buffer, which Encode writes into instead of allocating its own, and the
+// codec's scratch. A trainer saves every iteration, and each save's buffer
+// is garbage after it: at 1 MiB a save allocated more than this bound.
+func TestSaveAllocatesOneSmallBuffer(t *testing.T) {
+	dir, st := t.TempDir(), testState(1, 0.5)
+	var err error
+	n := allocated(func() { _, err = Save(OS, dir, st) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 256<<10 {
+		t.Fatalf("Save of a small state allocated %d bytes, want at most 256 KiB", n)
 	}
 }
 

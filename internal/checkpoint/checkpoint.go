@@ -242,7 +242,7 @@ func Encode(w io.Writer, st *State) error {
 	if st.hasModelBlock() {
 		version = FormatVersion
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, writeBuf)
 	lw := lebin.NewWriter(bw)
 	lw.U64(uint64(Magic))
 	lw.U64(uint64(version))

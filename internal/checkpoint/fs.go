@@ -90,7 +90,7 @@ func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) (err err
 			fsys.Remove(tmp)
 		}
 	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(f, writeBuf)
 	if err = write(bw); err != nil {
 		f.Close()
 		return err
@@ -114,6 +114,14 @@ func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) (err err
 	}
 	return nil
 }
+
+// writeBuf is the one write buffer a save goes through: WriteFileAtomic
+// allocates it, and Encode, handed a bufio.Writer at least this large,
+// writes into it instead of allocating its own. 64 KiB matches the
+// codec's staging size; a larger buffer saves a few write calls on a
+// multi-megabyte checkpoint and is garbage after every save, which a
+// trainer that checkpoints each iteration piles up uncollected.
+const writeBuf = 64 << 10
 
 // tmpPrefix marks in-progress writes; Latest ignores and GC removes them.
 const tmpPrefix = ".tmp-"

@@ -65,7 +65,7 @@ func TestAlstrainDebugSmoke(t *testing.T) {
 	if body := string(e2e.Get(t, base+"/debug/traces")); !strings.Contains(body, `"iter1/x"`) {
 		t.Errorf("/debug/traces does not hold the finished run's spans: %.200s", body)
 	}
-	requireHalfSpans(t, tracePath, 1)
+	requireHalfSpans(t, tracePath, 1, 0)
 	events := strings.TrimSpace(string(e2e.Get(t, base+"/debug/traces?format=jsonl")))
 	if !strings.Contains(events, `"iter1/x"`) {
 		t.Errorf("/debug/traces?format=jsonl does not hold the finished run's spans: %.200s", events)
@@ -83,14 +83,18 @@ func TestAlstrainDebugSmoke(t *testing.T) {
 		path := filepath.Join(dir, name+".trace.json")
 		args := append([]string{"-preset", "MVLE", "-scale", "0.005", "-iters", "2", "-test-frac", "0"}, flags...)
 		e2e.Run(t, bin, append(args, path)...)
-		requireHalfSpans(t, path, 2)
+		ranks := 0
+		if name == "distributed" {
+			ranks = 2
+		}
+		requireHalfSpans(t, path, 2, ranks)
 	}
 }
 
 // requireHalfSpans holds a Chrome trace file to: valid JSON, a load span
-// that says what the load allocated, a train span, and an iter<N>/x and
-// iter<N>/y span for every iteration.
-func requireHalfSpans(t *testing.T, path string, iters int) {
+// and a ship<r> span for each of ranks ranks that say what they allocated,
+// a train span, and an iter<N>/x and iter<N>/y span for every iteration.
+func requireHalfSpans(t *testing.T, path string, iters, ranks int) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -117,8 +121,16 @@ func requireHalfSpans(t *testing.T, path string, iters int) {
 				t.Errorf("%s: the load span's alloc_mb is %q, want a positive number", path, ev.Args["alloc_mb"])
 			}
 		}
+		if strings.HasPrefix(ev.Name, "ship") && ev.Ph == "X" {
+			if mb, err := strconv.ParseFloat(ev.Args["alloc_mb"], 64); err != nil || mb < 0 {
+				t.Errorf("%s: the %s span's alloc_mb is %q, want a number", path, ev.Name, ev.Args["alloc_mb"])
+			}
+		}
 	}
 	want := []string{"load", "train"}
+	for r := range ranks {
+		want = append(want, fmt.Sprintf("ship%d", r))
+	}
 	for it := 1; it <= iters; it++ {
 		want = append(want, fmt.Sprintf("iter%d/x", it), fmt.Sprintf("iter%d/y", it))
 	}

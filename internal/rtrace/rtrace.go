@@ -19,6 +19,8 @@ package rtrace
 
 import (
 	"context"
+	"runtime/metrics"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,6 +248,23 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
+}
+
+// HeapAllocated is what the process has allocated on the heap so far, in
+// bytes: the counter SetAllocMB takes a difference of.
+func HeapAllocated() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// SetAllocMB sets the span's alloc_mb attribute: the heap allocated since
+// the HeapAllocated reading since, in MiB to one decimal. No-op on nil.
+func (s *Span) SetAllocMB(since uint64) {
+	if s == nil {
+		return
+	}
+	s.SetAttr("alloc_mb", strconv.FormatFloat(float64(HeapAllocated()-since)/(1<<20), 'f', 1, 64))
 }
 
 // Context returns the span's propagation context (for header or binary

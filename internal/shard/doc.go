@@ -2,15 +2,16 @@
 // -workers N): real processes talking over actual sockets, where
 // internal/cluster only simulates the clock.
 //
-//   - The coordinator holds the one copy of the ratings and sends each
-//     worker process the rows of its static user-row (and item-row)
-//     partition (Range) in two data frames; a worker opens no file. The
-//     workers solve their rows and allgather the updated factors between
-//     half-iterations over a length-prefixed TCP exchange relayed by the
-//     coordinator. Row updates are pure functions of the row's ratings and
-//     the fixed factors, both checked copies of the coordinator's, so the
-//     distributed model is bit-identical to the single-process run on the
-//     same seed.
+//   - The coordinator holds the one copy of the ratings, as R's CSR, and
+//     sends each worker process the rows of its static user-row (and
+//     item-row) partition (Range) in two data frames, the item rows
+//     transposed out of R's columns on the way out; a worker opens no
+//     file. The workers solve their rows and allgather the updated factors
+//     between half-iterations over a length-prefixed TCP exchange relayed
+//     by the coordinator. Row updates are pure functions of the row's
+//     ratings and the fixed factors, both checked copies of the
+//     coordinator's, so the distributed model is bit-identical to the
+//     single-process run on the same seed.
 //
 //   - Worker supervision: every frame carries a CRC-32C trailer (corruption
 //     is the typed ErrFrameCorrupt, never silent bad floats), workers

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -173,17 +175,118 @@ func (w *wire) writeFactors(h factorHeader, data []float32) error {
 func (w *wire) writeData(half byte, lo int, s *sparse.CSR) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	payloadLen := int(dataFrameLen(uint64(s.NumRows), uint64(s.NNZ())))
-	w.beginFrame(frameData, payloadLen)
-	w.lw.U32(uint32(lo))
-	w.lw.U32(uint32(s.NumRows))
-	w.lw.U32(uint32(s.NumCols))
-	w.lw.U64(uint64(s.NNZ()))
-	w.lw.U8(half)
+	payloadLen := w.beginData(half, lo, s.NumRows, s.NumCols, s.NNZ())
 	w.lw.I64s(s.RowPtr)
 	w.lw.I32s(s.ColIdx)
 	w.lw.F32s(s.Val)
 	return w.endFrame(frameData, payloadLen)
+}
+
+// beginData opens a data frame of rows rows and nnz nonzeros, writes its
+// header and returns its payload length. The caller holds wmu, writes the
+// three slabs and ends the frame.
+func (w *wire) beginData(half byte, lo, rows, cols, nnz int) int {
+	payloadLen := int(dataFrameLen(uint64(rows), uint64(nnz)))
+	w.beginFrame(frameData, payloadLen)
+	w.lw.U32(uint32(lo))
+	w.lw.U32(uint32(rows))
+	w.lw.U32(uint32(cols))
+	w.lw.U64(uint64(nnz))
+	w.lw.U8(half)
+	return payloadLen
+}
+
+// colChunk is the column writer's buffer in entries (1 MiB): small enough
+// that its scatter stays in cache, large enough that a rank's slice takes a
+// few sweeps over the rows, not hundreds.
+const colChunk = 1 << 18
+
+// colWriter sends ranges of R's columns as the rows of Rᵀ they are,
+// without a transposed copy of R. Its buffers outlive a call, so a cohort's
+// setup allocates them once.
+type colWriter struct {
+	chunk int      // entries a buffer holds; a longer column gets one its length
+	buf   []int32  // one chunk of row ids, or of value bits
+	cur   []uint32 // per row of R: the offset of its next entry to send
+	ptr   []int64  // the slice's column pointers, one place of slack
+}
+
+// writeColumns sends columns [lo, hi) of r as rows [lo, hi) of Rᵀ in one
+// data frame of the given half and flushes: byte for byte the frame
+// writeData sends for those rows of the transpose. One pass over r counts
+// the column pointers; then the row ids, then the values, go out a chunk at
+// a time (colSlab).
+func (w *wire) writeColumns(half byte, r *sparse.CSR, lo, hi int, cw *colWriter) error {
+	ns := hi - lo
+	if cap(cw.ptr) < ns+2 {
+		cw.ptr = make([]int64, ns+2)
+	}
+	ptr := cw.ptr[:ns+2]
+	clear(ptr)
+	for _, c := range r.ColIdx {
+		if j := int(c) - lo; j >= 0 && j < ns {
+			ptr[j+2]++
+		}
+	}
+	for j := 2; j < len(ptr); j++ {
+		ptr[j] += ptr[j-1]
+	}
+	if len(cw.cur) < r.NumRows {
+		cw.cur = make([]uint32, r.NumRows)
+	}
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	payloadLen := w.beginData(half, lo, ns, r.NumRows, int(ptr[ns+1]))
+	w.lw.I64s(ptr[1:])
+	// ptr[1:] holds each column's start. The row-id slab moves ptr[j+1] to
+	// column j's end, which is column j+1's start, so the value slab finds
+	// the starts one place down, in ptr[:ns+1].
+	w.colSlab(cw, r, lo, ptr[1:], false)
+	w.colSlab(cw, r, lo, ptr[:ns+1], true)
+	return w.endFrame(frameData, payloadLen)
+}
+
+// colSlab writes one slab of a column frame: the entries of columns
+// [lo, lo+len(next)-1) of r by column, and within a column by row, as row
+// ids or, with vals, as the bits of their values (a float32 goes out as
+// the four bytes of its bits either way). next[j] is column j's start in
+// the slab and moves to its end. A chunk is the longest run of whole
+// columns the buffer holds; it is filled by sweeping each row's cursor
+// across those columns, a counting transpose of the chunk alone.
+func (w *wire) colSlab(cw *colWriter, r *sparse.CSR, lo int, next []int64, vals bool) {
+	ns := len(next) - 1
+	for u := range r.NumRows {
+		cols, _ := r.Row(u)
+		i, _ := slices.BinarySearch(cols, int32(lo))
+		cw.cur[u] = uint32(i)
+	}
+	for c0 := 0; c0 < ns; {
+		base := next[c0]
+		c1 := c0 + 1
+		for c1 < ns && next[c1+1]-base <= int64(cw.chunk) {
+			c1++
+		}
+		size := int(next[c1] - base)
+		if len(cw.buf) < size {
+			cw.buf = make([]int32, max(size, cw.chunk))
+		}
+		buf, end := cw.buf[:size], int32(lo+c1)
+		for u := range r.NumRows {
+			p, q := r.RowPtr[u]+int64(cw.cur[u]), r.RowPtr[u+1]
+			for ; p < q && r.ColIdx[p] < end; p++ {
+				j := int(r.ColIdx[p]) - lo
+				if vals {
+					buf[next[j]-base] = int32(math.Float32bits(r.Val[p]))
+				} else {
+					buf[next[j]-base] = int32(u)
+				}
+				next[j]++
+			}
+			cw.cur[u] = uint32(p - r.RowPtr[u])
+		}
+		w.lw.I32s(buf)
+		c0 = c1
+	}
 }
 
 // readHeader reads the next frame's length prefix and kind byte, starting

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -92,26 +93,31 @@ func TestGoldenFrames(t *testing.T) {
 	if err := w.writeData(halfY, lo, rows); err != nil {
 		t.Fatal(err)
 	}
+	// The same rows streamed out of the columns of their transpose.
+	r := goldenDataTranspose(lo, rows)
+	if err := w.writeColumns(halfY, r, lo, lo+rows.NumRows, &colWriter{chunk: 2}); err != nil {
+		t.Fatal(err)
+	}
 
-	want := goldenHelloHex + goldenErrorHex + goldenBeatHex + goldenFactsHex + goldenDataHex
+	want := goldenHelloHex + goldenErrorHex + goldenBeatHex + goldenFactsHex + goldenDataHex + goldenDataHex
 	if got := hex.EncodeToString(buf.Bytes()); got != want {
 		t.Fatalf("wire bytes changed:\n got %s\nwant %s", got, want)
 	}
 
 	// The reader must accept its own golden bytes: heartbeat skipped (with
 	// the beat callback fired), control bodies returned, factors decoded.
-	r := readerWire(buf.Bytes())
-	kind, body, err := r.readSmall(nil)
+	rd := readerWire(buf.Bytes())
+	kind, body, err := rd.readSmall(nil)
 	if err != nil || kind != frameHello || !bytes.Equal(body, rank) {
 		t.Fatalf("hello readback: kind=%d body=%x err=%v", kind, body, err)
 	}
-	kind, body, err = r.readSmall(nil)
+	kind, body, err = rd.readSmall(nil)
 	if err != nil || kind != frameError || string(body) != "boom" {
 		t.Fatalf("error readback: kind=%d body=%q err=%v", kind, body, err)
 	}
 	beats := 0
 	dst := make([]float32, 16)
-	err = r.expectFactors(2, halfY, 4, dst, 1, 3, func() { beats++ })
+	err = rd.expectFactors(2, halfY, 4, dst, 1, 3, func() { beats++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +129,70 @@ func TestGoldenFrames(t *testing.T) {
 			t.Fatalf("dst[%d] = %v, want %v", 4+i, dst[4+i], want)
 		}
 	}
-	got, gotLo, err := r.expectData(halfY)
+	for range 2 {
+		got, gotLo, err := rd.expectData(halfY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotLo != lo || !reflect.DeepEqual(got, rows) {
+			t.Fatalf("data readback: lo=%d %+v, want lo=%d %+v", gotLo, got, lo, rows)
+		}
+	}
+}
+
+// goldenDataTranspose is the matrix whose columns [lo, lo+rows.NumRows) are
+// the given rows: rows.NumCols rows, the columns before lo empty.
+func goldenDataTranspose(lo int, rows *sparse.CSR) *sparse.CSR {
+	full := &sparse.CSR{NumRows: lo + rows.NumRows, NumCols: rows.NumCols,
+		RowPtr: make([]int64, lo, lo+rows.NumRows+1), ColIdx: rows.ColIdx, Val: rows.Val}
+	full.RowPtr = append(full.RowPtr, rows.RowPtr...)
+	c := full.ToCSC()
+	return &sparse.CSR{NumRows: c.NumCols, NumCols: c.NumRows, RowPtr: c.ColPtr, ColIdx: c.RowIdx, Val: c.Val}
+}
+
+// TestStreamedColumnsMatchRowRange: a rank's Y frame streamed out of the
+// columns of R is byte for byte the frame of its rows of the transposed
+// copy, for every rank of cohorts of 1, 2, 3 and 5, with one writer reused
+// throughout. The matrix has empty rows and columns, and its buffer of 16
+// entries makes every frame take several chunks and leaves one 52-entry
+// column longer than the buffer.
+func TestStreamedColumnsMatchRowRange(t *testing.T) {
+	const m, n, chunk, long = 61, 37, 16, 11
+	rng := rand.New(rand.NewSource(5))
+	coo := sparse.NewCOO(m, n)
+	for u := 0; u < m; u++ {
+		if u%7 == 3 {
+			continue
+		}
+		for c := 0; c < n; c++ {
+			if c == long || (c%5 != 1 && rng.Float64() < 0.3) {
+				coo.Append(u, c, rng.Float32()*5)
+			}
+		}
+	}
+	mx, err := sparse.NewMatrix(coo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLo != lo || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("data readback: lo=%d %+v, want lo=%d %+v", gotLo, got, lo, rows)
+	if got := mx.C.ColNNZ(long); got <= chunk {
+		t.Fatalf("column %d has %d entries, want more than the %d-entry buffer", long, got, chunk)
+	}
+	cw := &colWriter{chunk: chunk}
+	for _, workers := range []int{1, 2, 3, 5} {
+		for rank := range workers {
+			lo, hi := sparse.Range(n, rank, workers)
+			var want, got bytes.Buffer
+			if err := writerWire(&want).writeData(halfY, lo, mx.RT().RowRange(lo, hi)); err != nil {
+				t.Fatal(err)
+			}
+			if err := writerWire(&got).writeColumns(halfY, mx.R, lo, hi, cw); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("W=%d rank %d: streamed columns [%d,%d) differ from the transpose's rows:\n got %x\nwant %x",
+					workers, rank, lo, hi, got.Bytes(), want.Bytes())
+			}
+		}
 	}
 }
 

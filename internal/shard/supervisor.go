@@ -72,7 +72,8 @@ type supervisor struct {
 	traffic *atomic.Int64 // factor and control frames, both directions
 	data    *atomic.Int64 // data frames
 
-	r, rt   *sparse.CSR // the two sides the ranks' rows are cut from: R and Rᵀ
+	r       *sparse.CSR // R, the one copy of the ratings: rows for the X half, columns for the Y half
+	cols    colWriter   // streams a rank's columns of r as its rows of Rᵀ
 	m, n, k int
 	x, y    *linalg.Dense
 	vname   string
@@ -264,21 +265,27 @@ func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded boo
 }
 
 // shipRows sends a rank the rows of R and of Rᵀ it owns in the current
-// cohort, as two data frames.
+// cohort, as two data frames: its rows of R as a view, its rows of Rᵀ
+// transposed from its columns of R on the way out.
 func (s *supervisor) shipRows(rank int, wc *wire) error {
 	var span *rtrace.Span
+	var allocated uint64
 	if s.root != nil {
 		_, span = rtrace.StartChild(s.runCtx, "ship"+strconv.Itoa(rank))
+		allocated = rtrace.HeapAllocated()
 	}
 	defer span.End()
 	before := s.data.Load()
-	for half, side := range [...]*sparse.CSR{halfX: s.r, halfY: s.rt} {
-		lo, hi := sparse.Range(side.NumRows, rank, s.total)
-		if err := wc.writeData(byte(half), lo, side.RowRange(lo, hi)); err != nil {
-			return fmt.Errorf("shipping rows [%d,%d) of half %d: %w", lo, hi, half, err)
-		}
+	lo, hi := sparse.Range(s.m, rank, s.total)
+	if err := wc.writeData(halfX, lo, s.r.RowRange(lo, hi)); err != nil {
+		return fmt.Errorf("shipping rows [%d,%d) of half %d: %w", lo, hi, halfX, err)
+	}
+	lo, hi = sparse.Range(s.n, rank, s.total)
+	if err := wc.writeColumns(halfY, s.r, lo, hi, &s.cols); err != nil {
+		return fmt.Errorf("shipping rows [%d,%d) of half %d: %w", lo, hi, halfY, err)
 	}
 	span.SetAttr("bytes", strconv.FormatInt(s.data.Load()-before, 10))
+	span.SetAllocMB(allocated)
 	return nil
 }
 

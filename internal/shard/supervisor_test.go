@@ -1,18 +1,22 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/framing"
+	"repro/internal/lebin"
 	"repro/internal/obs"
 	"repro/internal/shard/chaosnet"
 	"repro/internal/sparse"
@@ -357,8 +361,10 @@ func TestAllWorkersLost(t *testing.T) {
 
 // TestRanksReadOnlyFrames: a rank's ratings are the frames it is sent. A
 // run whose Data names a file that does not exist trains the single-process
-// model bit for bit, so no rank opened anything; the data frames are counted
-// apart from the factor exchange, and a respawned rank is counted again.
+// model bit for bit, so no rank opened anything; and the coordinator is
+// handed R without its column view, so the ranks' rows of Rᵀ came out of
+// R. The data frames are counted apart from the factor exchange, and a
+// respawned rank is counted again.
 func TestRanksReadOnlyFrames(t *testing.T) {
 	mx, err := sweepSpec.Load()
 	if err != nil {
@@ -368,7 +374,7 @@ func TestRanksReadOnlyFrames(t *testing.T) {
 	const workers = 2
 	cfg := sweepConfig(workers, nil)
 	cfg.Data = DataSpec{Input: "/nonexistent/ratings.csv"}
-	m, info, err := Train(mx, cfg)
+	m, info, err := Train(&sparse.Matrix{R: mx.R}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,4 +458,41 @@ func TestTrainerInterrupt(t *testing.T) {
 	}
 	bitsEqual(t, "X", m.X, ref.X)
 	bitsEqual(t, "Y", m.Y, ref.Y)
+}
+
+// TestShipAllocatesNoTranspose: sending a rank its rows of a 2 M-rating R
+// and of Rᵀ allocates the column writer's chunk buffer, its per-row
+// cursors and column pointers, and the view's row pointers — under
+// 8·(m + n + 2) bytes beside the buffer — where a transposed copy of R
+// would be 16 MB. The next rank reuses all of it but what its own ranges
+// need.
+func TestShipAllocatesNoTranspose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2 M-rating matrix")
+	}
+	const m, n = 20000, 5000
+	rng := rand.New(rand.NewSource(3))
+	r := &sparse.CSR{NumRows: m, NumCols: n, RowPtr: make([]int64, 1, m+1),
+		ColIdx: make([]int32, 0, 2_100_000), Val: make([]float32, 0, 2_100_000)}
+	for u := 0; u < m; u++ {
+		for c := rng.Intn(50); c < n; c += 1 + rng.Intn(99) {
+			r.ColIdx = append(r.ColIdx, int32(c))
+			r.Val = append(r.Val, float32(c%5+1))
+		}
+		r.RowPtr = append(r.RowPtr, int64(len(r.Val)))
+	}
+	if r.NNZ() < 2_000_000 {
+		t.Fatalf("matrix has %d ratings, want 2 M", r.NNZ())
+	}
+	s := &supervisor{r: r, m: m, n: n, total: 2, data: new(atomic.Int64), cols: colWriter{chunk: colChunk}}
+	bw := bufio.NewWriterSize(io.Discard, 1<<16)
+	wc := &wire{bw: bw, lw: lebin.NewWriter(bw)}
+	bound := uint64(8 * (m + n + 2))
+	var err error
+	if got := allocatedBytes(func() { err = s.shipRows(0, wc) }); err != nil || got > 4*colChunk+bound {
+		t.Fatalf("shipping rank 0 allocated %d bytes (err %v), want at most the %d-byte chunk buffer + %d", got, err, 4*colChunk, bound)
+	}
+	if got := allocatedBytes(func() { err = s.shipRows(1, wc) }); err != nil || got > bound {
+		t.Fatalf("shipping rank 1 allocated %d bytes (err %v), want at most %d with the buffers reused", got, err, bound)
+	}
 }

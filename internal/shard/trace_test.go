@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/linalg"
@@ -63,8 +64,13 @@ func TestTrainerTraceSpans(t *testing.T) {
 		}
 		if h.Name == "ship0" || h.Name == "ship1" {
 			ships++
-			if len(h.Attrs) != 1 || h.Attrs[0].Key != "bytes" || h.Attrs[0].Value == "0" {
-				t.Errorf("%s attrs = %v, want the bytes shipped", h.Name, h.Attrs)
+			attrs := map[string]string{}
+			for _, a := range h.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			mb, err := strconv.ParseFloat(attrs["alloc_mb"], 64)
+			if len(attrs) != 2 || attrs["bytes"] == "" || attrs["bytes"] == "0" || err != nil || mb < 0 {
+				t.Errorf("%s attrs = %v, want the bytes shipped and the MiB allocated", h.Name, h.Attrs)
 			}
 			continue
 		}

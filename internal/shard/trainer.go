@@ -264,9 +264,10 @@ func (cfg *TrainerConfig) setDefaults() {
 }
 
 // Train runs the coordinator of a distributed data-parallel ALS job. mx is
-// the training matrix (already split). The coordinator holds the one copy
-// of it: each worker is sent the rows of R and of Rᵀ it owns, in two data
-// frames after its config, and opens no file.
+// the training matrix (already split), of which Train reads only mx.R. The
+// coordinator holds the one copy of it: each worker is sent the rows of R
+// and of Rᵀ it owns, in two data frames after its config (its rows of Rᵀ
+// transposed out of its columns of R), and opens no file.
 //
 // The exchange is a BSP star: per half-iteration every worker solves its
 // static row range and sends that shard up, the coordinator assembles the
@@ -359,7 +360,7 @@ func Train(mx *sparse.Matrix, cfg TrainerConfig) (*core.Model, *TrainInfo, error
 
 	sup := &supervisor{
 		cfg: &cfg, lis: lis, addr: lis.Addr().String(), spawn: spawn,
-		traffic: &traffic, data: &data, r: mx.R, rt: mx.RT(), m: m, n: n, k: k, x: x, y: y, vname: vname,
+		traffic: &traffic, data: &data, r: mx.R, cols: colWriter{chunk: colChunk}, m: m, n: n, k: k, x: x, y: y, vname: vname,
 		total: cfg.Workers, workers: make([]*supWorker, cfg.Workers),
 		runCtx: runCtx, root: root,
 	}
