@@ -17,7 +17,8 @@
 // -max-staleness the watched checkpoint is fresh enough).
 //
 // With -shard i/N the process becomes shard replica i of an N-way fleet:
-// it keeps only its static range of the item factors, answers
+// it keeps only its static range of the item factors, and of the -ratings
+// rated set only those items' columns, answers
 // /v1/recommend over that slice (global item indices preserved), and adds
 // GET /shard/v1/frames, which the alsfront scatter-gather frontend upgrades
 // to persistent connections carrying all it asks of a shard — recommend,
@@ -60,7 +61,7 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll period for -watch")
 	debugAddr := flag.String("debug-addr", "", "serve the same metrics plus process health, /healthz, /readyz and /debug/pprof on a second address (keeps profiling off the public listener)")
 	maxStale := flag.Duration("max-staleness", 0, "readiness bound for -debug-addr's /readyz and, with -shard, for the info frames alsfront probes with: fail once the last checkpoint installed by -watch is older than this (0 disables the age check)")
-	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors are kept, and alsfront's endpoint is enabled: /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
+	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors, and those items' ratings from -ratings, are kept, and alsfront's endpoint is enabled: /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
 	precision := flag.String("precision", "f32", "scoring precision for the item factors: f32, f16 or i8; quantized precisions compress each swapped-in model once per swap and score with the fused dequantizing kernels (fold-in still solves in float32)")
 	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into per-request span traces (0 disables tracing entirely; inbound traceparent headers and shard hop frames always continue a sampled trace); browse them at -debug-addr's /debug/traces and /debug/slowest")
 	slowLog := flag.Duration("slow-log", 0, "log requests at or above this duration with their trace ID (0 disables)")
@@ -121,6 +122,9 @@ func main() {
 			fail(err)
 		}
 		rated = r
+		if rated != nil {
+			dataset.ReleaseLoad() // the parse is garbage: a shard's cut reuses its pages
+		}
 		if rep != nil {
 			sn := rep.Swap(m, rated, *version)
 			fmt.Printf("alsserve: model %s (seq %d): shard %s holds items [%d,%d) of %d, %d users, k=%d\n",
@@ -140,10 +144,14 @@ func main() {
 	defer stop()
 
 	if *watch != "" {
+		var w *serve.Watcher
 		wcfg := serve.WatcherConfig{
 			Dir: *watch, Interval: *watchInterval,
 			OnSwap: func(sn *serve.Snapshot) {
 				fmt.Printf("alsserve: swapped in %s (seq %d) from %s\n", sn.Version, sn.Seq, *watch)
+				if *ratings != "" && sn.Rated == nil {
+					fmt.Fprintf(os.Stderr, "alsserve: -ratings not applied to %s: %s\n", sn.Version, w.RatedSkipped())
+				}
 			},
 			OnReject: func(path string, err error) {
 				fmt.Fprintf(os.Stderr, "alsserve: rejected checkpoint %s: %v\n", path, err)
@@ -167,15 +175,21 @@ func main() {
 				if wcfg.Rated, err = sparse.NewCSR(coo); err != nil {
 					fail(err)
 				}
+				dataset.ReleaseLoad()
 			}
 		}
-		w := serve.NewWatcher(srv, wcfg)
+		w = serve.NewWatcher(srv, wcfg)
 		if _, err := w.Poll(); err != nil {
 			fail(err)
 		}
 		go w.Run(ctx)
 		fmt.Printf("alsserve: watching %s every %s\n", *watch, *watchInterval)
 	}
+	// Once the first snapshot is in, a shard's full catalog (ratings and
+	// factors) is garbage too. The earlier calls, as a rating parse ends,
+	// let a shard's cut and Y copy reuse the parse's pages: its start-up
+	// peak on the fleet2 file is 32.8 MB with them, 38.5 MB without.
+	dataset.ReleaseLoad()
 	err = serve.ListenAndServe(ctx, "alsserve", *addr, handler, "")
 	if rep != nil {
 		// Upgraded frame connections outlive the listener's shutdown: end

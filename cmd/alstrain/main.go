@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"syscall"
 	"time"
@@ -338,15 +337,9 @@ func main() {
 			}
 			dcfg.NetChaos = plan
 		}
-		// Collect what the load left before the run allocates for good.
-		// The pacer set its goal during the parse (39 MB of heap from
-		// 19 MB live on the 1.44 M-rating fleet2 file), so without a
-		// collection here none runs before the end: the parse's dead row
-		// column (4 B a rating, 5.8 MB there) stays resident, and the
-		// factors, the ship buffers and every checkpoint's buffers land on
-		// fresh pages. This one takes under a millisecond, leaves 12 MB
-		// live, and the coordinator's peak falls from 34 MB to 28-29 MB.
-		runtime.GC()
+		// Before the run allocates for good: without it no collection runs
+		// before the end, and the coordinator's peak is 34 MB, not 28-29.
+		dataset.ReleaseLoad()
 		m, dinfo, err := shard.Train(train, dcfg)
 		if err != nil {
 			failOrResumable(err)

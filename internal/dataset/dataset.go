@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/sparse"
@@ -58,6 +59,17 @@ func ReadRatings(path string, oneBased bool) (*sparse.COO, *IngestStats, error) 
 	}
 	return coo, st, nil
 }
+
+// ReleaseLoad collects what a rating load left behind and returns the
+// freed pages to the OS; a long-lived process calls it once its data is
+// built, before it settles down to work. The pacer set its goal during the
+// parse (39 MB of heap from 19 MB live on the 1.44 M-rating fleet2 file),
+// so without a collection here none may run for a long while: the parse's
+// dead row column (4 B a rating, 5.8 MB there) stays resident, later
+// allocations land on fresh pages, and the freed ones wait for the
+// background scavenger. debug.FreeOSMemory collects first, then releases:
+// on the fleet2 file ≈ 0.4 ms of collection and ≈ 1 ms of releasing.
+func ReleaseLoad() { debug.FreeOSMemory() }
 
 // Preset describes one of the paper's Table I datasets.
 type Preset struct {

@@ -28,7 +28,9 @@ import (
 // every replica follows the same checkpoint directory through a watcher
 // whose Transform hook slices each checkpoint down to the replica's item
 // range, so one training run's -checkpoint-dir drives the whole fleet and
-// each member hot-swaps only its slice.
+// each member hot-swaps only its slice — and its items' columns of the
+// rated set. Through a frontend, every user's merged top-N equals a single
+// server's that follows the same directory with the whole rated set.
 func TestWatcherShardSync(t *testing.T) {
 	const users, items, k, shards = 5, 23, 3, 3
 	fsys := checkpoint.NewMemFS()
@@ -46,17 +48,35 @@ func TestWatcherShardSync(t *testing.T) {
 	m1 := tieModel(users, items, k)
 	save(1, m1)
 
+	// Users 0-3 rated the items on both sides of every shard boundary
+	// (lo-1, lo, hi-1 and hi of each shard); user 4 rated items of shard
+	// 1 alone.
+	coo := sparse.NewCOO(users, items)
+	for u, rated := range [][]int{{0, 6, 7, 14, 15, 22}, {6, 7}, {14, 15, 22}, {0, 22}, {8, 10, 13}} {
+		for _, it := range rated {
+			coo.Append(u, it, 4)
+		}
+	}
+	coo.Rows, coo.Cols = users, items
+	rated, err := sparse.NewCSR(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var servers []*serve.Server
 	var watchers []*serve.Watcher
+	urls := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		srv := serve.New(serve.Config{})
-		t.Cleanup(srv.Close)
 		rep, err := serve.NewReplica(srv, serve.ReplicaConfig{Index: i, Count: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ts := httptest.NewServer(rep.Handler())
+		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		urls[i] = ts.URL
 		w := serve.NewWatcher(srv, serve.WatcherConfig{
-			Dir: dir, FS: fsys, Transform: rep.Transform,
+			Dir: dir, FS: fsys, Rated: rated, Transform: rep.Transform,
 		})
 		if swapped, err := w.Poll(); err != nil || !swapped {
 			t.Fatalf("shard %d: initial poll swapped=%v err=%v", i, swapped, err)
@@ -64,6 +84,39 @@ func TestWatcherShardSync(t *testing.T) {
 		servers = append(servers, srv)
 		watchers = append(watchers, w)
 	}
+	single := serve.New(serve.Config{})
+	singleTS := httptest.NewServer(single.Handler())
+	t.Cleanup(func() { singleTS.Close(); single.Close() })
+	singleW := serve.NewWatcher(single, serve.WatcherConfig{Dir: dir, FS: fsys, Rated: rated})
+	if swapped, err := singleW.Poll(); err != nil || !swapped {
+		t.Fatalf("single server: initial poll swapped=%v err=%v", swapped, err)
+	}
+	front, err := serve.NewFrontend(serve.FrontendConfig{Shards: urls, ShardTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontTS := httptest.NewServer(front.Handler())
+	t.Cleanup(func() { frontTS.Close(); front.Close() })
+	front.ProbeOnce(context.Background())
+	sameAnswers := func(version string) {
+		t.Helper()
+		for u := 0; u < users; u++ {
+			var want serve.RecommendResponse
+			url := fmt.Sprintf("/v1/recommend?user=%d&n=%d", u, items)
+			if code := getJSON(t, singleTS.URL+url, &want); code != 200 || want.Version != version {
+				t.Fatalf("single server: HTTP %d, version %q, want %q", code, want.Version, version)
+			}
+			var got frontAnswer
+			if code := getJSON(t, frontTS.URL+url, &got); code != 200 || got.ShardsOK != shards {
+				t.Fatalf("frontend: HTTP %d, %d shards ok", code, got.ShardsOK)
+			}
+			if len(want.Items) != items-rated.RowNNZ(u) {
+				t.Fatalf("user %d: the single server returned %d items, want the %d unrated", u, len(want.Items), items-rated.RowNNZ(u))
+			}
+			sameItems(t, fmt.Sprintf("%s user %d", version, u), got.Items, want.Items)
+		}
+	}
+	sameAnswers("ckpt-1")
 
 	for i, srv := range servers {
 		sn := srv.Current()
@@ -75,8 +128,8 @@ func TestWatcherShardSync(t *testing.T) {
 		if sn.Version != "ckpt-1" {
 			t.Fatalf("shard %d version = %q, want ckpt-1", i, sn.Version)
 		}
-		// The slice is a view of the same checkpoint: row lo+1 of the full
-		// Y must be local row 1.
+		// The slice is a copy of the checkpoint's rows: row lo+1 of the
+		// full Y must be local row 1.
 		if hi-lo > 1 && sn.Model.Y.At(1, 0) != m1.Y.At(lo+1, 0) {
 			t.Fatalf("shard %d slice content mismatch at local row 1", i)
 		}
@@ -103,6 +156,10 @@ func TestWatcherShardSync(t *testing.T) {
 				i, got, want, lo)
 		}
 	}
+	if swapped, err := singleW.Poll(); err != nil || !swapped {
+		t.Fatalf("single server: second poll swapped=%v err=%v", swapped, err)
+	}
+	sameAnswers("ckpt-2")
 
 	// No newer checkpoint: polls are quiescent.
 	for i, w := range watchers {

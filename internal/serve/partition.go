@@ -25,27 +25,32 @@ func ParseSpec(s string) (i, of int, err error) {
 	return i, of, nil
 }
 
-// sliceModel returns shard i's zero-copy view of a full model: the item
-// factors (and item ID labels) restricted to its sparse.Range of the
-// catalog — a static range, so replicas agree on ownership without
-// coordination — the user factors shared, and the metadata copied. It reports the slice's
-// global item offset and the full catalog size.
+// sliceModel returns shard i's slice of a full model: the item factors
+// (and item ID labels) restricted to its sparse.Range of the catalog — a
+// static range, so replicas agree on ownership without coordination — the
+// user factors shared, and the metadata copied. It reports the slice's
+// global item offset and the full catalog size. The item rows are copied,
+// not viewed, so the slice keeps none of the full Y alive: a shard holds
+// only what it scans.
 func sliceModel(m *core.Model, i, of int) (view *core.Model, itemOffset, itemTotal int) {
 	total := m.Y.Rows
 	lo, hi := sparse.Range(total, i, of)
 	view = &core.Model{
 		K:       m.K,
 		X:       m.X,
-		Y:       linalg.NewDenseFrom(hi-lo, m.K, m.Y.Data[lo*m.K:hi*m.K]),
+		Y:       linalg.NewDense(hi-lo, m.K),
 		UserIDs: m.UserIDs,
 		Meta:    m.Meta,
 	}
+	copy(view.Y.Data, m.Y.Data[lo*m.K:hi*m.K])
 	if m.ItemIDs != nil {
-		view.ItemIDs = m.ItemIDs[lo:hi]
+		view.ItemIDs = make([]int64, hi-lo)
+		copy(view.ItemIDs, m.ItemIDs[lo:hi])
 	}
 	if m.QY != nil {
-		// A compressed checkpoint's quantized factors slice zero-copy too,
-		// so every replica shares one encoding of the catalog.
+		// A compressed checkpoint's quantized factors slice zero-copy: the
+		// swap re-ranks them into a fresh copy (Store.swapShard) and drops
+		// this view.
 		view.QY = m.QY.Slice(lo, hi)
 	}
 	return view, lo, total

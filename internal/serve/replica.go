@@ -85,9 +85,13 @@ func NewReplica(srv *Server, cfg ReplicaConfig) (*Replica, error) {
 // wrapped server's).
 func (r *Replica) Handler() http.Handler { return r.mux }
 
-// Swap slices a full model down to this shard's range and installs it.
+// Swap slices a full model, and the rated set indexed by its items, down
+// to this shard's range and installs them.
 func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
 	view, off, total := r.Transform(m)
+	if rated != nil {
+		rated = rated.ColRange(off, off+view.Y.Rows)
+	}
 	return r.srv.swapShard(view, rated, version, off, total)
 }
 

@@ -118,8 +118,9 @@ func (s *Server) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapsho
 
 // swapShard installs a sharded model view whose Y rows cover the catalog
 // slice [offset, offset+Y.Rows) of total items (total == 0 means a full
-// model). Recommendation responses report global item indices; fold-in is
-// refused on sharded snapshots because it needs the whole catalog.
+// model), with rated indexed by that slice's local items. Recommendation
+// responses report global item indices; fold-in is refused on sharded
+// snapshots because it needs the whole catalog.
 func (s *Server) swapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
 	sn := s.store.swapShard(m, rated, version, offset, total)
 	s.cache.Purge()
@@ -400,14 +401,7 @@ func (s *Server) recommend(ctx context.Context, sn *Snapshot, orig int64, n int)
 	if hit {
 		return items, true, nil
 	}
-	// On a sharded snapshot the rated set is indexed by global item, while
-	// the scorer walks local Y rows: shift the predicate by the offset.
-	excluded := RatedExcluder(sn.Rated, u)
-	if excluded != nil && sn.ItemOffset != 0 {
-		ex, off := excluded, sn.ItemOffset
-		excluded = func(i int) bool { return ex(i + off) }
-	}
-	scored, err := s.ScoreTopN(ctx, sn, sn.Model.X.Row(u), excluded, n)
+	scored, err := s.ScoreTopN(ctx, sn, sn.Model.X.Row(u), RatedExcluder(sn.Rated, u), n)
 	if err != nil {
 		return nil, false, scoreError(err)
 	}

@@ -17,7 +17,10 @@ import (
 // mix factors from one model with the version or rated-set of another.
 type Snapshot struct {
 	Model *core.Model
-	Rated *sparse.CSR // optional; nil serves without rated-item exclusion
+	// Rated is the training matrix restricted to Model.Y's items, its
+	// columns indexed like Y's rows (a shard's are local); nil serves
+	// without rated-item exclusion.
+	Rated *sparse.CSR
 	// Version labels the model for cache keys and responses; Seq increases
 	// by one per swap and breaks ties between reused labels.
 	Version string

@@ -29,7 +29,9 @@ type WatcherConfig struct {
 	Clock checkpoint.Clock
 	// Rated optionally enables rated-item exclusion for swapped-in
 	// models; it is applied only when its row count matches the
-	// checkpoint's user count.
+	// checkpoint's user count. With a Transform the watcher keeps only its
+	// cut to the slice of the first install, applied to installs of that
+	// slice.
 	Rated *sparse.CSR
 	// Transform, when set, maps the loaded checkpoint model to the view
 	// actually swapped in, returning the view plus its item offset and the
@@ -68,6 +70,13 @@ type Watcher struct {
 	rejected  map[string]bool        // checkpoint files already found corrupt
 	retries   map[string]*retryState // transiently failing candidates backing off
 	jitter    *rand.Rand
+
+	// rated is cfg.Rated, or once cut is set its cut to the items
+	// [ratedLo, ratedLo+rated.NumCols); unrated is RatedSkipped's answer.
+	rated   *sparse.CSR
+	cut     bool
+	ratedLo int
+	unrated string
 }
 
 // retryState tracks one transiently failing candidate between polls.
@@ -94,8 +103,10 @@ func NewWatcher(srv *Server, cfg WatcherConfig) *Watcher {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
+	rated := cfg.Rated
+	cfg.Rated = nil
 	return &Watcher{
-		srv: srv, cfg: cfg,
+		srv: srv, cfg: cfg, rated: rated,
 		rejected: make(map[string]bool),
 		retries:  make(map[string]*retryState),
 		jitter:   rand.New(rand.NewSource(cfg.Clock.Now().UnixNano())),
@@ -154,15 +165,11 @@ func (w *Watcher) Poll() (bool, error) {
 		// instead of re-quantizing when the serving precision matches.
 		model := core.ModelOf(st)
 		model.Meta.Version = fmt.Sprintf("ckpt-%d", st.Iteration)
-		rated := w.cfg.Rated
-		if rated != nil && rated.NumRows != model.X.Rows {
-			rated = nil
-		}
 		offset, total := 0, 0
 		if w.cfg.Transform != nil {
 			model, offset, total = w.cfg.Transform(model)
 		}
-		sn := w.srv.swapShard(model, rated, "", offset, total)
+		sn := w.srv.swapShard(model, w.ratedFor(model, offset), "", offset, total)
 		w.srv.Telemetry().SwapInstalled(w.cfg.Clock.Now())
 		w.installed = c.Iteration
 		if w.cfg.OnSwap != nil {
@@ -172,6 +179,38 @@ func (w *Watcher) Poll() (bool, error) {
 	}
 	return false, nil
 }
+
+// ratedFor returns the rated set for installing model, whose Y rows are
+// the catalog's items from offset on, or nil, with the reason in
+// w.unrated, when the set does not fit it: a checkpoint of another user
+// count, or of another slice than the cut's, would exclude the wrong
+// items. The first call with a Transform cuts the set and drops the
+// full one.
+func (w *Watcher) ratedFor(model *core.Model, offset int) *sparse.CSR {
+	w.unrated = ""
+	if w.rated == nil {
+		return nil
+	}
+	rows := model.Y.Rows
+	if w.cfg.Transform != nil && !w.cut {
+		w.rated, w.cut, w.ratedLo = w.rated.ColRange(offset, offset+rows), true, offset
+	}
+	switch {
+	case w.rated.NumRows != model.X.Rows:
+		w.unrated = fmt.Sprintf("ratings cover %d users, model has %d", w.rated.NumRows, model.X.Rows)
+	case w.cut && (offset != w.ratedLo || rows != w.rated.NumCols):
+		w.unrated = fmt.Sprintf("ratings were cut to items [%d,%d), model slice is [%d,%d)",
+			w.ratedLo, w.ratedLo+w.rated.NumCols, offset, offset+rows)
+	default:
+		return w.rated
+	}
+	return nil
+}
+
+// RatedSkipped reports why the last installed checkpoint serves without
+// the configured rated set, or "" when it serves with it (or none was
+// configured). A host calls it from OnSwap.
+func (w *Watcher) RatedSkipped() string { return w.unrated }
 
 // reject marks a candidate permanently bad: it is skipped by every later
 // poll, counted once in als_swap_rejected_total, and reported to OnReject.

@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/linalg"
 )
 
@@ -73,32 +75,114 @@ func TestWatcherSwapsNewestCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWatcherAppliesRatedOnlyOnDimensionMatch: a rated set is applied to
+// a checkpoint only when it fits it — its users, and on a shard the item
+// slice it was cut to at the first install — and RatedSkipped says why
+// when it is not.
 func TestWatcherAppliesRatedOnlyOnDimensionMatch(t *testing.T) {
+	type ckpt struct{ users, items int }
+	for _, c := range []struct {
+		name   string
+		shard  bool // replica 1 of 2 rather than the whole catalog
+		second ckpt
+		top    int // user 0's top item from the second checkpoint
+		why    string
+	}{
+		// A checkpoint with a different user count must not inherit the
+		// stale rated matrix (it would exclude the wrong rows).
+		{"users", false, ckpt{5, 6}, 5, "ratings cover 4 users, model has 5"},
+		// Nor may a shard's cut apply to another slice of the catalog.
+		{"slice", true, ckpt{4, 8}, 7, "ratings were cut to items [3,6), model slice is [4,8)"},
+		{"same slice", true, ckpt{4, 6}, 4, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			fsys := checkpoint.NewMemFS()
+			cfg := WatcherConfig{Dir: "ckpts", FS: fsys,
+				Rated: singleRating(4, 6, 5)} // user 0 rated item 5, the top scorer
+			if c.shard {
+				rep, err := NewReplica(s, ReplicaConfig{Index: 1, Count: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Transform = rep.Transform
+			}
+			w := NewWatcher(s, cfg)
+			top := func(iter int, want int, why string) {
+				t.Helper()
+				if swapped, err := w.Poll(); !swapped || err != nil {
+					t.Fatalf("poll %d = (%v, %v)", iter, swapped, err)
+				}
+				var resp RecommendResponse
+				getJSON(t, ts.URL+"/v1/recommend?user=0&n=1", &resp)
+				if len(resp.Items) != 1 || resp.Items[0].Item != want {
+					t.Fatalf("checkpoint %d: top = %+v, want item %d", iter, resp.Items, want)
+				}
+				if got := w.RatedSkipped(); got != why {
+					t.Fatalf("checkpoint %d: RatedSkipped() = %q, want %q", iter, got, why)
+				}
+			}
+			saveCheckpoint(t, fsys, "ckpts", 1, 1, 4, 6, 3)
+			top(1, 4, "") // item 5 excluded
+			saveCheckpoint(t, fsys, "ckpts", 2, 2, c.second.users, c.second.items, 3)
+			top(2, c.top, c.why)
+		})
+	}
+}
+
+// TestShardWatcherKeepsNoFullCatalog: once a sharded watcher has installed
+// its first checkpoint, neither the full rated set it was configured with
+// nor that checkpoint's full item factors are reachable — both are
+// collected — while the installed slice still excludes what its users
+// rated.
+func TestShardWatcherKeepsNoFullCatalog(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	fsys := checkpoint.NewMemFS()
-	rated := singleRating(4, 6, 5) // user 0 rated item 5, the top scorer
-	w := NewWatcher(s, WatcherConfig{Dir: "ckpts", FS: fsys, Rated: rated})
-
 	saveCheckpoint(t, fsys, "ckpts", 1, 1, 4, 6, 3)
+	rep, err := NewReplica(s, ReplicaConfig{Index: 1, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratedGone, yGone := make(chan struct{}), make(chan struct{})
+	w := NewWatcher(s, WatcherConfig{Dir: "ckpts", FS: fsys,
+		Rated: finalized(singleRating(4, 6, 5), ratedGone),
+		Transform: func(m *core.Model) (*core.Model, int, int) {
+			finalized(&m.Y.Data[0], yGone)
+			return rep.Transform(m)
+		}})
 	if swapped, err := w.Poll(); !swapped || err != nil {
 		t.Fatalf("poll = (%v, %v)", swapped, err)
+	}
+	for what, gone := range map[string]chan struct{}{"the full rated set": ratedGone, "the full Y": yGone} {
+		if !collected(gone) {
+			t.Errorf("%s is still reachable after the first install", what)
+		}
 	}
 	var resp RecommendResponse
 	getJSON(t, ts.URL+"/v1/recommend?user=0&n=1", &resp)
 	if len(resp.Items) != 1 || resp.Items[0].Item != 4 {
-		t.Fatalf("rated exclusion not applied: %+v", resp.Items)
+		t.Fatalf("top = %+v, want item 4 (item 5 rated)", resp.Items)
 	}
+}
 
-	// A checkpoint with a different user count must not inherit the stale
-	// rated matrix (it would exclude the wrong rows).
-	saveCheckpoint(t, fsys, "ckpts", 2, 1, 5, 6, 3)
-	if swapped, _ := w.Poll(); !swapped {
-		t.Fatal("resized checkpoint not swapped")
+// finalized sets a finalizer on p that closes gone, and returns p.
+func finalized[T any](p *T, gone chan struct{}) *T {
+	runtime.SetFinalizer(p, func(*T) { close(gone) })
+	return p
+}
+
+// collected runs collections until gone is closed, or gives up after a
+// second.
+func collected(gone chan struct{}) bool {
+	for range 100 {
+		runtime.GC()
+		select {
+		case <-gone:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	getJSON(t, ts.URL+"/v1/recommend?user=0&n=1", &resp)
-	if len(resp.Items) != 1 || resp.Items[0].Item != 5 {
-		t.Fatalf("mismatched rated matrix still applied: %+v", resp.Items)
-	}
+	return false
 }
 
 // TestWatcherRejectsCorruptCheckpointUnderLoad is the crash-safety story

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -51,6 +52,44 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 	view.Val = m.Val[base:m.RowPtr[hi]]
 	return view
 }
+
+// ColRange returns columns [lo, hi) as a new matrix of the same rows: only
+// the entries whose column is in the range, renumbered to col − lo, with
+// NumCols = hi − lo. Unlike RowRange it copies, into arrays sized exactly
+// (cap == len), so the result keeps none of m alive. A serving shard cuts
+// the rated set down to its item slice this way. hi may exceed NumCols.
+func (m *CSR) ColRange(lo, hi int) *CSR {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
+	}
+	out := &CSR{NumRows: m.NumRows, NumCols: hi - lo, RowPtr: make([]int64, m.NumRows+1)}
+	// Rows are column-sorted, so each row's entries in range are one run.
+	span := func(u int) (int, int) {
+		cols, _ := m.Row(u)
+		a, _ := slices.BinarySearchFunc(cols, lo, cmpCol)
+		b, _ := slices.BinarySearchFunc(cols, hi, cmpCol)
+		return int(m.RowPtr[u]) + a, int(m.RowPtr[u]) + b
+	}
+	for u := 0; u < m.NumRows; u++ {
+		a, b := span(u)
+		out.RowPtr[u+1] = out.RowPtr[u] + int64(b-a)
+	}
+	nnz := out.RowPtr[m.NumRows]
+	out.ColIdx, out.Val = make([]int32, nnz), make([]float32, nnz)
+	for u := 0; u < m.NumRows; u++ {
+		a, b := span(u)
+		p := out.RowPtr[u]
+		for q := a; q < b; q++ {
+			out.ColIdx[p] = m.ColIdx[q] - int32(lo)
+			p++
+		}
+		copy(out.Val[out.RowPtr[u]:], m.Val[a:b])
+	}
+	return out
+}
+
+// cmpCol orders a stored column index against an int bound.
+func cmpCol(c int32, bound int) int { return cmp.Compare(int(c), bound) }
 
 // Range returns the half-open range [lo, hi) that part i of `of` owns out
 // of total rows: a static partition, contiguous and in order, so every

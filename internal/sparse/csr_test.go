@@ -470,3 +470,43 @@ func TestRangeTiles(t *testing.T) {
 		}
 	}
 }
+
+// TestColRangeMatchesFilter holds ColRange to a filter oracle: every entry
+// of a column in [lo, hi), renumbered to col − lo, in arrays with no slack.
+func TestColRangeMatchesFilter(t *testing.T) {
+	const rows, cols = 24, 15
+	rng := rand.New(rand.NewSource(5))
+	coo := randomCOO(rng, 20, cols, 90) // rows 20..23 stay empty
+	coo.Rows = rows
+	coo.Append(3, cols-1, 2) // the last column is rated for sure
+	es := entriesOf(coo)
+	m, err := NewCSR(cloneCOO(coo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ lo, hi int }{
+		{0, 0}, {6, 6}, {cols, cols}, // empty ranges
+		{0, cols},        // the whole matrix
+		{cols - 1, cols}, // the last column alone
+		{0, 1}, {4, 11},
+		{9, cols + 3}, // past NumCols: nothing more to keep
+	} {
+		var want []Entry
+		for _, e := range es {
+			if e.Col >= c.lo && e.Col < c.hi {
+				want = append(want, Entry{Row: e.Row, Col: e.Col - c.lo, Val: e.Val})
+			}
+		}
+		got := m.ColRange(c.lo, c.hi)
+		if ref := keepLast(rows, c.hi-c.lo, want); !sameCSR(got, ref) {
+			t.Errorf("ColRange(%d, %d) = %+v, want %+v", c.lo, c.hi, got, ref)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("ColRange(%d, %d): %v", c.lo, c.hi, err)
+		}
+		if cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+			t.Errorf("ColRange(%d, %d): cap %d/%d for len %d: slack kept", c.lo, c.hi,
+				cap(got.ColIdx), cap(got.Val), len(got.Val))
+		}
+	}
+}
