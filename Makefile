@@ -19,8 +19,9 @@ test-short:
 # The full gate; DESIGN.md ("CI lanes") tables each lane's command and what
 # only it catches. In order: the static guards (gofmt, vet, the serve/shard
 # boundary both ways and the hop's one frame layout and one transport, one
-# codec, one byte decoder, one process harness, a simulator that imports no
-# arithmetic, a trainer that holds no transpose of R), build, the race
+# reader of float item rows in serve, one codec, one byte decoder, one process
+# harness, a simulator that imports no arithmetic, a trainer that holds no
+# transpose of R), build, the race
 # passes, the lanes that keep the assembly kernels' other bindings alive
 # (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
 # a cache line whatever the link order (two -randlayout seeds), the smoke lanes
@@ -43,6 +44,10 @@ ci:
 	clients=$$(ls internal/serve/*.go | grep -v '_test\.go$$' | xargs grep -lE 'http\.(Client|DefaultClient|Transport|NewRequest|Get\(|Post\(|PostForm\(|Head\()' || true); \
 	if [ -n "$$clients" ]; then \
 		echo "internal/serve reaches a shard only through the hop's frames, never an HTTP client:"; echo "$$clients"; exit 1; \
+	fi
+	@rows=$$(awk '/^func /{fn=$$0} /\.Y\.(Data|Row\()/ && !/^[[:space:]]*\/\// {print FILENAME":"FNR": "fn}' $$(ls internal/serve/*.go | grep -v '_test\.go$$') | grep -vE ': func (\(sn \*Snapshot\) itemRows|sliceModel)\(' || true); \
+	if [ -n "$$rows" ]; then \
+		echo "internal/serve reads float item rows through Snapshot.itemRows alone (sliceModel cuts a loaded model): a quantized snapshot may hold no Y"; echo "$$rows"; exit 1; \
 	fi
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \

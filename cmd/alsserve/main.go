@@ -128,7 +128,7 @@ func main() {
 		if rep != nil {
 			sn := rep.Swap(m, rated, *version)
 			fmt.Printf("alsserve: model %s (seq %d): shard %s holds items [%d,%d) of %d, %d users, k=%d\n",
-				sn.Version, sn.Seq, *shardSpec, sn.ItemOffset, sn.ItemOffset+sn.Model.Y.Rows, sn.ItemTotal, m.X.Rows, m.K)
+				sn.Version, sn.Seq, *shardSpec, sn.ItemOffset, sn.ItemOffset+sn.Items, sn.ItemTotal, m.X.Rows, m.K)
 		} else {
 			sn := srv.Swap(m, rated, *version)
 			fmt.Printf("alsserve: model %s (seq %d): %d users x %d items, k=%d, precision=%s kernel=%s\n",

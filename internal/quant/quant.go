@@ -194,21 +194,28 @@ func (q *Matrix) encodeRows(d *linalg.Dense, lo, hi int) (maxErr float64, err er
 func (q *Matrix) Decode() *linalg.Dense {
 	d := linalg.NewDense(q.Rows, q.Cols)
 	for r := 0; r < q.Rows; r++ {
-		scale := q.Scales[r]
-		base := r * q.Cols
-		row := d.Row(r)
-		switch q.Prec {
-		case F16:
-			for c := range row {
-				row[c] = scale * linalg.F16ToF32(q.F16[base+c])
-			}
-		case I8:
-			for c := range row {
-				row[c] = scale * float32(q.I8[base+c])
-			}
-		}
+		q.decodeRow(d.Row(r), r)
 	}
 	return d
+}
+
+// decodeRow writes row r dequantized into dst[:Cols]: each element is
+// scale·q rounded to float32. Decode and Ranked.DecodeRow both go through
+// it, so a row decoded on its own is bit for bit the row Decode holds.
+func (q *Matrix) decodeRow(dst []float32, r int) {
+	scale := q.Scales[r]
+	base := r * q.Cols
+	dst = dst[:q.Cols]
+	switch q.Prec {
+	case F16:
+		for c := range dst {
+			dst[c] = scale * linalg.F16ToF32(q.F16[base+c])
+		}
+	case I8:
+		for c := range dst {
+			dst[c] = scale * float32(q.I8[base+c])
+		}
+	}
 }
 
 // Slice returns the zero-copy view of rows [lo, hi) — the quantized

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/linalg"
 	"repro/internal/metrics"
 )
 
@@ -33,7 +34,8 @@ type Ranked struct {
 	ID    []int32
 	Bound []float32
 
-	perm Matrix // the rows in scan order
+	perm Matrix  // the rows in scan order
+	pos  []int32 // ID's inverse: source row i sits at scan position pos[i]
 }
 
 // Rank builds the scan-order copy of m.
@@ -58,7 +60,7 @@ func Rank(m *Matrix) *Ranked {
 		exact[i] = math.Abs(float64(m.Scales[i])) * math.Sqrt(sumSq)
 	}
 	r := &Ranked{Prec: m.Prec, Rows: m.Rows, Cols: k, MaxAbsErr: m.MaxAbsErr,
-		ID: make([]int32, m.Rows), Bound: make([]float32, m.Rows),
+		ID: make([]int32, m.Rows), Bound: make([]float32, m.Rows), pos: make([]int32, m.Rows),
 		perm: Matrix{Prec: m.Prec, Rows: m.Rows, Cols: k, Scales: make([]float32, m.Rows)}}
 	for i := range r.ID {
 		r.ID[i] = int32(i)
@@ -77,6 +79,7 @@ func Rank(m *Matrix) *Ranked {
 	}
 	for p, id := range r.ID {
 		i := int(id)
+		r.pos[i] = int32(p)
 		r.Bound[p] = roundUp32(exact[i])
 		r.perm.Scales[p] = m.Scales[i]
 		switch m.Prec {
@@ -87,6 +90,31 @@ func Rank(m *Matrix) *Ranked {
 		}
 	}
 	return r
+}
+
+// DecodeRow writes source row i — a row as results number it, not a scan
+// position — dequantized into dst[:Cols], with Matrix.Decode's arithmetic:
+// bit for bit row i of the source Matrix's Decode. A server that keeps no
+// float32 item factors reads a fold-in's rows this way.
+func (r *Ranked) DecodeRow(dst []float32, i int) { r.perm.decodeRow(dst, int(r.pos[i])) }
+
+// DecodesTo reports whether d is, bit for bit, the decode of r's source
+// rows: every row i of d equals what DecodeRow(i) writes. Only then can d
+// be dropped and its rows decoded instead.
+func (r *Ranked) DecodesTo(d *linalg.Dense) bool {
+	if d == nil || d.Rows != r.Rows || d.Cols != r.Cols {
+		return false
+	}
+	row := make([]float32, r.Cols)
+	for i := range r.Rows {
+		r.DecodeRow(row, i)
+		for c, v := range d.Row(i) {
+			if math.Float32bits(v) != math.Float32bits(row[c]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // roundUp32 returns a float32 no smaller than v·(1+1e-9): the margin

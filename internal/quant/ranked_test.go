@@ -536,3 +536,110 @@ func FuzzRankedMatchesFullScan(f *testing.F) {
 		mustEqualFullScan(t, m, x, excluded, n, fmt.Sprintf("%v %dx%d n=%d", prec, m.Rows, m.Cols, n))
 	})
 }
+
+// mustDecodeRows holds the ranked copy's row decoder to the source
+// matrix's Decode: every source row, bit for bit, and DecodesTo says so.
+func mustDecodeRows(t *testing.T, m *Matrix, what string) {
+	t.Helper()
+	r, want := Rank(m), m.Decode()
+	got := make([]float32, m.Cols)
+	for i := range m.Rows {
+		r.DecodeRow(got, i)
+		for c, v := range want.Row(i) {
+			if math.Float32bits(got[c]) != math.Float32bits(v) {
+				t.Fatalf("%s: row %d col %d decodes to %v (%#x), Decode holds %v (%#x)",
+					what, i, c, got[c], math.Float32bits(got[c]), v, math.Float32bits(v))
+			}
+		}
+	}
+	if !r.DecodesTo(want) {
+		t.Fatalf("%s: DecodesTo refuses the source's own decode", what)
+	}
+}
+
+// TestRankedDecodeRowMatchesDecode: a row decoded from the ranked copy is
+// the source Decode's row at both precisions, for rows stored with scale
+// 0 (all zero, or a largest magnitude whose scale has no inverse) as well
+// as ordinary ones; DecodesTo refuses a matrix one bit away, a zero of the
+// other sign included.
+func TestRankedDecodeRowMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	rows := [][]float32{
+		{1, -2, 3, -4},
+		{0, 0, 0, 0},
+		{1e-44, 0, -1e-44, 5e-45},              // denormal max: scale 0
+		{0, math.SmallestNonzeroFloat32, 0, 0}, // the smallest denormal
+		{0x1p-126, -0x1p-127, 0, 0x1p-126},     // smallest normal: i8's scale is denormal
+		{0x1p-118, -0x1p-119, 0, 0x1p-120},     // the smallest that round-trip
+		{3.4e38, -3.4e38, 1, 0},                // near the float32 limit
+		{0.5, 0.25, -0.125, 0},
+	}
+	for range 40 {
+		rows = append(rows, []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64() * 1e-3),
+			float32(rng.NormFloat64() * 100), float32(rng.NormFloat64())})
+	}
+	d := linalg.NewDense(len(rows), 4)
+	for i, row := range rows {
+		copy(d.Row(i), row)
+	}
+	for _, prec := range []Precision{I8, F16} {
+		m, err := EncodeDense(d, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDecodeRows(t, m, prec.String())
+		r, dec := Rank(m), m.Decode()
+		for _, flip := range []struct {
+			row, col int
+			bits     uint32
+		}{{0, 0, 1}, {1, 2, 1 << 31}, {2, 0, 1 << 31}} {
+			bad := linalg.NewDenseFrom(dec.Rows, dec.Cols, slices.Clone(dec.Data))
+			v := &bad.Row(flip.row)[flip.col]
+			*v = math.Float32frombits(math.Float32bits(*v) ^ flip.bits)
+			if r.DecodesTo(bad) {
+				t.Errorf("%v: DecodesTo accepts row %d col %d with bits %#x flipped", prec, flip.row, flip.col, flip.bits)
+			}
+		}
+		if r.DecodesTo(linalg.NewDense(dec.Rows-1, dec.Cols)) || r.DecodesTo(nil) {
+			t.Errorf("%v: DecodesTo accepts a matrix of another shape", prec)
+		}
+	}
+}
+
+// FuzzRankedDecodeRow holds DecodeRow to Decode on arbitrary matrices:
+// byte 0 picks the precision, byte 1 the width, and each following pair is
+// a value's int8 mantissa and an exponent, reaching denormals and the
+// float32 limit.
+func FuzzRankedDecodeRow(f *testing.F) {
+	for _, p := range []byte{0, 1} {
+		f.Add([]byte{p, 2, 1, 0, 2, 0, 3, 0})                // one ordinary row
+		f.Add([]byte{p, 1, 0, 0, 0, 0, 5, 1, 7, 1})          // a zero row beside another
+		f.Add([]byte{p, 1, 1, 4, 255, 4, 3, 5, 9, 0})        // denormal max: scale 0
+		f.Add([]byte{p, 1, 1, 3, 0, 0, 100, 6, 127, 6})      // 2^-126 (i8's scale denormal), then near the limit
+		f.Add([]byte{p, 0, 127, 2, 1, 3, 255, 7, 128, 0, 1}) // k = 1, mixed
+	}
+	exps := [...]int{0, -20, -120, -126, -140, 20, 120, -149}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		prec := I8
+		if data[0]&1 == 1 {
+			prec = F16
+		}
+		k := 1 + int(data[1])%8
+		var vals []float32
+		for body := data[2:]; len(body) >= 2; body = body[2:] {
+			vals = append(vals, float32(math.Ldexp(float64(int8(body[0])), exps[int(body[1])%len(exps)])))
+		}
+		rows := len(vals) / k
+		if rows < 1 || rows > 64 {
+			t.Skip()
+		}
+		m, err := EncodeDense(linalg.NewDenseFrom(rows, k, vals[:rows*k]), prec)
+		if err != nil {
+			t.Skip() // a value overflowed to ±Inf
+		}
+		mustDecodeRows(t, m, fmt.Sprintf("%v %dx%d", prec, rows, k))
+	})
+}

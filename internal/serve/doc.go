@@ -11,9 +11,11 @@
 //     an atomic.Pointer, installed by POST /admin/swap or by a Watcher
 //     following a training run's checkpoint directory, so retraining
 //     (cmd/alstrain) and serving compose with zero request downtime;
-//   - a fold-in path for cold-start users over core.Model.FoldInUser, and an
-//     LRU response cache keyed by (model version, user, n), purged wholesale
-//     on hot-swap;
+//   - a fold-in path for cold-start users — core.Model.FoldInUser's solve
+//     over the rated items' rows, which a quantized snapshot that keeps no
+//     float32 Y decodes from its encoding (Snapshot.itemRows) — and an LRU
+//     response cache keyed by (model version, user, n), purged wholesale on
+//     hot-swap;
 //   - one request middleware (trace span, status code, latency, slow log)
 //     that the Server runs behind a bounded admission queue (429 on
 //     saturation) and a per-request deadline, with Prometheus-style /metrics;

@@ -304,7 +304,7 @@ func snapshotInfo(sn *Snapshot) shardInfo {
 	m := sn.Model
 	items := sn.ItemTotal
 	if items == 0 {
-		items = m.Y.Rows
+		items = sn.Items
 	}
 	return shardInfo{Users: m.X.Rows, Items: items, K: m.K, Lambda: m.Meta.Lambda,
 		WeightedLambda: m.Meta.WeightedLambda, Compact: m.UserIDs != nil}

@@ -284,7 +284,16 @@ func TestSwapReusesCheckpointEncoding(t *testing.T) {
 		t.Error("snapshot keeps the natural-order matrix alive next to the ranked copy")
 	}
 	if m.QY != qy || sn.Model.Y != m.Y || sn.Model.X != m.X {
-		t.Error("swap mutated the caller's model or copied its factors")
+		t.Error("swap mutated the caller's model or copied its factors, or dropped a Y that is not its encoding's decode")
+	}
+	// That kept Y, not the encoding's decode, is what fold-in solves over.
+	its, ratings := []int32{5, 0, 63}, []float32{4, 1, 2.5}
+	xu, err := m.FoldInUser(its, ratings, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sn.foldIn(its, ratings, 0.1); err != nil || !sameBits(got, xu) {
+		t.Errorf("fold-in over the kept Y = %v (%v), want %v", got, err, xu)
 	}
 
 	st.SetPrecision(quant.F16)

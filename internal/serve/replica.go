@@ -76,7 +76,7 @@ func NewReplica(srv *Server, cfg ReplicaConfig) (*Replica, error) {
 	// admitted on its own (answer).
 	mux.HandleFunc("GET "+hopPath, r.handleFrames)
 	// Overrides the wrapped server's: the same handler, installing the slice.
-	mux.HandleFunc("POST /admin/swap", srv.instrument("swap", swapHandler(r.Swap)))
+	mux.HandleFunc("POST /admin/swap", srv.instrument("swap", swapHandler(r.install)))
 	r.mux = mux
 	return r, nil
 }
@@ -88,11 +88,16 @@ func (r *Replica) Handler() http.Handler { return r.mux }
 // Swap slices a full model, and the rated set indexed by its items, down
 // to this shard's range and installs them.
 func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
+	return r.install(context.Background(), m, rated, version)
+}
+
+// install is Swap with the swap's stages recorded under ctx's span.
+func (r *Replica) install(ctx context.Context, m *core.Model, rated *sparse.CSR, version string) *Snapshot {
 	view, off, total := r.Transform(m)
 	if rated != nil {
-		rated = rated.ColRange(off, off+view.Y.Rows)
+		rated = rated.Pattern().ColRange(off, off+view.Y.Rows)
 	}
-	return r.srv.swapShard(view, rated, version, off, total)
+	return r.srv.swapShard(ctx, view, rated, version, off, total)
 }
 
 // Transform is the WatcherConfig.Transform hook: it slices each
@@ -192,6 +197,7 @@ type hopScratch struct {
 	cols           []int32   // partials: the rated items in this slice
 	vals           []float32 // and their ratings
 	terms          []float32 // and the Gram and RHS terms they make
+	fold           foldScratch
 }
 
 // hopAnswer builds the reply payload to one request frame, in the scratch
@@ -246,7 +252,7 @@ func lingerClose(c net.Conn, br *bufio.Reader) {
 func catalogBodyLimit(sn *Snapshot) int64 {
 	total := sn.ItemTotal
 	if total == 0 {
-		total = sn.Model.Y.Rows
+		total = sn.Items
 	}
 	return 64 + 8*int64(total) + 4*int64(sn.Model.K)
 }
@@ -353,7 +359,7 @@ func (r *Replica) serveKind(ctx context.Context, st *hopScratch, kind byte, sn *
 // slice, so the frontend's sum covers each rating once.
 func (st *hopScratch) partials(sn *Snapshot, items []int32, ratings []float32) (local int) {
 	k := sn.Model.K
-	off, rows := sn.ItemOffset, sn.Model.Y.Rows
+	off, rows := sn.ItemOffset, sn.Items
 	st.cols, st.vals = st.cols[:0], st.vals[:0]
 	for z, g := range items {
 		if int(g) >= off && int(g) < off+rows {
@@ -365,7 +371,7 @@ func (st *hopScratch) partials(sn *Snapshot, items []int32, ratings []float32) (
 	st.terms = slices.Grow(st.terms[:0], pl+k)[:pl+k]
 	// GramRHSFused zeroes both outputs, so an empty local set still
 	// returns valid all-zero terms.
-	linalg.GramRHSFused(sn.Model.Y.Data, k, st.cols, st.vals, st.terms[:pl], st.terms[pl:])
+	st.fold.gramRHS(sn, st.cols, st.vals, st.terms[:pl], st.terms[pl:])
 	return len(st.cols)
 }
 
@@ -381,7 +387,7 @@ func (r *Replica) score(ctx context.Context, sn *Snapshot, x []float32, n int, e
 	// ScoreTopN dispatches to the quantized scan when the snapshot carries
 	// a compressed Y, so a scatter-gather fleet serves the same precision
 	// as a single-process server at the same -precision flag.
-	scored, err := r.srv.ScoreTopN(ctx, sn, x, localExcluder(exclude, sn.ItemOffset, sn.Model.Y.Rows), n)
+	scored, err := r.srv.ScoreTopN(ctx, sn, x, localExcluder(exclude, sn.ItemOffset, sn.Items), n)
 	if err != nil {
 		return nil, scoreError(err)
 	}

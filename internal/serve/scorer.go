@@ -181,13 +181,13 @@ func (s *Scorer) TopNRanked(ctx context.Context, x []float32, y *quant.Ranked, e
 
 // RatedExcluder returns an exclusion predicate over the sorted column
 // indices of user u's rated row, or nil when there is nothing to exclude.
-// Binary search over the CSR row avoids building a per-request map.
+// Binary search over the CSR row avoids building a per-request map. It
+// reads only r's pattern, so r may be one (sparse.CSR.Pattern).
 func RatedExcluder(r *sparse.CSR, u int) func(int) bool {
 	if r == nil || u < 0 || u >= r.NumRows {
 		return nil
 	}
-	cols, _ := r.Row(u)
-	return sortedExcluder(cols)
+	return sortedExcluder(r.RowCols(u))
 }
 
 // sortedExcluder returns the exclusion predicate "i is in sorted", a binary

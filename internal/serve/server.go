@@ -96,7 +96,10 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/model", s.instrument("model", s.handleModel))
 	mux.HandleFunc("GET /v1/recommend", s.instrument("recommend", s.handleRecommend))
 	mux.HandleFunc("POST /v1/foldin", s.instrument("foldin", s.handleFoldIn))
-	mux.HandleFunc("POST /admin/swap", s.instrument("swap", swapHandler(s.Swap)))
+	mux.HandleFunc("POST /admin/swap", s.instrument("swap", swapHandler(
+		func(ctx context.Context, m *core.Model, rated *sparse.CSR, version string) *Snapshot {
+			return s.swapShard(ctx, m, rated, version, 0, 0)
+		})))
 	s.mux = mux
 	return s
 }
@@ -113,16 +116,17 @@ func (s *Server) Current() *Snapshot { return s.store.Current() }
 // Swap atomically installs a new model and purges the response cache; see
 // Store.Swap for version defaulting.
 func (s *Server) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.swapShard(m, rated, version, 0, 0)
+	return s.swapShard(context.Background(), m, rated, version, 0, 0)
 }
 
 // swapShard installs a sharded model view whose Y rows cover the catalog
 // slice [offset, offset+Y.Rows) of total items (total == 0 means a full
 // model), with rated indexed by that slice's local items. Recommendation
 // responses report global item indices; fold-in is refused on sharded
-// snapshots because it needs the whole catalog.
-func (s *Server) swapShard(m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
-	sn := s.store.swapShard(m, rated, version, offset, total)
+// snapshots because it needs the whole catalog. The swap's stages are
+// children of ctx's span (Store.swapShard).
+func (s *Server) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
+	sn := s.store.swapShard(ctx, m, rated, version, offset, total)
 	s.cache.Purge()
 	s.tel.SwapRecorded()
 	return sn
@@ -158,7 +162,7 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 		span.End()
 	}
 	if err == nil {
-		s.tel.ObserveScan(sn.Precision, time.Since(start), rows, sn.Model.Y.Rows-rows)
+		s.tel.ObserveScan(sn.Precision, time.Since(start), rows, sn.Items-rows)
 	}
 	return scored, err
 }
@@ -498,7 +502,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	}
 	meta := sn.Model.Meta
 	_, fspan := rtrace.StartChild(r.Context(), "foldin.solve")
-	xu, err := sn.Model.FoldInUser(req.Items, req.Ratings,
+	xu, err := sn.foldIn(req.Items, req.Ratings,
 		foldInLambda(&req, meta.Lambda, meta.WeightedLambda))
 	fspan.End()
 	if err != nil {
@@ -510,7 +514,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 	for _, it := range req.Items {
 		rated[int(it)] = true
 	}
-	// Fold-in solves xu in float32 against the original Y (above); only
+	// Fold-in solves xu in float32 over the rated items' rows (above); only
 	// this final scan reads the quantized matrix.
 	scored, err := s.ScoreTopN(r.Context(), sn, xu,
 		func(i int) bool { return rated[i] }, req.N)
@@ -545,10 +549,10 @@ type swapResponse struct {
 }
 
 // swapHandler is the /admin/swap handler of the server and of a shard
-// replica: install is Server.Swap, or Replica.Swap — which slices the loaded
-// model to the shard's range first, so an operator can push one model path to
-// the whole fleet.
-func swapHandler(install func(*core.Model, *sparse.CSR, string) *Snapshot) http.HandlerFunc {
+// replica: install is the server's swap, or Replica.install — which slices
+// the loaded model to the shard's range first, so an operator can push one
+// model path to the whole fleet. It records the swap's stages under ctx.
+func swapHandler(install func(context.Context, *core.Model, *sparse.CSR, string) *Snapshot) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req swapRequest
 		if !decodeJSON(w, r, smallBodyLimit, &req) {
@@ -567,11 +571,11 @@ func swapHandler(install func(*core.Model, *sparse.CSR, string) *Snapshot) http.
 			obs.HTTPError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		_, span := rtrace.StartChild(r.Context(), "swap.install")
-		sn := install(m, rated, req.Version)
+		ctx, span := rtrace.StartChild(r.Context(), "swap.install")
+		sn := install(ctx, m, rated, req.Version)
 		span.End()
 		obs.WriteJSON(w, swapResponse{Version: sn.Version, Seq: sn.Seq,
-			Users: sn.Model.X.Rows, Items: sn.Model.Y.Rows, K: sn.Model.K})
+			Users: sn.Model.X.Rows, Items: sn.Items, K: sn.Model.K})
 	}
 }
 
@@ -598,13 +602,13 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ModelResponse{Version: sn.Version, Seq: sn.Seq,
-		Users: sn.Model.X.Rows, Items: sn.Model.Y.Rows, K: sn.Model.K,
+		Users: sn.Model.X.Rows, Items: sn.Items, K: sn.Model.K,
 		Compact: sn.Model.UserIDs != nil, RatedSet: sn.Rated != nil,
 		Precision: sn.Precision.String()}
 	if sn.ItemTotal != 0 {
 		resp.Items = sn.ItemTotal
 		resp.ItemOffset = sn.ItemOffset
-		resp.ShardItems = sn.Model.Y.Rows
+		resp.ShardItems = sn.Items
 	}
 	obs.WriteJSON(w, resp)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/rtrace"
 	"repro/internal/sparse"
 )
 
@@ -103,7 +104,7 @@ func NewWatcher(srv *Server, cfg WatcherConfig) *Watcher {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
-	rated := cfg.Rated
+	rated := cfg.Rated.Pattern()
 	cfg.Rated = nil
 	return &Watcher{
 		srv: srv, cfg: cfg, rated: rated,
@@ -139,8 +140,13 @@ func (w *Watcher) Poll() (bool, error) {
 		if rs := w.retries[path]; rs != nil && w.cfg.Clock.Now().Before(rs.next) {
 			continue // backing off; an older candidate may still serve
 		}
+		ctx, span := w.srv.cfg.Tracer.StartRequest(context.Background(), "swap", rtrace.SpanContext{})
+		_, read := rtrace.StartChild(ctx, "read")
 		st, err := checkpoint.Load(w.cfg.FS, path)
+		read.End()
 		if err != nil {
+			span.SetAttr("error", err.Error())
+			span.End()
 			if errors.Is(err, checkpoint.ErrCorrupt) {
 				w.reject(path, err)
 				continue
@@ -163,13 +169,17 @@ func (w *Watcher) Poll() (bool, error) {
 		// A compressed (format v2) checkpoint already carries quantized item
 		// factors; the model keeps them, so the swap reuses the encoding
 		// instead of re-quantizing when the serving precision matches.
+		_, decode := rtrace.StartChild(ctx, "decode")
 		model := core.ModelOf(st)
 		model.Meta.Version = fmt.Sprintf("ckpt-%d", st.Iteration)
 		offset, total := 0, 0
 		if w.cfg.Transform != nil {
 			model, offset, total = w.cfg.Transform(model)
 		}
-		sn := w.srv.swapShard(model, w.ratedFor(model, offset), "", offset, total)
+		decode.End()
+		sn := w.srv.swapShard(ctx, model, w.ratedFor(model, offset), "", offset, total)
+		span.SetAttr("version", sn.Version)
+		span.End()
 		w.srv.Telemetry().SwapInstalled(w.cfg.Clock.Now())
 		w.installed = c.Iteration
 		if w.cfg.OnSwap != nil {

@@ -34,6 +34,22 @@ func (m *CSR) Row(u int) (cols []int32, vals []float32) {
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
+// Pattern returns m's sparsity pattern: a matrix sharing m's RowPtr and
+// ColIdx with no values (Val nil, so NNZ reads 0 and Row must not be
+// called; RowCols reads it). A serving rated set is one: excluding rated
+// items reads only which columns a row holds, and the values it drops are
+// a third of the set's bytes. Nil for nil.
+func (m *CSR) Pattern() *CSR {
+	if m == nil || m.Val == nil {
+		return m
+	}
+	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx}
+}
+
+// RowCols returns the column indices of row u, of a matrix or of its
+// Pattern, as a sub-slice backed by the matrix storage.
+func (m *CSR) RowCols(u int) []int32 { return m.ColIdx[m.RowPtr[u]:m.RowPtr[u+1]] }
+
 // RowRange returns a zero-copy view of rows [lo, hi): the nonzero storage is
 // shared with m (only the small row-pointer slice is rebased), and column
 // indices keep their original meaning. The distributed trainer and the
@@ -56,8 +72,9 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 // ColRange returns columns [lo, hi) as a new matrix of the same rows: only
 // the entries whose column is in the range, renumbered to col − lo, with
 // NumCols = hi − lo. Unlike RowRange it copies, into arrays sized exactly
-// (cap == len), so the result keeps none of m alive. A serving shard cuts
-// the rated set down to its item slice this way. hi may exceed NumCols.
+// (cap == len), so the result keeps none of m alive; the cut of a Pattern
+// is a Pattern. A serving shard cuts the rated set down to its item slice
+// this way. hi may exceed NumCols.
 func (m *CSR) ColRange(lo, hi int) *CSR {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
@@ -65,7 +82,7 @@ func (m *CSR) ColRange(lo, hi int) *CSR {
 	out := &CSR{NumRows: m.NumRows, NumCols: hi - lo, RowPtr: make([]int64, m.NumRows+1)}
 	// Rows are column-sorted, so each row's entries in range are one run.
 	span := func(u int) (int, int) {
-		cols, _ := m.Row(u)
+		cols := m.RowCols(u)
 		a, _ := slices.BinarySearchFunc(cols, lo, cmpCol)
 		b, _ := slices.BinarySearchFunc(cols, hi, cmpCol)
 		return int(m.RowPtr[u]) + a, int(m.RowPtr[u]) + b
@@ -75,7 +92,10 @@ func (m *CSR) ColRange(lo, hi int) *CSR {
 		out.RowPtr[u+1] = out.RowPtr[u] + int64(b-a)
 	}
 	nnz := out.RowPtr[m.NumRows]
-	out.ColIdx, out.Val = make([]int32, nnz), make([]float32, nnz)
+	out.ColIdx = make([]int32, nnz)
+	if m.Val != nil {
+		out.Val = make([]float32, nnz)
+	}
 	for u := 0; u < m.NumRows; u++ {
 		a, b := span(u)
 		p := out.RowPtr[u]
@@ -83,7 +103,9 @@ func (m *CSR) ColRange(lo, hi int) *CSR {
 			out.ColIdx[p] = m.ColIdx[q] - int32(lo)
 			p++
 		}
-		copy(out.Val[out.RowPtr[u]:], m.Val[a:b])
+		if m.Val != nil {
+			copy(out.Val[out.RowPtr[u]:], m.Val[a:b])
+		}
 	}
 	return out
 }

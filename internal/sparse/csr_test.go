@@ -508,5 +508,17 @@ func TestColRangeMatchesFilter(t *testing.T) {
 			t.Errorf("ColRange(%d, %d): cap %d/%d for len %d: slack kept", c.lo, c.hi,
 				cap(got.ColIdx), cap(got.Val), len(got.Val))
 		}
+		pat := m.Pattern().ColRange(c.lo, c.hi)
+		if pat.Val != nil || !slices.Equal(pat.RowPtr, got.RowPtr) || !slices.Equal(pat.ColIdx, got.ColIdx) {
+			t.Errorf("ColRange(%d, %d) of the pattern is not the cut's pattern: %+v", c.lo, c.hi, pat)
+		}
+		for u := range rows {
+			if cols, _ := got.Row(u); !slices.Equal(pat.RowCols(u), cols) {
+				t.Errorf("ColRange(%d, %d): row %d of the pattern cut holds %v, the cut %v", c.lo, c.hi, u, pat.RowCols(u), cols)
+			}
+		}
+	}
+	if m.Pattern().Pattern().Val != nil || (*CSR)(nil).Pattern() != nil {
+		t.Error("Pattern of a pattern, or of nil, is not itself")
 	}
 }
