@@ -82,7 +82,7 @@ ci:
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/e2e ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/shard ./internal/solvers
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/metrics ./internal/linalg ./internal/host ./internal/solvers ./internal/core
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/quant ./internal/linalg ./internal/lebin
-	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg ./internal/quant
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg ./internal/quant ./internal/metrics
 	$(MAKE) layout-check
 	$(MAKE) smoke
 	$(MAKE) fuzz-smoke
@@ -97,14 +97,14 @@ ci:
 # two link orders: Go's linker aligns text to 32 bytes, and which half of a
 # line a hot loop starts in has been worth 6-9 % of a training run
 # (internal/linalg/wide_amd64.s). alsserve must link the serving scans'
-# three: the float32 scan's exact dot8F32SSE2 and screen8F32SSE2, and the
-# int8 scan's blocksI8SSE2.
+# three: the float32 scan's exact dot8F32SSE2 and its int16 screen
+# screen8I16SSE2, and the int8 scan's blocksI8SSE2.
 layout-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
 		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
 		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
 		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
-		if [ $$cmd = alsserve ]; then for k in linalg.dot8F32SSE2 linalg.screen8F32SSE2 quant.blocksI8SSE2; do \
+		if [ $$cmd = alsserve ]; then for k in linalg.dot8F32SSE2 linalg.screen8I16SSE2 quant.blocksI8SSE2; do \
 			grep -q "$$k" $$tmp/kernels || { echo "alsserve -randlayout=$$seed does not link $$k"; exit 1; }; \
 		done; fi; \
 		while read -r addr _ name; do \

@@ -449,10 +449,10 @@ func BenchmarkTopN(b *testing.B) {
 		defer sc.Close()
 		ex := serve.RatedExcluder(m, 0)
 		ctx := context.Background()
-		maxNorm := linalg.MaxRowNorm(y)
+		screen := metrics.NewScreen(y)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, _, err := sc.TopN(ctx, x.Row(0), y, maxNorm, ex, 10)
+			out, _, err := sc.TopN(ctx, x.Row(0), y, screen, ex, 10)
 			if err != nil || len(out) != 10 {
 				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
 			}
@@ -483,11 +483,11 @@ func BenchmarkTopN(b *testing.B) {
 		defer sc.Close()
 		ex := serve.RatedExcluder(m32, 0)
 		ctx := context.Background()
-		maxNorm := linalg.MaxRowNorm(y32)
+		screen := metrics.NewScreen(y32)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, _, err := sc.TopN(ctx, x32, y32, maxNorm, ex, 10)
+			out, _, err := sc.TopN(ctx, x32, y32, screen, ex, 10)
 			if err != nil || len(out) != 10 {
 				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
 			}
@@ -498,7 +498,7 @@ func BenchmarkTopN(b *testing.B) {
 	// 0 allocs/op (pinned by metrics.TestScanTopKZeroAllocs).
 	b.Run("scan-f32", func(b *testing.B) {
 		ex := serve.RatedExcluder(m, 0)
-		q := metrics.PrepareScan(x.Row(0), nil, linalg.MaxRowNorm(y))
+		q := metrics.PrepareScan(x.Row(0), nil, nil, metrics.NewScreen(y))
 		t := metrics.NewTopK(10)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -191,33 +191,39 @@ func BenchmarkDot4Wide(b *testing.B) {
 
 // BenchmarkRowScan scores a whole row range the way metrics.ScanTopK does,
 // eight rows per call against four, and the way its warm scan does:
-// "screened" runs Screen8 on every block against a cut that 1 % of the rows
-// reach, and Dot1Wide on those. Shapes: one fleet2-mixed-k32 shard's slice
-// (12 400 × 32, 1.6 MB) and 248 rows that stay in L1. One op is the range.
+// "screened" walks the range's int16 copy (12 bits, one scale, zero-padded
+// to a multiple of 8 components) with Screen8 against a cut that 1 % of the
+// rows reach, and gives those Dot1Wide. Shapes: one fleet2-mixed-k32
+// shard's slice (12 400 × 32, 1.6 MB), the same at k = 64, and 248 rows
+// that stay in L1. One op is the range.
 func BenchmarkRowScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	const k = 32
-	x := randomFactor(rng, 1, k)
-	xw := widen(x)
-	for _, rows := range []int{248, 12400} {
+	for _, shape := range [][2]int{{248, 32}, {12400, 32}, {12400, 64}} {
+		rows, k := shape[0], shape[1]
+		x := randomFactor(rng, 1, k)
+		xw := widen(x)
 		y := randomFactor(rng, rows, k)
-		shape := strconv.Itoa(rows) + "x" + strconv.Itoa(k)
-		dots := make([]float64, rows)
-		for r := range dots {
-			dots[r] = Dot(x, y[r*k:][:k])
+		name := strconv.Itoa(rows) + "x" + strconv.Itoa(k)
+		k8 := k // a multiple of 8: the copy's rows need no padding
+		xq, q := quantize12(x), quantize12(y)
+		sums := make([]int32, rows)
+		for r := range sums {
+			sums[r] = screenDot(xq, q[r*k8:])
 		}
-		slices.Sort(dots)
-		cut := float32(dots[rows-rows/100-1])
-		b.Run("screened/"+shape, func(b *testing.B) {
+		slices.Sort(sums)
+		cut := sums[rows-rows/100-1]
+		b.Run("screened/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r += 8 {
-					for m := Screen8(x, y[r*k:], k, cut); m != 0; m &= m - 1 {
-						dotSink += Dot1Wide(xw, y[(r+bits.TrailingZeros32(m))*k:])
+					blk, mask := Screen8(xq, q[r*k8:rows*k8], cut)
+					r += 8 * blk
+					for ; mask != 0; mask &= mask - 1 {
+						dotSink += Dot1Wide(xw, y[(r+bits.TrailingZeros(uint(mask)))*k:])
 					}
 				}
 			}
 		})
-		b.Run("dot8wide/"+shape, func(b *testing.B) {
+		b.Run("dot8wide/"+name, func(b *testing.B) {
 			var s [8]float64
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r += 8 {
@@ -226,7 +232,7 @@ func BenchmarkRowScan(b *testing.B) {
 				}
 			}
 		})
-		b.Run("dot4wide/"+shape, func(b *testing.B) {
+		b.Run("dot4wide/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r += 4 {
 					s0, _, _, _ := Dot4Wide(xw, y[r*k:], k)
@@ -235,4 +241,19 @@ func BenchmarkRowScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// quantize12 rounds v to 12-bit levels at one scale, max|v|/2047: the
+// serving screen's copy of rows whose width is a multiple of 8, so none is
+// padded.
+func quantize12(v []float32) []int16 {
+	var top float64
+	for _, f := range v {
+		top = max(top, math.Abs(float64(f)))
+	}
+	out := make([]int16, len(v))
+	for i, f := range v {
+		out[i] = int16(math.Round(float64(f) / (top / 2047)))
+	}
+	return out
 }

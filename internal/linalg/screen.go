@@ -2,52 +2,63 @@ package linalg
 
 import "math"
 
-// Screen8 scores eight consecutive rows (stride float32 apart, the first at
-// rows[0]) against x in float32 and compares each against cut: bit r of the
-// result is set unless row r's screen value is < cut, so a NaN value — and
-// any value against a NaN cut — sets its bit. The value is an approximate
-// dot, four products per lane: lane m sums the float32 products x_j·row_j
-// for j ≡ m (mod 4) in j order, and the row's value is (l0 + l2) + (l1 + l3).
-// It is the serving scan's screen (metrics.ScanTopK): a caller that knows a
-// bound on |value − Dot(x, row)| uses it to skip the exact score of rows
-// that cannot reach a threshold. SSE2 where the build has it (wide.go), the
-// portable body elsewhere and for a len(x) that is not a multiple of 4; the
-// two give the same value bit for bit.
-func Screen8(x, rows []float32, stride int, cut float32) uint32 {
-	return screen8(x, rows, stride, cut)
+// Screen8 is the serving scan's screen (metrics.ScanTopK). It walks a run
+// of 8-row blocks of int16 rows, k8 = len(xq) apart (row i at rows[i·k8:],
+// block b rows 8b…8b+7; a partial block at the end is not read), and
+// returns the first block with a row whose int32 dot with xq is not below
+// cut, with bit r of mask set for each such row r. After the last block it
+// returns len(rows)/(8·k8) and mask 0. Each dot is exact while
+// k8·max|xq_j|·max|row_j| < 2³¹ (the caller's quantization keeps it so) and
+// wraps like Go's int32 otherwise; integer sums do not depend on their
+// order, so every binding returns the same block and mask. A caller that
+// knows how far a dot times its scales can be from the float score uses it
+// to skip the exact score of rows that cannot reach a threshold, and pays
+// no call for a block none of whose rows can. SSE2 where the build has it
+// and k8 is a multiple of 8 (ScreenVectorized), the portable body elsewhere.
+func Screen8(xq, rows []int16, cut int32) (b, mask int) { return screen8(xq, rows, cut) }
+
+// ScreenVectorized reports whether Screen8 runs a vector kernel in this
+// build (SSE2 on amd64 without purego, GOAMD64=v3 included: its sums are
+// integers, so no build fuses them). Only then is screening a block
+// cheaper than scoring it exactly — the portable body is scalar and loses
+// to Dot8Wide — so the serving scan screens only where this holds.
+func ScreenVectorized() bool { return screenKernelName != "portable" }
+
+// ScreenKernelName names Screen8's binding in this build: "sse2" on amd64,
+// "portable" elsewhere and under -tags purego. It is bound apart from the
+// eight float kernels (KernelName): at GOAMD64=v3 the screen is assembly
+// while Dot8Wide is portable.
+func ScreenKernelName() string { return screenKernelName }
+
+// screen8Portable is Screen8's portable body and the oracle its assembly is
+// tested against.
+func screen8Portable(xq, rows []int16, cut int32) (b, mask int) {
+	k := len(xq)
+	if k == 0 {
+		return 0, 0
+	}
+	blocks := len(rows) / (8 * k)
+	for b = 0; b < blocks; b++ {
+		block := rows[8*b*k:]
+		for r := range 8 {
+			if screenDot(xq, block[r*k:][:k]) >= cut {
+				mask |= 1 << r
+			}
+		}
+		if mask != 0 {
+			return b, mask
+		}
+	}
+	return blocks, 0
 }
 
-// ScreenVectorized reports whether Screen8 runs a vector kernel at width k
-// in this build: SSE2 for k a positive multiple of 4 (wide.go). Only then
-// is screening a block cheaper than scoring it exactly — the portable body
-// is scalar float32 and loses to Dot8Wide in every build — so the serving
-// scan screens only where this holds.
-func ScreenVectorized(k int) bool { return screenVectorized(k) }
-
-// screen8Values is the screen's arithmetic: each row's value in the
-// kernel's order. The explicit float32 conversion of each product keeps
-// the compiler from fusing it into the add, on every architecture.
-func screen8Values(x, rows []float32, stride int) (v [8]float32) {
-	for r := range v {
-		row := rows[r*stride:][:len(x)]
-		var l [4]float32
-		for j, xv := range x {
-			l[j&3] += float32(xv * row[j])
-		}
-		v[r] = (l[0] + l[2]) + (l[1] + l[3])
+// screenDot is one row's int32 dot in Go's wrapping arithmetic.
+func screenDot(xq, row []int16) (s int32) {
+	row = row[:len(xq)]
+	for j, xv := range xq {
+		s += int32(xv) * int32(row[j])
 	}
-	return v
-}
-
-// screen8Portable is Screen8's portable body.
-func screen8Portable(x, rows []float32, stride int, cut float32) uint32 {
-	var mask uint32
-	for r, v := range screen8Values(x, rows, stride) {
-		if !(v < cut) {
-			mask |= 1 << r
-		}
-	}
-	return mask
+	return s
 }
 
 // MaxRowNorm returns max_i ‖row i‖₂ over d's rows, accumulated in float64

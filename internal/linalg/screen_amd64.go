@@ -1,24 +1,29 @@
-//go:build amd64 && !amd64.v3 && !purego
+//go:build amd64 && !purego
 
 package linalg
 
-// screen8 is screen8Portable on SSE2 (same binding rule as wide_amd64.go).
-// The kernel takes components four at a time, so a k that is not a multiple
-// of 4 goes to the portable body; the slice expression checks the last
-// row's bounds, and with it every row's.
-func screen8(x, rows []float32, stride int, cut float32) uint32 {
-	k := len(x)
-	if !screenVectorized(k) {
-		return screen8Portable(x, rows, stride, cut)
+// SSE2 is the amd64 baseline, so the build constraint is the whole
+// selection. Unlike the float kernels (wide_amd64.go) this one stays bound
+// at GOAMD64=v3: its sums are exact integers, which no compiler fuses.
+const screenKernelName = "sse2"
+
+// screen8 is screen8Portable in SSE2 for k8 a positive multiple of 8 (the
+// kernel takes eight components per load; another k8 goes to the portable
+// body). It reads the run's whole blocks and nothing past them.
+func screen8(xq, rows []int16, cut int32) (b, mask int) {
+	k8 := len(xq)
+	if k8 == 0 || k8%8 != 0 {
+		return screen8Portable(xq, rows, cut)
 	}
-	_ = rows[7*stride:][:k]
-	return screen8F32SSE2(&x[0], &rows[0], stride, k, cut)
+	blocks := len(rows) / (8 * k8)
+	if blocks == 0 {
+		return 0, 0
+	}
+	return screen8I16SSE2(&xq[0], &rows[0], k8, blocks, cut)
 }
 
-// screenVectorized: the kernel takes k a positive multiple of 4.
-func screenVectorized(k int) bool { return k > 0 && k%4 == 0 }
-
-// screen8F32SSE2 is screen8Portable for k a positive multiple of 4.
+// screen8I16SSE2 is screen8Portable over blocks whole 8-row blocks, for k8
+// a positive multiple of 8.
 //
 //go:noescape
-func screen8F32SSE2(x, rows *float32, stride, k int, cut float32) uint32
+func screen8I16SSE2(xq, rows *int16, k8, blocks int, cut int32) (b, mask int)

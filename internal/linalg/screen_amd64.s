@@ -1,89 +1,108 @@
-//go:build amd64 && !amd64.v3 && !purego
+//go:build amd64 && !purego
 
 #include "textflag.h"
 
-// The serving scan's float32 screen. Each of the eight rows owns one
-// accumulator of four float32 lanes, lane m summing the products of the
-// components j ≡ m (mod 4) in j order; MULPS rounds each product to float32
-// and ADDPS each sum, as screen8Values' explicit conversion does. A 4 × 4
-// transpose-add then reduces four rows at once to (l0 + l2) + (l1 + l3) per
-// row, and CMPPS compares all four against the cut.
+// The serving scan's int16 screen. Each of a block's eight rows owns one
+// accumulator of four int32 lanes; PMADDWL multiplies eight int16 pairs and
+// adds adjacent products into the four lanes, and PADDL adds those into the
+// row's accumulator. Integer sums are exact (or wrap like Go's int32), so
+// neither the lane split nor the reduction order can move a bit.
 
-// ROW adds components j..j+3 of one row into its accumulator, with X8 the
-// query's components j..j+3.
+// ROW adds components j..j+7 of one row, at m, times the query's (X8) into
+// its accumulator.
 #define ROW(m, acc) \
-	MOVUPS m, X9  \
-	MULPS  X8, X9 \
-	ADDPS  X9, acc
+	MOVOU   m, X9  \
+	PMADDWL X8, X9 \
+	PADDL   X9, acc
 
-// REDUCE turns the accumulators a, b, c, d of four rows into their values
-// in a's lanes 0-3. UNPCKLPS/UNPCKHPS pair lane m of a with lane m of b
-// (never lanes of different rows in one sum): a = (a0+a2, b0+b2, a1+a3,
-// b1+b3) and c likewise for rows c, d; MOVLHPS and MOVHLPS gather the
-// (l0+l2) and (l1+l3) halves of all four rows, and the last add joins them.
+// REDUCE turns the accumulators a, b, c, d of four rows into their sums in
+// a's lanes 0-3: interleave pairs of rows and add, twice (SSE2 only).
 #define REDUCE(a, b, c, d, t0, t1) \
-	MOVAPS   a, t0 \
-	UNPCKLPS b, a  \
-	UNPCKHPS b, t0 \
-	ADDPS    t0, a \
-	MOVAPS   c, t1 \
-	UNPCKLPS d, c  \
-	UNPCKHPS d, t1 \
-	ADDPS    t1, c \
-	MOVAPS   a, b  \
-	MOVLHPS  c, a  \
-	MOVHLPS  b, c  \
-	ADDPS    c, a
+	MOVO       a, t0  \
+	PUNPCKLLQ  b, a   \
+	PUNPCKHLQ  b, t0  \
+	PADDL      t0, a  \
+	MOVO       c, t1  \
+	PUNPCKLLQ  d, c   \
+	PUNPCKHLQ  d, t1  \
+	PADDL      t1, c  \
+	MOVO       a, t0  \
+	PUNPCKLQDQ c, a   \
+	PUNPCKHQDQ c, t0  \
+	PADDL      t0, a
 
-// func screen8F32SSE2(x, rows *float32, stride, k int, cut float32) uint32
+// func screen8I16SSE2(xq, rows *int16, k8, blocks int, cut int32) (b, mask int)
 //
-// Eight consecutive rows, stride float32 apart: rows 0-3 are addressed from
-// SI, rows 4-7 from DI = SI + 4·stride, each with 0, 1, 2 or 3 strides of
-// index. k is a positive multiple of 4. Bit r of the result is set unless
-// row r's value is < cut (CMPPS predicate 5, not-less-than: true for NaN).
-TEXT ·screen8F32SSE2(SB), NOSPLIT, $0-44
-	MOVQ x+0(FP), BX
-	MOVQ rows+8(FP), SI
-	MOVQ stride+16(FP), R8
-	MOVQ k+24(FP), CX
-	SHLQ $2, R8            // one row in bytes
-	LEAQ (R8)(R8*2), R9    // three rows
-	LEAQ (SI)(R8*4), DI    // row 4
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+// Registers across blocks: BX the query, SI the block's row 0, R8 one row
+// in bytes, R9 three, R10 the block index, R11 blocks, X12 cut in all four
+// lanes. Inside a block AX walks the query, DX rows 0-3 (0, 1, 2 or 3 rows
+// of index) and DI rows 4-7. A row whose sum is below the cut sets its
+// PCMPGTL lane (cut > sum); the block returns when any of its eight lanes
+// is clear, with the clear lanes as its mask.
+TEXT ·screen8I16SSE2(SB), NOSPLIT, $0-56
+	MOVQ   xq+0(FP), BX
+	MOVQ   rows+8(FP), SI
+	MOVQ   k8+16(FP), R8
+	MOVQ   blocks+24(FP), R11
+	MOVL   cut+32(FP), AX
+	MOVL   AX, X12
+	PSHUFD $0, X12, X12
+	SHLQ   $1, R8           // one row in bytes
+	LEAQ   (R8)(R8*2), R9   // three rows
+	XORL   R10, R10
 
+	// Pinned to a cache line (internal/linalg/wide_amd64.s says why).
 	PCALIGN $64
-quads:
-	MOVUPS (BX), X8
-	ROW((SI), X0)
-	ROW((SI)(R8*1), X1)
-	ROW((SI)(R8*2), X2)
-	ROW((SI)(R9*1), X3)
+block:
+	PXOR X0, X0
+	PXOR X1, X1
+	PXOR X2, X2
+	PXOR X3, X3
+	PXOR X4, X4
+	PXOR X5, X5
+	PXOR X6, X6
+	PXOR X7, X7
+	MOVQ BX, AX
+	MOVQ SI, DX
+	LEAQ (SI)(R8*4), DI
+	MOVQ k8+16(FP), CX
+
+cols:
+	MOVOU (AX), X8
+	ROW((DX), X0)
+	ROW((DX)(R8*1), X1)
+	ROW((DX)(R8*2), X2)
+	ROW((DX)(R9*1), X3)
 	ROW((DI), X4)
 	ROW((DI)(R8*1), X5)
 	ROW((DI)(R8*2), X6)
 	ROW((DI)(R9*1), X7)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	ADDQ   $16, BX
-	SUBQ   $4, CX
-	JNZ    quads
+	ADDQ  $16, AX
+	ADDQ  $16, DX
+	ADDQ  $16, DI
+	SUBQ  $8, CX
+	JNZ   cols
 
-	MOVSS  cut+32(FP), X10
-	SHUFPS $0, X10, X10
 	REDUCE(X0, X1, X2, X3, X8, X9)
-	CMPPS  X10, X0, $5
-	MOVMSKPS X0, AX
 	REDUCE(X4, X5, X6, X7, X8, X9)
-	CMPPS  X10, X4, $5
-	MOVMSKPS X4, DX
-	SHLL   $4, DX
-	ORL    DX, AX
-	MOVL   AX, ret+40(FP)
+	MOVO     X12, X8
+	PCMPGTL  X0, X8
+	MOVO     X12, X9
+	PCMPGTL  X4, X9
+	MOVMSKPS X8, CX
+	MOVMSKPS X9, DX
+	SHLL     $4, DX
+	ORL      DX, CX
+	XORL     $0xFF, CX
+	JNZ      flagged
+
+	INCQ R10
+	LEAQ (SI)(R8*8), SI
+	CMPQ R10, R11
+	JLT  block
+	XORL CX, CX
+
+flagged:
+	MOVQ R10, b+40(FP)
+	MOVQ CX, mask+48(FP)
 	RET

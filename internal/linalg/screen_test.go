@@ -9,149 +9,127 @@ import (
 	"repro/internal/asmtest"
 )
 
-// screenSpecials are the float32 values at the screen's edges: signed
-// zeros, subnormals (whose products underflow to 0 or a subnormal), and
-// magnitudes whose products reach 2^100, where the serving scan's gate
-// switches the screen off (metrics.PrepareScan).
-var screenSpecials = []float32{
-	0, float32(math.Copysign(0, -1)),
-	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0x1p-130, -0x1p-140, 0x1p-75,
-	0x1p50, -0x1p50, 0x1.fffffep49,
-}
-
-// screenFixture returns a query and eight rows for trial of width k: normal
-// values, then on every fourth trial order-revealing plants, and from the
-// second on a growing number of screenSpecials. A plant (plantScreen) makes
-// the reduction order show.
-func screenFixture(rng *rand.Rand, k, stride, trial int) (x, rows []float32) {
-	x = make([]float32, k)
-	rows = make([]float32, 8*stride)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
+// screenFixture returns a query of width k8 and blocks·8 rows: 12-bit
+// values (the serving screen's range) on most trials, and on every third
+// the whole int16 range, −32768 included, where a sum of products wraps
+// and only Go's int32 arithmetic says what the kernel must return.
+func screenFixture(rng *rand.Rand, k8, blocks, trial int) (xq, rows []int16) {
+	level := func() int16 {
+		if trial%3 == 2 {
+			return int16(rng.Intn(1<<16) - 1<<15)
+		}
+		return int16(rng.Intn(4095) - 2047)
+	}
+	xq, rows = make([]int16, k8), make([]int16, blocks*8*k8)
+	for j := range xq {
+		xq[j] = level()
 	}
 	for i := range rows {
-		rows[i] = float32(rng.NormFloat64())
+		rows[i] = level()
 	}
-	if trial%4 == 1 && k >= 12 {
-		plantScreen(x, rows, stride, 4*rng.Intn(k/4-2))
-	}
-	for s := 0; s < trial; s++ {
-		v := screenSpecials[rng.Intn(len(screenSpecials))]
-		if rng.Intn(3) == 0 {
-			x[rng.Intn(k)] = v
-		} else {
-			rows[rng.Intn(len(rows))] = v
-		}
-	}
-	return x, rows
+	return xq, rows
 }
 
-// plantScreen zeroes x but for components q..q+4 and q+8, which it sets to
-// 1, and gives row r the lanes 2^24, 1+r, −2^24, 1 at q..q+3 and a 1 in lane
-// 0 at q+4 and q+8. In the kernel's order lane 0 is (2^24 ⊕ 1) ⊕ 1 = 2^24
-// and the row is (2^24 ⊕ −2^24) ⊕ (1+r ⊕ 1) = 2+r. Adding lane 0 out of j
-// order gives 2^24+2 and a row of 4+r; pairing (l0 + l1) + (l2 + l3) gives
-// 1 for row 0; and every row's value differs, so a swapped row or a sum of
-// lanes of different rows lands on the wrong bit.
-func plantScreen(x, rows []float32, stride, q int) {
-	for j := range x {
-		x[j] = 0
+// screenSums is every row's dot in Go's int32 arithmetic.
+func screenSums(xq, rows []int16) []int32 {
+	k := len(xq)
+	sums := make([]int32, len(rows)/k)
+	for i := range sums {
+		sums[i] = screenDot(xq, rows[i*k:])
 	}
-	for _, j := range []int{q, q + 1, q + 2, q + 3, q + 4, q + 8} {
-		x[j] = 1
-	}
-	for r := 0; r < 8; r++ {
-		row := rows[r*stride:][:len(x)]
-		row[q], row[q+1], row[q+2], row[q+3], row[q+4], row[q+8] = 0x1p24, float32(1+r), -0x1p24, 1, 1, 1
-	}
+	return sums
 }
 
-// mustScreenLikePortable checks Screen8 against the portable arithmetic.
-// The kernel returns only a mask, so each row's value is pinned by two
-// probes: at cut = v its bit must be set and at the next float32 above v it
-// must be clear, which leaves only v itself (or −v when v is a zero: the
-// compare cannot see a zero's sign, and neither can the scan). The fixed
-// cuts −Inf, +Inf, NaN and one between the rows' values compare the whole
-// mask.
-func mustScreenLikePortable(t *testing.T, x, rows []float32, stride int, what string) {
+// mustScreenLikePortable runs Screen8 and its portable body at the cuts
+// that decide each row: its own sum (the row flags) and one above (it does
+// not), and at the extremes, where every row or none flags. One row's cut
+// pins the first block with any row at or above it, so the probes check the
+// block index as well as the mask.
+func mustScreenLikePortable(t *testing.T, xq, rows []int16, what string) {
 	t.Helper()
-	want := screen8Values(x, rows, stride)
-	sorted := want
-	for i := range sorted {
-		for j := i + 1; j < len(sorted); j++ {
-			if sorted[j] < sorted[i] {
-				sorted[i], sorted[j] = sorted[j], sorted[i]
-			}
+	cuts := []int32{math.MinInt32, math.MaxInt32}
+	for _, s := range screenSums(xq, rows) {
+		cuts = append(cuts, s)
+		if s < math.MaxInt32 {
+			cuts = append(cuts, s+1)
 		}
 	}
-	between := sorted[3]/2 + sorted[4]/2
-	for _, cut := range []float32{float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.NaN()), between} {
-		if got, w := Screen8(x, rows, stride, cut), screen8Portable(x, rows, stride, cut); got != w {
-			t.Fatalf("%s cut=%v: mask %08b, portable %08b (values %v)", what, cut, got, w, want)
-		}
-	}
-	for r, v := range want {
-		if got := Screen8(x, rows, stride, v); got&(1<<r) == 0 {
-			t.Fatalf("%s row %d: bit clear at cut = its value %v (%#x)", what, r, v, math.Float32bits(v))
-		}
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
-			continue
-		}
-		up := math.Nextafter32(v, float32(math.Inf(1)))
-		if got := Screen8(x, rows, stride, up); got&(1<<r) != 0 {
-			t.Fatalf("%s row %d: bit set at cut %v, one ulp above its value %v (%#x)", what, r, up, v, math.Float32bits(v))
+	for _, cut := range cuts {
+		b, mask := Screen8(xq, rows, cut)
+		wb, wmask := screen8Portable(xq, rows, cut)
+		if b != wb || mask != wmask {
+			t.Fatalf("%s cut=%d: block %d mask %08b, portable block %d mask %08b", what, cut, b, mask, wb, wmask)
 		}
 	}
 }
 
-// TestScreen8MatchesPortable: the SSE2 screen computes the portable
-// screen's value for every row, bit for bit, and compares it the same way,
-// for widths on both sides of the kernel's multiple-of-4 rule (5 and 33 run
-// the portable body on every build), a stride wider than the query, and
-// subnormals, signed zeros and products up to 2^100.
+// TestScreen8MatchesPortable: the SSE2 run returns the portable body's
+// block and mask, for widths the kernel takes (multiples of 8 to 512, the
+// widest the serving screen builds) and ones that go to the portable body
+// on every build (1, 5, 33), runs of one to five blocks with a partial
+// block after them, and values that wrap.
 func TestScreen8MatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, k := range []int{4, 5, 8, 12, 32, 33, 64, 128} {
-		for _, stride := range []int{k, k + 3} {
-			for trial := 0; trial < 40; trial++ {
-				x, rows := screenFixture(rng, k, stride, trial)
-				mustScreenLikePortable(t, x, rows, stride, fmt.Sprintf("k=%d stride=%d trial=%d", k, stride, trial))
+	for _, k8 := range []int{1, 5, 8, 16, 32, 33, 64, 128, 512} {
+		for _, blocks := range []int{1, 2, 5} {
+			for trial := 0; trial < 6; trial++ {
+				xq, rows := screenFixture(rng, k8, blocks, trial)
+				what := fmt.Sprintf("k8=%d blocks=%d trial=%d", k8, blocks, trial)
+				mustScreenLikePortable(t, xq, rows, what)
+				// A partial block after the run is not read.
+				tail := append(rows[:len(rows):len(rows)], make([]int16, 3*k8)...)
+				mustScreenLikePortable(t, xq, tail, what+" with 3 rows after")
 			}
 		}
 	}
+	if b, mask := Screen8(make([]int16, 8), nil, math.MinInt32); b != 0 || mask != 0 {
+		t.Errorf("no rows: block %d mask %b", b, mask)
+	}
 }
 
-// TestScreen8Order pins the reduction order itself against a hand value:
-// plantScreen's rows are worth 2+r.
+// TestScreen8Order pins the kernel against hand values: in a run of four
+// blocks, row r of block h is worth 100·(r+1) and every other row 0, so a
+// swapped pair of accumulators, a reversed compare, a run that stops a
+// block early or reports the block after its hit, lands on a wrong bit or
+// index.
 func TestScreen8Order(t *testing.T) {
-	const k = 16
-	x, rows := make([]float32, k), make([]float32, 8*k)
-	plantScreen(x, rows, k, 4)
-	for r := 0; r < 8; r++ {
-		v := float32(2 + r)
-		if m := Screen8(x, rows, k, v); m&(1<<r) == 0 {
-			t.Errorf("row %d: value below %v", r, v)
+	const k8, blocks = 16, 4
+	xq := make([]int16, k8)
+	xq[k8-1] = 1 // the last component: a loop that skipped it sees zeros
+	for h := 0; h < blocks; h++ {
+		rows := make([]int16, blocks*8*k8)
+		for r := 0; r < 8; r++ {
+			rows[(8*h+r)*k8+k8-1] = int16(100 * (r + 1))
 		}
-		if m := Screen8(x, rows, k, v+0.5); m&(1<<r) != 0 {
-			t.Errorf("row %d: value at or above %v", r, v+0.5)
+		for r := 0; r < 8; r++ {
+			cut := int32(100 * (r + 1))
+			b, mask := Screen8(xq, rows, cut)
+			if want := 0xFF &^ (1<<r - 1); b != h || mask != want {
+				t.Errorf("hit in block %d, cut %d: block %d mask %08b, want block %d mask %08b", h, cut, b, mask, h, want)
+			}
+		}
+		if b, mask := Screen8(xq, rows, 801); b != blocks || mask != 0 {
+			t.Errorf("hit in block %d, cut above every row: block %d mask %08b, want %d and none", h, b, mask, blocks)
 		}
 	}
 }
 
-// TestScreen8Unaligned starts the rows and the query at each float32 offset
+// TestScreen8Unaligned starts the rows and the query at each int16 offset
 // inside a 16-byte window.
 func TestScreen8Unaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, k := range []int{4, 8, 32} {
-		stride := k + 1
-		ref, xr := randomFactor(rng, 8, stride), randomFactor(rng, 1, k)
-		for off := 0; off < 4*4; off++ {
-			rOff, xOff := off&3, off>>2
-			rows, _ := asmtest.Unaligned[float32](len(ref), rOff, 0)
-			x, _ := asmtest.Unaligned[float32](k, xOff, 0)
-			copy(rows, ref)
-			copy(x, xr)
-			mustScreenLikePortable(t, x, rows, stride, fmt.Sprintf("k=%d offsets rows%d x%d", k, rOff, xOff))
+	for _, k8 := range []int{8, 32} {
+		refX, refRows := screenFixture(rng, k8, 3, 0)
+		for off := 0; off < 8*8; off++ {
+			rOff, xOff := off&7, off>>3
+			rows, rowsIntact := asmtest.Unaligned[int16](len(refRows), rOff, 0x5a5a)
+			xq, xIntact := asmtest.Unaligned[int16](k8, xOff, 0x5a5a)
+			copy(rows, refRows)
+			copy(xq, refX)
+			mustScreenLikePortable(t, xq, rows, fmt.Sprintf("k8=%d offsets rows%d x%d", k8, rOff, xOff))
+			if !rowsIntact() || !xIntact() {
+				t.Fatalf("k8=%d offsets rows%d x%d: the kernel wrote outside its operands", k8, rOff, xOff)
+			}
 		}
 	}
 }

@@ -13,10 +13,10 @@ package linalg
 // chain — and so are the explicit row update's two hot statements and
 // ConfRHS's. A sequential chain per row is lane-shaped too once the lanes
 // are rows: Dot8Wide holds two rows' chains in one register. The serving
-// scan's float32 screen is lane-shaped by definition — its order is four
-// lanes per row, reduced as (l0 + l2) + (l1 + l3) — and exists only because
-// a float32 value is cheap; a bound, not bit-identity with Dot, is what its
-// caller relies on. Eight loops, then, have a vector form:
+// scan's screen has no order to keep: its dots are exact int32 sums of
+// int16 products, so any lane split gives the same bits, and a bound, not
+// identity with Dot, is what its caller relies on. Eight loops, then, have
+// a vector form:
 //
 //	gemvWide     CG matvec, G·p rows                 wide_amd64.s    this file
 //	rank1Wide    CG matvec, one rank-1 term          wide_amd64.s    this file
@@ -25,7 +25,8 @@ package linalg
 //	cholSweep    CholeskyPacked, S3 row strip        packed_amd64.s  packed.go
 //	axpy32       ConfRHS, svec += w·f                conf_amd64.s    conf.go
 //	dot8Wide     serving scan, 8 exact rows per call dot8_amd64.s    syrk.go
-//	screen8      serving scan, 8-row float32 screen  screen_amd64.s  screen.go
+//	screen8      serving scan, int16 screen, a run   screen_amd64.s  screen.go
+//	             of 8-row blocks per call
 //
 // Dot, Dot4Wide and Dot1Wide (one row, or the scan's 4- and 1-row tails),
 // and the substitutions of SolveCholeskyPacked and LDLSolvePacked are the
@@ -35,26 +36,27 @@ package linalg
 // cold).
 //
 // All eight are bound by build constraint alone (*_amd64.go /
-// wide_portable.go): SSE2 assembly on amd64 below GOAMD64=v3, the portable
-// bodies everywhere else and under -tags purego. At v3 the Go compiler fuses
-// x*y+z into an FMA, so only below v3 are the two bindings bit for bit the
-// same in every build — which is the contract: every model and checkpoint is
-// byte-identical whichever binding trained it, and every served score
-// whichever binding scanned. (A NaN's payload may follow operand order; no
-// caller can see one — CGSolve turns any NaN into ErrCGBreakdown, the packed
-// Cholesky rejects a NaN pivot, and no heap compare reads a payload.)
-// DotWide itself never takes the assembly: it is the independent oracle the
-// kernel tests compare against. DESIGN.md "Vector kernels" tables lane
-// shapes and tests.
+// wide_portable.go / screen_portable.go): the seven float kernels as SSE2
+// assembly on amd64 below GOAMD64=v3, the portable bodies everywhere else
+// and under -tags purego. At v3 the Go compiler fuses x*y+z into an FMA, so
+// only below v3 are the two bindings bit for bit the same in every build —
+// which is the contract: every model and checkpoint is byte-identical
+// whichever binding trained it, and every served score whichever binding
+// scanned. (A NaN's payload may follow operand order; no caller can see one
+// — CGSolve turns any NaN into ErrCGBreakdown, the packed Cholesky rejects a
+// NaN pivot, and no heap compare reads a payload.) DotWide itself never
+// takes the assembly: it is the independent oracle the kernel tests compare
+// against. The integer screen has nothing to fuse, so it stays assembly at
+// v3 too (screen_amd64.go: amd64 && !purego). DESIGN.md "Vector kernels"
+// tables lane shapes and tests.
 
-// KernelName names the binding of this build's eight vector kernels (the
-// table above: the CG matvec and shared Gram, the explicit fused sweep and
-// packed Cholesky, ConfRHS, and the serving scan's Dot8Wide and Screen8):
-// "sse2" on amd64 below GOAMD64=v3, "portable" elsewhere and under -tags
-// purego. Dot, Dot4Wide, Dot1Wide, SolveCholeskyPacked and LDLSolvePacked
-// are the same scalar Go in both. (Screen8's portable body converts each
-// product to float32 explicitly, so no build fuses it: its values are the
-// same in every build, FMA or not.)
+// KernelName names the binding of this build's seven float vector kernels
+// (the table above: the CG matvec and shared Gram, the explicit fused sweep
+// and packed Cholesky, ConfRHS, and the serving scan's Dot8Wide): "sse2" on
+// amd64 below GOAMD64=v3, "portable" elsewhere and under -tags purego. Dot,
+// Dot4Wide, Dot1Wide, SolveCholeskyPacked and LDLSolvePacked are the same
+// scalar Go in both. The screen is bound apart, and ScreenKernelName names
+// its binding: at GOAMD64=v3 it is assembly while Dot8Wide is portable.
 func KernelName() string { return kernelName }
 
 // gemvWidePortable computes out[i] = float32(lam·w[i] + g[i·k:i·k+k]·w) for

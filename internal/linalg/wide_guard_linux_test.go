@@ -51,17 +51,19 @@ func TestDot8WideNeverReadsPastARow(t *testing.T) {
 	}
 }
 
-// TestScreen8NeverReadsPastARow: the query and the eighth row each end at a
-// guard page, at a stride equal to k and one wider.
+// TestScreen8NeverReadsPastARow: the query and the run's last row each end
+// at a guard page, and the cut rules every row out, so the kernel walks the
+// whole run: a load past its last row would fault.
 func TestScreen8NeverReadsPastARow(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, k := range []int{4, 8, 32, 64} {
-		for _, stride := range []int{k, k + 1} {
-			x := asmtest.Guarded[float32](t, k)
-			copy(x, randomFactor(rng, 1, k))
-			rows := asmtest.Guarded[float32](t, 7*stride+k)
-			copy(rows, randomFactor(rng, 1, len(rows)))
-			mustScreenLikePortable(t, x, rows, stride, fmt.Sprintf("guarded k=%d stride=%d", k, stride))
+	for _, k8 := range []int{8, 32, 64, 512} {
+		for _, blocks := range []int{1, 3} {
+			refX, refRows := screenFixture(rng, k8, blocks, 0)
+			xq := asmtest.Guarded[int16](t, k8)
+			rows := asmtest.Guarded[int16](t, len(refRows))
+			copy(xq, refX)
+			copy(rows, refRows)
+			mustScreenLikePortable(t, xq, rows, fmt.Sprintf("guarded k8=%d blocks=%d", k8, blocks))
 		}
 	}
 }

@@ -4,8 +4,8 @@ package linalg
 
 const kernelName = "portable"
 
-// This build has no vector form of the eight kernels: the names are the
-// portable bodies.
+// This build has no vector form of the seven float kernels: the names are
+// the portable bodies.
 
 func gemvWide(g, w []float64, lam float64, out []float32) { gemvWidePortable(g, w, lam, out) }
 
@@ -27,10 +27,4 @@ func axpy32(w float32, f, out []float32) { axpy32Portable(w, f, out) }
 
 func dot8Wide(xw []float64, rows []float32, stride int, out *[8]float64) {
 	dot8WidePortable(xw, rows, stride, out)
-}
-
-func screenVectorized(int) bool { return false }
-
-func screen8(x, rows []float32, stride int, cut float32) uint32 {
-	return screen8Portable(x, rows, stride, cut)
 }

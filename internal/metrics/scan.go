@@ -58,73 +58,172 @@ func (s *Sink) admit(item int, score float64) {
 	s.refresh()
 }
 
-// screenGate bounds ‖x‖₂·max‖y_i‖₂ for the float32 screen: below it no
-// float32 product or partial sum of a scan can overflow (Cauchy–Schwarz
-// bounds each by the product of the norms, far below 2¹²⁸).
-const screenGate = 0x1p100
+// MaxScreenK is the widest padded row the screen takes: a value quantizes
+// to one of −2047…2047 (12 bits), so a row's int32 sum of k8 products stays
+// exact while k8·2047² < 2³¹, which holds up to k8 = 512 and fails at 520.
+// A caller can size a query buffer for PrepareScan by it.
+const MaxScreenK = 512
 
-// ScanQuery is one float32 scan's query, prepared once per scan task by
-// PrepareScan: the query, its float64 widening, and the bound that lets the
-// float32 screen rule rows out.
-type ScanQuery struct {
-	x    []float32
-	xw   []float64
-	errb float64 // ≥ |screen value − Dot(x, y_i)| for every row; NaN: the screen is off
+// screenLevels is the largest quantized magnitude, 2¹¹ − 1.
+const screenLevels = 2047
+
+// boundMargin covers the float64 rounding in a bound computed with k ≤ 512
+// terms: each step's relative error is ≤ 2⁻⁵³, and no bound here takes more
+// than 2k + 20 of them, far below 2⁻³⁰.
+const boundMargin = 1 + 0x1p-30
+
+// Screen is the int16 copy of an item-factor matrix that the float32 scan
+// screens with (ScanTopK): row i is ŷᵢ = round(yᵢ/s_y) at the one scale
+// s_y = max|y|/2047, zero-padded to k8 = ⌈k/8⌉·8 components. With it go
+// R ≥ maxᵢ‖yᵢ − s_y·ŷᵢ‖₂, the residuals exact before one rounding (FMA),
+// and M ≥ maxᵢ‖yᵢ‖₂, both rounded up. It is built once per model and
+// only read after, so any number of scans share it.
+type Screen struct {
+	q     []int16
+	k, k8 int
+	sy    float64 // s_y
+	r, m  float64 // R and M
 }
 
-// PrepareScan widens x into buf's backing array (one of its own when buf
-// is too short) and derives the screen's error bound from maxNorm,
-// a bound on ‖y_i‖₂ over every row the query will scan
-// (linalg.MaxRowNorm). For k = len(x), u₃₂ = 2⁻²⁴, u₆₄ = 2⁻⁵³ and
-// γ_k(u) = k·u/(1 − k·u):
+// NewScreen builds y's screen, or returns nil — every row gets its exact
+// score — when the build has no vector screen (linalg.ScreenVectorized:
+// the portable body loses to Dot8Wide), when k8 > MaxScreenK, or when M is
+// 0 or not finite (a zero matrix, or a NaN or Inf anywhere in y).
+func NewScreen(y *linalg.Dense) *Screen {
+	if !linalg.ScreenVectorized() {
+		return nil
+	}
+	return buildScreen(y)
+}
+
+// buildScreen is NewScreen without the build's gate: tests screen with the
+// portable body through it.
+func buildScreen(y *linalg.Dense) *Screen {
+	k := y.Cols
+	k8 := (k + 7) &^ 7
+	if y.Rows == 0 || k == 0 || k8 > MaxScreenK {
+		return nil
+	}
+	m := linalg.MaxRowNorm(y)
+	if !(m > 0 && m <= math.MaxFloat64) {
+		return nil
+	}
+	var top float64
+	for _, v := range y.Data[:y.Rows*k] {
+		top = max(top, math.Abs(float64(v)))
+	}
+	sc := &Screen{q: make([]int16, y.Rows*k8), k: k, k8: k8,
+		sy: top / screenLevels, m: m * boundMargin}
+	var r2 float64
+	for i := range y.Rows {
+		r2 = max(r2, quantize(sc.q[i*k8:][:k], y.Row(i), sc.sy))
+	}
+	sc.r = math.Sqrt(r2) * boundMargin
+	return sc
+}
+
+// quantize writes round(v/s), clamped to ±2047, for each v of src into dst
+// and returns Σ(v − s·v̂)²: each residual is exact before its one rounding
+// (FMA), so the sum carries only float64 rounding, which boundMargin covers.
+func quantize(dst []int16, src []float32, s float64) (resid2 float64) {
+	for j, v := range src {
+		w := float64(v)
+		l := min(max(math.Round(w/s), -screenLevels), screenLevels)
+		dst[j] = int16(l)
+		e := math.FMA(-s, l, w)
+		resid2 += e * e
+	}
+	return resid2
+}
+
+// ScanQuery is one float32 scan's query, prepared once per scan task by
+// PrepareScan: its float64 widening and, where the screen runs, its int16
+// copy and the bound and scales that turn a heap threshold into an integer
+// cut.
+type ScanQuery struct {
+	xw       []float64
+	sc       *Screen // nil: the screen is off for this query
+	xq       []int16 // x̂ = round(x/s_x), padded to sc.k8
+	errb     float64 // ≥ |s_x·s_y·(x̂·ŷᵢ) − Dot(x, yᵢ)| for every row
+	sLo, sHi float64 // s_x·s_y lies in [sLo, sHi]
+}
+
+// PrepareScan widens x into buf's backing array (one of its own when buf is
+// too short) and, when sc is not nil, quantizes it into xq's (one of its own
+// when xq is shorter than the screen's padded width): s_x = max|x|/2047,
+// x̂ = round(x/s_x) and ρ_x = ‖x − s_x·x̂‖₂. For k = len(x), u = 2⁻⁵³ and
+// γ_k = k·u/(1 − k·u),
 //
-//	errb = (γ_k(u₃₂) + γ_k(u₆₄))·‖x‖₂·maxNorm·(1 + 2⁻²⁰) + k·2⁻¹⁴⁹
+//	errb = (‖x‖₂·R + ρ_x·(M + R) + γ_k·‖x‖₂·M)·(1 + 2⁻³⁰)
 //
-// bounds |screen value − Dot(x, y_i)| (DESIGN.md §3b has the derivation).
-// The screen is off — every row gets its exact score — unless the build
-// screens at this width (linalg.ScreenVectorized), maxNorm is a positive
-// finite number (NaN and Inf rows, and the zero value of a bound nobody
-// computed, all fail that) and ‖x‖₂·maxNorm < 2¹⁰⁰.
-func PrepareScan(x []float32, buf []float64, maxNorm float64) ScanQuery {
+// bounds |s_x·s_y·(x̂·ŷᵢ) − Dot(x, yᵢ)| for every row of sc (DESIGN.md §3b
+// has the derivation). The screen is off for this query — every row gets
+// its exact score — when sc is nil, its width is not len(x), or max|x| is 0
+// or not finite.
+func PrepareScan(x []float32, buf []float64, xq []int16, sc *Screen) ScanQuery {
 	if cap(buf) < len(x) {
 		buf = make([]float64, 0, len(x))
 	}
 	xw := buf[:0]
-	var sq float64
+	var sq, top float64
 	for _, v := range x {
 		w := float64(v)
 		xw = append(xw, w)
 		sq += w * w
+		top = max(top, math.Abs(w))
 	}
-	q := ScanQuery{x: x, xw: xw, errb: math.NaN()}
-	normX := math.Sqrt(sq)
-	if linalg.ScreenVectorized(len(x)) && maxNorm > 0 && normX*maxNorm < screenGate && len(x) < 1<<20 {
-		q.errb = screenBound(len(x), normX, maxNorm)
+	q := ScanQuery{xw: xw}
+	if sc == nil || len(x) != sc.k || !(top > 0 && top <= math.MaxFloat64) {
+		return q
 	}
+	if cap(xq) < sc.k8 {
+		xq = make([]int16, sc.k8)
+	}
+	q.sc, q.xq = sc, xq[:sc.k8]
+	sx := top / screenLevels
+	rho := math.Sqrt(quantize(q.xq[:len(x)], x, sx))
+	clear(q.xq[len(x):])
+	q.errb = screenBound(len(x), math.Sqrt(sq), rho, sc.m, sc.r)
+	s := sx * sc.sy
+	q.sLo, q.sHi = math.Nextafter(s, 0), math.Nextafter(s, math.Inf(1))
 	return q
 }
 
-// screenBound is PrepareScan's errb for a query of width k and norm normX
-// against rows of norm at most maxNorm.
-func screenBound(k int, normX, maxNorm float64) float64 {
+// screenBound is PrepareScan's errb for a query of width k, norm normX and
+// quantization residual rho against rows of norm at most m and residual at
+// most r. x·y = s_x·s_y·(x̂·ŷ) + e_x·y + s_x·x̂·e_y with e_x = x − s_x·x̂ and
+// e_y = y − s_y·ŷ, so |x·y − s_x·s_y·(x̂·ŷ)| ≤ ρ_x·M + (‖x‖ + ρ_x)·R, and
+// Dot adds exact float64 products with error ≤ γ_k·‖x‖·M. The factor
+// covers the rounding of ‖x‖, ρ_x and the expression itself.
+func screenBound(k int, normX, rho, m, r float64) float64 {
 	kf := float64(k)
-	gamma := func(u float64) float64 { return kf * u / (1 - kf*u) }
-	return (gamma(0x1p-24)+gamma(0x1p-53))*normX*maxNorm*(1+0x1p-20) + kf*0x1p-149
+	gamma := kf * 0x1p-53 / (1 - kf*0x1p-53)
+	return (normX*r + rho*(m+r) + gamma*normX*m) * boundMargin
 }
 
-// cut returns the largest float32 at or below thr − errb, rounded
-// downward: a row whose screen value v is below it has Dot < v + errb <
-// thr, so the Sink would reject it — and a tie, which may still win on its
-// lower index, is never ruled out.
-func (q *ScanQuery) cut(thr float64) float32 {
-	// The subtraction rounds to nearest; one float64 step down lands at or
-	// below the exact difference.
+// cut returns an integer c ≤ (thr − errb)/(s_x·s_y), clamped to int32: a
+// row whose int32 sum is below it has s_x·s_y·sum < thr − errb, so
+// Dot < thr and the Sink would reject it — and a tie, which may still win
+// on its lower index, is never ruled out. Each float64 step rounds toward
+// −∞ or is followed by one step down, and the division takes the end of
+// [sLo, sHi] that keeps the quotient low, so c is at most one below the
+// exact floor. Past the int32 range the clamp keeps the meaning: no sum
+// reaches MaxInt32 (|sum| ≤ 512·2047² < 2³¹ − 1), and every sum reaches
+// MinInt32.
+func (q *ScanQuery) cut(thr float64) int32 {
 	d := math.Nextafter(thr-q.errb, math.Inf(-1))
-	c := float32(d)
-	if float64(c) > d {
-		c = math.Nextafter32(c, float32(math.Inf(-1)))
+	s := q.sHi
+	if d < 0 {
+		s = q.sLo
 	}
-	return c
+	c := math.Floor(math.Nextafter(d/s, math.Inf(-1)))
+	switch {
+	case c >= math.MaxInt32:
+		return math.MaxInt32
+	case c >= math.MinInt32:
+		return int32(c)
+	}
+	return math.MinInt32 // below the range, or NaN
 }
 
 // ScanTopK scores rows [lo, hi) of y against a prepared query and offers
@@ -132,43 +231,64 @@ func (q *ScanQuery) cut(thr float64) float32 {
 // Every offered score is bit for bit linalg.Dot(x, y.Row(i)), and the heap
 // is exactly what the row-at-a-time loop in TopN would leave. This is the
 // serving scan; TopN and TopNSort stay on linalg.Dot as the references it is
-// tested against. Callers slab the range and check their context between
-// calls. It allocates nothing, and returns how many rows got an exact score.
+// tested against. The query's screen, if any, must be y's (NewScreen(y)).
+// Callers slab the range and check their context between calls. It
+// allocates nothing, and returns how many rows got an exact score.
 //
 // Rows go eight at a time. Until the heap is full, or with the screen off,
 // a block is scored by linalg.Dot8Wide. Once it is full, linalg.Screen8
-// first compares the block's float32 screen values against the cut below
-// the heap threshold: a row below it cannot enter the heap and is skipped,
-// a block with every row at or above it goes to Dot8Wide, and any other
-// row that passes gets linalg.Dot1Wide. The 4- and 1-row tails always get
-// linalg.Dot4Wide and Dot1Wide.
+// walks the rest of the range's whole blocks in the int16 copy against the
+// cut below the heap threshold and stops at the first block with a row at
+// or above it: a row below the cut cannot enter the heap and is skipped, a
+// block with every row at or above it goes to Dot8Wide, and any other row
+// that passes gets linalg.Dot1Wide; then the walk resumes at the next
+// block under the threshold those offers left. The 4- and 1-row tails
+// always get linalg.Dot4Wide and Dot1Wide.
 func ScanTopK(q ScanQuery, y *linalg.Dense, lo, hi int, excluded func(int) bool, t *TopK) (scored int) {
 	k := y.Cols
 	sk := NewSink(t, excluded)
-	screen := !math.IsNaN(q.errb)
-	cut, cutFor := float32(math.Inf(-1)), math.NaN()
+	sc := q.sc
+	if sc != nil && len(sc.q) != y.Rows*sc.k8 {
+		sc = nil // not y's screen
+	}
 	i := lo
 	var s [8]float64
 	for ; i+8 <= hi; i += 8 {
-		rows := y.Data[i*k:]
-		if thr, full := sk.Threshold(); screen && full {
-			if thr != cutFor { // a push raised the threshold
-				cut, cutFor = q.cut(thr), thr
-			}
-			mask := linalg.Screen8(q.x, rows, k, cut)
-			if mask != 0xFF {
-				scored += bits.OnesCount32(mask)
-				for ; mask != 0; mask &= mask - 1 {
-					r := bits.TrailingZeros32(mask)
-					sk.Offer(i+r, linalg.Dot1Wide(q.xw, rows[r*k:]))
-				}
-				continue
-			}
+		if _, full := sk.Threshold(); full && sc != nil {
+			break
 		}
-		linalg.Dot8Wide(q.xw, rows, k, &s)
+		linalg.Dot8Wide(q.xw, y.Data[i*k:], k, &s)
 		scored += 8
 		for r, v := range s {
 			sk.Offer(i+r, v)
+		}
+	}
+	if sc != nil {
+		k8, end := sc.k8, i+(hi-i)&^7
+		cut, cutFor := int32(0), math.NaN()
+		for i < end {
+			if thr, _ := sk.Threshold(); thr != cutFor { // a push raised the threshold
+				cut, cutFor = q.cut(thr), thr
+			}
+			b, mask := linalg.Screen8(q.xq, sc.q[i*k8:end*k8], cut)
+			i += 8 * b
+			if mask == 0 {
+				break
+			}
+			rows := y.Data[i*k:]
+			if mask == 0xFF {
+				linalg.Dot8Wide(q.xw, rows, k, &s)
+				for r, v := range s {
+					sk.Offer(i+r, v)
+				}
+			} else {
+				for m := mask; m != 0; m &= m - 1 {
+					r := bits.TrailingZeros(uint(m))
+					sk.Offer(i+r, linalg.Dot1Wide(q.xw, rows[r*k:]))
+				}
+			}
+			scored += bits.OnesCount(uint(mask))
+			i += 8
 		}
 	}
 	if i+4 <= hi {

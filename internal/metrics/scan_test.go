@@ -25,11 +25,21 @@ func referenceScan(x []float32, y *linalg.Dense, lo, hi int, excluded func(int) 
 
 // mustEqualReference checks item for item and score for score (bitwise; two
 // NaNs are equal — which payload an add of NaNs keeps is not observable).
-func mustEqualReference(t testing.TB, x []float32, y *linalg.Dense, lo, hi int, excluded func(int) bool, n int, what string) {
+// The scan screens through buildScreen, so a build without the vector
+// screen runs the same logic on Screen8's portable body; slab > 0 scans the
+// range in slabs of that many rows, one heap throughout, as the serving
+// scorer does.
+func mustEqualReference(t testing.TB, x []float32, y *linalg.Dense, lo, hi int, excluded func(int) bool, n, slab int, what string) {
 	t.Helper()
 	want := referenceScan(x, y, lo, hi, excluded, n)
 	tk := NewTopK(n)
-	ScanTopK(PrepareScan(x, nil, linalg.MaxRowNorm(y)), y, lo, hi, excluded, tk)
+	q := PrepareScan(x, nil, nil, buildScreen(y))
+	if slab <= 0 {
+		slab = max(hi-lo, 1)
+	}
+	for at := lo; at < hi; at += slab {
+		ScanTopK(q, y, at, min(at+slab, hi), excluded, tk)
+	}
 	got := tk.Drain()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d items, reference %d", what, len(got), len(want))
@@ -53,11 +63,11 @@ func randScanDense(rng *rand.Rand, rows, k int) *linalg.Dense {
 
 // TestScanTopKMatchesReference: the blocked scan and the old loop leave the
 // same heap — over every row count up to two 8-row blocks and a 4- and 1-row
-// tail, odd k (the portable bodies of the 8-row kernels) and widths the
-// screen's kernel takes, unaligned ranges, heaps smaller and larger than the
-// range, and exclusion sets from none to "everything that would have won" —
-// and on the planted inputs of screenFixtures: near ties the float32 screen
-// cannot see, and queries and rows that switch the screen off.
+// tail, widths that pad to 8 and one that does not need to, unaligned
+// ranges, heaps smaller and larger than the range, and exclusion sets from
+// none to "everything that would have won" — and on the planted inputs of
+// screenFixtures: near ties, an outlier that coarsens the copy, subnormal
+// rows, and queries and rows that switch the screen off.
 func TestScanTopKMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rowCounts := []int{1000, 1001, 1002, 1003}
@@ -106,7 +116,7 @@ func TestScanTopKMatchesReference(t *testing.T) {
 					"top":    func(i int) bool { return top[i] },
 					"all":    func(int) bool { return true },
 				} {
-					mustEqualReference(t, x, y, lo, hi, ex, n,
+					mustEqualReference(t, x, y, lo, hi, ex, n, 0,
 						fmt.Sprintf("%s rows=%d k=%d [%d,%d) n=%d ex=%s", c.name, rows, k, lo, hi, n, name))
 				}
 			}
@@ -120,24 +130,21 @@ type screenFixture struct {
 	y *linalg.Dense
 }
 
-// nearTieRow writes, into a row of a query of ones, the plant (2²⁴, −2²⁴,
-// 1, d) at components 0–3: Dot reads 1 + d, but in the screen's order 2²⁴
-// absorbs the 1 in lane 0 + lane 2 and the screen value reads 0.
-func nearTieRow(row []float32, d float32) {
-	clear(row)
-	row[0], row[1], row[2], row[3] = 0x1p24, -0x1p24, 1, d
-}
-
-// screenFixtures plants, at width k ≥ 4, the inputs the float32 screen must
-// get right (each with 40 rows, so the heap fills in the first 8-row block
-// and the screen rules on the rest):
+// screenFixtures plants, at width k ≥ 4, the inputs the screen must get
+// right (each with 40 rows, so the heap fills in the first 8-row block and
+// the screen rules on the rest):
 //   - "near-tie": a query of ones; rows 0–7 score exactly 1, and the rest
-//     score 1, 1 ± 2⁻³⁰ (less than a float32 ulp from the heap minimum) or
-//     1 ± 2⁻²² while their screen value reads 0 — a row that beats the heap
-//     minimum only by what the screen lost;
-//   - "gate": ‖x‖·max‖y_i‖ ≥ 2¹⁰⁰, which switches the screen off;
-//   - "nan" and "inf": a NaN or an Inf row, so max‖y_i‖ is not finite and the
-//     screen is off.
+//     1, 1 ± 2⁻³⁰ or 1 ± 2⁻²² — a row that beats the heap minimum by far
+//     less than the copy's resolution — through a 2²⁴ and a −2²⁴ that
+//     cancel;
+//   - "outlier": one component of one row is 2¹⁰ times every other, so
+//     most rows quantize to a few levels and R is large: the bound must
+//     hold all the same;
+//   - "subnormal": rows and query of subnormal float32s;
+//   - "huge": ‖x‖·max‖yᵢ‖ ≈ 2¹⁰⁵, far past any float32 sum;
+//   - "zero": a zero query, which switches the screen off;
+//   - "nan" and "inf": a NaN or an Inf row, so max‖yᵢ‖ is not finite and
+//     no screen is built.
 func screenFixtures(rng *rand.Rand, k int) map[string]screenFixture {
 	const rows = 40
 	out := map[string]screenFixture{}
@@ -148,22 +155,32 @@ func screenFixtures(rng *rand.Rand, k int) map[string]screenFixture {
 	y := linalg.NewDense(rows, k)
 	deltas := []float32{0x1p-30, -0x1p-30, 0, 0x1p-22, -0x1p-22}
 	for i := 0; i < rows; i++ {
+		row := y.Row(i)
 		if i < 8 {
-			y.Row(i)[i%k] = 1
+			row[i%k] = 1
 			continue
 		}
-		nearTieRow(y.Row(i), deltas[i%len(deltas)])
+		row[0], row[1], row[2], row[3] = 0x1p24, -0x1p24, 1, deltas[i%len(deltas)]
 	}
 	out["near-tie"] = screenFixture{ones, y}
-	big := randScanDense(rng, rows, k)
-	for i := range big.Data {
-		big.Data[i] *= 0x1p45
+	outlier := randScanDense(rng, rows, k)
+	outlier.Row(rows / 3)[k/2] = 0x1p10
+	out["outlier"] = screenFixture{outlier.Row(5), outlier}
+	sub := randScanDense(rng, rows, k)
+	for i := range sub.Data {
+		sub.Data[i] *= 0x1p-135
+	}
+	out["subnormal"] = screenFixture{sub.Row(rows - 1), sub}
+	huge := randScanDense(rng, rows, k)
+	for i := range huge.Data {
+		huge.Data[i] *= 0x1p45
 	}
 	x := make([]float32, k)
 	for j := range x {
 		x[j] = float32(rng.NormFloat64()) * 0x1p60
 	}
-	out["gate"] = screenFixture{x, big}
+	out["huge"] = screenFixture{x, huge}
+	out["zero"] = screenFixture{make([]float32, k), randScanDense(rng, rows, k)}
 	for name, v := range map[string]float32{"nan": float32(math.NaN()), "inf": float32(math.Inf(1))} {
 		d := randScanDense(rng, rows, k)
 		d.Row(rows / 2)[k-1] = v
@@ -172,106 +189,112 @@ func screenFixtures(rng *rand.Rand, k int) map[string]screenFixture {
 	return out
 }
 
-// TestScanTopKScreens: the screen rules rows out once the heap is full, and
-// only where it may — a fixture that switches it off (screenFixtures' gate,
-// NaN and Inf rows), a zero bound (a snapshot that computed none) and a
-// width or build without the vector screen (linalg.ScreenVectorized) score
-// every row.
+// TestScanTopKScreens: the screen rules rows out once the heap is full, at
+// every width up to MaxScreenK (k = 1, 7, 9 and 33 pad their rows), and
+// only where it may: k = 513 (k8 = 520 past MaxScreenK), a zero query, NaN
+// and Inf rows, and a build without the vector screen score every row —
+// NewScreen builds a screen exactly where linalg.ScreenVectorized holds.
 func TestScanTopKScreens(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	const rows, k, n = 2000, 32, 10
-	y := randScanDense(rng, rows, k)
-	x := y.Row(7)
-	scan := func(x []float32, y *linalg.Dense, maxNorm float64) int {
-		return ScanTopK(PrepareScan(x, nil, maxNorm), y, 0, y.Rows, nil, NewTopK(n))
+	const rows, n = 2000, 10
+	scan := func(x []float32, y *linalg.Dense, sc *Screen) int {
+		return ScanTopK(PrepareScan(x, nil, nil, sc), y, 0, y.Rows, nil, NewTopK(n))
 	}
-	got := scan(x, y, linalg.MaxRowNorm(y))
-	if screens := linalg.ScreenVectorized(k); (screens && (got > rows/5 || got < n)) || (!screens && got != rows) {
-		t.Errorf("screened scan scored %d of %d rows (vector screen: %v)", got, rows, screens)
-	}
-	if y33 := randScanDense(rng, rows, 33); scan(y33.Row(7), y33, linalg.MaxRowNorm(y33)) != rows {
-		t.Errorf("k = 33, which no build screens: not every row scored")
-	}
-	if got := scan(x, y, 0); got != rows {
-		t.Errorf("no bound: scored %d of %d rows", got, rows)
-	}
-	for name, f := range screenFixtures(rng, k) {
-		if name == "near-tie" {
-			continue
+	for _, k := range []int{1, 7, 9, 32, 33, 64, 512} {
+		y := randScanDense(rng, rows, k)
+		x := y.Row(7)
+		if got := scan(x, y, buildScreen(y)); got > rows/4 || got < n {
+			t.Errorf("k=%d: the screened scan scored %d of %d rows", k, got, rows)
 		}
-		if got := scan(f.x, f.y, linalg.MaxRowNorm(f.y)); got != f.y.Rows {
-			t.Errorf("%s: scored %d of %d rows with the screen off", name, got, f.y.Rows)
+		if sc := NewScreen(y); (sc != nil) != linalg.ScreenVectorized() {
+			t.Errorf("k=%d: NewScreen built %v, the build's vector screen: %v", k, sc != nil, linalg.ScreenVectorized())
+		}
+		if got := scan(x, y, nil); got != rows {
+			t.Errorf("k=%d, no screen: scored %d of %d rows", k, got, rows)
+		}
+	}
+	if sc := buildScreen(randScanDense(rng, rows, 513)); sc != nil {
+		t.Errorf("k = 513: a screen of width %d, past MaxScreenK", sc.k8)
+	}
+	if sc := buildScreen(linalg.NewDense(rows, 8)); sc != nil {
+		t.Errorf("a zero matrix: built a screen")
+	}
+	for name, f := range screenFixtures(rng, 32) {
+		sc := buildScreen(f.y)
+		switch name {
+		case "nan", "inf":
+			if sc != nil {
+				t.Errorf("%s: built a screen over a non-finite row", name)
+			}
+		case "zero":
+			if got := scan(f.x, f.y, sc); got != f.y.Rows {
+				t.Errorf("zero query: scored %d of %d rows", got, f.y.Rows)
+			}
+		case "outlier", "subnormal", "huge":
+			if got := scan(f.x, f.y, sc); got >= f.y.Rows {
+				t.Errorf("%s: the screen ruled out no row", name)
+			}
 		}
 	}
 }
 
-// screenValue reads row r's screen value back from linalg.Screen8's mask:
-// bit r is set exactly for cuts at or below the value, so a binary search
-// over the float32 order finds it. (A zero's sign does not show.)
-func screenValue(x, rows []float32, stride, r int) float32 {
-	key := func(f float32) int64 { // the float32 order as an integer order
-		b := int64(math.Float32bits(f))
-		if b&(1<<31) != 0 {
-			return -(b &^ (1 << 31))
-		}
-		return b
-	}
-	val := func(k int64) float32 {
-		if k < 0 {
-			return math.Float32frombits(uint32(-k) | 1<<31)
-		}
-		return math.Float32frombits(uint32(k))
-	}
-	lo, hi := key(-math.MaxFloat32), key(math.MaxFloat32) // bit set at lo, invariant
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if linalg.Screen8(x, rows, stride, val(mid))&(1<<r) != 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return val(lo)
-}
-
-// TestScreenCut: the cut is the largest float32 at or below thr − errb,
-// compared exactly (math/big) — rounded downward, never to nearest — for
-// thresholds across the float32 range, float32-exact thresholds with bounds
-// far below their ulp, and bounds from subnormal to large.
+// TestScreenCut: the cut is an integer at or below (thr − errb)/(s_x·s_y),
+// compared exactly (math/big) — rounded downward, never to nearest or up —
+// and at most one below that quotient's floor, for thresholds of either
+// sign across a wide range, bounds from far below a threshold's ulp to
+// larger than it, and scales whose product is not a float64; quotients
+// past the int32 range clamp to its ends.
 func TestScreenCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	exact := func(f float64) *big.Float { return new(big.Float).SetPrec(4096).SetFloat64(f) }
 	for trial := 0; trial < 20000; trial++ {
-		thr := math.Ldexp(2*rng.Float64()-1, rng.Intn(200)-100)
-		if trial%2 == 1 {
-			thr = float64(float32(thr))
-		}
-		q := ScanQuery{errb: math.Ldexp(rng.Float64(), rng.Intn(260)-150)}
+		sx := math.Ldexp(1+rng.Float64(), rng.Intn(60)-40) / 2047
+		sy := math.Ldexp(1+rng.Float64(), rng.Intn(60)-40) / 2047
+		thr := math.Ldexp(2*rng.Float64()-1, rng.Intn(120)-60)
+		s := sx * sy
+		q := ScanQuery{errb: math.Ldexp(rng.Float64(), rng.Intn(160)-100),
+			sLo: math.Nextafter(s, 0), sHi: math.Nextafter(s, math.Inf(1))}
 		c := q.cut(thr)
-		diff := exact(thr)
-		diff.Sub(diff, exact(q.errb))
-		if exact(float64(c)).Cmp(diff) > 0 {
-			t.Fatalf("thr %g − errb %g: cut %g is above the difference", thr, q.errb, c)
+		quo := exact(thr)
+		quo.Sub(quo, exact(q.errb))
+		quo.Quo(quo, new(big.Float).SetPrec(4096).Mul(exact(sx), exact(sy)))
+		fl, _ := quo.Int(nil) // toward zero
+		if quo.Sign() < 0 && !quo.IsInt() {
+			fl.Sub(fl, big.NewInt(1))
 		}
-		if up := math.Nextafter32(c, float32(math.Inf(1))); exact(float64(up)).Cmp(diff) <= 0 {
-			t.Fatalf("thr %g − errb %g: cut %g, but %g is at or below the difference too", thr, q.errb, c, up)
+		switch {
+		case fl.Cmp(big.NewInt(math.MaxInt32)) >= 0:
+			if c != math.MaxInt32 {
+				t.Fatalf("thr %g errb %g s %g: floor %v past int32, cut %d", thr, q.errb, s, fl, c)
+			}
+		case fl.Cmp(big.NewInt(math.MinInt32)) < 0:
+			if c != math.MinInt32 {
+				t.Fatalf("thr %g errb %g s %g: floor %v below int32, cut %d", thr, q.errb, s, fl, c)
+			}
+		default:
+			if d := fl.Int64() - int64(c); d < 0 || d > 1 {
+				t.Fatalf("thr %g errb %g s %g: cut %d, exact floor %v", thr, q.errb, s, c, fl)
+			}
 		}
 	}
 }
 
-// TestScanTopKRescoresTheCut: a row whose screen value equals the cut is
-// not ruled out — the screen skips only values strictly below it — so it
-// gets an exact score (and here loses to the heap anyway).
+// TestScanTopKRescoresTheCut: a row whose int16 sum equals the cut is not
+// ruled out — the screen skips only sums strictly below it — so it gets an
+// exact score (and here loses to the heap anyway). Row 9's copy is planted
+// so that x̂·ŷ₉ is the cut itself.
 func TestScanTopKRescoresTheCut(t *testing.T) {
-	const k, maxNorm = 4, 8
-	if !linalg.ScreenVectorized(k) {
-		t.Skip("this build does not screen")
-	}
-	x := []float32{1, 0, 0, 0}
-	q := PrepareScan(x, nil, maxNorm)
+	const k = 4
+	x := []float32{1, 1.0 / screenLevels, 0, 0} // x̂ = (2047, 1, 0, 0)
 	y := linalg.NewDense(16, k)
 	y.Row(0)[0] = 4 // the heap's one entry: thr = 4
-	y.Row(9)[0] = q.cut(4)
+	sc := buildScreen(y)
+	q := PrepareScan(x, nil, nil, sc)
+	if q.xq[0] != screenLevels || q.xq[1] != 1 {
+		t.Fatalf("x̂ = %v, want (2047, 1, 0, 0)", q.xq)
+	}
+	c := q.cut(4)
+	sc.q[9*sc.k8], sc.q[9*sc.k8+1] = int16(c/screenLevels), int16(c%screenLevels)
 	tk := NewTopK(1)
 	if scored := ScanTopK(q, y, 0, y.Rows, nil, tk); scored != 9 {
 		t.Errorf("scored %d rows, want the first block and the row at the cut (9)", scored)
@@ -282,13 +305,15 @@ func TestScanTopKRescoresTheCut(t *testing.T) {
 }
 
 // TestScreenBoundHolds is the screen's exactness proof as a test: for
-// every row, |screen value − Dot| ≤ errb, on random rows, cancellation-heavy
-// rows (terms near 2²⁰ that cancel to about 1), rows whose components span
-// a wide exponent range, and subnormal queries and rows whose products
-// underflow, at widths the kernel takes and one it does not.
+// every row, |s_x·s_y·(x̂·ŷᵢ) − Dot(x, yᵢ)| ≤ errb, the left side exact
+// (math/big), on random rows, cancellation-heavy rows (terms near 2²⁰ that
+// cancel to about 1), rows whose components span a wide exponent range,
+// one outlier that dominates max|y|, and subnormal queries and rows, at
+// widths that pad and the widest the screen takes. Each case also checks
+// that the bound is not vacuous: on random rows it is under 2 % of ‖x‖·M.
 func TestScreenBoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	const blocks = 8
+	const rows = 64
 	gens := map[string]func(x []float32, y *linalg.Dense){
 		"random": func(x []float32, y *linalg.Dense) {
 			for j := range x {
@@ -322,30 +347,54 @@ func TestScreenBoundHolds(t *testing.T) {
 				y.Data[i] = exp()
 			}
 		},
-		"subnormal": func(x []float32, y *linalg.Dense) {
+		"outlier": func(x []float32, y *linalg.Dense) {
 			for j := range x {
-				x[j] = float32(math.Ldexp(2*rng.Float64()-1, -70-rng.Intn(10)))
+				x[j] = float32(rng.NormFloat64())
 			}
 			for i := range y.Data {
-				y.Data[i] = float32(math.Ldexp(2*rng.Float64()-1, -70-rng.Intn(10)))
+				y.Data[i] = float32(rng.NormFloat64())
+			}
+			y.Data[rng.Intn(len(y.Data))] = 0x1p12
+		},
+		"subnormal": func(x []float32, y *linalg.Dense) {
+			for j := range x {
+				x[j] = float32(math.Ldexp(2*rng.Float64()-1, -130-rng.Intn(15)))
+			}
+			for i := range y.Data {
+				y.Data[i] = float32(math.Ldexp(2*rng.Float64()-1, -130-rng.Intn(15)))
 			}
 		},
 	}
+	exact := func(f float64) *big.Float { return new(big.Float).SetPrec(4096).SetFloat64(f) }
 	for name, gen := range gens {
-		for _, k := range []int{4, 7, 12, 32, 64} {
-			for trial := 0; trial < 10; trial++ {
-				x, y := make([]float32, k), linalg.NewDense(8*blocks, k)
+		for _, k := range []int{1, 4, 7, 9, 12, 32, 33, 64, 512} {
+			for trial := 0; trial < 4; trial++ {
+				x, y := make([]float32, k), linalg.NewDense(rows, k)
 				gen(x, y)
-				normX, maxNorm := math.Sqrt(linalg.Nrm2Sq(x)), linalg.MaxRowNorm(y)
-				if !(maxNorm > 0 && normX*maxNorm < screenGate) {
-					t.Fatalf("%s k=%d: ‖x‖ = %g, M = %g: outside the screen's gate", name, k, normX, maxNorm)
+				sc := buildScreen(y)
+				q := PrepareScan(x, nil, nil, sc)
+				if q.sc == nil {
+					t.Fatalf("%s k=%d: the screen is off", name, k)
 				}
-				errb := screenBound(k, normX, maxNorm)
-				for i := 0; i < y.Rows; i++ {
-					v := screenValue(x, y.Data[i&^7*k:], k, i&7)
+				var top float64
+				for _, v := range x {
+					top = max(top, math.Abs(float64(v)))
+				}
+				s := new(big.Float).SetPrec(4096).Mul(exact(top/screenLevels), exact(sc.sy))
+				normX := math.Sqrt(linalg.Nrm2Sq(x))
+				if name == "random" && q.errb > 0.02*normX*sc.m {
+					t.Errorf("%s k=%d: errb %g is %.1f %% of ‖x‖·M", name, k, q.errb, 100*q.errb/(normX*sc.m))
+				}
+				for i := 0; i < rows; i++ {
+					var sum int64
+					for j, v := range q.xq {
+						sum += int64(v) * int64(sc.q[i*sc.k8+j])
+					}
+					v := new(big.Float).SetPrec(4096).Mul(s, new(big.Float).SetInt64(sum))
 					dot := linalg.Dot(x, y.Row(i))
-					if err := math.Abs(float64(v) - dot); !(err <= errb) {
-						t.Fatalf("%s k=%d row %d: screen %g, Dot %g: error %g over the bound %g", name, k, i, v, dot, err, errb)
+					diff := v.Sub(v, exact(dot))
+					if diff.Abs(diff).Cmp(exact(q.errb)) > 0 {
+						t.Fatalf("%s k=%d row %d: screen %v, Dot %g: error %v over the bound %g", name, k, i, v, dot, diff, q.errb)
 					}
 				}
 			}
@@ -364,9 +413,9 @@ func TestScanTopKIdenticalRows(t *testing.T) {
 	x := []float32{1, -2, 0.5, 3, 1}
 	for _, n := range []int{1, 4, 6, rows, rows + 5} {
 		for _, ex := range []func(int) bool{nil, func(i int) bool { return i < 3 || i == 9 }} {
-			mustEqualReference(t, x, y, 0, rows, ex, n, fmt.Sprintf("identical rows n=%d", n))
+			mustEqualReference(t, x, y, 0, rows, ex, n, 0, fmt.Sprintf("identical rows n=%d", n))
 			tk := NewTopK(n)
-			ScanTopK(PrepareScan(x, nil, linalg.MaxRowNorm(y)), y, 0, rows, ex, tk)
+			ScanTopK(PrepareScan(x, nil, nil, buildScreen(y)), y, 0, rows, ex, tk)
 			got := tk.Drain()
 			for i := 1; i < len(got); i++ {
 				if got[i].Item <= got[i-1].Item {
@@ -392,15 +441,17 @@ func TestScanTopKNaNScores(t *testing.T) {
 		y.Data[11*k], y.Data[12*k] = inf, -inf
 		x := []float32{1, 0.5, -1, 2}
 		for _, ex := range []func(int) bool{nil, func(i int) bool { return i%5 == 0 }} {
-			mustEqualReference(t, x, y, 0, rows, ex, n, fmt.Sprintf("NaN rows %v", at))
-			mustEqualReference(t, x, y, 1, rows-2, ex, rows, fmt.Sprintf("NaN rows %v, heap never full", at))
+			mustEqualReference(t, x, y, 0, rows, ex, n, 0, fmt.Sprintf("NaN rows %v", at))
+			mustEqualReference(t, x, y, 1, rows-2, ex, rows, 0, fmt.Sprintf("NaN rows %v, heap never full", at))
 		}
 	}
 }
 
 // TestScanTopKSlabs: scanning a range in slabs into one heap — how the
 // serving scorer calls it — equals scanning it at once, for every slab width
-// up to two 8-row blocks and a tail, at an even and an odd k.
+// up to two 8-row blocks and a tail, at an even and an odd k: a slab
+// boundary ends the screen's run mid-range, and the next slab resumes it
+// under the same heap.
 func TestScanTopKSlabs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const rows, n = 1003, 10
@@ -415,7 +466,7 @@ func TestScanTopKSlabs(t *testing.T) {
 		want := referenceScan(x, y, 0, rows, ex, n)
 		for _, slab := range slabs {
 			tk := NewTopK(n)
-			q := PrepareScan(x, nil, linalg.MaxRowNorm(y))
+			q := PrepareScan(x, nil, nil, buildScreen(y))
 			for lo := 0; lo < rows; lo += slab {
 				ScanTopK(q, y, lo, min(lo+slab, rows), ex, tk)
 			}
@@ -435,7 +486,7 @@ func TestScanTopKZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const rows, k = 2000, 32
 	y := randScanDense(rng, rows, k)
-	q := PrepareScan(y.Row(3), nil, linalg.MaxRowNorm(y))
+	q := PrepareScan(y.Row(3), nil, nil, buildScreen(y))
 	ex := func(i int) bool { return i%9 == 0 }
 	tk := NewTopK(10)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -448,16 +499,21 @@ func TestScanTopKZeroAllocs(t *testing.T) {
 }
 
 // fuzzScan decodes a fuzz input: [k, n, mask, lo, trim] then one byte per
-// value, the first k the query, the rest rows. Bytes map to small multiples
-// of 1/8 (so ties are common) except the extremes: ±127 and −128 become ±Inf
-// and NaN, and ±126, ±125 and 124 the screen's edges — ±2²⁴ (a term that
-// absorbs a 1 in float32), ±2⁻³⁰ (far below a float32 ulp of 1) and 2⁸⁰ (a
-// query past the screen's gate against any row holding a 2²⁴).
+// value, the first k the query, the rest rows. k is 1 + the first byte
+// mod 32, except that 0xfe and 0xff read 33 (rows padded to 40) and 513 (past
+// MaxScreenK). Bytes map to small multiples of 1/8 (so ties are common)
+// except the extremes: ±127 and −128 become ±Inf and NaN, and ±126, ±125,
+// 124 and ±123 the screen's edges — ±2²⁴ (an outlier that coarsens every
+// other value to a few levels), ±2⁻³⁰ (far below the copy's resolution),
+// 2⁸⁰ (a product far past float32) and ±2⁻¹⁴⁰ (a subnormal).
 func fuzzScan(data []byte) (x []float32, y *linalg.Dense, lo, hi, n int, excluded func(int) bool, ok bool) {
 	if len(data) < 5 {
 		return
 	}
 	k := 1 + int(data[0])%32
+	if data[0] >= 0xfe {
+		k = [2]int{33, 513}[data[0]-0xfe]
+	}
 	n = 1 + int(data[1])%12
 	mask := data[2]
 	vals := make([]float32, 0, len(data)-5)
@@ -475,6 +531,8 @@ func fuzzScan(data []byte) (x []float32, y *linalg.Dense, lo, hi, n int, exclude
 			vals = append(vals, float32(v/125)*0x1p-30)
 		case 124:
 			vals = append(vals, 0x1p80)
+		case 123, -123:
+			vals = append(vals, float32(v/123)*0x1p-140)
 		default:
 			vals = append(vals, float32(v)/8)
 		}
@@ -495,7 +553,14 @@ func fuzzScan(data []byte) (x []float32, y *linalg.Dense, lo, hi, n int, exclude
 
 // fuzzScanBytes is fuzzScan's inverse for seeding (values in eighths).
 func fuzzScanBytes(k, n int, mask byte, lo, trim int, x []int8, rows [][]int8) []byte {
-	out := []byte{byte(k - 1), byte(n - 1), mask, byte(lo), byte(trim)}
+	width := byte(k - 1)
+	switch k {
+	case 33:
+		width = 0xfe
+	case 513:
+		width = 0xff
+	}
+	out := []byte{width, byte(n - 1), mask, byte(lo), byte(trim)}
 	for _, v := range x {
 		out = append(out, byte(v))
 	}
@@ -509,7 +574,9 @@ func fuzzScanBytes(k, n int, mask byte, lo, trim int, x []int8, rows [][]int8) [
 
 // FuzzScanF32MatchesReference: any small matrix, query, range and mask —
 // the blocked scan equals the reference loop item for item and score for
-// score. No lane runs the fuzzer; the seeds run as ordinary tests.
+// score, scanned at once and in slabs of 13 rows (a slab boundary inside
+// the screen's run). No lane runs the fuzzer; the seeds run as ordinary
+// tests.
 func FuzzScanF32MatchesReference(f *testing.F) {
 	same := [][]int8{{3, -2, 5}, {3, -2, 5}, {3, -2, 5}, {3, -2, 5}, {3, -2, 5}, {3, -2, 5}, {3, -2, 5}}
 	mixed := [][]int8{{9, 9, 9}, {1, 0, 0}, {9, 9, 9}, {0, 2, 0}, {9, 9, 9}, {9, 9, 9}, {1, 1, 1}, {8, 8, 8}, {-4, 2, 1}}
@@ -541,13 +608,13 @@ func FuzzScanF32MatchesReference(f *testing.F) {
 		}
 		f.Add(fuzzScanBytes(k, 1+d%12, byte(d*37), 1, 2, x, rows)) // [1, d+1)
 	}
-	// The screen's seeds at k = 4, 12 and 32: near ties (screenFixtures'
-	// plant, 1 ± 2⁻³⁰ against a heap minimum of 1, after a first block that
-	// fills the heap), a query past the gate, and NaN and Inf rows.
+	// The screen's seeds at k = 4, 12 and 32: near ties (1 ± 2⁻³⁰ against a
+	// heap minimum of 1, after a first block that fills the heap), a query
+	// of 2⁸⁰s, and NaN and Inf rows.
 	for _, k := range []int{4, 12, 32} {
-		ones, tie, gate := make([]int8, k), make([][]int8, 24), make([]int8, k)
+		ones, tie, huge := make([]int8, k), make([][]int8, 24), make([]int8, k)
 		for j := range ones {
-			ones[j], gate[j] = 8, 124
+			ones[j], huge[j] = 8, 124
 		}
 		for r := range tie {
 			tie[r] = make([]int8, k)
@@ -558,15 +625,47 @@ func FuzzScanF32MatchesReference(f *testing.F) {
 			copy(tie[r], []int8{126, -126, 8, []int8{125, -125, 0}[r%3]})
 		}
 		f.Add(fuzzScanBytes(k, 2, 0, 0, 0, ones, tie))               // near ties
-		f.Add(fuzzScanBytes(k, 2, 0, 0, 0, gate, tie[:16]))          // ‖x‖·M ≥ 2¹⁰⁰: screen off
-		f.Add(fuzzScanBytes(k, 3, 0, 0, 0, ones, append(tie[:12:12], // a NaN, then an Inf row: M not finite
+		f.Add(fuzzScanBytes(k, 2, 0, 0, 0, huge, tie[:16]))          // products past float32
+		f.Add(fuzzScanBytes(k, 3, 0, 0, 0, ones, append(tie[:12:12], // a NaN, then an Inf row: no screen
 			append([]int8{-128}, ones[1:]...), append([]int8{127}, ones[1:]...), tie[14], tie[15])))
 	}
+	// The int16 copy's edges: a zero query (the screen off), one outlier
+	// that dominates max|y|, subnormal rows, the widths that pad (1, 7, 9,
+	// 33) and the first past MaxScreenK (513), and ranges that are not a
+	// multiple of 8.
+	eighths := func(rows, k int) [][]int8 {
+		out := make([][]int8, rows)
+		for r := range out {
+			out[r] = make([]int8, k)
+			for j := range out[r] {
+				out[r][j] = int8(rng.Intn(33) - 16)
+			}
+		}
+		return out
+	}
+	f.Add(fuzzScanBytes(8, 2, 0, 0, 0, make([]int8, 8), eighths(24, 8))) // zero query
+	outlier := eighths(24, 12)
+	outlier[13][5] = 126
+	f.Add(fuzzScanBytes(12, 3, 0, 0, 0, eighths(1, 12)[0], outlier)) // an outlier of 2²⁴
+	sub := eighths(24, 8)
+	for _, row := range sub {
+		for j, v := range row {
+			row[j] = []int8{123, -123, 0, 123}[(int(v)+16)%4]
+		}
+	}
+	f.Add(fuzzScanBytes(8, 2, 0, 0, 0, eighths(1, 8)[0], sub)) // subnormal rows
+	for _, k := range []int{1, 7, 9, 33} {
+		f.Add(fuzzScanBytes(k, 2, 0, 0, 0, eighths(1, k)[0], eighths(30, k))) // padded rows
+	}
+	f.Add(fuzzScanBytes(513, 2, 0, 0, 0, eighths(1, 513)[0], eighths(12, 513))) // k8 = 520: no screen
+	f.Add(fuzzScanBytes(9, 2, 0, 3, 5, eighths(1, 9)[0], eighths(40, 9)))       // [3, 35)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, y, lo, hi, n, excluded, ok := fuzzScan(data)
 		if !ok {
 			t.Skip()
 		}
-		mustEqualReference(t, x, y, lo, hi, excluded, n, fmt.Sprintf("%dx%d [%d,%d) n=%d", y.Rows, y.Cols, lo, hi, n))
+		what := fmt.Sprintf("%dx%d [%d,%d) n=%d", y.Rows, y.Cols, lo, hi, n)
+		mustEqualReference(t, x, y, lo, hi, excluded, n, 0, what)
+		mustEqualReference(t, x, y, lo, hi, excluded, n, 13, what+" in slabs of 13")
 	})
 }

@@ -24,7 +24,7 @@ func BenchmarkScan(b *testing.B) {
 
 	// f32-reference is the row-at-a-time loop evaluation scores with
 	// (metrics.TopN); f32 is the serving scan, metrics.ScanTopK: the same
-	// scores from the blocked kernel and the float32 screen behind the
+	// scores from the blocked kernel and the int16 screen behind the
 	// threshold-first sink.
 	b.Run("f32-reference", func(b *testing.B) {
 		b.SetBytes(int64(4 * rows * k))
@@ -39,11 +39,12 @@ func BenchmarkScan(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(4 * rows * k))
 		b.ReportAllocs()
-		maxNorm := linalg.MaxRowNorm(y)
+		screen := metrics.NewScreen(y)
 		for i := 0; i < b.N; i++ {
 			t := metrics.NewTopK(n)
-			var buf [k]float64
-			metrics.ScanTopK(metrics.PrepareScan(x, buf[:], maxNorm), y, 0, rows, nil, t)
+			var wide [k]float64
+			var levels [metrics.MaxScreenK]int16
+			metrics.ScanTopK(metrics.PrepareScan(x, wide[:], levels[:], screen), y, 0, rows, nil, t)
 		}
 	})
 	for _, prec := range []Precision{F16, I8} {

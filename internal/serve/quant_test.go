@@ -387,7 +387,7 @@ func TestScanRowsCounter(t *testing.T) {
 		t.Errorf("i8: the same requests scored %v rows, then %v", scored, again)
 	}
 	scored, pruned = rows(quant.F32)
-	if !linalg.ScreenVectorized(k) {
+	if !linalg.ScreenVectorized() {
 		if scored != users*items || pruned != 0 {
 			t.Errorf("f32 without a vector screen: %v rows scored + %v pruned, want every row scored", scored, pruned)
 		}

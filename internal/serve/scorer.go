@@ -65,12 +65,11 @@ func (s *Scorer) Close() {
 
 // TopN returns the n strongest items of y under x·y_i, strongest first,
 // skipping items for which excluded returns true (nil excludes nothing),
-// and how many rows got an exact score. maxNorm is max‖y_i‖₂
-// (linalg.MaxRowNorm, Snapshot.MaxNorm), the bound behind the scan's
-// float32 screen; 0 switches the screen off and scores every row. It
-// honors ctx: an expired deadline aborts both shard submission and in-shard
-// scanning and returns ctx.Err().
-func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, maxNorm float64, excluded func(int) bool, n int) ([]metrics.Scored, int, error) {
+// and how many rows got an exact score. screen is y's int16 copy
+// (metrics.NewScreen, Snapshot.Screen), which rules out rows that cannot
+// reach a heap; nil scores every row. It honors ctx: an expired deadline
+// aborts both shard submission and in-shard scanning and returns ctx.Err().
+func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, screen *metrics.Screen, excluded func(int) bool, n int) ([]metrics.Scored, int, error) {
 	if n <= 0 || y == nil || y.Rows == 0 {
 		return nil, 0, nil
 	}
@@ -99,9 +98,11 @@ func (s *Scorer) TopN(ctx context.Context, x []float32, y *linalg.Dense, maxNorm
 			defer wg.Done()
 			// The query is prepared once per task: widened on the task's
 			// stack up to scanStackK components (a longer one grows onto
-			// the heap), so metrics.ScanTopK converts only the item side.
-			var stack [scanStackK]float64
-			q := metrics.PrepareScan(x, stack[:], maxNorm)
+			// the heap) and quantized for the screen there too, so
+			// metrics.ScanTopK converts only the item side.
+			var wide [scanStackK]float64
+			var levels [metrics.MaxScreenK]int16
+			q := metrics.PrepareScan(x, wide[:], levels[:], screen)
 			r := &res[si]
 			r.t = metrics.NewTopK(n)
 			for slab := lo; slab < hi; slab += checkEvery {

@@ -45,18 +45,18 @@ func TestScorerMatchesTopN(t *testing.T) {
 	y := randomDense(rng, items, k)
 	rated := randomRated(rng, users, items, 40)
 
-	maxNorm := linalg.MaxRowNorm(y)
+	screen := metrics.NewScreen(y)
 	for _, workers := range []int{1, 2, 3, 8} {
 		sc := NewScorer(workers)
 		for _, n := range []int{1, 7, 50, items + 10} {
 			for u := 0; u < users; u++ {
-				scored, rows, err := sc.TopN(context.Background(), x.Row(u), y, maxNorm, RatedExcluder(rated, u), n)
+				scored, rows, err := sc.TopN(context.Background(), x.Row(u), y, screen, RatedExcluder(rated, u), n)
 				if err != nil {
 					t.Fatalf("workers=%d n=%d: %v", workers, n, err)
 				}
 				// A heap that never fills scores every row; a small one
 				// leaves most rows to the screen, where the build has one.
-				if (n > items && rows != items) || (n < 50 && rows > items/2 && linalg.ScreenVectorized(k)) || rows < min(n, items) {
+				if (n > items && rows != items) || (n < 50 && rows > items/2 && screen != nil) || rows < min(n, items) {
 					t.Fatalf("workers=%d n=%d u=%d: %d of %d rows scored", workers, n, u, rows, items)
 				}
 				got := make([]int, len(scored))
@@ -89,7 +89,7 @@ func TestScorerCanceledContext(t *testing.T) {
 	x := []float32{1, 0, 0, 0}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := sc.TopN(ctx, x, y, linalg.MaxRowNorm(y), nil, 10); err == nil {
+	if _, _, err := sc.TopN(ctx, x, y, metrics.NewScreen(y), nil, 10); err == nil {
 		t.Fatal("canceled context did not abort scoring")
 	}
 }
@@ -110,7 +110,7 @@ func TestScorerTopNMidScanDeadline(t *testing.T) {
 		last = i
 		return false
 	}
-	out, _, err := sc.TopN(ctx, []float32{1, 1, 1, 1}, y, linalg.MaxRowNorm(y), expire, y.Rows+1)
+	out, _, err := sc.TopN(ctx, []float32{1, 1, 1, 1}, y, metrics.NewScreen(y), expire, y.Rows+1)
 	if err != context.Canceled || out != nil {
 		t.Fatalf("mid-scan cancel: %d items, err %v", len(out), err)
 	}
@@ -128,7 +128,7 @@ func TestScorerWideQuery(t *testing.T) {
 	const k = scanStackK + 2
 	y := randomDense(rng, 600, k)
 	x := randomDense(rng, 1, k).Row(0)
-	scored, _, err := sc.TopN(context.Background(), x, y, linalg.MaxRowNorm(y), nil, 5)
+	scored, _, err := sc.TopN(context.Background(), x, y, metrics.NewScreen(y), nil, 5)
 	if err != nil || len(scored) != 5 {
 		t.Fatalf("%d items, %v", len(scored), err)
 	}
@@ -148,11 +148,11 @@ func TestScorerDegenerate(t *testing.T) {
 		t.Fatalf("default workers = %d", sc.Workers())
 	}
 	y := linalg.NewDense(0, 4)
-	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, 0, nil, 5); err != nil || out != nil {
+	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, nil, nil, 5); err != nil || out != nil {
 		t.Fatalf("empty catalog: %v %v", out, err)
 	}
 	y = linalg.NewDense(3, 4)
-	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, 0, nil, 0); err != nil || out != nil {
+	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, nil, nil, 0); err != nil || out != nil {
 		t.Fatalf("n=0: %v %v", out, err)
 	}
 }

@@ -152,12 +152,13 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 	if sn.QY != nil {
 		scored, rows, err = s.scorer.TopNRanked(ctx, x, sn.QY, excluded, n)
 	} else {
-		scored, rows, err = s.scorer.TopN(ctx, x, sn.Model.Y, sn.MaxNorm, excluded, n)
+		scored, rows, err = s.scorer.TopN(ctx, x, sn.Model.Y, sn.Screen, excluded, n)
 	}
 	if span != nil {
 		span.SetAttr("rows_scored", strconv.Itoa(rows))
-		if sn.QY == nil { // the float32 scan: which binding of linalg.Dot8Wide and Screen8 ran
+		if sn.QY == nil { // the float32 scan: which bindings of linalg.Dot8Wide and Screen8 ran
 			span.SetAttr("kernel", linalg.KernelName())
+			span.SetAttr("screen", screenBinding(sn))
 		}
 		span.End()
 	}
@@ -165,6 +166,15 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 		s.tel.ObserveScan(sn.Precision, time.Since(start), rows, sn.Items-rows)
 	}
 	return scored, err
+}
+
+// screenBinding names the screen a float32 scan of sn runs: Screen8's
+// binding, or "off" when the snapshot holds no int16 copy.
+func screenBinding(sn *Snapshot) string {
+	if sn.Screen == nil {
+		return "off"
+	}
+	return linalg.ScreenKernelName()
 }
 
 // ResponseCache exposes the LRU response cache for embedding hosts.

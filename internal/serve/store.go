@@ -10,6 +10,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/rtrace"
 	"repro/internal/sparse"
@@ -52,11 +53,12 @@ type Snapshot struct {
 	Precision quant.Precision
 	QY        *quant.Ranked
 
-	// MaxNorm is max‖y_i‖₂ over Model.Y's rows (linalg.MaxRowNorm), the
-	// bound the float32 scan's screen derives its cut from. A swap computes
-	// it only when the snapshot serves at F32; elsewhere it stays 0, which
-	// switches the screen off (metrics.PrepareScan).
-	MaxNorm float64
+	// Screen is the int16 copy of Model.Y's rows the float32 scan screens
+	// with (metrics.NewScreen): for a shard, of its slice alone. A swap
+	// builds it only when the snapshot serves at F32; elsewhere, and where
+	// the build or the model rules the screen out, it is nil and every row
+	// gets its exact score.
+	Screen *metrics.Screen
 
 	// userIdx maps external user IDs to dense rows for compact models;
 	// built once per swap so request-path lookups are O(1) instead of the
@@ -197,7 +199,7 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR,
 		}
 	}
 	if sn.QY == nil {
-		sn.MaxNorm = linalg.MaxRowNorm(m.Y)
+		sn.Screen = metrics.NewScreen(m.Y)
 	}
 	if m.QY != nil {
 		// The ranked copy replaces the natural-order matrix; holding the

@@ -14,7 +14,7 @@ import (
 // TestServerTraceSpans drives a traced request through the middleware and
 // checks the span tree: an endpoint root continuing the inbound traceparent
 // context, with cache-lookup and precision-tagged scan children inside the
-// root's time envelope.
+// root's time envelope, the scan naming the bindings it ran.
 func TestServerTraceSpans(t *testing.T) {
 	tr := rtrace.New(rtrace.Config{Sample: 1, Process: "test"})
 	s := New(Config{Workers: 1, Tracer: tr})
@@ -89,6 +89,16 @@ func TestServerTraceSpans(t *testing.T) {
 	}
 	if scanAttrs["kernel"] != linalg.KernelName() {
 		t.Errorf("scan kernel attr = %q, want %q", scanAttrs["kernel"], linalg.KernelName())
+	}
+	// The screen is bound apart from the float kernels: at GOAMD64=v3 it is
+	// assembly while Dot8Wide is portable, and without a vector screen the
+	// snapshot holds no copy.
+	wantScreen := "off"
+	if linalg.ScreenVectorized() {
+		wantScreen = linalg.ScreenKernelName()
+	}
+	if scanAttrs["screen"] != wantScreen {
+		t.Errorf("scan screen attr = %q, want %q", scanAttrs["screen"], wantScreen)
 	}
 
 	// An unsampled inbound context suppresses the whole tree.
