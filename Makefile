@@ -26,8 +26,9 @@ test-short:
 # (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
 # a cache line whatever the link order (two -randlayout seeds), the smoke lanes
 # through the real binaries, every fuzz target for 10 s, the bench smokes
-# (every benchmark once, then the two that split their work over goroutines
-# at -cpu 1,2).
+# (every benchmark once, then a few at -cpu 1,2: the two that split their
+# work over goroutines, and the serving scan and shard hop as
+# GOMAXPROCS-invariance smokes).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/experiments"
@@ -409,7 +410,9 @@ func BenchmarkHostScaling(b *testing.B) {
 // BenchmarkTopN measures the three top-N selection strategies over a large
 // catalog (the serving-path hot loop): the O(items·log items) full-scan
 // sort, the bounded heap (metrics.TopN, what Model.Recommend uses), and the
-// sharded scorer the serving layer runs across its worker pool.
+// serving layer's scan (serve.Server.ScoreTopN, on the caller's goroutine).
+// The "sharded" names are kept from when that scan split Y over a worker
+// pool, so the series in EXPERIMENTS.md continue.
 func BenchmarkTopN(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const items = 100000
@@ -445,18 +448,7 @@ func BenchmarkTopN(b *testing.B) {
 		}
 	})
 	b.Run("sharded", func(b *testing.B) {
-		sc := serve.NewScorer(0)
-		defer sc.Close()
-		ex := serve.RatedExcluder(m, 0)
-		ctx := context.Background()
-		screen := metrics.NewScreen(y)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, _, err := sc.TopN(ctx, x.Row(0), y, screen, ex, 10)
-			if err != nil || len(out) != 10 {
-				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
-			}
-		}
+		benchScoreTopN(b, x.Row(0), y, quant.F32, serve.RatedExcluder(m, 0))
 	})
 	// One fleet2-mixed-k32 shard replica's request: 12 400 items at k=32,
 	// a user with 80 rated items excluded.
@@ -479,19 +471,8 @@ func BenchmarkTopN(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc := serve.NewScorer(0)
-		defer sc.Close()
-		ex := serve.RatedExcluder(m32, 0)
-		ctx := context.Background()
-		screen := metrics.NewScreen(y32)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, _, err := sc.TopN(ctx, x32, y32, screen, ex, 10)
-			if err != nil || len(out) != 10 {
-				b.Fatalf("sharded top-N: %d items, %v", len(out), err)
-			}
-		}
+		benchScoreTopN(b, x32, y32, quant.F32, serve.RatedExcluder(m32, 0))
 	})
 	// The bare float32 range scan with the query already prepared, beside
 	// scan-f16 / scan-i8 below: the steady-state inner loop of "sharded",
@@ -510,8 +491,8 @@ func BenchmarkTopN(b *testing.B) {
 			}
 		}
 	})
-	// The quantized serving path at both compressed precisions: one pool
-	// task walking the norm-ranked matrix until nothing left can enter the
+	// The quantized serving path at both compressed precisions: one scan
+	// walking the norm-ranked matrix until nothing left can enter the
 	// heap. "zipf" has the popularity-shaped norms of an implicit model,
 	// where most of the catalog is never scored; "flat" has unit-norm rows,
 	// the degenerate case — the full scan plus one compare per four rows,
@@ -540,26 +521,8 @@ func BenchmarkTopN(b *testing.B) {
 			name string
 			y    *linalg.Dense
 		}{{"zipf", zipf}, {"flat", flat}} {
-			qc, err := quant.EncodeDense(c.y, prec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ranked := quant.Rank(qc)
 			b.Run(prec.String()+"-ranked/"+c.name, func(b *testing.B) {
-				sc := serve.NewScorer(0)
-				defer sc.Close()
-				ex := serve.RatedExcluder(m, 0)
-				ctx := context.Background()
-				scored := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, rows, err := sc.TopNRanked(ctx, x.Row(0), ranked, ex, 10)
-					if err != nil || len(out) != 10 {
-						b.Fatalf("ranked top-N: %d items, %v", len(out), err)
-					}
-					scored += rows
-				}
-				b.ReportMetric(float64(scored)/float64(b.N), "rows_scored/op")
+				benchScoreTopN(b, x.Row(0), c.y, prec, serve.RatedExcluder(m, 0))
 			})
 		}
 		// The bare kernel scan with a prepared query: the steady-state inner
@@ -581,6 +544,26 @@ func BenchmarkTopN(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchScoreTopN times Server.ScoreTopN's top 10 for x over a snapshot of
+// y served at prec (the swap builds the screen or the ranked encoding, as
+// in a server) and reports the rows it scored exactly, read from the
+// server's als_scan_rows_total.
+func benchScoreTopN(b *testing.B, x []float32, y *linalg.Dense, prec quant.Precision, ex func(int) bool) {
+	srv := serve.New(serve.Config{CacheSize: -1})
+	srv.SetPrecision(prec)
+	sn := srv.Swap(&core.Model{K: y.Cols, X: linalg.NewDense(1, y.Cols), Y: y}, nil, "bench")
+	rows := srv.Telemetry().Registry().Counter("als_scan_rows_total", "", "precision", "outcome").With(prec.String(), "scored")
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := srv.ScoreTopN(ctx, sn, x, ex, 10)
+		if err != nil || len(out) != 10 {
+			b.Fatalf("top-N: %d items, %v", len(out), err)
+		}
+	}
+	b.ReportMetric(rows.Value()/float64(b.N), "rows_scored/op")
 }
 
 // BenchmarkRank measures what a quantized hot-swap pays once for the

@@ -52,7 +52,6 @@ func main() {
 	oneBased := flag.Bool("one-based", true, "IDs in the rating file start at 1")
 	version := flag.String("version", "", "version label for the initial model (default: model meta, then v<seq>)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "scoring pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "max concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request deadline")
 	cacheSize := flag.Int("cache", 1024, "response cache entries (negative disables)")
@@ -85,11 +84,10 @@ func main() {
 		tracer = rtrace.New(rtrace.Config{Sample: *traceSample, Process: "alsserve"})
 	}
 	srv := serve.New(serve.Config{
-		Workers: *workers, Queue: *queue, Timeout: *timeout,
+		Queue: *queue, Timeout: *timeout,
 		CacheSize: *cacheSize, MaxN: *maxN,
 		Tracer: tracer, SlowLog: *slowLog,
 	})
-	defer srv.Close()
 	tracer.Register(srv.Telemetry().Registry())
 	srv.SetPrecision(prec)
 	var rep *serve.Replica
@@ -193,7 +191,7 @@ func main() {
 	err = serve.ListenAndServe(ctx, "alsserve", *addr, handler, "")
 	if rep != nil {
 		// Upgraded frame connections outlive the listener's shutdown: end
-		// them, and the requests on them, before the scoring pool closes.
+		// them, and the requests on them.
 		rep.Close()
 	}
 	if err != nil {

@@ -94,7 +94,6 @@ func main() {
 	base := os.Getenv("ALS_SERVE_ADDR")
 	if base == "" {
 		srv := serve.New(serve.Config{})
-		defer srv.Close()
 		srv.Swap(model, train.R, "coldstart-demo")
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()

@@ -191,7 +191,7 @@ func TopN(r *sparse.CSR, x, y *linalg.Dense, u, n int) []int {
 // TopNSort is the full-scan reference selection: it scores every candidate,
 // sorts the whole catalog, and takes the first n. O(items·log items) — kept
 // as the differential-test oracle and the benchmark baseline the heap
-// (TopN) and the sharded serving scorer are measured against.
+// (TopN) and the serving scans are measured against.
 func TopNSort(r *sparse.CSR, x, y *linalg.Dense, u, n int) []int {
 	rated := make(map[int]bool)
 	cols, _ := r.Row(u)

@@ -136,7 +136,7 @@ func quantize(dst []int16, src []float32, s float64) (resid2 float64) {
 	return resid2
 }
 
-// ScanQuery is one float32 scan's query, prepared once per scan task by
+// ScanQuery is one float32 scan's query, prepared once per scan by
 // PrepareScan: its float64 widening and, where the screen runs, its int16
 // copy and the bound and scales that turn a heap threshold into an integer
 // cut.

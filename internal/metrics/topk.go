@@ -13,8 +13,7 @@ type Scored struct {
 // stronger candidates arrive, so selecting the top k of N candidates costs
 // O(N·log k) instead of the O(N·log N) full sort. Ties are broken toward
 // the lower item index for determinism. Both the evaluation-side TopN and
-// the serving-side sharded scorer build on it; per-shard heaps merge with
-// Merge and drain sorted with Drain.
+// the serving-side scans build on it and drain it sorted with Drain.
 type TopK struct {
 	k int
 	h []Scored
@@ -61,13 +60,6 @@ func (t *TopK) Push(item int, score float64) {
 	if t.k > 0 && weaker(t.h[0], s) {
 		t.h[0] = s
 		t.siftDown(0)
-	}
-}
-
-// Merge offers every entry retained by o to t. o is left untouched.
-func (t *TopK) Merge(o *TopK) {
-	for _, s := range o.h {
-		t.Push(s.Item, s.Score)
 	}
 }
 

@@ -34,31 +34,6 @@ func TestTopKTiesPreferLowerIndex(t *testing.T) {
 	}
 }
 
-func TestTopKMergeEqualsPooledPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	scores := make([]float64, 500)
-	for i := range scores {
-		scores[i] = rng.NormFloat64()
-	}
-	// Push everything into one selector...
-	whole := NewTopK(10)
-	for i, s := range scores {
-		whole.Push(i, s)
-	}
-	// ...and the same split across 4 shards merged together.
-	merged := NewTopK(10)
-	for shard := 0; shard < 4; shard++ {
-		part := NewTopK(10)
-		for i := shard; i < len(scores); i += 4 {
-			part.Push(i, scores[i])
-		}
-		merged.Merge(part)
-	}
-	if a, b := whole.Drain(), merged.Drain(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("merged shards %v != whole %v", b, a)
-	}
-}
-
 func TestTopKDegenerate(t *testing.T) {
 	tk := NewTopK(0)
 	tk.Push(1, 5)

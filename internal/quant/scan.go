@@ -110,7 +110,7 @@ func f16QueryNorm(x []float32) float64 {
 // ScanTopK scores items [lo, hi) against the prepared query and offers
 // each item for which excluded returns false (nil excludes nothing) to t.
 // Callers slab the range and check their context between calls, exactly
-// like the float32 scorer.
+// like the float32 scan.
 func (q *Matrix) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metrics.TopK) {
 	switch q.Prec {
 	case F16:
@@ -234,8 +234,8 @@ func (q *Matrix) scanI8(xq []int8, xscale float32, lo, hi int, excluded func(int
 }
 
 // TopN scores the full catalog single-threaded and returns the n
-// strongest items, strongest first — the sequential counterpart of the
-// serving scorer's sharded scan, used by evaluation tools and tests. Both
+// strongest items, strongest first — the natural-order counterpart of the
+// serving layer's ranked scan, used by evaluation tools and tests. Both
 // push into metrics.TopK, so tie-breaking (lower item index wins) is
 // identical to the float32 path.
 func (q *Matrix) TopN(x []float32, excluded func(int) bool, n int) []metrics.Scored {

@@ -2,11 +2,12 @@
 // inference-side counterpart of the paper's training hot loops — as one
 // process or as an item-sharded fleet behind one request edge. It provides
 //
-//   - a top-N scorer that partitions the item factor matrix Y across a
-//     bounded worker pool, scores each range with the linalg dot kernels into
-//     a per-range size-n min-heap, and merges the heaps (S1–S3's serving
-//     analogue: the per-request hot loop); quantized snapshots run
-//     quant.Ranked's exact norm-pruned scan as one pool task instead;
+//   - a top-N scan that runs on its request's goroutine into one size-n
+//     min-heap (S1–S3's serving analogue: the per-request hot loop): the
+//     float32 item factors Y through an int16 screen and an exact rescore
+//     with the linalg dot kernels, quantized snapshots through
+//     quant.Ranked's exact norm-pruned scan; the admission queue is the
+//     one bound on how many scans run at once;
 //   - atomic model hot-swap: immutable versioned Snapshots published through
 //     an atomic.Pointer, installed by POST /admin/swap or by a Watcher
 //     following a training run's checkpoint directory, so retraining

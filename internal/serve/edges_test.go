@@ -65,7 +65,7 @@ func newTestFleet(t testing.TB, cfg Config, m *core.Model, shards int, fcfg Fron
 			})
 		}
 		ts := httptest.NewServer(h)
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close() })
 		f.replicas = append(f.replicas, rep)
 		f.servers = append(f.servers, srv)
 		fcfg.Shards = append(fcfg.Shards, ts.URL)
@@ -87,7 +87,7 @@ func newTestFleet(t testing.TB, cfg Config, m *core.Model, shards int, fcfg Fron
 // for a rejection, the same error body — the single server's wording.
 func TestEdgesRejectAlike(t *testing.T) {
 	const items, maxN, maxFoldIn = 16, 12, 4
-	cfg := Config{Workers: 1, MaxN: maxN, MaxFoldInItems: maxFoldIn}
+	cfg := Config{MaxN: maxN, MaxFoldInItems: maxFoldIn}
 	m := linearModel(1, 2, items, 2)
 	s, ts := newTestServer(t, cfg)
 	s.Swap(m, nil, "v1")
@@ -169,8 +169,7 @@ func TestSwapInstallSpan(t *testing.T) {
 	path := saveModel(t, linearModel(1, 3, 8, 2))
 	for _, sharded := range []bool{false, true} {
 		tr := rtrace.New(rtrace.Config{Sample: 1, Process: "test"})
-		s := New(Config{Workers: 1, Tracer: tr})
-		t.Cleanup(s.Close)
+		s := New(Config{Tracer: tr})
 		h, wantItems := s.Handler(), 8
 		if sharded {
 			rep, err := NewReplica(s, ReplicaConfig{Index: 0, Count: 2})

@@ -359,7 +359,7 @@ func TestFrontendSpeaksOnlyFrames(t *testing.T) {
 		l := &firstLines{Listener: ts.Listener}
 		ts.Listener = l
 		ts.Start()
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close() })
 		listeners, servers, watchers = append(listeners, l), append(servers, srv), append(watchers, w)
 		urls = append(urls, ts.URL)
 	}

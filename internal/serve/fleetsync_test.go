@@ -73,7 +73,7 @@ func TestWatcherShardSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close() })
 		urls[i] = ts.URL
 		w := serve.NewWatcher(srv, serve.WatcherConfig{
 			Dir: dir, FS: fsys, Rated: rated, Transform: rep.Transform,
@@ -86,7 +86,7 @@ func TestWatcherShardSync(t *testing.T) {
 	}
 	single := serve.New(serve.Config{})
 	singleTS := httptest.NewServer(single.Handler())
-	t.Cleanup(func() { singleTS.Close(); single.Close() })
+	t.Cleanup(singleTS.Close)
 	singleW := serve.NewWatcher(single, serve.WatcherConfig{Dir: dir, FS: fsys, Rated: rated})
 	if swapped, err := singleW.Poll(); err != nil || !swapped {
 		t.Fatalf("single server: initial poll swapped=%v err=%v", swapped, err)
@@ -187,7 +187,7 @@ func tracedFleet(t *testing.T, tr *rtrace.Tracer) *serve.Frontend {
 		}
 		rep.Swap(m, nil, "v1")
 		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close() })
 		urls[i] = ts.URL
 	}
 	front, err := serve.NewFrontend(serve.FrontendConfig{

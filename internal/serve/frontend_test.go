@@ -70,7 +70,7 @@ func newFleetPrec(t *testing.T, m *core.Model, rated *sparse.CSR, shards int, pr
 		}
 		rep.Swap(m, rated, "v1")
 		ts := httptest.NewServer(rep.Handler())
-		t.Cleanup(func() { ts.Close(); rep.Close(); srv.Close() })
+		t.Cleanup(func() { ts.Close(); rep.Close() })
 		f.servers = append(f.servers, srv)
 		f.shardTS = append(f.shardTS, ts)
 		urls[i] = ts.URL
@@ -234,7 +234,6 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 	}
 	rep0.Swap(m, nil, "v1")
 	ts0 := httptest.NewServer(rep0.Handler())
-	defer srv0.Close()
 	defer rep0.Close()
 	defer ts0.Close()
 
@@ -244,7 +243,6 @@ func TestFrontendDegradationAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep1.Swap(m, nil, "v1")
-	defer srv1.Close()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,9 @@ import (
 // runs as a plain test in every lane.
 func FuzzRequestDecoders(f *testing.F) {
 	const items, maxN, maxFoldIn = 16, 12, 4
-	cfg := Config{Workers: 1, MaxN: maxN, MaxFoldInItems: maxFoldIn}
+	cfg := Config{MaxN: maxN, MaxFoldInItems: maxFoldIn}
 	m := linearModel(1, 2, items, 2)
 	server := New(cfg)
-	f.Cleanup(server.Close)
 	server.Swap(m, nil, "v1")
 	shard := New(cfg)
 	f.Cleanup(shard.Close)

@@ -149,8 +149,7 @@ func TestHopGoldenFrames(t *testing.T) {
 // and a few hostile frames are the seed corpus, which runs as a plain test
 // in every lane.
 func FuzzHopFrame(f *testing.F) {
-	srv := New(Config{Workers: 1})
-	f.Cleanup(srv.Close)
+	srv := New(Config{})
 	rep, err := NewReplica(srv, ReplicaConfig{Index: 1, Count: 2})
 	if err != nil {
 		f.Fatal(err)
@@ -381,8 +380,7 @@ func TestHopBodyLimits(t *testing.T) {
 // allocates only the slice it returns.
 func TestHopCodecAllocs(t *testing.T) {
 	m := gaussModel(3, 40, 8)
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := New(Config{})
 	rep, err := NewReplica(srv, ReplicaConfig{Index: 0, Count: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func TestQuantizedSnapshotKeepsNoFloatY(t *testing.T) {
 		}()
 		for _, via := range []string{"watcher", "admin"} {
 			t.Run(prec.String()+"/"+via, func(t *testing.T) {
-				s, ts := newTestServer(t, Config{Workers: 1})
+				s, ts := newTestServer(t, Config{})
 				s.SetPrecision(prec)
 				if via == "watcher" {
 					if swapped, err := NewWatcher(s, WatcherConfig{Dir: dir}).Poll(); !swapped || err != nil {
@@ -128,13 +128,12 @@ func TestFoldInFromQuantizedRows(t *testing.T) {
 				pl := linalg.PackedLen(k)
 				sum, wantSum := make([]float32, pl+k), make([]float32, pl+k)
 				for i := range shards {
-					rep, err := NewReplica(New(Config{Workers: 1}), ReplicaConfig{Index: i, Count: shards})
+					rep, err := NewReplica(New(Config{}), ReplicaConfig{Index: i, Count: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
 					rep.srv.SetPrecision(prec)
 					shard := rep.Swap(m, nil, "q")
-					rep.srv.Close()
 					if shard.Model.Y != nil {
 						t.Fatalf("%v shard %d/%d kept its Y", prec, i, shards)
 					}
@@ -185,8 +184,7 @@ func TestWatcherSwapSpans(t *testing.T) {
 		{quant.F32, []string{"read", "decode", "encode", "rank"}},
 	} {
 		tr := rtrace.New(rtrace.Config{Sample: 1, Process: "test"})
-		s := New(Config{Workers: 1, Tracer: tr})
-		t.Cleanup(s.Close)
+		s := New(Config{Tracer: tr})
 		s.SetPrecision(quant.I8)
 		fsys := checkpoint.NewMemFS()
 		m := checkpointModel(t, rand.New(rand.NewSource(61)), quant.I8, 3, 40, 4)
@@ -255,9 +253,8 @@ func TestServingRatedSetKeepsNoValues(t *testing.T) {
 		},
 	}
 	for name, swap := range install {
-		s := New(Config{Workers: 1})
+		s := New(Config{})
 		sn := swap(s)
-		s.Close()
 		if sn == nil || sn.Rated == nil || sn.Rated.Val != nil {
 			t.Fatalf("%s: the snapshot's rated set keeps values (or is missing): %+v", name, sn)
 		}

@@ -20,8 +20,8 @@ func randomModel(rng *rand.Rand, users, items, k int) *core.Model {
 	return &core.Model{K: k, X: randomDense(rng, users, k), Y: randomDense(rng, items, k)}
 }
 
-// TestScorerTopNQuantMatchesSequential holds the pooled, slab-scanned,
-// norm-pruned TopNRanked item-for-item and score-for-score identical to
+// TestScorerTopNQuantMatchesSequential holds the slab-scanned, norm-pruned
+// scanRanked item-for-item and score-for-score identical to
 // the sequential natural-order quant.TopN reference, including exclusion
 // and the lower-index tie-break, and checks the reported row count.
 func TestScorerTopNQuantMatchesSequential(t *testing.T) {
@@ -39,8 +39,6 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 	}
 	excluded := func(i int) bool { return i%13 == 0 }
 
-	s := NewScorer(4)
-	defer s.Close()
 	for _, prec := range []quant.Precision{quant.F16, quant.I8} {
 		q, err := quant.EncodeDense(y, prec)
 		if err != nil {
@@ -48,13 +46,13 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 		}
 		ranked := quant.Rank(q)
 		for _, n := range []int{1, 10, 50} {
-			got, rows, err := s.TopNRanked(context.Background(), x, ranked, excluded, n)
+			got, rows, err := scanRanked(context.Background(), x, ranked, excluded, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Slabs can only end the scan at the same block or earlier.
 			if _, seq := ranked.TopN(x, excluded, n); rows < n || rows > seq {
-				t.Errorf("%v n=%d: pool scan scored %d rows, sequential ranked scan %d", prec, n, rows, seq)
+				t.Errorf("%v n=%d: slab scan scored %d rows, sequential ranked scan %d", prec, n, rows, seq)
 			}
 			want := q.TopN(x, excluded, n)
 			if len(got) != len(want) {
@@ -71,7 +69,7 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 
 // TestScorerTopNRankedDeadline: a deadline that expires while the scan is
 // between slabs aborts it with the context's error, and an already expired
-// one never reaches a worker.
+// one scores nothing.
 func TestScorerTopNRankedDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q, err := quant.EncodeDense(randomDense(rng, 4*rankedSlab, 4), quant.I8)
@@ -79,8 +77,6 @@ func TestScorerTopNRankedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranked := quant.Rank(q)
-	s := NewScorer(1)
-	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
@@ -92,15 +88,15 @@ func TestScorerTopNRankedDeadline(t *testing.T) {
 	}
 	// n > rows: the heap never fills, so nothing is pruned and the scan
 	// would run all four slabs.
-	out, rows, err := s.TopNRanked(ctx, []float32{1, 1, 1, 1}, ranked, expire, ranked.Rows+1)
+	out, rows, err := scanRanked(ctx, []float32{1, 1, 1, 1}, ranked, expire, ranked.Rows+1)
 	if err != context.Canceled || out != nil {
 		t.Fatalf("mid-scan cancel: %d items, err %v", len(out), err)
 	}
 	if rows != rankedSlab {
 		t.Errorf("scan went on for %d rows after the cancel, want it to stop at the slab end (%d)", rows, rankedSlab)
 	}
-	if _, _, err := s.TopNRanked(ctx, []float32{1, 1, 1, 1}, ranked, nil, 5); err != context.Canceled {
-		t.Fatalf("canceled before submit: err %v", err)
+	if out, rows, err := scanRanked(ctx, []float32{1, 1, 1, 1}, ranked, nil, 5); err != context.Canceled || out != nil || rows != 0 {
+		t.Fatalf("canceled before the scan: %d items, %d rows scored, err %v", len(out), rows, err)
 	}
 }
 
@@ -124,7 +120,7 @@ func TestRecommendQuantized(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := randomModel(rng, users, items, k)
 	for _, prec := range []quant.Precision{quant.F32, quant.F16, quant.I8} {
-		s, ts := newTestServer(t, Config{Workers: 2})
+		s, ts := newTestServer(t, Config{})
 		s.SetPrecision(prec)
 		sn := s.Swap(m, nil, "q1")
 		if sn.Precision != prec || (prec != quant.F32) != (sn.QY != nil) {
@@ -180,7 +176,7 @@ func TestFoldInQuantized(t *testing.T) {
 	const users, items, k = 3, 300, 4
 	rng := rand.New(rand.NewSource(37))
 	m := randomModel(rng, users, items, k)
-	f32srv, f32ts := newTestServer(t, Config{Workers: 1})
+	f32srv, f32ts := newTestServer(t, Config{})
 	f32srv.Swap(m, nil, "v")
 	req := FoldInRequest{Items: []int32{5, 90, 211}, Ratings: []float32{5, 3, 4}, N: 6}
 	var f32resp FoldInResponse
@@ -188,7 +184,7 @@ func TestFoldInQuantized(t *testing.T) {
 		t.Fatalf("f32 fold-in HTTP %d", code)
 	}
 
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	s.SetPrecision(quant.I8)
 	sn := s.Swap(m, nil, "v")
 	var resp FoldInResponse
@@ -307,46 +303,40 @@ func TestSwapReusesCheckpointEncoding(t *testing.T) {
 	}
 }
 
-// TestScoreTopNQuantAllocs: the single-task ranked path must not allocate
-// more per request than the fan-out it replaced, which measured 15
-// allocations at two workers (heaps, closures, merge) on this input.
-func TestScoreTopNQuantAllocs(t *testing.T) {
+// TestScoreTopNAllocs pins what one request's scan allocates: the heap and
+// the sorted top-N it returns, five allocations with or without the int16
+// screen, and at i8 one more for the prepared query. The wide float32
+// query and its screen levels stay on the caller's stack. A scan that fans
+// out over goroutines allocates its tasks, per-task heaps and the merge on
+// top (10–13 at f32, 11 at i8 on this input). The bounds hold at any
+// GOMAXPROCS.
+func TestScoreTopNAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	s := New(Config{Workers: 2, CacheSize: -1})
-	defer s.Close()
+	m := randomModel(rng, 4, 5000, 16)
+	f32 := New(Config{CacheSize: -1}).Swap(m, nil, "v")
+	bare := *f32
+	bare.Screen = nil
+	s := New(Config{CacheSize: -1})
 	s.SetPrecision(quant.I8)
-	sn := s.Swap(randomModel(rng, 4, 5000, 16), nil, "v")
-	x := sn.Model.X.Row(1)
+	i8 := s.Swap(m, nil, "v")
+	x := m.X.Row(1)
 	excluded := func(i int) bool { return i%11 == 0 }
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(50, func() {
-		if out, err := s.ScoreTopN(ctx, sn, x, excluded, 10); err != nil || len(out) != 10 {
-			t.Fatalf("%d items, %v", len(out), err)
-		}
-	})
-	if allocs > 15 {
-		t.Errorf("ScoreTopN at i8 allocates %v times per request, the fan-out path allocated 15", allocs)
-	}
-}
-
-// TestScoreTopNF32Allocs: the blocked float32 scan widens the query on the
-// task's stack, so a request allocates what the per-row loop it replaced
-// did — 14 at two workers on this input (heaps, closures, merge).
-func TestScoreTopNF32Allocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	s := New(Config{Workers: 2, CacheSize: -1})
-	defer s.Close()
-	sn := s.Swap(randomModel(rng, 4, 5000, 16), nil, "v")
-	x := sn.Model.X.Row(1)
-	excluded := func(i int) bool { return i%11 == 0 }
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(50, func() {
-		if out, err := s.ScoreTopN(ctx, sn, x, excluded, 10); err != nil || len(out) != 10 {
-			t.Fatalf("%d items, %v", len(out), err)
-		}
-	})
-	if allocs > 14 {
-		t.Errorf("ScoreTopN at f32 allocates %v times per request, the per-row loop allocated 14", allocs)
+	for _, c := range []struct {
+		name string
+		sn   *Snapshot
+		max  float64
+	}{{"f32-screened", f32, 5}, {"f32-unscreened", &bare, 5}, {"i8-ranked", i8, 6}} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(50, func() {
+				if out, err := s.ScoreTopN(ctx, c.sn, x, excluded, 10); err != nil || len(out) != 10 {
+					t.Fatalf("%d items, %v", len(out), err)
+				}
+			})
+			if allocs > c.max {
+				t.Errorf("ScoreTopN allocates %v times per request, want at most %v", allocs, c.max)
+			}
+		})
 	}
 }
 
@@ -369,7 +359,7 @@ func TestScanRowsCounter(t *testing.T) {
 		m.X.Data[i] += 1.5
 	}
 	rows := func(prec quant.Precision) (scored, pruned float64) {
-		s, ts := newTestServer(t, Config{Workers: 2, CacheSize: -1})
+		s, ts := newTestServer(t, Config{CacheSize: -1})
 		s.SetPrecision(prec)
 		s.Swap(m, nil, "v")
 		for u := 0; u < users; u++ {
@@ -423,8 +413,7 @@ func TestRankedScansUnderHotSwap(t *testing.T) {
 			want[v] = append(want[v], m.QY.TopN(m.X.Row(u), nil, 10))
 		}
 	}
-	s := New(Config{Workers: 2})
-	defer s.Close()
+	s := New(Config{})
 	s.SetPrecision(quant.I8)
 	s.Swap(models["A"], nil, "A")
 

@@ -110,8 +110,7 @@ func (r *Replica) Transform(m *core.Model) (*core.Model, int, int) {
 // Close ends the replica's frame connections and waits for the requests
 // they are answering; later upgrades are refused. http.Server's Close and
 // Shutdown do not reach a connection after its upgrade, so a host calls
-// this after its listener stops and before it closes the wrapped Server,
-// whose scoring pool those requests use.
+// this after its listener stops.
 func (r *Replica) Close() {
 	r.mu.Lock()
 	r.closed = true

@@ -35,9 +35,10 @@ func randomRated(rng *rand.Rand, users, items, perUser int) *sparse.CSR {
 	return m
 }
 
-// TestScorerMatchesTopN: the sharded scorer must select exactly what the
-// single-threaded heap and the full-sort oracle select, for any worker
-// count, n, and exclusion set.
+// TestScorerMatchesTopN: the scan must select exactly what the
+// single-threaded heap and the full-sort oracle select, for any n and
+// exclusion set, with the screen on and off, and score every item bit for
+// bit as linalg.Dot does.
 func TestScorerMatchesTopN(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const users, items, k = 4, 3000, 8
@@ -45,31 +46,30 @@ func TestScorerMatchesTopN(t *testing.T) {
 	y := randomDense(rng, items, k)
 	rated := randomRated(rng, users, items, 40)
 
-	screen := metrics.NewScreen(y)
-	for _, workers := range []int{1, 2, 3, 8} {
-		sc := NewScorer(workers)
+	for _, screen := range []*metrics.Screen{metrics.NewScreen(y), nil} {
 		for _, n := range []int{1, 7, 50, items + 10} {
 			for u := 0; u < users; u++ {
-				scored, rows, err := sc.TopN(context.Background(), x.Row(u), y, screen, RatedExcluder(rated, u), n)
+				scored, rows, err := scanTopN(context.Background(), x.Row(u), y, screen, RatedExcluder(rated, u), n)
 				if err != nil {
-					t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+					t.Fatalf("screen=%v n=%d: %v", screen != nil, n, err)
 				}
-				// A heap that never fills scores every row; a small one
-				// leaves most rows to the screen, where the build has one.
-				if (n > items && rows != items) || (n < 50 && rows > items/2 && screen != nil) || rows < min(n, items) {
-					t.Fatalf("workers=%d n=%d u=%d: %d of %d rows scored", workers, n, u, rows, items)
+				// A heap that never fills scores every row, and so does a
+				// scan without a screen; a small heap leaves most rows to
+				// the screen, where the build has one.
+				if (n > items || screen == nil) && rows != items || (n < 50 && rows > items/2 && screen != nil) || rows < min(n, items) {
+					t.Fatalf("screen=%v n=%d u=%d: %d of %d rows scored", screen != nil, n, u, rows, items)
 				}
 				got := make([]int, len(scored))
 				for i, s := range scored {
 					got[i] = s.Item
 					// The blocked kernel must not move a bit of any score.
 					if ref := linalg.Dot(x.Row(u), y.Row(s.Item)); math.Float64bits(s.Score) != math.Float64bits(ref) {
-						t.Fatalf("workers=%d n=%d u=%d item %d: score %x, linalg.Dot %x", workers, n, u, s.Item, math.Float64bits(s.Score), math.Float64bits(ref))
+						t.Fatalf("screen=%v n=%d u=%d item %d: score %x, linalg.Dot %x", screen != nil, n, u, s.Item, math.Float64bits(s.Score), math.Float64bits(ref))
 					}
 				}
 				want := metrics.TopN(rated, x, y, u, n)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d n=%d u=%d: sharded %v != heap %v", workers, n, u, got, want)
+					t.Fatalf("screen=%v n=%d u=%d: scan %v != heap %v", screen != nil, n, u, got, want)
 				}
 				wantSort := metrics.TopNSort(rated, x, y, u, n)
 				if !reflect.DeepEqual(want, wantSort) {
@@ -77,29 +77,24 @@ func TestScorerMatchesTopN(t *testing.T) {
 				}
 			}
 		}
-		sc.Close()
 	}
 }
 
 func TestScorerCanceledContext(t *testing.T) {
-	sc := NewScorer(2)
-	defer sc.Close()
 	rng := rand.New(rand.NewSource(1))
 	y := randomDense(rng, 5000, 4)
 	x := []float32{1, 0, 0, 0}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := sc.TopN(ctx, x, y, metrics.NewScreen(y), nil, 10); err == nil {
-		t.Fatal("canceled context did not abort scoring")
+	if out, rows, err := scanTopN(ctx, x, y, metrics.NewScreen(y), nil, 10); err != context.Canceled || out != nil || rows != 0 {
+		t.Fatalf("canceled context: %d items, %d rows scored, err %v", len(out), rows, err)
 	}
 }
 
-// TestScorerTopNMidScanDeadline: a context that expires while a task is
-// inside its first slab stops the scan at the slab boundary with the
-// context's error, as the ranked path does.
+// TestScorerTopNMidScanDeadline: a context that expires while the scan is
+// inside its first slab stops it at the slab boundary with the context's
+// error, as the ranked path does.
 func TestScorerTopNMidScanDeadline(t *testing.T) {
-	sc := NewScorer(1)
-	defer sc.Close()
 	rng := rand.New(rand.NewSource(3))
 	y := randomDense(rng, 2*checkEvery+10, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -110,7 +105,7 @@ func TestScorerTopNMidScanDeadline(t *testing.T) {
 		last = i
 		return false
 	}
-	out, _, err := sc.TopN(ctx, []float32{1, 1, 1, 1}, y, metrics.NewScreen(y), expire, y.Rows+1)
+	out, _, err := scanTopN(ctx, []float32{1, 1, 1, 1}, y, metrics.NewScreen(y), expire, y.Rows+1)
 	if err != context.Canceled || out != nil {
 		t.Fatalf("mid-scan cancel: %d items, err %v", len(out), err)
 	}
@@ -122,13 +117,11 @@ func TestScorerTopNMidScanDeadline(t *testing.T) {
 // TestScorerWideQuery: a query wider than scanStackK takes the heap-backed
 // widening and still scores exactly.
 func TestScorerWideQuery(t *testing.T) {
-	sc := NewScorer(2)
-	defer sc.Close()
 	rng := rand.New(rand.NewSource(9))
 	const k = scanStackK + 2
 	y := randomDense(rng, 600, k)
 	x := randomDense(rng, 1, k).Row(0)
-	scored, _, err := sc.TopN(context.Background(), x, y, metrics.NewScreen(y), nil, 5)
+	scored, _, err := scanTopN(context.Background(), x, y, metrics.NewScreen(y), nil, 5)
 	if err != nil || len(scored) != 5 {
 		t.Fatalf("%d items, %v", len(scored), err)
 	}
@@ -142,18 +135,20 @@ func TestScorerWideQuery(t *testing.T) {
 }
 
 func TestScorerDegenerate(t *testing.T) {
-	sc := NewScorer(0) // default pool
-	defer sc.Close()
-	if sc.Workers() < 1 {
-		t.Fatalf("default workers = %d", sc.Workers())
-	}
+	x := []float32{1, 0, 0, 0}
 	y := linalg.NewDense(0, 4)
-	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, nil, nil, 5); err != nil || out != nil {
+	if out, _, err := scanTopN(context.Background(), x, y, nil, nil, 5); err != nil || out != nil {
 		t.Fatalf("empty catalog: %v %v", out, err)
 	}
+	if out, _, err := scanTopN(context.Background(), x, nil, nil, nil, 5); err != nil || out != nil {
+		t.Fatalf("nil catalog: %v %v", out, err)
+	}
 	y = linalg.NewDense(3, 4)
-	if out, _, err := sc.TopN(context.Background(), []float32{1, 0, 0, 0}, y, nil, nil, 0); err != nil || out != nil {
+	if out, _, err := scanTopN(context.Background(), x, y, nil, nil, 0); err != nil || out != nil {
 		t.Fatalf("n=0: %v %v", out, err)
+	}
+	if out, _, err := scanRanked(context.Background(), x, nil, nil, 5); err != nil || out != nil {
+		t.Fatalf("nil ranked catalog: %v %v", out, err)
 	}
 }
 

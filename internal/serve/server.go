@@ -21,7 +21,8 @@ import (
 
 // Config sizes the server. The zero value gets sensible defaults.
 type Config struct {
-	// Workers is the scoring pool size (default GOMAXPROCS).
+	// Workers is ignored: a scan runs on its request's goroutine, and
+	// Queue bounds how many run at once.
 	Workers int
 	// Queue caps concurrently admitted requests; arrivals beyond it are
 	// shed with 429 instead of queueing unboundedly (default 64).
@@ -66,27 +67,25 @@ func (c *Config) setDefaults() {
 
 // Server serves top-N and fold-in recommendations over HTTP from the
 // current Snapshot. Create with New, install a model with Swap (or the
-// /admin/swap endpoint), mount Handler, and Close when done.
+// /admin/swap endpoint) and mount Handler.
 type Server struct {
-	cfg    Config
-	store  Store
-	cache  *Cache
-	scorer *Scorer
-	tel    *Telemetry
-	sem    chan struct{}
-	mw     middleware
-	mux    *http.ServeMux
+	cfg   Config
+	store Store
+	cache *Cache
+	tel   *Telemetry
+	sem   chan struct{}
+	mw    middleware
+	mux   *http.ServeMux
 }
 
 // New builds a server; it serves 503 until the first Swap installs a model.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
-		cfg:    cfg,
-		cache:  NewCache(cfg.CacheSize),
-		scorer: NewScorer(cfg.Workers),
-		tel:    NewTelemetry(),
-		sem:    make(chan struct{}, cfg.Queue),
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheSize),
+		tel:   NewTelemetry(),
+		sem:   make(chan struct{}, cfg.Queue),
 	}
 	s.mw = middleware{who: "serve", tracer: cfg.Tracer, slowLog: cfg.SlowLog, observe: s.tel.Observe}
 	s.tel.AttachServer(s.store.Current, s.cache)
@@ -137,11 +136,11 @@ func (s *Server) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR
 func (s *Server) SetPrecision(p quant.Precision) { s.store.SetPrecision(p) }
 
 // ScoreTopN ranks the snapshot's item slice for one scoring vector at the
-// snapshot's precision: the pruned quantized scan when the swap built a
-// ranked compressed Y, the float32 pool otherwise. All request paths —
-// recommend, fold-in, shard replica scoring — funnel through here, so
-// precision dispatch, the scan-time histogram and the row counts live in
-// one place.
+// snapshot's precision, on the caller's goroutine: the pruned quantized
+// scan when the swap built a ranked compressed Y, the screened float32
+// scan otherwise. All request paths — recommend, fold-in, shard replica
+// scoring — funnel through here, so precision dispatch, the scan-time
+// histogram and the row counts live in one place.
 func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, excluded func(int) bool, n int) ([]metrics.Scored, error) {
 	_, span := rtrace.StartChild(ctx, "scan")
 	span.SetAttr("precision", sn.Precision.String())
@@ -150,9 +149,9 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 	var rows int // rows that got an exact score; the rest were pruned
 	var err error
 	if sn.QY != nil {
-		scored, rows, err = s.scorer.TopNRanked(ctx, x, sn.QY, excluded, n)
+		scored, rows, err = scanRanked(ctx, x, sn.QY, excluded, n)
 	} else {
-		scored, rows, err = s.scorer.TopN(ctx, x, sn.Model.Y, sn.Screen, excluded, n)
+		scored, rows, err = scanTopN(ctx, x, sn.Model.Y, sn.Screen, excluded, n)
 	}
 	if span != nil {
 		span.SetAttr("rows_scored", strconv.Itoa(rows))
@@ -180,9 +179,9 @@ func screenBinding(sn *Snapshot) string {
 // ResponseCache exposes the LRU response cache for embedding hosts.
 func (s *Server) ResponseCache() *Cache { return s.cache }
 
-// Close releases the scoring pool. In-flight requests must have drained
-// (http.Server.Shutdown) before calling it.
-func (s *Server) Close() { s.scorer.Close() }
+// Close releases nothing: a Server holds no goroutines of its own. It is
+// kept for hosts written when it did.
+func (s *Server) Close() {}
 
 // middleware is the request edge both HTTP fronts share: the Server runs it
 // behind admission control and the deadline (instrument), the Frontend bare.
@@ -301,7 +300,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return err == nil
 }
 
-// scoreError maps a scorer/context failure to the status the request gets.
+// scoreError maps a scan/context failure to the status the request gets.
 func scoreError(err error) *statusError {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return &statusError{code: http.StatusGatewayTimeout, msg: "deadline exceeded while scoring"}
@@ -333,7 +332,7 @@ type RecItem struct {
 	Score float64 `json:"score"`
 }
 
-// recItems converts scorer output to response items. offset shifts the
+// recItems converts scan output to response items. offset shifts the
 // local Y row index to the global catalog index for sharded snapshots
 // (labels stay local: the sliced model carries the matching ItemIDs slice).
 func recItems(m *core.Model, scored []metrics.Scored, offset int) []RecItem {
@@ -520,14 +519,9 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The folded-in user's own items are their rated set: exclude them.
-	rated := make(map[int]bool, len(req.Items))
-	for _, it := range req.Items {
-		rated[int(it)] = true
-	}
 	// Fold-in solves xu in float32 over the rated items' rows (above); only
 	// this final scan reads the quantized matrix.
-	scored, err := s.ScoreTopN(r.Context(), sn, xu,
-		func(i int) bool { return rated[i] }, req.N)
+	scored, err := s.ScoreTopN(r.Context(), sn, xu, localExcluder(req.Items, 0, sn.Items), req.N)
 	if err != nil {
 		httpError(w, scoreError(err))
 		return

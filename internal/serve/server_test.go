@@ -52,7 +52,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -92,7 +92,7 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 
 func TestRecommendEndpoint(t *testing.T) {
 	const users, items = 4, 64
-	s, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{})
 	s.Swap(linearModel(1, users, items, 4), singleRating(users, items, items-1), "m1")
 
 	var resp RecommendResponse
@@ -131,7 +131,7 @@ func TestRecommendEndpoint(t *testing.T) {
 }
 
 func TestRecommendErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxN: 20})
+	s, ts := newTestServer(t, Config{MaxN: 20})
 	// No model yet: everything model-backed is 503.
 	if code := getJSON(t, ts.URL+"/v1/recommend?user=0", nil); code != 503 {
 		t.Fatalf("no-model status %d", code)
@@ -173,7 +173,7 @@ func TestFoldInEndpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const items, k = 400, 6
 	m := &core.Model{K: k, X: linalg.NewDense(1, k), Y: randomDense(rng, items, k)}
-	s, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{})
 	s.Swap(m, nil, "f1")
 
 	req := FoldInRequest{Items: []int32{3, 10, 77}, Ratings: []float32{5, 4, 1}, N: 5}
@@ -194,7 +194,7 @@ func TestFoldInEndpoint(t *testing.T) {
 }
 
 func TestFoldInErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxN: 20, MaxFoldInItems: 4})
+	s, ts := newTestServer(t, Config{MaxN: 20, MaxFoldInItems: 4})
 	s.Swap(linearModel(1, 2, 16, 2), nil, "")
 	url := ts.URL + "/v1/foldin"
 
@@ -226,7 +226,7 @@ func TestFoldInErrors(t *testing.T) {
 }
 
 func TestDeadlineExceeded(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Timeout: time.Nanosecond})
+	s, ts := newTestServer(t, Config{Timeout: time.Nanosecond})
 	s.Swap(linearModel(1, 2, 2048, 4), nil, "")
 	if code := getJSON(t, ts.URL+"/v1/recommend?user=0", nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline returned %d, want 504", code)
@@ -234,7 +234,7 @@ func TestDeadlineExceeded(t *testing.T) {
 }
 
 func TestLoadShedding(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Queue: 2})
+	s, ts := newTestServer(t, Config{Queue: 2})
 	s.Swap(linearModel(1, 2, 64, 2), nil, "")
 
 	// Saturate the admission queue directly: deterministic, no timing games.
@@ -277,7 +277,7 @@ func fetchMetrics(t *testing.T, ts *httptest.Server) string {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	s.Swap(linearModel(1, 2, 64, 2), nil, "vX")
 	getJSON(t, ts.URL+"/v1/recommend?user=0&n=2", nil)
 	getJSON(t, ts.URL+"/v1/recommend?user=0&n=2", nil) // cache hit
@@ -307,7 +307,7 @@ func TestSwapEndpointAndVersioning(t *testing.T) {
 	m.Meta = core.Meta{Version: "meta-v", Lambda: 0.1}
 	path := saveModel(t, m)
 
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	s.Swap(linearModel(1, 3, 8, 2), nil, "") // unversioned: becomes v1
 	if got := s.Current().Version; got != "v1" {
 		t.Fatalf("default version = %q", got)
@@ -368,7 +368,7 @@ func TestHotSwapStress(t *testing.T) {
 	const users, items, k = 8, 512, 4
 	modelA := linearModel(1, users, items, k) // score = i
 	modelB := linearModel(2, users, items, k) // score = 2i
-	s, ts := newTestServer(t, Config{Workers: 4, Queue: 256, CacheSize: 64})
+	s, ts := newTestServer(t, Config{Queue: 256, CacheSize: 64})
 	s.Swap(modelA, nil, "A")
 
 	swaps := 60
@@ -460,7 +460,7 @@ func paddedBody(prefix string, size int64) string {
 // on its content. (The replica's hop frames have the same rule and their own
 // test, TestHopBodyLimits.)
 func TestRequestBodyLimits(t *testing.T) {
-	cfg := Config{Workers: 1, MaxFoldInItems: 4}
+	cfg := Config{MaxFoldInItems: 4}
 	m := linearModel(1, 2, 16, 2)
 	s, ts := newTestServer(t, cfg)
 	s.Swap(m, nil, "")

@@ -17,8 +17,7 @@ import (
 // root's time envelope, the scan naming the bindings it ran.
 func TestServerTraceSpans(t *testing.T) {
 	tr := rtrace.New(rtrace.Config{Sample: 1, Process: "test"})
-	s := New(Config{Workers: 1, Tracer: tr})
-	t.Cleanup(s.Close)
+	s := New(Config{Tracer: tr})
 	s.Swap(linearModel(1, 2, 64, 2), nil, "")
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
