@@ -21,9 +21,11 @@ test-short:
 # boundary both ways and the hop's one frame layout and one transport, one
 # reader of float item rows in serve, one codec, one byte decoder, one process
 # harness, a simulator that imports no arithmetic, a trainer that holds no
-# transpose of R), build, the race
-# passes, the lanes that keep the assembly kernels' other bindings alive
-# (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
+# transpose of R), build, the link check (TestEveryProductFuncLinks, which
+# -short skips: every func with a body under internal/ links into a command,
+# an example or bench/, unless internal/e2e/testdata/unlinked.allow names its
+# file), the race passes, the lanes that keep the assembly kernels' other
+# bindings alive (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
 # a cache line whatever the link order (two -randlayout seeds), the smoke lanes
 # through the real binaries, every fuzz target for 10 s, the bench smokes
 # (every benchmark once, then a few at -cpu 1,2: the two that split their
@@ -79,6 +81,7 @@ ci:
 		echo "the simulator returns a clock and nothing else; internal/{kernels,sim,cluster,baseline,tuner} must not depend on:"; echo "$$arith"; exit 1; \
 	fi
 	$(GO) build ./...
+	$(GO) test -run '^TestEveryProductFuncLinks$$' -count=1 ./internal/e2e
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/checkpoint ./internal/core ./internal/e2e ./internal/host ./internal/lebin ./internal/metrics ./internal/obs ./internal/quant ./internal/rtrace ./internal/serve ./internal/shard ./internal/solvers
 	$(GO) test -tags purego ./internal/quant ./internal/serve ./internal/metrics ./internal/linalg ./internal/host ./internal/solvers ./internal/core

@@ -407,10 +407,10 @@ func BenchmarkHostScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkTopN measures the three top-N selection strategies over a large
-// catalog (the serving-path hot loop): the O(items·log items) full-scan
-// sort, the bounded heap (metrics.TopN, what Model.Recommend uses), and the
-// serving layer's scan (serve.Server.ScoreTopN, on the caller's goroutine).
+// BenchmarkTopN measures the two top-N selections over a large catalog (the
+// serving-path hot loop): the bounded heap (metrics.TopN, what
+// Model.Recommend uses) and the serving layer's scan (serve.Server.ScoreTopN,
+// on the caller's goroutine).
 // The "sharded" names are kept from when that scan split Y over a worker
 // pool, so the series in EXPERIMENTS.md continue.
 func BenchmarkTopN(b *testing.B) {
@@ -433,13 +433,6 @@ func BenchmarkTopN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("fullscan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if len(metrics.TopNSort(m, x, y, 0, 10)) != 10 {
-				b.Fatal("wrong top-N size")
-			}
-		}
-	})
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if len(metrics.TopN(m, x, y, 0, 10)) != 10 {
@@ -486,7 +479,7 @@ func BenchmarkTopN(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.Reset()
 			metrics.ScanTopK(q, y, 0, y.Rows, ex, t)
-			if t.Len() != 10 {
+			if _, full := t.Threshold(); !full {
 				b.Fatal("wrong top-N size")
 			}
 		}
@@ -538,7 +531,7 @@ func BenchmarkTopN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t.Reset()
 				q.ScanTopK(qr, 0, q.Rows, ex, t)
-				if t.Len() != 10 {
+				if _, full := t.Threshold(); !full {
 					b.Fatal("wrong top-N size")
 				}
 			}

@@ -133,24 +133,6 @@ func exchange(r *sparse.CSR, cfg Config) (seconds float64, replicated int64) {
 	return seconds, replicated
 }
 
-// AllGatherBytes predicts the coordinator-side wire traffic of the real
-// data-parallel trainer (internal/shard): a star all-gather in which each
-// of `workers` processes sends its factor shard up and receives the full
-// side back, for both halves of every iteration — (workers+1)·(m+n)·k·4
-// payload bytes per iteration. Each factor frame adds a 26-byte wire
-// header (length prefix, kind byte, iteration/range descriptor); the
-// one-time hello and config frames are a few hundred bytes and ignored.
-// The cross-validation test in internal/shard holds the trainer's measured
-// als_dist_broadcast_bytes_total to within a few percent of this figure,
-// and checks the simulator's ReplicationBytes stays within 2x of the real
-// measurement for matched problem shapes.
-func AllGatherBytes(users, items, k, workers, iterations int) int64 {
-	const factorFrame = 26 // 8-byte length + kind byte + 17-byte factor header
-	rows := int64(users) + int64(items)
-	perIter := (int64(workers)+1)*rows*int64(k)*4 + int64(4*workers*factorFrame)
-	return int64(iterations) * perIter
-}
-
 // distinctCols counts the distinct column indices referenced by rows
 // [lo, hi) — the partial-replication working set.
 func distinctCols(r *sparse.CSR, lo, hi int) int {

@@ -13,8 +13,7 @@ import (
 // Netflix user IDs reach 2 649 429 for 480 189 actual users — so training
 // on raw IDs would allocate (and iterate) millions of empty rows.
 type IDMap struct {
-	toDense map[int64]int32
-	toOrig  []int64
+	toOrig []int64 // sorted: dense index i is the i-th smallest external ID
 }
 
 // newIDMap builds a map over the distinct IDs among ids (dense indices
@@ -36,17 +35,11 @@ func newIDMap(ids []int32) *IDMap {
 	for i, id := range ids {
 		ids[i] = toDense[int64(id)]
 	}
-	return &IDMap{toDense: toDense, toOrig: sorted}
+	return &IDMap{toOrig: sorted}
 }
 
 // Len is the number of distinct external IDs.
 func (m *IDMap) Len() int { return len(m.toOrig) }
-
-// Dense returns the dense index for an external ID.
-func (m *IDMap) Dense(orig int64) (int, bool) {
-	d, ok := m.toDense[orig]
-	return int(d), ok
-}
 
 // Orig returns the external ID for a dense index.
 func (m *IDMap) Orig(dense int) int64 { return m.toOrig[dense] }

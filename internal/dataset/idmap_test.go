@@ -22,16 +22,16 @@ func TestIDMapRoundTrip(t *testing.T) {
 	// Dense order is sorted external order.
 	wantOrder := []int64{5, 100, 2649429}
 	for i, orig := range wantOrder {
-		d, ok := m.Dense(orig)
+		d, ok := slices.BinarySearch(m.toOrig, orig)
 		if !ok || d != i {
-			t.Fatalf("Dense(%d) = %d,%v; want %d", orig, d, ok, i)
+			t.Fatalf("dense index of %d = %d,%v; want %d", orig, d, ok, i)
 		}
 		if m.Orig(i) != orig {
 			t.Fatalf("Orig(%d) = %d, want %d", i, m.Orig(i), orig)
 		}
 	}
-	if _, ok := m.Dense(999); ok {
-		t.Fatal("Dense accepted unknown id")
+	if _, ok := slices.BinarySearch(m.toOrig, 999); ok {
+		t.Fatal("unknown id mapped")
 	}
 }
 
@@ -43,7 +43,7 @@ func TestIDMapQuick(t *testing.T) {
 		dense := slices.Clone(ids)
 		m := newIDMap(dense)
 		for i, id := range ids {
-			d, ok := m.Dense(int64(id))
+			d, ok := slices.BinarySearch(m.toOrig, int64(id))
 			if !ok || d != int(dense[i]) || m.Orig(d) != int64(id) {
 				return false
 			}
@@ -74,8 +74,8 @@ func TestLoadCompactShrinksSparseIDSpace(t *testing.T) {
 		t.Fatalf("nnz = %d", cd.Matrix.NNZ())
 	}
 	// Values preserved under the remap.
-	u, _ := cd.Users.Dense(7)
-	i, _ := cd.Items.Dense(33)
+	u, _ := slices.BinarySearch(cd.Users.toOrig, 7)
+	i, _ := slices.BinarySearch(cd.Items.toOrig, 33)
 	if got := cd.Matrix.R.At(u, i); got != 5.0 {
 		t.Fatalf("remapped value = %g, want 5", got)
 	}

@@ -19,8 +19,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // lineTimeout bounds every wait on a process. A smoke run's slowest line is
@@ -189,7 +187,7 @@ func GetJSON(t testing.TB, url string, out any) {
 	}
 }
 
-// Metrics is one /metrics scrape that passed obs.ValidateExposition.
+// Metrics is one /metrics scrape that passed ValidateExposition.
 type Metrics struct {
 	t    testing.TB
 	Text string
@@ -200,7 +198,7 @@ type Metrics struct {
 func Scrape(t testing.TB, base string) *Metrics {
 	t.Helper()
 	text := string(Get(t, base+"/metrics"))
-	if n, err := obs.ValidateExposition(strings.NewReader(text)); err != nil || n == 0 {
+	if n, err := ValidateExposition(strings.NewReader(text)); err != nil || n == 0 {
 		t.Fatalf("%s/metrics: invalid exposition (%d samples): %v\n%s", base, n, err, text)
 	}
 	return &Metrics{t: t, Text: text}

@@ -101,7 +101,7 @@ func TestWaitLineReportsEarlyExit(t *testing.T) {
 	}
 }
 
-// Scrape holds every body to obs.ValidateExposition: a malformed one fails
+// Scrape holds every body to ValidateExposition: a malformed one fails
 // the test, a valid one answers Sum per metric name.
 func TestScrapeRejectsMalformedExposition(t *testing.T) {
 	bin := helper(t)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -113,17 +112,6 @@ func (c *Chaos) Bind(rows int) {
 	for _, r := range perm[ng : ng+nf] {
 		c.fail[r] = true
 	}
-}
-
-// GramRowList returns the bound Gram-corruption rows in ascending order
-// (for tests and run banners).
-func (c *Chaos) GramRowList() []int {
-	rows := make([]int, 0, len(c.gram))
-	for r := range c.gram {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	return rows
 }
 
 // CorruptMatrix plants the configured NaN/Inf/huge ratings at seeded entry

@@ -183,7 +183,7 @@ func (g *Guard) Recoveries(rung int) int64 { return g.recoveries[rung].Load() }
 func (g *Guard) TotalRecoveries() int64 {
 	var n int64
 	for r := range g.recoveries {
-		n += g.recoveries[r].Load()
+		n += g.Recoveries(r)
 	}
 	return n
 }
@@ -201,7 +201,7 @@ func (g *Guard) Sanitized(kind int) int64 { return g.sanitized[kind].Load() }
 func (g *Guard) TotalSanitized() int64 {
 	var n int64
 	for k := range g.sanitized {
-		n += g.sanitized[k].Load()
+		n += g.Sanitized(k)
 	}
 	return n
 }
@@ -303,7 +303,7 @@ func (g *Guard) Register(reg *obs.Registry) {
 			for r := 0; r < NumRungs; r++ {
 				samples = append(samples, obs.Sample{
 					Labels: []string{RungNames[r], variant},
-					Value:  float64(g.recoveries[r].Load()),
+					Value:  float64(g.Recoveries(r)),
 				})
 			}
 			return samples
@@ -320,7 +320,7 @@ func (g *Guard) Register(reg *obs.Registry) {
 			for k := 0; k < NumSanitized; k++ {
 				samples = append(samples, obs.Sample{
 					Labels: []string{sanitizedNames[k]},
-					Value:  float64(g.sanitized[k].Load()),
+					Value:  float64(g.Sanitized(k)),
 				})
 			}
 			return samples
@@ -339,7 +339,7 @@ func (g *Guard) Summary() string {
 	s := "recovered " + strconv.FormatInt(total, 10) + " row solves ("
 	first := true
 	for r := 0; r < NumRungs; r++ {
-		if n := g.recoveries[r].Load(); n > 0 {
+		if n := g.Recoveries(r); n > 0 {
 			if !first {
 				s += " "
 			}

@@ -3,9 +3,11 @@ package guard
 import (
 	"errors"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/e2e"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -41,7 +43,7 @@ func TestChaosBindDisjointAndDeterministic(t *testing.T) {
 	a.Bind(64)
 	b := &Chaos{Seed: 5, GramRows: 10, FailRows: 10}
 	b.Bind(64)
-	ga, gb := a.GramRowList(), b.GramRowList()
+	ga, gb := gramRows(a), gramRows(b)
 	if len(ga) != 10 || len(gb) != 10 {
 		t.Fatalf("bound %d/%d gram rows, want 10", len(ga), len(gb))
 	}
@@ -59,7 +61,7 @@ func TestChaosBindDisjointAndDeterministic(t *testing.T) {
 	c := &Chaos{Seed: 6, GramRows: 10, FailRows: 10}
 	c.Bind(64)
 	same := true
-	for i, r := range c.GramRowList() {
+	for i, r := range gramRows(c) {
 		if r != ga[i] {
 			same = false
 			break
@@ -243,7 +245,7 @@ func TestGuardMetricsAndSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := sb.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(body)); err != nil {
 		t.Fatalf("guard metrics do not validate: %v\n%s", err, body)
 	}
 	for _, want := range []string{
@@ -277,4 +279,14 @@ func TestRowErrorFormatting(t *testing.T) {
 	if !errors.Is(e, ErrForcedFailure) {
 		t.Fatal("RowError does not unwrap")
 	}
+}
+
+// gramRows returns the bound Gram-corruption rows in ascending order.
+func gramRows(c *Chaos) []int {
+	rows := make([]int, 0, len(c.gram))
+	for r := range c.gram {
+		rows = append(rows, r)
+	}
+	sort.Ints(rows)
+	return rows
 }

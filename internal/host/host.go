@@ -266,11 +266,6 @@ type Result struct {
 	Converged int
 }
 
-// Predict returns the estimated rating r̂_ui = x_u·y_i.
-func (r *Result) Predict(u, i int) float64 {
-	return linalg.Dot(r.X.Row(u), r.Y.Row(i))
-}
-
 // RMSE evaluates the model on a rating matrix.
 func (r *Result) RMSE(on *sparse.CSR) float64 { return metrics.RMSE(on, r.X, r.Y) }
 

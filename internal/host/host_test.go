@@ -203,8 +203,8 @@ func TestEmptyRowsGetZeroFactors(t *testing.T) {
 		}
 	}
 	// Rated cells should still be fit reasonably.
-	if p := res.Predict(2, 3); math.Abs(p-5) > 2.5 {
-		t.Fatalf("Predict(2,3) = %g, want near 5", p)
+	if p := linalg.Dot(res.X.Row(2), res.Y.Row(3)); math.Abs(p-5) > 2.5 {
+		t.Fatalf("prediction (2,3) = %g, want near 5", p)
 	}
 }
 

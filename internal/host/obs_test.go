@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/e2e"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
@@ -87,7 +88,7 @@ func TestTrainWithRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("live metrics do not validate: %v", err)
 	}
 	wantRows := 3 * (mx.Rows() + mx.Cols())

@@ -41,9 +41,6 @@ func NewRangeUpdater(cfg Config) (*RangeUpdater, error) {
 	return &RangeUpdater{k: cfg.K, pool: newWorkerPool(cfg)}, nil
 }
 
-// K returns the configured factor dimensionality.
-func (ru *RangeUpdater) K() int { return ru.k }
-
 // UpdateRange solves rows [lo, hi) of out against fixed, where r is the
 // full side matrix (R for the X half, Rᵀ for the Y half). iter is the
 // 1-based iteration and xHalf names the half, mirroring Train's calls.

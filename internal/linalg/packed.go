@@ -49,37 +49,6 @@ func ZeroDiagPacked(p []float32, k int) {
 	}
 }
 
-// PackedToDense expands a packed upper-triangular matrix into a full dense
-// symmetric matrix (both triangles). Used by tests and diagnostics.
-func PackedToDense(p []float32, k int) *Dense {
-	a := NewDense(k, k)
-	idx := 0
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			a.Set(i, j, p[idx])
-			a.Set(j, i, p[idx])
-			idx++
-		}
-	}
-	return a
-}
-
-// DenseToPacked compresses the upper triangle of a square dense matrix into
-// packed storage. p must have PackedLen(k) capacity; it is returned sliced.
-func DenseToPacked(a *Dense, p []float32) []float32 {
-	k := a.Rows
-	p = p[:PackedLen(k)]
-	idx := 0
-	for i := 0; i < k; i++ {
-		row := a.Row(i)
-		for j := i; j < k; j++ {
-			p[idx] = row[j]
-			idx++
-		}
-	}
-	return p
-}
-
 // CholeskyPacked factorizes a packed symmetric positive-definite matrix in
 // place into A = UᵀU with U upper-triangular in the same packed layout
 // (U = Lᵀ of the dense form, so the pivots and off-diagonal values are

@@ -31,8 +31,8 @@ func TestPackedDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []int{1, 3, 10} {
 		a := randomSPD(rng, k, k+4, 0.3)
-		p := DenseToPacked(a, make([]float32, PackedLen(k)))
-		back := PackedToDense(p, k)
+		p := denseToPacked(a, make([]float32, PackedLen(k)))
+		back := packedToDense(p, k)
 		if d := MaxAbsDiff(a, back); d != 0 {
 			t.Fatalf("k=%d: round trip differs by %g", k, d)
 		}
@@ -42,10 +42,10 @@ func TestPackedDenseRoundTrip(t *testing.T) {
 func TestAddDiagPacked(t *testing.T) {
 	k := 4
 	a := randomSPD(rand.New(rand.NewSource(2)), k, 6, 0)
-	p := DenseToPacked(a, make([]float32, PackedLen(k)))
+	p := denseToPacked(a, make([]float32, PackedLen(k)))
 	AddDiagPacked(p, k, 0.5)
 	a.AddDiag(0.5)
-	if d := MaxAbsDiff(a, PackedToDense(p, k)); d != 0 {
+	if d := MaxAbsDiff(a, packedToDense(p, k)); d != 0 {
 		t.Fatalf("AddDiagPacked differs from dense AddDiag by %g", d)
 	}
 }
@@ -63,7 +63,7 @@ func TestPackedCholeskyMatchesDense(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float32()*4 - 2
 		}
-		p := DenseToPacked(a, make([]float32, PackedLen(k)))
+		p := denseToPacked(a, make([]float32, PackedLen(k)))
 		bp := make([]float32, k)
 		copy(bp, b)
 		errD := CholeskySolve(a, b)
@@ -111,7 +111,7 @@ func TestPackedLDLMatchesDense(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float32()
 		}
-		p := DenseToPacked(a, make([]float32, PackedLen(k)))
+		p := denseToPacked(a, make([]float32, PackedLen(k)))
 		bp := make([]float32, k)
 		copy(bp, b)
 		errD := LDLSolve(a, b)
@@ -136,7 +136,7 @@ func TestPackedLDLMatchesDense(t *testing.T) {
 
 func TestPackedCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float32{1, 2, 2, 1}) // eigenvalues 3, -1
-	p := DenseToPacked(a, make([]float32, PackedLen(2)))
+	p := denseToPacked(a, make([]float32, PackedLen(2)))
 	if err := CholeskyPacked(p, 2); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("err = %v, want ErrNotSPD", err)
 	}
@@ -174,7 +174,7 @@ func TestFusedMatchesSeparateKernels(t *testing.T) {
 				packed[i] = float32(math.NaN()) // must be overwritten
 			}
 			GramRHSFused(y, k, cols, vals, packed, fsvec)
-			got := PackedToDense(packed, k)
+			got := packedToDense(packed, k)
 			if d := MaxAbsDiff(NewDenseFrom(k, k, smat), got); d != 0 {
 				t.Fatalf("k=%d omega=%d: fused Gram differs by %g", k, omega, d)
 			}
@@ -187,7 +187,7 @@ func TestFusedMatchesSeparateKernels(t *testing.T) {
 			refG := referenceGram(y, k, cols)
 			refR := referenceRHS(y, k, cols, vals)
 			GramRHSFusedUnrolled(y, k, cols, vals, packed, fsvec)
-			un := PackedToDense(packed, k)
+			un := packedToDense(packed, k)
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
 					if math.Abs(float64(un.At(i, j))-refG[i*k+j]) > 1e-2*(1+math.Abs(refG[i*k+j])) {
@@ -242,4 +242,35 @@ func TestFusedQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// packedToDense expands a packed upper-triangular matrix into a full dense
+// symmetric matrix (both triangles).
+func packedToDense(p []float32, k int) *Dense {
+	a := NewDense(k, k)
+	idx := 0
+	for i := 0; i < k; i++ {
+		for j := i; j < k; j++ {
+			a.Set(i, j, p[idx])
+			a.Set(j, i, p[idx])
+			idx++
+		}
+	}
+	return a
+}
+
+// denseToPacked compresses the upper triangle of a square dense matrix into
+// packed storage. p must have PackedLen(k) capacity; it is returned sliced.
+func denseToPacked(a *Dense, p []float32) []float32 {
+	k := a.Rows
+	p = p[:PackedLen(k)]
+	idx := 0
+	for i := 0; i < k; i++ {
+		row := a.Row(i)
+		for j := i; j < k; j++ {
+			p[idx] = row[j]
+			idx++
+		}
+	}
+	return p
 }

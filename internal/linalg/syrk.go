@@ -218,20 +218,6 @@ func Dot1Wide(xw []float64, row []float32) (s float64) {
 	return
 }
 
-// Axpy computes y += alpha*x element-wise.
-func Axpy(alpha float32, x, y []float32) {
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Nrm2Sq returns the squared Euclidean norm accumulated in float64, used by
 // the regularized-loss invariant tests (λ(|x_u|² + |y_i|²)).
 func Nrm2Sq(x []float32) float64 {

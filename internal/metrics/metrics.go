@@ -6,9 +6,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/sparse"
@@ -188,38 +186,6 @@ func TopN(r *sparse.CSR, x, y *linalg.Dense, u, n int) []int {
 	return out
 }
 
-// TopNSort is the full-scan reference selection: it scores every candidate,
-// sorts the whole catalog, and takes the first n. O(items·log items) — kept
-// as the differential-test oracle and the benchmark baseline the heap
-// (TopN) and the serving scans are measured against.
-func TopNSort(r *sparse.CSR, x, y *linalg.Dense, u, n int) []int {
-	rated := make(map[int]bool)
-	cols, _ := r.Row(u)
-	for _, c := range cols {
-		rated[int(c)] = true
-	}
-	xu := x.Row(u)
-	all := make([]Scored, 0, y.Rows)
-	for i := 0; i < y.Rows; i++ {
-		if rated[i] {
-			continue
-		}
-		all = append(all, Scored{Item: i, Score: linalg.Dot(xu, y.Row(i))})
-	}
-	sort.Slice(all, func(a, b int) bool { return weaker(all[b], all[a]) })
-	if n < 0 {
-		n = 0
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].Item
-	}
-	return out
-}
-
 // PrecisionRecallAtN scores top-N recommendations against a held-out test
 // set: an item counts as relevant if the user rated it at least relThresh in
 // test. Returns macro-averaged precision and recall over users with at least
@@ -252,19 +218,4 @@ func PrecisionRecallAtN(train, test *sparse.CSR, x, y *linalg.Dense, n int, relT
 		return math.NaN(), math.NaN()
 	}
 	return pSum / float64(users), rSum / float64(users)
-}
-
-// Summary is a compact per-run record used by the experiment harness.
-type Summary struct {
-	Dataset   string
-	Platform  string
-	Variant   string
-	Seconds   float64 // simulated or wall-clock, per 5 ALS iterations
-	RMSE      float64
-	Iteration int
-}
-
-// String renders one result row.
-func (s Summary) String() string {
-	return fmt.Sprintf("%-6s %-4s %-28s %10.4fs rmse=%.4f", s.Dataset, s.Platform, s.Variant, s.Seconds, s.RMSE)
 }

@@ -148,13 +148,6 @@ func TestPrecisionRecallNoRelevant(t *testing.T) {
 	}
 }
 
-func TestSummaryString(t *testing.T) {
-	s := Summary{Dataset: "NTFX", Platform: "GPU", Variant: "tb+loc", Seconds: 1.5, RMSE: 0.9}
-	if s.String() == "" {
-		t.Fatal("empty Summary string")
-	}
-}
-
 // TestTopNMatchesFullSort: property check of the heap selection against a
 // straightforward full sort.
 func TestTopNMatchesFullSort(t *testing.T) {

@@ -230,8 +230,8 @@ func (q *ScanQuery) cut(thr float64) int32 {
 // each row for which excluded returns false (nil excludes nothing) to t.
 // Every offered score is bit for bit linalg.Dot(x, y.Row(i)), and the heap
 // is exactly what the row-at-a-time loop in TopN would leave. This is the
-// serving scan; TopN and TopNSort stay on linalg.Dot as the references it is
-// tested against. The query's screen, if any, must be y's (NewScreen(y)).
+// serving scan; TopN stays on linalg.Dot as the reference it is tested
+// against. The query's screen, if any, must be y's (NewScreen(y)).
 // Callers slab the range and check their context between calls. It
 // allocates nothing, and returns how many rows got an exact score.
 //

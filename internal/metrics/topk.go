@@ -1,6 +1,6 @@
 package metrics
 
-import "sort"
+import "slices"
 
 // Scored pairs an item index with its predicted score.
 type Scored struct {
@@ -37,9 +37,6 @@ func weaker(a, b Scored) bool {
 	return a.Item > b.Item
 }
 
-// Len returns the number of retained entries.
-func (t *TopK) Len() int { return len(t.h) }
-
 // Threshold returns the weakest retained entry and whether the selector is
 // full; until it is full every candidate is admitted.
 func (t *TopK) Threshold() (Scored, bool) {
@@ -67,12 +64,21 @@ func (t *TopK) Push(item int, score float64) {
 // steady-state serving loop can reuse one selector with zero allocations.
 func (t *TopK) Reset() { t.h = t.h[:0] }
 
-// Drain returns the retained entries strongest-first and resets the
-// selector to empty.
+// Drain sorts the retained entries strongest-first in the heap's own array
+// and hands that array over; the selector is left empty, and one pushed to
+// again grows a new array.
 func (t *TopK) Drain() []Scored {
 	out := t.h
-	t.h = make([]Scored, 0, t.k)
-	sort.Slice(out, func(a, b int) bool { return weaker(out[b], out[a]) })
+	t.h = nil
+	slices.SortFunc(out, func(a, b Scored) int {
+		switch {
+		case weaker(b, a):
+			return -1
+		case weaker(a, b):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

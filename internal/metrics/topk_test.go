@@ -17,7 +17,7 @@ func TestTopKSelectsStrongest(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if tk.Len() != 0 {
+	if tk.Push(0, 1); !reflect.DeepEqual(tk.Drain(), []Scored{{Item: 0, Score: 1}}) {
 		t.Fatal("Drain did not reset")
 	}
 }

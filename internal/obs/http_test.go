@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/e2e"
 )
 
 func TestDebugServerEndpoints(t *testing.T) {
@@ -46,7 +48,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if ctype != "text/plain; version=0.0.4" {
 		t.Errorf("metrics content type = %q", ctype)
 	}
-	if _, err := ValidateExposition(io.NopCloser(readerOf(body))); err != nil {
+	if _, err := e2e.ValidateExposition(io.NopCloser(readerOf(body))); err != nil {
 		t.Errorf("metrics do not validate: %v", err)
 	}
 

@@ -135,9 +135,8 @@ func (r *Registry) family(name, help string, kind Kind, buckets []float64, label
 	return f
 }
 
-// Vec is a handle on a metric family; With resolves one labeled series.
-// The no-argument convenience methods operate on the unlabeled series of a
-// zero-label family.
+// Vec is a handle on a metric family; With resolves one labeled series,
+// and Set moves the unlabeled series of a zero-label gauge.
 type Vec struct{ fam *family }
 
 // With returns the series for the given label values (created on first
@@ -162,11 +161,7 @@ func (v *Vec) With(labelValues ...string) *Metric {
 	return m
 }
 
-func (v *Vec) Add(d float64)     { v.With().Add(d) }
-func (v *Vec) Inc()              { v.With().Add(1) }
-func (v *Vec) Set(val float64)   { v.With().Set(val) }
-func (v *Vec) Observe(x float64) { v.With().Observe(x) }
-func (v *Vec) Value() float64    { return v.With().Value() }
+func (v *Vec) Set(val float64) { v.With().Set(val) }
 
 // Metric is one series: a counter/gauge value or a histogram.
 type Metric struct {
@@ -285,14 +280,14 @@ func (f *family) render(b *strings.Builder) error {
 
 	header(b, f)
 	for _, m := range series {
-		m.mu.Lock()
-		val, sum, count := m.val, m.sum, m.count
-		counts := append([]uint64(nil), m.counts...)
-		m.mu.Unlock()
 		if f.kind != Histogram {
-			sampleLine(b, f.name, f.labelNames, m.labels, val)
+			sampleLine(b, f.name, f.labelNames, m.labels, m.Value())
 			continue
 		}
+		m.mu.Lock()
+		sum, count := m.sum, m.count
+		counts := append([]uint64(nil), m.counts...)
+		m.mu.Unlock()
 		names := append(append([]string(nil), f.labelNames...), "le")
 		var cum uint64
 		for i, le := range f.buckets {

@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/e2e"
 )
 
 // buildTestRegistry covers every renderer feature the golden test pins:
@@ -16,7 +18,7 @@ func buildTestRegistry() *Registry {
 	req.With("we\"ird\\\n", "500").Inc()
 	lat := reg.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 	for _, v := range []float64{0.0625, 0.25, 0.5, 5} {
-		lat.Observe(v)
+		lat.With().Observe(v)
 	}
 	reg.Gauge("test_temp", "Temperature.").Set(-2.5)
 	reg.Func("test_info", "Info.", Gauge, []string{"version"}, func() []Sample {
@@ -61,7 +63,7 @@ func TestRenderedExpositionValidates(t *testing.T) {
 	if err := buildTestRegistry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateExposition(strings.NewReader(b.String()))
+	n, err := e2e.ValidateExposition(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("own output does not validate: %v", err)
 	}
@@ -85,7 +87,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 		"missing sum":     "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
 	}
 	for name, text := range cases {
-		if _, err := ValidateExposition(strings.NewReader(text)); err == nil {
+		if _, err := e2e.ValidateExposition(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: validated, want error:\n%s", name, text)
 		}
 	}
@@ -97,7 +99,7 @@ func TestValidateExpositionAcceptsLooseButLegal(t *testing.T) {
 		"with_ts{a=\"b\"} 1 1700000000\n" +
 		"inf_value +Inf\n" +
 		"nan_value NaN\n"
-	n, err := ValidateExposition(strings.NewReader(text))
+	n, err := e2e.ValidateExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("legal exposition rejected: %v", err)
 	}
@@ -114,7 +116,7 @@ func TestCounterRejectsNegative(t *testing.T) {
 			t.Error("negative counter Add did not panic")
 		}
 	}()
-	c.Add(-1)
+	c.With().Add(-1)
 }
 
 func TestConflictingRegistrationPanics(t *testing.T) {

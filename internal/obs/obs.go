@@ -22,7 +22,7 @@
 //   - Recording is cheap and coarse-grained: per half-iteration and per
 //     worker-rendezvous, never per row; per-row stage timers touch only a
 //     preallocated per-worker accumulator.
-//   - Exposition output is strict: ValidateExposition parses what
-//     WritePrometheus renders, and the CI smoke lane holds a live scrape
-//     of a real training run to it.
+//   - Exposition output is strict: the tests hold what WritePrometheus
+//     renders, and every live scrape in the smoke lanes, to
+//     e2e.ValidateExposition, a parser that shares no code with it.
 package obs

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/e2e"
 )
 
 // driveRecorder simulates two half iterations with two workers, a loss
@@ -36,7 +38,7 @@ func TestTrainRecorderMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if _, err := ValidateExposition(strings.NewReader(out)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("train metrics do not validate: %v\n%s", err, out)
 	}
 	for _, want := range []string{

@@ -405,3 +405,16 @@ func TestBytes(t *testing.T) {
 		t.Errorf("i8 Bytes = %d, want %d", got, want)
 	}
 }
+
+// Score computes one item's quantized score, the spot check for what
+// ScanTopK offers.
+func (q *Matrix) Score(qr Query, i int) float64 {
+	k := q.Cols
+	switch q.Prec {
+	case F16:
+		return float64(dotF16(qr.x, q.F16[i*k:]) * q.Scales[i])
+	case I8:
+		return float64(qr.xscale) * float64(q.Scales[i]) * float64(dotI8(qr.xq, q.I8[i*k:]))
+	}
+	return 0
+}

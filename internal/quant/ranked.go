@@ -282,15 +282,3 @@ func (r *Ranked) scanF16(qr Query, qnorm float64, lo, hi int, excluded func(int)
 	}
 	return hi - lo
 }
-
-// TopN scans the whole matrix single-threaded and returns the n strongest
-// rows, strongest first, with the number of rows it scored — item for item
-// and score for score what Matrix.TopN returns on the source matrix.
-func (r *Ranked) TopN(x []float32, excluded func(int) bool, n int) ([]metrics.Scored, int) {
-	if n <= 0 || r.Rows == 0 {
-		return nil, 0
-	}
-	t := metrics.NewTopK(n)
-	scored := r.ScanTopK(r.Prepare(x), 0, r.Rows, excluded, t)
-	return t.Drain(), scored
-}

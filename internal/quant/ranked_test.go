@@ -643,3 +643,15 @@ func FuzzRankedDecodeRow(f *testing.F) {
 		mustDecodeRows(t, m, fmt.Sprintf("%v %dx%d", prec, rows, k))
 	})
 }
+
+// TopN scans the whole matrix single-threaded and returns the n strongest
+// rows, strongest first, with the number of rows it scored — item for item
+// and score for score what Matrix.TopN returns on the source matrix.
+func (r *Ranked) TopN(x []float32, excluded func(int) bool, n int) ([]metrics.Scored, int) {
+	if n <= 0 || r.Rows == 0 {
+		return nil, 0
+	}
+	t := metrics.NewTopK(n)
+	scored := r.ScanTopK(r.Prepare(x), 0, r.Rows, excluded, t)
+	return t.Drain(), scored
+}

@@ -120,19 +120,6 @@ func (q *Matrix) ScanTopK(qr Query, lo, hi int, excluded func(int) bool, t *metr
 	}
 }
 
-// Score computes one item's quantized score (request paths use ScanTopK;
-// this is for spot checks and evaluation).
-func (q *Matrix) Score(qr Query, i int) float64 {
-	k := q.Cols
-	switch q.Prec {
-	case F16:
-		return float64(dotF16(qr.x, q.F16[i*k:]) * q.Scales[i])
-	case I8:
-		return float64(qr.xscale) * float64(q.Scales[i]) * float64(dotI8(qr.xq, q.I8[i*k:]))
-	}
-	return 0
-}
-
 // The dot kernels take the payload from a row's first element on (rows
 // are k apart) and are shared by the natural-order scan below and the
 // ranked scan in ranked.go.

@@ -26,15 +26,6 @@ type SpanContext struct {
 // Valid reports whether the context names a real span.
 func (sc SpanContext) Valid() bool { return sc.Trace != 0 && sc.Span != 0 }
 
-// Traceparent renders the context as a traceparent header value.
-func (sc SpanContext) Traceparent() string {
-	flags := "00"
-	if sc.Sampled {
-		flags = "01"
-	}
-	return "00-0000000000000000" + hex16(uint64(sc.Trace)) + "-" + hex16(uint64(sc.Span)) + "-" + flags
-}
-
 // Extract reads the inbound context; a missing or malformed header returns
 // the zero (invalid) context.
 func Extract(h http.Header) SpanContext {

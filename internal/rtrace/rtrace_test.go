@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/e2e"
 	"repro/internal/obs"
 )
 
@@ -165,7 +166,7 @@ func TestRingEviction(t *testing.T) {
 func TestTraceparentRoundTrip(t *testing.T) {
 	sc := SpanContext{Trace: 0xdeadbeef01020304, Span: 0x0a0b0c0d0e0f1011, Sampled: true}
 	h := http.Header{}
-	h.Set(TraceparentHeader, sc.Traceparent())
+	h.Set(TraceparentHeader, traceparent(sc))
 	v := h.Get(TraceparentHeader)
 	if want := "00-0000000000000000deadbeef01020304-0a0b0c0d0e0f1011-01"; v != want {
 		t.Fatalf("traceparent = %q, want %q", v, want)
@@ -175,7 +176,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	// Unsampled flag round-trips too.
 	sc.Sampled = false
-	h.Set(TraceparentHeader, sc.Traceparent())
+	h.Set(TraceparentHeader, traceparent(sc))
 	if got := Extract(h); got != sc {
 		t.Fatalf("unsampled round trip: got %+v, want %+v", got, sc)
 	}
@@ -286,7 +287,7 @@ func TestRegisterExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
 	for _, want := range []string{"als_trace_spans_total 1", "als_trace_spans_dropped_total 0"} {
@@ -294,4 +295,14 @@ func TestRegisterExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// traceparent renders sc as a traceparent header value: what an upstream
+// service sends, and ParseTraceparent reads back.
+func traceparent(sc SpanContext) string {
+	flags := "00"
+	if sc.Sampled {
+		flags = "01"
+	}
+	return "00-0000000000000000" + hex16(uint64(sc.Trace)) + "-" + hex16(uint64(sc.Span)) + "-" + flags
 }

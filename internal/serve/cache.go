@@ -120,23 +120,6 @@ func (c *Cache) PurgeUser(user int) int {
 	return removed
 }
 
-// UserEntries counts the entries currently cached for one dense user row
-// (test and debugging visibility for PurgeUser).
-func (c *Cache) UserEntries(user int) int {
-	if c.cap <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*cacheEntry).key.user == user {
-			n++
-		}
-	}
-	return n
-}
-
 // Len returns the current entry count.
 func (c *Cache) Len() int {
 	if c.cap <= 0 {

@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/e2e"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/rtrace"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -304,7 +304,7 @@ func TestTimedStatusCodesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("exposition does not validate: %v", err)
 	}
 	for _, want := range []string{

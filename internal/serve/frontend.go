@@ -233,16 +233,6 @@ func (f *Frontend) Ready() error {
 	return nil
 }
 
-// Healthy returns how many shards are currently marked up.
-func (f *Frontend) Healthy() (up, total int) {
-	for _, st := range f.shards {
-		if st.up.Load() {
-			up++
-		}
-	}
-	return up, len(f.shards)
-}
-
 // call runs one fan-out leg over shard i's hop: q as a kind request frame
 // out, and the reply's body, when its status is 2xx, to decode. A non-2xx
 // reply surfaces as *statusError. On a traced request it opens a per-hop

@@ -51,7 +51,7 @@ func TestScorerTopNQuantMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Slabs can only end the scan at the same block or earlier.
-			if _, seq := ranked.TopN(x, excluded, n); rows < n || rows > seq {
+			if seq := ranked.ScanTopK(ranked.Prepare(x), 0, ranked.Rows, excluded, metrics.NewTopK(n)); rows < n || rows > seq {
 				t.Errorf("%v n=%d: slab scan scored %d rows, sequential ranked scan %d", prec, n, rows, seq)
 			}
 			want := q.TopN(x, excluded, n)
@@ -269,7 +269,10 @@ func TestSwapReusesCheckpointEncoding(t *testing.T) {
 		t.Fatalf("matching precision: ranked copy %+v does not carry the checkpoint encoding", sn.QY)
 	}
 	x := m.X.Row(0)
-	got, _ := sn.QY.TopN(x, nil, items)
+	got, _, err := scanRanked(context.Background(), x, sn.QY, nil, items)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := qy.TopN(x, nil, items)
 	for i := range want {
 		if got[i] != want[i] {
@@ -303,12 +306,13 @@ func TestSwapReusesCheckpointEncoding(t *testing.T) {
 	}
 }
 
-// TestScoreTopNAllocs pins what one request's scan allocates: the heap and
-// the sorted top-N it returns, five allocations with or without the int16
-// screen, and at i8 one more for the prepared query. The wide float32
-// query and its screen levels stay on the caller's stack. A scan that fans
-// out over goroutines allocates its tasks, per-task heaps and the merge on
-// top (10–13 at f32, 11 at i8 on this input). The bounds hold at any
+// TestScoreTopNAllocs pins what one request's scan allocates: the heap's
+// array, which Drain sorts in place and returns as the top-N, one
+// allocation with or without the int16 screen, and at i8 one more for the
+// prepared query. The selector itself, the wide float32 query and its
+// screen levels stay on the caller's stack. A scan that fans out over
+// goroutines allocates its tasks, per-task heaps and the merge on top
+// (10–13 at f32, 11 at i8 on this input). The bounds hold at any
 // GOMAXPROCS.
 func TestScoreTopNAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -326,7 +330,7 @@ func TestScoreTopNAllocs(t *testing.T) {
 		name string
 		sn   *Snapshot
 		max  float64
-	}{{"f32-screened", f32, 5}, {"f32-unscreened", &bare, 5}, {"i8-ranked", i8, 6}} {
+	}{{"f32-screened", f32, 1}, {"f32-unscreened", &bare, 1}, {"i8-ranked", i8, 2}} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, func() {
 				if out, err := s.ScoreTopN(ctx, c.sn, x, excluded, 10); err != nil || len(out) != 10 {

@@ -147,12 +147,6 @@ func (s *Store) SetPrecision(p quant.Precision) { s.prec.Store(uint32(p)) }
 // Precision returns the precision subsequent swaps will serve at.
 func (s *Store) Precision() quant.Precision { return quant.Precision(s.prec.Load()) }
 
-// Swap atomically installs a new model. An empty version falls back to the
-// model's own Meta.Version, then to "v<seq>".
-func (s *Store) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.swapShard(context.Background(), m, rated, version, 0, 0)
-}
-
 // swapShard installs a sharded model view: m.Y holds the slice of a
 // total-item catalog starting at global index offset. total == 0 installs
 // an ordinary full-catalog snapshot. The quantized encoding's stages are

@@ -203,6 +203,3 @@ func (t *Telemetry) LastSwap() (last time.Time, ok bool) {
 // (e.g. a corrupt checkpoint seen by the directory watcher); the server
 // keeps serving the previous snapshot.
 func (t *Telemetry) SwapRejected() { t.swapRejected.Inc() }
-
-// SwapRejectedCount reads the rejection counter (tests and embedders).
-func (t *Telemetry) SwapRejectedCount() uint64 { return uint64(t.swapRejected.Value()) }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/e2e"
 )
 
 func renderTel(t *testing.T, tel *Telemetry) string {
@@ -28,7 +28,7 @@ func TestTelemetryExpositionValidates(t *testing.T) {
 	tel.SwapRejected()
 	tel.SwapInstalled(time.Unix(1700000000, 0))
 	out := renderTel(t, tel)
-	if _, err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("telemetry output does not validate: %v\n%s", err, out)
 	}
 	for _, want := range []string{
@@ -79,8 +79,9 @@ func TestCheckpointFreshnessGauges(t *testing.T) {
 	}
 }
 
-// TestSwapRejectedCountRoundTrip keeps the embedder-facing accessor honest
-// against the registry-backed counter.
+// TestSwapRejectedCountRoundTrip: SwapRejected counts into the
+// registry-backed counter that the retry and watcher tests read back through
+// SwapRejectedCount.
 func TestSwapRejectedCountRoundTrip(t *testing.T) {
 	tel := NewTelemetry()
 	for i := 0; i < 3; i++ {

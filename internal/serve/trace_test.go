@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -27,7 +28,7 @@ func TestServerTraceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(rtrace.TraceparentHeader, remote.Traceparent())
+	req.Header.Set(rtrace.TraceparentHeader, traceparent(remote))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestServerTraceSpans(t *testing.T) {
 	// An unsampled inbound context suppresses the whole tree.
 	before := len(tr.Snapshot())
 	req, _ = http.NewRequest("GET", ts.URL+"/v1/recommend?user=0", nil)
-	req.Header.Set(rtrace.TraceparentHeader, rtrace.SpanContext{Trace: 1, Span: 2, Sampled: false}.Traceparent())
+	req.Header.Set(rtrace.TraceparentHeader, traceparent(rtrace.SpanContext{Trace: 1, Span: 2, Sampled: false}))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -112,4 +113,13 @@ func TestServerTraceSpans(t *testing.T) {
 	if got := len(tr.Snapshot()); got != before {
 		t.Errorf("unsampled request added %d spans", got-before)
 	}
+}
+
+// traceparent renders sc as the W3C header an upstream service would send.
+func traceparent(sc rtrace.SpanContext) string {
+	flags := 0
+	if sc.Sampled {
+		flags = 1
+	}
+	return fmt.Sprintf("00-%032x-%016x-%02x", uint64(sc.Trace), uint64(sc.Span), flags)
 }

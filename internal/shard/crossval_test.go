@@ -11,7 +11,7 @@ import (
 
 // TestBroadcastBytesCrossValidation pins the real trainer's measured
 // exchange traffic (als_dist_broadcast_bytes_total) against two models of
-// it: the closed-form cluster.AllGatherBytes prediction, which must match
+// it: the closed-form allGatherBytes prediction, which must match
 // to within a few percent (only the one-time hello/config frames separate
 // them: the rating slices shipped at start-up are counted apart, in
 // als_dist_data_bytes_total), and the cluster simulator's ReplicationBytes for the same problem
@@ -52,7 +52,7 @@ func TestBroadcastBytesCrossValidation(t *testing.T) {
 		}
 	}
 
-	predicted := cluster.AllGatherBytes(mx.Rows(), mx.Cols(), k, workers, iters)
+	predicted := allGatherBytes(mx.Rows(), mx.Cols(), k, workers, iters)
 	if ratio := float64(measured) / float64(predicted); ratio < 1.0 || ratio > 1.02 {
 		// Measured includes hello/config frames, so it sits just above the
 		// prediction — never below, never more than ~a kilobyte above.
@@ -77,4 +77,17 @@ func TestBroadcastBytesCrossValidation(t *testing.T) {
 		t.Fatalf("measured %d bytes vs simulated %d (ratio %.2f), want within 2x — the simulator's per-row traffic constant has drifted from the real exchange",
 			measured, sim.ReplicationBytes, ratio)
 	}
+}
+
+// allGatherBytes predicts the coordinator-side wire traffic of this
+// package's trainer: a star all-gather in which each of `workers` processes
+// sends its factor shard up and receives the full side back, for both halves of every iteration — (workers+1)·(m+n)·k·4
+// payload bytes per iteration. Each factor frame adds a 26-byte wire
+// header (length prefix, kind byte, iteration/range descriptor); the
+// one-time hello and config frames are a few hundred bytes and ignored.
+func allGatherBytes(users, items, k, workers, iterations int) int64 {
+	const factorFrame = 26 // 8-byte length + kind byte + 17-byte factor header
+	rows := int64(users) + int64(items)
+	perIter := (int64(workers)+1)*rows*int64(k)*4 + int64(4*workers*factorFrame)
+	return int64(iterations) * perIter
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/e2e"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 )
@@ -123,7 +124,7 @@ func TestDistributedCheckpointsAreCountedAndTraced(t *testing.T) {
 	if err := reg.WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidateExposition(strings.NewReader(expo.String())); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(expo.String())); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/e2e"
 	"repro/internal/framing"
 	"repro/internal/lebin"
 	"repro/internal/obs"
@@ -189,7 +190,7 @@ func TestCorruptFrameTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+	if _, err := e2e.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("exposition does not validate: %v", err)
 	}
 	for _, want := range []string{

@@ -15,7 +15,6 @@ package solvers
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -169,6 +168,3 @@ func implicitSide(r *sparse.CSR, fixed, out *linalg.Dense, cfg ImplicitConfig) e
 func PreferenceScore(x, y *linalg.Dense, u, i int) float64 {
 	return linalg.Dot(x.Row(u), y.Row(i))
 }
-
-// implicitRNG gives solvers a deterministic RNG helper.
-func implicitRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -236,9 +236,3 @@ func TestImplicitWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestImplicitRNGDeterministic(t *testing.T) {
-	if implicitRNG(5).Int63() != implicitRNG(5).Int63() {
-		t.Fatal("rng helper not deterministic")
-	}
-}

@@ -221,21 +221,6 @@ func (m *CSR) ToCOO() *COO {
 	return out
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *CSR) Clone() *CSR {
-	out := &CSR{
-		NumRows: m.NumRows,
-		NumCols: m.NumCols,
-		RowPtr:  make([]int64, len(m.RowPtr)),
-		ColIdx:  make([]int32, len(m.ColIdx)),
-		Val:     make([]float32, len(m.Val)),
-	}
-	copy(out.RowPtr, m.RowPtr)
-	copy(out.ColIdx, m.ColIdx)
-	copy(out.Val, m.Val)
-	return out
-}
-
 // CSC is a compressed-sparse-column matrix: the column-major twin of CSR,
 // used when ALS updates the item factors Y (each column i lists the users
 // who rated item i).
@@ -246,9 +231,6 @@ type CSC struct {
 	Val              []float32
 }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSC) NNZ() int { return len(m.Val) }
-
 // ColNNZ returns the number of nonzeros in column i.
 func (m *CSC) ColNNZ(i int) int { return int(m.ColPtr[i+1] - m.ColPtr[i]) }
 
@@ -257,89 +239,6 @@ func (m *CSC) ColNNZ(i int) int { return int(m.ColPtr[i+1] - m.ColPtr[i]) }
 func (m *CSC) Col(i int) (rows []int32, vals []float32) {
 	lo, hi := m.ColPtr[i], m.ColPtr[i+1]
 	return m.RowIdx[lo:hi], m.Val[lo:hi]
-}
-
-// At returns the value at (row, col), or 0 if the coordinate is not stored.
-func (m *CSC) At(row, col int) float32 {
-	rows, vals := m.Col(col)
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(rows[mid]) < row:
-			lo = mid + 1
-		case int(rows[mid]) > row:
-			hi = mid
-		default:
-			return vals[mid]
-		}
-	}
-	return 0
-}
-
-// Validate checks structural consistency of the CSC arrays.
-func (m *CSC) Validate() error {
-	if m.NumRows < 0 || m.NumCols < 0 {
-		return fmt.Errorf("sparse: negative dimensions %dx%d", m.NumRows, m.NumCols)
-	}
-	if len(m.ColPtr) != m.NumCols+1 {
-		return fmt.Errorf("sparse: ColPtr length %d, want %d", len(m.ColPtr), m.NumCols+1)
-	}
-	if len(m.RowIdx) != len(m.Val) {
-		return fmt.Errorf("sparse: RowIdx length %d != Val length %d", len(m.RowIdx), len(m.Val))
-	}
-	if m.ColPtr[0] != 0 {
-		return fmt.Errorf("sparse: ColPtr[0] = %d, want 0", m.ColPtr[0])
-	}
-	if m.ColPtr[m.NumCols] != int64(len(m.Val)) {
-		return fmt.Errorf("sparse: ColPtr[last] = %d, want nnz %d", m.ColPtr[m.NumCols], len(m.Val))
-	}
-	for c := 0; c < m.NumCols; c++ {
-		lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-		if lo > hi {
-			return fmt.Errorf("sparse: ColPtr not monotone at col %d", c)
-		}
-		for p := lo; p < hi; p++ {
-			r := m.RowIdx[p]
-			if r < 0 || int(r) >= m.NumRows {
-				return fmt.Errorf("sparse: col %d row %d out of range [0,%d)", c, r, m.NumRows)
-			}
-			if p > lo && m.RowIdx[p-1] >= r {
-				return fmt.Errorf("sparse: col %d rows not strictly increasing at pos %d", c, p)
-			}
-		}
-	}
-	return nil
-}
-
-// ToCSR transposes the CSC structure back to the row-compressed view.
-func (m *CSC) ToCSR() *CSR {
-	t := &CSR{
-		NumRows: m.NumRows,
-		NumCols: m.NumCols,
-		RowPtr:  make([]int64, m.NumRows+1),
-		ColIdx:  make([]int32, len(m.Val)),
-		Val:     make([]float32, len(m.Val)),
-	}
-	for _, r := range m.RowIdx {
-		t.RowPtr[r+1]++
-	}
-	for r := 0; r < m.NumRows; r++ {
-		t.RowPtr[r+1] += t.RowPtr[r]
-	}
-	next := make([]int64, m.NumRows)
-	copy(next, t.RowPtr[:m.NumRows])
-	for c := 0; c < m.NumCols; c++ {
-		lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-		for p := lo; p < hi; p++ {
-			r := m.RowIdx[p]
-			q := next[r]
-			t.ColIdx[q] = int32(c)
-			t.Val[q] = m.Val[p]
-			next[r]++
-		}
-	}
-	return t
 }
 
 // Matrix bundles the CSR and CSC views of one rating matrix R, the pair the

@@ -49,7 +49,7 @@ func FuzzReadTriples(f *testing.F) {
 		if err := mx.R.Validate(); err != nil {
 			t.Fatalf("parsed matrix invalid: %v", err)
 		}
-		if err := mx.C.Validate(); err != nil {
+		if err := transposed(mx.C).Validate(); err != nil {
 			t.Fatalf("parsed matrix's column view invalid: %v", err)
 		}
 		// Round-trip through the writer must re-parse cleanly.

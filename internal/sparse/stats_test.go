@@ -63,9 +63,6 @@ func TestColStatsMatchesTransposedRowStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := ColStats(m.ToCSC())
-	// Column stats of R == row stats of R^T.
-	tr := m.ToCSC().ToCSR() // same matrix
-	_ = tr
 	var total int
 	for c := 0; c < 30; c++ {
 		total += m.ToCSC().ColNNZ(c)

@@ -80,9 +80,6 @@ func (s *MLSelector) Train(samples ...Sample) {
 	s.samples = append(s.samples, samples...)
 }
 
-// Len reports the number of stored observations.
-func (s *MLSelector) Len() int { return len(s.samples) }
-
 // Predict returns the variant chosen by majority vote among the k nearest
 // training contexts; ties break toward the nearest neighbour's choice.
 func (s *MLSelector) Predict(f Features) (Options, error) {

@@ -150,8 +150,8 @@ func TestMLSelectorLearnsPerArchitecture(t *testing.T) {
 			Best: cpuBest,
 		})
 	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.samples) != 10 {
+		t.Fatalf("%d samples stored, want 10", len(s.samples))
 	}
 	got, err := s.Predict(Features{DeviceKind: "GPU", K: 10, MeanRowNNZ: 75, RowCoV: 1.4, Rows: 2500, FixedFactor: 1})
 	if err != nil || got != gpuBest {
