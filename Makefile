@@ -27,7 +27,8 @@ test-short:
 # file), the race passes, the lanes that keep the assembly kernels' other
 # bindings alive (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
 # a cache line whatever the link order (two -randlayout seeds), the smoke lanes
-# through the real binaries, every fuzz target for 10 s, the bench smokes
+# through the real binaries, the seven examples run to exit 0, every fuzz
+# target for 10 s, the bench smokes
 # (every benchmark once, then a few at -cpu 1,2: the two that split their
 # work over goroutines, and the serving scan and shard hop as
 # GOMAXPROCS-invariance smokes).
@@ -70,7 +71,7 @@ ci:
 	fi
 	@decoders=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './internal/lebin/*' -not -path './internal/framing/*' | xargs grep -lE 'binary\.LittleEndian\.Uint(16|32|64)\(|binary\.(Uvarint|Varint)\(' || true); \
 	if [ -n "$$decoders" ]; then \
-		echo "bytes decoded outside internal/lebin and internal/framing (use lebin.Reader or lebin.Cursor):"; echo "$$decoders"; exit 1; \
+		echo "bytes decoded outside internal/lebin and internal/framing (use lebin.Reader, lebin.Payload or lebin.UvarintAt):"; echo "$$decoders"; exit 1; \
 	fi
 	@harness=$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './internal/e2e/*' | xargs grep -l 'exec.Command("go"' || true); \
 	if [ -n "$$harness" ]; then \
@@ -89,6 +90,7 @@ ci:
 	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/linalg ./internal/quant ./internal/metrics
 	$(MAKE) layout-check
 	$(MAKE) smoke
+	$(MAKE) examples
 	$(MAKE) fuzz-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'SharedGramCompute|EncodeDense|RowScan' -benchtime 1x -cpu 1,2 ./internal/linalg ./internal/quant

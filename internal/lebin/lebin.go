@@ -314,6 +314,27 @@ func varint[T uint64 | int64](r *Reader, read func(io.ByteReader) (T, error)) T 
 func (r *Reader) Uvarint() uint64 { return varint(r, binary.ReadUvarint) }
 func (r *Reader) Varint() int64   { return varint(r, binary.ReadVarint) }
 
+// UvarintAt decodes the uvarint at b[off:] in place and returns it with
+// the offset just past it: binary.Uvarint's value, in a loop small enough
+// to inline into a decode loop. It allocates nothing and keeps no state,
+// for a coded structure read at random (sparse.Gaps). A varint longer
+// than 64 bits, or one that b ends inside, reads as 0 at len(b), so a
+// decode loop bounded by len(b) stops.
+func UvarintAt(b []byte, off int) (v uint64, next int) {
+	for s := uint(0); s < 64 && off < len(b); s += 7 {
+		c := b[off]
+		off++
+		if c < 0x80 {
+			if s == 63 && c > 1 {
+				break // past 64 bits
+			}
+			return v | uint64(c)<<s, off
+		}
+		v |= uint64(c&0x7f) << s
+	}
+	return 0, len(b)
+}
+
 // Str reads a uvarint length and that many bytes.
 func (r *Reader) Str() string { return string(r.Take(r.Count(r.Uvarint(), 1))) }
 

@@ -265,3 +265,35 @@ func TestSlabFits(t *testing.T) {
 		}
 	}
 }
+
+// TestUvarintAtMatchesUvarint: UvarintAt reads what binary.Uvarint reads,
+// walking a run of varints in place, and a varint that overflows 64 bits
+// or that the input ends inside reads as 0 at the end of the input.
+func TestUvarintAtMatchesUvarint(t *testing.T) {
+	vals := []uint64{0, 1, 127, 128, 300, 16383, 16384, 1<<31 - 2, 1 << 63, math.MaxUint64}
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	for i, off := 0, 0; off < len(b); i++ {
+		want, n := binary.Uvarint(b[off:])
+		v, next := lebin.UvarintAt(b, off)
+		if v != want || v != vals[i] || next != off+n {
+			t.Fatalf("varint %d at %d: got (%d, %d), want (%d, %d)", i, off, v, next, want, off+n)
+		}
+		off = next
+	}
+	for _, bad := range [][]byte{
+		{0x80},
+		{0xff, 0xff},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		if _, n := binary.Uvarint(bad); n > 0 {
+			t.Fatalf("% x is a valid varint", bad)
+		}
+		if v, next := lebin.UvarintAt(bad, 0); v != 0 || next != len(bad) {
+			t.Errorf("% x: got (%d, %d), want (0, %d)", bad, v, next, len(bad))
+		}
+	}
+}

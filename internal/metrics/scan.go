@@ -11,8 +11,9 @@ import (
 // a warm scan lose to the current heap minimum, and the cached compare
 // skips the Push call for all of them. The exclusion predicate runs behind
 // the same filter — a candidate that cannot enter the heap never pays for
-// it, which turns a per-item binary search (serve.RatedExcluder) into a
-// handful of calls per scan. The filter condition mirrors weaker exactly —
+// it, which turns a per-item rated-set lookup (serve.RatedExcluder: a
+// search of the row's restart points in its sparse.Gaps and a decode of
+// at most 31 gaps) into a few dozen calls per scan. The filter condition mirrors weaker exactly —
 // strictly stronger score, or equal score with a lower item index — so the
 // heap contents are identical to pushing every unexcluded candidate. It is
 // the one copy of that rule: the float32 scan below and both quantized
@@ -94,6 +95,14 @@ func NewScreen(y *linalg.Dense) *Screen {
 		return nil
 	}
 	return buildScreen(y)
+}
+
+// Bytes is how many bytes the screen's int16 copy holds. 0 for nil.
+func (s *Screen) Bytes() int {
+	if s == nil {
+		return 0
+	}
+	return 2 * len(s.q)
 }
 
 // buildScreen is NewScreen without the build's gate: tests screen with the

@@ -98,6 +98,15 @@ func Rank(m *Matrix) *Ranked {
 // float32 item factors reads a fold-in's rows this way.
 func (r *Ranked) DecodeRow(dst []float32, i int) { r.perm.decodeRow(dst, int(r.pos[i])) }
 
+// Bytes is how many bytes r's arrays hold: the codes, the scales, ID,
+// Bound and its inverse. 0 for nil.
+func (r *Ranked) Bytes() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.perm.I8) + 2*len(r.perm.F16) + 4*(len(r.perm.Scales)+len(r.ID)+len(r.Bound)+len(r.pos))
+}
+
 // DecodesTo reports whether d is, bit for bit, the decode of r's source
 // rows: every row i of d equals what DecodeRow(i) writes. Only then can d
 // be dropped and its rows decoded instead.

@@ -40,7 +40,7 @@ func (f *Frontend) Healthy() (up, total int) {
 // Swap atomically installs a new model. An empty version falls back to the
 // model's own Meta.Version, then to "v<seq>".
 func (s *Store) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.swapShard(context.Background(), m, rated, version, 0, 0)
+	return s.swapShard(context.Background(), m, sparse.NewGaps(rated), version, 0, 0)
 }
 
 // SwapRejectedCount reads the rejection counter.

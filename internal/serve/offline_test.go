@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/dataset"
 	"repro/internal/e2e"
 	"repro/internal/linalg"
 	"repro/internal/serve"
+	"repro/internal/sparse"
 )
 
 // TestServedEqualsOffline is the round trip from what the trainer wrote to
@@ -114,6 +116,7 @@ func TestServedEqualsOffline(t *testing.T) {
 	if errY <= 0 || errY != st.QY.MaxAbsErr {
 		t.Fatalf("served max-abs error %g, the checkpoint's is %g", errY, st.QY.MaxAbsErr)
 	}
+	ratedBytes(t, ratings, base, serveDir(i8, "i8", "-shard", "1/2"), st.Y.Rows)
 	all := offline(st.Y.Rows)
 	for _, u := range users {
 		score := map[int]float64{}
@@ -197,4 +200,31 @@ func norm1(d *linalg.Dense, row int) float64 {
 		s += math.Abs(float64(v))
 	}
 	return s
+}
+
+// ratedBytes holds the rated-set part of als_snapshot_bytes, on a server
+// and on shard 1 of 2 serving from the same -ratings file, to the coded
+// set's own byte count: the file's set coded, and coded then cut to the
+// shard's items.
+func ratedBytes(t *testing.T, ratings, base, shard string, items int) {
+	t.Helper()
+	coo, _, err := dataset.ReadRatings(ratings, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sparse.NewCSR(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := sparse.NewGaps(r)
+	lo, hi := sparse.Range(items, 1, 2)
+	const part = `als_snapshot_bytes{part="rated"}`
+	for _, c := range []struct {
+		base string
+		want int
+	}{{base, coded.Bytes()}, {shard, coded.ColRange(lo, hi).Bytes()}} {
+		if got := e2e.Scrape(t, c.base).Sum(part); got != float64(c.want) || got == 0 {
+			t.Errorf("%s: %s %g, the codec counts %d", c.base, part, got, c.want)
+		}
+	}
 }

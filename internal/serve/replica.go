@@ -94,10 +94,11 @@ func (r *Replica) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapsh
 // install is Swap with the swap's stages recorded under ctx's span.
 func (r *Replica) install(ctx context.Context, m *core.Model, rated *sparse.CSR, version string) *Snapshot {
 	view, off, total := r.Transform(m)
+	var cut *sparse.Gaps
 	if rated != nil {
-		rated = rated.Pattern().ColRange(off, off+view.Y.Rows)
+		cut = sparse.NewGaps(rated.Pattern().ColRange(off, off+view.Y.Rows))
 	}
-	return r.srv.swapShard(ctx, view, rated, version, off, total)
+	return r.srv.swapShard(ctx, view, cut, version, off, total)
 }
 
 // Transform is the WatcherConfig.Transform hook: it slices each

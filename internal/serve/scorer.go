@@ -76,35 +76,39 @@ func scanRanked(ctx context.Context, x []float32, y *quant.Ranked, excluded func
 	return t.Drain(), rows, nil
 }
 
-// RatedExcluder returns an exclusion predicate over the sorted column
-// indices of user u's rated row, or nil when there is nothing to exclude.
-// Binary search over the CSR row avoids building a per-request map. It
-// reads only r's pattern, so r may be one (sparse.CSR.Pattern).
-func RatedExcluder(r *sparse.CSR, u int) func(int) bool {
-	if r == nil || u < 0 || u >= r.NumRows {
+// RatedExcluder returns the exclusion predicate "user u rated item i" over
+// a rated set, or nil when there is nothing to exclude: no set (a nil
+// pointer of either type), u out of range, or an empty row. The set is a
+// snapshot's coded one (sparse.Gaps.Has: a search of the row's restart
+// heads and a short decode) or a CSR, of which only the pattern is read
+// (sortedExcluder over the row). Neither builds anything per request.
+func RatedExcluder[R *sparse.Gaps | *sparse.CSR](r R, u int) func(int) bool {
+	if m, ok := any(r).(*sparse.CSR); ok {
+		if m == nil || u < 0 || u >= m.NumRows {
+			return nil
+		}
+		return sortedExcluder(m.RowCols(u))
+	}
+	return gapsExcluder(any(r).(*sparse.Gaps), u)
+}
+
+// gapsExcluder is RatedExcluder over a coded set. The request path calls
+// it directly: it inlines, so the predicate stays on the request's stack,
+// as sortedExcluder's does.
+func gapsExcluder(g *sparse.Gaps, u int) func(int) bool {
+	if g == nil || u < 0 || u >= g.NumRows || g.RowEmpty(u) {
 		return nil
 	}
-	return sortedExcluder(r.RowCols(u))
+	return func(i int) bool { return g.Has(u, i) }
 }
 
 // sortedExcluder returns the exclusion predicate "i is in sorted", a binary
-// search over ascending local item indices, or nil when there is nothing to
-// exclude. It is the one predicate every scan is handed: a user's rated CSR
-// row here, a fold-in request's exclude list on a shard replica.
+// search over ascending local item indices (sparse.InSorted), or nil when
+// there is nothing to exclude: a CSR's rated row, and a fold-in request's
+// exclude list on a shard replica.
 func sortedExcluder(sorted []int32) func(int) bool {
 	if len(sorted) == 0 {
 		return nil
 	}
-	return func(i int) bool {
-		lo, hi := 0, len(sorted)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if int(sorted[mid]) < i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(sorted) && int(sorted[lo]) == i
-	}
+	return func(i int) bool { return sparse.InSorted(sorted, i) }
 }

@@ -178,32 +178,45 @@ func TestScorerDegenerate(t *testing.T) {
 	}
 }
 
+// TestRatedExcluder holds both rated-set types to the same cases: a CSR
+// (the bench's offline oracle passes one) and the coded set a snapshot
+// holds.
 func TestRatedExcluder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rated := randomRated(rng, 3, 200, 30)
-	for u := 0; u < 3; u++ {
-		ex := RatedExcluder(rated, u)
-		cols, _ := rated.Row(u)
-		set := map[int]bool{}
-		for _, c := range cols {
-			set[int(c)] = true
-		}
-		for i := 0; i < 200; i++ {
-			if ex(i) != set[i] {
-				t.Fatalf("u=%d item=%d: excluder %v, want %v", u, i, ex(i), set[i])
+	coded := sparse.NewGaps(rated)
+	for name, ex := range map[string]func(u int) func(int) bool{
+		"csr":  func(u int) func(int) bool { return RatedExcluder(rated, u) },
+		"gaps": func(u int) func(int) bool { return RatedExcluder(coded, u) },
+	} {
+		for u := 0; u < 3; u++ {
+			ex := ex(u)
+			cols, _ := rated.Row(u)
+			set := map[int]bool{}
+			for _, c := range cols {
+				set[int(c)] = true
+			}
+			for i := 0; i < 200; i++ {
+				if ex(i) != set[i] {
+					t.Fatalf("%s: u=%d item=%d: excluder %v, want %v", name, u, i, ex(i), set[i])
+				}
 			}
 		}
+		if ex(0)(-1) || ex(0)(200) {
+			t.Fatalf("%s: an index outside the catalog is excluded", name)
+		}
+		if ex(99) != nil || ex(-1) != nil {
+			t.Fatalf("%s: out-of-range user should yield nil excluder", name)
+		}
 	}
-	if RatedExcluder(rated, 0)(-1) || RatedExcluder(rated, 0)(200) {
-		t.Fatal("an index outside the catalog is not excluded")
+	if RatedExcluder(sparse.NewGaps(&sparse.CSR{NumRows: 1, NumCols: 200, RowPtr: []int64{0, 0}}), 0) != nil {
+		t.Fatal("an empty coded row should yield nil excluder")
 	}
 	if sortedExcluder(nil) != nil || sortedExcluder([]int32{}) != nil {
 		t.Fatal("an empty list should yield nil excluder")
 	}
-	if RatedExcluder(nil, 0) != nil {
+	// Typed nils, as a snapshot without a rated set hands them over.
+	if RatedExcluder((*sparse.CSR)(nil), 0) != nil || RatedExcluder((*sparse.Gaps)(nil), 0) != nil {
 		t.Fatal("nil matrix should yield nil excluder")
-	}
-	if RatedExcluder(rated, 99) != nil {
-		t.Fatal("out-of-range user should yield nil excluder")
 	}
 }

@@ -97,7 +97,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/foldin", s.instrument("foldin", s.handleFoldIn))
 	mux.HandleFunc("POST /admin/swap", s.instrument("swap", swapHandler(
 		func(ctx context.Context, m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-			return s.swapShard(ctx, m, rated, version, 0, 0)
+			return s.swapShard(ctx, m, sparse.NewGaps(rated), version, 0, 0)
 		})))
 	s.mux = mux
 	return s
@@ -113,9 +113,10 @@ func (s *Server) Telemetry() *Telemetry { return s.tel }
 func (s *Server) Current() *Snapshot { return s.store.Current() }
 
 // Swap atomically installs a new model and purges the response cache; see
-// Store.Swap for version defaulting.
+// Store.Swap for version defaulting. The snapshot holds rated coded
+// (sparse.Gaps), not rated itself.
 func (s *Server) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapshot {
-	return s.swapShard(context.Background(), m, rated, version, 0, 0)
+	return s.swapShard(context.Background(), m, sparse.NewGaps(rated), version, 0, 0)
 }
 
 // swapShard installs a sharded model view whose Y rows cover the catalog
@@ -124,10 +125,10 @@ func (s *Server) Swap(m *core.Model, rated *sparse.CSR, version string) *Snapsho
 // responses report global item indices; fold-in is refused on sharded
 // snapshots because it needs the whole catalog. The swap's stages are
 // children of ctx's span (Store.swapShard).
-func (s *Server) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
+func (s *Server) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps, version string, offset, total int) *Snapshot {
 	sn := s.store.swapShard(ctx, m, rated, version, offset, total)
 	s.cache.Purge()
-	s.tel.SwapRecorded()
+	s.tel.SwapRecorded(sn)
 	return sn
 }
 
@@ -414,7 +415,7 @@ func (s *Server) recommend(ctx context.Context, sn *Snapshot, orig int64, n int)
 	if hit {
 		return items, true, nil
 	}
-	scored, err := s.ScoreTopN(ctx, sn, sn.Model.X.Row(u), RatedExcluder(sn.Rated, u), n)
+	scored, err := s.ScoreTopN(ctx, sn, sn.Model.X.Row(u), gapsExcluder(sn.Rated, u), n)
 	if err != nil {
 		return nil, false, scoreError(err)
 	}

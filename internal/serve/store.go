@@ -28,11 +28,12 @@ type Snapshot struct {
 	// Items is the number of item rows the snapshot holds: the catalog, or
 	// a shard's slice of it.
 	Items int
-	// Rated is the training matrix's pattern (sparse.CSR.Pattern: column
-	// ids, no values) restricted to the snapshot's items, its columns
-	// indexed like Y's rows (a shard's are local); nil serves without
-	// rated-item exclusion.
-	Rated *sparse.CSR
+	// Rated is the training matrix's pattern, coded for membership tests
+	// (sparse.Gaps: column ids, no values) and restricted to the
+	// snapshot's items, its columns indexed like Y's rows (a shard's are
+	// local); nil serves without rated-item exclusion. Snapshots installed
+	// from one rated set share it.
+	Rated *sparse.Gaps
 	// Version labels the model for cache keys and responses; Seq increases
 	// by one per swap and breaks ties between reused labels.
 	Version string
@@ -64,6 +65,19 @@ type Snapshot struct {
 	// built once per swap so request-path lookups are O(1) instead of the
 	// O(m) scan core.Model.UserIndex does.
 	userIdx map[int64]int
+}
+
+// snapshotParts names the parts als_snapshot_bytes splits a snapshot into.
+var snapshotParts = [...]string{"x", "y", "qy", "screen", "rated"}
+
+// bytes is what sn's arrays hold, part by part in snapshotParts' order. A
+// shard's X is the full one; its Y, QY, screen and rated set its slice's.
+func (sn *Snapshot) bytes() [len(snapshotParts)]int {
+	x, y := sn.Model.X, 0
+	if sn.Model.Y != nil {
+		y = 4 * sn.Model.Y.Rows * sn.Model.Y.Cols
+	}
+	return [...]int{4 * x.Rows * x.Cols, y, sn.QY.Bytes(), sn.Screen.Bytes(), sn.Rated.Bytes()}
 }
 
 // UserIndex resolves an external user ID to the model's dense row.
@@ -152,7 +166,7 @@ func (s *Store) Precision() quant.Precision { return quant.Precision(s.prec.Load
 // an ordinary full-catalog snapshot. The quantized encoding's stages are
 // children of ctx's span: encode (when the model's own encoding does not
 // match), rank, and drop_check.
-func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR, version string, offset, total int) *Snapshot {
+func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps, version string, offset, total int) *Snapshot {
 	seq := s.seq.Add(1)
 	if version == "" {
 		version = m.Meta.Version
@@ -160,7 +174,7 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.CSR,
 	if version == "" {
 		version = fmt.Sprintf("v%d", seq)
 	}
-	sn := &Snapshot{Model: m, Items: m.Y.Rows, Rated: rated.Pattern(), Version: version, Seq: seq,
+	sn := &Snapshot{Model: m, Items: m.Y.Rows, Rated: rated, Version: version, Seq: seq,
 		ItemOffset: offset, ItemTotal: total}
 	dropY := false
 	if prec := s.Precision(); prec != quant.F32 {

@@ -39,6 +39,7 @@ type Telemetry struct {
 	shed         *obs.Vec
 	swaps        *obs.Metric
 	swapRejected *obs.Metric
+	snapBytes    [len(snapshotParts)]*obs.Metric
 
 	mu       sync.Mutex
 	lastSwap time.Time // zero until the watcher installs a model
@@ -68,6 +69,11 @@ func NewTelemetry() *Telemetry {
 	for p := range t.scanRows {
 		prec := quant.Precision(p).String()
 		t.scanRows[p] = [2]*obs.Metric{rows.With(prec, "scored"), rows.With(prec, "pruned")}
+	}
+	parts := reg.Gauge("als_snapshot_bytes",
+		"Bytes the live snapshot's arrays hold, by part: user factors, float32 item factors, quantized item factors, the float32 scan's int16 screen, the rated set.", "part")
+	for i, p := range snapshotParts {
+		t.snapBytes[i] = parts.With(p)
 	}
 	// A property of the build, not of the snapshot: which int8 block kernel
 	// the quantized serving scan runs.
@@ -178,8 +184,14 @@ func (t *Telemetry) DecInflight() { t.inflight.Add(-1) }
 // endpoint that shed it, so recommend and fold-in pressure are separable.
 func (t *Telemetry) Shed(endpoint string) { t.shed.With(endpoint).Inc() }
 
-// SwapRecorded counts a model hot-swap.
-func (t *Telemetry) SwapRecorded() { t.swaps.Inc() }
+// SwapRecorded counts a model hot-swap and sets als_snapshot_bytes to
+// what sn, the snapshot it installed, holds.
+func (t *Telemetry) SwapRecorded(sn *Snapshot) {
+	t.swaps.Inc()
+	for i, n := range sn.bytes() {
+		t.snapBytes[i].Set(float64(n))
+	}
+}
 
 // SwapInstalled marks the moment the checkpoint watcher installed a fresh
 // model, feeding the freshness gauges. The timestamp comes from the

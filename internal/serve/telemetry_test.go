@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/e2e"
+	"repro/internal/quant"
+	"repro/internal/sparse"
 )
 
 func renderTel(t *testing.T, tel *Telemetry) string {
@@ -24,7 +27,9 @@ func TestTelemetryExpositionValidates(t *testing.T) {
 	tel.Observe("recommend", 200, 3*time.Millisecond)
 	tel.Observe("recommend", 404, time.Millisecond)
 	tel.Shed("recommend")
-	tel.SwapRecorded()
+	// 2×4 and 3×4 float32 factors; the rated set's one row block: 3 row
+	// bounds and 2 restart points, no gap bytes.
+	tel.SwapRecorded(&Snapshot{Model: linearModel(1, 2, 3, 4), Rated: sparse.NewGaps(singleRating(2, 3, 1))})
 	tel.SwapRejected()
 	tel.SwapInstalled(time.Unix(1700000000, 0))
 	out := renderTel(t, tel)
@@ -38,6 +43,11 @@ func TestTelemetryExpositionValidates(t *testing.T) {
 		`als_request_seconds_count{code="404"} 1`,
 		`als_shed_total{endpoint="recommend"} 1`,
 		"als_model_swaps_total 1",
+		`als_snapshot_bytes{part="x"} 32`,
+		`als_snapshot_bytes{part="y"} 48`,
+		`als_snapshot_bytes{part="qy"} 0`,
+		`als_snapshot_bytes{part="screen"} 0`,
+		`als_snapshot_bytes{part="rated"} 28`,
 		"als_swap_rejected_total 1",
 		"als_inflight_requests 0",
 	} {
@@ -89,5 +99,44 @@ func TestSwapRejectedCountRoundTrip(t *testing.T) {
 	}
 	if got := tel.SwapRejectedCount(); got != 3 {
 		t.Errorf("SwapRejectedCount = %d, want 3", got)
+	}
+}
+
+// TestSnapshotBytesGauge: every swap sets als_snapshot_bytes from the
+// snapshot it installed: a float32 one holds Y and its screen, an int8 one
+// from a float32 model its ranked codes and Y, a shard its slice's parts.
+func TestSnapshotBytesGauge(t *testing.T) {
+	m := linearModel(1, 6, 40, 8)
+	rated := singleRating(6, 40, 30)
+	rep := func(s *Server) *Server {
+		r, _ := NewReplica(s, ReplicaConfig{Index: 1, Count: 2})
+		r.Swap(m, rated, "v")
+		return s
+	}
+	for name, s := range map[string]*Server{
+		"f32":   New(Config{}),
+		"i8":    New(Config{}),
+		"shard": New(Config{}),
+	} {
+		if name == "i8" {
+			s.SetPrecision(quant.I8)
+		}
+		if name == "shard" {
+			rep(s)
+		} else {
+			s.Swap(m, rated, "v")
+		}
+		sn := s.Current()
+		out := renderTel(t, s.Telemetry())
+		for i, n := range sn.bytes() {
+			want := fmt.Sprintf("als_snapshot_bytes{part=%q} %d\n", snapshotParts[i], n)
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: missing %q", name, want)
+			}
+		}
+		if got := sn.bytes(); got[0] != 4*6*8 || got[4] != sn.Rated.Bytes() || got[4] == 0 ||
+			(got[2] == 0) != (name != "i8") || got[1] != 4*8*sn.Items {
+			t.Errorf("%s: parts %v for a snapshot of %d items", name, got, sn.Items)
+		}
 	}
 }

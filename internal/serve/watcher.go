@@ -30,9 +30,10 @@ type WatcherConfig struct {
 	Clock checkpoint.Clock
 	// Rated optionally enables rated-item exclusion for swapped-in
 	// models; it is applied only when its row count matches the
-	// checkpoint's user count. With a Transform the watcher keeps only its
-	// cut to the slice of the first install, applied to installs of that
-	// slice.
+	// checkpoint's user count. The watcher codes it once (sparse.Gaps) and
+	// keeps only the coded set, which every snapshot it installs shares;
+	// with a Transform it keeps only its cut to the slice of the first
+	// install, applied to installs of that slice.
 	Rated *sparse.CSR
 	// Transform, when set, maps the loaded checkpoint model to the view
 	// actually swapped in, returning the view plus its item offset and the
@@ -74,7 +75,7 @@ type Watcher struct {
 
 	// rated is cfg.Rated, or once cut is set its cut to the items
 	// [ratedLo, ratedLo+rated.NumCols); unrated is RatedSkipped's answer.
-	rated   *sparse.CSR
+	rated   *sparse.Gaps
 	cut     bool
 	ratedLo int
 	unrated string
@@ -104,7 +105,7 @@ func NewWatcher(srv *Server, cfg WatcherConfig) *Watcher {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
-	rated := cfg.Rated.Pattern()
+	rated := sparse.NewGaps(cfg.Rated)
 	cfg.Rated = nil
 	return &Watcher{
 		srv: srv, cfg: cfg, rated: rated,
@@ -196,7 +197,7 @@ func (w *Watcher) Poll() (bool, error) {
 // count, or of another slice than the cut's, would exclude the wrong
 // items. The first call with a Transform cuts the set and drops the
 // full one.
-func (w *Watcher) ratedFor(model *core.Model, offset int) *sparse.CSR {
+func (w *Watcher) ratedFor(model *core.Model, offset int) *sparse.Gaps {
 	w.unrated = ""
 	if w.rated == nil {
 		return nil

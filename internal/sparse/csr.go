@@ -36,9 +36,8 @@ func (m *CSR) Row(u int) (cols []int32, vals []float32) {
 
 // Pattern returns m's sparsity pattern: a matrix sharing m's RowPtr and
 // ColIdx with no values (Val nil, so NNZ reads 0 and Row must not be
-// called; RowCols reads it). A serving rated set is one: excluding rated
-// items reads only which columns a row holds, and the values it drops are
-// a third of the set's bytes. Nil for nil.
+// called; RowCols reads it). A serving shard cuts its rated set as one
+// (ColRange copies no values) before coding the cut (Gaps). Nil for nil.
 func (m *CSR) Pattern() *CSR {
 	if m == nil || m.Val == nil {
 		return m
@@ -73,8 +72,7 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 // the entries whose column is in the range, renumbered to col − lo, with
 // NumCols = hi − lo. Unlike RowRange it copies, into arrays sized exactly
 // (cap == len), so the result keeps none of m alive; the cut of a Pattern
-// is a Pattern. A serving shard cuts the rated set down to its item slice
-// this way. hi may exceed NumCols.
+// is a Pattern. hi may exceed NumCols.
 func (m *CSR) ColRange(lo, hi int) *CSR {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
