@@ -163,9 +163,11 @@ func main() {
 		if *ratings != "" {
 			// Rated-item exclusion for watched checkpoints, which carry dense
 			// indices: a -model file's ratings are already aligned to its
-			// dense rows, the same index space; otherwise load them densely.
-			wcfg.Rated = rated
-			if rated == nil {
+			// dense rows, the same index space, and its swap coded them, so
+			// the watcher shares that set; otherwise load them densely.
+			if rated != nil {
+				wcfg.RatedFrom = srv.Current()
+			} else {
 				coo, _, err := dataset.ReadRatings(*ratings, *oneBased)
 				if err != nil {
 					fail(err)

@@ -42,7 +42,7 @@ const scratchLen = 1 << 16
 // any real model.
 const maxSlabElems = uint64(1) << 32
 
-// maxSlabCols bounds such a slab's row width (the latent dimensionality k).
+// maxSlabCols bounds any slab's row width (the latent dimensionality k).
 const maxSlabCols = uint64(1) << 20
 
 // ErrCount reports a declared count whose elements the input cannot hold.
@@ -194,15 +194,16 @@ func (r *Reader) Limit(n uint64) { r.left = int64(min(n, math.MaxInt64)) }
 // (> 0) bytes can still come from the input, and fails the reader with
 // ErrCount when they cannot; a decoder calls it on every count it reads
 // before it allocates. It divides, so no declared count overflows past it,
-// and zero rows need no bytes. An input that cannot tell its size is held
-// to at most 2³² elements of at most 2²⁰ columns instead.
+// and zero rows need no bytes, though their width is still held to 2²⁰
+// columns: a decoder sizes its matrix by it. An input that cannot tell its
+// size is held to at most 2³² elements of at most 2²⁰ columns instead.
 func (r *Reader) Fits(rows, cols uint64, size int) bool {
 	if r.err != nil {
 		return false
 	}
 	ok := cols > 0 && cols <= maxSlabCols && rows <= maxSlabElems/cols
 	if left, sz := uint64(r.left), uint64(size); r.left >= 0 {
-		ok = cols > 0 && (rows == 0 || cols <= left/sz && rows <= left/(cols*sz))
+		ok = cols > 0 && cols <= maxSlabCols && (rows == 0 || cols <= left/sz && rows <= left/(cols*sz))
 	}
 	if !ok {
 		r.err = fmt.Errorf("%w: %d×%d elements of %d bytes, %d bytes left", ErrCount, rows, cols, size, r.left)

@@ -266,6 +266,27 @@ func TestSlabFits(t *testing.T) {
 	}
 }
 
+// TestFitsBoundsWidth: on an input of known size, zero rows need no bytes
+// but their width is still held to 2²⁰ columns, which a decoder converts
+// to an int to size its matrix.
+func TestFitsBoundsWidth(t *testing.T) {
+	for _, c := range []struct {
+		rows, cols uint64
+		want       bool
+	}{
+		{0, 1 << 20, true},
+		{0, 1<<20 + 1, false},
+		{0, 1 << 63, false},
+		{1, 1 << 20, false}, // needs 4 MiB; the input holds 16 bytes
+		{2, 2, true},
+	} {
+		r := lebin.NewReader(bytes.NewReader(make([]byte, 16)))
+		if got := r.Fits(c.rows, c.cols, 4); got != c.want || (r.Err() == nil) != c.want {
+			t.Errorf("Fits(%d, %d, 4) on 16 bytes = %v (err %v), want %v", c.rows, c.cols, got, r.Err(), c.want)
+		}
+	}
+}
+
 // TestUvarintAtMatchesUvarint: UvarintAt reads what binary.Uvarint reads,
 // walking a run of varints in place, and a varint that overflows 64 bits
 // or that the input ends inside reads as 0 at the end of the input.

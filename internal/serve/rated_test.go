@@ -8,33 +8,49 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/host"
 	"repro/internal/quant"
-	"repro/internal/sparse"
 )
 
-// TestRatedSetHeldOnce: a watcher codes its rated set once, and two
-// watched swaps — on a Server, and on a Replica, which cuts the set at its
-// first install — share that coded set; the plain set's ColIdx is
-// collected while the watcher, the replica and both snapshots live.
+// TestRatedSetHeldOnce: a rated set is coded once. Two watched swaps — on
+// a Server, and on a Replica, which cuts the set at its first install —
+// share one coded set: the watcher's own (Rated), or the one a swap of a
+// model file installed before the watcher started (RatedFrom), as
+// alsserve -model -watch -ratings does. The plain set's ColIdx is collected
+// while the watcher, the replica and every snapshot live.
 func TestRatedSetHeldOnce(t *testing.T) {
 	const users, items, k = 4, 6, 3
-	for _, shard := range []bool{false, true} {
-		t.Run(fmt.Sprintf("replica=%v", shard), func(t *testing.T) {
+	for _, c := range []struct{ shard, model bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		t.Run(fmt.Sprintf("replica=%v/model=%v", c.shard, c.model), func(t *testing.T) {
 			s := New(Config{})
 			fsys := checkpoint.NewMemFS()
 			cfg := WatcherConfig{Dir: "ckpts", FS: fsys}
 			var rep *Replica
-			if shard {
+			if c.shard {
 				rep, _ = NewReplica(s, ReplicaConfig{Index: 1, Count: 2})
 				cfg.Transform = rep.Transform
 			}
 			idxGone := make(chan struct{})
 			rated := singleRating(users, items, 5)
 			finalized(&rated.ColIdx[0], idxGone)
-			cfg.Rated, rated = rated, nil
-			w := NewWatcher(s, cfg)
 			var sns []*Snapshot
+			if c.model {
+				m := randomModel(rand.New(rand.NewSource(1)), users, items, k)
+				if rep != nil {
+					rep.Swap(m, rated, "model")
+				} else {
+					s.Swap(m, rated, "model")
+				}
+				cfg.RatedFrom = s.Current()
+				sns = append(sns, cfg.RatedFrom)
+			} else {
+				cfg.Rated = rated
+			}
+			rated = nil
+			w := NewWatcher(s, cfg)
+			cfg = WatcherConfig{}
 			for iter := 1; iter <= 2; iter++ {
 				saveCheckpoint(t, fsys, "ckpts", iter, float32(iter), users, items, k)
 				if swapped, err := w.Poll(); !swapped || err != nil {
@@ -42,14 +58,20 @@ func TestRatedSetHeldOnce(t *testing.T) {
 				}
 				sns = append(sns, s.Current())
 			}
-			if sns[0].Rated == nil || sns[0].Rated != sns[1].Rated || sns[0] == sns[1] {
-				t.Fatalf("the two snapshots hold rated sets %p and %p, want one shared set", sns[0].Rated, sns[1].Rated)
+			last := sns[len(sns)-1]
+			for _, sn := range sns {
+				if sn.Rated == nil || sn.Rated != sns[0].Rated {
+					t.Fatalf("snapshot %s holds rated set %p, %s holds %p: want one shared set", sn.Version, sn.Rated, sns[0].Version, sns[0].Rated)
+				}
+			}
+			if sns[0] == last {
+				t.Fatal("the watcher installed nothing new")
 			}
 			if !collected(idxGone) {
 				t.Error("the plain rated set's ColIdx is still reachable")
 			}
-			ex := RatedExcluder(sns[1].Rated, 0)
-			if local := 5 - sns[1].ItemOffset; ex == nil || !ex(local) || ex(local-1) {
+			ex := RatedExcluder(last.Rated, 0)
+			if local := 5 - last.ItemOffset; ex == nil || !ex(local) || ex(local-1) {
 				t.Errorf("user 0's exclusion over local item %d is wrong", local)
 			}
 			runtime.KeepAlive(w)
@@ -89,13 +111,15 @@ func TestRecommendAllocs(t *testing.T) {
 }
 
 // BenchmarkRatedExcluder replays the rated-set lookups of the benchmark's
-// catalog workload (bench/workloads.go: its preset, seed 1 and 10 % held
-// out): per request, a user drawn as each of its two load clients draws
-// them (a Zipf sampler seeded 1 and 1+7919, so client 0 favours heavy
-// raters) and as many excluder calls as a request of that client makes
-// on the i8 scan (96 and 25), on items drawn at random. csr is the plain
-// pattern the snapshot held before, gaps the coded set it holds now; one
-// op is one request. It logs both sets' sizes (-v).
+// catalog workload (bench/workloads.go: its preset, seed 1, 10 % held out,
+// and its training and i8 serving configuration). Each request is a user
+// drawn as one of its two load clients draws them (a Zipf sampler seeded 1
+// and 1+7919, so client 0 favours heavy raters), and its lookups are the
+// ones that user's recommend made: the candidates that passed the heap
+// threshold of a real scan, recorded once. csr is the plain pattern a
+// snapshot held before, gaps the coded set it holds now; one op is one
+// request. It logs both sets' sizes and each client's lookups a request
+// (-v).
 func BenchmarkRatedExcluder(b *testing.B) {
 	p := dataset.Preset{Name: "CATALOG", Users: 5000, Items: 50000, NNZ: 800000,
 		MinVal: 0.5, MaxVal: 5, UserSkew: 0.82, ItemSkew: 0.78}
@@ -103,35 +127,49 @@ func BenchmarkRatedExcluder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pattern, coded := train.R.Pattern(), sparse.NewGaps(train.R)
-	b.Logf("%d entries: pattern %d B, coded %d B (%.2f B an entry)", len(pattern.ColIdx),
-		8*len(pattern.RowPtr)+4*len(pattern.ColIdx), coded.Bytes(), float64(coded.Bytes())/float64(len(pattern.ColIdx)))
-	for _, cl := range []struct {
-		seed  int64
-		calls int
-	}{{1, 96}, {1 + 7919, 25}} {
-		for _, set := range []string{"csr", "gaps"} {
-			b.Run(fmt.Sprintf("client-calls%d/%s", cl.calls, set), func(b *testing.B) {
-				users := dataset.NewZipfSampler(p.Users, 0.85, cl.seed)
-				rng := rand.New(rand.NewSource(cl.seed))
-				probes := make([]int, 1<<12)
-				for i := range probes {
-					probes[i] = rng.Intn(p.Items)
+	model, _, err := core.Train(train, core.Config{K: 64, Lambda: 0.1, Iterations: 4, Seed: 1,
+		UseRecommended: true, Workers: 2, Implicit: true, Alpha: 5, Solver: host.SolverCG, CGIters: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{CacheSize: -1})
+	s.SetPrecision(quant.I8)
+	sn := s.Swap(model, train.R, "")
+	csr, coded := train.R, sn.Rated
+	b.Logf("%d entries: pattern %d B, coded %d B (%.2f B an entry)", len(csr.ColIdx),
+		8*len(csr.RowPtr)+4*len(csr.ColIdx), coded.Bytes(), float64(coded.Bytes())/float64(len(csr.ColIdx)))
+	type request struct {
+		u      int
+		probes []int
+	}
+	for _, seed := range []int64{1, 1 + 7919} {
+		users := dataset.NewZipfSampler(p.Users, 0.85, seed)
+		reqs := make([]request, 512)
+		calls := 0
+		for j := range reqs {
+			r := request{u: users.Draw()}
+			if ex := RatedExcluder(coded, r.u); ex != nil {
+				record := func(i int) bool { r.probes = append(r.probes, i); return ex(i) }
+				if _, err := s.ScoreTopN(context.Background(), sn, sn.Model.X.Row(r.u), record, 10); err != nil {
+					b.Fatal(err)
 				}
+			}
+			reqs[j] = r
+			calls += len(r.probes)
+		}
+		b.Logf("client seeded %d: %.1f lookups a request", seed, float64(calls)/float64(len(reqs)))
+		for _, set := range []string{"csr", "gaps"} {
+			b.Run(fmt.Sprintf("client-seed%d/%s", seed, set), func(b *testing.B) {
 				hits := 0
-				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					u := users.Draw()
+					r := reqs[n%len(reqs)]
 					// As a request builds it, at the parent and now.
-					ex := gapsExcluder(coded, u)
+					ex := gapsExcluder(coded, r.u)
 					if set == "csr" {
-						ex = sortedExcluder(pattern.RowCols(u))
+						ex = sortedExcluder(csr.RowCols(r.u))
 					}
-					if ex == nil {
-						continue
-					}
-					for j := 0; j < cl.calls; j++ {
-						if ex(probes[(n*cl.calls+j)&(len(probes)-1)]) {
+					for _, i := range r.probes {
+						if ex(i) {
 							hits++
 						}
 					}

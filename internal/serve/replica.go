@@ -96,7 +96,7 @@ func (r *Replica) install(ctx context.Context, m *core.Model, rated *sparse.CSR,
 	view, off, total := r.Transform(m)
 	var cut *sparse.Gaps
 	if rated != nil {
-		cut = sparse.NewGaps(rated.Pattern().ColRange(off, off+view.Y.Rows))
+		cut = sparse.NewGaps(rated).ColRange(off, off+view.Y.Rows)
 	}
 	return r.srv.swapShard(ctx, view, cut, version, off, total)
 }

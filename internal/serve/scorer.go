@@ -81,7 +81,10 @@ func scanRanked(ctx context.Context, x []float32, y *quant.Ranked, excluded func
 // pointer of either type), u out of range, or an empty row. The set is a
 // snapshot's coded one (sparse.Gaps.Has: a search of the row's restart
 // heads and a short decode) or a CSR, of which only the pattern is read
-// (sortedExcluder over the row). Neither builds anything per request.
+// (sortedExcluder over the row). Neither builds anything per request, but
+// RatedExcluder does not inline (its type switch is over the budget), so
+// its predicate is one heap allocation a call; the request path calls
+// gapsExcluder instead.
 func RatedExcluder[R *sparse.Gaps | *sparse.CSR](r R, u int) func(int) bool {
 	if m, ok := any(r).(*sparse.CSR); ok {
 		if m == nil || u < 0 || u >= m.NumRows {

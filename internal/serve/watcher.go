@@ -35,6 +35,11 @@ type WatcherConfig struct {
 	// with a Transform it keeps only its cut to the slice of the first
 	// install, applied to installs of that slice.
 	Rated *sparse.CSR
+	// RatedFrom, in Rated's place, shares the rated set a swap of this
+	// server already installed (its Snapshot.Rated) instead of coding the
+	// same set again. With a Transform that set is the snapshot's cut,
+	// applied to installs of its slice.
+	RatedFrom *Snapshot
 	// Transform, when set, maps the loaded checkpoint model to the view
 	// actually swapped in, returning the view plus its item offset and the
 	// full catalog size (total 0 = full model). Shard replicas slice out
@@ -105,14 +110,17 @@ func NewWatcher(srv *Server, cfg WatcherConfig) *Watcher {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
-	rated := sparse.NewGaps(cfg.Rated)
-	cfg.Rated = nil
-	return &Watcher{
-		srv: srv, cfg: cfg, rated: rated,
+	w := &Watcher{
+		srv: srv, cfg: cfg, rated: sparse.NewGaps(cfg.Rated),
 		rejected: make(map[string]bool),
 		retries:  make(map[string]*retryState),
 		jitter:   rand.New(rand.NewSource(cfg.Clock.Now().UnixNano())),
 	}
+	if sn := cfg.RatedFrom; sn != nil && sn.Rated != nil {
+		w.rated, w.cut, w.ratedLo = sn.Rated, cfg.Transform != nil, sn.ItemOffset
+	}
+	w.cfg.Rated, w.cfg.RatedFrom = nil, nil
+	return w
 }
 
 // Poll performs one scan: if the directory holds a checkpoint newer than

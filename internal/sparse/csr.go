@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -34,19 +33,8 @@ func (m *CSR) Row(u int) (cols []int32, vals []float32) {
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
-// Pattern returns m's sparsity pattern: a matrix sharing m's RowPtr and
-// ColIdx with no values (Val nil, so NNZ reads 0 and Row must not be
-// called; RowCols reads it). A serving shard cuts its rated set as one
-// (ColRange copies no values) before coding the cut (Gaps). Nil for nil.
-func (m *CSR) Pattern() *CSR {
-	if m == nil || m.Val == nil {
-		return m
-	}
-	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: m.RowPtr, ColIdx: m.ColIdx}
-}
-
-// RowCols returns the column indices of row u, of a matrix or of its
-// Pattern, as a sub-slice backed by the matrix storage.
+// RowCols returns the column indices of row u as a sub-slice backed by the
+// matrix storage; it reads no values.
 func (m *CSR) RowCols(u int) []int32 { return m.ColIdx[m.RowPtr[u]:m.RowPtr[u+1]] }
 
 // RowRange returns a zero-copy view of rows [lo, hi): the nonzero storage is
@@ -67,49 +55,6 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 	view.Val = m.Val[base:m.RowPtr[hi]]
 	return view
 }
-
-// ColRange returns columns [lo, hi) as a new matrix of the same rows: only
-// the entries whose column is in the range, renumbered to col − lo, with
-// NumCols = hi − lo. Unlike RowRange it copies, into arrays sized exactly
-// (cap == len), so the result keeps none of m alive; the cut of a Pattern
-// is a Pattern. hi may exceed NumCols.
-func (m *CSR) ColRange(lo, hi int) *CSR {
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
-	}
-	out := &CSR{NumRows: m.NumRows, NumCols: hi - lo, RowPtr: make([]int64, m.NumRows+1)}
-	// Rows are column-sorted, so each row's entries in range are one run.
-	span := func(u int) (int, int) {
-		cols := m.RowCols(u)
-		a, _ := slices.BinarySearchFunc(cols, lo, cmpCol)
-		b, _ := slices.BinarySearchFunc(cols, hi, cmpCol)
-		return int(m.RowPtr[u]) + a, int(m.RowPtr[u]) + b
-	}
-	for u := 0; u < m.NumRows; u++ {
-		a, b := span(u)
-		out.RowPtr[u+1] = out.RowPtr[u] + int64(b-a)
-	}
-	nnz := out.RowPtr[m.NumRows]
-	out.ColIdx = make([]int32, nnz)
-	if m.Val != nil {
-		out.Val = make([]float32, nnz)
-	}
-	for u := 0; u < m.NumRows; u++ {
-		a, b := span(u)
-		p := out.RowPtr[u]
-		for q := a; q < b; q++ {
-			out.ColIdx[p] = m.ColIdx[q] - int32(lo)
-			p++
-		}
-		if m.Val != nil {
-			copy(out.Val[out.RowPtr[u]:], m.Val[a:b])
-		}
-	}
-	return out
-}
-
-// cmpCol orders a stored column index against an int bound.
-func cmpCol(c int32, bound int) int { return cmp.Compare(int(c), bound) }
 
 // Range returns the half-open range [lo, hi) that part i of `of` owns out
 // of total rows: a static partition, contiguous and in order, so every

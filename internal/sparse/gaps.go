@@ -4,17 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/lebin"
 )
 
 // gapStride is how many ids one restart point heads: a lookup decodes at
-// most gapStride−1 gaps after its search. Measured on the benchmark's
-// catalog rows on a 2-vCPU Xeon (BenchmarkRatedExcluder in
-// internal/serve: one request's lookups for each of its two clients, the
-// plain pattern at 5.3 and 1.1 µs), 16 / 32 / 64 hold 1.91 / 1.71 / 1.60 B an entry and take
-// 6.4 / 7.5 / 9.6 µs and 1.6 / 2.0 / 2.6 µs: 32 keeps most of the saving
-// at about 1 % of a ≈ 108 µs request.
+// most gapStride−1 gaps after its search. Measured on a 2-vCPU Xeon by
+// BenchmarkRatedExcluder in internal/serve, which replays the lookups the
+// benchmark's catalog requests make (the candidates a real scan passed to
+// its excluder, 98 and 24.5 a request for its two clients; the plain
+// pattern takes 5.9 and 0.87 µs for them): 16 / 32 / 64 hold 1.91 / 1.71 /
+// 1.60 B an entry and take 6.6 / 7.5 / 9.6 µs and 1.4 / 1.9 / 2.8 µs. 32
+// keeps most of the saving for about 1.5 % of a ≈ 108 µs request.
 const gapStride = 32
 
 // Gaps is a CSR pattern coded for membership tests alone: each row's
@@ -40,62 +42,53 @@ type restart struct {
 	off  uint32
 }
 
-// NewGaps codes m's pattern (m may be one: only RowPtr and ColIdx are
-// read). Nil for nil.
+// NewGaps codes m's pattern: only RowPtr and ColIdx are read. Nil for
+// nil.
 func NewGaps(m *CSR) *Gaps {
 	if m == nil {
 		return nil
 	}
-	return codeRows(m.NumRows, m.NumCols, func(u int, put func(int32)) {
-		for _, c := range m.RowCols(u) {
-			put(c)
-		}
-	})
+	return codeRows(m.NumRows, m.NumCols, func(u int, _ []int32) []int32 { return m.RowCols(u) })
 }
 
-// codeRows codes numRows rows, each handed to put by ids in ascending
-// order, into arrays sized exactly (cap == len): one pass counts the
-// blocks and bytes, a second fills them.
-func codeRows(numRows, numCols int, ids func(u int, put func(int32))) *Gaps {
-	var scratch [binary.MaxVarintLen64]byte
-	var n, blocks, size int
-	var prev int32
-	count := func(c int32) {
-		if n > 0 && c <= prev {
-			panic(fmt.Sprintf("sparse: row ids %d, %d do not ascend", prev, c))
-		}
-		if n%gapStride == 0 {
-			blocks++
-		} else {
-			size += len(binary.AppendUvarint(scratch[:0], uint64(c-prev)))
-		}
-		prev = c
-		n++
-	}
+// codeRows codes numRows rows, row u's ascending ids being row(u, buf)
+// (which may append them to buf, a slice it returned before), into arrays
+// sized exactly (cap == len): one pass counts the blocks and bytes, a
+// second fills them.
+func codeRows(numRows, numCols int, row func(u int, buf []int32) []int32) *Gaps {
+	var buf []int32
+	blocks, size := 0, 0
 	for u := 0; u < numRows; u++ {
-		n = 0
-		ids(u, count)
+		buf = row(u, buf[:0])
+		for j, c := range buf {
+			if j > 0 && c <= buf[j-1] {
+				panic(fmt.Sprintf("sparse: row %d ids %d, %d do not ascend", u, buf[j-1], c))
+			}
+			if j%gapStride == 0 {
+				blocks++
+			} else {
+				size += (bits.Len32(uint32(c-buf[j-1])) + 6) / 7 // its uvarint's bytes
+			}
+		}
 	}
 	if blocks >= math.MaxUint32 || size > math.MaxUint32 {
 		panic(fmt.Sprintf("sparse: %d restart points and %d bytes of gaps overflow the 32-bit offsets", blocks, size))
 	}
 	g := &Gaps{NumRows: numRows, NumCols: numCols, blk: make([]uint32, numRows+1),
-		rs: make([]restart, 0, blocks+1), data: make([]byte, 0, size)}
-	put := func(c int32) {
-		if n%gapStride == 0 {
-			g.rs = append(g.rs, restart{c, uint32(len(g.data))})
-		} else {
-			g.data = binary.AppendUvarint(g.data, uint64(c-prev))
-		}
-		prev = c
-		n++
-	}
+		rs: make([]restart, 0, blocks+1), data: make([]byte, size)}
+	at := 0
 	for u := 0; u < numRows; u++ {
-		n = 0
-		ids(u, put)
+		buf = row(u, buf[:0])
+		for j, c := range buf {
+			if j%gapStride == 0 {
+				g.rs = append(g.rs, restart{c, uint32(at)})
+			} else {
+				at += binary.PutUvarint(g.data[at:], uint64(c-buf[j-1]))
+			}
+		}
 		g.blk[u+1] = uint32(len(g.rs))
 	}
-	g.rs = append(g.rs, restart{off: uint32(len(g.data))})
+	g.rs = append(g.rs, restart{off: uint32(at)})
 	return g
 }
 
@@ -130,35 +123,38 @@ func (g *Gaps) Has(u, i int) bool {
 // RowEmpty reports whether row u holds no column.
 func (g *Gaps) RowEmpty(u int) bool { return g.blk[u] == g.blk[u+1] }
 
-// row hands fn row u's ids in ascending order.
-func (g *Gaps) row(u int, fn func(int32)) {
+// appendRow appends row u's ids, ascending, to dst.
+func (g *Gaps) appendRow(dst []int32, u int) []int32 {
 	for b := g.blk[u]; b < g.blk[u+1]; b++ {
 		c := g.rs[b].head
-		fn(c)
+		dst = append(dst, c)
 		gaps := g.data[g.rs[b].off:g.rs[b+1].off]
 		for p := 0; p < len(gaps); {
 			var d uint64
 			d, p = lebin.UvarintAt(gaps, p)
 			c += int32(d)
-			fn(c)
+			dst = append(dst, c)
 		}
 	}
+	return dst
 }
 
 // ColRange returns columns [lo, hi) as a new coded set of the same rows,
-// renumbered to col − lo with NumCols = hi − lo: what CSR.ColRange of the
-// plain pattern codes to. It decodes each row once and keeps none of g
-// alive. hi may exceed NumCols.
+// renumbered to col − lo with NumCols = hi − lo: what coding the plain
+// set's cut gives. A serving shard cuts its rated set so. It decodes each
+// row once and keeps none of g alive. hi may exceed NumCols.
 func (g *Gaps) ColRange(lo, hi int) *Gaps {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("sparse: column range [%d,%d) is not 0 <= lo <= hi", lo, hi))
 	}
-	return codeRows(g.NumRows, hi-lo, func(u int, put func(int32)) {
-		g.row(u, func(c int32) {
+	return codeRows(g.NumRows, hi-lo, func(u int, buf []int32) []int32 {
+		kept := buf[:0]
+		for _, c := range g.appendRow(buf, u) {
 			if int(c) >= lo && int(c) < hi {
-				put(c - int32(lo))
+				kept = append(kept, c-int32(lo))
 			}
-		})
+		}
+		return kept
 	})
 }
 
