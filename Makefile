@@ -21,7 +21,8 @@ test-short:
 # boundary both ways and the hop's one frame layout and one transport, one
 # reader of float item rows in serve, one codec, one byte decoder, one process
 # harness, a simulator that imports no arithmetic, a trainer that holds no
-# transpose of R), build, the link check (TestEveryProductFuncLinks, which
+# transpose of R, VZEROUPPER before every RET of a function that names a YMM
+# register), build, the link check (TestEveryProductFuncLinks, which
 # -short skips: every func with a body under internal/ links into a command,
 # an example or bench/, unless internal/e2e/testdata/unlinked.allow names its
 # file), the race passes, the lanes that keep the assembly kernels' other
@@ -81,6 +82,14 @@ ci:
 	if [ -n "$$arith" ]; then \
 		echo "the simulator returns a clock and nothing else; internal/{kernels,sim,cluster,baseline,tuner} must not depend on:"; echo "$$arith"; exit 1; \
 	fi
+	@vz=$$(awk 'function flush() { if (usesY) for (i = 0; i < n; i++) print bad[i]; usesY = n = 0 } \
+		FNR == 1 || /^#define/ { flush(); fn = "" } /^TEXT/ { flush(); fn = $$2; sub(/,$$/, "", fn); prev = "" } \
+		fn != "" { sub(/\/\/.*/, ""); if ($$0 ~ /(^|[^A-Za-z0-9_])Y([0-9]|1[0-5])([^0-9]|$$)/) usesY = 1; \
+			if ($$1 == "RET" && prev != "VZEROUPPER") bad[n++] = FILENAME ":" FNR ": " fn; if (NF) prev = $$1 } \
+		END { flush() }' internal/linalg/*_amd64.s); \
+	if [ -n "$$vz" ]; then \
+		echo "every RET of a function that names a Y register follows VZEROUPPER (SSE code after it would pay for the dirty upper halves):"; echo "$$vz"; exit 1; \
+	fi
 	$(GO) build ./...
 	$(GO) test -run '^TestEveryProductFuncLinks$$' -count=1 ./internal/e2e
 	$(GO) test -race -short ./...
@@ -102,17 +111,20 @@ ci:
 # Every assembly kernel (linalg's eight, quant's one) on a cache line under
 # two link orders: Go's linker aligns text to 32 bytes, and which half of a
 # line a hot loop starts in has been worth 6-9 % of a training run
-# (internal/linalg/wide_amd64.s). alsserve must link the serving scans'
-# three: the float32 scan's exact dot8F32SSE2 and its int16 screen
-# screen8I16SSE2, and the int8 scan's blocksI8SSE2.
+# (internal/linalg/wide_amd64.s). alstrain must link the CG matvec's two,
+# gemvWideAVX and rank1WideAVX; alsserve the serving scans' three: the
+# float32 scan's exact dot8F32SSE2 and its int16 screen screen8I16SSE2, and
+# the int8 scan's blocksI8SSE2.
 layout-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; for seed in 1 2; do for cmd in alstrain alsserve; do \
 		$(GO) build -ldflags=-randlayout=$$seed -o $$tmp/$$cmd ./cmd/$$cmd || exit 1; \
-		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*SSE2' > $$tmp/kernels; \
-		[ -s $$tmp/kernels ] || { echo "no *SSE2 text symbol in $$cmd"; exit 1; }; \
-		if [ $$cmd = alsserve ]; then for k in linalg.dot8F32SSE2 linalg.screen8I16SSE2 quant.blocksI8SSE2; do \
-			grep -q "$$k" $$tmp/kernels || { echo "alsserve -randlayout=$$seed does not link $$k"; exit 1; }; \
-		done; fi; \
+		$(GO) tool nm $$tmp/$$cmd | grep -E ' T repro/internal/(linalg|quant)\..*(SSE2|AVX)(\.abi0)?$$' > $$tmp/kernels; \
+		[ -s $$tmp/kernels ] || { echo "no *SSE2 or *AVX text symbol in $$cmd"; exit 1; }; \
+		case $$cmd in alstrain) want="linalg.gemvWideAVX linalg.rank1WideAVX";; \
+		*) want="linalg.dot8F32SSE2 linalg.screen8I16SSE2 quant.blocksI8SSE2";; esac; \
+		for k in $$want; do \
+			grep -q "$$k" $$tmp/kernels || { echo "$$cmd -randlayout=$$seed does not link $$k"; exit 1; }; \
+		done; \
 		while read -r addr _ name; do \
 			if [ $$((0x$$addr % 64)) -ne 0 ]; then \
 				echo "$$cmd -randlayout=$$seed: $$name at 0x$$addr is not on a cache line (PCALIGN \$$64 its hot loop: internal/linalg/wide_amd64.s)"; exit 1; \

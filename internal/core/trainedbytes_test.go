@@ -33,7 +33,7 @@ type trainedBytesCase struct {
 // and says why.
 func TestTrainedBytes(t *testing.T) {
 	if runtime.GOARCH != "amd64" || goamd64() >= "v3" {
-		t.Skipf("hashes are of the SSE2 kernels and of arithmetic without FMA fusion; %s/%s fuses multiply-adds and rounds differently",
+		t.Skipf("hashes are of arithmetic without FMA fusion (the assembly kernels included); %s/%s fuses multiply-adds and rounds differently",
 			runtime.GOARCH, goamd64())
 	}
 	explicit := func() *sparse.Matrix { return dataset.Movielens.ScaledForBench(0.005).Generate(3).Matrix }

@@ -61,9 +61,10 @@ const cgStackK = 128
 // the direct solvers, in DotWide's order — four strided chains reduced as
 // (s0+s1)+(s2+s3) — and the rank-1 scatter back to out stays float32. The
 // widened-Gram rows and the rank-1 terms run gemvWide and rank1Wide, which
-// keep that order lane for lane (SSE2 on amd64, the DotWide loops elsewhere:
-// see wide.go); a float32 G goes through DotWide itself. Sequential and
-// deterministic — CG results are worker-count invariant by construction.
+// keep that order lane for lane (AVX on an amd64 CPU that has it, the
+// DotWide loops elsewhere: see wide.go); a float32 G goes through DotWide
+// itself. Sequential and deterministic — CG results are worker-count
+// invariant by construction.
 func (s *CGSystem) Apply(p, out []float32) {
 	k := s.K
 	switch {

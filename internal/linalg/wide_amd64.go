@@ -2,10 +2,22 @@
 
 package linalg
 
-// SSE2 is part of the amd64 baseline (GOAMD64=v1), so these kernels need no
-// CPUID probe and no fallback: the build constraint is the whole selection
-// (wide.go says why it stops at v3).
-const kernelName = "sse2"
+// SSE2 is part of the amd64 baseline (GOAMD64=v1), so the other five float
+// kernels need no probe: the build constraint is the whole selection
+// (wide.go says why it stops at v3). The CG matvec runs 256 bits wide, and
+// AVX is not in the baseline: hasAVX, set once at package init, sends it to
+// the assembly on a CPU that has AVX and to the portable bodies on one that
+// does not. Both round as DotWide does, so the choice moves no bit.
+var hasAVX = avxSupported()
+
+// kernelName is KernelName: "avx" when the CG matvec runs AVX (the other
+// five float kernels stay SSE2), "sse2" when it runs the portable bodies.
+func kernelName() string {
+	if hasAVX {
+		return "avx"
+	}
+	return "sse2"
+}
 
 // The assembly checks no bounds and handles whole groups of four only; the
 // wrappers make the portable loops' checks and send any k that is not a
@@ -14,30 +26,34 @@ const kernelName = "sse2"
 
 func gemvWide(g, w []float64, lam float64, out []float32) {
 	k := len(w)
-	if k == 0 || k%4 != 0 {
+	if !hasAVX || k == 0 || k%4 != 0 {
 		gemvWidePortable(g, w, lam, out)
 		return
 	}
 	_, _ = g[k*k-1], out[k-1]
-	gemvWideSSE2(&g[0], &w[0], k, lam, &out[0])
+	gemvWideAVX(&g[0], &w[0], k, lam, &out[0])
 }
 
 func rank1Wide(f []float32, w []float64, wt float64, out []float32) {
 	k := len(w)
-	if k == 0 || k%4 != 0 {
+	if !hasAVX || k == 0 || k%4 != 0 {
 		rank1WidePortable(f, w, wt, out)
 		return
 	}
 	_, _ = f[k-1], out[k-1]
-	rank1WideSSE2(&f[0], &w[0], k, wt, &out[0])
+	rank1WideAVX(&f[0], &w[0], k, wt, &out[0])
 }
 
-// gemvWideSSE2 is gemvWidePortable for k a positive multiple of 4.
+// gemvWideAVX is gemvWidePortable for k a positive multiple of 4.
 //
 //go:noescape
-func gemvWideSSE2(gw, w *float64, k int, lam float64, out *float32)
+func gemvWideAVX(gw, w *float64, k int, lam float64, out *float32)
 
-// rank1WideSSE2 is rank1WidePortable for k a positive multiple of 4.
+// rank1WideAVX is rank1WidePortable for k a positive multiple of 4.
 //
 //go:noescape
-func rank1WideSSE2(f *float32, w *float64, k int, wt float64, out *float32)
+func rank1WideAVX(f *float32, w *float64, k int, wt float64, out *float32)
+
+// avxSupported reports whether the CPU has AVX and the OS saves its
+// registers.
+func avxSupported() bool

@@ -2,7 +2,7 @@
 
 package linalg
 
-const kernelName = "portable"
+func kernelName() string { return "portable" }
 
 // This build has no vector form of the seven float kernels: the names are
 // the portable bodies.

@@ -158,7 +158,13 @@ func wideWidths() []int {
 	return ks
 }
 
-func TestWideKernelsMatchPortable(t *testing.T) {
+func TestWideKernelsMatchPortable(t *testing.T) { wideKernelsMatchPortable(t) }
+
+// wideKernelsMatchPortable holds Apply to the portable bodies and the
+// DotWide loop at every width of wideWidths, over rank-1 counts from none
+// to a thousand, on random operands, then with cancellations planted, then
+// with specials.
+func wideKernelsMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, k := range wideWidths() {
 		for _, omega := range []int{0, 1, 7, 20, 1000} {

@@ -156,7 +156,7 @@ func (s *Server) ScoreTopN(ctx context.Context, sn *Snapshot, x []float32, exclu
 	}
 	if span != nil {
 		span.SetAttr("rows_scored", strconv.Itoa(rows))
-		if sn.QY == nil { // the float32 scan: which bindings of linalg.Dot8Wide and Screen8 ran
+		if sn.QY == nil { // the float32 scan: which bindings of linalg.Dot8Wide (SSE2 under "avx" too) and Screen8 ran
 			span.SetAttr("kernel", linalg.KernelName())
 			span.SetAttr("screen", screenBinding(sn))
 		}

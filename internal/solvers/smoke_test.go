@@ -21,7 +21,7 @@ import (
 // both labeled mode="implicit"). Before those, a second alstrain built
 // -tags purego must train the same bytes as the default build through
 // every solver, implicit and explicit, one process and two ranks: linalg's
-// SSE2 kernels against the portable loops, through the binaries.
+// assembly kernels against the portable loops, through the binaries.
 func TestImplicitSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the alstrain binary")
@@ -29,11 +29,12 @@ func TestImplicitSmoke(t *testing.T) {
 	dir := t.TempDir()
 	bin := e2e.Build(t, "alstrain")
 
-	// linalg's six vector kernels are SSE2 in the default amd64 build and the
+	// linalg's float vector kernels are assembly in the default amd64 build
+	// (the CG matvec AVX on a CPU that has it, the rest SSE2) and the
 	// portable loops under -tags purego; the two must write the same model,
 	// byte for byte. CG runs the matvec, the shared Gram and ConfRHS: k = 64
 	// and 32 take the assembly for every row, k = 20 too (a multiple of four,
-	// not of eight). The direct solvers run the fused sweep and, for chol, the
+	// not of eight: the matvec's four-row pass and four-float tail). The direct solvers run the fused sweep and, for chol, the
 	// row-ordered factorization: k = 10 and 20 leave every strip remainder,
 	// and the forked ranks of -workers run them behind the BSP exchange.
 	t.Run("kernels", func(t *testing.T) {
