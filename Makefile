@@ -23,9 +23,9 @@ test-short:
 # harness, a simulator that imports no arithmetic, a trainer that holds no
 # transpose of R, VZEROUPPER before every RET of a function that names a YMM
 # register), build, the link check (TestEveryProductFuncLinks, which
-# -short skips: every func with a body under internal/ links into a command,
-# an example or bench/, unless internal/e2e/testdata/unlinked.allow names its
-# file), the race passes, the lanes that keep the assembly kernels' other
+# -short skips: every func with a body under internal/ links into a command
+# or bench/, unless internal/e2e/testdata/unlinked.allow names its file, and
+# every entry there covers such a func), the race passes, the lanes that keep the assembly kernels' other
 # bindings alive (purego, arm64, GOAMD64=v3), the check that every assembly kernel sits on
 # a cache line whatever the link order (two -randlayout seeds), the smoke lanes
 # through the real binaries, the seven examples run to exit 0, every fuzz

@@ -1,12 +1,14 @@
 // coldstart: serving users who signed up after training. Instead of
-// retraining, FoldInUser solves the same per-row normal equations the ALS
-// X update uses (Eq. 4) against the frozen item factors — milliseconds
-// instead of a training run.
+// retraining, the serving layer's /v1/foldin solves the same per-row normal
+// equations the ALS X update uses (Eq. 4) against the frozen item factors —
+// milliseconds instead of a training run.
 //
-// Part two drives the same fold-in through the serving layer's HTTP
-// endpoint. By default an in-process server is started so the example works
-// offline; set ALS_SERVE_ADDR (e.g. "http://localhost:8080") to target a
-// running alsserve instead.
+// Part one folds held-out users in through an in-process server holding the
+// model trained here, and scores their unseen ratings from the items it
+// returns. Part two sends one fold-in to a serving endpoint: the same
+// in-process server by default, so the example works offline; set
+// ALS_SERVE_ADDR (e.g. "http://localhost:8080") to target a running
+// alsserve instead.
 package main
 
 import (
@@ -68,66 +70,51 @@ func main() {
 	}
 	fmt.Printf("trained without the 5 most active users in %.3fs\n\n", info.Seconds)
 
+	// MaxN covers the catalog, so a fold-in can return every item its user
+	// has not rated, the unseen half included.
+	srv := serve.New(serve.Config{MaxN: mx.Cols()})
+	srv.Swap(model, train.R, "coldstart-demo")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
 	for _, a := range acts[:5] {
 		cols, vals := mx.R.Row(a.u)
 		// Fold in from the first half of the user's history, evaluate on
 		// the second half.
 		half := len(cols) / 2
 		start := time.Now()
-		xu, err := model.FoldInUser(cols[:half], vals[:half], lambda*float32(half))
+		rec, err := foldIn(ts.URL, cols[:half], vals[:half], mx.Cols(), lambda*float32(half))
 		if err != nil {
 			log.Fatal(err)
 		}
 		foldMicros := time.Since(start).Microseconds()
-		scores := model.ScoreItems(xu)
+		scores := make(map[int]float64, len(rec.Items))
+		for _, it := range rec.Items {
+			scores[it.Item] = it.Score
+		}
 		var se float64
 		for j := half; j < len(cols); j++ {
-			d := scores[cols[j]] - float64(vals[j])
+			d := scores[int(cols[j])] - float64(vals[j])
 			se += d * d
 		}
 		rmse := math.Sqrt(se / float64(len(cols)-half))
-		fmt.Printf("user %-5d: folded in %3d ratings in %4dµs; RMSE on %3d unseen ratings: %.3f\n",
+		fmt.Printf("user %-5d: folded in %3d ratings and scored the catalog in %5dµs; RMSE on %3d unseen ratings: %.3f\n",
 			a.u, half, foldMicros, len(cols)-half, rmse)
 	}
 
-	// Part two: the same fold-in through the serving layer's HTTP API.
+	// Part two: one fold-in's top items, from ALS_SERVE_ADDR if set.
 	base := os.Getenv("ALS_SERVE_ADDR")
 	if base == "" {
-		srv := serve.New(serve.Config{})
-		srv.Swap(model, train.R, "coldstart-demo")
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
 		base = ts.URL
 		fmt.Printf("\nin-process server at %s (set ALS_SERVE_ADDR to target a running alsserve)\n", base)
 	} else {
 		fmt.Printf("\ntargeting external server at %s\n", base)
 	}
-
 	u := acts[0].u
 	cols, vals := mx.R.Row(u)
 	half := len(cols) / 2
-	payload, err := json.Marshal(map[string]any{
-		"items": cols[:half], "ratings": vals[:half], "n": 5, "lambda": lambda * float64(half),
-	})
+	rec, err := foldIn(base, cols[:half], vals[:half], 5, lambda*float32(half))
 	if err != nil {
-		log.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/foldin", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("POST /v1/foldin: %s", resp.Status)
-	}
-	var rec struct {
-		Version string `json:"version"`
-		Items   []struct {
-			Item  int     `json:"item"`
-			Score float64 `json:"score"`
-		} `json:"items"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("served fold-in for user %d (model %s): top items", u, rec.Version)
@@ -135,4 +122,26 @@ func main() {
 		fmt.Printf("  %d (%.2f)", it.Item, it.Score)
 	}
 	fmt.Println()
+}
+
+// foldIn POSTs a cold-start user's ratings to base's /v1/foldin and returns
+// the top n items the server scores for them.
+func foldIn(base string, items []int32, ratings []float32, n int, lambda float32) (*serve.FoldInResponse, error) {
+	payload, err := json.Marshal(serve.FoldInRequest{Items: items, Ratings: ratings, N: n, Lambda: lambda})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(base+"/v1/foldin", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("POST /v1/foldin: %s", resp.Status)
+	}
+	var rec serve.FoldInResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		return nil, err
+	}
+	return &rec, nil
 }

@@ -8,12 +8,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/kernels"
-	"repro/internal/linalg"
 )
 
 func main() {
@@ -37,7 +37,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		drift := linalg.MaxAbsDiff(ref.X, model.X)
+		var drift float64
+		for i, v := range ref.X.Data {
+			drift = math.Max(drift, math.Abs(float64(v)-float64(model.X.Data[i])))
+		}
 		fmt.Printf("%-6s %-38s %10.4fs (simulated)   RMSE %.4f  max factor drift vs host %.2g\n",
 			platform, info.Variant, info.Seconds, model.RMSE(mx.R), drift)
 		fmt.Printf("       stages summed over compute units: S1 %.4fs  S2 %.4fs  S3 %.4fs\n",

@@ -22,10 +22,10 @@ func main() {
 	mx := ds.Matrix
 	fmt.Printf("dataset %s: %d x %d, %d observations\n\n", ds.Name, mx.Rows(), mx.Cols(), mx.NNZ())
 
-	// --- implicit ALS ---
+	// --- implicit ALS: what alstrain -implicit trains ---
 	start := time.Now()
-	x, y, err := solvers.TrainImplicit(mx, solvers.ImplicitConfig{
-		K: 10, Lambda: 0.1, Alpha: 20, Iterations: 8, Seed: 1,
+	pref, _, err := core.Train(mx, core.Config{
+		K: 10, Lambda: 0.1, Alpha: 20, Iterations: 8, Seed: 1, Implicit: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,14 +38,14 @@ func main() {
 	for u := 0; u < mx.Rows(); u++ {
 		cols, _ := mx.R.Row(u)
 		for _, c := range cols {
-			obs += solvers.PreferenceScore(x, y, u, int(c))
+			obs += pref.Predict(u, int(c))
 			nObs++
 		}
 	}
 	for u := 0; u < mx.Rows(); u += 3 {
 		for i := 0; i < mx.Cols(); i += 17 {
 			if mx.R.At(u, i) == 0 {
-				unobs += solvers.PreferenceScore(x, y, u, i)
+				unobs += pref.Predict(u, i)
 				nUnobs++
 			}
 		}

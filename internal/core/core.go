@@ -7,8 +7,7 @@
 // OpenCL devices (Tesla K20c GPU, Xeon Phi 31SP MIC, Xeon E5-2670 CPU —
 // cycle-modeled, see internal/device). The paper's code variants — thread
 // batching plus the register / local-memory / vector optimizations — are
-// selectable per run, can be chosen empirically (Sec. III-D), or predicted
-// by the learned selector the paper proposes as future work.
+// selectable per run or chosen empirically (Sec. III-D).
 //
 // Typical use:
 //
@@ -273,8 +272,9 @@ func (m *Model) MAE(r *sparse.CSR) float64 { return metrics.MAE(r, m.X, m.Y) }
 
 // CheckFoldIn validates a fold-in user's ratings against a catalog of the
 // given size: equal lengths, item indices in range and named once, finite
-// values. FoldInUser applies it; the scatter-gather frontend, which holds no
-// Y to fold into, calls it before fanning the ratings out.
+// values. A server's fold-in applies it before its solve; the scatter-gather
+// frontend, which holds no Y to fold into, calls it before fanning the
+// ratings out.
 func CheckFoldIn(items []int32, ratings []float32, catalog int) error {
 	if len(items) != len(ratings) {
 		return fmt.Errorf("core: %d items but %d ratings", len(items), len(ratings))
@@ -299,10 +299,11 @@ func CheckFoldIn(items []int32, ratings []float32, catalog int) error {
 
 // SolveFoldIn solves a fold-in user's normal equations (G + λI)·x = b from
 // the packed upper-triangular Gram term G = Σ y_i·y_iᵀ and right-hand side
-// b = Σ r_i·y_i over the rated items — accumulated in one process by
-// FoldInUser, or summed from per-shard partial terms by the scatter-gather
-// frontend — by packed Cholesky, falling back to LDLᵀ when the system is not
-// numerically positive definite. Both inputs are consumed.
+// b = Σ r_i·y_i over the rated items — accumulated by linalg.GramRHSFused
+// over a server's item rows, or summed from per-shard partial terms by the
+// scatter-gather frontend — by packed Cholesky, falling back to LDLᵀ when
+// the system is not numerically positive definite. Both inputs are
+// consumed.
 func SolveFoldIn(packed, rhs []float32, k int, lambda float32) ([]float32, error) {
 	// A rejected Cholesky has clobbered its inputs: the fallback needs
 	// pristine copies.
@@ -317,37 +318,6 @@ func SolveFoldIn(packed, rhs []float32, k int, lambda float32) ([]float32, error
 		return nil, fmt.Errorf("core: fold-in solve: %w", err)
 	}
 	return rcopy, nil
-}
-
-// FoldInUser computes the factor vector for a user not present at training
-// time from their ratings (item indices into Y plus values), without
-// retraining: it solves the same per-row normal equations the ALS X update
-// does (Eq. 4) against the frozen item factors. The returned vector can be
-// dotted with Y rows for predictions. lambda should match training.
-func (m *Model) FoldInUser(items []int32, ratings []float32, lambda float32) ([]float32, error) {
-	if err := CheckFoldIn(items, ratings, m.Y.Rows); err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return make([]float32, m.K), nil
-	}
-	// The fused S1+S2 kernel with packed storage: same accumulation order
-	// and solve arithmetic as the separate register kernels with a dense
-	// Cholesky, at half the Gram footprint and one pass over Y's rows.
-	packed := make([]float32, linalg.PackedLen(m.K))
-	xu := make([]float32, m.K)
-	linalg.GramRHSFused(m.Y.Data, m.K, items, ratings, packed, xu)
-	return SolveFoldIn(packed, xu, m.K, lambda)
-}
-
-// ScoreItems returns x·y_i for every item given a (possibly folded-in)
-// user factor vector.
-func (m *Model) ScoreItems(x []float32) []float64 {
-	out := make([]float64, m.Y.Rows)
-	for i := 0; i < m.Y.Rows; i++ {
-		out[i] = linalg.Dot(x, m.Y.Row(i))
-	}
-	return out
 }
 
 // Train factorizes the rating matrix according to cfg.
@@ -565,18 +535,4 @@ func SelectVariant(mx *sparse.Matrix, platform string, cfg Config) (variant.Opti
 		return variant.Options{}, nil, firstErr
 	}
 	return best, ms, nil
-}
-
-// FeaturesOf extracts the learned selector's features for a dataset and
-// platform (see variant.MLSelector).
-func FeaturesOf(mx *sparse.Matrix, platform string, k int) variant.Features {
-	st := sparse.RowStats(mx.R)
-	return variant.Features{
-		DeviceKind:  platform,
-		K:           k,
-		MeanRowNNZ:  st.Mean,
-		RowCoV:      st.CoV,
-		Rows:        float64(mx.Rows()),
-		FixedFactor: float64(mx.Cols()*k) * 4 / (1 << 20),
-	}
 }

@@ -410,24 +410,6 @@ func TestLoadModelErrors(t *testing.T) {
 	}
 }
 
-func TestFeaturesOf(t *testing.T) {
-	mx := testMatrix(t)
-	f := FeaturesOf(mx, "GPU", 10)
-	if f.DeviceKind != "GPU" || f.K != 10 || f.Rows != float64(mx.Rows()) {
-		t.Fatalf("features wrong: %+v", f)
-	}
-	if f.MeanRowNNZ <= 0 || f.FixedFactor <= 0 {
-		t.Fatalf("degenerate features: %+v", f)
-	}
-	// Usable by the ML selector end to end.
-	sel := variant.NewMLSelector(1)
-	sel.Train(variant.Sample{Features: f, Best: variant.Options{Local: true}})
-	got, err := sel.Predict(f)
-	if err != nil || !got.Local {
-		t.Fatalf("selector round-trip failed: %+v %v", got, err)
-	}
-}
-
 func TestTrackLossHistory(t *testing.T) {
 	mx := testMatrix(t)
 	_, info, err := Train(mx, Config{Seed: 6, Iterations: 3, TrackLoss: true})
@@ -436,69 +418,6 @@ func TestTrackLossHistory(t *testing.T) {
 	}
 	if len(info.History) != 6 {
 		t.Fatalf("history length %d, want 6 half-steps", len(info.History))
-	}
-}
-
-// TestFoldInUser: a held-out user folded in against frozen item factors
-// must predict their own ratings about as well as trained users do.
-func TestFoldInUser(t *testing.T) {
-	mx := testMatrix(t)
-	// Train without the last user's ratings.
-	last := mx.Rows() - 1
-	for mx.R.RowNNZ(last) < 4 {
-		last--
-	}
-	coo := sparse.NewCOO(mx.Rows(), mx.Cols())
-	for u := 0; u < mx.Rows(); u++ {
-		if u == last {
-			continue
-		}
-		cols, vals := mx.R.Row(u)
-		for j, c := range cols {
-			coo.Append(u, int(c), vals[j])
-		}
-	}
-	coo.Rows, coo.Cols = mx.Rows(), mx.Cols()
-	train, err := sparse.NewMatrix(coo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, _, err := Train(train, Config{K: 8, Lambda: 0.1, Iterations: 6, Seed: 2, WeightedLambda: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, vals := mx.R.Row(last)
-	xu, err := model.FoldInUser(cols, vals, 0.1*float32(len(cols)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := model.ScoreItems(xu)
-	var se float64
-	for j, c := range cols {
-		d := scores[c] - float64(vals[j])
-		se += d * d
-	}
-	rmse := math.Sqrt(se / float64(len(cols)))
-	if math.IsNaN(rmse) || rmse > 1.5 {
-		t.Fatalf("fold-in RMSE on own ratings = %g", rmse)
-	}
-}
-
-func TestFoldInErrors(t *testing.T) {
-	mx := testMatrix(t)
-	model, _, err := Train(mx, Config{K: 4, Iterations: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := model.FoldInUser([]int32{0, 1}, []float32{5}, 0.1); err == nil {
-		t.Fatal("accepted mismatched lengths")
-	}
-	if _, err := model.FoldInUser([]int32{int32(mx.Cols()) + 5}, []float32{5}, 0.1); err == nil {
-		t.Fatal("accepted out-of-range item")
-	}
-	x, err := model.FoldInUser(nil, nil, 0.1)
-	if err != nil || len(x) != 4 {
-		t.Fatalf("empty fold-in: %v %v", x, err)
 	}
 }
 

@@ -5,7 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 )
+
+// foldInUser solves the factor of a user not present at training from their
+// ratings against m's frozen item factors, as a server's fold-in does:
+// CheckFoldIn, linalg.GramRHSFused over Y's rows, SolveFoldIn.
+func foldInUser(m *Model, items []int32, ratings []float32, lambda float32) ([]float32, error) {
+	if err := CheckFoldIn(items, ratings, m.Y.Rows); err != nil {
+		return nil, err
+	}
+	packed, xu := make([]float32, linalg.PackedLen(m.K)), make([]float32, m.K)
+	linalg.GramRHSFused(m.Y.Data, m.K, items, ratings, packed, xu)
+	return SolveFoldIn(packed, xu, m.K, lambda)
+}
 
 func TestFoldInRejectsDuplicateItems(t *testing.T) {
 	mx := testMatrix(t)
@@ -15,7 +28,7 @@ func TestFoldInRejectsDuplicateItems(t *testing.T) {
 	}
 	// A duplicated item would be double-counted in the Gram matrix,
 	// silently over-weighting it; it must be rejected instead.
-	if _, err := model.FoldInUser([]int32{2, 5, 2}, []float32{4, 3, 4}, 0.1); err == nil {
+	if _, err := foldInUser(model, []int32{2, 5, 2}, []float32{4, 3, 4}, 0.1); err == nil {
 		t.Fatal("accepted duplicate item IDs")
 	}
 }
@@ -27,14 +40,14 @@ func TestFoldInRejectsNonFiniteRatings(t *testing.T) {
 		t.Fatal(err)
 	}
 	nan := float32(math.NaN())
-	if _, err := model.FoldInUser([]int32{1}, []float32{nan}, 0.1); err == nil {
+	if _, err := foldInUser(model, []int32{1}, []float32{nan}, 0.1); err == nil {
 		t.Fatal("accepted NaN rating")
 	}
 	inf := float32(math.Inf(1))
-	if _, err := model.FoldInUser([]int32{1}, []float32{inf}, 0.1); err == nil {
+	if _, err := foldInUser(model, []int32{1}, []float32{inf}, 0.1); err == nil {
 		t.Fatal("accepted +Inf rating")
 	}
-	if _, err := model.FoldInUser([]int32{1}, []float32{-inf}, 0.1); err == nil {
+	if _, err := foldInUser(model, []int32{1}, []float32{-inf}, 0.1); err == nil {
 		t.Fatal("accepted -Inf rating")
 	}
 }
@@ -57,7 +70,7 @@ func TestFoldInApproximatesTrainedFactor(t *testing.T) {
 		}
 		checked++
 		cols, vals := mx.R.Row(u)
-		xu, err := model.FoldInUser(cols, vals, lambda)
+		xu, err := foldInUser(model, cols, vals, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,5 +142,67 @@ func TestTrainRecordsMeta(t *testing.T) {
 	}
 	if model.Meta.Lambda != 0.2 || !model.Meta.WeightedLambda {
 		t.Fatalf("trained meta = %+v", model.Meta)
+	}
+}
+
+// TestFoldInUser: a held-out user folded in against frozen item factors
+// must predict their own ratings about as well as trained users do.
+func TestFoldInUser(t *testing.T) {
+	mx := testMatrix(t)
+	// Train without the last user's ratings.
+	last := mx.Rows() - 1
+	for mx.R.RowNNZ(last) < 4 {
+		last--
+	}
+	coo := sparse.NewCOO(mx.Rows(), mx.Cols())
+	for u := 0; u < mx.Rows(); u++ {
+		if u == last {
+			continue
+		}
+		cols, vals := mx.R.Row(u)
+		for j, c := range cols {
+			coo.Append(u, int(c), vals[j])
+		}
+	}
+	coo.Rows, coo.Cols = mx.Rows(), mx.Cols()
+	train, err := sparse.NewMatrix(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := Train(train, Config{K: 8, Lambda: 0.1, Iterations: 6, Seed: 2, WeightedLambda: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, vals := mx.R.Row(last)
+	xu, err := foldInUser(model, cols, vals, 0.1*float32(len(cols)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se float64
+	for j, c := range cols {
+		d := linalg.Dot(xu, model.Y.Row(int(c))) - float64(vals[j])
+		se += d * d
+	}
+	rmse := math.Sqrt(se / float64(len(cols)))
+	if math.IsNaN(rmse) || rmse > 1.5 {
+		t.Fatalf("fold-in RMSE on own ratings = %g", rmse)
+	}
+}
+
+func TestFoldInErrors(t *testing.T) {
+	mx := testMatrix(t)
+	model, _, err := Train(mx, Config{K: 4, Iterations: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := foldInUser(model, []int32{0, 1}, []float32{5}, 0.1); err == nil {
+		t.Fatal("accepted mismatched lengths")
+	}
+	if _, err := foldInUser(model, []int32{int32(mx.Cols()) + 5}, []float32{5}, 0.1); err == nil {
+		t.Fatal("accepted out-of-range item")
+	}
+	x, err := foldInUser(model, nil, nil, 0.1)
+	if err != nil || len(x) != 4 {
+		t.Fatalf("empty fold-in: %v %v", x, err)
 	}
 }

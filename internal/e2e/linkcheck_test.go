@@ -20,13 +20,16 @@ import (
 // test support that the product packages' tests share.
 const unlinkedAllowList = "testdata/unlinked.allow"
 
-// A product package's non-test files hold only code a binary runs. Every
-// command and example is built at the default tags and under purego, and the
-// bench module once, with inlining off so that nothing a binary calls
-// vanishes into its caller; a func with a body under internal/ that none of
-// them links fails the test, unless the allow-list covers its file. Funcs
-// only the bench module links are logged as bench-only: they stay while
-// bench/ calls them.
+// A product package's non-test files hold only code a command runs. Every
+// command is built at the default tags and under purego, and the bench
+// module once, with inlining off so that nothing a binary calls vanishes
+// into its caller; a func with a body under internal/ that none of them
+// links fails the test, unless the allow-list covers its file. The examples
+// are not built: they call what the commands call, so a func that only an
+// example reaches fails too. Funcs only the bench module links are logged
+// as bench-only: they stay while bench/ calls them. An allow-list entry that
+// covers no unlinked func fails the test as well, so the list cannot
+// outlive the test support it names.
 func TestEveryProductFuncLinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every binary twice")
@@ -40,7 +43,7 @@ func TestEveryProductFuncLinks(t *testing.T) {
 	product := map[string]bool{}
 	for _, tags := range []string{"", "purego"} {
 		dir := t.TempDir()
-		goBuild(t, root, "-tags", tags, "-o", dir+string(filepath.Separator), "./cmd/...", "./examples/...")
+		goBuild(t, root, "-tags", tags, "-o", dir+string(filepath.Separator), "./cmd/...")
 		bins, err := filepath.Glob(filepath.Join(dir, "*"))
 		if err != nil || len(bins) == 0 {
 			t.Fatalf("no binaries built under %s (%v)", dir, err)
@@ -55,18 +58,28 @@ func TestEveryProductFuncLinks(t *testing.T) {
 	linkedSymbols(t, benchBin, benchOnly)
 
 	var unlinked []string
+	live := map[string]bool{} // allow-list entries that cover an unlinked func
 	for _, fn := range productFuncs(t, root) {
 		switch {
 		case product[fn.sym]:
 		case benchOnly[fn.sym]:
 			t.Logf("bench-only: %s", fn)
-		case !allowed(allow, fn.file):
-			unlinked = append(unlinked, fn.String())
+		default:
+			if a, ok := allowedBy(allow, fn.file); ok {
+				live[a] = true
+			} else {
+				unlinked = append(unlinked, fn.String())
+			}
 		}
 	}
 	if len(unlinked) > 0 {
-		t.Errorf("%d funcs link into no command, example or bench binary; delete them, or move a test oracle into a _test.go file or a test-support package named in %s:\n%s",
+		t.Errorf("%d funcs link into no command or bench binary; delete them, or move a test oracle into a _test.go file or a test-support package named in %s:\n%s",
 			len(unlinked), unlinkedAllowList, strings.Join(unlinked, "\n"))
+	}
+	for _, a := range allow {
+		if !live[a] {
+			t.Errorf("%s: entry %q covers no unlinked func; remove it", unlinkedAllowList, a)
+		}
 	}
 }
 
@@ -237,11 +250,12 @@ func readAllowList(t *testing.T, path string) []string {
 	return entries
 }
 
-func allowed(allow []string, file string) bool {
+// allowedBy returns the allow-list entry that covers file, if any.
+func allowedBy(allow []string, file string) (string, bool) {
 	for _, a := range allow {
 		if file == a || (strings.HasSuffix(a, "/") && strings.HasPrefix(file, a)) {
-			return true
+			return a, true
 		}
 	}
-	return false
+	return "", false
 }

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -44,23 +43,6 @@ func (d *Dense) Clone() *Dense {
 	out := NewDense(d.Rows, d.Cols)
 	copy(out.Data, d.Data)
 	return out
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two same-shaped matrices; it is the metric the variant-equivalence tests
-// use to show the 8 code variants are functionally identical.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	var max float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // String renders small matrices for debugging; large ones are abbreviated.

@@ -179,6 +179,15 @@ func TestMaxAbsDiff(t *testing.T) {
 	if got := MaxAbsDiff(a, b); got != 1 {
 		t.Fatalf("MaxAbsDiff = %g, want 1", got)
 	}
+	// A NaN on either side is no match, whatever the other elements say.
+	nan := NewDenseFrom(1, 2, []float32{float32(math.NaN()), 1})
+	ones := NewDenseFrom(1, 2, []float32{1, 1})
+	if got := MaxAbsDiff(nan, ones); !math.IsInf(got, 1) {
+		t.Fatalf("MaxAbsDiff([NaN 1], [1 1]) = %g, want +Inf", got)
+	}
+	if got := MaxAbsDiff(ones, nan); !math.IsInf(got, 1) {
+		t.Fatalf("MaxAbsDiff([1 1], [NaN 1]) = %g, want +Inf", got)
+	}
 }
 
 func TestPanics(t *testing.T) {

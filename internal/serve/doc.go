@@ -12,7 +12,8 @@
 //     an atomic.Pointer, installed by POST /admin/swap or by a Watcher
 //     following a training run's checkpoint directory, so retraining
 //     (cmd/alstrain) and serving compose with zero request downtime;
-//   - a fold-in path for cold-start users — core.Model.FoldInUser's solve
+//   - a fold-in path for cold-start users — the ALS X update's normal
+//     equations (core.CheckFoldIn, linalg.GramRHSFused, core.SolveFoldIn)
 //     over the rated items' rows, which a quantized snapshot that keeps no
 //     float32 Y decodes from its encoding (Snapshot.itemRows) — and an LRU
 //     response cache keyed by (model version, user, n), purged wholesale on

@@ -581,8 +581,8 @@ type frontFoldInResponse struct {
 
 // handleFoldIn solves a cold-start user across the fleet: every shard
 // contributes the partial Gram/RHS terms of its item slice, the frontend
-// sums them and solves the k×k system with the solve core.Model.FoldInUser
-// runs (core.SolveFoldIn adds λI once), then scatter-gathers the scoring of
+// sums them and solves the k×k system with the solve a single server runs
+// (core.SolveFoldIn adds λI once), then scatter-gathers the scoring of
 // the solved factor. The write path finishes by purging the user's cached
 // responses on every shard — not just the ones that answered — so no replica
 // can serve a pre-write recommendation from its LRU.

@@ -93,7 +93,7 @@ func TestQuantizedSnapshotKeepsNoFloatY(t *testing.T) {
 }
 
 // TestFoldInFromQuantizedRows: a snapshot without Y folds a user in bit
-// for bit as core.Model.FoldInUser does on the decoded model, and each of
+// for bit as a float32 snapshot of the decoded model does, and each of
 // 1, 2 or 3 shards without Y returns the partial terms GramRHSFused makes
 // over its slice of the decoded rows — so the fleet's summed solve is the
 // one a float32 Y gave.
@@ -103,6 +103,8 @@ func TestFoldInFromQuantizedRows(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		m := checkpointModel(t, rng, prec, users, items, k)
 		decoded := &core.Model{K: k, X: m.X, Y: m.QY.Decode()}
+		var f32 Store
+		oracle := f32.Swap(decoded, nil, "f32")
 		var st Store
 		st.SetPrecision(prec)
 		sn := st.Swap(m, nil, "q")
@@ -115,7 +117,7 @@ func TestFoldInFromQuantizedRows(t *testing.T) {
 			for z := range ratings {
 				ratings[z] = float32(rng.Intn(9)+1) / 2
 			}
-			want, err := decoded.FoldInUser(its, ratings, 0.1)
+			want, err := oracle.foldIn(its, ratings, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,7 +192,7 @@ func TestFoldInQuantized(t *testing.T) {
 		t.Fatalf("i8 fold-in HTTP %d", code)
 	}
 	// Same float32 solve, then the quantized scan: reproduce it directly.
-	xu, err := m.FoldInUser(req.Items, req.Ratings, 0.1)
+	xu, err := f32srv.Current().foldIn(req.Items, req.Ratings, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,8 @@ func TestSwapReusesCheckpointEncoding(t *testing.T) {
 	}
 	// That kept Y, not the encoding's decode, is what fold-in solves over.
 	its, ratings := []int32{5, 0, 63}, []float32{4, 1, 2.5}
-	xu, err := m.FoldInUser(its, ratings, 0.1)
+	var f32 Store
+	xu, err := f32.Swap(m, nil, "f32").foldIn(its, ratings, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

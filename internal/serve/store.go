@@ -129,8 +129,9 @@ func (fs *foldScratch) gramRHS(sn *Snapshot, items []int32, ratings, packed, rhs
 }
 
 // foldIn solves a cold-start user's factor from their ratings of sn's
-// items — core.Model.FoldInUser's checks, accumulation and solve, over the
-// rows itemRows gathers.
+// items against the frozen Y, as the ALS X update does (Eq. 4): the ratings
+// checked by core.CheckFoldIn, the Gram and RHS terms accumulated over the
+// rows itemRows gathers, and core.SolveFoldIn's solve.
 func (sn *Snapshot) foldIn(items []int32, ratings []float32, lambda float32) ([]float32, error) {
 	if err := core.CheckFoldIn(items, ratings, sn.Items); err != nil {
 		return nil, err

@@ -1,16 +1,3 @@
-// Package solvers implements the matrix-factorization solvers surrounding
-// the paper's explicit-feedback ALS:
-//
-//   - implicit-feedback ALS (Hu/Koren/Volinsky) — the paper's introduction
-//     names the ability to "incorporate implicit ratings" as a key ALS
-//     advantage over SGD;
-//   - Hogwild-style parallel SGD and CCD++ — the two alternative solver
-//     families of the related-work section, which the conclusion proposes
-//     extending the technique to.
-//
-// All solvers share the factor-matrix conventions of internal/host (X is
-// m×k, Y is n×k, row-major float32) so models interoperate with the
-// metrics and recommendation helpers.
 package solvers
 
 import (
@@ -51,7 +38,8 @@ func (c *ImplicitConfig) setDefaults() {
 	}
 }
 
-// TrainImplicit factorizes an implicit-feedback matrix. Per user:
+// TrainImplicit is the implicit-feedback ALS reference loop that the host
+// trainer's implicit mode is held to (equivalence_test.go). Per user:
 //
 //	x_u = (YᵀY + Yᵀ(C_u−I)Y + λI)⁻¹ Yᵀ C_u p_u
 //

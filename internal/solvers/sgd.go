@@ -1,3 +1,12 @@
+// Package solvers implements the two alternative solver families of the
+// paper's related-work section, which its conclusion proposes extending the
+// technique to: Hogwild-style parallel SGD and CCD++. Implicit-feedback ALS
+// is core.Train with Implicit set; this package's tests keep a plain
+// reference loop that the host trainer's implicit mode must reproduce.
+//
+// Both solvers share the factor-matrix conventions of internal/host (X is
+// m×k, Y is n×k, row-major float32) so models interoperate with the
+// metrics and recommendation helpers.
 package solvers
 
 import (

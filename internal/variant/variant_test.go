@@ -124,66 +124,3 @@ func TestSelectBest(t *testing.T) {
 		}
 	}
 }
-
-func TestMLSelectorEmpty(t *testing.T) {
-	s := NewMLSelector(3)
-	if _, err := s.Predict(Features{DeviceKind: "GPU"}); err == nil {
-		t.Fatal("expected error from untrained selector")
-	}
-}
-
-func TestMLSelectorLearnsPerArchitecture(t *testing.T) {
-	s := NewMLSelector(3)
-	gpuBest := Options{Local: true, Register: true}
-	cpuBest := Options{Local: true}
-	// Train with several contexts per architecture, mirroring the paper's
-	// per-architecture recommendations.
-	for i := 0; i < 5; i++ {
-		s.Train(Sample{
-			Features: Features{DeviceKind: "GPU", K: 10, MeanRowNNZ: float64(20 + i*30),
-				RowCoV: 1.5, Rows: float64(1000 * (i + 1)), FixedFactor: 1},
-			Best: gpuBest,
-		})
-		s.Train(Sample{
-			Features: Features{DeviceKind: "CPU", K: 10, MeanRowNNZ: float64(20 + i*30),
-				RowCoV: 1.5, Rows: float64(1000 * (i + 1)), FixedFactor: 1},
-			Best: cpuBest,
-		})
-	}
-	if len(s.samples) != 10 {
-		t.Fatalf("%d samples stored, want 10", len(s.samples))
-	}
-	got, err := s.Predict(Features{DeviceKind: "GPU", K: 10, MeanRowNNZ: 75, RowCoV: 1.4, Rows: 2500, FixedFactor: 1})
-	if err != nil || got != gpuBest {
-		t.Fatalf("GPU prediction = %+v, %v; want %+v", got, err, gpuBest)
-	}
-	got, err = s.Predict(Features{DeviceKind: "CPU", K: 10, MeanRowNNZ: 75, RowCoV: 1.4, Rows: 2500, FixedFactor: 1})
-	if err != nil || got != cpuBest {
-		t.Fatalf("CPU prediction = %+v, %v; want %+v", got, err, cpuBest)
-	}
-}
-
-func TestMLSelectorCrossArchitectureFallback(t *testing.T) {
-	s := NewMLSelector(1)
-	s.Train(Sample{Features: Features{DeviceKind: "GPU", K: 10}, Best: Options{Register: true}})
-	// No MIC samples: the selector must still answer (nearest across arch).
-	got, err := s.Predict(Features{DeviceKind: "MIC", K: 10})
-	if err != nil || got != (Options{Register: true}) {
-		t.Fatalf("fallback prediction = %+v, %v", got, err)
-	}
-}
-
-func TestMLSelectorMajorityVote(t *testing.T) {
-	s := NewMLSelector(3)
-	f := Features{DeviceKind: "CPU", K: 10, MeanRowNNZ: 50, RowCoV: 1, Rows: 1000, FixedFactor: 1}
-	winner := Options{Local: true, Vector: true}
-	s.Train(
-		Sample{Features: f, Best: winner},
-		Sample{Features: f, Best: winner},
-		Sample{Features: f, Best: Options{Register: true}},
-	)
-	got, err := s.Predict(f)
-	if err != nil || got != winner {
-		t.Fatalf("majority vote = %+v, %v; want %+v", got, err, winner)
-	}
-}
