@@ -54,6 +54,10 @@ ci:
 	if [ -n "$$rows" ]; then \
 		echo "internal/serve reads float item rows through Snapshot.itemRows alone (sliceModel cuts a loaded model): a quantized snapshot may hold no Y"; echo "$$rows"; exit 1; \
 	fi
+	@loads=$$(ls internal/serve/*.go | grep -v '_test\.go$$' | xargs grep -nE 'checkpoint\.(Load|Decode)\(' || true); \
+	if [ -n "$$loads" ]; then \
+		echo "internal/serve loads a checkpoint at the precision it serves, through checkpoint.LoadAt alone:"; echo "$$loads"; exit 1; \
+	fi
 	@trainer=$$(ls internal/shard/*.go | grep -v -e '_test\.go$$' -e '/serving\.go$$'); \
 	if grep -lE '"(repro/internal/serve|net/http)"' $$trainer; then \
 		echo "internal/shard is the BSP trainer: only serving.go may import internal/serve or net/http"; exit 1; \

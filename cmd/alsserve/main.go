@@ -3,7 +3,9 @@
 // serving compose without downtime. With -watch it follows a training
 // run's checkpoint directory (alstrain -checkpoint-dir) and hot-swaps each
 // new checkpoint in as it lands, rejecting corrupt or torn files while the
-// previous snapshot keeps serving. Endpoints:
+// previous snapshot keeps serving. Every load reads the checkpoint at the
+// -precision it serves: a file stored at that quantized precision installs
+// its encoding without a float32 copy of the item factors. Endpoints:
 //
 //	GET  /v1/recommend?user=U&n=N   top-N unrated items for a known user
 //	POST /v1/foldin                 fold a cold-start user's ratings in, top-N
@@ -61,7 +63,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve the same metrics plus process health, /healthz, /readyz and /debug/pprof on a second address (keeps profiling off the public listener)")
 	maxStale := flag.Duration("max-staleness", 0, "readiness bound for -debug-addr's /readyz and, with -shard, for the info frames alsfront probes with: fail once the last checkpoint installed by -watch is older than this (0 disables the age check)")
 	shardSpec := flag.String("shard", "", "serve as shard i/N of an item-partitioned fleet (e.g. 0/3): only rows [i*items/N, (i+1)*items/N) of the item factors, and those items' ratings from -ratings, are kept, and alsfront's endpoint is enabled: /shard/v1/frames, which upgrades a connection to the fleet's frame protocol on this same listener")
-	precision := flag.String("precision", "f32", "scoring precision for the item factors: f32, f16 or i8; quantized precisions compress each swapped-in model once per swap and score with the fused dequantizing kernels (fold-in still solves in float32)")
+	precision := flag.String("precision", "f32", "scoring precision for the item factors: f32, f16 or i8; quantized precisions score with the fused dequantizing kernels, over a checkpoint's own encoding when it is stored at this precision (alstrain -checkpoint-precision; no float32 item factors are then loaded) and otherwise over one compressed once per swap; fold-in still solves in float32")
 	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of requests into per-request span traces (0 disables tracing entirely; inbound traceparent headers and shard hop frames always continue a sampled trace); browse them at -debug-addr's /debug/traces and /debug/slowest")
 	slowLog := flag.Duration("slow-log", 0, "log requests at or above this duration with their trace ID (0 disables)")
 	flag.Parse()
@@ -115,7 +117,7 @@ func main() {
 	}
 	var rated *sparse.CSR // the -model file's rated set, aligned to its rows
 	if *modelPath != "" {
-		m, r, err := serve.LoadSnapshotFiles(*modelPath, *ratings, *oneBased)
+		m, r, err := serve.LoadSnapshotFiles(*modelPath, *ratings, *oneBased, prec)
 		if err != nil {
 			fail(err)
 		}
@@ -130,7 +132,7 @@ func main() {
 		} else {
 			sn := srv.Swap(m, rated, *version)
 			fmt.Printf("alsserve: model %s (seq %d): %d users x %d items, k=%d, precision=%s kernel=%s\n",
-				sn.Version, sn.Seq, m.X.Rows, m.Y.Rows, m.K, sn.Precision, quant.KernelName())
+				sn.Version, sn.Seq, m.X.Rows, m.Items(), m.K, sn.Precision, quant.KernelName())
 		}
 	}
 

@@ -74,7 +74,7 @@ func TestCodecAllocatesNoSlabCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dec *State
-		got = allocated(func() { dec, err = Decode(bytes.NewReader(file.Bytes())) })
+		got = allocated(func() { dec, err = Decode(bytes.NewReader(file.Bytes()), quant.F32) })
 		if err != nil {
 			t.Fatal(err)
 		}

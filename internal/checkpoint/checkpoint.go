@@ -91,9 +91,9 @@ type State struct {
 
 	// Precision selects the on-disk factor encoding. F32 (the zero value)
 	// writes raw float32 exactly like format v1; F16/I8 write per-row-scaled
-	// quantized sections instead, shrinking the file 2–4×. X and Y above
-	// stay float32 in memory either way — Decode dequantizes — so every
-	// consumer of State keeps working regardless of the file's precision.
+	// quantized sections instead, shrinking the file 2–4×. Decode
+	// dequantizes X, and Y too unless its reader serves at the file's own
+	// quantized precision (LoadAt), so every other consumer keeps working.
 	Precision quant.Precision
 
 	// QX, QY hold the quantized factors when Precision != F32: Encode
@@ -318,10 +318,10 @@ func writeFactor(lw *lebin.Writer, d *linalg.Dense, q *quant.Matrix, prec quant.
 }
 
 // readFactor reads one factor section at the given precision, returning
-// the float32 matrix (dequantized if needed) and, for quantized sections,
-// the compact form. Each array is held to the bytes the file has left
-// before it is allocated.
-func readFactor(lr *lebin.Reader, rows, cols uint64, prec quant.Precision) (*linalg.Dense, *quant.Matrix, error) {
+// the float32 matrix (a quantized section's decode, or nil unless float)
+// and, for quantized sections, the compact form. Each array is held to the
+// bytes the file has left before it is allocated.
+func readFactor(lr *lebin.Reader, rows, cols uint64, prec quant.Precision, float bool) (*linalg.Dense, *quant.Matrix, error) {
 	if prec == quant.F32 {
 		if !lr.Fits(rows, cols, 4) {
 			return nil, nil, lr.Err()
@@ -365,6 +365,9 @@ func readFactor(lr *lebin.Reader, rows, cols uint64, prec quant.Precision) (*lin
 	if err := lr.Err(); err != nil {
 		return nil, nil, err
 	}
+	if !float {
+		return nil, q, nil
+	}
 	return q.Decode(), q, nil
 }
 
@@ -389,12 +392,13 @@ func readModelBlock(lr *lebin.Reader, st *State, m, n uint64) error {
 	return lr.Err()
 }
 
-// Decode reads a checkpoint written by Encode, verifying format version,
-// the CRC, and every count against the bytes the input has left. It
-// returns an error — never panics, never allocates for bytes the input
-// does not hold — on arbitrary corrupt input (the fuzz test holds it to
-// that).
-func Decode(r io.Reader) (*State, error) {
+// Decode reads a checkpoint written by Encode for a reader that serves
+// at precision p, verifying format version, the CRC, and every count
+// against the bytes the input has left; Y is nil when the file stores it
+// at p and p is quantized (QY holds it). It returns an error — never
+// panics, never allocates for bytes the input does not hold — on arbitrary
+// corrupt input (the fuzz test holds it to that).
+func Decode(r io.Reader, p quant.Precision) (*State, error) {
 	lr := lebin.NewReader(r)
 	var hdr [7]uint64
 	for i := range hdr {
@@ -488,10 +492,10 @@ func Decode(r io.Reader) (*State, error) {
 		}
 	}
 	var ferr error
-	if st.X, st.QX, ferr = readFactor(lr, m, k, st.Precision); ferr != nil {
+	if st.X, st.QX, ferr = readFactor(lr, m, k, st.Precision, true); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading X: %w", ferr)
 	}
-	if st.Y, st.QY, ferr = readFactor(lr, n, k, st.Precision); ferr != nil {
+	if st.Y, st.QY, ferr = readFactor(lr, n, k, st.Precision, st.Precision != p); ferr != nil {
 		return nil, fmt.Errorf("checkpoint: reading Y: %w", ferr)
 	}
 	if version >= FormatVersion {
@@ -532,16 +536,20 @@ func Save(fsys FS, dir string, st *State) (string, error) {
 	return path, nil
 }
 
-// Load reads and verifies one checkpoint file. Open errors pass through
-// untouched (they may be transient); decode failures are wrapped with
-// ErrCorrupt — the file's bytes are bad and will stay bad.
-func Load(fsys FS, path string) (*State, error) {
+// Load reads and verifies one checkpoint file with float32 factors.
+func Load(fsys FS, path string) (*State, error) { return LoadAt(fsys, path, quant.F32) }
+
+// LoadAt reads and verifies one checkpoint file for a reader serving at
+// precision p (Decode). Open errors pass through untouched (they may be
+// transient); decode failures are wrapped with ErrCorrupt — the file's
+// bytes are bad and will stay bad.
+func LoadAt(fsys FS, path string, p quant.Precision) (*State, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := Decode(f)
+	st, err := Decode(f, p)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w: %w", filepath.Base(path), ErrCorrupt, err)
 	}

@@ -99,7 +99,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if v := buf.Bytes()[8]; uint32(v) != tc.version {
 			t.Errorf("%s: written as format v%d, want v%d", tc.name, v, tc.version)
 		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		got, err := Decode(bytes.NewReader(buf.Bytes()), quant.F32)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -120,7 +120,7 @@ func TestQuantizedRoundTrip(t *testing.T) {
 		if err := Encode(&buf, orig); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		got, err := Decode(bytes.NewReader(buf.Bytes()), quant.F32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,13 +177,13 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 		for off := 0; off < len(enc); off += 17 {
 			bad := append([]byte(nil), enc...)
 			bad[off] ^= 0x40
-			if _, err := Decode(bytes.NewReader(bad)); err == nil {
+			if _, err := Decode(bytes.NewReader(bad), quant.F32); err == nil {
 				t.Fatalf("v%d: bit flip at offset %d accepted", enc[8], off)
 			}
 		}
 		// Truncations at every length must error too.
 		for cut := 0; cut < len(enc); cut += 13 {
-			if _, err := Decode(bytes.NewReader(enc[:cut])); err == nil {
+			if _, err := Decode(bytes.NewReader(enc[:cut]), quant.F32); err == nil {
 				t.Fatalf("v%d: truncation to %d bytes accepted", enc[8], cut)
 			}
 		}

@@ -2,16 +2,22 @@ package checkpoint
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/host"
+	"repro/internal/linalg"
 	"repro/internal/quant"
 )
 
 // FuzzLoadCheckpoint: the checkpoint decoder must return errors — never
 // panic, never allocate for bytes its input does not hold — on arbitrary
 // input, and anything it
-// accepts must survive an encode/decode round trip. Seeded with valid
+// accepts must survive an encode/decode round trip. LoadAt at F16 and at I8
+// must reach Load's verdict and State, but for a Y that is nil exactly
+// when the file stores Y at that precision. Seeded with valid
 // checkpoints at every precision (the v2 quantized sections carry their
 // own scale/error fields for the fuzzer to mangle) plus the corruption
 // shapes crashes actually produce: truncations and bit flips.
@@ -87,8 +93,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		var err error
 		// Beyond its fixed buffers Decode allocates only for bytes it
 		// read, at most 5 a byte: an i8 payload is kept and dequantized.
-		if n := allocated(func() { st, err = Decode(bytes.NewReader(data)) }); n > decodeBound+8*int64(len(data)) {
+		if n := allocated(func() { st, err = Decode(bytes.NewReader(data), quant.F32) }); n > decodeBound+8*int64(len(data)) {
 			t.Fatalf("a %d-byte input allocated %d bytes", len(data), n)
+		}
+		fsys := NewMemFS()
+		fsys.WriteFile("ck", data)
+		for _, p := range []quant.Precision{quant.F16, quant.I8} {
+			mustLoadAtAsLoad(t, fsys, "ck", p)
 		}
 		if err != nil {
 			return
@@ -97,8 +108,37 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := Encode(&out, st); err != nil {
 			t.Fatalf("accepted checkpoint failed to re-encode: %v", err)
 		}
-		if _, err := Decode(bytes.NewReader(out.Bytes())); err != nil {
+		if _, err := Decode(bytes.NewReader(out.Bytes()), quant.F32); err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
 	})
+}
+
+// mustLoadAtAsLoad holds LoadAt(p) of one file to Load's verdict and
+// State: the same X, QX, QY and ID tables, and Load's Y unless the file
+// stores Y at p, where Y is nil.
+func mustLoadAtAsLoad(t *testing.T, fsys FS, path string, p quant.Precision) {
+	t.Helper()
+	want, werr := Load(fsys, path)
+	got, err := LoadAt(fsys, path, p)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("LoadAt(%v) error %v, Load error %v", p, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if !sameDense(got.X, want.X) || !reflect.DeepEqual(got.QX, want.QX) || !reflect.DeepEqual(got.QY, want.QY) ||
+		!slices.Equal(got.UserIDs, want.UserIDs) || !slices.Equal(got.ItemIDs, want.ItemIDs) {
+		t.Fatalf("LoadAt(%v) of a %v file: X, QX, QY or the ID tables differ from Load's", p, want.Precision)
+	}
+	if stored := want.Precision == p; stored != (got.Y == nil) || !stored && !sameDense(got.Y, want.Y) {
+		t.Fatalf("LoadAt(%v) of a %v file: Y nil=%v, or not Load's", p, want.Precision, got.Y == nil)
+	}
+}
+
+// sameDense reports whether a and b have one shape and the same float32
+// bit patterns (a NaN payload included).
+func sameDense(a, b *linalg.Dense) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols &&
+		slices.EqualFunc(a.Data, b.Data, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }

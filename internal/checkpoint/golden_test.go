@@ -87,7 +87,7 @@ func goldenImplicitState() *State {
 func TestGoldenCheckpointFormat(t *testing.T) {
 	want := checkGolden(t, "golden_v3.alsck", goldenState())
 	// The golden bytes must also decode back to the golden state.
-	st, err := Decode(bytes.NewReader(want))
+	st, err := Decode(bytes.NewReader(want), quant.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGoldenCheckpointFormat(t *testing.T) {
 // round-trip through the golden file exactly.
 func TestGoldenImplicitFormat(t *testing.T) {
 	want := checkGolden(t, "golden_v3_implicit.alsck", goldenImplicitState())
-	st, err := Decode(bytes.NewReader(want))
+	st, err := Decode(bytes.NewReader(want), quant.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGoldenQuantizedFormats(t *testing.T) {
 		orig := goldenState()
 		orig.Precision = prec
 		want := checkGolden(t, fmt.Sprintf("golden_v3_%s.alsck", prec), orig)
-		st, err := Decode(bytes.NewReader(want))
+		st, err := Decode(bytes.NewReader(want), quant.F32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestGoldenQuantizedFormats(t *testing.T) {
 func TestGoldenModelBlockFormat(t *testing.T) {
 	orig := withModelBlock(goldenState(), true)
 	want := checkGolden(t, "golden_v4.alsck", orig)
-	st, err := Decode(bytes.NewReader(want))
+	st, err := Decode(bytes.NewReader(want), quant.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGoldenV1StillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Decode(bytes.NewReader(want))
+	st, err := Decode(bytes.NewReader(want), quant.F32)
 	if err != nil {
 		t.Fatalf("format v1 no longer decodes: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestGoldenV2StillLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Decode(bytes.NewReader(want))
+		st, err := Decode(bytes.NewReader(want), quant.F32)
 		if err != nil {
 			t.Fatalf("format v2 (%s) no longer decodes: %v", tc.file, err)
 		}

@@ -27,11 +27,11 @@ func AlignRatings(m *Model, path string, oneBased bool) (*sparse.CSR, error) {
 		if err := toModelIndex(coo.ColIdx, m.ItemIDs, "item"); err != nil {
 			return nil, err
 		}
-	} else if coo.Rows > m.X.Rows || coo.Cols > m.Y.Rows {
+	} else if coo.Rows > m.X.Rows || coo.Cols > m.Items() {
 		return nil, fmt.Errorf("core: rating file (%dx%d) larger than model (%dx%d); was the model trained with -compact?",
-			coo.Rows, coo.Cols, m.X.Rows, m.Y.Rows)
+			coo.Rows, coo.Cols, m.X.Rows, m.Items())
 	}
-	coo.Rows, coo.Cols = m.X.Rows, m.Y.Rows
+	coo.Rows, coo.Cols = m.X.Rows, m.Items()
 	return sparse.NewCSR(coo)
 }
 

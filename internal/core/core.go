@@ -237,7 +237,8 @@ type Model struct {
 
 	// QY is the quantized item-factor matrix when the model came from a
 	// compressed (format v2) checkpoint: the serving layer installs it
-	// directly instead of re-encoding Y. Nil for float32 models.
+	// directly instead of re-encoding Y. Nil for float32 models; alone,
+	// with Y nil, when loaded at its own precision (checkpoint.LoadAt).
 	QY *quant.Matrix
 }
 
@@ -245,11 +246,20 @@ type Model struct {
 // item factors of a quantized checkpoint), its ID tables and the provenance
 // serving needs. It is the one conversion from a file's State to a Model:
 // every program that reads trained factors loads them with checkpoint.Load
-// and converts them here.
+// (a server with checkpoint.LoadAt) and converts them here.
 func ModelOf(st *checkpoint.State) *Model {
 	return &Model{K: st.K, X: st.X, Y: st.Y, QY: st.QY,
 		UserIDs: st.UserIDs, ItemIDs: st.ItemIDs,
 		Meta: Meta{Version: st.Version, Lambda: st.Lambda, WeightedLambda: st.WeightedLambda}}
+}
+
+// Items is the number of item rows m holds: Y's, or QY's when m holds its
+// item factors quantized alone.
+func (m *Model) Items() int {
+	if m.Y == nil {
+		return m.QY.Rows
+	}
+	return m.Y.Rows
 }
 
 // Predict estimates the rating of item i by user u (Eq. 1: x_u·y_iᵀ).
@@ -305,19 +315,18 @@ func CheckFoldIn(items []int32, ratings []float32, catalog int) error {
 // the system is not numerically positive definite. Both inputs are
 // consumed.
 func SolveFoldIn(packed, rhs []float32, k int, lambda float32) ([]float32, error) {
-	// A rejected Cholesky has clobbered its inputs: the fallback needs
-	// pristine copies.
+	// A rejected Cholesky has clobbered its factor but never touched rhs:
+	// the fallback needs a pristine copy of packed alone.
 	pcopy := append([]float32(nil), packed...)
-	rcopy := append([]float32(nil), rhs...)
 	linalg.AddDiagPacked(packed, k, lambda)
 	if err := linalg.CholeskySolvePacked(packed, k, rhs); err == nil {
 		return rhs, nil
 	}
 	linalg.AddDiagPacked(pcopy, k, lambda)
-	if err := linalg.LDLSolvePacked(pcopy, k, rcopy, make([]float64, k)); err != nil {
+	if err := linalg.LDLSolvePacked(pcopy, k, rhs, make([]float64, k)); err != nil {
 		return nil, fmt.Errorf("core: fold-in solve: %w", err)
 	}
-	return rcopy, nil
+	return rhs, nil
 }
 
 // Train factorizes the rating matrix according to cfg.

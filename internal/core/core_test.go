@@ -15,6 +15,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/kernels"
 	"repro/internal/linalg"
+	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/variant"
 )
@@ -290,7 +291,7 @@ func modelFile(cfg Config, m *Model) ([]byte, error) {
 // loadModel reads a model file as every program does: the checkpoint
 // decoder, then ModelOf.
 func loadModel(file []byte) (*Model, error) {
-	st, err := checkpoint.Decode(bytes.NewReader(file))
+	st, err := checkpoint.Decode(bytes.NewReader(file), quant.F32)
 	if err != nil {
 		return nil, err
 	}

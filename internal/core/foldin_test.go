@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/linalg"
@@ -204,5 +206,69 @@ func TestFoldInErrors(t *testing.T) {
 	x, err := foldInUser(model, nil, nil, 0.1)
 	if err != nil || len(x) != 4 {
 		t.Fatalf("empty fold-in: %v %v", x, err)
+	}
+}
+
+// spdSystem is a k×k packed Gram term and right-hand side as a fold-in
+// accumulates them: G = Σ y·yᵀ over 2k random rows, positive definite.
+func spdSystem(rng *rand.Rand, k int) (packed, rhs []float32) {
+	packed, rhs = make([]float32, linalg.PackedLen(k)), make([]float32, k)
+	rows, items, ratings := make([]float32, 2*k*k), make([]int32, 2*k), make([]float32, 2*k)
+	for i := range rows {
+		rows[i] = rng.Float32()*2 - 1
+	}
+	for i := range items {
+		items[i], ratings[i] = int32(i), float32(rng.Intn(5)+1)
+	}
+	linalg.GramRHSFused(rows, k, items, ratings, packed, rhs)
+	return packed, rhs
+}
+
+// TestSolveFoldInCopiesOnce: a solve that Cholesky accepts allocates one
+// array, the copy of packed the fallback would factor; rhs is solved in
+// place.
+func TestSolveFoldInCopiesOnce(t *testing.T) {
+	const k = 32
+	packed, rhs := spdSystem(rand.New(rand.NewSource(71)), k)
+	p, b := make([]float32, len(packed)), make([]float32, k)
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(p, packed)
+		copy(b, rhs)
+		if _, err := SolveFoldIn(p, b, k, 0.1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("SolveFoldIn at k=%d allocates %v times, want 1", k, allocs)
+	}
+}
+
+// TestSolveFoldInFallsBackToLDL: an indefinite system, which packed
+// Cholesky rejects, is solved bit for bit as LDLSolvePacked solves
+// untouched copies of it — a rejected Cholesky leaves rhs as it was.
+func TestSolveFoldInFallsBackToLDL(t *testing.T) {
+	const k, lambda = 32, 0.1
+	rng := rand.New(rand.NewSource(73))
+	packed, rhs := make([]float32, linalg.PackedLen(k)), make([]float32, k)
+	for i := range packed {
+		packed[i] = rng.Float32()*2 - 1
+	}
+	for i := range rhs {
+		rhs[i] = rng.Float32()*2 - 1
+	}
+	wantP, want := slices.Clone(packed), slices.Clone(rhs)
+	linalg.AddDiagPacked(wantP, k, lambda)
+	if err := linalg.CholeskyPacked(slices.Clone(wantP), k); err == nil {
+		t.Fatal("packed Cholesky accepts the indefinite input; the test needs one it rejects")
+	}
+	if err := linalg.LDLSolvePacked(wantP, k, want, make([]float64, k)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveFoldIn(packed, rhs, k, lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Errorf("fallback solve %v, LDLSolvePacked on untouched copies %v", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/lebin"
+	"repro/internal/quant"
 )
 
 // allocated returns the bytes f allocates.
@@ -58,7 +59,7 @@ func FuzzLoadModel(f *testing.F) {
 		var st *checkpoint.State
 		var err error
 		// A quantized file is kept and dequantized: at most 8 bytes a byte.
-		if n := allocated(func() { st, err = checkpoint.Decode(bytes.NewReader(data)) }); n > loadBound+8*len(data) {
+		if n := allocated(func() { st, err = checkpoint.Decode(bytes.NewReader(data), quant.F32) }); n > loadBound+8*len(data) {
 			t.Fatalf("a %d-byte input allocated %d bytes", len(data), n)
 		}
 		if err != nil {

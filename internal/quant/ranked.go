@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/linalg"
 	"repro/internal/metrics"
 )
 
@@ -105,25 +104,6 @@ func (r *Ranked) Bytes() int {
 		return 0
 	}
 	return len(r.perm.I8) + 2*len(r.perm.F16) + 4*(len(r.perm.Scales)+len(r.ID)+len(r.Bound)+len(r.pos))
-}
-
-// DecodesTo reports whether d is, bit for bit, the decode of r's source
-// rows: every row i of d equals what DecodeRow(i) writes. Only then can d
-// be dropped and its rows decoded instead.
-func (r *Ranked) DecodesTo(d *linalg.Dense) bool {
-	if d == nil || d.Rows != r.Rows || d.Cols != r.Cols {
-		return false
-	}
-	row := make([]float32, r.Cols)
-	for i := range r.Rows {
-		r.DecodeRow(row, i)
-		for c, v := range d.Row(i) {
-			if math.Float32bits(v) != math.Float32bits(row[c]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // roundUp32 returns a float32 no smaller than v·(1+1e-9): the margin

@@ -14,8 +14,9 @@
 //     (cmd/alstrain) and serving compose with zero request downtime;
 //   - a fold-in path for cold-start users — the ALS X update's normal
 //     equations (core.CheckFoldIn, linalg.GramRHSFused, core.SolveFoldIn)
-//     over the rated items' rows, which a quantized snapshot that keeps no
-//     float32 Y decodes from its encoding (Snapshot.itemRows) — and an LRU
+//     over the rated items' rows, which a snapshot loaded at its
+//     checkpoint's own quantized precision, holding no float32 Y, decodes
+//     from its encoding (Snapshot.itemRows) — and an LRU
 //     response cache keyed by (model version, user, n), purged wholesale on
 //     hot-swap;
 //   - one request middleware (trace span, status code, latency, slow log)

@@ -92,16 +92,71 @@ func TestQuantizedSnapshotKeepsNoFloatY(t *testing.T) {
 	}
 }
 
-// TestFoldInFromQuantizedRows: a snapshot without Y folds a user in bit
-// for bit as a float32 snapshot of the decoded model does, and each of
-// 1, 2 or 3 shards without Y returns the partial terms GramRHSFused makes
-// over its slice of the decoded rows — so the fleet's summed solve is the
-// one a float32 Y gave.
+// loadedModel is the model checkpoint.LoadAt returns for m saved at prec
+// and read back at prec: its item factors quantized alone, Y nil.
+func loadedModel(t testing.TB, m *core.Model, prec quant.Precision) *core.Model {
+	t.Helper()
+	fsys := checkpoint.NewMemFS()
+	path, err := checkpoint.Save(fsys, "ckpts", &checkpoint.State{Iteration: 1, K: m.K, Lambda: m.Meta.Lambda,
+		X: m.X, Y: m.Y, QY: m.QY, Precision: prec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.LoadAt(fsys, path, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Y != nil || st.QY == nil {
+		t.Fatalf("LoadAt(%v) of a %v checkpoint: Y=%v QY=%v", prec, prec, st.Y != nil, st.QY != nil)
+	}
+	return core.ModelOf(st)
+}
+
+// TestQuantizedInstallAllocatesNoFloatY: installing an i8 checkpoint on an
+// i8 server, by Watcher.Poll or by /admin/swap, allocates less than the
+// float32 Y alone would take: the load never decodes one.
+func TestQuantizedInstallAllocatesNoFloatY(t *testing.T) {
+	const users, items, k = 4, 30000, 32
+	const yBytes = 4 * items * k
+	dir := t.TempDir()
+	m := checkpointModel(t, rand.New(rand.NewSource(53)), quant.I8, users, items, k)
+	st := &checkpoint.State{Iteration: 1, K: k, Lambda: 0.1, X: m.X, Y: m.Y, QY: m.QY, Precision: quant.I8}
+	if _, err := checkpoint.Save(checkpoint.OS, dir, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []string{"watcher", "admin"} {
+		s, ts := newTestServer(t, Config{})
+		s.SetPrecision(quant.I8)
+		w := NewWatcher(s, WatcherConfig{Dir: dir})
+		req := swapRequest{Model: filepath.Join(dir, checkpoint.FileName(1))}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if via == "watcher" {
+			if swapped, err := w.Poll(); !swapped || err != nil {
+				t.Fatalf("poll = (%v, %v)", swapped, err)
+			}
+		} else if code := postJSON(t, ts.URL+"/admin/swap", req, nil); code != 200 {
+			t.Fatalf("swap status %d", code)
+		}
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: the install allocated %d B, the float32 Y is %d B", via, alloc, yBytes)
+		if alloc >= yBytes {
+			t.Errorf("%s: the install allocated %d B, the float32 Y alone is %d B", via, alloc, yBytes)
+		}
+	}
+}
+
+// TestFoldInFromQuantizedRows: a snapshot of a model loaded without Y folds
+// a user in bit for bit as a float32 snapshot of the decoded model does,
+// and each of 1, 2 or 3 shards without Y returns the partial terms
+// GramRHSFused makes over its slice of the decoded rows — so the fleet's
+// summed solve is the one a float32 Y gave.
 func TestFoldInFromQuantizedRows(t *testing.T) {
 	const users, items, k = 3, 500, 8
 	for _, prec := range []quant.Precision{quant.I8, quant.F16} {
 		rng := rand.New(rand.NewSource(59))
-		m := checkpointModel(t, rng, prec, users, items, k)
+		m := loadedModel(t, checkpointModel(t, rng, prec, users, items, k), prec)
 		decoded := &core.Model{K: k, X: m.X, Y: m.QY.Decode()}
 		var f32 Store
 		oracle := f32.Swap(decoded, nil, "f32")
@@ -109,7 +164,7 @@ func TestFoldInFromQuantizedRows(t *testing.T) {
 		st.SetPrecision(prec)
 		sn := st.Swap(m, nil, "q")
 		if sn.Model.Y != nil {
-			t.Fatalf("%v: the snapshot kept a Y that is its encoding's decode", prec)
+			t.Fatalf("%v: the snapshot of a model without Y holds one", prec)
 		}
 		cases := foldInCases(rng, items)
 		for _, its := range cases {
@@ -174,15 +229,15 @@ func TestFoldInFromQuantizedRows(t *testing.T) {
 }
 
 // TestWatcherSwapSpans: a sampled watcher install is one swap trace —
-// read, decode, rank and drop_check under the swap root for a checkpoint
-// whose encoding the swap keeps alone, and encode, rank and no drop_check
-// for a float32 checkpoint served quantized.
+// read, decode and rank under the swap root for a checkpoint stored at the
+// serving precision, and read, decode, encode and rank for a float32
+// checkpoint served quantized.
 func TestWatcherSwapSpans(t *testing.T) {
 	for _, ck := range []struct {
 		prec quant.Precision
 		want []string
 	}{
-		{quant.I8, []string{"read", "decode", "rank", "drop_check"}},
+		{quant.I8, []string{"read", "decode", "rank"}},
 		{quant.F32, []string{"read", "decode", "encode", "rank"}},
 	} {
 		tr := rtrace.New(rtrace.Config{Sample: 1, Process: "test"})
@@ -205,15 +260,9 @@ func TestWatcherSwapSpans(t *testing.T) {
 			}
 		}
 		var children []string
-		dropped := ""
 		for _, sp := range spans {
 			if root.ID != 0 && sp.Parent == root.ID {
 				children = append(children, sp.Name)
-			}
-			for _, a := range sp.Attrs {
-				if sp.Name == "drop_check" && a.Key == "dropped" {
-					dropped = a.Value
-				}
 			}
 		}
 		slices.Sort(children)
@@ -221,9 +270,6 @@ func TestWatcherSwapSpans(t *testing.T) {
 		slices.Sort(want)
 		if !slices.Equal(children, want) {
 			t.Errorf("%v checkpoint: swap children %v, want %v", ck.prec, children, want)
-		}
-		if ck.prec == quant.I8 && dropped != "true" {
-			t.Errorf("%v checkpoint: drop_check dropped=%q, want true", ck.prec, dropped)
 		}
 	}
 }

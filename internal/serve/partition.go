@@ -29,20 +29,17 @@ func ParseSpec(s string) (i, of int, err error) {
 // (and item ID labels) restricted to its sparse.Range of the catalog — a
 // static range, so replicas agree on ownership without coordination — the
 // user factors shared, and the metadata copied. It reports the slice's
-// global item offset and the full catalog size. The item rows are copied,
-// not viewed, so the slice keeps none of the full Y alive: a shard holds
-// only what it scans.
+// global item offset and the full catalog size. The float item rows, when
+// m has them, are copied, not viewed, so the slice keeps none of the full
+// Y alive: a shard holds only what it scans.
 func sliceModel(m *core.Model, i, of int) (view *core.Model, itemOffset, itemTotal int) {
-	total := m.Y.Rows
+	total := m.Items()
 	lo, hi := sparse.Range(total, i, of)
-	view = &core.Model{
-		K:       m.K,
-		X:       m.X,
-		Y:       linalg.NewDense(hi-lo, m.K),
-		UserIDs: m.UserIDs,
-		Meta:    m.Meta,
+	view = &core.Model{K: m.K, X: m.X, UserIDs: m.UserIDs, Meta: m.Meta}
+	if m.Y != nil {
+		view.Y = linalg.NewDense(hi-lo, m.K)
+		copy(view.Y.Data, m.Y.Data[lo*m.K:hi*m.K])
 	}
-	copy(view.Y.Data, m.Y.Data[lo*m.K:hi*m.K])
 	if m.ItemIDs != nil {
 		view.ItemIDs = make([]int64, hi-lo)
 		copy(view.ItemIDs, m.ItemIDs[lo:hi])

@@ -76,7 +76,7 @@ func NewReplica(srv *Server, cfg ReplicaConfig) (*Replica, error) {
 	// admitted on its own (answer).
 	mux.HandleFunc("GET "+hopPath, r.handleFrames)
 	// Overrides the wrapped server's: the same handler, installing the slice.
-	mux.HandleFunc("POST /admin/swap", srv.instrument("swap", swapHandler(r.install)))
+	mux.HandleFunc("POST /admin/swap", srv.instrument("swap", srv.swapHandler(r.install)))
 	r.mux = mux
 	return r, nil
 }
@@ -96,7 +96,7 @@ func (r *Replica) install(ctx context.Context, m *core.Model, rated *sparse.CSR,
 	view, off, total := r.Transform(m)
 	var cut *sparse.Gaps
 	if rated != nil {
-		cut = sparse.NewGaps(rated).ColRange(off, off+view.Y.Rows)
+		cut = sparse.NewGaps(rated).ColRange(off, off+view.Items())
 	}
 	return r.srv.swapShard(ctx, view, cut, version, off, total)
 }

@@ -95,7 +95,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/model", s.instrument("model", s.handleModel))
 	mux.HandleFunc("GET /v1/recommend", s.instrument("recommend", s.handleRecommend))
 	mux.HandleFunc("POST /v1/foldin", s.instrument("foldin", s.handleFoldIn))
-	mux.HandleFunc("POST /admin/swap", s.instrument("swap", swapHandler(
+	mux.HandleFunc("POST /admin/swap", s.instrument("swap", s.swapHandler(
 		func(ctx context.Context, m *core.Model, rated *sparse.CSR, version string) *Snapshot {
 			return s.swapShard(ctx, m, sparse.NewGaps(rated), version, 0, 0)
 		})))
@@ -556,8 +556,9 @@ type swapResponse struct {
 // swapHandler is the /admin/swap handler of the server and of a shard
 // replica: install is the server's swap, or Replica.install — which slices
 // the loaded model to the shard's range first, so an operator can push one
-// model path to the whole fleet. It records the swap's stages under ctx.
-func swapHandler(install func(context.Context, *core.Model, *sparse.CSR, string) *Snapshot) http.HandlerFunc {
+// model path to the whole fleet. The file is loaded at s's precision. It
+// records the swap's stages under ctx.
+func (s *Server) swapHandler(install func(context.Context, *core.Model, *sparse.CSR, string) *Snapshot) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req swapRequest
 		if !decodeJSON(w, r, smallBodyLimit, &req) {
@@ -571,7 +572,7 @@ func swapHandler(install func(context.Context, *core.Model, *sparse.CSR, string)
 		if req.OneBased != nil {
 			oneBased = *req.OneBased
 		}
-		m, rated, err := LoadSnapshotFiles(req.Model, req.Ratings, oneBased)
+		m, rated, err := LoadSnapshotFiles(req.Model, req.Ratings, oneBased, s.store.Precision())
 		if err != nil {
 			obs.HTTPError(w, http.StatusBadRequest, err.Error())
 			return

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
@@ -22,8 +21,9 @@ import (
 // mix factors from one model with the version or rated-set of another.
 type Snapshot struct {
 	// Model holds the user factors, IDs and metadata. Its Y, the float32
-	// item factors, is nil when the swap found it to be exactly the decode
-	// of QY: fold-in then decodes the rows it needs from QY (itemRows).
+	// item factors, is nil when the checkpoint was loaded at the precision
+	// it stores (checkpoint.LoadAt): fold-in then decodes the rows it needs
+	// from QY (itemRows).
 	Model *core.Model
 	// Items is the number of item rows the snapshot holds: the catalog, or
 	// a shard's slice of it.
@@ -93,8 +93,9 @@ func (sn *Snapshot) UserIndex(orig int64) (int, bool) {
 // (local indices, checked by the caller) into dst, row z at dst[z·K:],
 // growing it as needed, and returns it. It is the one reader of float item
 // rows on a request path: it copies them from Model.Y when the snapshot
-// holds it, and otherwise decodes them from QY — bit for bit the rows the
-// dropped Y held, which the swap checked before dropping it.
+// holds it, and otherwise decodes them from QY — bit for bit the rows
+// checkpoint.Load's float32 Y holds, as both decode with
+// quant.Matrix.Decode's arithmetic.
 func (sn *Snapshot) itemRows(dst []float32, items []int32) []float32 {
 	k := sn.Model.K
 	dst = slices.Grow(dst[:0], len(items)*k)[:len(items)*k]
@@ -162,11 +163,13 @@ func (s *Store) SetPrecision(p quant.Precision) { s.prec.Store(uint32(p)) }
 // Precision returns the precision subsequent swaps will serve at.
 func (s *Store) Precision() quant.Precision { return quant.Precision(s.prec.Load()) }
 
-// swapShard installs a sharded model view: m.Y holds the slice of a
-// total-item catalog starting at global index offset. total == 0 installs
-// an ordinary full-catalog snapshot. The quantized encoding's stages are
-// children of ctx's span: encode (when the model's own encoding does not
-// match), rank, and drop_check.
+// swapShard installs a sharded model view: m's item rows are the slice of
+// a total-item catalog starting at global index offset. total == 0
+// installs an ordinary full-catalog snapshot. A model without Y serves at
+// its QY's precision, the one it was loaded at. The snapshot holds what m
+// holds, less the natural-order QY it ranks. The quantized encoding's
+// stages are children of ctx's span: encode (when the model's own encoding
+// does not match) and rank.
 func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps, version string, offset, total int) *Snapshot {
 	seq := s.seq.Add(1)
 	if version == "" {
@@ -175,10 +178,13 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps
 	if version == "" {
 		version = fmt.Sprintf("v%d", seq)
 	}
-	sn := &Snapshot{Model: m, Items: m.Y.Rows, Rated: rated, Version: version, Seq: seq,
+	sn := &Snapshot{Model: m, Items: m.Items(), Rated: rated, Version: version, Seq: seq,
 		ItemOffset: offset, ItemTotal: total}
-	dropY := false
-	if prec := s.Precision(); prec != quant.F32 {
+	prec := s.Precision()
+	if m.Y == nil {
+		prec = m.QY.Prec
+	}
+	if prec != quant.F32 {
 		// Encode and rank once per swap, amortized over every request the
 		// snapshot serves. A model decoded from a compressed checkpoint
 		// already carries the matching quantized matrix: its rows are
@@ -186,8 +192,7 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps
 		// factors, which the training guard prevents; if it happens anyway
 		// the snapshot serves (and reports) float32 rather than refusing.
 		qy := m.QY
-		reused := qy != nil && qy.Prec == prec && qy.Rows == m.Y.Rows && qy.Cols == m.Y.Cols
-		if !reused {
+		if qy == nil || qy.Prec != prec {
 			_, span := rtrace.StartChild(ctx, "encode")
 			qy, _ = quant.EncodeDense(m.Y, prec)
 			span.End()
@@ -195,15 +200,6 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps
 		if qy != nil {
 			_, span := rtrace.StartChild(ctx, "rank")
 			sn.QY, sn.Precision = quant.Rank(qy), prec
-			span.End()
-		}
-		if reused {
-			// A checkpoint's float Y is its encoding's decode, so the
-			// snapshot can keep the encoding alone — if that holds bit for
-			// bit; a model whose Y was changed after decoding keeps it.
-			_, span := rtrace.StartChild(ctx, "drop_check")
-			dropY = sn.QY.DecodesTo(m.Y)
-			span.SetAttr("dropped", strconv.FormatBool(dropY))
 			span.End()
 		}
 	}
@@ -215,9 +211,6 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps
 		// caller's would keep a second quantized catalog alive per snapshot.
 		view := *m
 		view.QY = nil
-		if dropY {
-			view.Y = nil
-		}
 		sn.Model = &view
 	}
 	if m.UserIDs != nil {
@@ -230,11 +223,12 @@ func (s *Store) swapShard(ctx context.Context, m *core.Model, rated *sparse.Gaps
 	return sn
 }
 
-// LoadSnapshotFiles reads a checkpoint (alstrain -out writes one) and, when
+// LoadSnapshotFiles reads a checkpoint (alstrain -out writes one) for a
+// server scoring at precision prec (checkpoint.LoadAt) and, when
 // ratingsPath is non-empty, the rating file it was trained on (aligned to
 // the model's ID space for compact models) for rated-item exclusion.
-func LoadSnapshotFiles(modelPath, ratingsPath string, oneBased bool) (*core.Model, *sparse.CSR, error) {
-	st, err := checkpoint.Load(checkpoint.OS, modelPath)
+func LoadSnapshotFiles(modelPath, ratingsPath string, oneBased bool, prec quant.Precision) (*core.Model, *sparse.CSR, error) {
+	st, err := checkpoint.LoadAt(checkpoint.OS, modelPath, prec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
 	}

@@ -151,7 +151,7 @@ func (w *Watcher) Poll() (bool, error) {
 		}
 		ctx, span := w.srv.cfg.Tracer.StartRequest(context.Background(), "swap", rtrace.SpanContext{})
 		_, read := rtrace.StartChild(ctx, "read")
-		st, err := checkpoint.Load(w.cfg.FS, path)
+		st, err := checkpoint.LoadAt(w.cfg.FS, path, w.srv.store.Precision())
 		read.End()
 		if err != nil {
 			span.SetAttr("error", err.Error())
@@ -175,9 +175,9 @@ func (w *Watcher) Poll() (bool, error) {
 			continue
 		}
 		delete(w.retries, path)
-		// A compressed (format v2) checkpoint already carries quantized item
-		// factors; the model keeps them, so the swap reuses the encoding
-		// instead of re-quantizing when the serving precision matches.
+		// A checkpoint stored at the serving precision loads its item
+		// factors quantized alone; the swap ranks that encoding instead of
+		// re-quantizing.
 		_, decode := rtrace.StartChild(ctx, "decode")
 		model := core.ModelOf(st)
 		model.Meta.Version = fmt.Sprintf("ckpt-%d", st.Iteration)
@@ -199,7 +199,7 @@ func (w *Watcher) Poll() (bool, error) {
 	return false, nil
 }
 
-// ratedFor returns the rated set for installing model, whose Y rows are
+// ratedFor returns the rated set for installing model, whose item rows are
 // the catalog's items from offset on, or nil, with the reason in
 // w.unrated, when the set does not fit it: a checkpoint of another user
 // count, or of another slice than the cut's, would exclude the wrong
@@ -210,7 +210,7 @@ func (w *Watcher) ratedFor(model *core.Model, offset int) *sparse.Gaps {
 	if w.rated == nil {
 		return nil
 	}
-	rows := model.Y.Rows
+	rows := model.Items()
 	if w.cfg.Transform != nil && !w.cut {
 		w.rated, w.cut, w.ratedLo = w.rated.ColRange(offset, offset+rows), true, offset
 	}
